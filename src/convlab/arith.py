@@ -3,16 +3,17 @@
 A single smallest-prime-factor table is the source of truth: factorizations
 come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
-factorization.  Bulk tables over [1, N] are built with vectorised sieve
-passes (hyperbola enumeration for divisor sums, prime loops for mu, phi
-and Lambda) rather than per-n evaluation, so tabulation costs O(N log N)
-array element updates.
+factorization.  Bulk tables over [1, N] are vectorised rather than built
+per n: the sieve derives its own mu and phi tables from spf on first use,
+Lambda comes from the sieve's primes, and divisor sums from hyperbola
+enumeration, so tabulation costs O(N log N) array element updates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -36,6 +37,8 @@ __all__ = [
     "tabulate",
 ]
 
+_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class FactorSieve:
@@ -44,10 +47,15 @@ class FactorSieve:
     Conventions: spf[0] = 0, spf[1] = 1, spf[p] = p for primes.  The table
     is immutable and safe to share between threads.  Memory is about
     4 bytes per entry (int32) for limits below 2**31.
+
+    The read-only mobius (int8) and phi (int64) tables cover 0..limit and
+    are built from spf on first use, about 9 more bytes per entry.  memo
+    holds tables other modules derive from this sieve, keyed by name.
     """
 
     limit: int
     spf: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def primes(self) -> np.ndarray:
         """All primes up to the sieve limit, ascending."""
@@ -55,6 +63,35 @@ class FactorSieve:
         mask = self.spf == idx
         mask[:2] = False
         return np.nonzero(mask)[0]
+
+    @cached_property
+    def mobius(self) -> np.ndarray:
+        """mu(n) for n = 0..limit (mu[0] = 0), read-only int8."""
+        return self._from_spf(
+            np.int8, lambda mu_m, p, p_divides_m: np.where(p_divides_m, 0, -mu_m)
+        )
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """phi(n) for n = 0..limit (phi[0] = 0), read-only int64."""
+        return self._from_spf(
+            np.int64, lambda phi_m, p, p_divides_m: phi_m * np.where(p_divides_m, p, p - 1)
+        )
+
+    def _from_spf(self, dtype, step) -> np.ndarray:
+        # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n).  Blocks
+        # [lo, hi) have hi <= 2 lo, so m <= n / 2 < lo is already filled.
+        out = np.zeros(self.limit + 1, dtype=dtype)
+        out[1] = 1
+        lo = 2
+        while lo <= self.limit:
+            hi = min(2 * lo, lo + _BLOCK, self.limit + 1)
+            p = self.spf[lo:hi]
+            m = np.arange(lo, hi, dtype=p.dtype) // p
+            out[lo:hi] = step(out[m], p, m % p == 0)
+            lo = hi
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -190,68 +227,6 @@ def von_mangoldt(f: Factorization) -> float:
     return 0.0
 
 
-# --- cached raw tables -------------------------------------------------
-#
-# The bool prime sieve, mu and phi tables below are shared plumbing for
-# tabulate() and for the Ramanujan-sum machinery.  They grow on demand
-# (rounded up to powers of two) and are handed out as read-only views.
-
-_prime_cache: dict = {"limit": 1, "primes": np.empty(0, dtype=np.int64)}
-_mobius_cache: dict = {"limit": 0, "table": None}
-_phi_cache: dict = {"limit": 0, "table": None}
-
-
-def _grown(limit: int) -> int:
-    return max(1 << max(limit.bit_length(), 10), limit)
-
-
-def _primes_upto(limit: int) -> np.ndarray:
-    if limit > _prime_cache["limit"]:
-        size = _grown(limit)
-        is_prime = np.ones(size + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, math.isqrt(size) + 1):
-            if is_prime[p]:
-                is_prime[p * p :: p] = False
-        primes = np.nonzero(is_prime)[0]
-        primes.setflags(write=False)
-        _prime_cache["limit"] = size
-        _prime_cache["primes"] = primes
-    primes = _prime_cache["primes"]
-    return primes[: np.searchsorted(primes, limit, side="right")]
-
-
-def _mobius_upto(limit: int) -> np.ndarray:
-    if limit > _mobius_cache["limit"]:
-        size = _grown(limit)
-        mu = np.ones(size + 1, dtype=np.int8)
-        mu[0] = 0
-        for p in _primes_upto(size):
-            p = int(p)
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= size:
-                mu[sq::sq] = 0
-        mu.setflags(write=False)
-        _mobius_cache["limit"] = size
-        _mobius_cache["table"] = mu
-    return _mobius_cache["table"][: limit + 1]
-
-
-def _phi_upto(limit: int) -> np.ndarray:
-    if limit > _phi_cache["limit"]:
-        size = _grown(limit)
-        phi = np.arange(size + 1, dtype=np.int64)
-        for p in _primes_upto(size):
-            p = int(p)
-            block = phi[p::p]
-            block -= block // p
-        phi.setflags(write=False)
-        _phi_cache["limit"] = size
-        _phi_cache["table"] = phi
-    return _phi_cache["table"][: limit + 1]
-
-
 # --- bulk tables -------------------------------------------------------
 
 
@@ -264,35 +239,27 @@ def _divisor_table(N: int) -> np.ndarray:
     return out
 
 
-def _sigma_table_int(N: int, k: int) -> np.ndarray:
-    # sum_{d | n} d**k exactly, integer k >= 1
-    if N**k >= 2**61:
+def _sigma_table(N: int, s: int | float) -> np.ndarray:
+    # sum_{d | n} d**s by hyperbola pairing: exact int64 for an int s >= 1,
+    # double precision for a float s
+    if isinstance(s, int) and N**s >= 2**61:
         raise UsageError(
-            f"sigma({k}) table to N={N} would overflow 64-bit accumulation; "
+            f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
-    out = np.zeros(N + 1, dtype=np.int64)
+    dtype = np.int64 if isinstance(s, int) else np.float64
+    out = np.zeros(N + 1, dtype=dtype)
     for d in range(1, math.isqrt(N) + 1):
-        idx = np.arange(d * d, N + 1, d, dtype=np.int64)
-        out[idx] += d**k + (idx // d) ** k
-        out[d * d] -= d**k
+        out[d * d :: d] += d**s + np.arange(d, N // d + 1, dtype=dtype) ** s
+        out[d * d] -= d**s
     return out
 
 
-def _sigma_table_float(N: int, s: float) -> np.ndarray:
-    # sum_{d | n} d**s in double precision, any real s
+def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
     out = np.zeros(N + 1, dtype=np.float64)
-    for d in range(1, math.isqrt(N) + 1):
-        idx = np.arange(d * d, N + 1, d, dtype=np.int64)
-        out[idx] += float(d) ** s + (idx // d).astype(np.float64) ** s
-        out[d * d] -= float(d) ** s
-    return out
-
-
-def _lambda_table(N: int) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.float64)
-    for p in _primes_upto(N):
-        p = int(p)
+    for p in sieve.primes().tolist():
+        if p > N:
+            break
         logp = math.log(p)
         pk = p
         while pk <= N:
@@ -329,18 +296,14 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     if kind == "sigma":
         if s >= 0 and s.is_integer():
             k = int(s)
-            values = _divisor_table(N).astype(np.int64) if k == 0 else _sigma_table_int(N, k)
+            values = _divisor_table(N).astype(np.int64) if k == 0 else _sigma_table(N, k)
         else:
-            values = _sigma_table_float(N, s)
+            values = _sigma_table(N, s)
         return ArithTable(f"sigma({s:g})", N, values, s=s)
     if kind == "sigma_norm":
-        return ArithTable(f"sigma_norm({s:g})", N, _sigma_table_float(N, -s), s=s)
+        return ArithTable(f"sigma_norm({s:g})", N, _sigma_table(N, -s), s=s)
     if kind == "mobius":
-        values = _mobius_upto(N).copy()
-        return ArithTable("mobius", N, values)
+        return ArithTable("mobius", N, sieve.mobius[: N + 1].copy())
     if kind == "phi":
-        values = _phi_upto(N).copy()
-        values[0] = 0
-        return ArithTable("phi", N, values)
-    values = _lambda_table(N)
-    return ArithTable("lambda", N, values)
+        return ArithTable("phi", N, sieve.phi[: N + 1].copy())
+    return ArithTable("lambda", N, _lambda_table(sieve, N))

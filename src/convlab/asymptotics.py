@@ -46,8 +46,6 @@ from .ramanujan import CoefficientProvider, ramanujan_sum_table
 from .special import gamma_real, zeta_real
 
 __all__ = [
-    "zeta_real",
-    "gamma_real",
     "ConvolutionReport",
     "SweepResult",
     "main_term_full",

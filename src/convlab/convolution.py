@@ -125,9 +125,6 @@ def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:
     return _exact_int_sum(dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1])
 
 
-_pair_counts: dict = {}
-
-
 def _divisor_pairs(k: int) -> int:
     # ordered pairs (l, r) with l * r = k, counted by trial division
     cnt = 0
@@ -151,7 +148,7 @@ def lattice_count_S(N: int, M: float) -> int:
         raise UsageError(f"M must lie in [1, N], got M={M}")
     if N > _LATTICE_CAP:
         raise UsageError(f"lattice enumeration is capped at N <= {_LATTICE_CAP}")
-    cache = _pair_counts
+    cache: dict = {}
     total = 0
     for m in range(1, int(M) + 1):
         for s in range(1, int(M / m) + 1):

@@ -28,8 +28,6 @@ import numpy as np
 
 from .arith import (
     FactorSieve,
-    _mobius_upto,
-    _phi_upto,
     divisors,
     euler_phi,
     factorize,
@@ -119,7 +117,7 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
         raise UsageError(f"need n >= 1 and R >= 1, got n={n}, R={R}")
     if R > sieve.limit:
         raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
-    mu = _mobius_upto(R)
+    mu = sieve.mobius
     out = np.zeros(R + 1, dtype=np.int64)
     for d in divisors(factorize(sieve, n)):
         if d > R:
@@ -206,10 +204,10 @@ def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
         return m / euler_phi(f) if m else 0.0
 
     def vector(R: int) -> np.ndarray:
-        mu = _mobius_upto(R).astype(np.float64)
-        phi = _phi_upto(R).astype(np.float64)
+        if R > sieve.limit:
+            raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
         out = np.zeros(R + 1, dtype=np.float64)
-        out[1:] = mu[1:] / phi[1:]
+        out[1:] = sieve.mobius[1 : R + 1] / sieve.phi[1 : R + 1]
         return out
 
     return CoefficientProvider(kind="hardy", rule=rule, _vector=vector)
@@ -265,28 +263,26 @@ def expansion_partial_sum(
 #     = zeta(s+1) sum_{d | n} d**-s sum_{q <= R/d} mu(q) q**-(s+1),
 # so with prefix sums of mu(q) q**-(s+1) each evaluation costs O(d(n)).
 # Used by the adaptive loop; agrees with the literal product-sum to
-# floating-point rounding.
-
-_mu_power_cache: dict = {}
+# floating-point rounding.  The prefix sums are kept per sieve and exponent.
 
 
-def _mu_power_prefix(expo: float, limit: int) -> np.ndarray:
-    cached = _mu_power_cache.get(expo)
-    if cached is None or len(cached) <= limit:
-        size = max(1 << max(limit.bit_length(), 10), limit)
-        mu = _mobius_upto(size).astype(np.float64)
-        q = np.arange(size + 1, dtype=np.float64)
-        q[0] = 1.0
-        pref = np.cumsum(mu * q**-expo)
+def _mu_power_prefix(sieve: FactorSieve, expo: float) -> np.ndarray:
+    memo = sieve.memo.setdefault("mu_power_prefix", {})
+    if expo not in memo:
+        # in place, so building it holds one float64 table, not three
+        pref = np.arange(sieve.limit + 1, dtype=np.float64)
+        pref[0] = 1.0
+        pref **= -expo
+        pref *= sieve.mobius
+        np.cumsum(pref, out=pref)
         pref.setflags(write=False)
-        _mu_power_cache[expo] = pref
-        cached = pref
-    return cached
+        memo[expo] = pref
+    return memo[expo]
 
 
 def _sigma_partial_regrouped(sieve: FactorSieve, s: float, n: int, R: int) -> float:
     z = zeta_real(s + 1.0)
-    pref = _mu_power_prefix(s + 1.0, R)
+    pref = _mu_power_prefix(sieve, s + 1.0)
     total = 0.0
     for d in divisors(factorize(sieve, n)):
         if d > R:
@@ -352,8 +348,8 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     if R > sieve.limit:
         raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
     c = ramanujan_sum_table(sieve, N, R)
-    mu = _mobius_upto(R)
-    phi = _phi_upto(R).astype(np.float64)
+    mu = sieve.mobius[: R + 1]
+    phi = sieve.phi[: R + 1].astype(np.float64)
     terms = np.where(mu[1:] != 0, c[1:].astype(np.float64) / phi[1:] ** 2, 0.0)
     return float(np.sum(terms))
 

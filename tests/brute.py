@@ -1,12 +1,16 @@
 """Brute-force oracles, deliberately independent of the library internals.
 
 Everything here is trial division, direct enumeration, or plain cmath;
-slow but obviously correct on small inputs.
+slow but obviously correct on small inputs.  The bulk oracles at the end
+are whole-table algorithms the library has replaced, kept to check the
+replacements bit for bit.
 """
 
 import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def divisors(n: int) -> list:
@@ -113,3 +117,62 @@ def tau(y: float) -> float:
             mu += 1
         lam += 1
     return total
+
+
+# --- bulk oracles ---------------------------------------------------------
+#
+# A boolean prime sieve with one pass per prime for mu, phi and Lambda, and
+# fancy-index hyperbola loops for sigma.  Each entry is computed with the
+# same floating-point operations as the library's tables, so comparisons
+# against them are exact.
+
+
+def primes_upto(N: int) -> np.ndarray:
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.nonzero(is_prime)[0]
+
+
+def mobius_table(N: int) -> np.ndarray:
+    mu = np.ones(N + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_upto(N).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
+
+
+def phi_table(N: int) -> np.ndarray:
+    phi = np.arange(N + 1, dtype=np.int64)
+    for p in primes_upto(N).tolist():
+        block = phi[p::p]
+        block -= block // p
+    return phi
+
+
+def lambda_table(N: int) -> np.ndarray:
+    out = np.zeros(N + 1, dtype=np.float64)
+    for p in primes_upto(N).tolist():
+        pk = p
+        while pk <= N:
+            out[pk] = math.log(p)
+            pk *= p
+    return out
+
+
+def sigma_table(N: int, s) -> np.ndarray:
+    """sum_{d | n} d**s: exact int64 for an int s >= 1, float64 otherwise."""
+    exact = isinstance(s, int)
+    out = np.zeros(N + 1, dtype=np.int64 if exact else np.float64)
+    for d in range(1, math.isqrt(N) + 1):
+        idx = np.arange(d * d, N + 1, d, dtype=np.int64)
+        if exact:
+            out[idx] += d**s + (idx // d) ** s
+            out[d * d] -= d**s
+        else:
+            out[idx] += float(d) ** s + (idx // d).astype(np.float64) ** s
+            out[d * d] -= float(d) ** s
+    return out

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from convlab import build_sieve, tabulate
+
+# `python -m convlab.cli` subprocesses run this checkout's code too, also
+# under a plain `pytest` with no install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

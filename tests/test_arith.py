@@ -154,6 +154,42 @@ def test_tabulate_matches_pointwise(sieve_small):
         )
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 2**21 + 12345])
+def test_tabulate_bit_identical_to_bulk_oracles(limit):
+    # crosses the 2**20 block cap of the spf-derived tables at a limit that
+    # is no power of two, and covers the smallest sieves
+    sv = build_sieve(limit)
+    cases = [
+        ("mobius", None, brute.mobius_table(limit)),
+        ("phi", None, brute.phi_table(limit)),
+        ("lambda", None, brute.lambda_table(limit)),
+        ("sigma", 1, brute.sigma_table(limit, 1)),
+        ("sigma", 2, brute.sigma_table(limit, 2)),
+        ("sigma", 0.5, brute.sigma_table(limit, 0.5)),
+        ("sigma_norm", 0.5, brute.sigma_table(limit, -0.5)),
+    ]
+    for kind, s, expected in cases:
+        values = tabulate(sv, kind, limit, s=s).values
+        assert values.dtype == expected.dtype, (kind, s)
+        assert np.array_equal(values, expected), (kind, s)
+
+
+def test_tables_agree_across_sieve_limits(sieve_small, sieve_1m):
+    # mu, phi and Lambda depend on nothing but n, whatever the sieve's limit
+    N = sieve_small.limit
+    for kind in ("mobius", "phi", "lambda"):
+        small = tabulate(sieve_small, kind, N).values
+        large = tabulate(sieve_1m, kind, sieve_1m.limit).values
+        assert np.array_equal(small, large[: N + 1]), kind
+
+
+def test_sieve_tables_are_read_only(sieve_small):
+    for table in (sieve_small.mobius, sieve_small.phi):
+        assert len(table) == sieve_small.limit + 1
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+
 def test_sigma_minus_one_identity(sieve_small):
     # sigma_{-1}(n) * n = sigma_1(n) exactly in rational arithmetic
     for n in range(1, 10_001):

@@ -129,6 +129,13 @@ def test_provider_coefficient_vector_matches_rule(sieve_small):
             assert vec[r] == pytest.approx(p.rule(r), rel=1e-12)
 
 
+def test_hardy_coefficients_reject_R_past_sieve(sieve_small):
+    provider = hardy_provider(sieve_small)
+    assert len(provider.coefficients(sieve_small.limit)) == sieve_small.limit + 1
+    with pytest.raises(UsageError):
+        provider.coefficients(sieve_small.limit + 1)
+
+
 def test_custom_provider_metadata_check():
     with pytest.raises(UsageError):
         custom_provider(lambda r: 1.0 / r**3, delta=2.0, bound=None)
