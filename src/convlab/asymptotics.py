@@ -33,13 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .arith import ArithTable, FactorSieve, divisors, factorize, sigma_rational
 from .convolution import (
     ConvolutionSpec,
     additive_convolution,
     divisor_additive_convolution,
+    real_dot,
 )
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, ramanujan_sum_table
@@ -137,10 +136,10 @@ def main_term_general(
         R = max(16, math.ceil((scale / (expo * 1e-9)) ** (1.0 / expo)))
     if R > sieve.limit:
         raise UsageError(f"truncation level R={R} exceeds sieve limit {sieve.limit}")
-    c = ramanujan_sum_table(sieve, N, R).astype(np.float64)
+    c = ramanujan_sum_table(sieve, N, R)
     af = pf.coefficients(R)
     ag = pg.coefficients(R)
-    value = M * float(np.dot(af[1:] * ag[1:], c[1:]))
+    value = M * real_dot(af[1:] * ag[1:], c[1:])
     tail = M * scale * R**-expo / expo
     return value, tail
 
@@ -315,7 +314,11 @@ def sweep(
     if len(grid) == 0:
         raise UsageError("sweep needs a non-empty grid")
     if max_workers is None:
-        max_workers = int(os.environ.get("CONVLAB_THREADS", "1"))
+        text = os.environ.get("CONVLAB_THREADS", "1")
+        try:
+            max_workers = int(text)
+        except ValueError:
+            raise UsageError(f"CONVLAB_THREADS must be an integer, got {text!r}") from None
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             reports = tuple(pool.map(make_report, grid))

@@ -5,8 +5,18 @@ Both boundary conventions are first-class and must be chosen explicitly:
 real; the effective index ranges are n <= ceil(M) - 1 and n <= floor(M).
 Integer sums are exact: the fast path accumulates in int64 only after
 proving the worst-case total fits, otherwise it falls back to Python's
-arbitrary-precision integers.  Real sums are reduced in fixed chunks of
-2**16 summands combined in index order, so results are reproducible.
+arbitrary-precision integers.  Real sums and dot products (real_dot) are
+reduced in fixed chunks of 2**16 summands combined in index order, with
+no BLAS call, so results are reproducible whatever the thread count.
+
+tau_exact evaluates the coprime-pair harmonic sum by Mobius inversion over
+the square of the gcd and the Dirichlet hyperbola method,
+
+    tau(y) = sum_{d <= sqrt(Y), mu(d) != 0} mu(d)/d**2 * T(Y // d**2),
+    T(x)   = sum_{ab <= x} 1/(ab) = 2 sum_{a <= sqrt(x)} H(x // a)/a - H(isqrt(x))**2,
+
+with Y = floor(y) and harmonic numbers H: O(sqrt(y) log y) work, summed
+in ascending d, so every call gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable
+from .arith import ArithTable, build_sieve
 from .errors import UsageError
 
 __all__ = [
@@ -26,11 +36,16 @@ __all__ = [
     "shifted_divisor_convolution",
     "lattice_count_S",
     "tau_exact",
+    "real_dot",
 ]
 
 _CHUNK = 1 << 16
 _LATTICE_CAP = 10_000
 _TAU_CAP = 10_000_000.0
+# H(k) is an exact prefix below _H_EXACT and the Euler-Maclaurin series above
+_H_EXACT = 64
+_H_PREFIX = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, _H_EXACT))))
+_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -62,10 +77,17 @@ class ConvolutionSpec:
         return math.ceil(self.M) - 1
 
 
-def _chunked_real_sum(values: np.ndarray) -> float:
+def real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a[i] b[i] in float64, in fixed 2**16 chunks combined in index order.
+
+    Each chunk is cast to float64 and multiplied on its own, so no
+    len(a)-sized product is built and no BLAS call can reorder the sum.
+    """
     total = 0.0
-    for i in range(0, len(values), _CHUNK):
-        total += float(np.sum(values[i : i + _CHUNK]))
+    for i in range(0, len(a), _CHUNK):
+        ca = a[i : i + _CHUNK].astype(np.float64, copy=False)
+        cb = b[i : i + _CHUNK].astype(np.float64, copy=False)
+        total += float(np.sum(ca * cb))
     return total
 
 
@@ -73,14 +95,11 @@ def _exact_int_sum(fa: np.ndarray, ga: np.ndarray) -> int:
     k = len(fa)
     if k == 0:
         return 0
-    bound = k * int(np.abs(fa).max()) * int(np.abs(ga).max())
-    if bound < 2**62:
-        total = 0
-        for i in range(0, k, _CHUNK):
-            total += int(
-                np.dot(fa[i : i + _CHUNK].astype(np.int64), ga[i : i + _CHUNK].astype(np.int64))
-            )
-        return total
+    fmax = max(-int(fa.min()), int(fa.max()))
+    gmax = max(-int(ga.min()), int(ga.max()))
+    if k * fmax * gmax < 2**62:
+        # every partial sum fits int64, so the order of summation cannot matter
+        return int(np.einsum("i,i->", fa, ga, dtype=np.int64))
     # values too large for 64-bit accumulation: exact arbitrary precision
     return sum(int(a) * int(b) for a, b in zip(fa.tolist(), ga.tolist()))
 
@@ -103,7 +122,7 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
         if not (f.is_integer and g.is_integer):
             raise UsageError("exact_integer mode requires integer-valued tables")
         return _exact_int_sum(fa, ga)
-    return _chunked_real_sum(fa.astype(np.float64) * ga.astype(np.float64))
+    return real_dot(fa, ga)
 
 
 def divisor_additive_convolution(dtable: ArithTable, N: int, M: float, boundary: str) -> int:
@@ -162,31 +181,43 @@ def lattice_count_S(N: int, M: float) -> int:
     return total
 
 
+def _harmonic(k: np.ndarray) -> np.ndarray:
+    # H(k) for k >= 1, an int or an int64 array
+    kf = np.maximum(k, _H_EXACT).astype(np.float64)
+    inv2 = 1.0 / (kf * kf)
+    series = np.log(kf) + _EULER_GAMMA + 0.5 / kf - inv2 * (
+        1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252)
+    )
+    return np.where(k < _H_EXACT, _H_PREFIX[np.minimum(k, _H_EXACT - 1)], series)
+
+
+def _pair_harmonic(x: int) -> float:
+    # T(x) = sum_{ab <= x} 1/(ab) by the hyperbola method
+    r = math.isqrt(x)
+    a = np.arange(1, r + 1, dtype=np.int64)
+    return 2.0 * float(np.sum(_harmonic(x // a) / a)) - float(_harmonic(r)) ** 2
+
+
 def tau_exact(y: float) -> float:
     """sum over coprime pairs (lam, mu) with lam * mu <= y of 1/(lam * mu).
 
-    Deterministic order: lam outer ascending, mu inner ascending.
-    O(y log y) terms; capped at y <= 10**7.
+    Evaluated as sum_{d <= sqrt(Y), mu(d) != 0} mu(d)/d**2 * T(Y // d**2)
+    with Y = floor(y), mu from the spf sieve up to isqrt(Y), and the
+    pair harmonic sum T(x) by the hyperbola method (see the module
+    docstring): O(sqrt(y) log y) work.  Deterministic order: d ascending.
+    Capped at y <= 10**7.
     """
+    if not math.isfinite(y):
+        raise UsageError(f"y must be finite, got {y}")
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")
     if y > _TAU_CAP:
         raise UsageError(f"tau_exact is capped at y <= {_TAU_CAP:g}")
+    Y = math.floor(y)
+    dmax = math.isqrt(Y)
+    mu = build_sieve(max(dmax, 2)).mobius
     total = 0.0
-    gcd = math.gcd
-    for lam in range(1, int(y) + 1):
-        mmax = int(y / lam)
-        if mmax == 1:
-            total += 1.0 / lam
-        elif mmax == 2:
-            total += 1.0 / lam + (0.5 / lam if lam % 2 else 0.0)
-        elif mmax < 16:
-            inv = 1.0 / lam
-            for m in range(1, mmax + 1):
-                if gcd(lam, m) == 1:
-                    total += inv / m
-        else:
-            m = np.arange(1, mmax + 1, dtype=np.int64)
-            cop = m[np.gcd(m, lam) == 1]
-            total += float(np.sum(1.0 / (lam * cop.astype(np.float64))))
+    for d in range(1, dmax + 1):
+        if mu[d]:
+            total += int(mu[d]) / (d * d) * _pair_harmonic(Y // (d * d))
     return total

@@ -34,6 +34,7 @@ from .arith import (
     mobius,
     sigma_rational,
 )
+from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
 from .special import zeta_real
 
@@ -252,7 +253,7 @@ def expansion_partial_sum(
     """sum_{r <= R} a(r) c_r(n), terms in increasing r."""
     c = ramanujan_sum_table(sieve, n, R)
     a = provider.coefficients(R)
-    value = float(np.dot(a[1:], c[1:].astype(np.float64)))
+    value = real_dot(a[1:], c[1:])
     sigma1_n = int(sigma_rational(factorize(sieve, n), 1))
     return ExpansionSum(value=value, tail_bound=_tail_bound(provider, sigma1_n, R), R=R)
 

@@ -176,3 +176,19 @@ def sigma_table(N: int, s) -> np.ndarray:
             out[idx] += float(d) ** s + (idx // d).astype(np.float64) ** s
             out[d * d] -= float(d) ** s
     return out
+
+
+def tau_fsum(y: float) -> float:
+    """The replaced per-lambda coprimality loop, summed exactly by math.fsum.
+
+    Each term 1/(lam mu) is rounded once, so the result is within about
+    half an ulp per term of the true tau(y).
+    """
+
+    def terms():
+        for lam in range(1, int(y) + 1):
+            m = np.arange(1, int(y / lam) + 1, dtype=np.int64)
+            cop = m[np.gcd(m, lam) == 1]
+            yield from (1.0 / (lam * cop.astype(np.float64))).tolist()
+
+    return math.fsum(terms())

@@ -225,6 +225,22 @@ def test_tau_bad_argument_exits_2(capsys):
     assert code == 2
 
 
+def test_tau_non_finite_exits_2(capsys):
+    for y in ("nan", "inf"):
+        code, out, err = run(capsys, "tau", "--y", y)
+        assert code == 2, y
+        assert out == ""
+        assert "finite" in err
+
+
+def test_bad_thread_count_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CONVLAB_THREADS", "abc")
+    code, out, err = run(capsys, "verify-ingham", "--N-grid", "100,200", "--M-rule", "half")
+    assert code == 2
+    assert out == ""
+    assert "CONVLAB_THREADS" in err
+
+
 def test_tau_json_nan_is_null(capsys):
     code, out, _ = run(capsys, "tau", "--y", "1", "--format", "json")
     assert code == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import brute
 from convlab import (
@@ -15,6 +17,7 @@ from convlab import (
     tabulate,
     tau_exact,
 )
+from convlab.convolution import _exact_int_sum
 
 
 def test_spec_validation():
@@ -210,3 +213,98 @@ def test_tau_domain():
         tau_exact(0.5)
     with pytest.raises(UsageError):
         tau_exact(1.1e7)
+
+
+def test_tau_matches_brute_every_integer_to_300():
+    # crosses the exact/series switch of H at 64 and many d**2 boundaries
+    for y in range(1, 301):
+        assert tau_exact(float(y)) == pytest.approx(brute.tau(y), rel=1e-13), y
+    for y in (1.5, 3.99, 8.25, 63.5, 64.75, 120.01, 299.9):
+        assert tau_exact(y) == pytest.approx(brute.tau(y), rel=1e-13), y
+
+
+def test_tau_against_fsum_oracle():
+    y = 1e5
+    ref = brute.tau_fsum(y)
+    assert abs(tau_exact(y) - ref) <= 1e-14 * ref
+
+
+def test_tau_repeated_calls_bit_identical():
+    for y in (1.0, 4.0, 299.9, 1e5, 1999865.0):
+        assert tau_exact(y).hex() == tau_exact(y).hex(), y
+
+
+def test_tau_rejects_non_finite():
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError):
+            tau_exact(y)
+
+
+def test_real_mode_bit_identical_to_whole_product(sieve_1m):
+    # chunk-wise products reduce to the bits of the whole product summed in the same chunks
+    N = 300_000
+    f = tabulate(sieve_1m, "sigma_norm", N, s=0.5)
+    g = tabulate(sieve_1m, "lambda", N)
+    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open", value_mode="real")
+    prod = f.values[1:N].astype(np.float64) * g.values[N - 1 : 0 : -1]
+    ref = 0.0
+    for i in range(0, len(prod), 1 << 16):
+        ref += float(np.sum(prod[i : i + (1 << 16)]))
+    assert additive_convolution(f, g, spec) == ref
+
+
+_INT_DTYPES = (np.int8, np.int32, np.int64)
+
+
+def _draw_int_array(draw, dtype, magnitude, k):
+    # k values of dtype with max |v| == magnitude, possibly all equal to that
+    # extreme (so the sum reaches the bound) and possibly a negative-stride view
+    info = np.iinfo(dtype)
+    negative = magnitude > info.max or draw(st.booleans())
+    extreme = -magnitude if negative else magnitude
+    if draw(st.booleans()):
+        vals = [extreme] * k
+    else:
+        vals = draw(st.lists(st.integers(-magnitude, min(magnitude, info.max)), min_size=k, max_size=k))
+        vals[draw(st.integers(0, k - 1))] = extreme
+    arr = np.array(vals, dtype=dtype)
+    if draw(st.booleans()):
+        arr = np.ascontiguousarray(arr[::-1])[::-1]
+    return arr
+
+
+@st.composite
+def _int_pairs_near_2_62(draw):
+    """(f, g, over) with bound = k * max|f| * max|g| next to 2**62.
+
+    over: bound is the least value >= 2**62, 2**63 or 2**64 the magnitudes
+    allow (past 2**63 an int64 sum of extremes overflows); otherwise it is
+    the largest value below 2**62.
+    """
+    k = draw(st.integers(1, 64))
+    gtype = draw(st.sampled_from(_INT_DTYPES))
+    gmin = -int(np.iinfo(gtype).min)  # |dtype min|, which np.abs cannot represent
+    gmax = draw(st.one_of(st.just(gmin), st.integers(1, gmin)))
+    over = draw(st.booleans())
+    if over:
+        fmax = -(-(2 ** (62 + draw(st.integers(0, 2)))) // (k * gmax))
+    else:
+        fmax = (2**62 - 1) // (k * gmax)
+    fits = [t for t in _INT_DTYPES if 1 <= fmax <= -int(np.iinfo(t).min)]
+    assume(fits)
+    f = _draw_int_array(draw, draw(st.sampled_from(fits)), fmax, k)
+    g = _draw_int_array(draw, gtype, gmax, k)
+    if draw(st.booleans()):
+        f, g = g, f
+    return f, g, over
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_pairs_near_2_62())
+def test_exact_int_sum_at_int64_boundary(case):
+    f, g, over = case
+    bound = len(f) * max(abs(int(v)) for v in f) * max(abs(int(v)) for v in g)
+    assert (bound >= 2**62) == over  # over: the widening fallback; else the einsum path
+    got = _exact_int_sum(f, g)
+    assert isinstance(got, int)
+    assert got == sum(int(a) * int(b) for a, b in zip(f.tolist(), g.tolist()))

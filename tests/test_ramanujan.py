@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -243,3 +246,26 @@ def test_orthogonality_domain(sieve_small):
         orthogonality_defect(sieve_small, 2, 3, 10, 11)
     with pytest.raises(UsageError):
         orthogonality_defect(sieve_small, 2, 3, 10, 0)
+
+
+def test_real_dot_products_independent_of_blas_threads():
+    # a Hardy expansion (n = 836428, R = 10**5) and a sigma main term, once
+    # per OpenBLAS thread count; a BLAS dot reorders its sum by thread count
+    code = (
+        "from convlab import build_sieve, expansion_partial_sum, hardy_provider, "
+        "main_term_general, sigma_provider\n"
+        "s = build_sieve(10**6)\n"
+        "print(repr(expansion_partial_sum(s, hardy_provider(s), 836428, 10**5).value))\n"
+        "p = sigma_provider(1.0)\n"
+        "print(repr(main_term_general(s, p, p, 836428, 4000.5, R=10**5)[0]))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
