@@ -4,13 +4,18 @@ A single smallest-prime-factor table is the source of truth: factorizations
 come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
 factorization.  Bulk tables over [1, N] are vectorised rather than built
-per n: the sieve derives its own mu and phi tables from spf on first use,
-Lambda comes from the sieve's primes, and divisor sums from hyperbola
-enumeration, so tabulation costs O(N log N) array element updates.
+per n: the sieve derives its own mu and phi tables from spf on first use
+(or only their prefix up to the R a caller asks for), Lambda comes from
+the sieve's primes, and divisor sums from hyperbola enumeration, so
+tabulation costs O(N log N) array element updates.  The sieve and the
+hyperbola tables are written in blocks of _BLOCK entries, so the strided
+updates stay in cache; the order of the updates each entry receives does
+not depend on the block size, and neither do the bits of any table.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +44,13 @@ __all__ = [
 
 _BLOCK = 1 << 20
 
+# f(p m) from f(m), p = spf(p m) and whether p divides m, for the tables
+# FactorSieve derives from spf
+_FROM_SPF = {
+    "mobius": (np.int8, lambda mu_m, p, p_divides_m: np.where(p_divides_m, 0, -mu_m)),
+    "phi": (np.int64, lambda phi_m, p, p_divides_m: phi_m * np.where(p_divides_m, p, p - 1)),
+}
+
 
 @dataclass(frozen=True)
 class FactorSieve:
@@ -46,11 +58,14 @@ class FactorSieve:
 
     Conventions: spf[0] = 0, spf[1] = 1, spf[p] = p for primes.  The table
     is immutable and safe to share between threads.  Memory is about
-    4 bytes per entry (int32) for limits below 2**31.
+    4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
+    it one _BLOCK-sized segment at a time.
 
     The read-only mobius (int8) and phi (int64) tables cover 0..limit and
-    are built from spf on first use, about 9 more bytes per entry.  memo
-    holds tables other modules derive from this sieve, keyed by name.
+    are built from spf on first use, about 9 more bytes per entry.  A
+    caller that reads them only up to some R asks upto(name, R) instead,
+    which builds no more than the prefix 0..R.  memo holds tables other
+    modules derive from this sieve, keyed by name.
     """
 
     limit: int
@@ -59,33 +74,45 @@ class FactorSieve:
 
     def primes(self) -> np.ndarray:
         """All primes up to the sieve limit, ascending."""
-        idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-        mask = self.spf == idx
-        mask[:2] = False
-        return np.nonzero(mask)[0]
+        return _primes(self.spf)
 
     @cached_property
     def mobius(self) -> np.ndarray:
         """mu(n) for n = 0..limit (mu[0] = 0), read-only int8."""
-        return self._from_spf(
-            np.int8, lambda mu_m, p, p_divides_m: np.where(p_divides_m, 0, -mu_m)
-        )
+        return self._from_spf("mobius", self.limit)
 
     @cached_property
     def phi(self) -> np.ndarray:
         """phi(n) for n = 0..limit (phi[0] = 0), read-only int64."""
-        return self._from_spf(
-            np.int64, lambda phi_m, p, p_divides_m: phi_m * np.where(p_divides_m, p, p - 1)
-        )
+        return self._from_spf("phi", self.limit)
 
-    def _from_spf(self, dtype, step) -> np.ndarray:
+    def upto(self, name: str, R: int) -> np.ndarray:
+        """The "mobius" or "phi" table on 0..R, read-only.
+
+        Slices the full table if it is already built.  Otherwise builds the
+        prefix from spf and keeps it in memo["upto"], one table per name at
+        the largest R asked for so far.
+        """
+        if not 0 <= R <= self.limit:
+            raise UsageError(f"R must lie in [0, {self.limit}], got {R}")
+        if name in self.__dict__:
+            return self.__dict__[name][: R + 1]
+        prefixes = self.memo.setdefault("upto", {})
+        table = prefixes.get(name)
+        if table is None or len(table) <= R:
+            table = prefixes[name] = self._from_spf(name, R)
+        return table[: R + 1]
+
+    def _from_spf(self, name: str, n_max: int) -> np.ndarray:
         # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n).  Blocks
         # [lo, hi) have hi <= 2 lo, so m <= n / 2 < lo is already filled.
-        out = np.zeros(self.limit + 1, dtype=dtype)
-        out[1] = 1
+        dtype, step = _FROM_SPF[name]
+        out = np.zeros(n_max + 1, dtype=dtype)
+        if n_max >= 1:
+            out[1] = 1
         lo = 2
-        while lo <= self.limit:
-            hi = min(2 * lo, lo + _BLOCK, self.limit + 1)
+        while lo <= n_max:
+            hi = min(2 * lo, lo + _BLOCK, n_max + 1)
             p = self.spf[lo:hi]
             m = np.arange(lo, hi, dtype=p.dtype) // p
             out[lo:hi] = step(out[m], p, m % p == 0)
@@ -108,7 +135,8 @@ class ArithTable:
 
     values has length N + 1 and is 1-indexed; values[0] is unused and zero.
     kind is a canonical tag such as "divisor", "sigma(2)", "sigma_norm(0.5)",
-    "mobius", "phi", "lambda" or "custom".
+    "mobius", "phi", "lambda" or "custom".  The mobius and phi values are
+    read-only views of the sieve's own tables, not copies.
     """
 
     kind: str
@@ -129,16 +157,32 @@ def build_sieve(limit: int) -> FactorSieve:
     """
     if limit < 2:
         raise UsageError(f"sieve limit must be >= 2, got {limit}")
+    return FactorSieve(limit=limit, spf=_spf_table(limit))
+
+
+def _spf_table(limit: int) -> np.ndarray:
+    # Segment by segment, each prime p <= sqrt(limit) (from the sieve of
+    # sqrt(limit)) writes p over its multiples from p*p on, the largest p
+    # first, so the smallest prime factor of a composite writes last.  What
+    # is still 0 after that is n itself: 0, 1 or a prime.
     dtype = np.int32 if limit < 2**31 else np.int64
     spf = np.zeros(limit + 1, dtype=dtype)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    spf[1] = 1
-    return FactorSieve(limit=limit, spf=spf)
+    root = math.isqrt(limit)
+    primes = _primes(_spf_table(root)).tolist() if root >= 2 else []
+    for lo in range(0, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK, limit + 1)
+        for p in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
+            spf[max(p * p, -(-lo // p) * p) : hi : p] = p
+        seg = spf[lo:hi]
+        rest = np.flatnonzero(seg == 0)
+        seg[rest] = rest + lo
+    return spf
+
+
+def _primes(spf: np.ndarray) -> np.ndarray:
+    mask = spf == np.arange(len(spf), dtype=spf.dtype)
+    mask[:2] = False
+    return np.nonzero(mask)[0]
 
 
 def factorize(sieve: FactorSieve, n: int) -> Factorization:
@@ -230,40 +274,45 @@ def von_mangoldt(f: Factorization) -> float:
 # --- bulk tables -------------------------------------------------------
 
 
-def _divisor_table(N: int) -> np.ndarray:
-    # hyperbola pairing: each d <= sqrt(n) pairs with n/d, squares once
-    out = np.zeros(N + 1, dtype=np.int32)
-    for d in range(1, math.isqrt(N) + 1):
-        out[d * d :: d] += 2
-        out[d * d] -= 1
-    return out
-
-
-def _sigma_table(N: int, s: int | float) -> np.ndarray:
-    # sum_{d | n} d**s by hyperbola pairing: exact int64 for an int s >= 1,
-    # double precision for a float s
+def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
+    # sum_{d | n} d**s by hyperbola pairing: each d <= sqrt(n) dividing n
+    # adds d**s + (n/d)**s, and d = sqrt(n) takes its d**s back.  n runs in
+    # blocks with d ascending inside each, so every n receives the same
+    # additions in the same order as in one whole-range pass per d.
     if isinstance(s, int) and N**s >= 2**61:
         raise UsageError(
             f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
-    dtype = np.int64 if isinstance(s, int) else np.float64
     out = np.zeros(N + 1, dtype=dtype)
-    for d in range(1, math.isqrt(N) + 1):
-        out[d * d :: d] += d**s + np.arange(d, N // d + 1, dtype=dtype) ** s
-        out[d * d] -= d**s
+    if s != 0:
+        powers = np.arange(N + 1, dtype=dtype)
+        powers[0] = 1
+        powers **= s
+    for lo in range(0, N + 1, _BLOCK):
+        hi = min(lo + _BLOCK, N + 1)
+        for d in range(1, math.isqrt(hi - 1) + 1):
+            ds = d**s
+            j0 = max(d, -(-lo // d))
+            if s == 0:
+                out[j0 * d : hi : d] += 2
+            else:
+                out[j0 * d : hi : d] += ds + powers[j0 : (hi - 1) // d + 1]
+            if lo <= d * d:
+                out[d * d] -= ds
     return out
 
 
 def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
+    # math.log, not np.log: the two differ in the last bit for some p
     out = np.zeros(N + 1, dtype=np.float64)
-    for p in sieve.primes().tolist():
-        if p > N:
-            break
-        logp = math.log(p)
-        pk = p
+    primes = sieve.primes()
+    primes = primes[: np.searchsorted(primes, N, side="right")]
+    out[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
+    for p in primes[: np.searchsorted(primes, math.isqrt(N), side="right")].tolist():
+        pk = p * p
         while pk <= N:
-            out[pk] = logp
+            out[pk] = out[p]
             pk *= p
     return out
 
@@ -292,18 +341,17 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
         raise UsageError(f"kind {kind!r} takes no exponent")
 
     if kind == "divisor":
-        return ArithTable("divisor", N, _divisor_table(N))
+        return ArithTable("divisor", N, _hyperbola_table(N, 0, np.int32))
     if kind == "sigma":
         if s >= 0 and s.is_integer():
-            k = int(s)
-            values = _divisor_table(N).astype(np.int64) if k == 0 else _sigma_table(N, k)
+            values = _hyperbola_table(N, int(s), np.int64)
         else:
-            values = _sigma_table(N, s)
+            values = _hyperbola_table(N, s, np.float64)
         return ArithTable(f"sigma({s:g})", N, values, s=s)
     if kind == "sigma_norm":
-        return ArithTable(f"sigma_norm({s:g})", N, _sigma_table(N, -s), s=s)
+        return ArithTable(f"sigma_norm({s:g})", N, _hyperbola_table(N, -s, np.float64), s=s)
     if kind == "mobius":
-        return ArithTable("mobius", N, sieve.mobius[: N + 1].copy())
+        return ArithTable("mobius", N, sieve.mobius[: N + 1])
     if kind == "phi":
-        return ArithTable("phi", N, sieve.phi[: N + 1].copy())
+        return ArithTable("phi", N, sieve.phi[: N + 1])
     return ArithTable("lambda", N, _lambda_table(sieve, N))

@@ -18,7 +18,11 @@ JSON behind --format json) with a fixed column order:
   tau              coprime-pair harmonic sum vs. (3/pi^2) log^2 y
                    columns: y, exact, main, residual_over_log
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage or domain error.
+Exit codes: 0 pass, 1 assertion failure, 2 usage or domain error.  Exit
+2 covers every malformed input: an unparsable, infinite or NaN number
+(exponents, M rules, grids), a fractional N in a grid, an --output file
+that cannot be written and a table too large for memory.  It prints one
+"error: ..." line to stderr and no traceback.
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the largest limit the command
 needs (or --sieve-limit, whichever is bigger).  CONVLAB_THREADS caps
@@ -55,16 +59,23 @@ from .ramanujan import orthogonality_defect, singular_series
 Row = Dict[str, Any]
 
 
+def _parse_float(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_kind(text: str) -> Tuple[str, Optional[float]]:
     plain = {"d": "divisor", "mu": "mobius", "phi": "phi", "lambda": "lambda"}
     if text in plain:
         return plain[text], None
     for prefix in ("sigma_norm:", "sigma:"):
         if text.startswith(prefix):
-            try:
-                s = float(text[len(prefix):])
-            except ValueError:
-                raise UsageError(f"bad exponent in function kind {text!r}") from None
+            s = _parse_float(text[len(prefix):], f"exponent in function kind {text!r}")
             return prefix[:-1], s
     raise UsageError(
         f"unknown function kind {text!r}; expected one of "
@@ -76,12 +87,12 @@ def _parse_m_rule(text: str) -> Tuple[str, Optional[float]]:
     if text == "half":
         return "half", None
     if text.startswith("frac:"):
-        c = float(text[5:])
+        c = _parse_float(text[5:], "frac rule c")
         if not 0 < c <= 1:
             raise UsageError(f"frac rule needs 0 < c <= 1, got {c}")
         return "frac", c
     if text.startswith("fixed:"):
-        return "fixed", float(text[6:])
+        return "fixed", _parse_float(text[6:], "fixed rule M")
     raise UsageError(f"unknown M rule {text!r}; expected half, frac:c, or fixed:M")
 
 
@@ -89,10 +100,7 @@ def _parse_grid(text: str, kind: str) -> List[float]:
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not toks:
         raise UsageError(f"empty {kind} grid")
-    try:
-        return [float(tok) for tok in toks]
-    except ValueError:
-        raise UsageError(f"bad {kind} grid entry in {text!r}") from None
+    return [_parse_float(tok, f"{kind} grid entry") for tok in toks]
 
 
 def _fmt_float(v: float) -> str:
@@ -138,8 +146,11 @@ def _emit(
             lines.append(f"# {key}={_csv_cell(val)}")
         text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -178,7 +189,10 @@ _INGHAM_HEADERS = (
 
 
 def cmd_verify_ingham(args: argparse.Namespace) -> int:
-    grid = [int(v) for v in _parse_grid(args.N_grid, "N")]
+    grid = _parse_grid(args.N_grid, "N")
+    if not all(v.is_integer() for v in grid):
+        raise UsageError(f"N grid entries must be integers, got {args.N_grid!r}")
+    grid = [int(v) for v in grid]
     rule, param = _parse_m_rule(args.M_rule)
     sieve = _sieve_for(max(grid), args.sieve_limit)
     dtable = tabulate(sieve, "divisor", max(grid))
@@ -296,6 +310,8 @@ _ORTHO_HEADERS = ("r", "s", "exact", "main", "defect", "normalized")
 def cmd_orthogonality(args: argparse.Namespace) -> int:
     if args.r_max < 1 or args.s_max < 1:
         raise UsageError("r-max and s-max must be >= 1")
+    if args.assert_max is not None and not math.isfinite(args.assert_max):
+        raise UsageError(f"--assert-max must be a finite number, got {args.assert_max}")
     required = max(args.N, args.r_max, args.s_max)
     sieve = _sieve_for(required, args.sieve_limit)
     rows: List[Row] = []
@@ -474,6 +490,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller N or --sieve-limit", file=sys.stderr)
         return 2
 
 

@@ -112,13 +112,14 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
     """c_r(n) for r = 1..R as an int64 array (index 0 unused).
 
     Accumulates d * mu(r/d) over the divisors d of n, vectorised over the
-    multiples of each d.  Requires R <= sieve.limit.
+    multiples of each d, with mu read up to R only.  Requires
+    R <= sieve.limit.
     """
     if n < 1 or R < 1:
         raise UsageError(f"need n >= 1 and R >= 1, got n={n}, R={R}")
     if R > sieve.limit:
         raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
-    mu = sieve.mobius
+    mu = sieve.upto("mobius", R)
     out = np.zeros(R + 1, dtype=np.int64)
     for d in divisors(factorize(sieve, n)):
         if d > R:
@@ -208,7 +209,7 @@ def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
         if R > sieve.limit:
             raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
         out = np.zeros(R + 1, dtype=np.float64)
-        out[1:] = sieve.mobius[1 : R + 1] / sieve.phi[1 : R + 1]
+        out[1:] = sieve.upto("mobius", R)[1:] / sieve.upto("phi", R)[1:]
         return out
 
     return CoefficientProvider(kind="hardy", rule=rule, _vector=vector)
@@ -349,8 +350,8 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     if R > sieve.limit:
         raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
     c = ramanujan_sum_table(sieve, N, R)
-    mu = sieve.mobius[: R + 1]
-    phi = sieve.phi[: R + 1].astype(np.float64)
+    mu = sieve.upto("mobius", R)
+    phi = sieve.upto("phi", R).astype(np.float64)
     terms = np.where(mu[1:] != 0, c[1:].astype(np.float64) / phi[1:] ** 2, 0.0)
     return float(np.sum(terms))
 

@@ -121,10 +121,34 @@ def tau(y: float) -> float:
 
 # --- bulk oracles ---------------------------------------------------------
 #
-# A boolean prime sieve with one pass per prime for mu, phi and Lambda, and
-# fancy-index hyperbola loops for sigma.  Each entry is computed with the
-# same floating-point operations as the library's tables, so comparisons
-# against them are exact.
+# A boolean prime sieve with one pass per prime for mu, phi and Lambda, a
+# masked ascending pass per prime for spf, and whole-range hyperbola loops
+# for d and sigma.  Each entry is computed with the same floating-point
+# operations as the library's tables, so comparisons against them are
+# exact.
+
+
+def spf_table(limit: int) -> np.ndarray:
+    """Smallest prime factor of 0..limit: each prime fills the still-empty
+    entries among its multiples from p*p on, smallest prime first."""
+    spf = np.zeros(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    rest = np.nonzero(spf[2:] == 0)[0] + 2
+    spf[rest] = rest
+    spf[1] = 1
+    return spf
+
+
+def divisor_table(N: int) -> np.ndarray:
+    """d(n) as int32: each d <= sqrt(N) adds 2 to its multiples from d*d."""
+    out = np.zeros(N + 1, dtype=np.int32)
+    for d in range(1, math.isqrt(N) + 1):
+        out[d * d :: d] += 2
+        out[d * d] -= 1
+    return out
 
 
 def primes_upto(N: int) -> np.ndarray:

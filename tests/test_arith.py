@@ -154,12 +154,18 @@ def test_tabulate_matches_pointwise(sieve_small):
         )
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 2**21 + 12345])
+@pytest.mark.parametrize("limit", [2, 3, 4, 2**21 + 12345, 1451**2])
 def test_tabulate_bit_identical_to_bulk_oracles(limit):
-    # crosses the 2**20 block cap of the spf-derived tables at a limit that
-    # is no power of two, and covers the smallest sieves
+    # crosses the 2**20 block cap of the spf-derived tables, of the sieve's
+    # segments and of the hyperbola blocks at a limit that is no power of
+    # two, and covers the smallest sieves; at 1451**2 the last entry of the
+    # last segment is a prime square
     sv = build_sieve(limit)
+    expected_spf = brute.spf_table(limit)
+    assert sv.spf.dtype == expected_spf.dtype
+    assert np.array_equal(sv.spf, expected_spf)
     cases = [
+        ("divisor", None, brute.divisor_table(limit)),
         ("mobius", None, brute.mobius_table(limit)),
         ("phi", None, brute.phi_table(limit)),
         ("lambda", None, brute.lambda_table(limit)),
@@ -188,6 +194,30 @@ def test_sieve_tables_are_read_only(sieve_small):
         assert len(table) == sieve_small.limit + 1
         with pytest.raises(ValueError):
             table[1] = 0
+
+
+def test_tabulate_mobius_phi_are_sieve_views(sieve_small):
+    # no copy: the table's values are the sieve's own read-only memory
+    for kind, table in (("mobius", sieve_small.mobius), ("phi", sieve_small.phi)):
+        values = tabulate(sieve_small, kind, 5000).values
+        assert not values.flags.writeable
+        assert np.shares_memory(values, table)
+        with pytest.raises(ValueError):
+            values[1] = 0
+
+
+def test_upto_prefix_matches_full_tables():
+    sv = build_sieve(10_000)
+    prefixes = {name: sv.upto(name, 777) for name in ("mobius", "phi")}
+    assert "mobius" not in sv.__dict__ and "phi" not in sv.__dict__
+    for name, full in (("mobius", sv.mobius), ("phi", sv.phi)):
+        assert prefixes[name].dtype == full.dtype
+        assert not prefixes[name].flags.writeable
+        assert np.array_equal(prefixes[name], full[:778])
+        # once the full table is built it is sliced, not a second prefix
+        assert np.shares_memory(sv.upto(name, 500), full)
+    with pytest.raises(UsageError):
+        sv.upto("phi", 10_001)
 
 
 def test_sigma_minus_one_identity(sieve_small):

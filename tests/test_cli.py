@@ -141,6 +141,57 @@ def test_verify_ingham_bad_rule_exits_2(capsys):
     assert "unknown M rule" in err
 
 
+@pytest.mark.parametrize("rule", ["frac:abc", "fixed:abc", "frac:nan", "fixed:inf"])
+def test_verify_ingham_malformed_rule_number_exits_2(capsys, rule):
+    code, out, err = run(capsys, "verify-ingham", "--N-grid", "100", "--M-rule", rule)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite number" in err
+
+
+def test_verify_ingham_fractional_N_exits_2(capsys):
+    code, out, err = run(capsys, "verify-ingham", "--N-grid", "100.5,200", "--M-rule", "half")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "integers" in err
+
+
+@pytest.mark.parametrize("kind", ["sigma:nan", "sigma_norm:inf", "sigma:-inf"])
+def test_convolve_non_finite_exponent_exits_2(capsys, kind):
+    code, out, err = run(
+        capsys, "convolve", "--f", kind, "--g", "d", "--N", "6", "--M", "3",
+        "--boundary", "closed",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite number" in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "tau", "--y", "100", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cannot write" in err
+    assert not target.exists()
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    import convlab.cli as cli
+
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_sieve", no_memory)
+    code, out, err = run(
+        capsys, "convolve", "--f", "d", "--g", "d", "--N", "6", "--M", "3",
+        "--boundary", "closed",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "out of memory" in err
+
+
 def test_verify_general_json(capsys):
     code, out, _ = run(
         capsys, "verify-general", "--alpha", "2", "--beta", "2", "--N", "10000",
@@ -194,6 +245,17 @@ def test_orthogonality_assert_max_failure(capsys):
         "--r-max", "4", "--s-max", "4", "--assert-max", "1e-9",
     )
     assert code == 1
+
+
+def test_orthogonality_non_finite_assert_max_exits_2(capsys):
+    # a NaN bound would pass every comparison and never fail the check
+    code, out, err = run(
+        capsys, "orthogonality", "--N", "10", "--M", "10", "--r-max", "2", "--s-max", "2",
+        "--assert-max", "nan",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite number" in err
 
 
 def test_goldbach_odd_N_exits_2(capsys):
@@ -269,4 +331,13 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == ",".join(_TAU_HEADERS)
+
+
+def test_package_main_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "convlab", "tau", "--y", "100"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == ",".join(_TAU_HEADERS)

@@ -11,6 +11,7 @@ import brute
 from convlab import (
     ConsistencyError,
     UsageError,
+    build_sieve,
     custom_provider,
     divisor_provider,
     expansion_adaptive,
@@ -219,6 +220,32 @@ def test_singular_series_euler_product(sieve_1m):
             c2 *= 1.0 - 1.0 / (p - 1.0) ** 2
     ref = 2.0 * c2 * (5.0 - 1.0) / (5.0 - 2.0)  # 10^4 = 2^4 5^4
     assert ss == pytest.approx(ref, rel=1e-4)
+
+
+def test_prefix_tables_bit_identical_to_full_tables():
+    # singular series, Hardy coefficients and c_r tables read mu and phi
+    # only up to R: a prefix of the spf-derived tables, not the full ones
+    prefix_sv = build_sieve(10**6)
+    full_sv = build_sieve(10**6)
+    full_sv.mobius, full_sv.phi  # build the full tables first
+    N = 2 * 3 * 5 * 7 * 11 * 13 * 17
+    assert singular_series(prefix_sv, N, 10**3) == singular_series(full_sv, N, 10**3)
+    assert "phi" not in prefix_sv.__dict__ and "mobius" not in prefix_sv.__dict__
+    for R in (500, 2000, 1000, 3):
+        assert singular_series(prefix_sv, N + 2, R) == singular_series(full_sv, N + 2, R)
+        assert np.array_equal(
+            hardy_provider(prefix_sv).coefficients(R), hardy_provider(full_sv).coefficients(R)
+        )
+        assert np.array_equal(
+            ramanujan_sum_table(prefix_sv, N, R), ramanujan_sum_table(full_sv, N, R)
+        )
+    assert "phi" not in prefix_sv.__dict__ and "mobius" not in prefix_sv.__dict__
+    # one memo entry, at the largest R asked for so far
+    assert list(prefix_sv.memo) == ["upto"]
+    assert {k: len(v) for k, v in prefix_sv.memo["upto"].items()} == {
+        "mobius": 2001, "phi": 2001,
+    }
+    assert "upto" not in full_sv.memo
 
 
 def test_orthogonality_examples(sieve_small):
