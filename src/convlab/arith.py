@@ -142,7 +142,6 @@ class ArithTable:
     kind: str
     N: int
     values: np.ndarray
-    s: float | None = None
 
     @property
     def is_integer(self) -> bool:
@@ -152,11 +151,14 @@ class ArithTable:
 def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for 1..limit.
 
-    Raises UsageError for limit < 2 and propagates MemoryError if the
-    table (about 4*limit bytes) cannot be allocated.
+    Raises UsageError for limit < 2 or a table too large for numpy to
+    address, and propagates MemoryError if the table (about 4*limit bytes)
+    cannot be allocated.
     """
     if limit < 2:
         raise UsageError(f"sieve limit must be >= 2, got {limit}")
+    if (limit + 1) * 8 > np.iinfo(np.intp).max:
+        raise UsageError(f"sieve limit {limit} is too large for one array")
     return FactorSieve(limit=limit, spf=_spf_table(limit))
 
 
@@ -347,9 +349,9 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
             values = _hyperbola_table(N, int(s), np.int64)
         else:
             values = _hyperbola_table(N, s, np.float64)
-        return ArithTable(f"sigma({s:g})", N, values, s=s)
+        return ArithTable(f"sigma({s:g})", N, values)
     if kind == "sigma_norm":
-        return ArithTable(f"sigma_norm({s:g})", N, _hyperbola_table(N, -s, np.float64), s=s)
+        return ArithTable(f"sigma_norm({s:g})", N, _hyperbola_table(N, -s, np.float64))
     if kind == "mobius":
         return ArithTable("mobius", N, sieve.mobius[: N + 1])
     if kind == "phi":

@@ -272,8 +272,12 @@ def verify(
     M: float,
     envelope_kind: str = "custom",
 ) -> ConvolutionReport:
-    """Assemble a ConvolutionReport; the envelope must be positive."""
-    if not envelope > 0:
+    """Assemble a ConvolutionReport.
+
+    The envelope must be positive, or NaN where no envelope applies; the
+    normalized residual is then NaN too.
+    """
+    if not (envelope > 0 or math.isnan(envelope)):
         raise UsageError(f"envelope must be positive, got {envelope}")
     exact = float(exact)
     residual = exact - main
@@ -361,9 +365,13 @@ def sigma_norm_report(
     N: int,
     M: float,
 ) -> ConvolutionReport:
-    """Report for the half-open normalized sigma convolution at (N, M)."""
-    spec = ConvolutionSpec(N=N, M=M, boundary="half_open", value_mode="real")
+    """Report for the half-open normalized sigma convolution at (N, M).
+
+    The regime envelope needs log M > 0, so for 1 <= M < 2 envelope and
+    normalized are NaN.
+    """
+    spec = ConvolutionSpec(N=N, M=M, boundary="half_open")
     exact = additive_convolution(ftable, gtable, spec)
     main, delta = main_term_sigma_norm(sieve, alpha, beta, N, M)
-    env = envelope_ramanujan(delta, M)
+    env = envelope_ramanujan(delta, M) if M >= 2 else math.nan
     return verify(exact, main, env, N=N, M=M, envelope_kind=ramanujan_regime(delta))

@@ -20,13 +20,15 @@ JSON behind --format json) with a fixed column order:
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage or domain error.  Exit
 2 covers every malformed input: an unparsable, infinite or NaN number
-(exponents, M rules, grids), a fractional N in a grid, an --output file
-that cannot be written and a table too large for memory.  It prints one
-"error: ..." line to stderr and no traceback.
+(--M, --alpha, --beta, --assert-max, exponents, M rules, grids), a
+fractional N in a grid, an --output file that cannot be written and a
+table too large for memory or for numpy to address.  It prints one
+"error: ..." line to stderr and no traceback; a malformed number is
+rejected before any table is built.
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the largest limit the command
-needs (or --sieve-limit, whichever is bigger).  CONVLAB_THREADS caps
-sweep parallelism; grid results never depend on the worker count.
+needs, so no output depends on its size.  CONVLAB_THREADS caps sweep
+parallelism; grid results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .arith import build_sieve, tabulate
 from .asymptotics import (
     divisor_report,
     envelope_defect,
-    main_term_sigma_norm,
     ramanujan_regime,
     sigma_norm_report,
     sweep,
@@ -155,12 +156,8 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _sieve_for(required: int, requested: Optional[int]):
-    if requested is not None and requested < required:
-        raise UsageError(
-            f"--sieve-limit {requested} is below the required limit {required}"
-        )
-    return build_sieve(max(required, requested or 0, 2))
+def _sieve_for(required: int):
+    return build_sieve(max(required, 2))
 
 
 # --- subcommands ---------------------------------------------------------
@@ -171,13 +168,13 @@ _CONVOLVE_HEADERS = ("N", "M", "boundary", "value")
 def cmd_convolve(args: argparse.Namespace) -> int:
     fkind, fs = _parse_kind(args.f)
     gkind, gs = _parse_kind(args.g)
-    sieve = _sieve_for(args.N, args.sieve_limit)
+    M = _parse_float(args.M, "--M")
+    sieve = _sieve_for(args.N)
     ftab = tabulate(sieve, fkind, args.N, s=fs)
     gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
-    mode = "exact_integer" if ftab.is_integer and gtab.is_integer else "real"
-    spec = ConvolutionSpec(N=args.N, M=args.M, boundary=args.boundary, value_mode=mode)
+    spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
     value = additive_convolution(ftab, gtab, spec)
-    row = {"N": args.N, "M": args.M, "boundary": args.boundary, "value": value}
+    row = {"N": args.N, "M": M, "boundary": args.boundary, "value": value}
     _emit("convolve", _CONVOLVE_HEADERS, [row], {}, args.format, args.output)
     return 0
 
@@ -194,7 +191,7 @@ def cmd_verify_ingham(args: argparse.Namespace) -> int:
         raise UsageError(f"N grid entries must be integers, got {args.N_grid!r}")
     grid = [int(v) for v in grid]
     rule, param = _parse_m_rule(args.M_rule)
-    sieve = _sieve_for(max(grid), args.sieve_limit)
+    sieve = _sieve_for(max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
 
     def m_of(N: int) -> float:
@@ -251,46 +248,37 @@ _GENERAL_HEADERS = (
 
 
 def cmd_verify_general(args: argparse.Namespace) -> int:
-    if args.alpha <= 0 or args.beta <= 0:
+    alpha = _parse_float(args.alpha, "--alpha")
+    beta = _parse_float(args.beta, "--beta")
+    if alpha <= 0 or beta <= 0:
         raise UsageError("alpha and beta must be positive")
     grid = _parse_grid(args.M_grid, "M")
-    sieve = _sieve_for(args.N, args.sieve_limit)
-    ftab = tabulate(sieve, "sigma_norm", args.N, s=args.alpha)
-    gtab = ftab if args.beta == args.alpha else tabulate(
-        sieve, "sigma_norm", args.N, s=args.beta
-    )
-    delta = min(args.alpha, args.beta)
+    sieve = _sieve_for(args.N)
+    ftab = tabulate(sieve, "sigma_norm", args.N, s=alpha)
+    gtab = ftab if beta == alpha else tabulate(sieve, "sigma_norm", args.N, s=beta)
+    delta = min(alpha, beta)
     regime = ramanujan_regime(delta)
-    rows: List[Row] = []
-    reports = []
-    for M in grid:
-        if M < 2:
-            # the regime envelope needs M >= 2 (log M > 0), so no normalization here
-            spec = ConvolutionSpec(N=args.N, M=M, boundary="half_open", value_mode="real")
-            exact = additive_convolution(ftab, gtab, spec)
-            main, _ = main_term_sigma_norm(sieve, args.alpha, args.beta, args.N, M)
-            row_vals = (exact, main, exact - main, math.nan, math.nan)
-        else:
-            rep = sigma_norm_report(
-                sieve, ftab, gtab, args.alpha, args.beta, args.N, M
-            )
-            reports.append(rep)
-            row_vals = (rep.exact, rep.main, rep.residual, rep.envelope, rep.normalized)
-        rows.append(
-            {
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "N": args.N,
-                "M": M,
-                "delta": delta,
-                "regime": regime,
-                "exact": row_vals[0],
-                "main": row_vals[1],
-                "residual": row_vals[2],
-                "envelope": row_vals[3],
-                "normalized": row_vals[4],
-            }
-        )
+    all_reports = [
+        sigma_norm_report(sieve, ftab, gtab, alpha, beta, args.N, M) for M in grid
+    ]
+    rows: List[Row] = [
+        {
+            "alpha": alpha,
+            "beta": beta,
+            "N": args.N,
+            "M": rep.M,
+            "delta": delta,
+            "regime": regime,
+            "exact": rep.exact,
+            "main": rep.main,
+            "residual": rep.residual,
+            "envelope": rep.envelope,
+            "normalized": rep.normalized,
+        }
+        for rep in all_reports
+    ]
+    # M < 2 has no envelope, so only M >= 2 enters the boundedness check
+    reports = [rep for rep in all_reports if rep.M >= 2]
     bounded_ok = True
     if len(reports) >= 2:
         if regime == "delta_gt_1":
@@ -310,10 +298,10 @@ _ORTHO_HEADERS = ("r", "s", "exact", "main", "defect", "normalized")
 def cmd_orthogonality(args: argparse.Namespace) -> int:
     if args.r_max < 1 or args.s_max < 1:
         raise UsageError("r-max and s-max must be >= 1")
-    if args.assert_max is not None and not math.isfinite(args.assert_max):
-        raise UsageError(f"--assert-max must be a finite number, got {args.assert_max}")
-    required = max(args.N, args.r_max, args.s_max)
-    sieve = _sieve_for(required, args.sieve_limit)
+    assert_max = args.assert_max
+    if assert_max is not None:
+        assert_max = _parse_float(assert_max, "--assert-max")
+    sieve = _sieve_for(max(args.N, args.r_max, args.s_max))
     rows: List[Row] = []
     worst = 0.0
     for r in range(1, args.r_max + 1):
@@ -333,7 +321,7 @@ def cmd_orthogonality(args: argparse.Namespace) -> int:
             )
     summary = {"max_normalized_defect": worst}
     _emit("orthogonality", _ORTHO_HEADERS, rows, summary, args.format, args.output)
-    if args.assert_max is not None and worst > args.assert_max:
+    if assert_max is not None and worst > assert_max:
         return 1
     return 0
 
@@ -346,11 +334,9 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
         raise UsageError(f"N must be an even integer >= 2, got {args.N}")
     if args.R < 1:
         raise UsageError(f"R must be >= 1, got {args.R}")
-    sieve = _sieve_for(max(args.N, args.R), args.sieve_limit)
+    sieve = _sieve_for(max(args.N, args.R))
     ltab = tabulate(sieve, "lambda", args.N)
-    spec = ConvolutionSpec(
-        N=args.N, M=float(args.N), boundary="half_open", value_mode="real"
-    )
+    spec = ConvolutionSpec(N=args.N, M=float(args.N), boundary="half_open")
     exact = additive_convolution(ltab, ltab, spec)
     ss = singular_series(sieve, args.N, args.R)
     main = args.N * ss
@@ -389,12 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default=None, help="write to a file instead of stdout")
-    common.add_argument(
-        "--sieve-limit",
-        type=int,
-        default=None,
-        help="sieve size; must cover every N the command touches",
-    )
 
     parser = argparse.ArgumentParser(
         prog="convlab",
@@ -411,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="d, mu, phi, lambda, sigma:s, sigma_norm:s")
     p.add_argument("--g", required=True, help="same kinds as --f")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=float, required=True)
+    p.add_argument("--M", required=True)
     p.add_argument("--boundary", choices=("half_open", "closed"), required=True)
     p.set_defaults(func=cmd_convolve)
 
@@ -436,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="normalized sigma convolution vs. main term over an M grid",
         description="Columns: " + ", ".join(_GENERAL_HEADERS),
     )
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--beta", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M-grid", dest="M_grid", required=True, help="comma-separated M values")
     p.set_defaults(func=cmd_verify_general)
@@ -455,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--assert-max",
         dest="assert_max",
-        type=float,
         default=None,
         help="exit 1 if max |defect|/(rs(log(rs)+1)) exceeds this",
     )
@@ -492,7 +471,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; try a smaller N or --sieve-limit", file=sys.stderr)
+        print("error: out of memory; try a smaller N", file=sys.stderr)
         return 2
 
 

@@ -50,20 +50,17 @@ _EULER_GAMMA = 0.5772156649015329
 
 @dataclass(frozen=True)
 class ConvolutionSpec:
-    """Range and mode of one additive convolution sum_n f(n) g(N - n)."""
+    """Range of one additive convolution sum_n f(n) g(N - n)."""
 
     N: int
     M: float
     boundary: str
-    value_mode: str = "exact_integer"
 
     def __post_init__(self):
         if self.N < 2:
             raise UsageError(f"N must be >= 2, got {self.N}")
         if self.boundary not in ("half_open", "closed"):
             raise UsageError(f"boundary must be 'half_open' or 'closed', got {self.boundary!r}")
-        if self.value_mode not in ("exact_integer", "real"):
-            raise UsageError(f"value_mode must be 'exact_integer' or 'real', got {self.value_mode!r}")
         if not 1 <= self.M <= self.N:
             raise UsageError(f"M must lie in [1, N], got M={self.M}, N={self.N}")
         if self.boundary == "closed" and self.M > self.N - 1:
@@ -107,22 +104,20 @@ def _exact_int_sum(fa: np.ndarray, ga: np.ndarray) -> int:
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
     """sum f(n) g(N - n) over the range selected by spec.
 
-    Returns a Python int in exact_integer mode, a float in real mode.
+    Exact, as a Python int, when both tables are integer-valued; a float
+    otherwise.
     """
+    exact = f.is_integer and g.is_integer
     k = spec.last_index
     if k < 1:
-        return 0 if spec.value_mode == "exact_integer" else 0.0
+        return 0 if exact else 0.0
     if f.N < k:
         raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
     if g.N < spec.N - 1:
         raise UsageError(f"g table covers 1..{g.N}, need 1..{spec.N - 1}")
     fa = f.values[1 : k + 1]
     ga = g.values[spec.N - 1 : spec.N - k - 1 : -1]
-    if spec.value_mode == "exact_integer":
-        if not (f.is_integer and g.is_integer):
-            raise UsageError("exact_integer mode requires integer-valued tables")
-        return _exact_int_sum(fa, ga)
-    return real_dot(fa, ga)
+    return _exact_int_sum(fa, ga) if exact else real_dot(fa, ga)
 
 
 def divisor_additive_convolution(dtable: ArithTable, N: int, M: float, boundary: str) -> int:

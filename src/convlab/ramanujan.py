@@ -10,11 +10,12 @@ an exact integer.  The root-of-unity definition
 
 is kept as an independent oracle that checks its own rounding residue.
 
-Expansions f(n) = sum_r a_f(r) c_r(n) are truncated at a level R.  For
-coefficient rules with proven decay |a(r)| <= K r**-(1+delta) the tail
-beyond R is bounded by K sigma_1(n) R**-delta / delta; rules without
-decay metadata (the divisor and Hardy expansions converge only
-conditionally) must be summed in increasing r and carry no tail bound.
+Expansions f(n) = sum_r a_f(r) c_r(n) are truncated at a level R; a
+provider gives the coefficient vector a_f(1..R).  For coefficients with
+proven decay |a(r)| <= K r**-(1+delta) the tail beyond R is bounded by
+K sigma_1(n) R**-delta / delta; providers without decay metadata (the
+divisor and Hardy expansions converge only conditionally) must be summed
+in increasing r and carry no tail bound.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .arith import (
     FactorSieve,
     divisors,
-    euler_phi,
     factorize,
     mobius,
     sigma_rational,
@@ -57,6 +57,7 @@ __all__ = [
 
 _ORACLE_R_CAP = 10_000
 _ORACLE_TOL = 1e-6
+_START_R = 256  # first truncation level of expansion_adaptive
 
 
 def ramanujan_sum(sieve: FactorSieve, r: int, n: int) -> int:
@@ -134,32 +135,30 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientProvider:
-    """Coefficient rule r -> a(r) for a Ramanujan expansion.
+    """Coefficients a(r) of a Ramanujan expansion.
 
-    delta/bound record a proven decay |a(r)| <= bound * r**-(1+delta);
-    providers without them are conditionally convergent and must be
-    summed in increasing r.
+    coefficients(R) returns a(r) for r = 1..R as a float64 array (index 0
+    zero).  delta/bound record a proven decay |a(r)| <= bound * r**-(1+delta);
+    providers without them are conditionally convergent and must be summed
+    in increasing r.
     """
 
     kind: str
-    rule: Callable[[int], float]
+    coefficients: Callable[[int], np.ndarray] = field(repr=False)
     delta: Optional[float] = None
     bound: Optional[float] = None
-    _vector: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
-    _sigma_s: Optional[float] = field(default=None, repr=False)
 
     @property
     def conditional(self) -> bool:
         return self.delta is None
 
-    def coefficients(self, R: int) -> np.ndarray:
-        """a(r) for r = 1..R as a float64 array (index 0 zero)."""
-        if self._vector is not None:
-            return self._vector(R)
-        out = np.zeros(R + 1, dtype=np.float64)
-        for r in range(1, R + 1):
-            out[r] = self.rule(r)
-        return out
+    def partial_sum(self, sieve: FactorSieve, n: int, R: int) -> float:
+        """sum_{r <= R} a(r) c_r(n), the step expansion_adaptive repeats.
+
+        The literal sum of expansion_partial_sum; sigma_provider overrides
+        it with an O(d(n)) regrouping.
+        """
+        return expansion_partial_sum(sieve, self, n, R).value
 
 
 def sigma_provider(s: float) -> CoefficientProvider:
@@ -169,50 +168,37 @@ def sigma_provider(s: float) -> CoefficientProvider:
     s = float(s)
     z = zeta_real(s + 1.0)
 
-    def rule(r: int) -> float:
-        return z * float(r) ** -(s + 1.0)
-
-    def vector(R: int) -> np.ndarray:
+    def coefficients(R: int) -> np.ndarray:
         out = np.zeros(R + 1, dtype=np.float64)
         out[1:] = z * np.arange(1, R + 1, dtype=np.float64) ** -(s + 1.0)
         return out
 
-    return CoefficientProvider(
-        kind=f"sigma({s:g})", rule=rule, delta=s, bound=z, _vector=vector, _sigma_s=s
-    )
+    return _SigmaProvider(kind=f"sigma({s:g})", coefficients=coefficients, delta=s, bound=z)
 
 
 def divisor_provider() -> CoefficientProvider:
     """Coefficients of d(n) = -sum_r (log r / r) c_r(n), conditionally convergent."""
 
-    def rule(r: int) -> float:
-        return -math.log(r) / r
-
-    def vector(R: int) -> np.ndarray:
+    def coefficients(R: int) -> np.ndarray:
         out = np.zeros(R + 1, dtype=np.float64)
         r = np.arange(1, R + 1, dtype=np.float64)
         out[1:] = -np.log(r) / r
         return out
 
-    return CoefficientProvider(kind="divisor", rule=rule, _vector=vector)
+    return CoefficientProvider(kind="divisor", coefficients=coefficients)
 
 
 def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
     """Coefficients of (phi(n)/n) Lambda(n) = sum_r (mu(r)/phi(r)) c_r(n)."""
 
-    def rule(r: int) -> float:
-        f = factorize(sieve, r)
-        m = mobius(f)
-        return m / euler_phi(f) if m else 0.0
-
-    def vector(R: int) -> np.ndarray:
+    def coefficients(R: int) -> np.ndarray:
         if R > sieve.limit:
             raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
         out = np.zeros(R + 1, dtype=np.float64)
         out[1:] = sieve.upto("mobius", R)[1:] / sieve.upto("phi", R)[1:]
         return out
 
-    return CoefficientProvider(kind="hardy", rule=rule, _vector=vector)
+    return CoefficientProvider(kind="hardy", coefficients=coefficients)
 
 
 def custom_provider(
@@ -221,12 +207,18 @@ def custom_provider(
     bound: float | None = None,
     kind: str = "custom",
 ) -> CoefficientProvider:
-    """Wrap an arbitrary coefficient rule, optionally with decay metadata."""
+    """Coefficients a(r) = rule(r), optionally with decay metadata."""
     if (delta is None) != (bound is None):
         raise UsageError("decay metadata needs both delta and bound")
     if delta is not None and (delta <= 0 or bound <= 0):
         raise UsageError("decay metadata must be positive")
-    return CoefficientProvider(kind=kind, rule=rule, delta=delta, bound=bound)
+
+    def coefficients(R: int) -> np.ndarray:
+        out = np.zeros(R + 1, dtype=np.float64)
+        out[1:] = np.fromiter(map(rule, range(1, R + 1)), np.float64, R)
+        return out
+
+    return CoefficientProvider(kind=kind, coefficients=coefficients, delta=delta, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -293,16 +285,22 @@ def _sigma_partial_regrouped(sieve: FactorSieve, s: float, n: int, R: int) -> fl
     return z * total
 
 
+class _SigmaProvider(CoefficientProvider):
+    # the exponent s is delta
+    def partial_sum(self, sieve: FactorSieve, n: int, R: int) -> float:
+        return _sigma_partial_regrouped(sieve, self.delta, n, R)
+
+
 def expansion_adaptive(
     sieve: FactorSieve,
     provider: CoefficientProvider,
     n: int,
     tol: float = 1e-6,
-    start: int = 256,
     cap: Optional[int] = None,
 ) -> ExpansionSum:
     """Grow R by doubling until successive partial sums stabilise within tol.
 
+    Starts at R = 256 and evaluates provider.partial_sum at each level.
     Stops once two consecutive doublings move the partial sum by at most
     tol/4 each.  Only decay providers qualify; conditional expansions have
     no usable truncation rule.
@@ -313,17 +311,12 @@ def expansion_adaptive(
         raise UsageError(f"tol must be positive, got {tol}")
     cap = min(cap, sieve.limit) if cap else sieve.limit
 
-    if provider._sigma_s is not None:
-        partial = lambda R: _sigma_partial_regrouped(sieve, provider._sigma_s, n, R)
-    else:
-        partial = lambda R: expansion_partial_sum(sieve, provider, n, R).value
-
-    R = min(start, cap)
-    value = partial(R)
+    R = min(_START_R, cap)
+    value = provider.partial_sum(sieve, n, R)
     stable = 0
     while True:
         R_next = min(2 * R, cap)
-        nxt = partial(R_next)
+        nxt = provider.partial_sum(sieve, n, R_next)
         stable = stable + 1 if abs(nxt - value) <= 0.25 * tol else 0
         value, R = nxt, R_next
         if stable >= 2:

@@ -270,7 +270,7 @@ def test_criterion_10_sigma_full_consistency(sieve_small):
         sigma3 = sum(d**3 for d in brute.divisors(N))
         ref = (1.0 / 6.0) * (5.0 / 2.0) * sigma3
         const_ok &= abs(main - ref) <= 1e-10 * ref
-        spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open", value_mode="exact_integer")
+        spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
         exact = additive_convolution(stab, stab, spec)
         exact_ok &= exact == expected_exact[N]
         scaled.append(abs(exact - main) / N**omega)
@@ -306,7 +306,7 @@ def test_criterion_11_special_functions():
 def test_criterion_12_goldbach_heuristic(sieve_1m):
     N = 10**6
     ltab = tabulate(sieve_1m, "lambda", N)
-    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open", value_mode="real")
+    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     exact = additive_convolution(ltab, ltab, spec)
     ss = singular_series(sieve_1m, N, 10**4)
     ratio = exact / (N * ss)

@@ -275,3 +275,15 @@ def test_sigma_norm_report_regimes(sieve_small):
     g = tabulate(sieve_small, "sigma_norm", 1000, s=1.0)
     rep = sigma_norm_report(sieve_small, g, g, 1.0, 1.0, 1000, 100.0)
     assert rep.envelope_kind == "delta_eq_1"
+
+
+def test_sigma_norm_report_below_M_2_has_nan_envelope(sieve_small):
+    f = tabulate(sieve_small, "sigma_norm", 1000, s=0.5)
+    for M in (1.0, 1.5):
+        rep = sigma_norm_report(sieve_small, f, f, 0.5, 0.5, 1000, M)
+        main, _ = main_term_sigma_norm(sieve_small, 0.5, 0.5, 1000, M)
+        exact = float(f.values[1] * f.values[999]) if M > 1 else 0.0
+        assert (rep.exact, rep.main, rep.residual) == (exact, main, exact - main)
+        assert math.isnan(rep.envelope) and math.isnan(rep.normalized)
+    with pytest.raises(UsageError):
+        verify(1.0, 1.0, -1.0, N=4, M=2.0)

@@ -87,15 +87,6 @@ def test_missing_required_flag_is_systemexit_2(capsys):
     capsys.readouterr()
 
 
-def test_sieve_limit_too_small_exits_2(capsys):
-    code, _, err = run(
-        capsys, "convolve", "--f", "d", "--g", "d", "--N", "100", "--M", "50",
-        "--boundary", "closed", "--sieve-limit", "10",
-    )
-    assert code == 2
-    assert "below the required limit" in err
-
-
 def test_verify_ingham_csv_shape(capsys):
     code, out, _ = run(
         capsys, "verify-ingham", "--N-grid", "1000,5000,20000", "--M-rule", "half",
@@ -190,6 +181,46 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "out of memory" in err
+
+
+@pytest.mark.parametrize("limit", [str(10**20), str(2**60)])
+@pytest.mark.parametrize("argv", [
+    ("verify-ingham", "--N-grid", "{}", "--M-rule", "half"),
+    ("convolve", "--f", "d", "--g", "d", "--N", "{}", "--M", "3", "--boundary", "closed"),
+    ("goldbach", "--N", "100", "--R", "{}"),
+    ("orthogonality", "--N", "{}", "--M", "3", "--r-max", "1", "--s-max", "1"),
+])
+def test_sieve_past_numpy_addressing_exits_2(capsys, argv, limit):
+    code, out, err = run(capsys, *(a.format(limit) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too large" in err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--alpha", ("verify-general", "--alpha", "nan", "--beta", "1", "--N", "100",
+                 "--M-grid", "10")),
+    ("--alpha", ("verify-general", "--alpha", "inf", "--beta", "1", "--N", "100",
+                 "--M-grid", "10")),
+    ("--beta", ("verify-general", "--alpha", "1", "--beta=-inf", "--N", "100",
+                "--M-grid", "10")),
+    ("--M", ("convolve", "--f", "d", "--g", "d", "--N", "100", "--M", "nan",
+             "--boundary", "closed")),
+    ("--M", ("convolve", "--f", "d", "--g", "d", "--N", "100", "--M", "inf",
+             "--boundary", "half_open")),
+])
+def test_non_finite_option_exits_2_before_sieve(capsys, monkeypatch, option, argv):
+    import convlab.cli as cli
+
+    def no_sieve(limit):
+        raise AssertionError("the sieve was built for a malformed option")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and option in err
 
 
 def test_verify_general_json(capsys):

@@ -32,8 +32,6 @@ def test_spec_validation():
         ConvolutionSpec(N=6, M=6.0, boundary="closed")  # closed needs M <= N-1
     with pytest.raises(UsageError):
         ConvolutionSpec(N=6, M=3.0, boundary="open")
-    with pytest.raises(UsageError):
-        ConvolutionSpec(N=6, M=3.0, boundary="closed", value_mode="fuzzy")
 
 
 def test_last_index_conventions():
@@ -89,10 +87,23 @@ def test_table_too_short(sieve_small):
         additive_convolution(short, short, ConvolutionSpec(N=6, M=6.0, boundary="half_open"))
 
 
-def test_exact_mode_rejects_float_tables(sieve_small):
+def test_result_type_follows_table_dtypes(sieve_small):
+    # int x int sums exactly to a Python int; a float table anywhere gives a float
+    d = tabulate(sieve_small, "divisor", 10)
+    mu = tabulate(sieve_small, "mobius", 10)
+    lam = tabulate(sieve_small, "lambda", 10)
     sn = tabulate(sieve_small, "sigma_norm", 10, s=1.0)
-    with pytest.raises(UsageError):
-        additive_convolution(sn, sn, ConvolutionSpec(N=6, M=3.0, boundary="closed"))
+    spec = ConvolutionSpec(N=6, M=3.0, boundary="closed")
+    got = additive_convolution(d, d, spec)
+    assert type(got) is int and got == 1 * 2 + 2 * 3 + 2 * 2
+    assert type(additive_convolution(sn, sn, spec)) is float
+    mixed = additive_convolution(mu, lam, spec)
+    assert type(mixed) is float
+    assert mixed == sum(int(mu.values[n]) * lam.values[6 - n] for n in range(1, 4))
+    # an empty range keeps the type
+    empty = ConvolutionSpec(N=6, M=1.0, boundary="half_open")
+    assert type(additive_convolution(d, d, empty)) is int
+    assert type(additive_convolution(mu, lam, empty)) is float
 
 
 def test_palindrome_identity(dtable_small):
@@ -135,7 +146,7 @@ def test_real_mode_matches_fsum(sieve_1m):
     # chunked reduction vs. a single fsum; range long enough to span chunks
     N = 300_000
     f = tabulate(sieve_1m, "sigma_norm", N, s=1.0)
-    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open", value_mode="real")
+    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     got = additive_convolution(f, f, spec)
     v = f.values
     ref = math.fsum(float(v[n]) * float(v[N - n]) for n in range(1, N))
@@ -245,7 +256,7 @@ def test_real_mode_bit_identical_to_whole_product(sieve_1m):
     N = 300_000
     f = tabulate(sieve_1m, "sigma_norm", N, s=0.5)
     g = tabulate(sieve_1m, "lambda", N)
-    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open", value_mode="real")
+    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     prod = f.values[1:N].astype(np.float64) * g.values[N - 1 : 0 : -1]
     ref = 0.0
     for i in range(0, len(prod), 1 << 16):

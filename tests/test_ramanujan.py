@@ -10,6 +10,7 @@ import pytest
 import brute
 from convlab import (
     ConsistencyError,
+    main_term_general,
     UsageError,
     build_sieve,
     custom_provider,
@@ -110,27 +111,33 @@ def test_provider_metadata(sieve_small):
     assert p1.delta == 1.0
     assert p1.bound == pytest.approx(zeta_real(2.0))
     assert not p1.conditional
-    assert p1.rule(2) == pytest.approx(zeta_real(2.0) / 4.0)
+    assert p1.coefficients(2)[2] == pytest.approx(zeta_real(2.0) / 4.0)
 
     dp = divisor_provider()
     assert dp.conditional
-    assert dp.rule(1) == 0.0
-    assert dp.rule(2) == pytest.approx(-math.log(2) / 2)
+    assert dp.coefficients(1)[1] == 0.0
+    assert dp.coefficients(2)[2] == pytest.approx(-math.log(2) / 2)
 
     hp = hardy_provider(sieve_small)
     assert hp.conditional
-    assert hp.rule(1) == 1.0
-    assert hp.rule(2) == -1.0
-    assert hp.rule(4) == 0.0
-    assert hp.rule(15) == pytest.approx(1.0 / 8.0)
+    a = hp.coefficients(15)
+    assert a[1] == 1.0
+    assert a[2] == -1.0
+    assert a[4] == 0.0
+    assert a[15] == pytest.approx(1.0 / 8.0)
 
 
 def test_provider_coefficient_vector_matches_rule(sieve_small):
-    for p in (sigma_provider(2.0), divisor_provider(), hardy_provider(sieve_small)):
+    formulas = (
+        (sigma_provider(2.0), lambda r: zeta_real(3.0) * r**-3.0),
+        (divisor_provider(), lambda r: -math.log(r) / r),
+        (hardy_provider(sieve_small), lambda r: brute.mobius(r) / brute.phi(r)),
+    )
+    for p, formula in formulas:
         vec = p.coefficients(50)
         assert vec[0] == 0.0
         for r in range(1, 51):
-            assert vec[r] == pytest.approx(p.rule(r), rel=1e-12)
+            assert vec[r] == pytest.approx(formula(r), rel=1e-12)
 
 
 def test_hardy_coefficients_reject_R_past_sieve(sieve_small):
@@ -191,6 +198,40 @@ def test_regrouped_fast_path_matches_literal(sieve_small):
                 lit = expansion_partial_sum(sieve_small, p, n, R).value
                 fast = _sigma_partial_regrouped(sieve_small, s, n, R)
                 assert fast == pytest.approx(lit, abs=1e-12)
+
+
+def test_adaptive_sigma_takes_the_regrouped_path(sieve_1m):
+    # every step of the sigma loop is the O(d(n)) regrouped sum, never the
+    # O(R) literal one, which gives other last bits at most of these n
+    differs = 0
+    for s in (1.0, 2.0):
+        for n in (1, 6, 12, 360, 720):
+            res = expansion_adaptive(sieve_1m, sigma_provider(s), n)
+            assert res.value == _sigma_partial_regrouped(sieve_1m, s, n, res.R)
+            literal = expansion_partial_sum(sieve_1m, sigma_provider(s), n, res.R).value
+            differs += literal != res.value
+    assert differs >= 4
+
+
+def test_custom_decay_provider_end_to_end(sieve_small):
+    # a(r) = r**-3 is zeta(3)**-1 times the sigma_2 coefficients, so the
+    # expansion converges to sigma_2(n) / (n**2 zeta(3))
+    rule = lambda r: 1.0 / r**3
+    p = custom_provider(rule, delta=2.0, bound=1.0, kind="cube")
+    vec = p.coefficients(300)
+    assert vec[0] == 0.0
+    assert all(vec[r] == rule(r) for r in range(1, 301))
+    for n in (1, 6, 28):
+        res = expansion_adaptive(sieve_small, p, n)
+        assert res.value == expansion_partial_sum(sieve_small, p, n, res.R).value
+        target = float(brute.sigma_int(n, 2)) / n**2 / zeta_real(3.0)
+        assert abs(res.value - target) <= res.tail_bound
+        assert res.value == pytest.approx(target, rel=1e-6)
+    N, M, R = 30, 7.0, 200
+    value, tail = main_term_general(sieve_small, p, p, N, M, R=R)
+    ref = M * math.fsum(r**-6.0 * brute.ramanujan_sum(r, N) for r in range(1, R + 1))
+    assert value == pytest.approx(ref, rel=1e-12)
+    assert tail == pytest.approx(M * 72 * R**-5.0 / 5.0, rel=1e-12)
 
 
 def test_tail_bound_envelope(sieve_small):
