@@ -10,7 +10,10 @@ the sieve's primes, and divisor sums from hyperbola enumeration, so
 tabulation costs O(N log N) array element updates.  The sieve and the
 hyperbola tables are written in blocks of _BLOCK entries, so the strided
 updates stay in cache; the order of the updates each entry receives does
-not depend on the block size, and neither do the bits of any table.
+not depend on the block size, and neither do the bits of any table.  The
+sigma tables keep their powers j**s only for j <= N/2, half the result's
+size: only d = 1 reads a larger j, and it raises those in its own block.
+Every table tabulate returns is read-only.
 """
 
 from __future__ import annotations
@@ -135,8 +138,10 @@ class ArithTable:
 
     values has length N + 1 and is 1-indexed; values[0] is unused and zero.
     kind is a canonical tag such as "divisor", "sigma(2)", "sigma_norm(0.5)",
-    "mobius", "phi", "lambda" or "custom".  The mobius and phi values are
-    read-only views of the sieve's own tables, not copies.
+    "mobius", "phi", "lambda" or "custom".  Every table tabulate returns
+    is read-only; the mobius and phi values are views of the sieve's own
+    tables, not copies.  abs_max, the table-wide max |value| that proves
+    an exact sum fits int64, is computed once on first use.
     """
 
     kind: str
@@ -146,6 +151,15 @@ class ArithTable:
     @property
     def is_integer(self) -> bool:
         return np.issubdtype(self.values.dtype, np.integer)
+
+    @cached_property
+    def abs_max(self) -> int:
+        """max |values[n]| over the whole integer table, cached.
+
+        The cache is only as good as the values staying put, so the
+        convolution kernels read it only from read-only tables.
+        """
+        return max(-int(self.values.min()), int(self.values.max()))
 
 
 def build_sieve(limit: int) -> FactorSieve:
@@ -280,15 +294,18 @@ def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
     # sum_{d | n} d**s by hyperbola pairing: each d <= sqrt(n) dividing n
     # adds d**s + (n/d)**s, and d = sqrt(n) takes its d**s back.  n runs in
     # blocks with d ascending inside each, so every n receives the same
-    # additions in the same order as in one whole-range pass per d.
+    # additions in the same order as in one whole-range pass per d.  The
+    # cofactor j = n/d exceeds N/2 only for d = 1, so the powers table
+    # stops at N//2 and the d = 1 step raises the rest of its own block.
     if isinstance(s, int) and N**s >= 2**61:
         raise UsageError(
             f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
     out = np.zeros(N + 1, dtype=dtype)
+    half = N // 2
     if s != 0:
-        powers = np.arange(N + 1, dtype=dtype)
+        powers = np.arange(half + 1, dtype=dtype)
         powers[0] = 1
         powers **= s
     for lo in range(0, N + 1, _BLOCK):
@@ -298,6 +315,14 @@ def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
             j0 = max(d, -(-lo // d))
             if s == 0:
                 out[j0 * d : hi : d] += 2
+            elif d == 1 and hi > half + 1:
+                top = max(j0, half + 1)
+                out[j0:top] += ds + powers[j0:top]
+                own = np.arange(top, hi, dtype=dtype)
+                own **= s
+                own += ds
+                out[top:hi] += own
+                del own  # freed before the next block allocates its own
             else:
                 out[j0 * d : hi : d] += ds + powers[j0 : (hi - 1) // d + 1]
             if lo <= d * d:
@@ -343,17 +368,20 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
         raise UsageError(f"kind {kind!r} takes no exponent")
 
     if kind == "divisor":
-        return ArithTable("divisor", N, _hyperbola_table(N, 0, np.int32))
-    if kind == "sigma":
+        kind, values = "divisor", _hyperbola_table(N, 0, np.int32)
+    elif kind == "sigma":
         if s >= 0 and s.is_integer():
             values = _hyperbola_table(N, int(s), np.int64)
         else:
             values = _hyperbola_table(N, s, np.float64)
-        return ArithTable(f"sigma({s:g})", N, values)
-    if kind == "sigma_norm":
-        return ArithTable(f"sigma_norm({s:g})", N, _hyperbola_table(N, -s, np.float64))
-    if kind == "mobius":
-        return ArithTable("mobius", N, sieve.mobius[: N + 1])
-    if kind == "phi":
-        return ArithTable("phi", N, sieve.phi[: N + 1])
-    return ArithTable("lambda", N, _lambda_table(sieve, N))
+        kind = f"sigma({s:g})"
+    elif kind == "sigma_norm":
+        kind, values = f"sigma_norm({s:g})", _hyperbola_table(N, -s, np.float64)
+    elif kind == "mobius":
+        values = sieve.mobius[: N + 1]
+    elif kind == "phi":
+        values = sieve.phi[: N + 1]
+    else:
+        values = _lambda_table(sieve, N)
+    values.setflags(write=False)
+    return ArithTable(kind, N, values)

@@ -22,9 +22,12 @@ Exit codes: 0 pass, 1 assertion failure, 2 usage or domain error.  Exit
 2 covers every malformed input: an unparsable, infinite or NaN number
 (--M, --alpha, --beta, --assert-max, exponents, M rules, grids), a
 fractional N in a grid, an --output file that cannot be written and a
-table too large for memory or for numpy to address.  It prints one
-"error: ..." line to stderr and no traceback; a malformed number is
-rejected before any table is built.
+table too large for memory or for numpy to address, an N below 2, and
+argparse's own errors (a missing option or value, a non-integer N, an
+unknown choice).  It prints one "error: ..." line to stderr and no
+traceback; a malformed number is rejected before any table is built.  An
+option value may start with "-" ("--beta -inf"), so it reaches the same
+checks as "--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the largest limit the command
 needs, so no output depends on its size.  CONVLAB_THREADS caps sweep
@@ -104,6 +107,11 @@ def _parse_grid(text: str, kind: str) -> List[float]:
     return [_parse_float(tok, f"{kind} grid entry") for tok in toks]
 
 
+def _check_N(N: int) -> None:
+    if N < 2:
+        raise UsageError(f"--N must be >= 2, got {N}")
+
+
 def _fmt_float(v: float) -> str:
     return "nan" if math.isnan(v) else "%.15g" % v
 
@@ -169,6 +177,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     fkind, fs = _parse_kind(args.f)
     gkind, gs = _parse_kind(args.g)
     M = _parse_float(args.M, "--M")
+    _check_N(args.N)
     sieve = _sieve_for(args.N)
     ftab = tabulate(sieve, fkind, args.N, s=fs)
     gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
@@ -187,8 +196,8 @@ _INGHAM_HEADERS = (
 
 def cmd_verify_ingham(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.N_grid, "N")
-    if not all(v.is_integer() for v in grid):
-        raise UsageError(f"N grid entries must be integers, got {args.N_grid!r}")
+    if not all(v.is_integer() and v >= 2 for v in grid):
+        raise UsageError(f"N grid entries must be integers >= 2, got {args.N_grid!r}")
     grid = [int(v) for v in grid]
     rule, param = _parse_m_rule(args.M_rule)
     sieve = _sieve_for(max(grid))
@@ -253,6 +262,7 @@ def cmd_verify_general(args: argparse.Namespace) -> int:
     if alpha <= 0 or beta <= 0:
         raise UsageError("alpha and beta must be positive")
     grid = _parse_grid(args.M_grid, "M")
+    _check_N(args.N)
     sieve = _sieve_for(args.N)
     ftab = tabulate(sieve, "sigma_norm", args.N, s=alpha)
     gtab = ftab if beta == alpha else tabulate(sieve, "sigma_norm", args.N, s=beta)
@@ -371,12 +381,37 @@ def cmd_tau(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's errors as the one "error: ..." line of every usage error.
+
+    The subcommand parsers share this class, and the exit stays argparse's
+    SystemExit(2).
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+def _join_dash_values(argv: Sequence[str]) -> List[str]:
+    # every option takes one value, and argparse reads a value such as
+    # "-inf" as an unknown option; "--beta=-inf" reaches the value check
+    out: List[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev
+        if takes_value and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default=None, help="write to a file instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convlab",
         description="Exact additive convolution sums and their asymptotic checks.",
     )
@@ -464,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:

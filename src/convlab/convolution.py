@@ -4,10 +4,15 @@ Both boundary conventions are first-class and must be chosen explicitly:
 "half_open" sums over 1 <= n < M, "closed" over 1 <= n <= M.  M may be
 real; the effective index ranges are n <= ceil(M) - 1 and n <= floor(M).
 Integer sums are exact: the fast path accumulates in int64 only after
-proving the worst-case total fits, otherwise it falls back to Python's
-arbitrary-precision integers.  Real sums and dot products (real_dot) are
-reduced in fixed chunks of 2**16 summands combined in index order, with
-no BLAS call, so results are reproducible whatever the thread count.
+proving the worst-case total k * max|f| * max|g| fits, otherwise it falls
+back to Python's arbitrary-precision integers.  The proof reads each
+table's max|value|, computed once per ArithTable (ArithTable.abs_max), and
+scans the summed slices only when that bound is too loose.  The sum itself
+runs in fixed chunks of 2**16 summands: one multiply per chunk, in the
+tables' common integer type when max|f| * max|g| fits it (int64
+otherwise), reduced to int64.  Real sums and dot products (real_dot) are
+reduced in the same fixed chunks combined in index order, with no BLAS
+call, so results are reproducible whatever the thread count.
 
 tau_exact evaluates the coprime-pair harmonic sum by Mobius inversion over
 the square of the gcd and the Dirichlet hyperbola method,
@@ -88,17 +93,38 @@ def real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _exact_int_sum(fa: np.ndarray, ga: np.ndarray) -> int:
+def _abs_max(a: np.ndarray) -> int:
+    return max(-int(a.min()), int(a.max()))
+
+
+def _table_bound(t: ArithTable) -> int | None:
+    # a writable table may change after its bound was cached
+    return None if t.values.flags.writeable else t.abs_max
+
+
+def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
+    # fmax, gmax: bounds on |fa| and |ga|; the slices are scanned when a
+    # bound is missing or too loose to prove the int64 path
     k = len(fa)
     if k == 0:
         return 0
-    fmax = max(-int(fa.min()), int(fa.max()))
-    gmax = max(-int(ga.min()), int(ga.max()))
-    if k * fmax * gmax < 2**62:
-        # every partial sum fits int64, so the order of summation cannot matter
-        return int(np.einsum("i,i->", fa, ga, dtype=np.int64))
-    # values too large for 64-bit accumulation: exact arbitrary precision
-    return sum(int(a) * int(b) for a, b in zip(fa.tolist(), ga.tolist()))
+    if fmax is None or gmax is None or k * fmax * gmax >= 2**62:
+        fmax, gmax = _abs_max(fa), _abs_max(ga)
+    if k * fmax * gmax >= 2**62:
+        # values too large for 64-bit accumulation: exact arbitrary precision
+        return sum(int(a) * int(b) for a, b in zip(fa.tolist(), ga.tolist()))
+    # every partial sum fits int64, so the order of summation cannot matter;
+    # each product is formed in the common type when no product can wrap it
+    ctype = np.result_type(fa, ga)
+    if ctype.kind not in "iu" or fmax * gmax > np.iinfo(ctype).max:
+        ctype = np.dtype(np.int64)
+    buf = np.empty(min(k, _CHUNK), dtype=ctype)
+    total = 0
+    for i in range(0, k, _CHUNK):
+        prod = buf[: min(_CHUNK, k - i)]
+        np.multiply(fa[i : i + _CHUNK], ga[i : i + _CHUNK], out=prod, dtype=ctype)
+        total += int(prod.sum(dtype=np.int64))
+    return total
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
@@ -117,7 +143,9 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
         raise UsageError(f"g table covers 1..{g.N}, need 1..{spec.N - 1}")
     fa = f.values[1 : k + 1]
     ga = g.values[spec.N - 1 : spec.N - k - 1 : -1]
-    return _exact_int_sum(fa, ga) if exact else real_dot(fa, ga)
+    if not exact:
+        return real_dot(fa, ga)
+    return _exact_int_sum(fa, ga, _table_bound(f), _table_bound(g))
 
 
 def divisor_additive_convolution(dtable: ArithTable, N: int, M: float, boundary: str) -> int:
@@ -136,7 +164,10 @@ def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:
         raise UsageError(f"need N >= 1 and h >= 1, got N={N}, h={h}")
     if dtable.N < N + h:
         raise UsageError(f"divisor table covers 1..{dtable.N}, need 1..{N + h}")
-    return _exact_int_sum(dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1])
+    bound = _table_bound(dtable)
+    return _exact_int_sum(
+        dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1], bound, bound
+    )
 
 
 def _divisor_pairs(k: int) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -154,12 +155,16 @@ def test_tabulate_matches_pointwise(sieve_small):
         )
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 2**21 + 12345, 1451**2])
+@pytest.mark.parametrize(
+    "limit", [2, 3, 4, 2**21 - 1, 2**21, 2**21 + 1, 2**21 + 12345, 1451**2]
+)
 def test_tabulate_bit_identical_to_bulk_oracles(limit):
     # crosses the 2**20 block cap of the spf-derived tables, of the sieve's
     # segments and of the hyperbola blocks at a limit that is no power of
     # two, and covers the smallest sieves; at 1451**2 the last entry of the
-    # last segment is a prime square
+    # last segment is a prime square.  At 2**21 - 1, 2**21 and 2**21 + 1 the
+    # first entry past the sigma powers table, N//2 + 1, sits on or next to
+    # the block edge 2**20
     sv = build_sieve(limit)
     expected_spf = brute.spf_table(limit)
     assert sv.spf.dtype == expected_spf.dtype
@@ -194,6 +199,30 @@ def test_sieve_tables_are_read_only(sieve_small):
         assert len(table) == sieve_small.limit + 1
         with pytest.raises(ValueError):
             table[1] = 0
+
+
+def test_tabulate_tables_reject_writes(sieve_small):
+    for kind, s in (("divisor", None), ("sigma", 1), ("sigma", 0.5), ("sigma_norm", 0.5),
+                    ("mobius", None), ("phi", None), ("lambda", None)):
+        table = tabulate(sieve_small, kind, 5000, s=s)
+        assert not table.values.flags.writeable, kind
+        with pytest.raises(ValueError):
+            table.values[1] = 0
+        with pytest.raises(ValueError):
+            table.values[1:] += 1
+
+
+def test_sigma_table_peak_memory(sieve_10m):
+    # the powers j**s stop at N//2 and the d = 1 step raises the rest of
+    # each block on its own: 1.625x the result at 2**23, 2.125x with a
+    # powers table to N
+    tracemalloc.start()
+    try:
+        table = tabulate(sieve_10m, "sigma", 2**23, s=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * table.values.nbytes
 
 
 def test_tabulate_mobius_phi_are_sieve_views(sieve_small):

@@ -223,6 +223,49 @@ def test_non_finite_option_exits_2_before_sieve(capsys, monkeypatch, option, arg
     assert err.startswith("error:") and option in err
 
 
+def run_to_exit(capsys, *argv):
+    # argparse's own errors leave main through SystemExit(2)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("needle, argv", [
+    ("invalid int value: '1e6'",
+     ("convolve", "--f", "d", "--g", "d", "--N", "1e6", "--M", "3", "--boundary", "closed")),
+    ("--beta must be a finite number, got '-inf'",
+     ("verify-general", "--alpha", "1", "--beta", "-inf", "--N", "100", "--M-grid", "10")),
+    ("--M must be a finite number, got '-nan'",
+     ("convolve", "--f", "d", "--g", "d", "--N", "100", "--M", "-nan", "--boundary", "closed")),
+    ("--N must be >= 2, got -3",
+     ("verify-general", "--alpha", "1", "--beta", "1", "--N", "-3", "--M-grid", "10")),
+    ("--N must be >= 2, got 1",
+     ("convolve", "--f", "d", "--g", "d", "--N", "1", "--M", "1", "--boundary", "closed")),
+    ("N grid entries must be integers >= 2",
+     ("verify-ingham", "--N-grid", "-3,100", "--M-rule", "half")),
+    ("argument --N: expected one argument", ("convolve", "--f", "d", "--g", "d", "--N")),
+    ("the following arguments are required: --g",
+     ("convolve", "--f", "d", "--N", "6", "--M", "3", "--boundary", "closed")),
+    ("invalid choice: 'open'",
+     ("convolve", "--f", "d", "--g", "d", "--N", "6", "--M", "3", "--boundary", "open")),
+])
+def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, argv):
+    import convlab.cli as cli
+
+    def no_sieve(limit):
+        raise AssertionError("the sieve was built for a malformed argument")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run_to_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert needle in err
+
+
 def test_verify_general_json(capsys):
     code, out, _ = run(
         capsys, "verify-general", "--alpha", "2", "--beta", "2", "--N", "10000",

@@ -165,6 +165,17 @@ def test_int_mode_python_fallback():
     assert isinstance(got, int)
 
 
+def test_writable_table_is_bounded_on_every_sum():
+    # a writable table may change after a sum, so its bound is never cached
+    N = 10
+    vals = np.ones(N + 1, dtype=np.int64)
+    t = ArithTable("custom", N, vals)
+    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
+    assert additive_convolution(t, t, spec) == 9
+    vals[:] = 2**31
+    assert additive_convolution(t, t, spec) == 9 * 2**62
+
+
 def test_int_mode_matches_python_sum(dtable_small):
     d = dtable_small
     N = 9000
@@ -319,3 +330,90 @@ def test_exact_int_sum_at_int64_boundary(case):
     got = _exact_int_sum(f, g)
     assert isinstance(got, int)
     assert got == sum(int(a) * int(b) for a, b in zip(f.tolist(), g.tolist()))
+
+
+def _frozen_table(vals, dtype):
+    values = np.array(vals, dtype=dtype)
+    values.setflags(write=False)
+    return ArithTable("custom", len(values) - 1, values)
+
+
+@st.composite
+def _tables_with_extremes_outside_the_sum(draw):
+    """(f, g, spec, mode): read-only int tables whose max |value| is never summed.
+
+    mode "under" or "over" puts k * f.abs_max * g.abs_max just below or at
+    or above 2**62; "free" draws the magnitudes anywhere in their dtypes.
+    """
+    k = draw(st.integers(1, 64))
+    N = k + 1 + draw(st.integers(1, 8))
+    ftype, gtype = draw(st.sampled_from(_INT_DTYPES)), draw(st.sampled_from(_INT_DTYPES))
+    G = draw(st.integers(1, -int(np.iinfo(gtype).min)))
+    mode = draw(st.sampled_from(("free", "under", "over")))
+    if mode == "under":
+        F = (2**62 - 1) // (k * G)
+    elif mode == "over":
+        F = -(-(2**62) // (k * G))
+    else:
+        F = draw(st.integers(1, -int(np.iinfo(ftype).min)))
+    assume(1 <= F <= -int(np.iinfo(ftype).min))
+
+    def table(dtype, magnitude, outside):
+        info = np.iinfo(dtype)
+        small = draw(st.one_of(st.just(magnitude), st.integers(0, magnitude)))
+        vals = [0] + draw(st.lists(
+            st.integers(-small, min(small, info.max)), min_size=N, max_size=N))
+        extreme = magnitude if magnitude <= info.max and draw(st.booleans()) else -magnitude
+        vals[draw(st.sampled_from(outside))] = extreme
+        return _frozen_table(vals, dtype)
+
+    # f sums f[1..k] and g sums g[N-k..N-1]; each extreme sits elsewhere
+    f = table(ftype, F, list(range(k + 1, N + 1)))
+    g = table(gtype, G, list(range(1, N - k)) + [N])
+    boundary = draw(st.sampled_from(("half_open", "closed")))
+    M = float(k + 1 if boundary == "half_open" else k)
+    spec = ConvolutionSpec(N=N, M=M, boundary=boundary)
+    return f, g, spec, mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_extremes_outside_the_sum())
+def test_additive_convolution_exact_with_table_bounds(case):
+    f, g, spec, mode = case
+    k = spec.last_index
+    if mode != "free":
+        assert (k * f.abs_max * g.abs_max >= 2**62) == (mode == "over")
+    got = additive_convolution(f, g, spec)
+    assert isinstance(got, int)
+    assert got == sum(int(f.values[n]) * int(g.values[spec.N - n]) for n in range(1, k + 1))
+
+
+@pytest.mark.parametrize("fvals, gvals, dtype", [
+    # |f| * |g| = 46341**2 = 2**31 + 4633 wraps an int32 product
+    ([46341, -46341, 46341], [46341, 46341, -46341], np.int32),
+    # 2**16 * 2**15 = 2**31, one past the int32 maximum
+    ([2**16, 2**16, -(2**16)], [2**15, -(2**15), 2**15], np.int32),
+    # (-128) * (-1) = 128 wraps an int8 product
+    ([-128, -128, 5], [-1, -1, -128], np.int8),
+    # |f| * |g| = 2**31 - 1 fits, so the products stay int32
+    ([2**31 - 1, -(2**31 - 1), 7], [1, 1, -1], np.int32),
+])
+def test_chunk_products_never_wrap(fvals, gvals, dtype):
+    # 210 000 summands: several 2**16 chunks, the last one partial
+    reps = 70_000
+    f = _frozen_table([0] + fvals * reps, dtype)
+    g = _frozen_table([0] + gvals * reps, dtype)
+    N = f.N + 1
+    spec = ConvolutionSpec(N=N, M=float(f.N), boundary="closed")
+    fv, gv = f.values.tolist(), g.values.tolist()
+    assert additive_convolution(f, g, spec) == sum(fv[n] * gv[N - n] for n in range(1, N))
+
+
+def test_shifted_convolution_reads_the_table_bound(dtable_small):
+    d = dtable_small
+    assert not d.values.flags.writeable
+    assert d.abs_max == int(d.values.max())
+    for N, h in ((1, 1), (5000, 7), (9000, 1000)):
+        v = d.values
+        expected = sum(int(v[n]) * int(v[n + h]) for n in range(1, N + 1))
+        assert shifted_divisor_convolution(d, N, h) == expected

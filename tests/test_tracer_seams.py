@@ -34,3 +34,11 @@ def test_additive_convolution_binds_f_g_spec():
     bound = inspect.signature(additive_convolution).bind("f", "g", "spec")
     assert set(bound.arguments) == {"f", "g", "spec"}
 
+
+
+def test_tabulate_binds_kind():
+    # the tabulate span records its "kind" argument by name
+    from convlab.arith import tabulate
+
+    bound = inspect.signature(tabulate).bind("sieve", "kind", "N")
+    assert bound.arguments["kind"] == "kind"
