@@ -3,17 +3,20 @@
 A single smallest-prime-factor table is the source of truth: factorizations
 come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
-factorization.  Bulk tables over [1, N] are vectorised rather than built
-per n: the sieve derives its own mu and phi tables from spf on first use
-(or only their prefix up to the R a caller asks for), Lambda comes from
-the sieve's primes, and divisor sums from hyperbola enumeration, so
-tabulation costs O(N log N) array element updates.  The sieve and the
-hyperbola tables are written in blocks of _BLOCK entries, so the strided
-updates stay in cache; the order of the updates each entry receives does
-not depend on the block size, and neither do the bits of any table.  The
-sigma tables keep their powers j**s only for j <= N/2, half the result's
-size: only d = 1 reads a larger j, and it raises those in its own block.
-Every table tabulate returns is read-only.
+factorization; above the sieve's limit, to about its square, the sieve's
+primes factor n by trial division.  Bulk tables over [1, N] are vectorised
+rather than built per n: the sieve derives its own mu and phi tables from
+spf on first use (or only their prefix up to the R a caller asks for),
+Lambda comes from the sieve's primes, and divisor sums from hyperbola
+enumeration, so tabulation costs O(N log N) array element updates.  The
+hyperbola tables (d, sigma, sigma_norm) never read the sieve, so their N
+may exceed its limit.  The sieve and the hyperbola tables are written in
+blocks of _BLOCK entries, so the strided updates stay in cache; the order
+of the updates each entry receives does not depend on the block size, and
+neither do the bits of any table.  The sigma tables keep their powers
+j**s only for j <= N/2, half the result's size: only d = 1 reads a larger
+j, and it raises those in its own block.  Every table tabulate returns is
+read-only.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ __all__ = [
 _BLOCK = 1 << 20
 
 # f(p m) from f(m), p = spf(p m) and whether p divides m, for the tables
-# FactorSieve derives from spf
+# FactorSieve derives from spf; dtype None is spf's own, which holds
+# phi(n) <= n
 _FROM_SPF = {
     "mobius": (np.int8, lambda mu_m, p, p_divides_m: np.where(p_divides_m, 0, -mu_m)),
-    "phi": (np.int64, lambda phi_m, p, p_divides_m: phi_m * np.where(p_divides_m, p, p - 1)),
+    "phi": (None, lambda phi_m, p, p_divides_m: phi_m * np.where(p_divides_m, p, p - 1)),
 }
 
 
@@ -64,11 +68,12 @@ class FactorSieve:
     4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
     it one _BLOCK-sized segment at a time.
 
-    The read-only mobius (int8) and phi (int64) tables cover 0..limit and
-    are built from spf on first use, about 9 more bytes per entry.  A
-    caller that reads them only up to some R asks upto(name, R) instead,
-    which builds no more than the prefix 0..R.  memo holds tables other
-    modules derive from this sieve, keyed by name.
+    The read-only mobius (int8) and phi (spf's dtype) tables cover
+    0..limit and are built from spf on first use, about 5 more bytes per
+    entry.  A caller that reads them only up to some R asks upto(name, R)
+    instead, which builds no more than the prefix 0..R.  memo holds tables
+    derived from this sieve, keyed by name: the primes, the upto prefixes
+    and those of other modules.
     """
 
     limit: int
@@ -76,8 +81,12 @@ class FactorSieve:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def primes(self) -> np.ndarray:
-        """All primes up to the sieve limit, ascending."""
-        return _primes(self.spf)
+        """All primes up to the sieve limit, ascending, read-only; built once."""
+        primes = self.memo.get("primes")
+        if primes is None:
+            primes = self.memo["primes"] = _primes(self.spf)
+            primes.setflags(write=False)
+        return primes
 
     @cached_property
     def mobius(self) -> np.ndarray:
@@ -86,7 +95,7 @@ class FactorSieve:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        """phi(n) for n = 0..limit (phi[0] = 0), read-only int64."""
+        """phi(n) for n = 0..limit (phi[0] = 0), read-only, in spf's dtype."""
         return self._from_spf("phi", self.limit)
 
     def upto(self, name: str, R: int) -> np.ndarray:
@@ -110,7 +119,7 @@ class FactorSieve:
         # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n).  Blocks
         # [lo, hi) have hi <= 2 lo, so m <= n / 2 < lo is already filled.
         dtype, step = _FROM_SPF[name]
-        out = np.zeros(n_max + 1, dtype=dtype)
+        out = np.zeros(n_max + 1, dtype=dtype or self.spf.dtype)
         if n_max >= 1:
             out[1] = 1
         lo = 2
@@ -171,9 +180,14 @@ def build_sieve(limit: int) -> FactorSieve:
     """
     if limit < 2:
         raise UsageError(f"sieve limit must be >= 2, got {limit}")
-    if (limit + 1) * 8 > np.iinfo(np.intp).max:
-        raise UsageError(f"sieve limit {limit} is too large for one array")
+    check_addressable(limit, "sieve limit")
     return FactorSieve(limit=limit, spf=_spf_table(limit))
+
+
+def check_addressable(n: int, what: str) -> None:
+    """Raise UsageError when an 8-byte table over 0..n is past numpy's index type."""
+    if (n + 1) * 8 > np.iinfo(np.intp).max:
+        raise UsageError(f"{what} {n} is too large for one array")
 
 
 def _spf_table(limit: int) -> np.ndarray:
@@ -196,26 +210,57 @@ def _spf_table(limit: int) -> np.ndarray:
 
 
 def _primes(spf: np.ndarray) -> np.ndarray:
-    mask = spf == np.arange(len(spf), dtype=spf.dtype)
-    mask[:2] = False
-    return np.nonzero(mask)[0]
+    return np.concatenate(
+        [_primes_in(spf, lo, min(lo + _BLOCK, len(spf))) for lo in range(0, len(spf), _BLOCK)]
+    )
+
+
+def _primes_in(spf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # the primes n in [lo, hi): n >= 2 with spf[n] == n
+    lo = max(lo, 2)
+    return np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=spf.dtype)) + lo
 
 
 def factorize(sieve: FactorSieve, n: int) -> Factorization:
-    """Factor n by repeated division by the sieve's smallest prime factors."""
-    if not 1 <= n <= sieve.limit:
-        raise UsageError(f"n must lie in [1, {sieve.limit}], got {n}")
-    spf = sieve.spf
+    """Factor n, for 1 <= n < (sieve.limit + 1)**2.
+
+    Up to the limit, by repeated division by the sieve's smallest prime
+    factors.  Above it, the primes p <= sqrt(n) dividing n come out of one
+    vectorised remainder over the sieve's primes, with no scan of spf, and
+    what is left of n above 1 has no prime factor up to sqrt(n), so it is
+    prime.  From (limit + 1)**2 on, sqrt(n) passes the limit and a prime
+    factor of n could be missing from the sieve.
+    """
+    top = (sieve.limit + 1) ** 2 - 1
+    if not 1 <= n <= top:
+        raise UsageError(f"n must lie in [1, {top}], got {n}")
     factors: List[Tuple[int, int]] = []
     m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
+    if n <= sieve.limit:
+        while m > 1:
+            p = int(sieve.spf[m])
+            m, e = _divide_out(m, p)
+            factors.append((p, e))
+    else:
+        primes = sieve.primes()
+        primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+        if n > np.iinfo(np.int64).max:
+            primes = primes.astype(object)
+        for p in primes[n % primes == 0].tolist():
+            m, e = _divide_out(m, p)
+            factors.append((p, e))
+        if m > 1:
+            factors.append((m, 1))
     return Factorization(n=n, factors=tuple(factors))
+
+
+def _divide_out(m: int, p: int) -> Tuple[int, int]:
+    # (m / p**e, e) for the largest e with p**e | m
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return m, e
 
 
 def divisors(f: Factorization) -> List[int]:
@@ -331,12 +376,14 @@ def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
 
 
 def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
-    # math.log, not np.log: the two differ in the last bit for some p
+    # math.log, not np.log: the two differ in the last bit for some p.  The
+    # primes and their logs are found one _BLOCK of n at a time, so no
+    # array or Python list of all the primes is ever built
     out = np.zeros(N + 1, dtype=np.float64)
-    primes = sieve.primes()
-    primes = primes[: np.searchsorted(primes, N, side="right")]
-    out[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
-    for p in primes[: np.searchsorted(primes, math.isqrt(N), side="right")].tolist():
+    for lo in range(0, N + 1, _BLOCK):
+        primes = _primes_in(sieve.spf, lo, min(lo + _BLOCK, N + 1))
+        out[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
+    for p in _primes_in(sieve.spf, 0, math.isqrt(N) + 1).tolist():
         pk = p * p
         while pk <= N:
             out[pk] = out[p]
@@ -345,6 +392,8 @@ def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
 
 
 _TABLE_KINDS = ("divisor", "sigma", "mobius", "phi", "lambda", "sigma_norm")
+# the kinds tabulate reads from the sieve; the others are hyperbola tables
+SIEVE_KINDS = ("mobius", "phi", "lambda")
 
 
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:
@@ -353,13 +402,17 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     kind is one of "divisor", "sigma", "mobius", "phi", "lambda",
     "sigma_norm"; the sigma kinds take the exponent s.  sigma with a
     non-negative integer s yields an exact integer table, any other s a
-    float table.  sigma_norm(s) tabulates sigma_s(n) / n**s.  Requires
-    N <= sieve.limit.
+    float table.  sigma_norm(s) tabulates sigma_s(n) / n**s.  mobius, phi
+    and lambda read the sieve and require N <= sieve.limit; the hyperbola
+    kinds (divisor, sigma, sigma_norm) never read it.
     """
     if kind not in _TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}")
-    if not 1 <= N <= sieve.limit:
-        raise UsageError(f"N must lie in [1, {sieve.limit}], got {N}")
+    if kind in SIEVE_KINDS and N > sieve.limit:
+        raise UsageError(f"{kind} table: N must lie in [1, {sieve.limit}], got {N}")
+    if N < 1:
+        raise UsageError(f"N must be >= 1, got {N}")
+    check_addressable(N, "table to N =")
     if kind in ("sigma", "sigma_norm"):
         if s is None:
             raise UsageError(f"kind {kind!r} needs an exponent s")

@@ -29,8 +29,12 @@ traceback; a malformed number is rejected before any table is built.  An
 option value may start with "-" ("--beta -inf"), so it reaches the same
 checks as "--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
-The sieve is built once per process at the largest limit the command
-needs, so no output depends on its size.  CONVLAB_THREADS caps sweep
+The sieve is built once per process at the smallest limit the command
+needs, so no output depends on its size: N (or R) where a mu, phi or
+Lambda table or the Ramanujan sums read it, isqrt(N) where it only
+factors the N of a main term next to d, sigma or sigma_norm tables,
+which never read it.  Whether the largest table is addressable is
+checked before the sieve is built.  CONVLAB_THREADS caps sweep
 parallelism; grid results never depend on the worker count.
 """
 
@@ -42,7 +46,7 @@ import math
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .arith import build_sieve, tabulate
+from .arith import SIEVE_KINDS, build_sieve, check_addressable, tabulate
 from .asymptotics import (
     divisor_report,
     envelope_defect,
@@ -164,8 +168,11 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _sieve_for(required: int):
-    return build_sieve(max(required, 2))
+def _sieve_for(limit: int, table_N: int):
+    # the largest table, over 0..table_N, is checked before the sieve is
+    # built, which may be far smaller than it
+    check_addressable(table_N, "table to N =")
+    return build_sieve(max(limit, 2))
 
 
 # --- subcommands ---------------------------------------------------------
@@ -178,7 +185,8 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     gkind, gs = _parse_kind(args.g)
     M = _parse_float(args.M, "--M")
     _check_N(args.N)
-    sieve = _sieve_for(args.N)
+    reads_sieve = fkind in SIEVE_KINDS or gkind in SIEVE_KINDS
+    sieve = _sieve_for(args.N if reads_sieve else math.isqrt(args.N), args.N)
     ftab = tabulate(sieve, fkind, args.N, s=fs)
     gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
@@ -200,7 +208,7 @@ def cmd_verify_ingham(args: argparse.Namespace) -> int:
         raise UsageError(f"N grid entries must be integers >= 2, got {args.N_grid!r}")
     grid = [int(v) for v in grid]
     rule, param = _parse_m_rule(args.M_rule)
-    sieve = _sieve_for(max(grid))
+    sieve = _sieve_for(math.isqrt(max(grid)), max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
 
     def m_of(N: int) -> float:
@@ -263,7 +271,7 @@ def cmd_verify_general(args: argparse.Namespace) -> int:
         raise UsageError("alpha and beta must be positive")
     grid = _parse_grid(args.M_grid, "M")
     _check_N(args.N)
-    sieve = _sieve_for(args.N)
+    sieve = _sieve_for(math.isqrt(args.N), args.N)
     ftab = tabulate(sieve, "sigma_norm", args.N, s=alpha)
     gtab = ftab if beta == alpha else tabulate(sieve, "sigma_norm", args.N, s=beta)
     delta = min(alpha, beta)
@@ -311,7 +319,7 @@ def cmd_orthogonality(args: argparse.Namespace) -> int:
     assert_max = args.assert_max
     if assert_max is not None:
         assert_max = _parse_float(assert_max, "--assert-max")
-    sieve = _sieve_for(max(args.N, args.r_max, args.s_max))
+    sieve = _sieve_for(max(args.N, args.r_max, args.s_max), args.N)
     rows: List[Row] = []
     worst = 0.0
     for r in range(1, args.r_max + 1):
@@ -344,7 +352,7 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
         raise UsageError(f"N must be an even integer >= 2, got {args.N}")
     if args.R < 1:
         raise UsageError(f"R must be >= 1, got {args.R}")
-    sieve = _sieve_for(max(args.N, args.R))
+    sieve = _sieve_for(max(args.N, args.R), args.N)
     ltab = tabulate(sieve, "lambda", args.N)
     spec = ConvolutionSpec(N=args.N, M=float(args.N), boundary="half_open")
     exact = additive_convolution(ltab, ltab, spec)

@@ -1,16 +1,17 @@
-"""Exact additive and shifted convolution sums, plus the lattice oracle.
+"""Exact additive and shifted convolution sums and the tau harmonic sum.
 
 Both boundary conventions are first-class and must be chosen explicitly:
 "half_open" sums over 1 <= n < M, "closed" over 1 <= n <= M.  M may be
 real; the effective index ranges are n <= ceil(M) - 1 and n <= floor(M).
-Integer sums are exact: the fast path accumulates in int64 only after
-proving the worst-case total k * max|f| * max|g| fits, otherwise it falls
-back to Python's arbitrary-precision integers.  The proof reads each
-table's max|value|, computed once per ArithTable (ArithTable.abs_max), and
-scans the summed slices only when that bound is too loose.  The sum itself
-runs in fixed chunks of 2**16 summands: one multiply per chunk, in the
-tables' common integer type when max|f| * max|g| fits it (int64
-otherwise), reduced to int64.  Real sums and dot products (real_dot) are
+Integer sums are exact.  They run in int64 runs of at most 2**16
+summands, each short enough that run * max|f| * max|g| <= 2**62, so no
+run's sum can leave int64, and the runs add up in a Python int: one
+multiply per run, in the tables' common integer type when
+max|f| * max|g| fits it (int64 otherwise), reduced to int64.  The bound
+reads each table's max|value|, computed once per ArithTable
+(ArithTable.abs_max), and scans the summed slices only when that bound
+allows no run of 64 summands; products too large for that are summed in
+Python ints.  Real sums and dot products (real_dot) are
 reduced in the same fixed chunks combined in index order, with no BLAS
 call, so results are reproducible whatever the thread count.
 
@@ -39,13 +40,13 @@ __all__ = [
     "additive_convolution",
     "divisor_additive_convolution",
     "shifted_divisor_convolution",
-    "lattice_count_S",
     "tau_exact",
     "real_dot",
 ]
 
 _CHUNK = 1 << 16
-_LATTICE_CAP = 10_000
+# shortest int64 run of an exact sum; below it, Python ints are faster
+_MIN_RUN = 64
 _TAU_CAP = 10_000_000.0
 # H(k) is an exact prefix below _H_EXACT and the Euler-Maclaurin series above
 _H_EXACT = 64
@@ -104,27 +105,34 @@ def _table_bound(t: ArithTable) -> int | None:
 
 def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
     # fmax, gmax: bounds on |fa| and |ga|; the slices are scanned when a
-    # bound is missing or too loose to prove the int64 path
+    # bound is missing or too loose to allow runs of _MIN_RUN summands
     k = len(fa)
     if k == 0:
         return 0
-    if fmax is None or gmax is None or k * fmax * gmax >= 2**62:
+    if fmax is None or gmax is None or _run_length(fmax, gmax) < _MIN_RUN:
         fmax, gmax = _abs_max(fa), _abs_max(ga)
-    if k * fmax * gmax >= 2**62:
-        # values too large for 64-bit accumulation: exact arbitrary precision
+    run = _run_length(fmax, gmax)
+    if run < _MIN_RUN:
+        # int64 runs this short cost more than Python ints
         return sum(int(a) * int(b) for a, b in zip(fa.tolist(), ga.tolist()))
-    # every partial sum fits int64, so the order of summation cannot matter;
+    # no run's sum can leave int64, and the runs add up in a Python int;
     # each product is formed in the common type when no product can wrap it
     ctype = np.result_type(fa, ga)
     if ctype.kind not in "iu" or fmax * gmax > np.iinfo(ctype).max:
         ctype = np.dtype(np.int64)
-    buf = np.empty(min(k, _CHUNK), dtype=ctype)
+    buf = np.empty(min(run, k), dtype=ctype)
     total = 0
-    for i in range(0, k, _CHUNK):
-        prod = buf[: min(_CHUNK, k - i)]
-        np.multiply(fa[i : i + _CHUNK], ga[i : i + _CHUNK], out=prod, dtype=ctype)
+    for i in range(0, k, run):
+        prod = buf[: min(run, k - i)]
+        np.multiply(fa[i : i + run], ga[i : i + run], out=prod, dtype=ctype)
         total += int(prod.sum(dtype=np.int64))
     return total
+
+
+def _run_length(fmax: int, gmax: int) -> int:
+    # summands per int64 run: at most _CHUNK, and few enough that
+    # run * fmax * gmax <= 2**62
+    return min(_CHUNK, 2**62 // max(fmax * gmax, 1))
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
@@ -168,43 +176,6 @@ def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:
     return _exact_int_sum(
         dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1], bound, bound
     )
-
-
-def _divisor_pairs(k: int) -> int:
-    # ordered pairs (l, r) with l * r = k, counted by trial division
-    cnt = 0
-    for j in range(1, math.isqrt(k) + 1):
-        if k % j == 0:
-            cnt += 1 if j * j == k else 2
-    return cnt
-
-
-def lattice_count_S(N: int, M: float) -> int:
-    """|{(l, r, m, s) in N^4 : l r + m s = N, m s <= M}|.
-
-    Enumerates (m, s) directly and counts the (l, r) factor pairs of
-    N - m s by trial division, independent of any sieve.  Equals the
-    closed-boundary divisor convolution up to M (the constraint never
-    binds past n = N - 1).  Capped at N <= 10**4.
-    """
-    if N < 2:
-        raise UsageError(f"N must be >= 2, got {N}")
-    if not 1 <= M <= N:
-        raise UsageError(f"M must lie in [1, N], got M={M}")
-    if N > _LATTICE_CAP:
-        raise UsageError(f"lattice enumeration is capped at N <= {_LATTICE_CAP}")
-    cache: dict = {}
-    total = 0
-    for m in range(1, int(M) + 1):
-        for s in range(1, int(M / m) + 1):
-            rem = N - m * s
-            if rem < 1:
-                continue
-            pairs = cache.get(rem)
-            if pairs is None:
-                pairs = cache[rem] = _divisor_pairs(rem)
-            total += pairs
-    return total
 
 
 def _harmonic(k: np.ndarray) -> np.ndarray:

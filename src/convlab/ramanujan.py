@@ -8,7 +8,7 @@ an exact integer.  The root-of-unity definition
 
     c_r(n) = sum_{a in (Z/rZ)*} e(a n / r),      e(t) = exp(2 pi i t),
 
-is kept as an independent oracle that checks its own rounding residue.
+is the independent oracle of the test suite (tests/brute.py).
 
 Expansions f(n) = sum_r a_f(r) c_r(n) are truncated at a level R; a
 provider gives the coefficient vector a_f(1..R).  For coefficients with
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "ExpansionSum",
     "OrthogonalityRecord",
     "ramanujan_sum",
-    "ramanujan_sum_oracle",
     "ramanujan_sum_table",
     "sigma_provider",
     "divisor_provider",
@@ -55,8 +53,6 @@ __all__ = [
     "orthogonality_defect",
 ]
 
-_ORACLE_R_CAP = 10_000
-_ORACLE_TOL = 1e-6
 _START_R = 256  # first truncation level of expansion_adaptive
 
 
@@ -73,40 +69,6 @@ def ramanujan_sum(sieve: FactorSieve, r: int, n: int) -> int:
         if m:
             total += m * d
     return total
-
-
-@lru_cache(maxsize=512)
-def _unit_roots(r: int) -> np.ndarray:
-    roots = np.exp((2j * math.pi / r) * np.arange(r))
-    roots.setflags(write=False)
-    return roots
-
-
-@lru_cache(maxsize=512)
-def _primitive_residues(r: int) -> np.ndarray:
-    a = np.arange(r, dtype=np.int64)
-    res = a[np.gcd(a, r) == 1]
-    res.setflags(write=False)
-    return res
-
-
-def ramanujan_sum_oracle(r: int, n: int) -> int:
-    """c_r(n) summed over primitive r-th roots of unity.
-
-    O(r) per call; refuses r > 10**4.  Raises ConsistencyError if the
-    imaginary part or the rounding residue reaches 1e-6.
-    """
-    if r < 1 or n < 1:
-        raise UsageError(f"oracle needs r >= 1 and n >= 1, got r={r}, n={n}")
-    if r > _ORACLE_R_CAP:
-        raise UsageError(f"oracle is O(r) and is capped at r <= {_ORACLE_R_CAP}")
-    z = _unit_roots(r)[(_primitive_residues(r) * n) % r].sum()
-    val = round(z.real)
-    if abs(z.imag) >= _ORACLE_TOL or abs(z.real - val) >= _ORACLE_TOL:
-        raise ConsistencyError(
-            f"root-of-unity sum for c_{r}({n}) did not round cleanly: {z!r}"
-        )
-    return int(val)
 
 
 def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
@@ -363,9 +325,11 @@ def orthogonality_defect(
 ) -> OrthogonalityRecord:
     """sum_{1 <= n < M} c_r(n) c_s(N - n) against delta_{r,s} M c_r(N).
 
-    Exact integer arithmetic throughout.  The summand is periodic in n
-    with period lcm(r, s), so the range folds into one period plus a
-    partial block; the folded sum equals the direct one exactly.
+    Exact integer arithmetic throughout.  One period of c_r and of c_s
+    comes from the divisor form in O(d(r)) array steps.  The summand is
+    periodic in n with period lcm(r, s), so the range folds into one
+    period plus a partial block; the folded sum equals the direct one
+    exactly.
     """
     if r < 1 or s < 1:
         raise UsageError(f"need r, s >= 1, got r={r}, s={s}")
@@ -373,14 +337,14 @@ def orthogonality_defect(
         raise UsageError(f"M must be an integer, got {M!r}")
     if not 1 <= M <= N:
         raise UsageError(f"need 1 <= M <= N, got M={M}, N={N}")
+    if max(r, s) > sieve.limit:
+        raise UsageError(f"r={r}, s={s} exceed sieve limit {sieve.limit}")
     L = math.lcm(r, s)
     if L > 2**24:
         raise UsageError(f"lcm(r, s) = {L} is too large to fold")
 
-    cr = np.array([ramanujan_sum(sieve, r, j) if j else ramanujan_sum(sieve, r, r)
-                   for j in range(r)], dtype=np.int64)
-    cs = np.array([ramanujan_sum(sieve, s, j) if j else ramanujan_sum(sieve, s, s)
-                   for j in range(s)], dtype=np.int64)
+    cr = _period_table(sieve, r)
+    cs = cr if s == r else _period_table(sieve, s)
 
     K = M - 1  # half-open range [1, M)
     j = np.arange(1, min(L, K) + 1, dtype=np.int64)
@@ -391,5 +355,16 @@ def orthogonality_defect(
         period_sum = int(block.sum())
         exact = (K // L) * period_sum + int(block[: K % L].sum())
 
-    main = M * ramanujan_sum(sieve, r, N) if r == s else 0
+    main = M * int(cr[N % r]) if r == s else 0
     return OrthogonalityRecord(exact=exact, main=main, defect=exact - main)
+
+
+def _period_table(sieve: FactorSieve, r: int) -> np.ndarray:
+    # c_r(j) for j = 0..r-1, one period: each d | r adds mu(r/d) d to the
+    # j divisible by d, O(d(r)) numpy steps
+    out = np.zeros(r, dtype=np.int64)
+    for d in divisors(factorize(sieve, r)):
+        m = mobius(factorize(sieve, r // d))
+        if m:
+            out[::d] += m * d
+    return out

@@ -1,16 +1,21 @@
 """Brute-force oracles, deliberately independent of the library internals.
 
 Everything here is trial division, direct enumeration, or plain cmath;
-slow but obviously correct on small inputs.  The bulk oracles at the end
-are whole-table algorithms the library has replaced, kept to check the
-replacements bit for bit.
+slow but obviously correct on small inputs.  The lattice count and the
+root-of-unity Ramanujan sum are the oracles of the paper's two identities
+(their domain errors are the library's, so the tests read the same
+exceptions).  The bulk oracles at the end are whole-table algorithms the
+library has replaced, kept to check the replacements bit for bit.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+from convlab.errors import ConsistencyError, UsageError
 
 
 def divisors(n: int) -> list:
@@ -93,6 +98,77 @@ def lattice_count(N: int, M: int) -> int:
                     if l * r + m * s == N and m * s <= M:
                         count += 1
     return count
+
+
+def _divisor_pairs(k: int) -> int:
+    # ordered pairs (l, r) with l * r = k, counted by trial division
+    cnt = 0
+    for j in range(1, math.isqrt(k) + 1):
+        if k % j == 0:
+            cnt += 1 if j * j == k else 2
+    return cnt
+
+
+def lattice_count_S(N: int, M: float) -> int:
+    """|{(l, r, m, s) in N^4 : l r + m s = N, m s <= M}|.
+
+    Enumerates (m, s) directly and counts the (l, r) factor pairs of
+    N - m s by trial division, independent of any sieve.  Equals the
+    closed-boundary divisor convolution up to M (the constraint never
+    binds past n = N - 1).  Capped at N <= 10**4.
+    """
+    if N < 2:
+        raise UsageError(f"N must be >= 2, got {N}")
+    if not 1 <= M <= N:
+        raise UsageError(f"M must lie in [1, N], got M={M}")
+    if N > 10_000:
+        raise UsageError("lattice enumeration is capped at N <= 10000")
+    cache: dict = {}
+    total = 0
+    for m in range(1, int(M) + 1):
+        for s in range(1, int(M / m) + 1):
+            rem = N - m * s
+            if rem < 1:
+                continue
+            pairs = cache.get(rem)
+            if pairs is None:
+                pairs = cache[rem] = _divisor_pairs(rem)
+            total += pairs
+    return total
+
+
+@lru_cache(maxsize=512)
+def _unit_roots(r: int) -> np.ndarray:
+    roots = np.exp((2j * math.pi / r) * np.arange(r))
+    roots.setflags(write=False)
+    return roots
+
+
+@lru_cache(maxsize=512)
+def _primitive_residues(r: int) -> np.ndarray:
+    a = np.arange(r, dtype=np.int64)
+    res = a[np.gcd(a, r) == 1]
+    res.setflags(write=False)
+    return res
+
+
+def ramanujan_sum_oracle(r: int, n: int) -> int:
+    """c_r(n) summed over primitive r-th roots of unity, vectorised.
+
+    O(r) per call; refuses r > 10**4.  Raises ConsistencyError if the
+    imaginary part or the rounding residue reaches 1e-6.
+    """
+    if r < 1 or n < 1:
+        raise UsageError(f"oracle needs r >= 1 and n >= 1, got r={r}, n={n}")
+    if r > 10_000:
+        raise UsageError("oracle is O(r) and is capped at r <= 10000")
+    z = _unit_roots(r)[(_primitive_residues(r) * n) % r].sum()
+    val = round(z.real)
+    if abs(z.imag) >= 1e-6 or abs(z.real - val) >= 1e-6:
+        raise ConsistencyError(
+            f"root-of-unity sum for c_{r}({n}) did not round cleanly: {z!r}"
+        )
+    return int(val)
 
 
 def orthogonality_exact(r: int, s: int, N: int, M: int) -> int:

@@ -23,14 +23,12 @@ from convlab import (
     expansion_adaptive,
     factorize,
     gamma_real,
-    lattice_count_S,
     main_term_full,
     main_term_sigma_full,
     main_term_subsum,
     main_term_supersum,
     orthogonality_defect,
     ramanujan_sum,
-    ramanujan_sum_oracle,
     ramanujan_sum_table,
     sigma_norm_report,
     sigma_provider,
@@ -55,7 +53,7 @@ def test_criterion_01_lattice_oracle(sieve_small):
         for M in range(1, N + 1):
             # the product constraint never binds past N-1, where d(0) would appear
             conv = divisor_additive_convolution(dtable, N, float(min(M, N - 1)), "closed")
-            if lattice_count_S(N, float(M)) != conv:
+            if brute.lattice_count_S(N, float(M)) != conv:
                 ok = False
                 break
         if not ok:
@@ -68,7 +66,7 @@ def test_criterion_02_ramanujan_oracle(sieve_small):
     for n in range(1, 501):
         table = ramanujan_sum_table(sieve_small, n, 200)
         for r in range(1, 201):
-            if table[r] != ramanujan_sum_oracle(r, n):
+            if table[r] != brute.ramanujan_sum_oracle(r, n):
                 ok = False
                 break
         if not ok:

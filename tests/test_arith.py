@@ -61,10 +61,45 @@ def test_factorize_examples(sieve_10m):
 
 
 def test_factorize_range_errors(sieve_small):
+    # the sieve's primes reach every n < (limit + 1)**2
     with pytest.raises(UsageError):
         factorize(sieve_small, 0)
     with pytest.raises(UsageError):
-        factorize(sieve_small, 10_001)
+        factorize(sieve_small, 10_001**2)
+
+
+def test_factorize_past_the_limit_matches_brute():
+    # limit 100: trial division by its primes covers (100, 101**2 - 1]
+    sv = build_sieve(100)
+    top = 101**2 - 1
+    cases = (
+        list(range(101, 400))
+        + [p for p in range(9000, top + 1) if brute.is_prime(p)][:40]  # primes
+        + [p * p for p in (11, 47, 97)]  # prime squares
+        + [100**2, 97 * 101, 2 * 5003]
+        + list(range(top - 50, top + 1))
+    )
+    for n in cases:
+        assert list(factorize(sv, n).factors) == brute.factorize(n), n
+    with pytest.raises(UsageError):
+        factorize(sv, top + 1)  # 101**2: 101 is past the limit
+    with pytest.raises(UsageError):
+        factorize(sv, 10**30)
+
+
+def test_factorize_past_the_limit_scans_nothing_per_call():
+    # the primes are found once per sieve; past the limit a call reads them
+    # and never spf
+    sv = build_sieve(1000)
+    primes = sv.primes()
+    spf = sv.spf
+    object.__setattr__(sv, "spf", None)
+    try:
+        for n in (999_983, 997**2, 1000**2, 510_510, 1001**2 - 1):
+            assert list(factorize(sv, n).factors) == brute.factorize(n), n
+        assert sv.primes() is primes
+    finally:
+        object.__setattr__(sv, "spf", spf)
 
 
 def test_divisor_count_examples(sieve_small):
@@ -125,7 +160,7 @@ def test_tabulate_examples(sieve_small):
 
 def test_tabulate_rejects_overlong(sieve_small):
     with pytest.raises(UsageError):
-        tabulate(sieve_small, "divisor", 10_001)
+        tabulate(sieve_small, "mobius", 10_001)
     with pytest.raises(UsageError):
         tabulate(sieve_small, "no_such_kind", 10)
 
@@ -172,17 +207,30 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
     cases = [
         ("divisor", None, brute.divisor_table(limit)),
         ("mobius", None, brute.mobius_table(limit)),
-        ("phi", None, brute.phi_table(limit)),
+        ("phi", None, brute.phi_table(limit).astype(sv.spf.dtype)),
         ("lambda", None, brute.lambda_table(limit)),
         ("sigma", 1, brute.sigma_table(limit, 1)),
         ("sigma", 2, brute.sigma_table(limit, 2)),
         ("sigma", 0.5, brute.sigma_table(limit, 0.5)),
         ("sigma_norm", 0.5, brute.sigma_table(limit, -0.5)),
     ]
+    # the hyperbola kinds never read the sieve: one to isqrt(limit), all
+    # the CLI builds for them, gives the same bytes
+    root = build_sieve(max(math.isqrt(limit), 2))
     for kind, s, expected in cases:
         values = tabulate(sv, kind, limit, s=s).values
         assert values.dtype == expected.dtype, (kind, s)
         assert np.array_equal(values, expected), (kind, s)
+        if kind not in ("mobius", "phi", "lambda"):
+            assert tabulate(root, kind, limit, s=s).values.tobytes() == values.tobytes(), (kind, s)
+
+
+def test_phi_is_spf_dtype_and_exact(sieve_1m):
+    # phi(n) <= n, so spf's int32 holds it below 2**31
+    expected = brute.phi_table(sieve_1m.limit)
+    for phi in (sieve_1m.phi, sieve_1m.upto("phi", 777), tabulate(sieve_1m, "phi", 5000).values):
+        assert phi.dtype == np.int32
+        assert np.array_equal(phi, expected[: len(phi)])
 
 
 def test_tables_agree_across_sieve_limits(sieve_small, sieve_1m):

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,7 @@ from convlab.cli import (
     _TAU_HEADERS,
     main,
 )
+from convlab import build_sieve
 
 
 def run(capsys, *argv):
@@ -181,6 +184,72 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "out of memory" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    # hyperbola tables only: the sieve just factors N, so isqrt(N) is enough
+    (("convolve", "--f", "d", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
+     math.isqrt(1000)),
+    (("convolve", "--f", "sigma:1", "--g", "sigma_norm:0.5", "--N", "9999", "--M", "50",
+      "--boundary", "half_open"), math.isqrt(9999)),
+    (("verify-ingham", "--N-grid", "1000,5000,2000", "--M-rule", "half"), math.isqrt(5000)),
+    (("verify-general", "--alpha", "2", "--beta", "2", "--N", "3000", "--M-grid", "10,100"),
+     math.isqrt(3000)),
+    (("convolve", "--f", "d", "--g", "d", "--N", "3", "--M", "1", "--boundary", "closed"), 2),
+    # a mu, phi or Lambda table, or the Ramanujan sums, read the sieve to N or R
+    (("convolve", "--f", "phi", "--g", "mu", "--N", "1000", "--M", "3", "--boundary", "closed"),
+     1000),
+    (("convolve", "--f", "d", "--g", "lambda", "--N", "1000", "--M", "3",
+      "--boundary", "closed"), 1000),
+    (("goldbach", "--N", "1000", "--R", "2000"), 2000),
+    (("goldbach", "--N", "1000", "--R", "10"), 1000),
+    (("orthogonality", "--N", "500", "--M", "500", "--r-max", "3", "--s-max", "4"), 500),
+])
+def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv, limit):
+    import convlab.cli as cli
+
+    calls = []
+
+    def recording(n):
+        calls.append(n)
+        return build_sieve(n)
+
+    monkeypatch.setattr(cli, "build_sieve", recording)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    assert calls == [limit]
+
+
+_CLI_TABLES_AT_2_22 = [
+    # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
+    # Measured: phi.mu 1.54 (2.29 with an int64 phi), sigma.d and the
+    # sigma_norm pair 1.75 (2.25 with a sieve to N), goldbach 1.68 (2.13
+    # with Lambda's primes found in one whole-range pass and their logs
+    # taken from one Python list)
+    (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
+      "--boundary", "closed"), 1.9),
+    (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
+      "--boundary", "half_open"), 2.0),
+    (("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", str(2**22),
+      "--M-grid", "1000,2000000,4000000"), 2.0),
+    (("goldbach", "--N", str(2**22), "--R", "1000"), 1.9),
+]
+
+
+@pytest.mark.parametrize("argv, bound", _CLI_TABLES_AT_2_22)
+def test_cli_tables_peak_memory(capsys, argv, bound):
+    # each command holds only the tables it reads: no sieve to N next to
+    # the hyperbola tables, phi in the sieve's int32, Lambda's primes found
+    # one block at a time
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= bound * 8 * 2**22, peak / (8 * 2**22)
 
 
 @pytest.mark.parametrize("limit", [str(10**20), str(2**60)])

@@ -12,12 +12,11 @@ from convlab import (
     UsageError,
     additive_convolution,
     divisor_additive_convolution,
-    lattice_count_S,
     shifted_divisor_convolution,
     tabulate,
     tau_exact,
 )
-from convlab.convolution import _exact_int_sum
+from convlab.convolution import _MIN_RUN, _exact_int_sum, _run_length
 
 
 def test_spec_validation():
@@ -186,9 +185,9 @@ def test_int_mode_matches_python_sum(dtable_small):
 
 
 def test_lattice_examples():
-    assert lattice_count_S(6, 3) == 12
-    assert lattice_count_S(4, 2) == 6
-    assert lattice_count_S(6, 6) == 20
+    assert brute.lattice_count_S(6, 3) == 12
+    assert brute.lattice_count_S(4, 2) == 6
+    assert brute.lattice_count_S(6, 6) == 20
 
 
 def test_lattice_against_quadruple_brute():
@@ -196,7 +195,7 @@ def test_lattice_against_quadruple_brute():
         for M in (1, 2, N // 2, N - 1, N):
             if M < 1:
                 continue
-            assert lattice_count_S(N, M) == brute.lattice_count(N, M), (N, M)
+            assert brute.lattice_count_S(N, M) == brute.lattice_count(N, M), (N, M)
 
 
 def test_lattice_matches_convolution(dtable_small):
@@ -205,18 +204,18 @@ def test_lattice_matches_convolution(dtable_small):
             conv = divisor_additive_convolution(
                 dtable_small, N, float(min(M, N - 1)), "closed"
             )
-            assert lattice_count_S(N, M) == conv, (N, M)
+            assert brute.lattice_count_S(N, M) == conv, (N, M)
 
 
 def test_lattice_domain():
     with pytest.raises(UsageError):
-        lattice_count_S(10_001, 5)
+        brute.lattice_count_S(10_001, 5)
     with pytest.raises(UsageError):
-        lattice_count_S(1, 1)
+        brute.lattice_count_S(1, 1)
     with pytest.raises(UsageError):
-        lattice_count_S(10, 0)
+        brute.lattice_count_S(10, 0)
     with pytest.raises(UsageError):
-        lattice_count_S(10, 11)
+        brute.lattice_count_S(10, 11)
 
 
 def test_tau_examples():
@@ -407,6 +406,28 @@ def test_chunk_products_never_wrap(fvals, gvals, dtype):
     spec = ConvolutionSpec(N=N, M=float(f.N), boundary="closed")
     fv, gv = f.values.tolist(), g.values.tolist()
     assert additive_convolution(f, g, spec) == sum(fv[n] * gv[N - n] for n in range(1, N))
+
+
+@pytest.mark.parametrize("fmax, gmax", [
+    (2**25 + 3, 2**25 - 5),  # runs of 4096 summands
+    (3 * 10**8, 10**8),  # runs of 153
+    (2**28 + 1, 2**28 + 1),  # runs of 63: Python ints
+])
+def test_exact_sum_runs_at_the_chunk_boundary(fmax, gmax):
+    # each int64 run holds L = 2**62 // (fmax * gmax) summands, so no run's
+    # sum can wrap; a sum of 3L + 1 maximal products would wrap in one run
+    L = 2**62 // (fmax * gmax)
+    assert _run_length(fmax, gmax) == L
+    assert (L < _MIN_RUN) == (fmax == 2**28 + 1)
+    rng = np.random.default_rng(0)
+    for k in (L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, 3 * L + 1):
+        f = np.full(k, fmax, dtype=np.int64)
+        g = np.full(k, gmax, dtype=np.int64)
+        assert _exact_int_sum(f, g, fmax, gmax) == k * fmax * gmax, k
+        f = f * rng.choice([-1, 1], size=k)
+        g[rng.integers(0, k, size=k // 3)] //= 7
+        ref = sum(int(a) * int(b) for a, b in zip(f.tolist(), g.tolist()))
+        assert _exact_int_sum(f, g, fmax, gmax) == ref, k
 
 
 def test_shifted_convolution_reads_the_table_bound(dtable_small):

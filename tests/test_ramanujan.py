@@ -21,7 +21,6 @@ from convlab import (
     hardy_provider,
     orthogonality_defect,
     ramanujan_sum,
-    ramanujan_sum_oracle,
     ramanujan_sum_table,
     sigma_provider,
     sigma_rational,
@@ -48,22 +47,22 @@ def test_ramanujan_sum_argument_errors(sieve_small):
 
 
 def test_oracle_examples():
-    assert ramanujan_sum_oracle(1, 5) == 1
-    assert ramanujan_sum_oracle(5, 5) == 4
-    assert ramanujan_sum_oracle(4, 2) == -2
-    assert ramanujan_sum_oracle(6, 4) == -1
+    assert brute.ramanujan_sum_oracle(1, 5) == 1
+    assert brute.ramanujan_sum_oracle(5, 5) == 4
+    assert brute.ramanujan_sum_oracle(4, 2) == -2
+    assert brute.ramanujan_sum_oracle(6, 4) == -1
 
 
 def test_oracle_against_cmath_brute():
     for r in range(1, 30):
         for n in (1, 2, 7, 12, 30):
-            assert ramanujan_sum_oracle(r, n) == brute.ramanujan_sum(r, n)
+            assert brute.ramanujan_sum_oracle(r, n) == brute.ramanujan_sum(r, n)
 
 
 def test_formula_matches_oracle_subset(sieve_small):
     for r in range(1, 61):
         for n in range(1, 81):
-            assert ramanujan_sum(sieve_small, r, n) == ramanujan_sum_oracle(r, n)
+            assert ramanujan_sum(sieve_small, r, n) == brute.ramanujan_sum_oracle(r, n)
 
 
 def test_table_matches_scalar(sieve_small):
@@ -307,6 +306,26 @@ def test_orthogonality_against_brute(sieve_small):
                     rec = orthogonality_defect(sieve_small, r, s, N, M)
                     assert rec.exact == brute.orthogonality_exact(r, s, N, M)
                     assert rec.defect == rec.exact - rec.main
+
+
+def test_orthogonality_against_per_j_ramanujan_sums(sieve_small):
+    # the period tables against one ramanujan_sum call per residue j, the
+    # sum folded the same way, for r, s <= 60
+    def period(r):
+        return [ramanujan_sum(sieve_small, r, j or r) for j in range(r)]
+
+    periods = {r: period(r) for r in range(1, 61)}
+    for r in range(1, 61):
+        for s in (1, 2, 6, 7, 12, 30, 49, 60, r):
+            for N, M in ((9973, 9973), (10_000, 4321), (720, 719)):
+                rec = orthogonality_defect(sieve_small, r, s, N, M)
+                cr, cs = periods[r], periods[s]
+                L = math.lcm(r, s)
+                terms = [cr[j % r] * cs[(N - j) % s] for j in range(1, min(L, M - 1) + 1)]
+                K = M - 1
+                exact = (K // L) * sum(terms) + sum(terms[: K % L]) if K > L else sum(terms)
+                main = M * ramanujan_sum(sieve_small, r, N) if r == s else 0
+                assert (rec.exact, rec.main, rec.defect) == (exact, main, exact - main), (r, s, N, M)
 
 
 def test_orthogonality_domain(sieve_small):
