@@ -5,9 +5,9 @@ come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
 factorization; above the sieve's limit, to about its square, the sieve's
 primes factor n by trial division.  Bulk tables over [1, N] are vectorised
-rather than built per n: the sieve derives its own mu and phi tables from
-spf on first use (or only their prefix up to the R a caller asks for),
-Lambda comes from the sieve's primes, and divisor sums from hyperbola
+rather than built per n: the sieve derives mu and phi from spf, only up
+to the largest N or R a caller has asked for (FactorSieve.upto), Lambda
+comes from the sieve's primes, and divisor sums from hyperbola
 enumeration, so tabulation costs O(N log N) array element updates.  The
 hyperbola tables (d, sigma, sigma_norm) never read the sieve, so their N
 may exceed its limit.  The sieve and the hyperbola tables are written in
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, Hashable, List, Tuple
 
 import numpy as np
 
@@ -68,12 +68,11 @@ class FactorSieve:
     4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
     it one _BLOCK-sized segment at a time.
 
-    The read-only mobius (int8) and phi (spf's dtype) tables cover
-    0..limit and are built from spf on first use, about 5 more bytes per
-    entry.  A caller that reads them only up to some R asks upto(name, R)
-    instead, which builds no more than the prefix 0..R.  memo holds tables
-    derived from this sieve, keyed by name: the primes, the upto prefixes
-    and those of other modules.
+    Every table derived from it goes through memo: the primes, and the
+    tables a caller reads only on 0..R, which prefix(key, R, build) keeps
+    one per key at the largest R asked for so far.  upto(name, R) is that
+    cache over the mu and phi tables built from spf; other modules keep
+    their own keys.
     """
 
     limit: int
@@ -88,32 +87,27 @@ class FactorSieve:
             primes.setflags(write=False)
         return primes
 
-    @cached_property
-    def mobius(self) -> np.ndarray:
-        """mu(n) for n = 0..limit (mu[0] = 0), read-only int8."""
-        return self._from_spf("mobius", self.limit)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """phi(n) for n = 0..limit (phi[0] = 0), read-only, in spf's dtype."""
-        return self._from_spf("phi", self.limit)
-
     def upto(self, name: str, R: int) -> np.ndarray:
-        """The "mobius" or "phi" table on 0..R, read-only.
+        """mu ("mobius", int8) or phi ("phi", spf's dtype) on 0..R, read-only.
 
-        Slices the full table if it is already built.  Otherwise builds the
-        prefix from spf and keeps it in memo["upto"], one table per name at
-        the largest R asked for so far.
+        Entry 0 is 0.
+        """
+        return self.prefix(name, R, lambda n_max: self._from_spf(name, n_max))
+
+    def prefix(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
+        """build(R) on 0..R, read-only, for 0 <= R <= limit.
+
+        memo keeps one table per key, at the largest R asked for so far.
+        A longer table is built only after memo has let go of the shorter
+        one, so the two never sit in the cache together.
         """
         if not 0 <= R <= self.limit:
             raise UsageError(f"R must lie in [0, {self.limit}], got {R}")
-        if name in self.__dict__:
-            return self.__dict__[name][: R + 1]
-        prefixes = self.memo.setdefault("upto", {})
-        table = prefixes.get(name)
-        if table is None or len(table) <= R:
-            table = prefixes[name] = self._from_spf(name, R)
-        return table[: R + 1]
+        if len(self.memo.get(key, ())) <= R:
+            self.memo.pop(key, None)
+            self.memo[key] = build(R)
+            self.memo[key].setflags(write=False)
+        return self.memo[key][: R + 1]
 
     def _from_spf(self, name: str, n_max: int) -> np.ndarray:
         # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n).  Blocks
@@ -129,7 +123,6 @@ class FactorSieve:
             m = np.arange(lo, hi, dtype=p.dtype) // p
             out[lo:hi] = step(out[m], p, m % p == 0)
             lo = hi
-        out.setflags(write=False)
         return out
 
 
@@ -430,10 +423,8 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
         kind = f"sigma({s:g})"
     elif kind == "sigma_norm":
         kind, values = f"sigma_norm({s:g})", _hyperbola_table(N, -s, np.float64)
-    elif kind == "mobius":
-        values = sieve.mobius[: N + 1]
-    elif kind == "phi":
-        values = sieve.phi[: N + 1]
+    elif kind in ("mobius", "phi"):
+        values = sieve.upto(kind, N)
     else:
         values = _lambda_table(sieve, N)
     values.setflags(write=False)

@@ -319,7 +319,7 @@ def cmd_orthogonality(args: argparse.Namespace) -> int:
     assert_max = args.assert_max
     if assert_max is not None:
         assert_max = _parse_float(assert_max, "--assert-max")
-    sieve = _sieve_for(max(args.N, args.r_max, args.s_max), args.N)
+    sieve = _sieve_for(max(args.r_max, args.s_max), args.N)
     rows: List[Row] = []
     worst = 0.0
     for r in range(1, args.r_max + 1):

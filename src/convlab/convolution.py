@@ -212,7 +212,7 @@ def tau_exact(y: float) -> float:
         raise UsageError(f"tau_exact is capped at y <= {_TAU_CAP:g}")
     Y = math.floor(y)
     dmax = math.isqrt(Y)
-    mu = build_sieve(max(dmax, 2)).mobius
+    mu = build_sieve(max(dmax, 2)).upto("mobius", dmax)
     total = 0.0
     for d in range(1, dmax + 1):
         if mu[d]:

@@ -219,26 +219,27 @@ def expansion_partial_sum(
 #     = zeta(s+1) sum_{d | n} d**-s sum_{q <= R/d} mu(q) q**-(s+1),
 # so with prefix sums of mu(q) q**-(s+1) each evaluation costs O(d(n)).
 # Used by the adaptive loop; agrees with the literal product-sum to
-# floating-point rounding.  The prefix sums are kept per sieve and exponent.
+# floating-point rounding.  The prefix sums go on 0..R only, through the
+# sieve's prefix cache, one per exponent; as the loop doubles R they are
+# rebuilt, each entry the same bits whatever R they are built to.
 
 
-def _mu_power_prefix(sieve: FactorSieve, expo: float) -> np.ndarray:
-    memo = sieve.memo.setdefault("mu_power_prefix", {})
-    if expo not in memo:
+def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> np.ndarray:
+    def build(n_max: int) -> np.ndarray:
         # in place, so building it holds one float64 table, not three
-        pref = np.arange(sieve.limit + 1, dtype=np.float64)
+        pref = np.arange(n_max + 1, dtype=np.float64)
         pref[0] = 1.0
         pref **= -expo
-        pref *= sieve.mobius
+        pref *= sieve.upto("mobius", n_max)
         np.cumsum(pref, out=pref)
-        pref.setflags(write=False)
-        memo[expo] = pref
-    return memo[expo]
+        return pref
+
+    return sieve.prefix(("mu_power_prefix", expo), R, build)
 
 
 def _sigma_partial_regrouped(sieve: FactorSieve, s: float, n: int, R: int) -> float:
     z = zeta_real(s + 1.0)
-    pref = _mu_power_prefix(sieve, s + 1.0)
+    pref = _mu_power_prefix(sieve, s + 1.0, R)
     total = 0.0
     for d in divisors(factorize(sieve, n)):
         if d > R:

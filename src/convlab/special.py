@@ -2,9 +2,7 @@
 
 zeta_real uses Euler-Maclaurin with cutoff K = 64 and Bernoulli
 corrections through the B_6 term; absolute error is below 1e-12 for
-1 < s <= 50.  gamma_real lifts the argument to x >= 10 by the recurrence
-Gamma(x+1) = x Gamma(x) and applies the Stirling series through the
-1/x**5 term; relative error is below 1e-10 for 0 < x <= 50.
+1 < s <= 50.  gamma_real is math.gamma on the domain 0 < x <= 50.
 """
 
 from __future__ import annotations
@@ -42,16 +40,4 @@ def gamma_real(x: float) -> float:
         raise UsageError(f"gamma_real requires x > 0, got {x}")
     if x > 50.0:
         raise UsageError(f"gamma_real supports x <= 50, got {x}")
-    shift = 1.0
-    y = x
-    while y < 10.0:
-        shift *= y
-        y += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    series = inv * (
-        1.0 / 12.0
-        + inv2 * (-1.0 / 360.0 + inv2 * (1.0 / 1260.0 + inv2 * (-1.0 / 1680.0)))
-    )
-    lg = (y - 0.5) * math.log(y) - y + 0.5 * math.log(2.0 * math.pi) + series
-    return math.exp(lg) / shift
+    return math.gamma(x)

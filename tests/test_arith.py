@@ -228,7 +228,11 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
 def test_phi_is_spf_dtype_and_exact(sieve_1m):
     # phi(n) <= n, so spf's int32 holds it below 2**31
     expected = brute.phi_table(sieve_1m.limit)
-    for phi in (sieve_1m.phi, sieve_1m.upto("phi", 777), tabulate(sieve_1m, "phi", 5000).values):
+    for phi in (
+        sieve_1m.upto("phi", sieve_1m.limit),
+        sieve_1m.upto("phi", 777),
+        tabulate(sieve_1m, "phi", 5000).values,
+    ):
         assert phi.dtype == np.int32
         assert np.array_equal(phi, expected[: len(phi)])
 
@@ -243,7 +247,8 @@ def test_tables_agree_across_sieve_limits(sieve_small, sieve_1m):
 
 
 def test_sieve_tables_are_read_only(sieve_small):
-    for table in (sieve_small.mobius, sieve_small.phi):
+    for name in ("mobius", "phi"):
+        table = sieve_small.upto(name, sieve_small.limit)
         assert len(table) == sieve_small.limit + 1
         with pytest.raises(ValueError):
             table[1] = 0
@@ -275,7 +280,8 @@ def test_sigma_table_peak_memory(sieve_10m):
 
 def test_tabulate_mobius_phi_are_sieve_views(sieve_small):
     # no copy: the table's values are the sieve's own read-only memory
-    for kind, table in (("mobius", sieve_small.mobius), ("phi", sieve_small.phi)):
+    for kind in ("mobius", "phi"):
+        table = sieve_small.upto(kind, sieve_small.limit)
         values = tabulate(sieve_small, kind, 5000).values
         assert not values.flags.writeable
         assert np.shares_memory(values, table)
@@ -286,13 +292,16 @@ def test_tabulate_mobius_phi_are_sieve_views(sieve_small):
 def test_upto_prefix_matches_full_tables():
     sv = build_sieve(10_000)
     prefixes = {name: sv.upto(name, 777) for name in ("mobius", "phi")}
-    assert "mobius" not in sv.__dict__ and "phi" not in sv.__dict__
-    for name, full in (("mobius", sv.mobius), ("phi", sv.phi)):
+    # one cache entry per name, no longer than asked for
+    assert {k: len(v) for k, v in sv.memo.items()} == {"mobius": 778, "phi": 778}
+    for name in ("mobius", "phi"):
+        full = sv.upto(name, sv.limit)
         assert prefixes[name].dtype == full.dtype
         assert not prefixes[name].flags.writeable
         assert np.array_equal(prefixes[name], full[:778])
         # once the full table is built it is sliced, not a second prefix
         assert np.shares_memory(sv.upto(name, 500), full)
+    assert {k: len(v) for k, v in sv.memo.items()} == {"mobius": 10_001, "phi": 10_001}
     with pytest.raises(UsageError):
         sv.upto("phi", 10_001)
 

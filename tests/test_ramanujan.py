@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from convlab import (
     singular_series,
     zeta_real,
 )
-from convlab.ramanujan import _sigma_partial_regrouped
+from convlab.ramanujan import _mu_power_prefix, _sigma_partial_regrouped
 
 
 def test_ramanujan_sum_examples(sieve_small):
@@ -267,10 +268,11 @@ def test_prefix_tables_bit_identical_to_full_tables():
     # only up to R: a prefix of the spf-derived tables, not the full ones
     prefix_sv = build_sieve(10**6)
     full_sv = build_sieve(10**6)
-    full_sv.mobius, full_sv.phi  # build the full tables first
+    for name in ("mobius", "phi"):  # build the full tables first
+        full_sv.upto(name, full_sv.limit)
     N = 2 * 3 * 5 * 7 * 11 * 13 * 17
     assert singular_series(prefix_sv, N, 10**3) == singular_series(full_sv, N, 10**3)
-    assert "phi" not in prefix_sv.__dict__ and "mobius" not in prefix_sv.__dict__
+    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {"mobius": 1001, "phi": 1001}
     for R in (500, 2000, 1000, 3):
         assert singular_series(prefix_sv, N + 2, R) == singular_series(full_sv, N + 2, R)
         assert np.array_equal(
@@ -279,13 +281,59 @@ def test_prefix_tables_bit_identical_to_full_tables():
         assert np.array_equal(
             ramanujan_sum_table(prefix_sv, N, R), ramanujan_sum_table(full_sv, N, R)
         )
-    assert "phi" not in prefix_sv.__dict__ and "mobius" not in prefix_sv.__dict__
-    # one memo entry, at the largest R asked for so far
-    assert list(prefix_sv.memo) == ["upto"]
-    assert {k: len(v) for k, v in prefix_sv.memo["upto"].items()} == {
-        "mobius": 2001, "phi": 2001,
+    # one memo entry per name, at the largest R asked for so far
+    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {"mobius": 2001, "phi": 2001}
+    # the full tables were sliced, never replaced by a shorter prefix
+    assert {k: len(v) for k, v in full_sv.memo.items()} == {
+        "mobius": 10**6 + 1, "phi": 10**6 + 1,
     }
-    assert "upto" not in full_sv.memo
+
+
+def test_expansion_prefixes_stop_at_R():
+    # the mu and mu-power prefixes an expansion reads go to its R, not to
+    # the sieve's limit: a float64 prefix to 2**22 alone would be 20x the bound
+    sv = build_sieve(2**22)
+    tracemalloc.start()
+    try:
+        stops = [expansion_adaptive(sv, sigma_provider(2.0), n).R
+                 for n in (999983, 720720, 2**21)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stops == [1024, 16384, 4096]
+    assert peak <= 0.05 * 8 * 2**22, peak / (8 * 2**22)
+
+
+def test_grown_prefixes_match_one_shot_builds():
+    # prefixes grown in mixed R order give the same bits as tables built
+    # straight to the sieve's limit
+    limit = 2**17
+    grown, oneshot = build_sieve(limit), build_sieve(limit)
+    for name in ("mobius", "phi"):
+        oneshot.upto(name, limit)
+    for expo in (2.0, 3.0):
+        _mu_power_prefix(oneshot, expo, limit)
+    full = {k: len(v) for k, v in oneshot.memo.items()}
+    oracles = {"mobius": brute.mobius_table(limit), "phi": brute.phi_table(limit)}
+    N = 2 * 3 * 5 * 7 * 11 * 13
+    for R in (300, 5000, 700, limit):
+        for name in ("mobius", "phi"):
+            assert np.array_equal(grown.upto(name, R), oracles[name][: R + 1]), (name, R)
+        for expo in (2.0, 3.0):
+            pref = _mu_power_prefix(grown, expo, R)
+            assert pref.tobytes() == _mu_power_prefix(oneshot, expo, R).tobytes(), (expo, R)
+        for n in (1, 12, 97, 720, 5040, 65536, 99991):
+            for s, tol in ((1.0, 1e-3), (2.0, 1e-6)):
+                assert expansion_adaptive(grown, sigma_provider(s), n, tol=tol) == (
+                    expansion_adaptive(oneshot, sigma_provider(s), n, tol=tol)
+                ), (R, n, s)
+        assert singular_series(grown, N, R) == singular_series(oneshot, N, R)
+        assert np.array_equal(
+            hardy_provider(grown).coefficients(R), hardy_provider(oneshot).coefficients(R)
+        )
+        assert np.array_equal(ramanujan_sum_table(grown, N, R), ramanujan_sum_table(oneshot, N, R))
+    assert {k: len(v) for k, v in grown.memo.items()} == full
+    assert {k: len(v) for k, v in oneshot.memo.items()} == full
 
 
 def test_orthogonality_examples(sieve_small):
