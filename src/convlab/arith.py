@@ -287,20 +287,23 @@ def sigma_real(f: Factorization, s: float) -> float:
     return out
 
 
-def sigma_rational(f: Factorization, k: int) -> Fraction:
-    """sigma_k(n) as an exact rational, for integer k >= -1.
+def sigma_rational(f: Factorization, k: int) -> int | Fraction:
+    """sigma_k(n) exactly, for integer k >= -1.
 
-    sigma_{-1}(n) = sigma_1(n) / n is the case the main terms consume;
-    conversion to float is left to the caller so it happens exactly once.
+    An int for k >= 0, from the Euler product in integers; for k = -1 the
+    Fraction sigma_1(n) / n, the case the main terms consume.  Conversion
+    to float is left to the caller so it happens exactly once.
     """
     if k < -1:
         raise UsageError(f"sigma_rational supports k >= -1, got {k}")
+    if k == -1:
+        return Fraction(sigma_rational(f, 1), f.n)
     if k == 0:
-        return Fraction(divisor_count(f))
-    out = Fraction(1)
+        return divisor_count(f)
+    out = 1
     for p, e in f.factors:
-        pk = Fraction(p) ** k
-        out *= (pk ** (e + 1) - 1) / (pk - 1)
+        pk = p**k
+        out *= (pk ** (e + 1) - 1) // (pk - 1)
     return out
 
 

@@ -129,7 +129,7 @@ def main_term_general(
         raise UsageError(f"M must be >= 0, got {M}")
     if M == 0:
         return 0.0, 0.0
-    sigma1_n = int(sigma_rational(factorize(sieve, N), 1))
+    sigma1_n = sigma_rational(factorize(sieve, N), 1)
     expo = 1.0 + pf.delta + pg.delta
     scale = pf.bound * pg.bound * sigma1_n
     if R is None:
@@ -206,7 +206,7 @@ def envelope_subsum(sieve: FactorSieve, N: int, M: float) -> float:
 def envelope_fullsum(sieve: FactorSieve, N: int) -> float:
     """sigma_1(N) log N loglog N."""
     _check_envelope_n(N)
-    s1 = int(sigma_rational(factorize(sieve, N), 1))
+    s1 = sigma_rational(factorize(sieve, N), 1)
     return s1 * math.log(N) * math.log(math.log(N))
 
 
@@ -311,9 +311,9 @@ def sweep(
 ) -> SweepResult:
     """Evaluate make_report over grid, preserving grid order.
 
-    max_workers defaults to the CONVLAB_THREADS environment variable (or 1).
-    Each grid point is independent, so results do not depend on the worker
-    count.
+    max_workers defaults to the CONVLAB_THREADS environment variable (or 1),
+    which must be an integer >= 1.  Each grid point is independent, so
+    results do not depend on the worker count.
     """
     if len(grid) == 0:
         raise UsageError("sweep needs a non-empty grid")
@@ -322,7 +322,9 @@ def sweep(
         try:
             max_workers = int(text)
         except ValueError:
-            raise UsageError(f"CONVLAB_THREADS must be an integer, got {text!r}") from None
+            max_workers = 0  # refused just below, with the text as given
+        if max_workers < 1:
+            raise UsageError(f"CONVLAB_THREADS must be an integer >= 1, got {text!r}")
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             reports = tuple(pool.map(make_report, grid))

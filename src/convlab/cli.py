@@ -33,9 +33,11 @@ The sieve is built once per process at the smallest limit the command
 needs, so no output depends on its size: N (or R) where a mu, phi or
 Lambda table or the Ramanujan sums read it, isqrt(N) where it only
 factors the N of a main term next to d, sigma or sigma_norm tables,
-which never read it.  Whether the largest table is addressable is
-checked before the sieve is built.  CONVLAB_THREADS caps sweep
-parallelism; grid results never depend on the worker count.
+which never read it, and the minimal limit 2 for a convolve of two such
+tables, which has no main term.  Whether the largest table is
+addressable is checked before the sieve is built.  CONVLAB_THREADS, an
+integer >= 1, caps sweep parallelism; grid results never depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     M = _parse_float(args.M, "--M")
     _check_N(args.N)
     reads_sieve = fkind in SIEVE_KINDS or gkind in SIEVE_KINDS
-    sieve = _sieve_for(args.N if reads_sieve else math.isqrt(args.N), args.N)
+    sieve = _sieve_for(args.N if reads_sieve else 2, args.N)
     ftab = tabulate(sieve, fkind, args.N, s=fs)
     gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)

@@ -75,7 +75,8 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
     """c_r(n) for r = 1..R as an int64 array (index 0 unused).
 
     Accumulates d * mu(r/d) over the divisors d of n, vectorised over the
-    multiples of each d, with mu read up to R only.  Requires
+    multiples of each d, with mu read up to R only: d = 1 is mu itself,
+    and each larger d <= R adds its multiples in ascending d.  Requires
     R <= sieve.limit.
     """
     if n < 1 or R < 1:
@@ -83,12 +84,11 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
     if R > sieve.limit:
         raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
     mu = sieve.upto("mobius", R)
-    out = np.zeros(R + 1, dtype=np.int64)
-    for d in divisors(factorize(sieve, n)):
+    out = mu.astype(np.int64)
+    for d in divisors(factorize(sieve, n))[1:]:
         if d > R:
-            continue
-        q = R // d
-        out[d :: d] += d * mu[1 : q + 1].astype(np.int64)
+            break
+        out[d :: d] += np.multiply(mu[1 : R // d + 1], d, dtype=np.int64)
     return out
 
 
@@ -100,9 +100,10 @@ class CoefficientProvider:
     """Coefficients a(r) of a Ramanujan expansion.
 
     coefficients(R) returns a(r) for r = 1..R as a float64 array (index 0
-    zero).  delta/bound record a proven decay |a(r)| <= bound * r**-(1+delta);
-    providers without them are conditionally convergent and must be summed
-    in increasing r.
+    zero); it may be a read-only view of a cached table, so copy it before
+    writing to it.  delta/bound record a proven decay
+    |a(r)| <= bound * r**-(1+delta); providers without them are
+    conditionally convergent and must be summed in increasing r.
     """
 
     kind: str
@@ -114,13 +115,14 @@ class CoefficientProvider:
     def conditional(self) -> bool:
         return self.delta is None
 
-    def partial_sum(self, sieve: FactorSieve, n: int, R: int) -> float:
-        """sum_{r <= R} a(r) c_r(n), the step expansion_adaptive repeats.
+    def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
+        """R -> sum_{r <= R} a(r) c_r(n), the step expansion_adaptive repeats.
 
         The literal sum of expansion_partial_sum; sigma_provider overrides
-        it with an O(d(n)) regrouping.
+        it with an O(d(n)) regrouping that factors n and takes the powers
+        of its divisors once, in this call, not once per R.
         """
-        return expansion_partial_sum(sieve, self, n, R).value
+        return lambda R: expansion_partial_sum(sieve, self, n, R).value
 
 
 def sigma_provider(s: float) -> CoefficientProvider:
@@ -131,8 +133,12 @@ def sigma_provider(s: float) -> CoefficientProvider:
     z = zeta_real(s + 1.0)
 
     def coefficients(R: int) -> np.ndarray:
-        out = np.zeros(R + 1, dtype=np.float64)
-        out[1:] = z * np.arange(1, R + 1, dtype=np.float64) ** -(s + 1.0)
+        # in place, so building it holds one float64 table, not three
+        out = np.arange(R + 1, dtype=np.float64)
+        out[0] = 1.0
+        out **= -(s + 1.0)
+        out *= z
+        out[0] = 0.0
         return out
 
     return _SigmaProvider(kind=f"sigma({s:g})", coefficients=coefficients, delta=s, bound=z)
@@ -153,12 +159,14 @@ def divisor_provider() -> CoefficientProvider:
 def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
     """Coefficients of (phi(n)/n) Lambda(n) = sum_r (mu(r)/phi(r)) c_r(n)."""
 
-    def coefficients(R: int) -> np.ndarray:
-        if R > sieve.limit:
-            raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
-        out = np.zeros(R + 1, dtype=np.float64)
-        out[1:] = sieve.upto("mobius", R)[1:] / sieve.upto("phi", R)[1:]
+    def build(n_max: int) -> np.ndarray:
+        out = np.zeros(n_max + 1, dtype=np.float64)
+        out[1:] = sieve.upto("mobius", n_max)[1:] / sieve.upto("phi", n_max)[1:]
         return out
+
+    def coefficients(R: int) -> np.ndarray:
+        # one table per sieve, a read-only prefix to the largest R so far
+        return sieve.prefix("hardy_coefficients", R, build)
 
     return CoefficientProvider(kind="hardy", coefficients=coefficients)
 
@@ -209,7 +217,7 @@ def expansion_partial_sum(
     c = ramanujan_sum_table(sieve, n, R)
     a = provider.coefficients(R)
     value = real_dot(a[1:], c[1:])
-    sigma1_n = int(sigma_rational(factorize(sieve, n), 1))
+    sigma1_n = sigma_rational(factorize(sieve, n), 1)
     return ExpansionSum(value=value, tail_bound=_tail_bound(provider, sigma1_n, R), R=R)
 
 
@@ -219,9 +227,12 @@ def expansion_partial_sum(
 #     = zeta(s+1) sum_{d | n} d**-s sum_{q <= R/d} mu(q) q**-(s+1),
 # so with prefix sums of mu(q) q**-(s+1) each evaluation costs O(d(n)).
 # Used by the adaptive loop; agrees with the literal product-sum to
-# floating-point rounding.  The prefix sums go on 0..R only, through the
-# sieve's prefix cache, one per exponent; as the loop doubles R they are
-# rebuilt, each entry the same bits whatever R they are built to.
+# floating-point rounding.  Once per adaptive call, n is factored and the
+# ascending pairs (d, d**-s) are built, with zeta(s+1) the provider's
+# bound; each doubling of R is then only the float loop over them.  The
+# prefix sums go on 0..R only, through the sieve's prefix cache, one per
+# exponent; as the loop doubles R they are rebuilt, each entry the same
+# bits whatever R they are built to.
 
 
 def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> np.ndarray:
@@ -237,21 +248,28 @@ def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> np.ndarray:
     return sieve.prefix(("mu_power_prefix", expo), R, build)
 
 
-def _sigma_partial_regrouped(sieve: FactorSieve, s: float, n: int, R: int) -> float:
-    z = zeta_real(s + 1.0)
-    pref = _mu_power_prefix(sieve, s + 1.0, R)
-    total = 0.0
-    for d in divisors(factorize(sieve, n)):
-        if d > R:
-            break
-        total += float(d) ** -s * pref[R // d]
-    return z * total
+def _sigma_partial_regrouped(
+    sieve: FactorSieve, s: float, z: float, n: int
+) -> Callable[[int], float]:
+    # R -> z sum_{d | n, d <= R} d**-s pref[R // d], with z = zeta(s+1)
+    terms = [(d, float(d) ** -s) for d in divisors(factorize(sieve, n))]
+
+    def at(R: int) -> float:
+        pref = _mu_power_prefix(sieve, s + 1.0, R)
+        total = 0.0
+        for d, weight in terms:
+            if d > R:
+                break
+            total += weight * pref[R // d]
+        return z * total
+
+    return at
 
 
 class _SigmaProvider(CoefficientProvider):
-    # the exponent s is delta
-    def partial_sum(self, sieve: FactorSieve, n: int, R: int) -> float:
-        return _sigma_partial_regrouped(sieve, self.delta, n, R)
+    # the exponent s is delta, and zeta(s+1) is bound
+    def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
+        return _sigma_partial_regrouped(sieve, self.delta, self.bound, n)
 
 
 def expansion_adaptive(
@@ -263,10 +281,11 @@ def expansion_adaptive(
 ) -> ExpansionSum:
     """Grow R by doubling until successive partial sums stabilise within tol.
 
-    Starts at R = 256 and evaluates provider.partial_sum at each level.
-    Stops once two consecutive doublings move the partial sum by at most
-    tol/4 each.  Only decay providers qualify; conditional expansions have
-    no usable truncation rule.
+    Starts at R = 256 and, at each level, evaluates the function that
+    provider.partial_sums(sieve, n) returns once per call.  Stops once two
+    consecutive doublings move the partial sum by at most tol/4 each.
+    Only decay providers qualify; conditional expansions have no usable
+    truncation rule.
     """
     if provider.conditional:
         raise UsageError("adaptive truncation needs a provider with decay metadata")
@@ -274,12 +293,13 @@ def expansion_adaptive(
         raise UsageError(f"tol must be positive, got {tol}")
     cap = min(cap, sieve.limit) if cap else sieve.limit
 
+    partial_sum = provider.partial_sums(sieve, n)
     R = min(_START_R, cap)
-    value = provider.partial_sum(sieve, n, R)
+    value = partial_sum(R)
     stable = 0
     while True:
         R_next = min(2 * R, cap)
-        nxt = provider.partial_sum(sieve, n, R_next)
+        nxt = partial_sum(R_next)
         stable = stable + 1 if abs(nxt - value) <= 0.25 * tol else 0
         value, R = nxt, R_next
         if stable >= 2:
@@ -288,7 +308,7 @@ def expansion_adaptive(
             raise ConsistencyError(
                 f"partial sums not stable within {tol} by R = {cap}"
             )
-    sigma1_n = int(sigma_rational(factorize(sieve, n), 1))
+    sigma1_n = sigma_rational(factorize(sieve, n), 1)
     return ExpansionSum(value=value, tail_bound=_tail_bound(provider, sigma1_n, R), R=R)
 
 
@@ -306,10 +326,19 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     if R > sieve.limit:
         raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
     c = ramanujan_sum_table(sieve, N, R)
-    mu = sieve.upto("mobius", R)
-    phi = sieve.upto("phi", R).astype(np.float64)
-    terms = np.where(mu[1:] != 0, c[1:].astype(np.float64) / phi[1:] ** 2, 0.0)
-    return float(np.sum(terms))
+    weights = sieve.prefix("singular_weights", R, lambda n_max: _singular_weights(sieve, n_max))
+    return float(np.sum(np.divide(c[1:], weights[1:])))
+
+
+def _singular_weights(sieve: FactorSieve, n_max: int) -> np.ndarray:
+    # phi(r)**2 in float64, +inf where mu(r) = 0, so c_r(N) / weight is the
+    # term mu(r)**2 c_r(N) / phi(r)**2.  Where mu(r) = 0 that is -0.0 for a
+    # negative c_r(N), not +0.0, which changes no sum that has a nonzero
+    # term, and the r = 1 term is 1
+    out = sieve.upto("phi", n_max).astype(np.float64)
+    out **= 2
+    out[sieve.upto("mobius", n_max) == 0] = np.inf
+    return out
 
 
 @dataclass(frozen=True)

@@ -292,3 +292,60 @@ def tau_fsum(y: float) -> float:
             yield from (1.0 / (lam * cop.astype(np.float64))).tolist()
 
     return math.fsum(terms())
+
+
+# --- per-call forms of the Ramanujan queries --------------------------------
+#
+# The queries as they were before their invariants were computed once per
+# call or once per sieve: each call here redoes all of its set-up.  They
+# use the bulk oracles above for mu and phi, and are given zeta(s+1)
+# itself, so comparisons against the library are exact.
+
+
+def mu_power_prefix(R: int, expo: float) -> np.ndarray:
+    """sum_{q <= m} mu(q) q**-expo for m = 0..R, one running sum."""
+    q = np.arange(R + 1, dtype=np.float64)
+    q[0] = 1.0
+    return np.cumsum(q**-expo * mobius_table(R))
+
+
+def sigma_partial_regrouped(z: float, pref: np.ndarray, s: float, n: int, R: int) -> float:
+    """z sum_{d | n, d <= R} d**-s pref[R // d], z = zeta(s+1), one call per R.
+
+    pref is mu_power_prefix(R', s + 1) for any R' >= R; the divisors of n
+    and their powers are found afresh on every call.
+    """
+    total = 0.0
+    for d in divisors(n):
+        if d > R:
+            break
+        total += float(d) ** -s * pref[R // d]
+    return z * total
+
+
+def ramanujan_sum_table(n: int, R: int) -> np.ndarray:
+    """c_r(n) for r = 0..R: each divisor d <= R of n adds d mu(r/d) to r = d, 2d, ..."""
+    mu = _mu_phi(R)[0]
+    out = np.zeros(R + 1, dtype=np.int64)
+    for d in divisors(n):
+        if d > R:
+            continue
+        out[d::d] += d * mu[1 : R // d + 1].astype(np.int64)
+    return out
+
+
+def singular_series(N: int, R: int) -> float:
+    """sum_{r <= R} mu(r)**2 c_r(N) / phi(r)**2, zeros masked by np.where."""
+    mu, phi = _mu_phi(R)
+    c = ramanujan_sum_table(N, R)
+    phi = phi.astype(np.float64)
+    terms = np.where(mu[1:] != 0, c[1:].astype(np.float64) / phi[1:] ** 2, 0.0)
+    return float(np.sum(terms))
+
+
+@lru_cache(maxsize=16)
+def _mu_phi(R: int):
+    mu, phi = mobius_table(R), phi_table(R)
+    mu.setflags(write=False)
+    phi.setflags(write=False)
+    return mu, phi

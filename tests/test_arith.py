@@ -136,6 +136,17 @@ def test_sigma_rational_examples(sieve_small):
         sigma_rational(factorize(sieve_small, 6), -2)
 
 
+def test_sigma_rational_matches_divisor_sums(sieve_small):
+    # ints for k >= 0 and sigma_1(n) / n for k = -1, each equal to the
+    # brute divisor sum, so float() and int() of it are unchanged
+    for n in range(1, 3001):
+        f = factorize(sieve_small, n)
+        for k in (-1, 0, 1, 2, 3):
+            got, want = sigma_rational(f, k), brute.sigma_int(n, k)
+            assert got == want and float(got) == float(want), (n, k)
+            assert isinstance(got, Fraction if k == -1 else int), (n, k)
+
+
 def test_mobius_phi_lambda_examples(sieve_small):
     assert mobius(factorize(sieve_small, 1)) == 1
     assert mobius(factorize(sieve_small, 30)) == -1

@@ -187,11 +187,12 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, limit", [
-    # hyperbola tables only: the sieve just factors N, so isqrt(N) is enough
+    # hyperbola tables only: convolve reads no sieve, so it builds the
+    # minimal one, and a main term's sieve just factors N, so isqrt(N)
     (("convolve", "--f", "d", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
-     math.isqrt(1000)),
+     2),
     (("convolve", "--f", "sigma:1", "--g", "sigma_norm:0.5", "--N", "9999", "--M", "50",
-      "--boundary", "half_open"), math.isqrt(9999)),
+      "--boundary", "half_open"), 2),
     (("verify-ingham", "--N-grid", "1000,5000,2000", "--M-rule", "half"), math.isqrt(5000)),
     (("verify-general", "--alpha", "2", "--beta", "2", "--N", "3000", "--M-grid", "10,100"),
      math.isqrt(3000)),
@@ -444,6 +445,16 @@ def test_bad_thread_count_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-ingham", "--N-grid", "100,200", "--M-rule", "half")
     assert code == 2
     assert out == ""
+    assert "CONVLAB_THREADS" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_exits_2(capsys, monkeypatch, threads):
+    monkeypatch.setenv("CONVLAB_THREADS", threads)
+    code, out, err = run(capsys, "verify-ingham", "--N-grid", "100,200", "--M-rule", "half")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "CONVLAB_THREADS" in err
 
 

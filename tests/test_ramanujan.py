@@ -196,7 +196,7 @@ def test_regrouped_fast_path_matches_literal(sieve_small):
         for n in (1, 2, 6, 12, 30, 48):
             for R in (10, 100, 1000):
                 lit = expansion_partial_sum(sieve_small, p, n, R).value
-                fast = _sigma_partial_regrouped(sieve_small, s, n, R)
+                fast = _sigma_partial_regrouped(sieve_small, s, p.bound, n)(R)
                 assert fast == pytest.approx(lit, abs=1e-12)
 
 
@@ -207,10 +207,66 @@ def test_adaptive_sigma_takes_the_regrouped_path(sieve_1m):
     for s in (1.0, 2.0):
         for n in (1, 6, 12, 360, 720):
             res = expansion_adaptive(sieve_1m, sigma_provider(s), n)
-            assert res.value == _sigma_partial_regrouped(sieve_1m, s, n, res.R)
+            regrouped = _sigma_partial_regrouped(sieve_1m, s, zeta_real(s + 1.0), n)
+            assert res.value == regrouped(res.R)
             literal = expansion_partial_sum(sieve_1m, sigma_provider(s), n, res.R).value
             differs += literal != res.value
     assert differs >= 4
+
+
+def test_hoisted_sigma_steps_match_per_call_regrouped_sums():
+    # each step of the adaptive loop, with n factored and zeta(s+1) taken
+    # once per call, against the per-call form, for every R the loop visits
+    limit = 10_000
+    sv = build_sieve(limit)
+    levels = [256]
+    while levels[-1] < limit:
+        levels.append(min(2 * levels[-1], limit))
+    for s in (0.5, 1.0, 2.0):
+        provider = sigma_provider(s)
+        assert provider.bound == zeta_real(s + 1.0)
+        pref = brute.mu_power_prefix(limit, s + 1.0)
+        for n in range(1, 2001):
+            step = provider.partial_sums(sv, n)
+            for R in levels:
+                want = brute.sigma_partial_regrouped(provider.bound, pref, s, n, R)
+                assert step(R) == want, (s, n, R)
+
+
+def test_singular_series_matches_masked_formula():
+    # the weights prefix (phi**2, +inf where mu = 0) against the np.where
+    # form, for every N <= 500, as R grows and then shrinks
+    sv = build_sieve(5000)
+    for R in (1, 60, 1000, 5000, 300, 7):
+        for N in range(2, 501):
+            assert singular_series(sv, N, R) == brute.singular_series(N, R), (N, R)
+    assert len(sv.memo["singular_weights"]) == 5001
+
+
+def test_hardy_coefficients_are_read_only_prefixes(sieve_small):
+    # once a longer R is cached, a shorter one is a read-only view that
+    # equals a fresh mu/phi division bit for bit
+    sv = build_sieve(sieve_small.limit)
+    provider = hardy_provider(sv)
+    provider.coefficients(5000)
+    for R in (5000, 1, 700, 4999):
+        a = provider.coefficients(R)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+        fresh = np.zeros(R + 1, dtype=np.float64)
+        fresh[1:] = brute.mobius_table(R)[1:] / brute.phi_table(R)[1:]
+        assert a.tobytes() == fresh.tobytes(), R
+    assert len(sv.memo["hardy_coefficients"]) == 5001
+
+
+def test_ramanujan_sum_table_matches_per_divisor_casts(sieve_small):
+    # mu written for d = 1 and int64 products for each larger d, stopping
+    # at the first d > R, against the astype form that skipped d > R
+    for n in (1, 2, 12, 97, 720, 5040, 9973, 27720, 10**6):
+        for R in (1, 5, 100, 5040, 10_000):
+            assert np.array_equal(ramanujan_sum_table(sieve_small, n, R),
+                                  brute.ramanujan_sum_table(n, R)), (n, R)
 
 
 def test_custom_decay_provider_end_to_end(sieve_small):
@@ -272,7 +328,9 @@ def test_prefix_tables_bit_identical_to_full_tables():
         full_sv.upto(name, full_sv.limit)
     N = 2 * 3 * 5 * 7 * 11 * 13 * 17
     assert singular_series(prefix_sv, N, 10**3) == singular_series(full_sv, N, 10**3)
-    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {"mobius": 1001, "phi": 1001}
+    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {
+        "mobius": 1001, "phi": 1001, "singular_weights": 1001,
+    }
     for R in (500, 2000, 1000, 3):
         assert singular_series(prefix_sv, N + 2, R) == singular_series(full_sv, N + 2, R)
         assert np.array_equal(
@@ -282,10 +340,13 @@ def test_prefix_tables_bit_identical_to_full_tables():
             ramanujan_sum_table(prefix_sv, N, R), ramanujan_sum_table(full_sv, N, R)
         )
     # one memo entry per name, at the largest R asked for so far
-    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {"mobius": 2001, "phi": 2001}
+    derived = {"singular_weights": 2001, "hardy_coefficients": 2001}
+    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {
+        "mobius": 2001, "phi": 2001, **derived,
+    }
     # the full tables were sliced, never replaced by a shorter prefix
     assert {k: len(v) for k, v in full_sv.memo.items()} == {
-        "mobius": 10**6 + 1, "phi": 10**6 + 1,
+        "mobius": 10**6 + 1, "phi": 10**6 + 1, **derived,
     }
 
 
@@ -313,9 +374,11 @@ def test_grown_prefixes_match_one_shot_builds():
         oneshot.upto(name, limit)
     for expo in (2.0, 3.0):
         _mu_power_prefix(oneshot, expo, limit)
+    N = 2 * 3 * 5 * 7 * 11 * 13
+    singular_series(oneshot, N, limit)
+    hardy_provider(oneshot).coefficients(limit)
     full = {k: len(v) for k, v in oneshot.memo.items()}
     oracles = {"mobius": brute.mobius_table(limit), "phi": brute.phi_table(limit)}
-    N = 2 * 3 * 5 * 7 * 11 * 13
     for R in (300, 5000, 700, limit):
         for name in ("mobius", "phi"):
             assert np.array_equal(grown.upto(name, R), oracles[name][: R + 1]), (name, R)
