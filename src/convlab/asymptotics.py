@@ -14,7 +14,8 @@ Main terms implemented here:
     error envelope sigma_1(N) log N loglog N;
   * pairs of Ramanujan expansions with coefficient decay delta_f, delta_g:
         M sum_r a_f(r) a_g(r) c_r(N),
-    truncated with a rigorous tail bound;
+    M times the partial sum of the product expansion (product_provider),
+    truncated with its rigorous tail bound;
   * normalized sigma pairs sigma_a(n)/n^a * sigma_b(N-n)/(N-n)^b:
         M zeta(a+1) zeta(b+1) / zeta(a+b+2) * sigma_{a+b+1}(N)/N^{a+b+1},
     with the three error regimes selected by delta = min(a, b);
@@ -34,14 +35,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from .arith import ArithTable, FactorSieve, divisors, factorize, sigma_rational
-from .convolution import (
-    ConvolutionSpec,
-    additive_convolution,
-    divisor_additive_convolution,
-    real_dot,
-)
+from .convolution import ConvolutionSpec, additive_convolution, divisor_additive_convolution
 from .errors import UsageError
-from .ramanujan import CoefficientProvider, ramanujan_sum_table
+from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
 from .special import gamma_real, zeta_real
 
 __all__ = [
@@ -116,6 +112,7 @@ def main_term_general(
 ) -> Tuple[float, float]:
     """M sum_{r <= R} a_f(r) a_g(r) c_r(N) with a rigorous truncation bound.
 
+    M times expansion_partial_sum of product_provider(pf, pg) at N.
     Returns (value, tail_bound) where tail_bound covers the discarded
     r > R terms: M K_f K_g sigma_1(N) R**-(1+df+dg) / (1+df+dg).  When R
     is not given it is chosen so the bound is at most 1e-9 * M.  Both
@@ -129,19 +126,14 @@ def main_term_general(
         raise UsageError(f"M must be >= 0, got {M}")
     if M == 0:
         return 0.0, 0.0
-    sigma1_n = sigma_rational(factorize(sieve, N), 1)
-    expo = 1.0 + pf.delta + pg.delta
-    scale = pf.bound * pg.bound * sigma1_n
+    product = product_provider(pf, pg)
     if R is None:
-        R = max(16, math.ceil((scale / (expo * 1e-9)) ** (1.0 / expo)))
+        scale = product.bound * sigma_rational(factorize(sieve, N), 1)
+        R = max(16, math.ceil((scale / (product.delta * 1e-9)) ** (1.0 / product.delta)))
     if R > sieve.limit:
         raise UsageError(f"truncation level R={R} exceeds sieve limit {sieve.limit}")
-    c = ramanujan_sum_table(sieve, N, R)
-    af = pf.coefficients(R)
-    ag = pg.coefficients(R)
-    value = M * real_dot(af[1:] * ag[1:], c[1:])
-    tail = M * scale * R**-expo / expo
-    return value, tail
+    res = expansion_partial_sum(sieve, product, N, R)
+    return M * res.value, M * res.tail_bound
 
 
 def main_term_sigma_norm(
@@ -304,29 +296,24 @@ class SweepResult:
     endpoint_relative: Tuple[float, float]
 
 
-def sweep(
-    make_report: Callable[[Any], ConvolutionReport],
-    grid: Sequence[Any],
-    max_workers: Optional[int] = None,
-) -> SweepResult:
+def sweep(make_report: Callable[[Any], ConvolutionReport], grid: Sequence[Any]) -> SweepResult:
     """Evaluate make_report over grid, preserving grid order.
 
-    max_workers defaults to the CONVLAB_THREADS environment variable (or 1),
+    The worker count is the CONVLAB_THREADS environment variable (or 1),
     which must be an integer >= 1.  Each grid point is independent, so
     results do not depend on the worker count.
     """
     if len(grid) == 0:
         raise UsageError("sweep needs a non-empty grid")
-    if max_workers is None:
-        text = os.environ.get("CONVLAB_THREADS", "1")
-        try:
-            max_workers = int(text)
-        except ValueError:
-            max_workers = 0  # refused just below, with the text as given
-        if max_workers < 1:
-            raise UsageError(f"CONVLAB_THREADS must be an integer >= 1, got {text!r}")
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    text = os.environ.get("CONVLAB_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0  # refused just below, with the text as given
+    if workers < 1:
+        raise UsageError(f"CONVLAB_THREADS must be an integer >= 1, got {text!r}")
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = tuple(pool.map(make_report, grid))
     else:
         reports = tuple(make_report(point) for point in grid)

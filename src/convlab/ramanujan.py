@@ -11,8 +11,10 @@ an exact integer.  The root-of-unity definition
 is the independent oracle of the test suite (tests/brute.py).
 
 Expansions f(n) = sum_r a_f(r) c_r(n) are truncated at a level R; a
-provider gives the coefficient vector a_f(1..R).  For coefficients with
-proven decay |a(r)| <= K r**-(1+delta) the tail beyond R is bounded by
+provider gives the coefficient vector a_f(1..R) and, in partial_sums, the
+one evaluator of sum_{r <= R} a(r) c_r(n) (the general main term is M
+times such a sum for product_provider).  For coefficients with proven
+decay |a(r)| <= K r**-(1+delta) the tail beyond R is bounded by
 K sigma_1(n) R**-delta / delta; providers without decay metadata (the
 divisor and Hardy expansions converge only conditionally) must be summed
 in increasing r and carry no tail bound.
@@ -26,13 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import (
-    FactorSieve,
-    divisors,
-    factorize,
-    mobius,
-    sigma_rational,
-)
+from .arith import FactorSieve, divisors, factorize, sigma_rational
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
 from .special import zeta_real
@@ -47,6 +43,7 @@ __all__ = [
     "divisor_provider",
     "hardy_provider",
     "custom_provider",
+    "product_provider",
     "expansion_partial_sum",
     "expansion_adaptive",
     "singular_series",
@@ -62,13 +59,8 @@ def ramanujan_sum(sieve: FactorSieve, r: int, n: int) -> int:
         raise UsageError(f"ramanujan_sum needs r >= 1 and n >= 1, got r={r}, n={n}")
     if r > sieve.limit:
         raise UsageError(f"r={r} exceeds sieve limit {sieve.limit}")
-    total = 0
-    g = math.gcd(r, n)
-    for d in divisors(factorize(sieve, g)):
-        m = mobius(factorize(sieve, r // d))
-        if m:
-            total += m * d
-    return total
+    mu = sieve.upto("mobius", r)
+    return sum(int(mu[r // d]) * d for d in divisors(factorize(sieve, math.gcd(r, n))))
 
 
 def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
@@ -116,22 +108,39 @@ class CoefficientProvider:
         return self.delta is None
 
     def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
-        """R -> sum_{r <= R} a(r) c_r(n), the step expansion_adaptive repeats.
+        """R -> sum_{r <= R} a(r) c_r(n), terms in increasing r.
 
-        The literal sum of expansion_partial_sum; sigma_provider overrides
-        it with an O(d(n)) regrouping that factors n and takes the powers
-        of its divisors once, in this call, not once per R.
+        The literal dot product with the c_r(n) table.  Sigma-type
+        providers override it with an O(d(n)) regrouping that factors n and
+        takes the powers of its divisors once, in this call, not once per R.
         """
-        return lambda R: expansion_partial_sum(sieve, self, n, R).value
+        return lambda R: real_dot(self.coefficients(R)[1:], ramanujan_sum_table(sieve, n, R)[1:])
 
 
-def sigma_provider(s: float) -> CoefficientProvider:
-    """Coefficients of sigma_s(n)/n**s = zeta(s+1) sum_r c_r(n) / r**(s+1), s > 0."""
-    if s <= 0:
-        raise UsageError(f"sigma provider needs s > 0, got {s}")
-    s = float(s)
-    z = zeta_real(s + 1.0)
+class _SigmaProvider(CoefficientProvider):
+    # a(r) = z r**-(s+1), s = delta and z = bound.  The partial sum regroups
+    # exactly over the divisors of n:
+    #   sum_{r <= R} z r**-(s+1) c_r(n)
+    #     = z sum_{d | n} d**-s sum_{q <= R/d} mu(q) q**-(s+1),
+    # so with prefix sums of mu(q) q**-(s+1) each R is one O(d(n)) float
+    # loop over the ascending pairs (d, d**-s), built once per call.
+    def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
+        s, z = self.delta, self.bound
+        terms = [(d, float(d) ** -s) for d in divisors(factorize(sieve, n))]
 
+        def at(R: int) -> float:
+            pref = _mu_power_prefix(sieve, s + 1.0, R)
+            total = 0.0
+            for d, weight in terms:
+                if d > R:
+                    break
+                total += weight * pref[R // d]
+            return float(z * total)
+
+        return at
+
+
+def _sigma_type(kind: str, s: float, z: float) -> CoefficientProvider:
     def coefficients(R: int) -> np.ndarray:
         # in place, so building it holds one float64 table, not three
         out = np.arange(R + 1, dtype=np.float64)
@@ -141,7 +150,15 @@ def sigma_provider(s: float) -> CoefficientProvider:
         out[0] = 0.0
         return out
 
-    return _SigmaProvider(kind=f"sigma({s:g})", coefficients=coefficients, delta=s, bound=z)
+    return _SigmaProvider(kind=kind, coefficients=coefficients, delta=s, bound=z)
+
+
+def sigma_provider(s: float) -> CoefficientProvider:
+    """Coefficients of sigma_s(n)/n**s = zeta(s+1) sum_r c_r(n) / r**(s+1), s > 0."""
+    if s <= 0:
+        raise UsageError(f"sigma provider needs s > 0, got {s}")
+    s = float(s)
+    return _sigma_type(f"sigma({s:g})", s, zeta_real(s + 1.0))
 
 
 def divisor_provider() -> CoefficientProvider:
@@ -191,6 +208,26 @@ def custom_provider(
     return CoefficientProvider(kind=kind, coefficients=coefficients, delta=delta, bound=bound)
 
 
+def product_provider(pf: CoefficientProvider, pg: CoefficientProvider) -> CoefficientProvider:
+    """Coefficients a_f(r) a_g(r) of the product expansion.
+
+    M times its partial sum at N is the main term of
+    sum_{n < M} f(n) g(N - n).  When both carry decay metadata the product
+    decays with delta = 1 + delta_f + delta_g and bound K_f K_g; otherwise
+    it is conditional.  Two sigma-type providers multiply to the
+    sigma-type z_f z_g r**-(s_f+s_g+2), which keeps the regrouped sums.
+    """
+    kind = f"{pf.kind}*{pg.kind}"
+    delta = bound = None
+    if not (pf.conditional or pg.conditional):
+        delta, bound = 1.0 + pf.delta + pg.delta, pf.bound * pg.bound
+    if isinstance(pf, _SigmaProvider) and isinstance(pg, _SigmaProvider):
+        return _sigma_type(kind, delta, bound)
+    return CoefficientProvider(
+        kind, lambda R: pf.coefficients(R) * pg.coefficients(R), delta, bound
+    )
+
+
 @dataclass(frozen=True)
 class ExpansionSum:
     """Truncated expansion sum_{r <= R} a(r) c_r(n) with its tail bound.
@@ -203,36 +240,32 @@ class ExpansionSum:
     R: int
 
 
-def _tail_bound(provider: CoefficientProvider, sigma1_n: int, R: int) -> Optional[float]:
-    if provider.conditional:
-        return None
-    # sum_{r > R} r**-(1+delta) <= R**-delta / delta
-    return provider.bound * sigma1_n * R**-provider.delta / provider.delta
+def _expansion_sum(
+    sieve: FactorSieve, provider: CoefficientProvider, n: int, value: float, R: int
+) -> ExpansionSum:
+    # |c_r(n)| <= sigma_1(n) and sum_{r > R} r**-(1+delta) <= R**-delta / delta;
+    # n is factored only for a provider with that decay
+    tail = None
+    if not provider.conditional:
+        sigma1_n = sigma_rational(factorize(sieve, n), 1)
+        tail = provider.bound * sigma1_n * R**-provider.delta / provider.delta
+    return ExpansionSum(value=value, tail_bound=tail, R=R)
 
 
 def expansion_partial_sum(
     sieve: FactorSieve, provider: CoefficientProvider, n: int, R: int
 ) -> ExpansionSum:
-    """sum_{r <= R} a(r) c_r(n), terms in increasing r."""
-    c = ramanujan_sum_table(sieve, n, R)
-    a = provider.coefficients(R)
-    value = real_dot(a[1:], c[1:])
-    sigma1_n = sigma_rational(factorize(sieve, n), 1)
-    return ExpansionSum(value=value, tail_bound=_tail_bound(provider, sigma1_n, R), R=R)
+    """sum_{r <= R} a(r) c_r(n), by provider.partial_sums, with its tail bound."""
+    if n < 1 or not 1 <= R <= sieve.limit:
+        raise UsageError(f"need n >= 1 and 1 <= R <= {sieve.limit}, got n={n}, R={R}")
+    return _expansion_sum(sieve, provider, n, provider.partial_sums(sieve, n)(R), R)
 
 
-# For sigma-kind providers the partial sum regroups exactly over the
-# divisors of n:
-#   sum_{r <= R} zeta(s+1) r**-(s+1) c_r(n)
-#     = zeta(s+1) sum_{d | n} d**-s sum_{q <= R/d} mu(q) q**-(s+1),
-# so with prefix sums of mu(q) q**-(s+1) each evaluation costs O(d(n)).
-# Used by the adaptive loop; agrees with the literal product-sum to
-# floating-point rounding.  Once per adaptive call, n is factored and the
-# ascending pairs (d, d**-s) are built, with zeta(s+1) the provider's
-# bound; each doubling of R is then only the float loop over them.  The
-# prefix sums go on 0..R only, through the sieve's prefix cache, one per
-# exponent; as the loop doubles R they are rebuilt, each entry the same
-# bits whatever R they are built to.
+# The sigma-type partial sums read prefix sums of mu(q) q**-expo on 0..R
+# only, through the sieve's prefix cache, one per exponent: s + 1 for an
+# expansion of sigma_s, and a + b + 2 for the main term of a sigma_a,
+# sigma_b pair.  As the adaptive loop doubles R they are rebuilt, each
+# entry the same bits whatever R they are built to.
 
 
 def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> np.ndarray:
@@ -248,68 +281,39 @@ def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> np.ndarray:
     return sieve.prefix(("mu_power_prefix", expo), R, build)
 
 
-def _sigma_partial_regrouped(
-    sieve: FactorSieve, s: float, z: float, n: int
-) -> Callable[[int], float]:
-    # R -> z sum_{d | n, d <= R} d**-s pref[R // d], with z = zeta(s+1)
-    terms = [(d, float(d) ** -s) for d in divisors(factorize(sieve, n))]
-
-    def at(R: int) -> float:
-        pref = _mu_power_prefix(sieve, s + 1.0, R)
-        total = 0.0
-        for d, weight in terms:
-            if d > R:
-                break
-            total += weight * pref[R // d]
-        return z * total
-
-    return at
-
-
-class _SigmaProvider(CoefficientProvider):
-    # the exponent s is delta, and zeta(s+1) is bound
-    def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
-        return _sigma_partial_regrouped(sieve, self.delta, self.bound, n)
-
-
 def expansion_adaptive(
     sieve: FactorSieve,
     provider: CoefficientProvider,
     n: int,
     tol: float = 1e-6,
-    cap: Optional[int] = None,
 ) -> ExpansionSum:
     """Grow R by doubling until successive partial sums stabilise within tol.
 
     Starts at R = 256 and, at each level, evaluates the function that
     provider.partial_sums(sieve, n) returns once per call.  Stops once two
-    consecutive doublings move the partial sum by at most tol/4 each.
-    Only decay providers qualify; conditional expansions have no usable
+    consecutive doublings move the partial sum by at most tol/4 each, and
+    raises ConsistencyError if R reaches the sieve's limit first.  Only
+    decay providers qualify; conditional expansions have no usable
     truncation rule.
     """
     if provider.conditional:
         raise UsageError("adaptive truncation needs a provider with decay metadata")
     if tol <= 0:
         raise UsageError(f"tol must be positive, got {tol}")
-    cap = min(cap, sieve.limit) if cap else sieve.limit
-
     partial_sum = provider.partial_sums(sieve, n)
-    R = min(_START_R, cap)
+    R = min(_START_R, sieve.limit)
     value = partial_sum(R)
     stable = 0
     while True:
-        R_next = min(2 * R, cap)
+        R_next = min(2 * R, sieve.limit)
         nxt = partial_sum(R_next)
         stable = stable + 1 if abs(nxt - value) <= 0.25 * tol else 0
         value, R = nxt, R_next
         if stable >= 2:
             break
-        if R >= cap:
-            raise ConsistencyError(
-                f"partial sums not stable within {tol} by R = {cap}"
-            )
-    sigma1_n = sigma_rational(factorize(sieve, n), 1)
-    return ExpansionSum(value=value, tail_bound=_tail_bound(provider, sigma1_n, R), R=R)
+        if R >= sieve.limit:
+            raise ConsistencyError(f"partial sums not stable within {tol} by R = {R}")
+    return _expansion_sum(sieve, provider, n, value, R)
 
 
 def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
@@ -392,9 +396,10 @@ def orthogonality_defect(
 def _period_table(sieve: FactorSieve, r: int) -> np.ndarray:
     # c_r(j) for j = 0..r-1, one period: each d | r adds mu(r/d) d to the
     # j divisible by d, O(d(r)) numpy steps
+    mu = sieve.upto("mobius", r)
     out = np.zeros(r, dtype=np.int64)
     for d in divisors(factorize(sieve, r)):
-        m = mobius(factorize(sieve, r // d))
+        m = int(mu[r // d])
         if m:
             out[::d] += m * d
     return out

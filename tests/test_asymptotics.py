@@ -168,6 +168,25 @@ def test_general_consistent_with_sigma_norm(sieve_1m):
             assert abs(value - ref) <= tail + 1e-9 * abs(ref), (alpha, beta, N)
 
 
+def test_general_sigma_pairs_match_closed_form_and_literal_sum(sieve_1m):
+    # the product expansion's regrouped partial sum against the Cor. 3.2
+    # closed form within its tail, and at R = 1000 against the literal
+    # sum M sum_r a_f(r) a_g(r) c_r(N) over brute c_r tables, every N <= 2000
+    R = 1000
+    for alpha, beta in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (0.5, 1.5)):
+        pf, pg = sigma_provider(alpha), sigma_provider(beta)
+        a = pf.coefficients(R)[1:] * pg.coefficients(R)[1:]
+        for N in range(1, 2001):
+            for M in (1.0, 37.5, float(N)):
+                value, tail = main_term_general(sieve_1m, pf, pg, N, M)
+                closed, _ = main_term_sigma_norm(sieve_1m, alpha, beta, N, M)
+                assert abs(value - closed) <= tail + 1e-12 * abs(closed), (alpha, beta, N, M)
+            c = brute.ramanujan_sum_table(N, R)[1:]
+            literal = 37.5 * math.fsum((a * c).tolist())
+            value, _ = main_term_general(sieve_1m, pf, pg, N, 37.5, R=R)
+            assert value == pytest.approx(literal, rel=1e-12), (alpha, beta, N)
+
+
 def test_tau_main_values():
     assert tau_main(math.e**2) == pytest.approx(12.0 / math.pi**2, rel=1e-12)
     assert tau_main(1000.0) == pytest.approx(14.504253986828126, rel=1e-12)
@@ -239,11 +258,13 @@ def test_sweep_single_and_empty(sieve_small, dtable_small):
         sweep(lambda N: rep, [])
 
 
-def test_sweep_workers_equivalent(sieve_small, dtable_small):
+def test_sweep_workers_equivalent(sieve_small, dtable_small, monkeypatch):
     make = lambda N: divisor_report(sieve_small, dtable_small, N, float(N // 2))
     grid = [50, 100, 400, 1000]
-    seq = sweep(make, grid, max_workers=1)
-    par = sweep(make, grid, max_workers=4)
+    monkeypatch.setenv("CONVLAB_THREADS", "1")
+    seq = sweep(make, grid)
+    monkeypatch.setenv("CONVLAB_THREADS", "4")
+    par = sweep(make, grid)
     assert seq == par
 
 

@@ -21,6 +21,7 @@ from convlab import (
     factorize,
     hardy_provider,
     orthogonality_defect,
+    product_provider,
     ramanujan_sum,
     ramanujan_sum_table,
     sigma_provider,
@@ -28,7 +29,8 @@ from convlab import (
     singular_series,
     zeta_real,
 )
-from convlab.ramanujan import _mu_power_prefix, _sigma_partial_regrouped
+from convlab.convolution import real_dot
+from convlab.ramanujan import _mu_power_prefix
 
 
 def test_ramanujan_sum_examples(sieve_small):
@@ -147,6 +149,17 @@ def test_hardy_coefficients_reject_R_past_sieve(sieve_small):
         provider.coefficients(sieve_small.limit + 1)
 
 
+def test_product_provider_coefficients_and_metadata(sieve_small):
+    sf, sg, hp = sigma_provider(1.0), sigma_provider(2.0), hardy_provider(sieve_small)
+    p = product_provider(sf, sg)
+    assert (p.delta, p.bound) == (4.0, sf.bound * sg.bound)
+    assert np.allclose(p.coefficients(500), sf.coefficients(500) * sg.coefficients(500),
+                       rtol=1e-15, atol=0.0)
+    q = product_provider(hp, sf)
+    assert q.conditional and q.bound is None
+    assert np.array_equal(q.coefficients(500), hp.coefficients(500) * sf.coefficients(500))
+
+
 def test_custom_provider_metadata_check():
     with pytest.raises(UsageError):
         custom_provider(lambda r: 1.0 / r**3, delta=2.0, bound=None)
@@ -180,14 +193,28 @@ def test_expansion_divisor_conditional(sieve_1m):
     assert 0.0 < res.value < 10.0
 
 
+def test_expansion_partial_sum_argument_errors(sieve_small):
+    # the regrouped sigma sums read no c_r table, whose checks the literal
+    # sums inherit, so expansion_partial_sum checks n and R itself
+    for provider in (sigma_provider(1.0), divisor_provider()):
+        for n, R in ((6, 0), (6, -3), (0, 10), (6, sieve_small.limit + 1)):
+            with pytest.raises(UsageError):
+                expansion_partial_sum(sieve_small, provider, n, R)
+
+
 def test_expansion_adaptive_rejects_conditional(sieve_small):
     with pytest.raises(UsageError):
         expansion_adaptive(sieve_small, divisor_provider(), 4)
 
 
-def test_expansion_adaptive_cap_failure(sieve_small):
+def test_expansion_adaptive_cap_failure():
+    # the sieve's limit is the cap: no tol this tight is met by R = 512
     with pytest.raises(ConsistencyError):
-        expansion_adaptive(sieve_small, sigma_provider(1.0), 6, tol=1e-13, cap=512)
+        expansion_adaptive(build_sieve(512), sigma_provider(1.0), 6, tol=1e-13)
+
+
+def _literal_partial_sum(sieve, provider, n, R):
+    return real_dot(provider.coefficients(R)[1:], ramanujan_sum_table(sieve, n, R)[1:])
 
 
 def test_regrouped_fast_path_matches_literal(sieve_small):
@@ -195,8 +222,8 @@ def test_regrouped_fast_path_matches_literal(sieve_small):
         p = sigma_provider(s)
         for n in (1, 2, 6, 12, 30, 48):
             for R in (10, 100, 1000):
-                lit = expansion_partial_sum(sieve_small, p, n, R).value
-                fast = _sigma_partial_regrouped(sieve_small, s, p.bound, n)(R)
+                lit = _literal_partial_sum(sieve_small, p, n, R)
+                fast = p.partial_sums(sieve_small, n)(R)
                 assert fast == pytest.approx(lit, abs=1e-12)
 
 
@@ -207,11 +234,24 @@ def test_adaptive_sigma_takes_the_regrouped_path(sieve_1m):
     for s in (1.0, 2.0):
         for n in (1, 6, 12, 360, 720):
             res = expansion_adaptive(sieve_1m, sigma_provider(s), n)
-            regrouped = _sigma_partial_regrouped(sieve_1m, s, zeta_real(s + 1.0), n)
+            regrouped = sigma_provider(s).partial_sums(sieve_1m, n)
             assert res.value == regrouped(res.R)
-            literal = expansion_partial_sum(sieve_1m, sigma_provider(s), n, res.R).value
+            assert expansion_partial_sum(sieve_1m, sigma_provider(s), n, res.R) == res
+            literal = _literal_partial_sum(sieve_1m, sigma_provider(s), n, res.R)
             differs += literal != res.value
     assert differs >= 4
+
+
+def test_conditional_partial_sum_factors_nothing(sieve_small, monkeypatch):
+    # a conditional provider has no tail bound, so sigma_1(n) is never needed
+    def refuse(*args):
+        raise AssertionError("sigma_rational called for a conditional provider")
+
+    monkeypatch.setattr("convlab.ramanujan.sigma_rational", refuse)
+    for provider in (divisor_provider(), hardy_provider(sieve_small)):
+        res = expansion_partial_sum(sieve_small, provider, 720, 1000)
+        assert res.tail_bound is None
+        assert res.value == _literal_partial_sum(sieve_small, provider, 720, 1000)
 
 
 def test_hoisted_sigma_steps_match_per_call_regrouped_sums():
