@@ -64,7 +64,8 @@ class FactorSieve:
     """Smallest-prime-factor table for 1..limit.
 
     Conventions: spf[0] = 0, spf[1] = 1, spf[p] = p for primes.  The table
-    is immutable and safe to share between threads.  Memory is about
+    is immutable, but memo is filled lazily and has no lock, so a sieve
+    is not safe to share between threads.  Memory is about
     4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
     it one _BLOCK-sized segment at a time.
 

@@ -29,8 +29,6 @@ Main terms implemented here:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
@@ -297,26 +295,10 @@ class SweepResult:
 
 
 def sweep(make_report: Callable[[Any], ConvolutionReport], grid: Sequence[Any]) -> SweepResult:
-    """Evaluate make_report over grid, preserving grid order.
-
-    The worker count is the CONVLAB_THREADS environment variable (or 1),
-    which must be an integer >= 1.  Each grid point is independent, so
-    results do not depend on the worker count.
-    """
+    """Evaluate make_report over grid, in grid order, in the calling thread."""
     if len(grid) == 0:
         raise UsageError("sweep needs a non-empty grid")
-    text = os.environ.get("CONVLAB_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0  # refused just below, with the text as given
-    if workers < 1:
-        raise UsageError(f"CONVLAB_THREADS must be an integer >= 1, got {text!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(pool.map(make_report, grid))
-    else:
-        reports = tuple(make_report(point) for point in grid)
+    reports = tuple(make_report(point) for point in grid)
     return SweepResult(
         reports=reports,
         max_normalized=max(abs(r.normalized) for r in reports),

@@ -35,9 +35,7 @@ Lambda table or the Ramanujan sums read it, isqrt(N) where it only
 factors the N of a main term next to d, sigma or sigma_norm tables,
 which never read it, and the minimal limit 2 for a convolve of two such
 tables, which has no main term.  Whether the largest table is
-addressable is checked before the sieve is built.  CONVLAB_THREADS, an
-integer >= 1, caps sweep parallelism; grid results never depend on the
-worker count.
+addressable is checked before the sieve is built.
 """
 
 from __future__ import annotations
@@ -321,6 +319,9 @@ def cmd_orthogonality(args: argparse.Namespace) -> int:
     assert_max = args.assert_max
     if assert_max is not None:
         assert_max = _parse_float(assert_max, "--assert-max")
+    _check_N(args.N)
+    if not 1 <= args.M <= args.N:
+        raise UsageError(f"need 1 <= M <= N, got M={args.M}, N={args.N}")
     sieve = _sieve_for(max(args.r_max, args.s_max), args.N)
     rows: List[Row] = []
     worst = 0.0

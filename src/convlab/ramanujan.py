@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import FactorSieve, divisors, factorize, sigma_rational
+from .arith import FactorSieve, divisors, factorize, mobius, sigma_rational
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
 from .special import zeta_real
@@ -59,8 +59,8 @@ def ramanujan_sum(sieve: FactorSieve, r: int, n: int) -> int:
         raise UsageError(f"ramanujan_sum needs r >= 1 and n >= 1, got r={r}, n={n}")
     if r > sieve.limit:
         raise UsageError(f"r={r} exceeds sieve limit {sieve.limit}")
-    mu = sieve.upto("mobius", r)
-    return sum(int(mu[r // d]) * d for d in divisors(factorize(sieve, math.gcd(r, n))))
+    g = factorize(sieve, math.gcd(r, n))
+    return sum(mobius(factorize(sieve, r // d)) * d for d in divisors(g))
 
 
 def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:

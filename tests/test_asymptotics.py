@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -258,21 +259,19 @@ def test_sweep_single_and_empty(sieve_small, dtable_small):
         sweep(lambda N: rep, [])
 
 
-def test_sweep_workers_equivalent(sieve_small, dtable_small, monkeypatch):
-    make = lambda N: divisor_report(sieve_small, dtable_small, N, float(N // 2))
-    grid = [50, 100, 400, 1000]
-    monkeypatch.setenv("CONVLAB_THREADS", "1")
-    seq = sweep(make, grid)
+def test_sweep_runs_in_calling_thread_in_grid_order(sieve_small, dtable_small, monkeypatch):
+    # a worker count set in the environment is ignored
     monkeypatch.setenv("CONVLAB_THREADS", "4")
-    par = sweep(make, grid)
-    assert seq == par
+    calls = []
 
+    def make(N):
+        calls.append((threading.get_ident(), N))
+        return divisor_report(sieve_small, dtable_small, N, float(N // 2))
 
-def test_sweep_env_workers(sieve_small, dtable_small, monkeypatch):
-    monkeypatch.setenv("CONVLAB_THREADS", "2")
-    make = lambda N: divisor_report(sieve_small, dtable_small, N, float(N // 2))
-    result = sweep(make, [100, 200])
-    assert len(result.reports) == 2
+    grid = [50, 100, 400, 1000, 2000, 5000]
+    result = sweep(make, grid)
+    assert calls == [(threading.get_ident(), N) for N in grid]
+    assert [rep.N for rep in result.reports] == grid
 
 
 def test_divisor_report_boundaries(sieve_small, dtable_small):

@@ -49,6 +49,15 @@ def test_ramanujan_sum_argument_errors(sieve_small):
         ramanujan_sum(sieve_small, 10_001, 5)
 
 
+def test_ascending_ramanujan_sums_build_no_mobius_table():
+    # each c_r(n) reads mu(r/d) from the factorization, not a mu prefix
+    sv = build_sieve(3000)
+    n = 720720
+    values = [ramanujan_sum(sv, r, n) for r in range(1, 3001)]
+    assert "mobius" not in sv.memo
+    assert values == ramanujan_sum_table(sv, n, 3000)[1:].tolist()
+
+
 def test_oracle_examples():
     assert brute.ramanujan_sum_oracle(1, 5) == 1
     assert brute.ramanujan_sum_oracle(5, 5) == 4
