@@ -10,13 +10,14 @@ to the largest N or R a caller has asked for (FactorSieve.upto), Lambda
 comes from the sieve's primes, and divisor sums from hyperbola
 enumeration, so tabulation costs O(N log N) array element updates.  The
 hyperbola tables (d, sigma, sigma_norm) never read the sieve, so their N
-may exceed its limit.  The sieve and the hyperbola tables are written in
-blocks of _BLOCK entries, so the strided updates stay in cache; the order
+may exceed its limit.  The sieve and the tables are written in blocks of
+at most _BLOCK entries, so the strided updates stay in cache; the order
 of the updates each entry receives does not depend on the block size, and
-neither do the bits of any table.  The sigma tables keep their powers
-j**s only for j <= N/2, half the result's size: only d = 1 reads a larger
-j, and it raises those in its own block.  Every table tabulate returns is
-read-only.
+neither do the bits of any table.  mu, phi and the hyperbola tables read
+their own entries at m <= n/2, below n's block: mu and phi walk their
+blocks up, and the hyperbola tables start from n**s and walk down, so a
+cofactor j = n/d with d >= 2 still holds j**s.  Every table tabulate
+returns is read-only.
 """
 
 from __future__ import annotations
@@ -111,20 +112,26 @@ class FactorSieve:
         return self.memo[key][: R + 1]
 
     def _from_spf(self, name: str, n_max: int) -> np.ndarray:
-        # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n).  Blocks
-        # [lo, hi) have hi <= 2 lo, so m <= n / 2 < lo is already filled.
+        # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n); the
+        # blocks run up, so m <= n / 2 is already filled
         dtype, step = _FROM_SPF[name]
         out = np.zeros(n_max + 1, dtype=dtype or self.spf.dtype)
-        if n_max >= 1:
-            out[1] = 1
-        lo = 2
-        while lo <= n_max:
-            hi = min(2 * lo, lo + _BLOCK, n_max + 1)
+        out[1:2] = 1
+        for lo, hi in _halving_blocks(n_max):
             p = self.spf[lo:hi]
             m = np.arange(lo, hi, dtype=p.dtype) // p
             out[lo:hi] = step(out[m], p, m % p == 0)
-            lo = hi
         return out
+
+
+def _halving_blocks(n_max: int) -> List[Tuple[int, int]]:
+    # [lo, hi) over 2..n_max, ascending, at most _BLOCK long and hi <= 2 lo,
+    # so each m <= n/2 of an n in a block lies below it: finished when the
+    # blocks run up, untouched when they run down
+    edges = [2]
+    while edges[-1] <= n_max:
+        edges.append(min(2 * edges[-1], edges[-1] + _BLOCK, n_max + 1))
+    return list(zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -334,39 +341,34 @@ def von_mangoldt(f: Factorization) -> float:
 
 def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
     # sum_{d | n} d**s by hyperbola pairing: each d <= sqrt(n) dividing n
-    # adds d**s + (n/d)**s, and d = sqrt(n) takes its d**s back.  n runs in
-    # blocks with d ascending inside each, so every n receives the same
-    # additions in the same order as in one whole-range pass per d.  The
-    # cofactor j = n/d exceeds N/2 only for d = 1, so the powers table
-    # stops at N//2 and the d = 1 step raises the rest of its own block.
+    # adds d**s + (n/d)**s, and d = sqrt(n) takes its d**s back.  out
+    # starts as n**s and the blocks run down, so each d >= 2 reads its
+    # cofactor n/d while it is still (n/d)**s.  d ascends in each block, so
+    # every n gets the same additions in the same order as whole-range passes.
     if isinstance(s, int) and N**s >= 2**61:
         raise UsageError(
             f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
-    out = np.zeros(N + 1, dtype=dtype)
-    half = N // 2
-    if s != 0:
-        powers = np.arange(half + 1, dtype=dtype)
-        powers[0] = 1
-        powers **= s
-    for lo in range(0, N + 1, _BLOCK):
-        hi = min(lo + _BLOCK, N + 1)
-        for d in range(1, math.isqrt(hi - 1) + 1):
+    # sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any addressable n
+    if s * math.log2(N) > 1000:
+        raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
+    if s == 0:
+        out = np.ones(N + 1, dtype=dtype)  # n**0, with no pass of powers
+    else:
+        out = np.arange(N + 1, dtype=dtype)
+        out[0] = 1
+        out **= s
+    out[0] = 0
+    for lo, hi in reversed(_halving_blocks(N)):
+        out[lo:hi] += 1
+        for d in range(2, math.isqrt(hi - 1) + 1):
             ds = d**s
             j0 = max(d, -(-lo // d))
             if s == 0:
                 out[j0 * d : hi : d] += 2
-            elif d == 1 and hi > half + 1:
-                top = max(j0, half + 1)
-                out[j0:top] += ds + powers[j0:top]
-                own = np.arange(top, hi, dtype=dtype)
-                own **= s
-                own += ds
-                out[top:hi] += own
-                del own  # freed before the next block allocates its own
             else:
-                out[j0 * d : hi : d] += ds + powers[j0 : (hi - 1) // d + 1]
+                out[j0 * d : hi : d] += ds + out[j0 : (hi - 1) // d + 1]
             if lo <= d * d:
                 out[d * d] -= ds
     return out
@@ -399,9 +401,12 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     kind is one of "divisor", "sigma", "mobius", "phi", "lambda",
     "sigma_norm"; the sigma kinds take the exponent s.  sigma with a
     non-negative integer s yields an exact integer table, any other s a
-    float table.  sigma_norm(s) tabulates sigma_s(n) / n**s.  mobius, phi
-    and lambda read the sieve and require N <= sieve.limit; the hyperbola
-    kinds (divisor, sigma, sigma_norm) never read it.
+    float table.  sigma_norm(s) tabulates sigma_s(n) / n**s, which is
+    sigma_{-s}(n).  A table that could overflow raises UsageError before
+    anything is allocated: an integer one past int64, a float one with
+    t log2 N > 1000 for its powers d**t (t = s, or -s for sigma_norm).
+    mobius, phi and lambda read the sieve and require N <= sieve.limit;
+    the hyperbola kinds (divisor, sigma, sigma_norm) never read it.
     """
     if kind not in _TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}")

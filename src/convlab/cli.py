@@ -22,7 +22,8 @@ Exit codes: 0 pass, 1 assertion failure, 2 usage or domain error.  Exit
 2 covers every malformed input: an unparsable, infinite or NaN number
 (--M, --alpha, --beta, --assert-max, exponents, M rules, grids), a
 fractional N in a grid, an --output file that cannot be written and a
-table too large for memory or for numpy to address, an N below 2, and
+table too large for memory or for numpy to address, an N below 2, a
+float sigma table or a real sum that would overflow float64, and
 argparse's own errors (a missing option or value, a non-integer N, an
 unknown choice).  It prints one "error: ..." line to stderr and no
 traceback; a malformed number is rejected before any table is built.  An

@@ -139,7 +139,7 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
     """sum f(n) g(N - n) over the range selected by spec.
 
     Exact, as a Python int, when both tables are integer-valued; a float
-    otherwise.
+    otherwise, and UsageError when that float overflows.
     """
     exact = f.is_integer and g.is_integer
     k = spec.last_index
@@ -152,7 +152,11 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
     fa = f.values[1 : k + 1]
     ga = g.values[spec.N - 1 : spec.N - k - 1 : -1]
     if not exact:
-        return real_dot(fa, ga)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = real_dot(fa, ga)
+        if not math.isfinite(total):
+            raise UsageError(f"the sum overflows float64: {total}")
+        return total
     return _exact_int_sum(fa, ga, _table_bound(f), _table_bound(g))
 
 

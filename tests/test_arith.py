@@ -176,6 +176,17 @@ def test_tabulate_rejects_overlong(sieve_small):
         tabulate(sieve_small, "no_such_kind", 10)
 
 
+def test_float_sigma_past_float64_is_rejected(sieve_small):
+    # s log2 N <= 1000 leaves 2**24 of headroom for d(n): at N = 2**10,
+    # s = 99.5 builds a finite table and s = 100.5 is refused before any
+    # allocation, for sigma and for sigma_norm's exponent -s alike
+    assert np.isfinite(tabulate(sieve_small, "sigma", 2**10, s=99.5).values).all()
+    with pytest.raises(UsageError, match="overflow float64"):
+        tabulate(sieve_small, "sigma", 2**10, s=100.5)
+    with pytest.raises(UsageError, match="overflow float64"):
+        tabulate(sieve_small, "sigma_norm", 2**10, s=-100.5)
+
+
 def test_tabulate_matches_pointwise(sieve_small):
     # every kind agrees with per-n evaluation on [1, 10^4]
     N = 10_000
@@ -209,8 +220,8 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
     # segments and of the hyperbola blocks at a limit that is no power of
     # two, and covers the smallest sieves; at 1451**2 the last entry of the
     # last segment is a prime square.  At 2**21 - 1, 2**21 and 2**21 + 1 the
-    # first entry past the sigma powers table, N//2 + 1, sits on or next to
-    # the block edge 2**20
+    # cofactors N//2 and N//2 + 1 of the top block sit on or next to the
+    # block edge 2**20
     sv = build_sieve(limit)
     expected_spf = brute.spf_table(limit)
     assert sv.spf.dtype == expected_spf.dtype
@@ -224,6 +235,9 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         ("sigma", 2, brute.sigma_table(limit, 2)),
         ("sigma", 0.5, brute.sigma_table(limit, 0.5)),
         ("sigma_norm", 0.5, brute.sigma_table(limit, -0.5)),
+        ("sigma", 0, brute.sigma_table(limit, 0)),
+        ("sigma", 1.5, brute.sigma_table(limit, 1.5)),
+        ("sigma_norm", 2, brute.sigma_table(limit, -2.0)),
     ]
     # the hyperbola kinds never read the sieve: one to isqrt(limit), all
     # the CLI builds for them, gives the same bytes
@@ -277,16 +291,17 @@ def test_tabulate_tables_reject_writes(sieve_small):
 
 
 def test_sigma_table_peak_memory(sieve_10m):
-    # the powers j**s stop at N//2 and the d = 1 step raises the rest of
-    # each block on its own: 1.625x the result at 2**23, 2.125x with a
-    # powers table to N
-    tracemalloc.start()
-    try:
-        table = tabulate(sieve_10m, "sigma", 2**23, s=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.75 * table.values.nbytes
+    # the table starts as n**s and reads its cofactors from itself, so
+    # beside the result only one block's temporaries are live: about 1.06x
+    # the result at 2**23 (1.625x with powers j**s to N//2 beside it)
+    for kind, s in (("sigma", 1), ("sigma_norm", 0.5)):
+        tracemalloc.start()
+        try:
+            table = tabulate(sieve_10m, kind, 2**23, s=s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * table.values.nbytes, (kind, peak / table.values.nbytes)
 
 
 def test_tabulate_mobius_phi_are_sieve_views(sieve_small):

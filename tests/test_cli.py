@@ -339,6 +339,31 @@ def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, a
     assert needle in err
 
 
+@pytest.mark.parametrize("needle, argv", [
+    ("overflow float64",
+     ("convolve", "--f", "sigma:200.5", "--g", "d", "--N", "2000", "--M", "1500",
+      "--boundary", "closed")),
+    ("overflow float64",
+     ("convolve", "--f", "sigma_norm:-300", "--g", "d", "--N", "2000", "--M", "1500",
+      "--boundary", "closed")),
+    ("overflow float64",
+     ("convolve", "--f", "sigma:100.5", "--g", "d", "--N", "2000", "--M", "1500",
+      "--boundary", "closed")),
+    ("the sum overflows float64",
+     ("convolve", "--f", "sigma_norm:-60", "--g", "sigma_norm:-60", "--N", "100000",
+      "--M", "500", "--boundary", "closed")),
+])
+def test_float_overflow_prints_one_error_line(capsys, recwarn, needle, argv):
+    # these build a sieve (and, in the last row, both finite tables) before
+    # they fail, so they cannot sit in the no-sieve test above
+    code, out, err = run_to_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert needle in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_verify_general_json(capsys):
     code, out, _ = run(
         capsys, "verify-general", "--alpha", "2", "--beta", "2", "--N", "10000",
