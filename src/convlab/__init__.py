@@ -4,125 +4,26 @@ The library sieves arithmetic functions (d, sigma_s, mu, phi, Lambda),
 evaluates additive and shifted convolution sums exactly, computes
 Ramanujan sums and truncated Ramanujan expansions, and checks the exact
 values against asymptotic main terms with explicit error envelopes.
+
+The package exports each module's __all__, in the order below.
 """
 
-from .arith import (
-    ArithTable,
-    FactorSieve,
-    Factorization,
-    build_sieve,
-    divisor_count,
-    divisors,
-    euler_phi,
-    factorize,
-    mobius,
-    sigma_rational,
-    sigma_real,
-    tabulate,
-    von_mangoldt,
-)
-from .asymptotics import (
-    ConvolutionReport,
-    SweepResult,
-    divisor_report,
-    envelope_defect,
-    envelope_fullsum,
-    envelope_ramanujan,
-    envelope_subsum,
-    main_term_full,
-    main_term_general,
-    main_term_sigma_full,
-    main_term_sigma_norm,
-    main_term_subsum,
-    main_term_supersum,
-    ramanujan_regime,
-    sigma_norm_report,
-    sweep,
-    tau_main,
-    verify,
-)
-from .convolution import (
-    ConvolutionSpec,
-    additive_convolution,
-    divisor_additive_convolution,
-    shifted_divisor_convolution,
-    tau_exact,
-)
-from .errors import ConsistencyError, UsageError
-from .ramanujan import (
-    CoefficientProvider,
-    ExpansionSum,
-    OrthogonalityRecord,
-    custom_provider,
-    divisor_provider,
-    expansion_adaptive,
-    expansion_partial_sum,
-    hardy_provider,
-    orthogonality_defect,
-    product_provider,
-    ramanujan_sum,
-    ramanujan_sum_table,
-    sigma_provider,
-    singular_series,
-)
-from .special import gamma_real, zeta_real
+from . import arith, asymptotics, convolution, errors, ramanujan, special
+from .arith import *
+from .asymptotics import *
+from .convolution import *
+from .errors import *
+from .ramanujan import *
+from .special import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ArithTable",
-    "FactorSieve",
-    "Factorization",
-    "build_sieve",
-    "divisor_count",
-    "divisors",
-    "euler_phi",
-    "factorize",
-    "mobius",
-    "sigma_rational",
-    "sigma_real",
-    "tabulate",
-    "von_mangoldt",
-    "ConvolutionReport",
-    "SweepResult",
-    "divisor_report",
-    "envelope_defect",
-    "envelope_fullsum",
-    "envelope_ramanujan",
-    "envelope_subsum",
-    "main_term_full",
-    "main_term_general",
-    "main_term_sigma_full",
-    "main_term_sigma_norm",
-    "main_term_subsum",
-    "main_term_supersum",
-    "ramanujan_regime",
-    "sigma_norm_report",
-    "sweep",
-    "tau_main",
-    "verify",
-    "ConvolutionSpec",
-    "additive_convolution",
-    "divisor_additive_convolution",
-    "shifted_divisor_convolution",
-    "tau_exact",
-    "ConsistencyError",
-    "UsageError",
-    "CoefficientProvider",
-    "ExpansionSum",
-    "OrthogonalityRecord",
-    "custom_provider",
-    "divisor_provider",
-    "expansion_adaptive",
-    "expansion_partial_sum",
-    "hardy_provider",
-    "orthogonality_defect",
-    "product_provider",
-    "ramanujan_sum",
-    "ramanujan_sum_table",
-    "sigma_provider",
-    "singular_series",
-    "gamma_real",
-    "zeta_real",
+    *arith.__all__,
+    *asymptotics.__all__,
+    *convolution.__all__,
+    *errors.__all__,
+    *ramanujan.__all__,
+    *special.__all__,
 ]

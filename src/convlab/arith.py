@@ -281,18 +281,13 @@ def divisor_count(f: Factorization) -> int:
 
 
 def sigma_real(f: Factorization, s: float) -> float:
-    """sigma_s(n) = sum_{d | n} d**s for real s, via the Euler product.
+    """sigma_s(n) = sum_{d | n} d**s for real s, in double precision.
 
-    Each local factor is (p**(s(e+1)) - 1) / (p**s - 1), evaluated with
-    expm1 for stability; s = 0 degenerates to the divisor count.
+    The d(n) powers float(d)**s are added by math.fsum, so the sum is
+    correctly rounded from them.  The main terms of the sigma sums read
+    sigma of their N from here.
     """
-    if s == 0.0:
-        return float(divisor_count(f))
-    out = 1.0
-    for p, e in f.factors:
-        lp = math.log(p)
-        out *= math.expm1(s * (e + 1) * lp) / math.expm1(s * lp)
-    return out
+    return math.fsum(float(d) ** s for d in divisors(f))
 
 
 def sigma_rational(f: Factorization, k: int) -> int | Fraction:
@@ -345,14 +340,15 @@ def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
     # starts as n**s and the blocks run down, so each d >= 2 reads its
     # cofactor n/d while it is still (n/d)**s.  d ascends in each block, so
     # every n gets the same additions in the same order as whole-range passes.
+    # sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any addressable n.  This
+    # check comes first, so N**s below has at most about 1000 bits
+    if s * math.log2(N) > 1000:
+        raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
     if isinstance(s, int) and N**s >= 2**61:
         raise UsageError(
             f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
-    # sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any addressable n
-    if s * math.log2(N) > 1000:
-        raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
     if s == 0:
         out = np.ones(N + 1, dtype=dtype)  # n**0, with no pass of powers
     else:
@@ -403,8 +399,9 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     non-negative integer s yields an exact integer table, any other s a
     float table.  sigma_norm(s) tabulates sigma_s(n) / n**s, which is
     sigma_{-s}(n).  A table that could overflow raises UsageError before
-    anything is allocated: an integer one past int64, a float one with
-    t log2 N > 1000 for its powers d**t (t = s, or -s for sigma_norm).
+    anything is allocated: any one with t log2 N > 1000 for its powers
+    d**t (t = s, or -s for sigma_norm), checked first, and an integer one
+    past int64.
     mobius, phi and lambda read the sieve and require N <= sieve.limit;
     the hyperbola kinds (divisor, sigma, sigma_norm) never read it.
     """

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from .arith import ArithTable, FactorSieve, divisors, factorize, sigma_rational
+from .arith import ArithTable, FactorSieve, factorize, sigma_rational, sigma_real
 from .convolution import ConvolutionSpec, additive_convolution, divisor_additive_convolution
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
@@ -148,7 +148,7 @@ def main_term_sigma_norm(
         raise UsageError(f"N must be >= 1, got {N}")
     w = alpha + beta + 1.0
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
-    snorm = math.fsum(d**-w for d in divisors(factorize(sieve, N)))
+    snorm = sigma_real(factorize(sieve, N), -w)
     return M * zfac * snorm, min(alpha, beta)
 
 
@@ -167,7 +167,7 @@ def main_term_sigma_full(
     w = alpha + beta + 1.0
     gfac = gamma_real(alpha + 1.0) * gamma_real(beta + 1.0) / gamma_real(w + 1.0)
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
-    sig = math.fsum(float(d) ** w for d in divisors(factorize(sieve, N)))
+    sig = sigma_real(factorize(sieve, N), w)
     omega = w - min(alpha, beta, 1.0)
     return gfac * zfac * sig, omega
 

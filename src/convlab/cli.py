@@ -23,12 +23,12 @@ Exit codes: 0 pass, 1 assertion failure, 2 usage or domain error.  Exit
 (--M, --alpha, --beta, --assert-max, exponents, M rules, grids), a
 fractional N in a grid, an --output file that cannot be written and a
 table too large for memory or for numpy to address, an N below 2, a
-float sigma table or a real sum that would overflow float64, and
-argparse's own errors (a missing option or value, a non-integer N, an
-unknown choice).  It prints one "error: ..." line to stderr and no
-traceback; a malformed number is rejected before any table is built.  An
-option value may start with "-" ("--beta -inf"), so it reaches the same
-checks as "--beta=-inf".
+sigma table whose powers d**s would overflow float64 (for an integer s
+too), a real sum that would overflow it, and argparse's own errors (a
+missing option or value, a non-integer N, an unknown choice).  It
+prints one "error: ..." line to stderr and no traceback; a malformed
+number is rejected before any table is built.  An option value may start
+with "-" ("--beta -inf"), so it reaches the same checks as "--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
 needs, so no output depends on its size: N (or R) where a mu, phi or
@@ -122,13 +122,7 @@ def _fmt_float(v: float) -> str:
 
 
 def _csv_cell(v: Any) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
+    return _fmt_float(v) if isinstance(v, float) else str(v)
 
 
 def _json_value(v: Any) -> Any:
@@ -228,20 +222,7 @@ def cmd_verify_ingham(args: argparse.Namespace) -> int:
         else:
             ratio = math.nan
         boundary = "closed" if rep.envelope_kind == "divisor_subsum" else "half_open"
-        rows.append(
-            {
-                "N": N,
-                "M": rep.M,
-                "boundary": boundary,
-                "exact": rep.exact,
-                "main": rep.main,
-                "residual": rep.residual,
-                "envelope": rep.envelope,
-                "normalized": rep.normalized,
-                "relative": rep.relative,
-                "sub_full_ratio": ratio,
-            }
-        )
+        rows.append({**vars(rep), "boundary": boundary, "sub_full_ratio": ratio})
     first, last = result.endpoint_relative
     norm0 = abs(result.reports[0].normalized)
     trend_ok = True
@@ -281,19 +262,7 @@ def cmd_verify_general(args: argparse.Namespace) -> int:
         sigma_norm_report(sieve, ftab, gtab, alpha, beta, args.N, M) for M in grid
     ]
     rows: List[Row] = [
-        {
-            "alpha": alpha,
-            "beta": beta,
-            "N": args.N,
-            "M": rep.M,
-            "delta": delta,
-            "regime": regime,
-            "exact": rep.exact,
-            "main": rep.main,
-            "residual": rep.residual,
-            "envelope": rep.envelope,
-            "normalized": rep.normalized,
-        }
+        {**vars(rep), "alpha": alpha, "beta": beta, "delta": delta, "regime": regime}
         for rep in all_reports
     ]
     # M < 2 has no envelope, so only M >= 2 enters the boundedness check

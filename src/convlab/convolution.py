@@ -41,7 +41,6 @@ __all__ = [
     "divisor_additive_convolution",
     "shifted_divisor_convolution",
     "tau_exact",
-    "real_dot",
 ]
 
 _CHUNK = 1 << 16

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["ConsistencyError", "UsageError"]
+
 
 class UsageError(ValueError):
     """An argument violated a documented precondition of the operation."""

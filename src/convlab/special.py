@@ -11,6 +11,8 @@ import math
 
 from .errors import UsageError
 
+__all__ = ["gamma_real", "zeta_real"]
+
 _ZETA_CUTOFF = 64
 
 

@@ -128,6 +128,17 @@ def test_sigma_real_matches_enumeration(sieve_small):
             assert sigma_real(factorize(sieve_small, n), s) == pytest.approx(ref, rel=1e-12)
 
 
+def test_sigma_real_is_correctly_summed(sieve_small):
+    # within 2**-51 of the exact sum: each power d**s is within about an
+    # ulp, and math.fsum rounds their sum once
+    for n in range(1, 5001):
+        ds = brute.divisors(n)
+        f = factorize(sieve_small, n)
+        for s in (-2, -1, 1, 2, 3):
+            exact = sum((Fraction(d) ** s for d in ds), Fraction(0))
+            assert abs(Fraction(sigma_real(f, s)) - exact) <= exact / 2**51, (n, s)
+
+
 def test_sigma_rational_examples(sieve_small):
     assert sigma_rational(factorize(sieve_small, 6), -1) == Fraction(2)
     assert sigma_rational(factorize(sieve_small, 28), 1) == 56

@@ -352,16 +352,29 @@ def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, a
     ("the sum overflows float64",
      ("convolve", "--f", "sigma_norm:-60", "--g", "sigma_norm:-60", "--N", "100000",
       "--M", "500", "--boundary", "closed")),
+    # an integer exponent this large is refused before N**s is built
+    ("overflow float64",
+     ("convolve", "--f", "sigma:1e7", "--g", "d", "--N", "2000", "--M", "10",
+      "--boundary", "closed")),
+    ("overflow float64",
+     ("convolve", "--f", "sigma:1e300", "--g", "d", "--N", "2000", "--M", "10",
+      "--boundary", "closed")),
 ])
-def test_float_overflow_prints_one_error_line(capsys, recwarn, needle, argv):
-    # these build a sieve (and, in the last row, both finite tables) before
-    # they fail, so they cannot sit in the no-sieve test above
-    code, out, err = run_to_exit(capsys, *argv)
-    assert code == 2
-    assert out == ""
+def test_float_overflow_prints_one_error_line(needle, argv):
+    # these build a sieve (and, in the fourth row, both finite tables)
+    # before they fail, so they cannot sit in the no-sieve test above.  Each
+    # runs in its own process with a timeout, so a hang fails the row, and
+    # with RuntimeWarning an error, so a warning ends it in a traceback
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "convlab", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    err = proc.stderr
+    assert proc.returncode == 2
+    assert proc.stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     assert needle in err
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
 
 
 def test_verify_general_json(capsys):
