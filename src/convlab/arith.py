@@ -144,9 +144,9 @@ class Factorization:
 
 @dataclass(frozen=True)
 class ArithTable:
-    """Values of one arithmetic function on 1..N.
+    """Values of one arithmetic function on 1..N, N = len(values) - 1.
 
-    values has length N + 1 and is 1-indexed; values[0] is unused and zero.
+    values is 1-indexed; values[0] is unused and zero.
     kind is a canonical tag such as "divisor", "sigma(2)", "sigma_norm(0.5)",
     "mobius", "phi", "lambda" or "custom".  Every table tabulate returns
     is read-only; the mobius and phi values are views of the sieve's own
@@ -155,8 +155,11 @@ class ArithTable:
     """
 
     kind: str
-    N: int
     values: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return len(self.values) - 1
 
     @property
     def is_integer(self) -> bool:
@@ -167,7 +170,8 @@ class ArithTable:
         """max |values[n]| over the whole integer table, cached.
 
         The cache is only as good as the values staying put, so the
-        convolution kernels read it only from read-only tables.
+        convolution kernels read it only from read-only tables that view
+        no writable array.
         """
         return max(-int(self.values.min()), int(self.values.max()))
 
@@ -434,4 +438,4 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     else:
         values = _lambda_table(sieve, N)
     values.setflags(write=False)
-    return ArithTable(kind, N, values)
+    return ArithTable(kind, values)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from .arith import ArithTable, FactorSieve, factorize, sigma_rational, sigma_real
-from .convolution import ConvolutionSpec, additive_convolution, divisor_additive_convolution
+from .convolution import ConvolutionSpec, additive_convolution
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
 from .special import gamma_real, zeta_real
@@ -311,16 +311,18 @@ def divisor_report(
 ) -> ConvolutionReport:
     """Report for the divisor convolution at (N, M).
 
-    M <= N/2 uses the closed-boundary sum with its refined main term;
-    M > N/2 uses the half-open sum with the complement main term.
+    The exact sum is additive_convolution of dtable with itself.  M <= N/2
+    uses the closed-boundary sum with its refined main term; M > N/2 uses
+    the half-open sum with the complement main term.
     """
-    if M <= N / 2:
-        exact = divisor_additive_convolution(dtable, N, M, "closed")
+    closed = M <= N / 2
+    spec = ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open")
+    exact = additive_convolution(dtable, dtable, spec)
+    if closed:
         main = main_term_subsum(sieve, N, M)
         env = envelope_subsum(sieve, N, M)
         kind = "divisor_subsum"
     else:
-        exact = divisor_additive_convolution(dtable, N, M, "half_open")
         main = main_term_supersum(sieve, N, M)
         env = envelope_fullsum(sieve, N)
         kind = "divisor_supersum"

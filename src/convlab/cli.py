@@ -45,7 +45,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .arith import SIEVE_KINDS, build_sieve, check_addressable, tabulate
 from .asymptotics import (
@@ -56,12 +56,7 @@ from .asymptotics import (
     sweep,
     tau_main,
 )
-from .convolution import (
-    ConvolutionSpec,
-    additive_convolution,
-    divisor_additive_convolution,
-    tau_exact,
-)
+from .convolution import ConvolutionSpec, additive_convolution, tau_exact
 from .errors import UsageError
 from .ramanujan import orthogonality_defect, singular_series
 
@@ -92,16 +87,18 @@ def _parse_kind(text: str) -> Tuple[str, Optional[float]]:
     )
 
 
-def _parse_m_rule(text: str) -> Tuple[str, Optional[float]]:
+def _parse_m_rule(text: str) -> Tuple[str, Callable[[int], float]]:
+    # the rule's name and M as a function of N
     if text == "half":
-        return "half", None
+        return "half", lambda N: float(N // 2)
     if text.startswith("frac:"):
         c = _parse_float(text[5:], "frac rule c")
         if not 0 < c <= 1:
             raise UsageError(f"frac rule needs 0 < c <= 1, got {c}")
-        return "frac", c
+        return "frac", lambda N: c * N
     if text.startswith("fixed:"):
-        return "fixed", _parse_float(text[6:], "fixed rule M")
+        M = _parse_float(text[6:], "fixed rule M")
+        return "fixed", lambda N: M
     raise UsageError(f"unknown M rule {text!r}; expected half, frac:c, or fixed:M")
 
 
@@ -202,22 +199,15 @@ def cmd_verify_ingham(args: argparse.Namespace) -> int:
     if not all(v.is_integer() and v >= 2 for v in grid):
         raise UsageError(f"N grid entries must be integers >= 2, got {args.N_grid!r}")
     grid = [int(v) for v in grid]
-    rule, param = _parse_m_rule(args.M_rule)
+    rule, m_of = _parse_m_rule(args.M_rule)
     sieve = _sieve_for(math.isqrt(max(grid)), max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
-
-    def m_of(N: int) -> float:
-        if rule == "half":
-            return float(N // 2)
-        if rule == "frac":
-            return param * N
-        return param
-
     result = sweep(lambda N: divisor_report(sieve, dtable, N, m_of(N)), grid)
     rows: List[Row] = []
     for N, rep in zip(grid, result.reports):
         if rule == "frac":
-            full = divisor_additive_convolution(dtable, N, float(N), "half_open")
+            spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
+            full = additive_convolution(dtable, dtable, spec)
             ratio = rep.exact / full
         else:
             ratio = math.nan
@@ -300,16 +290,7 @@ def cmd_orthogonality(args: argparse.Namespace) -> int:
             rec = orthogonality_defect(sieve, r, s, args.N, args.M)
             normalized = rec.defect / envelope_defect(r, s)
             worst = max(worst, abs(normalized))
-            rows.append(
-                {
-                    "r": r,
-                    "s": s,
-                    "exact": rec.exact,
-                    "main": rec.main,
-                    "defect": rec.defect,
-                    "normalized": normalized,
-                }
-            )
+            rows.append({"r": r, "s": s, **vars(rec), "normalized": normalized})
     summary = {"max_normalized_defect": worst}
     _emit("orthogonality", _ORTHO_HEADERS, rows, summary, args.format, args.output)
     if assert_max is not None and worst > assert_max:
@@ -398,24 +379,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "convolve",
-        parents=[common],
-        help="one exact convolution sum",
-        description="Columns: " + ", ".join(_CONVOLVE_HEADERS),
-    )
+    def command(name, func, headers, summary):
+        p = sub.add_parser(
+            name, parents=[common], help=summary, description="Columns: " + ", ".join(headers)
+        )
+        p.set_defaults(func=func)
+        return p
+
+    p = command("convolve", cmd_convolve, _CONVOLVE_HEADERS, "one exact convolution sum")
     p.add_argument("--f", required=True, help="d, mu, phi, lambda, sigma:s, sigma_norm:s")
     p.add_argument("--g", required=True, help="same kinds as --f")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", required=True)
     p.add_argument("--boundary", choices=("half_open", "closed"), required=True)
-    p.set_defaults(func=cmd_convolve)
 
-    p = sub.add_parser(
-        "verify-ingham",
-        parents=[common],
-        help="divisor convolution vs. main term over an N grid",
-        description="Columns: " + ", ".join(_INGHAM_HEADERS),
+    p = command(
+        "verify-ingham", cmd_verify_ingham, _INGHAM_HEADERS,
+        "divisor convolution vs. main term over an N grid",
     )
     p.add_argument("--N-grid", dest="N_grid", required=True, help="comma-separated N values")
     p.add_argument(
@@ -424,25 +404,19 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="half, frac:c, or fixed:M (sub_full_ratio is reported for frac)",
     )
-    p.set_defaults(func=cmd_verify_ingham)
 
-    p = sub.add_parser(
-        "verify-general",
-        parents=[common],
-        help="normalized sigma convolution vs. main term over an M grid",
-        description="Columns: " + ", ".join(_GENERAL_HEADERS),
+    p = command(
+        "verify-general", cmd_verify_general, _GENERAL_HEADERS,
+        "normalized sigma convolution vs. main term over an M grid",
     )
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M-grid", dest="M_grid", required=True, help="comma-separated M values")
-    p.set_defaults(func=cmd_verify_general)
 
-    p = sub.add_parser(
-        "orthogonality",
-        parents=[common],
-        help="Ramanujan pair sums vs. the diagonal main term",
-        description="Columns: " + ", ".join(_ORTHO_HEADERS),
+    p = command(
+        "orthogonality", cmd_orthogonality, _ORTHO_HEADERS,
+        "Ramanujan pair sums vs. the diagonal main term",
     )
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
@@ -454,26 +428,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit 1 if max |defect|/(rs(log(rs)+1)) exceeds this",
     )
-    p.set_defaults(func=cmd_orthogonality)
 
-    p = sub.add_parser(
-        "goldbach",
-        parents=[common],
-        help="Lambda self-convolution vs. N times the singular series",
-        description="Columns: " + ", ".join(_GOLDBACH_HEADERS),
+    p = command(
+        "goldbach", cmd_goldbach, _GOLDBACH_HEADERS,
+        "Lambda self-convolution vs. N times the singular series",
     )
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
-    p.set_defaults(func=cmd_goldbach)
 
-    p = sub.add_parser(
-        "tau",
-        parents=[common],
-        help="coprime-pair harmonic sum vs. its main term",
-        description="Columns: " + ", ".join(_TAU_HEADERS),
-    )
+    p = command("tau", cmd_tau, _TAU_HEADERS, "coprime-pair harmonic sum vs. its main term")
     p.add_argument("--y", type=float, required=True)
-    p.set_defaults(func=cmd_tau)
 
     return parser
 

@@ -9,9 +9,10 @@ run's sum can leave int64, and the runs add up in a Python int: one
 multiply per run, in the tables' common integer type when
 max|f| * max|g| fits it (int64 otherwise), reduced to int64.  The bound
 reads each table's max|value|, computed once per ArithTable
-(ArithTable.abs_max), and scans the summed slices only when that bound
-allows no run of 64 summands; products too large for that are summed in
-Python ints.  Real sums and dot products (real_dot) are
+(ArithTable.abs_max) when the table and every array it views are
+read-only, and scans the summed slices when they are not or when that
+bound allows no run of 64 summands; products too large for that are
+summed in Python ints.  Real sums and dot products (real_dot) are
 reduced in the same fixed chunks combined in index order, with no BLAS
 call, so results are reproducible whatever the thread count.
 
@@ -38,7 +39,6 @@ from .errors import UsageError
 __all__ = [
     "ConvolutionSpec",
     "additive_convolution",
-    "divisor_additive_convolution",
     "shifted_divisor_convolution",
     "tau_exact",
 ]
@@ -98,8 +98,14 @@ def _abs_max(a: np.ndarray) -> int:
 
 
 def _table_bound(t: ArithTable) -> int | None:
-    # a writable table may change after its bound was cached
-    return None if t.values.flags.writeable else t.abs_max
+    # the cached bound holds only while nothing can write the values: a
+    # read-only view of a writable array changes with that array
+    a = t.values
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return None
+        a = a.base
+    return t.abs_max if a is None else None
 
 
 def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
@@ -135,10 +141,11 @@ def _run_length(fmax: int, gmax: int) -> int:
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
-    """sum f(n) g(N - n) over the range selected by spec.
+    """sum f(n) g(N - n) over the range selected by spec, for any pair.
 
     Exact, as a Python int, when both tables are integer-valued; a float
-    otherwise, and UsageError when that float overflows.
+    otherwise, and UsageError when that float overflows or the range
+    runs past the end of either table's values.
     """
     exact = f.is_integer and g.is_integer
     k = spec.last_index
@@ -157,14 +164,6 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
             raise UsageError(f"the sum overflows float64: {total}")
         return total
     return _exact_int_sum(fa, ga, _table_bound(f), _table_bound(g))
-
-
-def divisor_additive_convolution(dtable: ArithTable, N: int, M: float, boundary: str) -> int:
-    """sum d(n) d(N - n), exact, using a precomputed divisor table."""
-    if dtable.kind != "divisor":
-        raise UsageError(f"need a divisor table, got kind {dtable.kind!r}")
-    spec = ConvolutionSpec(N=N, M=M, boundary=boundary)
-    return additive_convolution(dtable, dtable, spec)
 
 
 def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:

@@ -390,11 +390,7 @@ def orthogonality_defect(
     K = M - 1  # half-open range [1, M)
     j = np.arange(1, min(L, K) + 1, dtype=np.int64)
     block = cr[j % r] * cs[(N - j) % s]
-    if K <= L:
-        exact = int(block.sum())
-    else:
-        period_sum = int(block.sum())
-        exact = (K // L) * period_sum + int(block[: K % L].sum())
+    exact = (K // L) * int(block.sum()) + int(block[: K % L].sum())
 
     main = M * int(cr[N % r]) if r == s else 0
     return OrthogonalityRecord(exact=exact, main=main, defect=exact - main)

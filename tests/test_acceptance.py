@@ -17,7 +17,6 @@ from convlab import (
     ConvolutionSpec,
     additive_convolution,
     build_sieve,
-    divisor_additive_convolution,
     divisor_report,
     envelope_defect,
     expansion_adaptive,
@@ -39,6 +38,11 @@ from convlab import (
 )
 
 
+def _dd(dtable, N, M, boundary):
+    # sum d(n) d(N - n) over the range that N, M and boundary select
+    return additive_convolution(dtable, dtable, ConvolutionSpec(N=N, M=M, boundary=boundary))
+
+
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
@@ -52,7 +56,7 @@ def test_criterion_01_lattice_oracle(sieve_small):
     for N in range(4, 201):
         for M in range(1, N + 1):
             # the product constraint never binds past N-1, where d(0) would appear
-            conv = divisor_additive_convolution(dtable, N, float(min(M, N - 1)), "closed")
+            conv = _dd(dtable, N, float(min(M, N - 1)), "closed")
             if brute.lattice_count_S(N, float(M)) != conv:
                 ok = False
                 break
@@ -171,9 +175,9 @@ def test_criterion_05_complement(sieve_10m, dtable_10m):
     main_ok = True
     for N in (10**4, 10**5):
         M = 0.75 * N
-        sup = divisor_additive_convolution(dtable_10m, N, M, "half_open")
-        full = divisor_additive_convolution(dtable_10m, N, float(N), "half_open")
-        sub = divisor_additive_convolution(dtable_10m, N, N - M, "closed")
+        sup = _dd(dtable_10m, N, M, "half_open")
+        full = _dd(dtable_10m, N, float(N), "half_open")
+        sub = _dd(dtable_10m, N, N - M, "closed")
         exact_ok &= sup == full - sub
         lhs = main_term_supersum(sieve_10m, N, M)
         rhs = main_term_full(sieve_10m, N) - main_term_subsum(sieve_10m, N, N - M)
@@ -188,8 +192,8 @@ def test_criterion_05_complement(sieve_10m, dtable_10m):
 
 def test_criterion_06_sub_full_ratio(sieve_10m, dtable_10m):
     N = 10**6
-    sub = divisor_additive_convolution(dtable_10m, N, 0.3 * N, "closed")
-    full = divisor_additive_convolution(dtable_10m, N, float(N), "half_open")
+    sub = _dd(dtable_10m, N, 0.3 * N, "closed")
+    full = _dd(dtable_10m, N, float(N), "half_open")
     ratio = sub / full
     ok = 0.20 <= ratio <= 0.40
     _report(6, "sub/full ratio at M = 0.3N inside [0.20, 0.40]", ok, f"ratio={ratio:.6f}")

@@ -11,12 +11,16 @@ from convlab import (
     ConvolutionSpec,
     UsageError,
     additive_convolution,
-    divisor_additive_convolution,
     shifted_divisor_convolution,
     tabulate,
     tau_exact,
 )
 from convlab.convolution import _MIN_RUN, _exact_int_sum, _run_length
+
+
+def _dd(dtable, N, M, boundary):
+    # sum d(n) d(N - n) over the range that N, M and boundary select
+    return additive_convolution(dtable, dtable, ConvolutionSpec(N=N, M=M, boundary=boundary))
 
 
 def test_spec_validation():
@@ -50,22 +54,16 @@ def test_additive_examples(dtable_small):
 
 
 def test_divisor_convolution_examples(dtable_small):
-    assert divisor_additive_convolution(dtable_small, 4, 4.0, "half_open") == 8
-    assert divisor_additive_convolution(dtable_small, 6, 3.0, "closed") == 12
-    assert divisor_additive_convolution(dtable_small, 2, 2.0, "half_open") == 1
-
-
-def test_divisor_convolution_kind_check(sieve_small):
-    mt = tabulate(sieve_small, "mobius", 100)
-    with pytest.raises(UsageError):
-        divisor_additive_convolution(mt, 10, 5.0, "closed")
+    assert _dd(dtable_small, 4, 4.0, "half_open") == 8
+    assert _dd(dtable_small, 6, 3.0, "closed") == 12
+    assert _dd(dtable_small, 2, 2.0, "half_open") == 1
 
 
 def test_half_integer_M(dtable_small):
     d = dtable_small.values
     lit = sum(int(d[n]) * int(d[10 - n]) for n in range(1, 5))
-    assert divisor_additive_convolution(dtable_small, 10, 4.5, "closed") == lit
-    assert divisor_additive_convolution(dtable_small, 10, 4.5, "half_open") == lit
+    assert _dd(dtable_small, 10, 4.5, "closed") == lit
+    assert _dd(dtable_small, 10, 4.5, "half_open") == lit
 
 
 def test_shifted_examples(dtable_small):
@@ -108,37 +106,37 @@ def test_result_type_follows_table_dtypes(sieve_small):
 def test_palindrome_identity(dtable_small):
     d = dtable_small
     for N in range(2, 1001):
-        full = divisor_additive_convolution(d, N, float(N), "half_open")
+        full = _dd(d, N, float(N), "half_open")
         if N % 2 == 0:
-            half = divisor_additive_convolution(d, N, N / 2.0, "half_open")
+            half = _dd(d, N, N / 2.0, "half_open")
             mid = int(d.values[N // 2])
             assert full == 2 * half + mid * mid, N
         else:
-            closed = divisor_additive_convolution(d, N, (N - 1) / 2.0, "closed")
+            closed = _dd(d, N, (N - 1) / 2.0, "closed")
             assert full == 2 * closed, N
 
 
 def test_complement_identity(dtable_small):
     d = dtable_small
     for N in range(2, 501):
-        full = divisor_additive_convolution(d, N, float(N), "half_open")
+        full = _dd(d, N, float(N), "half_open")
         for M in range(1, N + 1):
-            half = divisor_additive_convolution(d, N, float(M), "half_open")
+            half = _dd(d, N, float(M), "half_open")
             if M == N:
                 assert half == full
             else:
-                closed = divisor_additive_convolution(d, N, float(N - M), "closed")
+                closed = _dd(d, N, float(N - M), "closed")
                 assert half == full - closed, (N, M)
 
 
-def test_specialization_agrees(dtable_small):
-    d = dtable_small
+def test_divisor_sum_matches_literal_sum(dtable_small):
+    v = dtable_small.values
     for N in (2, 7, 48, 120):
         for M in range(1, N + 1):
-            spec = ConvolutionSpec(N=N, M=float(M), boundary="half_open")
-            assert additive_convolution(d, d, spec) == divisor_additive_convolution(
-                d, N, float(M), "half_open"
-            )
+            lit = sum(int(v[n]) * int(v[N - n]) for n in range(1, M))
+            assert _dd(dtable_small, N, float(M), "half_open") == lit, (N, M)
+            if M < N:
+                assert _dd(dtable_small, N, float(M), "closed") == lit + int(v[M]) * int(v[N - M])
 
 
 def test_real_mode_matches_fsum(sieve_1m):
@@ -157,7 +155,7 @@ def test_int_mode_python_fallback():
     N = 10
     vals = np.full(N + 1, 2**31, dtype=np.int64)
     vals[0] = 0
-    t = ArithTable("custom", N, vals)
+    t = ArithTable("custom", vals)
     spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     got = additive_convolution(t, t, spec)
     assert got == 9 * 2**62
@@ -168,11 +166,36 @@ def test_writable_table_is_bounded_on_every_sum():
     # a writable table may change after a sum, so its bound is never cached
     N = 10
     vals = np.ones(N + 1, dtype=np.int64)
-    t = ArithTable("custom", N, vals)
+    t = ArithTable("custom", vals)
     spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     assert additive_convolution(t, t, spec) == 9
     vals[:] = 2**31
     assert additive_convolution(t, t, spec) == 9 * 2**62
+
+
+def test_table_length_comes_from_values():
+    # the values cover 1..10, so a sum reading past 10 is refused, not summed
+    vals = np.full(11, 2**31, dtype=np.int64)
+    vals[0] = 0
+    t = ArithTable("custom", vals)
+    assert t.N == len(vals) - 1 == 10
+    with pytest.raises(UsageError):
+        additive_convolution(t, t, ConvolutionSpec(N=15, M=15.0, boundary="half_open"))
+    with pytest.raises(UsageError):
+        additive_convolution(t, ArithTable("custom", np.ones(40, dtype=np.int64)),
+                             ConvolutionSpec(N=30, M=12.0, boundary="half_open"))
+
+
+def test_read_only_view_of_writable_array_is_bounded_on_every_sum():
+    # the cached bound of a read-only view is stale once its base is written
+    base = np.ones(1001, dtype=np.int64)
+    v = base.view()
+    v.setflags(write=False)
+    t = ArithTable("custom", v)
+    spec = ConvolutionSpec(N=1000, M=1000.0, boundary="half_open")
+    assert additive_convolution(t, t, spec) == 999
+    base[1:] = 3 * 10**9
+    assert additive_convolution(t, t, spec) == 999 * (3 * 10**9) ** 2
 
 
 def test_int_mode_matches_python_sum(dtable_small):
@@ -201,9 +224,7 @@ def test_lattice_against_quadruple_brute():
 def test_lattice_matches_convolution(dtable_small):
     for N in range(4, 61):
         for M in range(1, N + 1):
-            conv = divisor_additive_convolution(
-                dtable_small, N, float(min(M, N - 1)), "closed"
-            )
+            conv = _dd(dtable_small, N, float(min(M, N - 1)), "closed")
             assert brute.lattice_count_S(N, M) == conv, (N, M)
 
 
@@ -334,7 +355,7 @@ def test_exact_int_sum_at_int64_boundary(case):
 def _frozen_table(vals, dtype):
     values = np.array(vals, dtype=dtype)
     values.setflags(write=False)
-    return ArithTable("custom", len(values) - 1, values)
+    return ArithTable("custom", values)
 
 
 @st.composite

@@ -462,7 +462,10 @@ def test_orthogonality_against_brute(sieve_small):
     for r in range(1, 7):
         for s in range(1, 7):
             for N in (10, 23, 40):
-                for M in (1, N // 2, N):
+                # M = lcm(r, s) + 1 folds exactly one period (K = L)
+                for M in (1, N // 2, N, math.lcm(r, s) + 1):
+                    if M > N:
+                        continue
                     rec = orthogonality_defect(sieve_small, r, s, N, M)
                     assert rec.exact == brute.orthogonality_exact(r, s, N, M)
                     assert rec.defect == rec.exact - rec.main
