@@ -120,8 +120,8 @@ def main_term_general(
         raise UsageError("main_term_general needs providers with decay metadata")
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
-    if M < 0:
-        raise UsageError(f"M must be >= 0, got {M}")
+    if not 0 <= M < math.inf:
+        raise UsageError(f"M must be finite and >= 0, got {M}")
     if M == 0:
         return 0.0, 0.0
     product = product_provider(pf, pg)
@@ -146,6 +146,8 @@ def main_term_sigma_norm(
         raise UsageError("alpha and beta must be positive")
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
+    if not math.isfinite(M):
+        raise UsageError(f"M must be finite, got {M}")
     w = alpha + beta + 1.0
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
     snorm = sigma_real(factorize(sieve, N), -w)
@@ -295,13 +297,17 @@ class SweepResult:
 
 
 def sweep(make_report: Callable[[Any], ConvolutionReport], grid: Sequence[Any]) -> SweepResult:
-    """Evaluate make_report over grid, in grid order, in the calling thread."""
+    """Evaluate make_report over grid, in grid order, in the calling thread.
+
+    max_normalized skips NaN values, and is NaN when every value is.
+    """
     if len(grid) == 0:
         raise UsageError("sweep needs a non-empty grid")
     reports = tuple(make_report(point) for point in grid)
+    norms = [abs(r.normalized) for r in reports if not math.isnan(r.normalized)]
     return SweepResult(
         reports=reports,
-        max_normalized=max(abs(r.normalized) for r in reports),
+        max_normalized=max(norms, default=math.nan),
         endpoint_relative=(reports[0].relative, reports[-1].relative),
     )
 

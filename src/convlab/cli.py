@@ -1,7 +1,8 @@
 """Command-line harness: exact convolutions and verification sweeps.
 
-Six subcommands, each emitting machine-readable rows (CSV by default,
-JSON behind --format json) with a fixed column order:
+Six subcommands.  Each checks every argument, sizes the sieve, builds its
+tables and returns machine-readable rows, which main emits (CSV by
+default, JSON behind --format json) with a fixed column order:
 
   convolve         one exact additive convolution value
                    columns: N, M, boundary, value
@@ -26,9 +27,12 @@ table too large for memory or for numpy to address, an N below 2, a
 sigma table whose powers d**s would overflow float64 (for an integer s
 too), a real sum that would overflow it, and argparse's own errors (a
 missing option or value, a non-integer N, an unknown choice).  It
-prints one "error: ..." line to stderr and no traceback; a malformed
-number is rejected before any table is built.  An option value may start
-with "-" ("--beta -inf"), so it reaches the same checks as "--beta=-inf".
+prints one "error: ..." line to stderr and no traceback.  Every
+argument, each M and verify-general's exponents included, is checked
+before any table is built; only verify-ingham's N >= 16, which its
+envelopes need, is checked after its divisor table.  An option value
+may start with "-" ("--beta -inf"), so it reaches the same checks as
+"--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
 needs, so no output depends on its size: N (or R) where a mu, phi or
@@ -49,8 +53,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .arith import SIEVE_KINDS, build_sieve, check_addressable, tabulate
 from .asymptotics import (
+    ConvolutionReport,
     divisor_report,
     envelope_defect,
+    main_term_sigma_norm,
     ramanujan_regime,
     sigma_norm_report,
     sweep,
@@ -124,7 +130,7 @@ def _csv_cell(v: Any) -> str:
 
 def _json_value(v: Any) -> Any:
     if isinstance(v, float):
-        return None if math.isnan(v) else float("%.15g" % v)
+        return None if math.isnan(v) else float(_fmt_float(v))
     return v
 
 
@@ -167,25 +173,29 @@ def _sieve_for(limit: int, table_N: int):
     return build_sieve(max(limit, 2))
 
 
+def _within_twice_first(reports: Sequence[ConvolutionReport]) -> bool:
+    return all(abs(r.normalized) <= 2.0 * abs(reports[0].normalized) for r in reports)
+
+
 # --- subcommands ---------------------------------------------------------
+
+Result = Tuple[List[Row], Dict[str, Any], int]
 
 _CONVOLVE_HEADERS = ("N", "M", "boundary", "value")
 
 
-def cmd_convolve(args: argparse.Namespace) -> int:
+def cmd_convolve(args: argparse.Namespace) -> Result:
     fkind, fs = _parse_kind(args.f)
     gkind, gs = _parse_kind(args.g)
     M = _parse_float(args.M, "--M")
     _check_N(args.N)
+    spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
     reads_sieve = fkind in SIEVE_KINDS or gkind in SIEVE_KINDS
     sieve = _sieve_for(args.N if reads_sieve else 2, args.N)
     ftab = tabulate(sieve, fkind, args.N, s=fs)
     gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
-    spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
     value = additive_convolution(ftab, gtab, spec)
-    row = {"N": args.N, "M": M, "boundary": args.boundary, "value": value}
-    _emit("convolve", _CONVOLVE_HEADERS, [row], {}, args.format, args.output)
-    return 0
+    return [{"N": args.N, "M": M, "boundary": args.boundary, "value": value}], {}, 0
 
 
 _INGHAM_HEADERS = (
@@ -194,12 +204,15 @@ _INGHAM_HEADERS = (
 )
 
 
-def cmd_verify_ingham(args: argparse.Namespace) -> int:
+def cmd_verify_ingham(args: argparse.Namespace) -> Result:
     grid = _parse_grid(args.N_grid, "N")
     if not all(v.is_integer() and v >= 2 for v in grid):
         raise UsageError(f"N grid entries must be integers >= 2, got {args.N_grid!r}")
     grid = [int(v) for v in grid]
     rule, m_of = _parse_m_rule(args.M_rule)
+    # divisor_report's closed sum is used only for M <= N/2 <= N - 1
+    for N in grid:
+        ConvolutionSpec(N=N, M=m_of(N), boundary="half_open")
     sieve = _sieve_for(math.isqrt(max(grid)), max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
     result = sweep(lambda N: divisor_report(sieve, dtable, N, m_of(N)), grid)
@@ -214,20 +227,14 @@ def cmd_verify_ingham(args: argparse.Namespace) -> int:
         boundary = "closed" if rep.envelope_kind == "divisor_subsum" else "half_open"
         rows.append({**vars(rep), "boundary": boundary, "sub_full_ratio": ratio})
     first, last = result.endpoint_relative
-    norm0 = abs(result.reports[0].normalized)
-    trend_ok = True
-    if len(grid) >= 2:
-        trend_ok = abs(last) < abs(first) and all(
-            abs(r.normalized) <= 2.0 * norm0 for r in result.reports
-        )
+    trend_ok = len(grid) < 2 or (abs(last) < abs(first) and _within_twice_first(result.reports))
     summary = {
         "max_normalized": result.max_normalized,
         "relative_first": first,
         "relative_last": last,
         "trend_ok": trend_ok,
     }
-    _emit("verify-ingham", _INGHAM_HEADERS, rows, summary, args.format, args.output)
-    return 0 if trend_ok else 1
+    return rows, summary, 0 if trend_ok else 1
 
 
 _GENERAL_HEADERS = (
@@ -236,44 +243,42 @@ _GENERAL_HEADERS = (
 )
 
 
-def cmd_verify_general(args: argparse.Namespace) -> int:
+def cmd_verify_general(args: argparse.Namespace) -> Result:
     alpha = _parse_float(args.alpha, "--alpha")
     beta = _parse_float(args.beta, "--beta")
     if alpha <= 0 or beta <= 0:
         raise UsageError("alpha and beta must be positive")
     grid = _parse_grid(args.M_grid, "M")
     _check_N(args.N)
+    for M in grid:
+        ConvolutionSpec(N=args.N, M=M, boundary="half_open")
     sieve = _sieve_for(math.isqrt(args.N), args.N)
+    # the main term's zeta factor rejects an exponent before any table
+    _, delta = main_term_sigma_norm(sieve, alpha, beta, args.N, 1.0)
     ftab = tabulate(sieve, "sigma_norm", args.N, s=alpha)
     gtab = ftab if beta == alpha else tabulate(sieve, "sigma_norm", args.N, s=beta)
-    delta = min(alpha, beta)
     regime = ramanujan_regime(delta)
-    all_reports = [
-        sigma_norm_report(sieve, ftab, gtab, alpha, beta, args.N, M) for M in grid
-    ]
+    result = sweep(lambda M: sigma_norm_report(sieve, ftab, gtab, alpha, beta, args.N, M), grid)
     rows: List[Row] = [
         {**vars(rep), "alpha": alpha, "beta": beta, "delta": delta, "regime": regime}
-        for rep in all_reports
+        for rep in result.reports
     ]
     # M < 2 has no envelope, so only M >= 2 enters the boundedness check
-    reports = [rep for rep in all_reports if rep.M >= 2]
+    reports = [rep for rep in result.reports if rep.M >= 2]
     bounded_ok = True
     if len(reports) >= 2:
         if regime == "delta_gt_1":
             bounded_ok = abs(reports[-1].residual) <= 10.0 * abs(reports[0].residual)
         else:
-            norm0 = abs(reports[0].normalized)
-            bounded_ok = all(abs(r.normalized) <= 2.0 * norm0 for r in reports)
-    max_norm = max((abs(r.normalized) for r in reports), default=math.nan)
-    summary = {"regime": regime, "max_normalized": max_norm, "bounded_ok": bounded_ok}
-    _emit("verify-general", _GENERAL_HEADERS, rows, summary, args.format, args.output)
-    return 0 if bounded_ok else 1
+            bounded_ok = _within_twice_first(reports)
+    summary = {"regime": regime, "max_normalized": result.max_normalized, "bounded_ok": bounded_ok}
+    return rows, summary, 0 if bounded_ok else 1
 
 
 _ORTHO_HEADERS = ("r", "s", "exact", "main", "defect", "normalized")
 
 
-def cmd_orthogonality(args: argparse.Namespace) -> int:
+def cmd_orthogonality(args: argparse.Namespace) -> Result:
     if args.r_max < 1 or args.s_max < 1:
         raise UsageError("r-max and s-max must be >= 1")
     assert_max = args.assert_max
@@ -285,23 +290,22 @@ def cmd_orthogonality(args: argparse.Namespace) -> int:
     sieve = _sieve_for(max(args.r_max, args.s_max), args.N)
     rows: List[Row] = []
     worst = 0.0
-    for r in range(1, args.r_max + 1):
-        for s in range(1, args.s_max + 1):
+    # largest r and s first, so a pair whose lcm is too large to fold fails early
+    for r in range(args.r_max, 0, -1):
+        for s in range(args.s_max, 0, -1):
             rec = orthogonality_defect(sieve, r, s, args.N, args.M)
             normalized = rec.defect / envelope_defect(r, s)
             worst = max(worst, abs(normalized))
             rows.append({"r": r, "s": s, **vars(rec), "normalized": normalized})
-    summary = {"max_normalized_defect": worst}
-    _emit("orthogonality", _ORTHO_HEADERS, rows, summary, args.format, args.output)
-    if assert_max is not None and worst > assert_max:
-        return 1
-    return 0
+    rows.reverse()
+    failed = assert_max is not None and worst > assert_max
+    return rows, {"max_normalized_defect": worst}, 1 if failed else 0
 
 
 _GOLDBACH_HEADERS = ("N", "R", "exact", "singular_series", "main", "ratio")
 
 
-def cmd_goldbach(args: argparse.Namespace) -> int:
+def cmd_goldbach(args: argparse.Namespace) -> Result:
     if args.N < 2 or args.N % 2 != 0:
         raise UsageError(f"N must be an even integer >= 2, got {args.N}")
     if args.R < 1:
@@ -322,15 +326,13 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
         "ratio": ratio,
     }
     in_band = bool(0.5 <= ratio <= 1.5)
-    summary = {"in_band": in_band}
-    _emit("goldbach", _GOLDBACH_HEADERS, [row], summary, args.format, args.output)
-    return 0 if in_band else 1
+    return [row], {"in_band": in_band}, 0 if in_band else 1
 
 
 _TAU_HEADERS = ("y", "exact", "main", "residual_over_log")
 
 
-def cmd_tau(args: argparse.Namespace) -> int:
+def cmd_tau(args: argparse.Namespace) -> Result:
     exact = tau_exact(args.y)
     if args.y >= 2:
         main = tau_main(args.y)
@@ -338,9 +340,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     else:
         main = math.nan
         rol = math.nan
-    row = {"y": args.y, "exact": exact, "main": main, "residual_over_log": rol}
-    _emit("tau", _TAU_HEADERS, [row], {}, args.format, args.output)
-    return 0
+    return [{"y": args.y, "exact": exact, "main": main, "residual_over_log": rol}], {}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             name, parents=[common], help=summary, description="Columns: " + ", ".join(headers)
         )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, headers=headers)
         return p
 
     p = command("convolve", cmd_convolve, _CONVOLVE_HEADERS, "one exact convolution sum")
@@ -446,7 +446,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        rows, summary, code = args.func(args)
+        _emit(args.command, args.headers, rows, summary, args.format, args.output)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -204,8 +204,8 @@ def custom_provider(
     """Coefficients a(r) = rule(r), optionally with decay metadata."""
     if (delta is None) != (bound is None):
         raise UsageError("decay metadata needs both delta and bound")
-    if delta is not None and (delta <= 0 or bound <= 0):
-        raise UsageError("decay metadata must be positive")
+    if delta is not None and not (0 < delta < math.inf and 0 < bound < math.inf):
+        raise UsageError("decay metadata must be positive and finite")
 
     def coefficients(R: int) -> np.ndarray:
         out = np.zeros(R + 1, dtype=np.float64)
@@ -305,8 +305,8 @@ def expansion_adaptive(
     """
     if provider.conditional:
         raise UsageError("adaptive truncation needs a provider with decay metadata")
-    if tol <= 0:
-        raise UsageError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol}")
     partial_sum = provider.partial_sums(sieve, n)
     R = min(_START_R, sieve.limit)
     value = partial_sum(R)

@@ -7,12 +7,14 @@ import pytest
 import brute
 from convlab import (
     UsageError,
+    custom_provider,
     divisor_provider,
     divisor_report,
     envelope_defect,
     envelope_fullsum,
     envelope_ramanujan,
     envelope_subsum,
+    expansion_adaptive,
     main_term_full,
     main_term_general,
     main_term_sigma_full,
@@ -249,6 +251,19 @@ def test_verify_report_fields():
         verify(1.0, 1.0, 0.0, N=4, M=2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda sieve, x: expansion_adaptive(sieve, sigma_provider(1.0), 720, tol=x),
+    lambda sieve, x: main_term_general(sieve, sigma_provider(1.0), sigma_provider(1.0), 6, x),
+    lambda sieve, x: main_term_sigma_norm(sieve, 1.0, 1.0, 6, x),
+    lambda sieve, x: custom_provider(lambda r: r**-3.0, delta=x, bound=1.0),
+    lambda sieve, x: custom_provider(lambda r: r**-3.0, delta=2.0, bound=x),
+], ids=["tol", "main_term_general_M", "main_term_sigma_norm_M", "delta", "bound"])
+def test_library_rejects_non_finite_values(sieve_small, call, bad):
+    with pytest.raises(UsageError):
+        call(sieve_small, bad)
+
+
 def test_sweep_single_and_empty(sieve_small, dtable_small):
     result = sweep(lambda N: divisor_report(sieve_small, dtable_small, N, float(N // 2)), [100])
     assert len(result.reports) == 1
@@ -257,6 +272,17 @@ def test_sweep_single_and_empty(sieve_small, dtable_small):
     assert result.endpoint_relative == (rep.relative, rep.relative)
     with pytest.raises(UsageError):
         sweep(lambda N: rep, [])
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_sweep_max_normalized_skips_nan(nan_first):
+    # a report without an envelope has a NaN normalized; wherever it sits,
+    # the worst case is taken over the others, and is NaN only when all are
+    no_envelope = verify(2.0, 1.0, math.nan, N=4, M=1.0)
+    finite = [verify(3.0, 1.0, 1.0, N=4, M=2.0), verify(2.0, 1.0, 1.0, N=4, M=3.0)]
+    grid = [no_envelope] + finite if nan_first else finite + [no_envelope]
+    assert sweep(lambda rep: rep, grid).max_normalized == 2.0
+    assert math.isnan(sweep(lambda rep: rep, [no_envelope]).max_normalized)
 
 
 def test_sweep_runs_in_calling_thread_in_grid_order(sieve_small, dtable_small, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -324,6 +325,19 @@ def run_to_exit(capsys, *argv):
      ("convolve", "--f", "d", "--g", "d", "--N", "6", "--M", "3", "--boundary", "open")),
     ("--N must be >= 2, got 1",
      ("orthogonality", "--N", "1", "--M", "1", "--r-max", "2", "--s-max", "2")),
+    # each M is checked before the sieve and the tables
+    ("M must lie in [1, N], got M=200.0, N=100",
+     ("convolve", "--f", "phi", "--g", "mu", "--N", "100", "--M", "200",
+      "--boundary", "closed")),
+    ("closed boundary requires M <= N - 1",
+     ("convolve", "--f", "d", "--g", "d", "--N", "100", "--M", "100", "--boundary", "closed")),
+    ("M must lie in [1, N], got M=200.0, N=100",
+     ("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", "100",
+      "--M-grid", "5,200,50")),
+    ("M must lie in [1, N], got M=0.0, N=100",
+     ("verify-ingham", "--N-grid", "100,1000", "--M-rule", "fixed:0")),
+    ("M must lie in [1, N], got M=0.1, N=100",
+     ("verify-ingham", "--N-grid", "100,1000", "--M-rule", "frac:0.001")),
 ])
 def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, argv):
     import convlab.cli as cli
@@ -337,6 +351,65 @@ def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, a
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     assert needle in err
+
+
+@pytest.mark.parametrize("alpha, needle", [
+    ("60", "zeta_real supports s <= 50, got 61.0"),
+    ("1e-300", "zeta_real requires s > 1, got 1.0"),
+])
+def test_verify_general_exponent_exits_2_before_tables(capsys, monkeypatch, alpha, needle):
+    import convlab.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for an exponent the main term rejects")
+
+    monkeypatch.setattr(cli, "tabulate", no_table)
+    code, out, err = run(
+        capsys, "verify-general", "--alpha", alpha, "--beta", "1", "--N", "1000",
+        "--M-grid", "10,20",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {needle}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("convolve", "--f", "d", "--g", "d", "--N", "6", "--M", "3", "--boundary", "closed"),
+    ("verify-ingham", "--N-grid", "1000,2000", "--M-rule", "half"),
+    ("verify-general", "--alpha", "2", "--beta", "2", "--N", "1000", "--M-grid", "10,100"),
+    ("orthogonality", "--N", "100", "--M", "50", "--r-max", "3", "--s-max", "3",
+     "--assert-max", "0"),
+    ("goldbach", "--N", "100", "--R", "10"),
+    ("tau", "--y", "100"),
+])
+def test_main_emits_each_command_once(capsys, monkeypatch, argv):
+    # the subcommands return their rows; main is the one caller of _emit
+    import convlab.cli as cli
+
+    callers = []
+    emit = cli._emit
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        emit(*args)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    assert callers == ["main"]
+
+
+def test_orthogonality_unfoldable_grid_fails_fast():
+    # the first pair with lcm(r, s) > 2**24 in ascending order, (3996, 4199),
+    # comes after about 1.7e7 pairs; the largest r and s are tried first
+    proc = subprocess.run(
+        [sys.executable, "-m", "convlab", "orthogonality", "--N", "100", "--M", "50",
+         "--r-max", "4200", "--s-max", "4200"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: lcm\(r, s\) = \d+ is too large to fold\n", proc.stderr)
 
 
 @pytest.mark.parametrize("needle, argv", [
