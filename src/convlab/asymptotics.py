@@ -79,10 +79,15 @@ def main_term_subsum(sieve: FactorSieve, N: int, M: float) -> float:
     """(6/pi^2) M sigma_{-1}(N) log^2 sqrt(M(N-M)) for M <= N/2."""
     if not 1 <= M <= N / 2:
         raise UsageError(f"main_term_subsum needs 1 <= M <= N/2, got M={M}, N={N}")
-    if M * (N - M) < 2:
-        raise UsageError("need M(N - M) >= 2")
+    _check_subsum_x(N, M)
     X = math.sqrt(M * (N - M))
     return _SIX_OVER_PI2 * M * _sigma_minus_one(sieve, N) * math.log(X) ** 2
+
+
+def _check_subsum_x(N: int, M: float) -> None:
+    # log^2 X with X = sqrt(M(N - M)) must not vanish
+    if M * (N - M) < 2:
+        raise UsageError("need M(N - M) >= 2")
 
 
 def main_term_supersum(sieve: FactorSieve, N: int, M: float) -> float:
@@ -323,6 +328,7 @@ def divisor_report(
     """
     closed = M <= N / 2
     spec = ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open")
+    check_divisor_report(N, M)
     exact = additive_convolution(dtable, dtable, spec)
     if closed:
         main = main_term_subsum(sieve, N, M)
@@ -333,6 +339,20 @@ def divisor_report(
         env = envelope_fullsum(sieve, N)
         kind = "divisor_supersum"
     return verify(exact, main, env, N=N, M=M, envelope_kind=kind)
+
+
+def check_divisor_report(N: int, M: float) -> None:
+    """Raise UsageError where divisor_report has no main term or envelope.
+
+    The rules, in the order divisor_report meets them, for an M in
+    [1, N]: M(N - M) >= 2 for the closed sum (M <= N/2), whose main term
+    takes log sqrt(M(N - M)), then N >= 16 for the envelopes' loglog N.
+    divisor_report checks them before its exact sum; a caller can check
+    every point before it builds the divisor table.
+    """
+    if M <= N / 2:
+        _check_subsum_x(N, M)
+    _check_envelope_n(N)
 
 
 def sigma_norm_report(

@@ -28,19 +28,20 @@ sigma table whose powers d**s would overflow float64 (for an integer s
 too), a real sum that would overflow it, and argparse's own errors (a
 missing option or value, a non-integer N, an unknown choice).  It
 prints one "error: ..." line to stderr and no traceback.  Every
-argument, each M and verify-general's exponents included, is checked
-before any table is built; only verify-ingham's N >= 16, which its
-envelopes need, is checked after its divisor table.  An option value
-may start with "-" ("--beta -inf"), so it reaches the same checks as
-"--beta=-inf".
+argument, each M, verify-general's exponents and verify-ingham's domain
+(M(N - M) >= 2 on its closed sums, N >= 16 for its envelopes) included,
+is checked before any table is built.  An option value may start with
+"-" ("--beta -inf"), so it reaches the same checks as "--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
-needs, so no output depends on its size: N (or R) where a mu, phi or
-Lambda table or the Ramanujan sums read it, isqrt(N) where it only
-factors the N of a main term next to d, sigma or sigma_norm tables,
-which never read it, and the minimal limit 2 for a convolve of two such
-tables, which has no main term.  Whether the largest table is
-addressable is checked before the sieve is built.
+needs, so no output depends on its size: N (or R) where a mu or phi
+table or the Ramanujan sums read it, isqrt(N) where a Lambda table
+finds its primes or the sieve only factors the N of a main term next to
+d, sigma or sigma_norm tables, which never read it, and the minimal
+limit 2 for a convolve of two such tables, which has no main term.
+convolve builds f only to the last index it sums when f and g differ.
+Whether the largest table is addressable is checked before the sieve is
+built.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .arith import SIEVE_KINDS, build_sieve, check_addressable, tabulate
+from .arith import build_sieve, check_addressable, sieve_limit_for, tabulate
 from .asymptotics import (
     ConvolutionReport,
+    check_divisor_report,
     divisor_report,
     envelope_defect,
     main_term_sigma_norm,
@@ -64,7 +66,7 @@ from .asymptotics import (
 )
 from .convolution import ConvolutionSpec, additive_convolution, tau_exact
 from .errors import UsageError
-from .ramanujan import orthogonality_defect, singular_series
+from .ramanujan import check_orthogonality_range, orthogonality_defect, singular_series
 
 Row = Dict[str, Any]
 
@@ -190,10 +192,13 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     M = _parse_float(args.M, "--M")
     _check_N(args.N)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
-    reads_sieve = fkind in SIEVE_KINDS or gkind in SIEVE_KINDS
-    sieve = _sieve_for(args.N if reads_sieve else 2, args.N)
-    ftab = tabulate(sieve, fkind, args.N, s=fs)
-    gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
+    same = (gkind, gs) == (fkind, fs)
+    f_N = args.N if same else max(spec.last_index, 1)
+    sieve = _sieve_for(
+        max(sieve_limit_for(fkind, f_N), sieve_limit_for(gkind, args.N)), args.N
+    )
+    ftab = tabulate(sieve, fkind, f_N, s=fs)
+    gtab = ftab if same else tabulate(sieve, gkind, args.N, s=gs)
     value = additive_convolution(ftab, gtab, spec)
     return [{"N": args.N, "M": M, "boundary": args.boundary, "value": value}], {}, 0
 
@@ -213,6 +218,8 @@ def cmd_verify_ingham(args: argparse.Namespace) -> Result:
     # divisor_report's closed sum is used only for M <= N/2 <= N - 1
     for N in grid:
         ConvolutionSpec(N=N, M=m_of(N), boundary="half_open")
+    for N in grid:
+        check_divisor_report(N, m_of(N))
     sieve = _sieve_for(math.isqrt(max(grid)), max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
     result = sweep(lambda N: divisor_report(sieve, dtable, N, m_of(N)), grid)
@@ -285,8 +292,7 @@ def cmd_orthogonality(args: argparse.Namespace) -> Result:
     if assert_max is not None:
         assert_max = _parse_float(assert_max, "--assert-max")
     _check_N(args.N)
-    if not 1 <= args.M <= args.N:
-        raise UsageError(f"need 1 <= M <= N, got M={args.M}, N={args.N}")
+    check_orthogonality_range(args.N, args.M)
     sieve = _sieve_for(max(args.r_max, args.s_max), args.N)
     rows: List[Row] = []
     worst = 0.0
@@ -310,7 +316,7 @@ def cmd_goldbach(args: argparse.Namespace) -> Result:
         raise UsageError(f"N must be an even integer >= 2, got {args.N}")
     if args.R < 1:
         raise UsageError(f"R must be >= 1, got {args.R}")
-    sieve = _sieve_for(max(args.N, args.R), args.N)
+    sieve = _sieve_for(max(sieve_limit_for("lambda", args.N), args.R), args.N)
     ltab = tabulate(sieve, "lambda", args.N)
     spec = ConvolutionSpec(N=args.N, M=float(args.N), boundary="half_open")
     exact = additive_convolution(ltab, ltab, spec)

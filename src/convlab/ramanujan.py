@@ -361,6 +361,18 @@ class OrthogonalityRecord:
     defect: int
 
 
+def check_orthogonality_range(N: int, M: int) -> None:
+    """Raise UsageError unless M is an integer with 1 <= M <= N.
+
+    The range rule of orthogonality_defect, which a caller can check
+    before it builds a sieve.
+    """
+    if not isinstance(M, int):
+        raise UsageError(f"M must be an integer, got {M!r}")
+    if not 1 <= M <= N:
+        raise UsageError(f"need 1 <= M <= N, got M={M}, N={N}")
+
+
 def orthogonality_defect(
     sieve: FactorSieve, r: int, s: int, N: int, M: int
 ) -> OrthogonalityRecord:
@@ -374,10 +386,7 @@ def orthogonality_defect(
     """
     if r < 1 or s < 1:
         raise UsageError(f"need r, s >= 1, got r={r}, s={s}")
-    if not isinstance(M, int):
-        raise UsageError(f"M must be an integer, got {M!r}")
-    if not 1 <= M <= N:
-        raise UsageError(f"need 1 <= M <= N, got M={M}, N={N}")
+    check_orthogonality_range(N, M)
     if max(r, s) > sieve.limit:
         raise UsageError(f"r={r}, s={s} exceed sieve limit {sieve.limit}")
     L = math.lcm(r, s)

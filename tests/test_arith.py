@@ -224,15 +224,18 @@ def test_tabulate_matches_pointwise(sieve_small):
 
 
 @pytest.mark.parametrize(
-    "limit", [2, 3, 4, 2**21 - 1, 2**21, 2**21 + 1, 2**21 + 12345, 1451**2]
+    "limit",
+    [2, 3, 4, 209, 210, 211, 2**18 - 1, 2**18, 2**18 + 1,
+     2**21 - 1, 2**21, 2**21 + 1, 2**21 + 12345, 1451**2],
 )
 def test_tabulate_bit_identical_to_bulk_oracles(limit):
-    # crosses the 2**20 block cap of the spf-derived tables, of the sieve's
-    # segments and of the hyperbola blocks at a limit that is no power of
-    # two, and covers the smallest sieves; at 1451**2 the last entry of the
-    # last segment is a prime square.  At 2**21 - 1, 2**21 and 2**21 + 1 the
-    # cofactors N//2 and N//2 + 1 of the top block sit on or next to the
-    # block edge 2**20
+    # crosses the 2**20 block cap of the spf-derived tables and of the
+    # hyperbola blocks and the 2**18 sieve segments at a limit that is no
+    # power of two, ends on, before and after one period 210 of the sieve's
+    # wheel and on, before and after the first segment edge, and covers the
+    # smallest sieves; at 1451**2 the last entry of the last segment is a
+    # prime square.  At 2**21 - 1, 2**21 and 2**21 + 1 the cofactors N//2
+    # and N//2 + 1 of the top block sit on or next to the block edge 2**20
     sv = build_sieve(limit)
     expected_spf = brute.spf_table(limit)
     assert sv.spf.dtype == expected_spf.dtype
@@ -250,15 +253,27 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         ("sigma", 1.5, brute.sigma_table(limit, 1.5)),
         ("sigma_norm", 2, brute.sigma_table(limit, -2.0)),
     ]
-    # the hyperbola kinds never read the sieve: one to isqrt(limit), all
-    # the CLI builds for them, gives the same bytes
+    # the hyperbola kinds never read the sieve and Lambda reads only its
+    # primes to isqrt(limit): one to isqrt(limit), all the CLI builds for
+    # them, gives the same bytes
     root = build_sieve(max(math.isqrt(limit), 2))
     for kind, s, expected in cases:
         values = tabulate(sv, kind, limit, s=s).values
         assert values.dtype == expected.dtype, (kind, s)
         assert np.array_equal(values, expected), (kind, s)
-        if kind not in ("mobius", "phi", "lambda"):
+        if kind not in ("mobius", "phi"):
             assert tabulate(root, kind, limit, s=s).values.tobytes() == values.tobytes(), (kind, s)
+
+
+@pytest.mark.parametrize("r", [2, 3, 10, 31])
+def test_lambda_reaches_the_square_of_the_sieve(r):
+    # Lambda reads the sieve's primes to isqrt(N), as factorize does
+    sieve = build_sieve(r)
+    top = (r + 1) ** 2 - 1
+    values = tabulate(sieve, "lambda", top).values
+    assert values.tobytes() == brute.lambda_table(top).tobytes()
+    with pytest.raises(UsageError, match=rf"lambda table: N must lie in \[1, {top}\]"):
+        tabulate(sieve, "lambda", top + 1)
 
 
 def test_phi_is_spf_dtype_and_exact(sieve_1m):

@@ -198,15 +198,19 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     (("verify-general", "--alpha", "2", "--beta", "2", "--N", "3000", "--M-grid", "10,100"),
      math.isqrt(3000)),
     (("convolve", "--f", "d", "--g", "d", "--N", "3", "--M", "1", "--boundary", "closed"), 2),
-    # a mu, phi or Lambda table, or the Ramanujan sums, read the sieve to N or R
+    # a mu or phi table, or the Ramanujan sums, read the sieve to their N or R
     (("convolve", "--f", "phi", "--g", "mu", "--N", "1000", "--M", "3", "--boundary", "closed"),
      1000),
+    # Lambda finds its primes from the sieve's primes to isqrt(N)
     (("convolve", "--f", "d", "--g", "lambda", "--N", "1000", "--M", "3",
-      "--boundary", "closed"), 1000),
+      "--boundary", "closed"), 31),
     (("goldbach", "--N", "1000", "--R", "2000"), 2000),
-    (("goldbach", "--N", "1000", "--R", "10"), 1000),
+    (("goldbach", "--N", "1000", "--R", "10"), 31),
     # the Ramanujan sums of orthogonality read the sieve only to max(r, s)
     (("orthogonality", "--N", "500", "--M", "500", "--r-max", "3", "--s-max", "4"), 4),
+    # f differs from g, so it is built only to the last index summed, M = 3
+    (("convolve", "--f", "mu", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
+     3),
 ])
 def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv, limit):
     import convlab.cli as cli
@@ -225,25 +229,26 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
 
 _CLI_TABLES_AT_2_22 = [
     # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
-    # Measured: phi.mu 1.54 (2.29 with an int64 phi), sigma.d and the
-    # sigma_norm pair 1.75 (2.25 with a sieve to N), goldbach 1.68 (2.13
-    # with Lambda's primes found in one whole-range pass and their logs
-    # taken from one Python list)
+    # Measured: phi.mu 1.07 (1.54 with phi built to N, not to M, and 2.29
+    # with an int64 phi), sigma.d 1.27 (1.52 with sigma built to N, 2.25
+    # with a sieve to N), the sigma_norm pair 1.13, goldbach 1.11 (1.68
+    # with a sieve to N for Lambda's primes, 2.13 with them found in one
+    # whole-range pass and their logs taken from one Python list)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
       "--boundary", "closed"), 1.9),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
       "--boundary", "half_open"), 2.0),
     (("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", str(2**22),
       "--M-grid", "1000,2000000,4000000"), 2.0),
-    (("goldbach", "--N", str(2**22), "--R", "1000"), 1.9),
+    (("goldbach", "--N", str(2**22), "--R", "1000"), 1.2),
 ]
 
 
 @pytest.mark.parametrize("argv, bound", _CLI_TABLES_AT_2_22)
 def test_cli_tables_peak_memory(capsys, argv, bound):
     # each command holds only the tables it reads: no sieve to N next to
-    # the hyperbola tables, phi in the sieve's int32, Lambda's primes found
-    # one block at a time
+    # the hyperbola tables or Lambda, f only to M, phi in the sieve's
+    # int32, Lambda's primes found one segment at a time
     tracemalloc.start()
     try:
         code = main(list(argv))
@@ -351,6 +356,23 @@ def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, a
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     assert needle in err
+
+
+@pytest.mark.parametrize("grid, needle", [
+    ("10,10000000", "envelopes with loglog N need N >= 16, got 10"),
+    ("2,100", "need M(N - M) >= 2"),
+])
+def test_verify_ingham_domain_exits_2_before_tables(capsys, monkeypatch, grid, needle):
+    import convlab.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for a grid point with no envelope")
+
+    monkeypatch.setattr(cli, "tabulate", no_table)
+    code, out, err = run(capsys, "verify-ingham", "--N-grid", grid, "--M-rule", "half")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {needle}\n"
 
 
 @pytest.mark.parametrize("alpha, needle", [
