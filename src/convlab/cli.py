@@ -39,9 +39,9 @@ table or the Ramanujan sums read it, isqrt(N) where a Lambda table
 finds its primes or the sieve only factors the N of a main term next to
 d, sigma or sigma_norm tables, which never read it, and the minimal
 limit 2 for a convolve of two such tables, which has no main term.
-convolve builds f only to the last index it sums when f and g differ.
-Whether the largest table is addressable is checked before the sieve is
-built.
+convolve builds f and g to N whatever M is, so its tables and its
+memory do not depend on M.  Whether the largest table is addressable is
+checked before the sieve is built.
 """
 
 from __future__ import annotations
@@ -192,13 +192,11 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     M = _parse_float(args.M, "--M")
     _check_N(args.N)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
-    same = (gkind, gs) == (fkind, fs)
-    f_N = args.N if same else max(spec.last_index, 1)
     sieve = _sieve_for(
-        max(sieve_limit_for(fkind, f_N), sieve_limit_for(gkind, args.N)), args.N
+        max(sieve_limit_for(fkind, args.N), sieve_limit_for(gkind, args.N)), args.N
     )
-    ftab = tabulate(sieve, fkind, f_N, s=fs)
-    gtab = ftab if same else tabulate(sieve, gkind, args.N, s=gs)
+    ftab = tabulate(sieve, fkind, args.N, s=fs)
+    gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
     value = additive_convolution(ftab, gtab, spec)
     return [{"N": args.N, "M": M, "boundary": args.boundary, "value": value}], {}, 0
 

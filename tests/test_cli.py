@@ -208,9 +208,9 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     (("goldbach", "--N", "1000", "--R", "10"), 31),
     # the Ramanujan sums of orthogonality read the sieve only to max(r, s)
     (("orthogonality", "--N", "500", "--M", "500", "--r-max", "3", "--s-max", "4"), 4),
-    # f differs from g, so it is built only to the last index summed, M = 3
+    # f is built to N whatever M is, so a mu table to N reads the sieve to N
     (("convolve", "--f", "mu", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
-     3),
+     1000),
 ])
 def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv, limit):
     import convlab.cli as cli
@@ -229,11 +229,12 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
 
 _CLI_TABLES_AT_2_22 = [
     # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
-    # Measured: phi.mu 1.07 (1.54 with phi built to N, not to M, and 2.29
-    # with an int64 phi), sigma.d 1.27 (1.52 with sigma built to N, 2.25
-    # with a sieve to N), the sigma_norm pair 1.13, goldbach 1.11 (1.68
-    # with a sieve to N for Lambda's primes, 2.13 with them found in one
-    # whole-range pass and their logs taken from one Python list)
+    # Measured: phi.mu 1.53 (1.07 with phi built only to M, and 2.29
+    # with an int64 phi), sigma.d 1.52 (1.27 with sigma built only to
+    # M - 1, 2.25 with a sieve to N), the sigma_norm pair 1.13, goldbach
+    # 1.11 (1.68 with a sieve to N for Lambda's primes, 2.13 with them
+    # found in one whole-range pass and their logs taken from one Python
+    # list)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
       "--boundary", "closed"), 1.9),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
@@ -247,8 +248,8 @@ _CLI_TABLES_AT_2_22 = [
 @pytest.mark.parametrize("argv, bound", _CLI_TABLES_AT_2_22)
 def test_cli_tables_peak_memory(capsys, argv, bound):
     # each command holds only the tables it reads: no sieve to N next to
-    # the hyperbola tables or Lambda, f only to M, phi in the sieve's
-    # int32, Lambda's primes found one segment at a time
+    # the hyperbola tables or Lambda, phi in the sieve's int32, Lambda's
+    # primes found one segment at a time
     tracemalloc.start()
     try:
         code = main(list(argv))
