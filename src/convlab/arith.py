@@ -5,17 +5,21 @@ come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
 factorization; above the sieve's limit, to about its square, the sieve's
 primes factor n by trial division.  Bulk tables over [1, N] are vectorised
-rather than built per n: the sieve derives mu and phi from spf, only up
-to the largest N or R a caller has asked for (FactorSieve.upto), Lambda
-finds its primes in spf segments sieved on the fly by the sieve's primes
-up to isqrt(N), so its N may reach the square of the sieve's limit, and
-divisor sums come from hyperbola enumeration, so tabulation costs
-O(N log N) array element updates.  The hyperbola tables (d, sigma,
-sigma_norm) never read the sieve, so their N may exceed its limit.  spf
-is sieved in segments of _SEGMENT entries and the tables are written in
+rather than built per n: mu, phi and Lambda read spf segments sieved on
+the fly by the sieve's primes up to isqrt(N), so their N may reach the
+square of the sieve's limit and no spf to N is read; mu and phi are
+built only up to the largest N or R a caller has asked for
+(FactorSieve.upto).  Divisor sums come from hyperbola enumeration, so
+tabulation costs O(N log N) array element updates.  The hyperbola
+tables (d, sigma, sigma_norm) never read the sieve, so their N may
+exceed its limit.  spf is sieved in segments of _SEGMENT entries, mu
+and phi walk blocks of as many, and the hyperbola tables are written in
 blocks of at most _BLOCK entries, so the strided updates stay in cache;
 the order of the updates each entry receives does not depend on the
-block size, and neither do the bits of any table.  mu, phi and the
+block size, and neither do the bits of any table.  An integer table
+comes in the narrowest dtype proven to hold it (int16 for d below
+2**31, int32 for phi and for sigma_s while N**s (2 + ln N) < 2**31), so
+a caller widens before it multiplies values.  mu, phi and the
 hyperbola tables read their own entries at m <= n/2, below n's block: mu
 and phi walk their blocks up, and the hyperbola tables start from n**s
 and walk down, so a cofactor j = n/d with d >= 2 still holds j**s.
@@ -60,11 +64,12 @@ _SEGMENT = 1 << 18
 _WHEEL = 210  # 2 * 3 * 5 * 7, the period of the primes the sieve does not stride with
 
 # f(p m) from f(m), p = spf(p m) and whether p divides m, for the tables
-# FactorSieve derives from spf; dtype None is spf's own, which holds
-# phi(n) <= n
+# FactorSieve derives from spf; dtype None is the spf dtype of their
+# n_max, which holds phi(n) <= n.  Arithmetic on the mask, not np.where,
+# which branches on it and took about 4x as long
 _FROM_SPF = {
-    "mobius": (np.int8, lambda mu_m, p, p_divides_m: np.where(p_divides_m, 0, -mu_m)),
-    "phi": (None, lambda phi_m, p, p_divides_m: phi_m * np.where(p_divides_m, p, p - 1)),
+    "mobius": (np.int8, lambda mu_m, p, p_divides_m: -mu_m * ~p_divides_m),
+    "phi": (None, lambda phi_m, p, p_divides_m: phi_m * (p - ~p_divides_m)),
 }
 
 
@@ -76,14 +81,15 @@ class FactorSieve:
     is immutable, but memo is filled lazily and has no lock, so a sieve
     is not safe to share between threads.  Memory is about
     4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
-    it one _SEGMENT at a time, as the Lambda table sieves its own
-    segments above the limit.
+    it one _SEGMENT at a time, as the mu, phi and Lambda tables sieve
+    their own segments from its primes up to the root of their N.
 
     Every table derived from it goes through memo: the primes, and the
     tables a caller reads only on 0..R, which prefix(key, R, build) keeps
     one per key at the largest R asked for so far.  upto(name, R) is that
-    cache over the mu and phi tables built from spf; other modules keep
-    their own keys.
+    cache over the mu and phi tables, which sieve their own spf segments
+    from the primes up to isqrt(R), so R may reach (limit + 1)**2 - 1;
+    other modules keep their own keys, with R <= limit.
     """
 
     limit: int
@@ -99,11 +105,14 @@ class FactorSieve:
         return primes
 
     def upto(self, name: str, R: int) -> np.ndarray:
-        """mu ("mobius", int8) or phi ("phi", spf's dtype) on 0..R, read-only.
+        """mu ("mobius", int8) or phi ("phi", int32 below 2**31) on 0..R, read-only.
 
-        Entry 0 is 0.
+        Entry 0 is 0, and R may reach (limit + 1)**2 - 1.
         """
-        return self.prefix(name, R, lambda n_max: self._from_spf(name, n_max))
+        top = (self.limit + 1) ** 2 - 1
+        if not 0 <= R <= top:
+            raise UsageError(f"R must lie in [0, {top}], got {R}")
+        return self._cached(name, R, lambda n_max: self._from_spf(name, n_max))
 
     def prefix(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
         """build(R) on 0..R, read-only, for 0 <= R <= limit.
@@ -114,6 +123,9 @@ class FactorSieve:
         """
         if not 0 <= R <= self.limit:
             raise UsageError(f"R must lie in [0, {self.limit}], got {R}")
+        return self._cached(key, R, build)
+
+    def _cached(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
         if len(self.memo.get(key, ())) <= R:
             self.memo.pop(key, None)
             self.memo[key] = build(R)
@@ -124,22 +136,21 @@ class FactorSieve:
         # f(n) = step(f(m), p, p | m) for n = p m with p = spf(n); the
         # blocks run up, so m <= n / 2 is already filled
         dtype, step = _FROM_SPF[name]
-        out = np.zeros(n_max + 1, dtype=dtype or self.spf.dtype)
+        out = np.zeros(n_max + 1, dtype=dtype or _spf_dtype(n_max))
         out[1:2] = 1
-        for lo, hi in _halving_blocks(n_max):
-            p = self.spf[lo:hi]
-            m = np.arange(lo, hi, dtype=p.dtype) // p
-            out[lo:hi] = step(out[m], p, m % p == 0)
+        for lo, p in _spf_blocks(self, n_max):
+            m = np.arange(lo, lo + len(p), dtype=p.dtype) // p
+            out[lo : lo + len(p)] = step(out[m], p, m % p == 0)
         return out
 
 
-def _halving_blocks(n_max: int) -> List[Tuple[int, int]]:
-    # [lo, hi) over 2..n_max, ascending, at most _BLOCK long and hi <= 2 lo,
+def _halving_blocks(n_max: int, size: int = _BLOCK) -> List[Tuple[int, int]]:
+    # [lo, hi) over 2..n_max, ascending, at most size long and hi <= 2 lo,
     # so each m <= n/2 of an n in a block lies below it: finished when the
     # blocks run up, untouched when they run down
     edges = [2]
     while edges[-1] <= n_max:
-        edges.append(min(2 * edges[-1], edges[-1] + _BLOCK, n_max + 1))
+        edges.append(min(2 * edges[-1], edges[-1] + size, n_max + 1))
     return list(zip(edges, edges[1:]))
 
 
@@ -158,7 +169,9 @@ class ArithTable:
     values is 1-indexed; values[0] is unused and zero.
     kind is a canonical tag such as "divisor", "sigma(2)", "sigma_norm(0.5)",
     "mobius", "phi", "lambda" or "custom".  Every table tabulate returns
-    is read-only; the mobius and phi values are views of the sieve's own
+    is read-only, and an integer one is in the narrowest dtype proven to
+    hold it (int16 for d below 2**31), so widen before multiplying
+    values; the mobius and phi values are views of the sieve's own
     tables, not copies.  abs_max, the table-wide max |value| that proves
     an exact sum fits int64, is computed once on first use.
     """
@@ -249,6 +262,18 @@ def _spf_segment(seg: np.ndarray, lo: int, primes: np.ndarray, wheel: np.ndarray
         seg[i :: 2 * q] = q
     offset = lo % _WHEEL
     np.minimum(seg, wheel[offset : offset + len(seg)], out=seg)
+
+
+def _spf_blocks(sieve: FactorSieve, n_max: int):
+    # (lo, spf of lo..hi-1) over the _halving_blocks of 2..n_max at most
+    # _SEGMENT long, each sieved from the sieve's primes up to
+    # isqrt(n_max) into one buffer, which the next block overwrites
+    root = _primes_in(sieve.spf[: math.isqrt(n_max) + 1], 0)
+    buf = np.empty(min(_SEGMENT, n_max + 1), dtype=_spf_dtype(n_max))
+    wheel = _wheel(len(buf) + _WHEEL, buf.dtype)
+    for lo, hi in _halving_blocks(n_max, _SEGMENT):
+        _spf_segment(buf[: hi - lo], lo, root, wheel)
+        yield lo, buf[: hi - lo]
 
 
 def _primes(spf: np.ndarray) -> np.ndarray:
@@ -377,14 +402,16 @@ def von_mangoldt(f: Factorization) -> float:
 # --- bulk tables -------------------------------------------------------
 
 
-def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
+def _hyperbola_table(N: int, s: int | float) -> np.ndarray:
     # sum_{d | n} d**s by hyperbola pairing: each d <= sqrt(n) dividing n
     # adds d**s + (n/d)**s, and d = sqrt(n) takes its d**s back.  out
     # starts as n**s and the blocks run down, so each d >= 2 reads its
     # cofactor n/d while it is still (n/d)**s.  d ascends in each block, so
     # every n gets the same additions in the same order as whole-range passes.
-    # sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any addressable n.  This
-    # check comes first, so N**s below has at most about 1000 bits
+    # An int s gives an exact table in _hyperbola_dtype(N, s), any other
+    # s a float64 one.  sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any
+    # addressable n.  This check comes first, so N**s below has at most
+    # about 1000 bits
     if s * math.log2(N) > 1000:
         raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
     if isinstance(s, int) and N**s >= 2**61:
@@ -392,6 +419,7 @@ def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
             f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
+    dtype = _hyperbola_dtype(N, s) if isinstance(s, int) else np.float64
     if s == 0:
         out = np.ones(N + 1, dtype=dtype)  # n**0, with no pass of powers
     else:
@@ -413,21 +441,29 @@ def _hyperbola_table(N: int, s: int | float, dtype) -> np.ndarray:
     return out
 
 
+def _hyperbola_dtype(N: int, s: int):
+    # the narrowest dtype proven to hold sigma_s on 0..N, for an int s >= 0:
+    # int16 for d = sigma_0 below N = 2**31, where d(n) < 1750 (Nicolas and
+    # Robin, Canad. Math. Bull. 26, 1983), int32 above.  For s >= 1, int32
+    # while s log2 N + log2(2 + ln N) < 31: sigma_s(n) <= n**s H_n <=
+    # n**s (1 + ln n), and the build holds at most n**(s/2) more for a
+    # moment at a square n; int64 above.  In logs, never as N**s
+    if s == 0:
+        return np.int16 if N < 2**31 else np.int32
+    if s * math.log2(N) + math.log2(2 + math.log(N)) < 31:
+        return np.int32
+    return np.int64
+
+
 def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
-    # Lambda(p**k) = log p.  The primes to N come out of spf segments of
-    # 0..N sieved by the sieve's primes up to isqrt(N), one _SEGMENT at a
-    # time, so neither spf to N nor a list of all the primes is built.
-    # math.log, not np.log: the two differ in the last bit for some p
-    root = _primes_in(sieve.spf[: math.isqrt(N) + 1], 0)
+    # Lambda(p**k) = log p.  The primes to N come out of _spf_blocks, so
+    # neither spf to N nor a list of all the primes is built.  math.log,
+    # not np.log: the two differ in the last bit for some p
     out = np.zeros(N + 1, dtype=np.float64)
-    buf = np.empty(min(_SEGMENT, N + 1), dtype=_spf_dtype(N))
-    wheel = _wheel(len(buf) + _WHEEL, buf.dtype)
-    for lo in range(0, N + 1, _SEGMENT):
-        seg = buf[: N + 1 - lo]
-        _spf_segment(seg, lo, root, wheel)
+    for lo, seg in _spf_blocks(sieve, N):
         primes = _primes_in(seg, lo)
         out[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
-    for p in root.tolist():
+    for p in _primes_in(sieve.spf[: math.isqrt(N) + 1], 0).tolist():
         pk = p * p
         while pk <= N:
             out[pk] = out[p]
@@ -436,20 +472,16 @@ def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
 
 
 _TABLE_KINDS = ("divisor", "sigma", "mobius", "phi", "lambda", "sigma_norm")
-# the kinds tabulate reads from spf on 0..N
-SIEVE_KINDS = ("mobius", "phi")
 
 
 def sieve_limit_for(kind: str, N: int) -> int:
     """The smallest sieve limit tabulate accepts for a kind table to N >= 1.
 
-    N for mobius and phi, isqrt(N) for lambda, which reads only the
-    primes up to isqrt(N), and the minimal limit 2 for the hyperbola
-    kinds, which never read the sieve.
+    isqrt(N) for mobius, phi and lambda, which read only the primes up to
+    isqrt(N), and the minimal limit 2 for the hyperbola kinds, which
+    never read the sieve.
     """
-    if kind in SIEVE_KINDS:
-        return N
-    return math.isqrt(N) if kind == "lambda" else 2
+    return math.isqrt(N) if kind in ("mobius", "phi", "lambda") else 2
 
 
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:
@@ -458,22 +490,23 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     kind is one of "divisor", "sigma", "mobius", "phi", "lambda",
     "sigma_norm"; the sigma kinds take the exponent s.  sigma with a
     non-negative integer s yields an exact integer table, any other s a
-    float table.  sigma_norm(s) tabulates sigma_s(n) / n**s, which is
-    sigma_{-s}(n).  A table that could overflow raises UsageError before
+    float table.  Each integer table comes in the narrowest dtype proven
+    to hold it (_hyperbola_dtype; int8 mu, int32 phi below 2**31), so
+    widen before multiplying values.  sigma_norm(s) tabulates
+    sigma_s(n) / n**s, which is sigma_{-s}(n).  A table that could overflow raises UsageError before
     anything is allocated: any one with t log2 N > 1000 for its powers
     d**t (t = s, or -s for sigma_norm), checked first, and an integer one
     past int64.
-    mobius and phi read the sieve and require N <= sieve.limit; lambda
-    reads its primes up to isqrt(N), so N < (sieve.limit + 1)**2, as for
-    factorize; the hyperbola kinds (divisor, sigma, sigma_norm) never
-    read it (sieve_limit_for).
+    mobius, phi and lambda read the sieve's primes up to isqrt(N), so
+    N < (sieve.limit + 1)**2, as for factorize; the hyperbola kinds
+    (divisor, sigma, sigma_norm) never read it (sieve_limit_for).
     """
     if kind not in _TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}")
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
     if sieve_limit_for(kind, N) > sieve.limit:
-        top = sieve.limit if kind in SIEVE_KINDS else (sieve.limit + 1) ** 2 - 1
+        top = (sieve.limit + 1) ** 2 - 1
         raise UsageError(f"{kind} table: N must lie in [1, {top}], got {N}")
     check_addressable(N, "table to N =")
     if kind in ("sigma", "sigma_norm"):
@@ -484,15 +517,12 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
         raise UsageError(f"kind {kind!r} takes no exponent")
 
     if kind == "divisor":
-        kind, values = "divisor", _hyperbola_table(N, 0, np.int32)
+        values = _hyperbola_table(N, 0)
     elif kind == "sigma":
-        if s >= 0 and s.is_integer():
-            values = _hyperbola_table(N, int(s), np.int64)
-        else:
-            values = _hyperbola_table(N, s, np.float64)
+        values = _hyperbola_table(N, int(s) if s >= 0 and s.is_integer() else s)
         kind = f"sigma({s:g})"
     elif kind == "sigma_norm":
-        kind, values = f"sigma_norm({s:g})", _hyperbola_table(N, -s, np.float64)
+        kind, values = f"sigma_norm({s:g})", _hyperbola_table(N, -s)
     elif kind in ("mobius", "phi"):
         values = sieve.upto(kind, N)
     else:

@@ -34,11 +34,12 @@ is checked before any table is built.  An option value may start with
 "-" ("--beta -inf"), so it reaches the same checks as "--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
-needs, so no output depends on its size: N (or R) where a mu or phi
-table or the Ramanujan sums read it, isqrt(N) where a Lambda table
-finds its primes or the sieve only factors the N of a main term next to
-d, sigma or sigma_norm tables, which never read it, and the minimal
-limit 2 for a convolve of two such tables, which has no main term.
+needs, so no output depends on its size: R where the Ramanujan sums
+read it, isqrt(N) where a mu, phi or Lambda table sieves its own
+segments from the primes up to isqrt(N) or the sieve only factors the N
+of a main term next to d, sigma or sigma_norm tables, which never read
+it, and the minimal limit 2 for a convolve of two such tables, which has
+no main term.
 convolve builds f and g to N whatever M is, so its tables and its
 memory do not depend on M.  Whether the largest table is addressable is
 checked before the sieve is built.

@@ -6,8 +6,8 @@ real; the effective index ranges are n <= ceil(M) - 1 and n <= floor(M).
 Integer sums are exact.  They run in int64 runs of at most 2**16
 summands, each short enough that run * max|f| * max|g| <= 2**62, so no
 run's sum can leave int64, and the runs add up in a Python int: one
-multiply per run, in the tables' common integer type when
-max|f| * max|g| fits it (int64 otherwise), reduced to int64.  The bound
+multiply per run, in the tables' common integer type widened to int32 or
+int64 only as far as max|f| * max|g| needs, reduced to int64.  The bound
 reads each table's max|value|, computed once per ArithTable
 (ArithTable.abs_max) when the table and every array it views are
 read-only, and scans the summed slices when they are not or when that
@@ -121,10 +121,9 @@ def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
         # int64 runs this short cost more than Python ints
         return sum(int(a) * int(b) for a, b in zip(fa.tolist(), ga.tolist()))
     # no run's sum can leave int64, and the runs add up in a Python int;
-    # each product is formed in the common type when no product can wrap it
-    ctype = np.result_type(fa, ga)
-    if ctype.kind not in "iu" or fmax * gmax > np.iinfo(ctype).max:
-        ctype = np.dtype(np.int64)
+    # each product is formed in the common type, widened to int32 or int64
+    # only as far as the largest product needs
+    ctype = _product_type(np.result_type(fa, ga), fmax * gmax)
     buf = np.empty(min(run, k), dtype=ctype)
     total = 0
     for i in range(0, k, run):
@@ -132,6 +131,16 @@ def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
         np.multiply(fa[i : i + run], ga[i : i + run], out=prod, dtype=ctype)
         total += int(prod.sum(dtype=np.int64))
     return total
+
+
+def _product_type(common: np.dtype, bound: int) -> np.dtype:
+    # the narrowest of common, int32 and int64 that is no narrower than
+    # common and holds every product up to bound
+    for ctype in (common, np.dtype(np.int32)):
+        if ctype.kind in "iu" and ctype.itemsize >= common.itemsize:
+            if bound <= np.iinfo(ctype).max:
+                return ctype
+    return np.dtype(np.int64)
 
 
 def _run_length(fmax: int, gmax: int) -> int:

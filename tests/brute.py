@@ -218,13 +218,31 @@ def spf_table(limit: int) -> np.ndarray:
     return spf
 
 
+def exact_sigma_dtype(N: int, s: int):
+    """The dtype of an exact sigma_s table to N, from the proven bounds.
+
+    d(n) < 1750 below 2**31 (Nicolas-Robin) fits int16, and
+    sigma_s(n) + n**(s/2) <= N**s (2 + ln N) < 2**31 fits int32.
+    """
+    if s == 0:
+        return np.int16 if N < 2**31 else np.int32
+    return np.int32 if N**s * (2 + math.log(N)) < 2**31 else np.int64
+
+
+def _narrow(values: np.ndarray, dtype) -> np.ndarray:
+    # the int64 values in dtype, which must hold every one of them
+    out = values.astype(dtype)
+    assert np.array_equal(out, values), f"{dtype.__name__} does not hold the table"
+    return out
+
+
 def divisor_table(N: int) -> np.ndarray:
-    """d(n) as int32: each d <= sqrt(N) adds 2 to its multiples from d*d."""
-    out = np.zeros(N + 1, dtype=np.int32)
+    """d(n): each d <= sqrt(N) adds 2 to its multiples from d*d."""
+    out = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, math.isqrt(N) + 1):
         out[d * d :: d] += 2
         out[d * d] -= 1
-    return out
+    return _narrow(out, exact_sigma_dtype(N, 0))
 
 
 def primes_upto(N: int) -> np.ndarray:
@@ -264,7 +282,7 @@ def lambda_table(N: int) -> np.ndarray:
 
 
 def sigma_table(N: int, s) -> np.ndarray:
-    """sum_{d | n} d**s: exact int64 for an int s >= 1, float64 otherwise."""
+    """sum_{d | n} d**s: exact for an int s >= 0, in exact_sigma_dtype, float64 otherwise."""
     exact = isinstance(s, int)
     out = np.zeros(N + 1, dtype=np.int64 if exact else np.float64)
     for d in range(1, math.isqrt(N) + 1):
@@ -275,7 +293,7 @@ def sigma_table(N: int, s) -> np.ndarray:
         else:
             out[idx] += float(d) ** s + (idx // d).astype(np.float64) ** s
             out[d * d] -= float(d) ** s
-    return out
+    return _narrow(out, exact_sigma_dtype(N, s)) if exact else out
 
 
 def tau_fsum(y: float) -> float:

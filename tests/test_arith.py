@@ -21,6 +21,7 @@ from convlab import (
     tabulate,
     von_mangoldt,
 )
+from convlab.arith import _hyperbola_dtype
 
 
 def test_build_sieve_small_values():
@@ -181,8 +182,9 @@ def test_tabulate_examples(sieve_small):
 
 
 def test_tabulate_rejects_overlong(sieve_small):
+    # mu reads the sieve's primes to isqrt(N), so it reaches (limit + 1)**2 - 1
     with pytest.raises(UsageError):
-        tabulate(sieve_small, "mobius", 10_001)
+        tabulate(sieve_small, "mobius", 10_001**2)
     with pytest.raises(UsageError):
         tabulate(sieve_small, "no_such_kind", 10)
 
@@ -253,16 +255,38 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         ("sigma", 1.5, brute.sigma_table(limit, 1.5)),
         ("sigma_norm", 2, brute.sigma_table(limit, -2.0)),
     ]
-    # the hyperbola kinds never read the sieve and Lambda reads only its
-    # primes to isqrt(limit): one to isqrt(limit), all the CLI builds for
-    # them, gives the same bytes
+    # the hyperbola kinds never read the sieve and mu, phi and Lambda read
+    # only its primes to isqrt(limit): one to isqrt(limit), all the CLI
+    # builds for them, gives the same bytes
     root = build_sieve(max(math.isqrt(limit), 2))
     for kind, s, expected in cases:
         values = tabulate(sv, kind, limit, s=s).values
         assert values.dtype == expected.dtype, (kind, s)
         assert np.array_equal(values, expected), (kind, s)
-        if kind not in ("mobius", "phi"):
-            assert tabulate(root, kind, limit, s=s).values.tobytes() == values.tobytes(), (kind, s)
+        assert tabulate(root, kind, limit, s=s).values.tobytes() == values.tobytes(), (kind, s)
+
+
+@pytest.mark.parametrize("N, dtype", [
+    (2**31 - 1, np.int16), (2**31, np.int32), (2**40, np.int32),
+])
+def test_divisor_dtype_rule_at_2_31(N, dtype):
+    # d(n) < 1750 below 2**31 (Nicolas-Robin), so d and sigma(0) are int16
+    # there; the rule alone, no table this size is built
+    assert _hyperbola_dtype(N, 0) == dtype == brute.exact_sigma_dtype(N, 0)
+
+
+def test_sigma_2_dtype_crosses_to_int64_where_bound_reaches_2_31():
+    # N**2 (2 + ln N) crosses 2**31 near N = 13650: the last int32 table
+    # and the first int64 one both hold the exact values
+    top = max(N for N in range(13_000, 14_000) if _hyperbola_dtype(N, 2) == np.int32)
+    assert 13_600 < top < 13_700
+    assert top**2 * (2 + math.log(top)) < 2**31 <= (top + 1) ** 2 * (2 + math.log(top + 1))
+    sv = build_sieve(2)
+    for N, dtype in ((top, np.int32), (top + 1, np.int64)):
+        values = tabulate(sv, "sigma", N, s=2).values
+        expected = brute.sigma_table(N, 2)
+        assert values.dtype == expected.dtype == dtype
+        assert np.array_equal(values, expected)
 
 
 @pytest.mark.parametrize("r", [2, 3, 10, 31])
@@ -354,8 +378,12 @@ def test_upto_prefix_matches_full_tables():
         # once the full table is built it is sliced, not a second prefix
         assert np.shares_memory(sv.upto(name, 500), full)
     assert {k: len(v) for k, v in sv.memo.items()} == {"mobius": 10_001, "phi": 10_001}
+    # mu and phi sieve their own segments from the primes to isqrt(R)
     with pytest.raises(UsageError):
-        sv.upto("phi", 10_001)
+        sv.upto("phi", 10_001**2)
+    small = build_sieve(30)
+    for name, oracle in (("mobius", brute.mobius_table), ("phi", brute.phi_table)):
+        assert np.array_equal(small.upto(name, 31**2 - 1), oracle(31**2 - 1)), name
 
 
 def test_sigma_minus_one_identity(sieve_small):
@@ -386,7 +414,8 @@ def test_multiplicativity_tables(sieve_1m):
         small = tabulate(sieve_1m, kind, L, s=s).values
         big = tabulate(sieve_1m, kind, L * L, s=s).values
         lhs = big[prod[coprime]]
-        rhs = np.outer(small[1:], small[1:])[coprime]
+        # sigma_2 to 1000 is int32, whose products would wrap
+        rhs = np.outer(small[1:].astype(np.int64), small[1:])[coprime]
         assert (lhs == rhs).all(), kind
 
 

@@ -198,19 +198,19 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     (("verify-general", "--alpha", "2", "--beta", "2", "--N", "3000", "--M-grid", "10,100"),
      math.isqrt(3000)),
     (("convolve", "--f", "d", "--g", "d", "--N", "3", "--M", "1", "--boundary", "closed"), 2),
-    # a mu or phi table, or the Ramanujan sums, read the sieve to their N or R
+    # mu, phi and Lambda sieve their own segments from the primes to isqrt(N)
     (("convolve", "--f", "phi", "--g", "mu", "--N", "1000", "--M", "3", "--boundary", "closed"),
-     1000),
-    # Lambda finds its primes from the sieve's primes to isqrt(N)
+     31),
     (("convolve", "--f", "d", "--g", "lambda", "--N", "1000", "--M", "3",
       "--boundary", "closed"), 31),
+    # goldbach reads the sieve to R for its Ramanujan sums, to isqrt(N) for Lambda
     (("goldbach", "--N", "1000", "--R", "2000"), 2000),
     (("goldbach", "--N", "1000", "--R", "10"), 31),
     # the Ramanujan sums of orthogonality read the sieve only to max(r, s)
     (("orthogonality", "--N", "500", "--M", "500", "--r-max", "3", "--s-max", "4"), 4),
-    # f is built to N whatever M is, so a mu table to N reads the sieve to N
+    # f is built to N whatever M is, so a mu table to N reads the sieve to isqrt(N)
     (("convolve", "--f", "mu", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
-     1000),
+     31),
 ])
 def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv, limit):
     import convlab.cli as cli
@@ -229,16 +229,16 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
 
 _CLI_TABLES_AT_2_22 = [
     # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
-    # Measured: phi.mu 1.53 (1.07 with phi built only to M, and 2.29
-    # with an int64 phi), sigma.d 1.52 (1.27 with sigma built only to
-    # M - 1, 2.25 with a sieve to N), the sigma_norm pair 1.13, goldbach
-    # 1.11 (1.68 with a sieve to N for Lambda's primes, 2.13 with them
-    # found in one whole-range pass and their logs taken from one Python
-    # list)
+    # Measured: phi.mu 0.77 (1.53 with a sieve to N, 2.29 with an int64
+    # phi as well), sigma.d 0.77 (1.52 with an int64 sigma and an int32
+    # d, 2.25 with a sieve to N as well), the sigma_norm pair 1.13,
+    # goldbach 1.11 (1.68 with a sieve to N for Lambda's primes, 2.13 with
+    # them found in one whole-range pass and their logs taken from one
+    # Python list)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
-      "--boundary", "closed"), 1.9),
+      "--boundary", "closed"), 0.9),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
-      "--boundary", "half_open"), 2.0),
+      "--boundary", "half_open"), 0.9),
     (("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", str(2**22),
       "--M-grid", "1000,2000000,4000000"), 2.0),
     (("goldbach", "--N", str(2**22), "--R", "1000"), 1.2),
@@ -248,8 +248,8 @@ _CLI_TABLES_AT_2_22 = [
 @pytest.mark.parametrize("argv, bound", _CLI_TABLES_AT_2_22)
 def test_cli_tables_peak_memory(capsys, argv, bound):
     # each command holds only the tables it reads: no sieve to N next to
-    # the hyperbola tables or Lambda, phi in the sieve's int32, Lambda's
-    # primes found one segment at a time
+    # any table, each integer table in its narrowest proven dtype, the
+    # primes of mu, phi and Lambda found one segment at a time
     tracemalloc.start()
     try:
         code = main(list(argv))

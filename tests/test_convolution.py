@@ -15,7 +15,7 @@ from convlab import (
     tabulate,
     tau_exact,
 )
-from convlab.convolution import _MIN_RUN, _exact_int_sum, _run_length
+from convlab.convolution import _MIN_RUN, _exact_int_sum, _product_type, _run_length
 
 
 def _dd(dtable, N, M, boundary):
@@ -417,6 +417,10 @@ def test_additive_convolution_exact_with_table_bounds(case):
     ([-128, -128, 5], [-1, -1, -128], np.int8),
     # |f| * |g| = 2**31 - 1 fits, so the products stay int32
     ([2**31 - 1, -(2**31 - 1), 7], [1, 1, -1], np.int32),
+    # 182 * 181 = 32942 wraps an int16 product, as two int16 d tables' could
+    ([182, -182, 181], [181, 181, -182], np.int16),
+    # |f| * |g| = 181**2 = 32761 fits, so the products stay int16
+    ([181, -181, 7], [181, 181, -181], np.int16),
 ])
 def test_chunk_products_never_wrap(fvals, gvals, dtype):
     # 210 000 summands: several 2**16 chunks, the last one partial
@@ -427,6 +431,20 @@ def test_chunk_products_never_wrap(fvals, gvals, dtype):
     spec = ConvolutionSpec(N=N, M=float(f.N), boundary="closed")
     fv, gv = f.values.tolist(), g.values.tolist()
     assert additive_convolution(f, g, spec) == sum(fv[n] * gv[N - n] for n in range(1, N))
+
+
+@pytest.mark.parametrize("common, bound, expected", [
+    # two int16 d tables multiply in int32 once a product passes 2**15 - 1
+    (np.int16, 2**15 - 1, np.int16),
+    (np.int16, 2**15, np.int32),
+    (np.int16, 2**31 - 1, np.int32),
+    (np.int16, 2**31, np.int64),
+    (np.int8, 2**7, np.int32),
+    # never narrower than the common type
+    (np.int64, 1, np.int64),
+])
+def test_product_type_widens_only_as_far_as_needed(common, bound, expected):
+    assert _product_type(np.dtype(common), bound) == expected
 
 
 @pytest.mark.parametrize("fmax, gmax", [
