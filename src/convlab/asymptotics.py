@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .arith import ArithTable, FactorSieve, factorize, sigma_rational, sigma_real
-from .convolution import ConvolutionSpec, additive_convolution
+from .convolution import ConvolutionSpec, additive_convolution, additive_convolutions
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
 from .special import gamma_real, zeta_real
@@ -56,6 +56,7 @@ __all__ = [
     "verify",
     "sweep",
     "divisor_report",
+    "divisor_reports",
     "sigma_norm_report",
 ]
 
@@ -326,19 +327,37 @@ def divisor_report(
     uses the closed-boundary sum with its refined main term; M > N/2 uses
     the half-open sum with the complement main term.
     """
-    closed = M <= N / 2
-    spec = ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open")
-    check_divisor_report(N, M)
-    exact = additive_convolution(dtable, dtable, spec)
-    if closed:
-        main = main_term_subsum(sieve, N, M)
-        env = envelope_subsum(sieve, N, M)
-        kind = "divisor_subsum"
-    else:
-        main = main_term_supersum(sieve, N, M)
-        env = envelope_fullsum(sieve, N)
-        kind = "divisor_supersum"
-    return verify(exact, main, env, N=N, M=M, envelope_kind=kind)
+    return divisor_reports(sieve, dtable, [(N, M)])[0]
+
+
+def divisor_reports(
+    sieve: FactorSieve, dtable: ArithTable, points: Sequence[Tuple[int, float]]
+) -> List[ConvolutionReport]:
+    """divisor_report at every (N, M) of points, in order.
+
+    Every point is checked before any sum, and the exact sums come from
+    one additive_convolutions call, which reads each block of dtable once
+    for the whole grid.
+    """
+    specs = []
+    for N, M in points:
+        closed = M <= N / 2
+        specs.append(ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open"))
+        check_divisor_report(N, M)
+    exacts = additive_convolutions(dtable, dtable, specs)
+    reports = []
+    for spec, exact in zip(specs, exacts):
+        N, M = spec.N, spec.M
+        if spec.boundary == "closed":
+            main = main_term_subsum(sieve, N, M)
+            env = envelope_subsum(sieve, N, M)
+            kind = "divisor_subsum"
+        else:
+            main = main_term_supersum(sieve, N, M)
+            env = envelope_fullsum(sieve, N)
+            kind = "divisor_supersum"
+        reports.append(verify(exact, main, env, N=N, M=M, envelope_kind=kind))
+    return reports
 
 
 def check_divisor_report(N: int, M: float) -> None:

@@ -57,7 +57,7 @@ from .arith import build_sieve, check_addressable, sieve_limit_for, tabulate
 from .asymptotics import (
     ConvolutionReport,
     check_divisor_report,
-    divisor_report,
+    divisor_reports,
     envelope_defect,
     main_term_sigma_norm,
     ramanujan_regime,
@@ -65,7 +65,7 @@ from .asymptotics import (
     sweep,
     tau_main,
 )
-from .convolution import ConvolutionSpec, additive_convolution, tau_exact
+from .convolution import ConvolutionSpec, additive_convolution, additive_convolutions, tau_exact
 from .errors import UsageError
 from .ramanujan import check_orthogonality_range, orthogonality_defect, singular_series
 
@@ -221,15 +221,18 @@ def cmd_verify_ingham(args: argparse.Namespace) -> Result:
         check_divisor_report(N, m_of(N))
     sieve = _sieve_for(math.isqrt(max(grid)), max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
-    result = sweep(lambda N: divisor_report(sieve, dtable, N, m_of(N)), grid)
+    # every exact sum of the grid, and frac's full sums, in one pass each
+    reports = divisor_reports(sieve, dtable, [(N, m_of(N)) for N in grid])
+    result = sweep(lambda rep: rep, reports)
+    if rule == "frac":
+        fulls = additive_convolutions(
+            dtable, dtable, [ConvolutionSpec(N=N, M=float(N), boundary="half_open") for N in grid]
+        )
+        ratios = [rep.exact / full for rep, full in zip(reports, fulls)]
+    else:
+        ratios = [math.nan] * len(grid)
     rows: List[Row] = []
-    for N, rep in zip(grid, result.reports):
-        if rule == "frac":
-            spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
-            full = additive_convolution(dtable, dtable, spec)
-            ratio = rep.exact / full
-        else:
-            ratio = math.nan
+    for rep, ratio in zip(reports, ratios):
         boundary = "closed" if rep.envelope_kind == "divisor_subsum" else "half_open"
         rows.append({**vars(rep), "boundary": boundary, "sub_full_ratio": ratio})
     first, last = result.endpoint_relative

@@ -3,18 +3,31 @@
 Both boundary conventions are first-class and must be chosen explicitly:
 "half_open" sums over 1 <= n < M, "closed" over 1 <= n <= M.  M may be
 real; the effective index ranges are n <= ceil(M) - 1 and n <= floor(M).
-Integer sums are exact.  They run in int64 runs of at most 2**16
-summands, each short enough that run * max|f| * max|g| <= 2**62, so no
-run's sum can leave int64, and the runs add up in a Python int: one
-multiply per run, in the tables' common integer type widened to int32 or
-int64 only as far as max|f| * max|g| needs, reduced to int64.  The bound
-reads each table's max|value|, computed once per ArithTable
-(ArithTable.abs_max) when the table and every array it views are
-read-only, and scans the summed slices when they are not or when that
-bound allows no run of 64 summands; products too large for that are
-summed in Python ints.  Real sums and dot products (real_dot) are
-reduced in the same fixed chunks combined in index order, with no BLAS
-call, so results are reproducible whatever the thread count.
+Integer sums are exact.  Additive sums run in three tiers chosen by
+B = max|f| * max|g|, shifted sums in the last two:
+
+  * float64, while 2**16 * B <= 2**53: the sum runs in blocks of 2**16
+    summands, each cast to float64 and reduced by one np.dot (BLAS
+    ddot).  Every product and every partial sum of a block is then an
+    integer of magnitude at most 2**53, so float64 holds each exactly
+    in any summation order, whatever BLAS does with threads or fused
+    multiply-adds, and the blocks add up in a Python int.
+    additive_convolutions walks g in fixed absolute blocks, reverses
+    and casts each block once, and takes from it every sum of the grid
+    that reads it, against a forward slice of f;
+  * int64 runs of at most 2**16 summands, each short enough that
+    run * B <= 2**62, multiplied and reduced in int64 and added up in a
+    Python int;
+  * Python ints, where B allows no int64 run of 64 summands.
+
+Where a block's products could pass 2**53 the int64 runs are at least
+as long and cheaper than shorter float64 blocks, so the float64 tier
+takes whole blocks only.  B reads each table's max|value|, computed once
+per ArithTable (ArithTable.abs_max) when the table and every array it
+views are read-only, and scans the summed slices when they are not or
+when that bound allows no int64 run.  Real sums and dot products
+(real_dot) are reduced in the same fixed chunks combined in index order,
+with no BLAS call, so their bits do not depend on the thread count.
 
 tau_exact evaluates the coprime-pair harmonic sum by Mobius inversion over
 the square of the gcd and the Dirichlet hyperbola method,
@@ -29,6 +42,7 @@ in ascending d, so every call gives the same bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +53,7 @@ from .errors import UsageError
 __all__ = [
     "ConvolutionSpec",
     "additive_convolution",
+    "additive_convolutions",
     "shifted_divisor_convolution",
     "tau_exact",
 ]
@@ -46,6 +61,8 @@ __all__ = [
 _CHUNK = 1 << 16
 # shortest int64 run of an exact sum; below it, Python ints are faster
 _MIN_RUN = 64
+# float64 holds every integer of magnitude up to 2**53
+_FLOAT_EXACT = 2**53
 _TAU_CAP = 10_000_000.0
 # H(k) is an exact prefix below _H_EXACT and the Euler-Maclaurin series above
 _H_EXACT = 64
@@ -62,6 +79,8 @@ class ConvolutionSpec:
     boundary: str
 
     def __post_init__(self):
+        # a numpy integer N is kept as a Python int, which no index arithmetic wraps
+        object.__setattr__(self, "N", _as_int("N", self.N))
         if self.N < 2:
             raise UsageError(f"N must be >= 2, got {self.N}")
         if self.boundary not in ("half_open", "closed"):
@@ -77,6 +96,15 @@ class ConvolutionSpec:
         if self.boundary == "closed":
             return math.floor(self.M)
         return math.ceil(self.M) - 1
+
+
+def _as_int(name: str, value) -> int:
+    # numpy integers pass; a float does not, even an integral one, so no
+    # NaN, infinity or fraction is ever truncated into an index
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 def real_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -109,8 +137,9 @@ def _table_bound(t: ArithTable) -> int | None:
 
 
 def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
-    # fmax, gmax: bounds on |fa| and |ga|; the slices are scanned when a
-    # bound is missing or too loose to allow runs of _MIN_RUN summands
+    # the int64 and Python-int tiers; fmax, gmax: bounds on |fa| and |ga|,
+    # and the slices are scanned when a bound is missing or too loose to
+    # allow runs of _MIN_RUN summands
     k = len(fa)
     if k == 0:
         return 0
@@ -120,27 +149,14 @@ def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
     if run < _MIN_RUN:
         # int64 runs this short cost more than Python ints
         return sum(int(a) * int(b) for a, b in zip(fa.tolist(), ga.tolist()))
-    # no run's sum can leave int64, and the runs add up in a Python int;
-    # each product is formed in the common type, widened to int32 or int64
-    # only as far as the largest product needs
-    ctype = _product_type(np.result_type(fa, ga), fmax * gmax)
-    buf = np.empty(min(run, k), dtype=ctype)
+    # no run's sum can leave int64, and the runs add up in a Python int
+    buf = np.empty(min(run, k), dtype=np.int64)
     total = 0
     for i in range(0, k, run):
         prod = buf[: min(run, k - i)]
-        np.multiply(fa[i : i + run], ga[i : i + run], out=prod, dtype=ctype)
-        total += int(prod.sum(dtype=np.int64))
+        np.multiply(fa[i : i + run], ga[i : i + run], out=prod, dtype=np.int64)
+        total += int(prod.sum())
     return total
-
-
-def _product_type(common: np.dtype, bound: int) -> np.dtype:
-    # the narrowest of common, int32 and int64 that is no narrower than
-    # common and holds every product up to bound
-    for ctype in (common, np.dtype(np.int32)):
-        if ctype.kind in "iu" and ctype.itemsize >= common.itemsize:
-            if bound <= np.iinfo(ctype).max:
-                return ctype
-    return np.dtype(np.int64)
 
 
 def _run_length(fmax: int, gmax: int) -> int:
@@ -149,36 +165,88 @@ def _run_length(fmax: int, gmax: int) -> int:
     return min(_CHUNK, 2**62 // max(fmax * gmax, 1))
 
 
+def _float_sums(fv: np.ndarray, gv: np.ndarray, ranges) -> list:
+    # sum_{n <= k} fv[n] gv[N - n] for each (N, k) of ranges, exact while
+    # _CHUNK * max|fv| * max|gv| <= 2**53.  The g indices are cut into
+    # fixed blocks [b0, b0 + _CHUNK); each block a range reads is reversed
+    # into gbuf once (gbuf[j] = gv[top - j]), and every range reading it
+    # takes one dot of a slice of gbuf with a forward slice of f
+    readers: dict = {}
+    for i, (N, k) in enumerate(ranges):
+        if k >= 1:
+            for b in range((N - k) // _CHUNK, (N - 1) // _CHUNK + 1):
+                readers.setdefault(b, []).append(i)
+    totals = [0] * len(ranges)
+    gbuf, fbuf = np.empty(_CHUNK), np.empty(_CHUNK)
+    for b in sorted(readers):
+        b0 = b * _CHUNK
+        block = gv[b0 : b0 + _CHUNK]
+        top = b0 + len(block) - 1
+        rev = gbuf[: len(block)]
+        np.copyto(rev, block[::-1])
+        for i in readers[b]:
+            N, k = ranges[i]
+            lo, hi = max(N - k, b0), min(N - 1, top)
+            fw = fbuf[: hi - lo + 1]
+            np.copyto(fw, fv[N - hi : N - lo + 1])
+            totals[i] += int(np.dot(rev[top - hi : top - lo + 1], fw))
+    return totals
+
+
+def _real_sum(fv: np.ndarray, gv: np.ndarray, N: int, k: int) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = real_dot(fv[1 : k + 1], gv[N - 1 : N - k - 1 : -1])
+    if not math.isfinite(total):
+        raise UsageError(f"the sum overflows float64: {total}")
+    return total
+
+
+def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
+    """[additive_convolution(f, g, spec) for spec in specs], in one pass.
+
+    Every range is checked before any sum.  Integer sums share each block
+    of g between the specs that read it (see the module docstring); real
+    sums run one spec at a time, so each keeps the bits of its own call.
+    """
+    ranges = [(spec.N, spec.last_index) for spec in specs]
+    for N, k in ranges:
+        if k >= 1 and f.N < k:
+            raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
+        if k >= 1 and g.N < N - 1:
+            raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
+    fv, gv = f.values, g.values
+    if not (f.is_integer and g.is_integer):
+        return [_real_sum(fv, gv, N, k) for N, k in ranges]
+    live = [(N, k) for N, k in ranges if k >= 1]
+    if not live:
+        return [0] * len(ranges)
+    fmax, gmax = _table_bound(f), _table_bound(g)
+    if fmax is None:
+        fmax = _abs_max(fv[1 : max(k for _, k in live) + 1])
+    if gmax is None:
+        gmax = _abs_max(gv[min(N - k for N, k in live) : max(N for N, _ in live)])
+    if _CHUNK * fmax * gmax <= _FLOAT_EXACT:
+        return _float_sums(fv, gv, ranges)
+    return [_exact_int_sum(fv[1 : k + 1], gv[N - 1 : N - k - 1 : -1], fmax, gmax)
+            for N, k in ranges]
+
+
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
     """sum f(n) g(N - n) over the range selected by spec, for any pair.
 
     Exact, as a Python int, when both tables are integer-valued; a float
     otherwise, and UsageError when that float overflows or the range
-    runs past the end of either table's values.
+    runs past the end of either table's values.  The one-spec grid of
+    additive_convolutions.
     """
-    exact = f.is_integer and g.is_integer
-    k = spec.last_index
-    if k < 1:
-        return 0 if exact else 0.0
-    if f.N < k:
-        raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
-    if g.N < spec.N - 1:
-        raise UsageError(f"g table covers 1..{g.N}, need 1..{spec.N - 1}")
-    fa = f.values[1 : k + 1]
-    ga = g.values[spec.N - 1 : spec.N - k - 1 : -1]
-    if not exact:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = real_dot(fa, ga)
-        if not math.isfinite(total):
-            raise UsageError(f"the sum overflows float64: {total}")
-        return total
-    return _exact_int_sum(fa, ga, _table_bound(f), _table_bound(g))
+    return additive_convolutions(f, g, [spec])[0]
 
 
 def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:
     """sum_{n <= N} d(n) d(n + h), exact."""
     if dtable.kind != "divisor":
         raise UsageError(f"need a divisor table, got kind {dtable.kind!r}")
+    N, h = _as_int("N", N), _as_int("h", h)
     if N < 1 or h < 1:
         raise UsageError(f"need N >= 1 and h >= 1, got N={N}, h={h}")
     if dtable.N < N + h:

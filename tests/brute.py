@@ -88,6 +88,14 @@ def ramanujan_sum(r: int, n: int) -> int:
     return int(val)
 
 
+def additive_sum(f, g, N: int, k: int) -> int:
+    """sum_{n=1}^{k} f[n] g[N - n], one Python-int product at a time.
+
+    f and g are 1-indexed sequences of integers (lists are fastest).
+    """
+    return sum(int(f[n]) * int(g[N - n]) for n in range(1, k + 1))
+
+
 def lattice_count(N: int, M: int) -> int:
     """|{(l, r, m, s) : lr + ms = N, ms <= M}| by quadruple enumeration."""
     count = 0

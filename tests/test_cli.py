@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,9 +16,11 @@ from convlab.cli import (
     _INGHAM_HEADERS,
     _ORTHO_HEADERS,
     _TAU_HEADERS,
+    _parse_m_rule,
+    cmd_verify_ingham,
     main,
 )
-from convlab import build_sieve
+from convlab import ConvolutionSpec, additive_convolution, build_sieve, divisor_report
 
 
 def run(capsys, *argv):
@@ -149,6 +153,47 @@ def test_verify_ingham_fractional_N_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "integers" in err
+
+
+_INGHAM_GRID = "1000,5000,9999,7560,16,17"
+
+
+@pytest.mark.parametrize("grid, rule", [
+    ("100,50,100", "half"),
+    (_INGHAM_GRID, "half"),
+    (_INGHAM_GRID, "frac:0.3"),
+    (_INGHAM_GRID, "frac:1"),
+    (_INGHAM_GRID, "fixed:7.5"),
+])
+def test_verify_ingham_rows_equal_per_point_reports(grid, rule, sieve_small, dtable_small):
+    # the grid's exact sums, taken in one pass, give divisor_report's rows
+    rows, _, _ = cmd_verify_ingham(argparse.Namespace(N_grid=grid, M_rule=rule))
+    m_of = _parse_m_rule(rule)[1]
+    expected = []
+    for N in (int(v) for v in grid.split(",")):
+        rep = divisor_report(sieve_small, dtable_small, N, m_of(N))
+        ratio = math.nan
+        if rule.startswith("frac"):
+            full = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
+            ratio = rep.exact / additive_convolution(dtable_small, dtable_small, full)
+        boundary = "closed" if rep.envelope_kind == "divisor_subsum" else "half_open"
+        expected.append({**vars(rep), "boundary": boundary, "sub_full_ratio": ratio})
+    # repr keeps every bit and reads NaN equal to NaN
+    assert [{k: repr(v) for k, v in row.items()} for row in rows] == \
+        [{k: repr(v) for k, v in row.items()} for row in expected]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_exact_sum_ignores_the_blas_thread_count(threads):
+    # the float64 tier reduces its blocks with a BLAS dot, exact in any order
+    proc = subprocess.run(
+        [sys.executable, "-m", "convlab.cli", "convolve", "--f", "d", "--g", "d",
+         "--N", "1000000", "--M", "500000", "--boundary", "closed"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "1000000,500000,closed,128951559"
 
 
 @pytest.mark.parametrize("kind", ["sigma:nan", "sigma_norm:inf", "sigma:-inf"])

@@ -11,11 +11,13 @@ from convlab import (
     ConvolutionSpec,
     UsageError,
     additive_convolution,
+    additive_convolutions,
     shifted_divisor_convolution,
     tabulate,
     tau_exact,
 )
-from convlab.convolution import _MIN_RUN, _exact_int_sum, _product_type, _run_length
+from convlab import convolution
+from convlab.convolution import _CHUNK, _MIN_RUN, _exact_int_sum, _run_length
 
 
 def _dd(dtable, N, M, boundary):
@@ -35,6 +37,34 @@ def test_spec_validation():
         ConvolutionSpec(N=6, M=6.0, boundary="closed")  # closed needs M <= N-1
     with pytest.raises(UsageError):
         ConvolutionSpec(N=6, M=3.0, boundary="open")
+
+
+@pytest.mark.parametrize("N", [10.5, 10.0, math.nan, math.inf, -math.inf, "10", None])
+def test_spec_rejects_a_non_integer_N(N, dtable_small):
+    # no N is truncated into a slice index, and a NaN N is not an M error
+    with pytest.raises(UsageError, match="N must be an integer"):
+        ConvolutionSpec(N=N, M=3.0, boundary="closed")
+    with pytest.raises(UsageError, match="N must be an integer"):
+        additive_convolution(dtable_small, dtable_small, ConvolutionSpec(N, 3, "closed"))
+
+
+@pytest.mark.parametrize("itype", [np.int8, np.int32, np.int64, np.uint16])
+def test_spec_and_shifted_sum_accept_numpy_integers(itype, dtable_small):
+    d = dtable_small
+    spec = ConvolutionSpec(N=itype(100), M=40.0, boundary="closed")
+    assert additive_convolution(d, d, spec) == _dd(d, 100, 40.0, "closed")
+    assert additive_convolutions(d, d, [spec, spec]) == [_dd(d, 100, 40.0, "closed")] * 2
+    assert shifted_divisor_convolution(d, itype(50), itype(3)) == \
+        shifted_divisor_convolution(d, 50, 3)
+
+
+@pytest.mark.parametrize("N, h, name", [
+    (5.5, 1, "N"), (5.0, 1, "N"), (math.nan, 1, "N"), (math.inf, 1, "N"),
+    (5, 1.5, "h"), (5, 1.0, "h"), (5, math.nan, "h"), (5, -math.inf, "h"),
+])
+def test_shifted_sum_rejects_a_non_integer_N_or_h(N, h, name, dtable_small):
+    with pytest.raises(UsageError, match=f"{name} must be an integer"):
+        shifted_divisor_convolution(dtable_small, N, h)
 
 
 def test_last_index_conventions():
@@ -168,9 +198,12 @@ def test_writable_table_is_bounded_on_every_sum():
     vals = np.ones(N + 1, dtype=np.int64)
     t = ArithTable("custom", vals)
     spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
+    specs = [ConvolutionSpec(N=n, M=float(n), boundary="half_open") for n in (10, 2, 5, 10)]
     assert additive_convolution(t, t, spec) == 9
+    assert additive_convolutions(t, t, specs) == [9, 1, 4, 9]
     vals[:] = 2**31
     assert additive_convolution(t, t, spec) == 9 * 2**62
+    assert additive_convolutions(t, t, specs) == [9 * 2**62, 2**62, 4 * 2**62, 9 * 2**62]
 
 
 def test_table_length_comes_from_values():
@@ -193,9 +226,12 @@ def test_read_only_view_of_writable_array_is_bounded_on_every_sum():
     v.setflags(write=False)
     t = ArithTable("custom", v)
     spec = ConvolutionSpec(N=1000, M=1000.0, boundary="half_open")
+    specs = [ConvolutionSpec(N=n, M=float(n), boundary="half_open") for n in (1000, 500, 1000)]
     assert additive_convolution(t, t, spec) == 999
+    assert additive_convolutions(t, t, specs) == [999, 499, 999]
     base[1:] = 3 * 10**9
     assert additive_convolution(t, t, spec) == 999 * (3 * 10**9) ** 2
+    assert additive_convolutions(t, t, specs) == [k * (3 * 10**9) ** 2 for k in (999, 499, 999)]
 
 
 def test_int_mode_matches_python_sum(dtable_small):
@@ -433,20 +469,6 @@ def test_chunk_products_never_wrap(fvals, gvals, dtype):
     assert additive_convolution(f, g, spec) == sum(fv[n] * gv[N - n] for n in range(1, N))
 
 
-@pytest.mark.parametrize("common, bound, expected", [
-    # two int16 d tables multiply in int32 once a product passes 2**15 - 1
-    (np.int16, 2**15 - 1, np.int16),
-    (np.int16, 2**15, np.int32),
-    (np.int16, 2**31 - 1, np.int32),
-    (np.int16, 2**31, np.int64),
-    (np.int8, 2**7, np.int32),
-    # never narrower than the common type
-    (np.int64, 1, np.int64),
-])
-def test_product_type_widens_only_as_far_as_needed(common, bound, expected):
-    assert _product_type(np.dtype(common), bound) == expected
-
-
 @pytest.mark.parametrize("fmax, gmax", [
     (2**25 + 3, 2**25 - 5),  # runs of 4096 summands
     (3 * 10**8, 10**8),  # runs of 153
@@ -467,6 +489,125 @@ def test_exact_sum_runs_at_the_chunk_boundary(fmax, gmax):
         g[rng.integers(0, k, size=k // 3)] //= 7
         ref = sum(int(a) * int(b) for a, b in zip(f.tolist(), g.tolist()))
         assert _exact_int_sum(f, g, fmax, gmax) == ref, k
+
+
+@pytest.mark.parametrize("fmax, gmax, dtype", [
+    (2**20, 2**17, np.int32),  # _CHUNK * fmax * gmax == 2**53: float64 blocks
+    (2**37, 1, np.int64),  # the same bound from one table
+    (181, 181, np.int16),  # d-sized products: float64 blocks
+    (2**20 + 1, 2**17, np.int32),  # one past 2**53: int64 runs
+])
+def test_exact_sums_at_the_float64_boundary(fmax, gmax, dtype, monkeypatch):
+    # a float64 block of _CHUNK maximal products sums to _CHUNK * fmax * gmax,
+    # exactly 2**53 at the bound; one past it the int64 runs take over
+    L = _CHUNK
+    floats = L * fmax * gmax <= 2**53
+    assert floats == (fmax != 2**20 + 1)
+
+    def wrong_tier(*args):
+        raise AssertionError("summed in the wrong tier")
+
+    monkeypatch.setattr(convolution, "_exact_int_sum" if floats else "_float_sums", wrong_tier)
+    ks = (L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, 3 * L + 1)
+    T = 3 * L + 2
+    rng = np.random.default_rng(0)
+    for mixed in (False, True):
+        f = np.full(T + 1, fmax, dtype=dtype)
+        g = np.full(T + 1, gmax, dtype=dtype)
+        if mixed:
+            f *= rng.choice(np.array([-1, 1], dtype=dtype), size=T + 1)
+            g[rng.integers(0, T + 1, size=T // 3)] //= 7
+        f[0] = g[0] = 0
+        # each k from the bottom of g, where blocks and runs start together,
+        # and from its top, where they do not
+        specs = [ConvolutionSpec(N=k + 1, M=float(k + 1), boundary="half_open") for k in ks]
+        specs += [ConvolutionSpec(N=T + 1, M=float(k), boundary="closed") for k in ks]
+        fl, gl = f.tolist(), g.tolist()
+        expected = [brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
+        if not mixed:
+            assert expected == [k * fmax * gmax for k in ks] * 2
+        assert additive_convolutions(_frozen_table(f, dtype), _frozen_table(g, dtype), specs) \
+            == expected
+
+
+_GRID_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _magnitude(dtype) -> int:
+    # the largest |value| dtype holds: |dtype min|
+    return -int(np.iinfo(dtype).min)
+
+
+@st.composite
+def _grid_cases(draw):
+    """(f, g, specs): integer tables and a grid of 1 to 20 specs over them.
+
+    The tables' bound B = max|f| * max|g| is drawn for one tier: float64
+    blocks (_CHUNK * B <= 2**53), int64 runs of at least _MIN_RUN summands,
+    or neither (Python ints), each reaching its limits.  The specs mix
+    both boundaries and fractional M, repeat an N, sum nothing (k = 0),
+    read g to the table's end, sum run - 1, run or run + 1 terms for the
+    tier's block or run length, and read g across an absolute block edge.
+    """
+    ftype, gtype = draw(st.sampled_from(_GRID_DTYPES)), draw(st.sampled_from(_GRID_DTYPES))
+    G = draw(st.integers(1, _magnitude(gtype)))
+    tier = draw(st.sampled_from(("float64", "int64", "python")))
+    if tier == "float64":
+        lo, hi = 1, 2**53 // _CHUNK // G
+    elif tier == "int64":
+        lo, hi = 2**53 // _CHUNK // G + 1, 2**62 // _MIN_RUN // G
+    else:
+        lo, hi = 2**62 // _MIN_RUN // G + 1, _magnitude(ftype)
+    hi = min(hi, _magnitude(ftype))
+    assume(1 <= lo <= hi)
+    F = draw(st.one_of(st.just(lo), st.just(hi), st.integers(lo, hi)))
+    run = {"float64": _CHUNK, "int64": _run_length(F, G), "python": 50}[tier]
+    T = draw(st.one_of(st.integers(1, 300), st.integers(run + 1, run + 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table(dtype, magnitude):
+        top = min(magnitude, int(np.iinfo(dtype).max))
+        extreme = magnitude if magnitude == top and draw(st.booleans()) else -magnitude
+        if draw(st.booleans()):
+            vals = np.full(T + 1, extreme, dtype=dtype)
+        else:
+            vals = rng.integers(-magnitude, top, size=T + 1, endpoint=True).astype(dtype)
+            vals[draw(st.integers(1, T))] = extreme
+        vals[0] = 0
+        if draw(st.booleans()):
+            vals.setflags(write=False)
+        return ArithTable("custom", vals)
+
+    f, g = table(ftype, F), table(gtype, G)
+    edges = [n for e in range(_CHUNK, T + 1, _CHUNK) for n in (e, e + 1, e + 2) if n <= T + 1]
+    specs = []
+    for _ in range(draw(st.integers(1, 20))):
+        choices = [st.integers(2, T + 1), st.just(T + 1)]
+        choices += [st.sampled_from(edges)] if edges else []
+        choices += [st.sampled_from([s.N for s in specs])] if specs else []
+        N = draw(st.one_of(choices))
+        k = draw(st.one_of(st.sampled_from([0, run - 1, run, run + 1, N - 1]),
+                           st.integers(0, N - 1)))
+        k = min(max(k, 0), N - 1)
+        half = draw(st.sampled_from((0.0, 0.5)))
+        if k == 0:
+            specs.append(ConvolutionSpec(N=N, M=1.0, boundary="half_open"))
+        elif k + half <= N - 1 and draw(st.booleans()):
+            specs.append(ConvolutionSpec(N=N, M=k + half, boundary="closed"))
+        else:
+            specs.append(ConvolutionSpec(N=N, M=k + (half or 1.0), boundary="half_open"))
+    return f, g, specs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_grid_cases())
+def test_additive_convolutions_match_the_literal_sums(case):
+    f, g, specs = case
+    fl, gl = f.values.tolist(), g.values.tolist()
+    got = additive_convolutions(f, g, specs)
+    assert all(type(v) is int for v in got)
+    assert got == [brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
+    assert got[0] == additive_convolution(f, g, specs[0])
 
 
 def test_shifted_convolution_reads_the_table_bound(dtable_small):
