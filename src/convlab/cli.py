@@ -42,7 +42,11 @@ it, and the minimal limit 2 for a convolve of two such tables, which has
 no main term.
 convolve builds f and g to N whatever M is, so its tables and its
 memory do not depend on M.  Whether the largest table is addressable is
-checked before the sieve is built.
+checked before the sieve is built.  goldbach and convolve of lambda with
+lambda build no Lambda table: lambda_convolution sums over the pairs of
+prime powers below N, with the bits of the dense tables' sum.  A
+convolve of phi with mu, in either order, builds both tables in one spf
+walk (FactorSieve.prepare).
 """
 
 from __future__ import annotations
@@ -65,7 +69,13 @@ from .asymptotics import (
     sweep,
     tau_main,
 )
-from .convolution import ConvolutionSpec, additive_convolution, additive_convolutions, tau_exact
+from .convolution import (
+    ConvolutionSpec,
+    additive_convolution,
+    additive_convolutions,
+    lambda_convolution,
+    tau_exact,
+)
 from .errors import UsageError
 from .ramanujan import check_orthogonality_range, orthogonality_defect, singular_series
 
@@ -196,9 +206,14 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     sieve = _sieve_for(
         max(sieve_limit_for(fkind, args.N), sieve_limit_for(gkind, args.N)), args.N
     )
-    ftab = tabulate(sieve, fkind, args.N, s=fs)
-    gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
-    value = additive_convolution(ftab, gtab, spec)
+    if fkind == gkind == "lambda":
+        value = lambda_convolution(sieve, spec)
+    else:
+        if {fkind, gkind} == {"mobius", "phi"}:
+            sieve.prepare((fkind, gkind), args.N)  # both in one spf walk
+        ftab = tabulate(sieve, fkind, args.N, s=fs)
+        gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
+        value = additive_convolution(ftab, gtab, spec)
     return [{"N": args.N, "M": M, "boundary": args.boundary, "value": value}], {}, 0
 
 
@@ -319,9 +334,8 @@ def cmd_goldbach(args: argparse.Namespace) -> Result:
     if args.R < 1:
         raise UsageError(f"R must be >= 1, got {args.R}")
     sieve = _sieve_for(max(sieve_limit_for("lambda", args.N), args.R), args.N)
-    ltab = tabulate(sieve, "lambda", args.N)
     spec = ConvolutionSpec(N=args.N, M=float(args.N), boundary="half_open")
-    exact = additive_convolution(ltab, ltab, spec)
+    exact = lambda_convolution(sieve, spec)
     ss = singular_series(sieve, args.N, args.R)
     main = args.N * ss
     ratio = exact / main if main != 0 else math.nan

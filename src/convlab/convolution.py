@@ -25,9 +25,21 @@ as long and cheaper than shorter float64 blocks, so the float64 tier
 takes whole blocks only.  B reads each table's max|value|, computed once
 per ArithTable (ArithTable.abs_max) when the table and every array it
 views are read-only, and scans the summed slices when they are not or
-when that bound allows no int64 run.  Real sums and dot products
-(real_dot) are reduced in the same fixed chunks combined in index order,
-with no BLAS call, so their bits do not depend on the thread count.
+when that bound allows no int64 run.
+
+Real sums follow one chunk rule, with no BLAS call, so their bits do
+not depend on the thread count: the summands are cut into chunks of
+2**16 from the first index, each chunk's float64 products are reduced
+by np.sum, and the chunk sums are added in index order, starting from
+0.0.  real_dot is that rule, and each real sum is one real_dot call.
+lambda_convolution keeps the rule with no Lambda table: Lambda(n)
+Lambda(N - n) is nonzero only where n and N - n are both prime powers,
+so each chunk is a zeroed buffer with those products scattered into it,
+the very array the dense product holds, and its np.sum has the same
+bits; a chunk with no pair adds 0.0 and is skipped.  The prime powers
+below N are marked one byte each, from the spf segments' primes and the
+powers of the primes up to sqrt(N), and math.log is taken only of the
+primes of the pairs, with the bits the Lambda table holds.
 
 tau_exact evaluates the coprime-pair harmonic sum by Mobius inversion over
 the square of the gcd and the Dirichlet hyperbola method,
@@ -47,13 +59,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, build_sieve
+from .arith import ArithTable, FactorSieve, build_sieve, higher_prime_powers, prime_mask
 from .errors import UsageError
 
 __all__ = [
     "ConvolutionSpec",
     "additive_convolution",
     "additive_convolutions",
+    "lambda_convolution",
     "shifted_divisor_convolution",
     "tau_exact",
 ]
@@ -240,6 +253,47 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
     additive_convolutions.
     """
     return additive_convolutions(f, g, [spec])[0]
+
+
+def lambda_convolution(sieve: FactorSieve, spec: ConvolutionSpec) -> float:
+    """sum Lambda(n) Lambda(N - n) over the range selected by spec, with no Lambda table.
+
+    Only the n with both n and N - n prime powers add anything, and the
+    sum is equal bit for bit to additive_convolution of two Lambda tables
+    (see the module docstring).  Lambda is read on 1..N-1, so
+    N <= (sieve.limit + 1)**2.
+    """
+    N, k = spec.N, spec.last_index
+    top = (sieve.limit + 1) ** 2
+    if N > top:
+        raise UsageError(f"Lambda pair sum: N must lie in [2, {top}], got {N}")
+    marked = prime_mask(sieve, N - 1)  # then the prime powers below N
+    powers, bases = higher_prime_powers(sieve, N - 1)
+    marked[powers] = True
+    # fwd[j] marks n = j + 1 and rev[j] marks N - n.  Each of real_dot's
+    # chunks holds Lambda(n) Lambda(N - n) at n - 1 - i where both are
+    # prime powers and zeros elsewhere, as the dense product does
+    fwd, rev = marked[1:], marked[::-1]
+    total = 0.0
+    buf = np.zeros(min(_CHUNK, k))
+    for i in range(0, k, _CHUNK):
+        size = min(_CHUNK, k - i)
+        at = np.flatnonzero(fwd[i : i + size] & rev[i : i + size])
+        if len(at):
+            n = at + (1 + i)
+            buf[at] = _prime_logs(n, powers, bases) * _prime_logs(N - n, powers, bases)
+            total += float(np.sum(buf[:size]))
+            buf[at] = 0.0
+    return total
+
+
+def _prime_logs(q: np.ndarray, powers: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    # Lambda(q) = math.log(p), whose bits the Lambda table holds, for
+    # prime powers q = p**e; powers: the q with e >= 2, ascending, bases
+    # their p, each read past its end as 0, which no q is
+    pos = np.searchsorted(powers, q)
+    p = np.where(np.append(powers, 0)[pos] == q, np.append(bases, 0)[pos], q)
+    return np.fromiter(map(math.log, p.tolist()), np.float64, len(p))
 
 
 def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:

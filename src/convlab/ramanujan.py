@@ -185,6 +185,7 @@ def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
 
     def build(n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1, dtype=np.float64)
+        sieve.prepare(("mobius", "phi"), n_max)
         out[1:] = sieve.upto("mobius", n_max)[1:] / sieve.upto("phi", n_max)[1:]
         return out
 
@@ -346,6 +347,7 @@ def _singular_weights(sieve: FactorSieve, n_max: int) -> np.ndarray:
     # term mu(r)**2 c_r(N) / phi(r)**2.  Where mu(r) = 0 that is -0.0 for a
     # negative c_r(N), not +0.0, which changes no sum that has a nonzero
     # term, and the r = 1 term is 1
+    sieve.prepare(("mobius", "phi"), n_max)
     out = sieve.upto("phi", n_max).astype(np.float64)
     out **= 2
     out[sieve.upto("mobius", n_max) == 0] = np.inf

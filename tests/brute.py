@@ -289,6 +289,20 @@ def lambda_table(N: int) -> np.ndarray:
     return out
 
 
+def lambda_pair_sum(lam: np.ndarray, N: int, k: int) -> float:
+    """sum_{n <= k} Lambda(n) Lambda(N - n) over a dense Lambda table lam to at least N - 1.
+
+    The path the prime-power pair sum replaced: the products of the two
+    dense slices in chunks of 2**16, each reduced by np.sum and added in
+    index order, as the library's real sums are.
+    """
+    prod = lam[1 : k + 1] * lam[N - 1 : N - k - 1 : -1]
+    total = 0.0
+    for i in range(0, k, 1 << 16):
+        total += float(np.sum(prod[i : i + (1 << 16)]))
+    return total
+
+
 def sigma_table(N: int, s) -> np.ndarray:
     """sum_{d | n} d**s: exact for an int s >= 0, in exact_sigma_dtype, float64 otherwise."""
     exact = isinstance(s, int)

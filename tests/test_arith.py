@@ -21,7 +21,8 @@ from convlab import (
     tabulate,
     von_mangoldt,
 )
-from convlab.arith import _hyperbola_dtype
+from convlab import arith
+from convlab.arith import _SEGMENT, _halving_blocks, _hyperbola_dtype
 
 
 def test_build_sieve_small_values():
@@ -384,6 +385,69 @@ def test_upto_prefix_matches_full_tables():
     small = build_sieve(30)
     for name, oracle in (("mobius", brute.mobius_table), ("phi", brute.phi_table)):
         assert np.array_equal(small.upto(name, 31**2 - 1), oracle(31**2 - 1)), name
+
+
+# R on both sides of every edge of mu and phi's halving blocks to 3 * 2**18
+_WALK_RS = sorted({R for lo, _ in _halving_blocks(3 * _SEGMENT, _SEGMENT)
+                   for R in (lo - 1, lo) if R >= 1} | {3 * _SEGMENT})
+
+
+def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(monkeypatch):
+    calls = []
+    segment = arith._spf_segment
+    monkeypatch.setattr(arith, "_spf_segment", lambda *a: calls.append(a[1]) or segment(*a))
+    for R in _WALK_RS:
+        alone = build_sieve(math.isqrt(R) + 2)
+        del calls[:]  # build_sieve sieves segments too
+        own = {name: alone.upto(name, R) for name in ("mobius", "phi")}
+        one_walk = len(calls) // 2
+        assert calls[:one_walk] == calls[one_walk:]
+        for names in (("phi", "mobius"), ("mobius", "phi")):
+            sv = build_sieve(math.isqrt(R) + 2)
+            del calls[:]
+            sv.prepare(names, R)
+            assert len(calls) == one_walk, (R, names)
+            for name, table in own.items():
+                got = sv.upto(name, R)
+                assert not got.flags.writeable and np.shares_memory(got, sv.memo[name])
+                assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), (R, name)
+                assert np.shares_memory(sv.upto(name, R // 2), got)
+            sv.prepare(names, R)
+            assert len(calls) == one_walk  # nothing walked again
+    assert one_walk > 1  # the last R walks several segments
+
+
+def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatch):
+    sv = build_sieve(100)
+    sv.upto("phi", 3000)
+    assert "mobius" not in sv.memo  # phi alone builds no mu
+    sv.upto("mobius", 5000)
+    longer = sv.memo["mobius"]
+    built = []
+    from_spf = arith.FactorSieve._from_spf
+    monkeypatch.setattr(arith.FactorSieve, "_from_spf",
+                        lambda self, names, n_max: built.append(list(names))
+                        or from_spf(self, names, n_max))
+    sv.prepare(("mobius", "phi"), 4000)
+    assert built == [["phi"]] and sv.memo["mobius"] is longer
+    seen = []
+    blocks = arith._spf_blocks
+
+    def watching(sieve, n_max):
+        for block in blocks(sieve, n_max):
+            seen.append(("mobius" in sieve.memo, "phi" in sieve.memo))
+            yield block
+
+    monkeypatch.setattr(arith, "_spf_blocks", watching)
+    sv.prepare(("phi", "mobius", "phi"), 8000)
+    # both shorter tables were let go before the one walk that filled them
+    assert built[1:] == [["phi", "mobius"]]
+    assert seen and not any(any(s) for s in seen)
+    assert len(sv.memo["mobius"]) == 8001 and len(sv.memo["phi"]) == 8001
+    assert np.array_equal(sv.memo["mobius"], brute.mobius_table(8000))
+    assert np.array_equal(sv.memo["phi"], brute.phi_table(8000))
+    with pytest.raises(UsageError, match=r"R must lie in \[0, 10200\]"):
+        sv.prepare(("phi",), 101**2)
 
 
 def test_sigma_minus_one_identity(sieve_small):

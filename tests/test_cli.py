@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import brute
 from convlab.cli import (
     _CONVOLVE_HEADERS,
     _GENERAL_HEADERS,
@@ -20,7 +21,7 @@ from convlab.cli import (
     cmd_verify_ingham,
     main,
 )
-from convlab import ConvolutionSpec, additive_convolution, build_sieve, divisor_report
+from convlab import ArithTable, ConvolutionSpec, additive_convolution, build_sieve, divisor_report
 
 
 def run(capsys, *argv):
@@ -272,21 +273,42 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
     assert calls == [limit]
 
 
+@pytest.mark.parametrize("f, g, walks", [
+    ("phi", "mu", [["phi", "mobius"]]),
+    ("mu", "phi", [["mobius", "phi"]]),
+    ("phi", "d", [["phi"]]),
+    ("mu", "mu", [["mobius"]]),
+])
+def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypatch, f, g, walks):
+    from convlab import arith
+
+    built = []
+    from_spf = arith.FactorSieve._from_spf
+    monkeypatch.setattr(arith.FactorSieve, "_from_spf",
+                        lambda self, names, n_max: built.append(list(names))
+                        or from_spf(self, names, n_max))
+    code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5000", "--M", "2500",
+                       "--boundary", "closed")
+    assert code == 0 and built == walks
+
+
 _CLI_TABLES_AT_2_22 = [
     # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
-    # Measured: phi.mu 0.77 (1.53 with a sieve to N, 2.29 with an int64
-    # phi as well), sigma.d 0.77 (1.52 with an int64 sigma and an int32
-    # d, 2.25 with a sieve to N as well), the sigma_norm pair 1.13,
-    # goldbach 1.11 (1.68 with a sieve to N for Lambda's primes, 2.13 with
-    # them found in one whole-range pass and their logs taken from one
-    # Python list)
+    # Measured: phi.mu 0.75 (0.77 with mu and phi walked apart, 1.53 with
+    # a sieve to N, 2.29 with an int64 phi as well), sigma.d 0.77 (1.52
+    # with an int64 sigma and an int32 d, 2.25 with a sieve to N as well),
+    # the sigma_norm pair 1.13, goldbach 0.257 and lambda.lambda 0.252,
+    # nearly all the one-byte prime-power mask to N (1.11 with the float64
+    # Lambda table, 1.68 with a sieve to N for Lambda's primes as well)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
       "--boundary", "closed"), 0.9),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
       "--boundary", "half_open"), 0.9),
     (("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", str(2**22),
       "--M-grid", "1000,2000000,4000000"), 2.0),
-    (("goldbach", "--N", str(2**22), "--R", "1000"), 1.2),
+    (("goldbach", "--N", str(2**22), "--R", "1000"), 0.296),
+    (("convolve", "--f", "lambda", "--g", "lambda", "--N", str(2**22), "--M", str(2**20),
+      "--boundary", "closed"), 0.29),
 ]
 
 
@@ -598,6 +620,20 @@ def test_goldbach_small_even(capsys):
     ratio = float(lines[1].split(",")[-1])
     assert 0.5 <= ratio <= 1.5
     assert "# in_band=True" in lines
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("goldbach", "--N", "100000", "--R", "100"), (100_000, 100_000.0, "half_open")),
+    (("convolve", "--f", "lambda", "--g", "lambda", "--N", "100002", "--M", "65537",
+      "--boundary", "closed"), (100_002, 65_537.0, "closed")),
+])
+def test_lambda_pair_commands_print_the_dense_sum(capsys, argv, spec):
+    # the prime-power pair sum prints the bits of the dense Lambda table's sum
+    lam = ArithTable("lambda", brute.lambda_table(spec[0]))
+    dense = additive_convolution(lam, lam, ConvolutionSpec(*spec))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2 if argv[0] == "goldbach" else 3] == "%.15g" % dense
 
 
 def test_tau_below_two_prints_nan(capsys):

@@ -12,12 +12,18 @@ from convlab import (
     UsageError,
     additive_convolution,
     additive_convolutions,
+    build_sieve,
+    lambda_convolution,
     shifted_divisor_convolution,
     tabulate,
     tau_exact,
 )
 from convlab import convolution
 from convlab.convolution import _CHUNK, _MIN_RUN, _exact_int_sum, _run_length
+
+# the dense Lambda table of the pair-sum oracle, to the largest N drawn
+_LAMBDA_TOP = 300_000
+_DENSE_LAMBDA = brute.lambda_table(_LAMBDA_TOP)
 
 
 def _dd(dtable, N, M, boundary):
@@ -618,3 +624,61 @@ def test_shifted_convolution_reads_the_table_bound(dtable_small):
         v = d.values
         expected = sum(int(v[n]) * int(v[n + h]) for n in range(1, N + 1))
         assert shifted_divisor_convolution(d, N, h) == expected
+
+
+# --- the Lambda pair sum -------------------------------------------------
+
+
+def _dense_lambda_sum(spec):
+    # the replaced path: additive_convolution of two dense Lambda tables
+    lam = ArithTable("lambda", _DENSE_LAMBDA[: spec.N])
+    return additive_convolution(lam, lam, spec)
+
+
+def test_lambda_pair_sum_matches_the_dense_sum_for_every_even_N(sieve_small):
+    for N in range(2, 4001, 2):
+        spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
+        got = lambda_convolution(sieve_small, spec)
+        assert type(got) is float
+        assert got == _dense_lambda_sum(spec), N
+        assert got == brute.lambda_pair_sum(_DENSE_LAMBDA, N, N - 1), N
+
+
+# 92458: the last chunk's np.sum would change if the zeros past its end
+# were summed with it
+@pytest.mark.parametrize("N", [2, 4, 2**16 - 2, 2**16 + 2, 2**17 + 2, 92458])
+def test_lambda_pair_sum_at_the_chunk_edges(sieve_small, N):
+    ks = {1, N // 3, N - 1} | {k for e in (_CHUNK, 2 * _CHUNK) for k in (e - 1, e, e + 1)}
+    for k in sorted(k for k in ks if 1 <= k <= N - 1):
+        specs = [ConvolutionSpec(N=N, M=float(k + 1), boundary="half_open"),
+                 ConvolutionSpec(N=N, M=k + 0.5, boundary="half_open")]
+        if N >= 3:
+            specs.append(ConvolutionSpec(N=N, M=float(k), boundary="closed"))
+        for spec in specs:
+            assert spec.last_index == k
+            assert lambda_convolution(sieve_small, spec) == _dense_lambda_sum(spec), (N, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, _LAMBDA_TOP), st.floats(0, 1), st.booleans())
+def test_lambda_pair_sum_matches_the_dense_sum(N, frac, closed):
+    assume(not closed or N >= 3)
+    M = max(1.0, frac * (N - 1 if closed else N))
+    spec = ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open")
+    sieve = build_sieve(math.isqrt(N) + 1)
+    got = lambda_convolution(sieve, spec)
+    assert got == _dense_lambda_sum(spec)
+    assert got == brute.lambda_pair_sum(_DENSE_LAMBDA, N, spec.last_index)
+
+
+def test_lambda_pair_sum_range_and_sieve():
+    sieve = build_sieve(10)
+    # nothing to sum, and Lambda(1) = 0 alone
+    assert lambda_convolution(sieve, ConvolutionSpec(N=5, M=1.0, boundary="half_open")) == 0.0
+    assert lambda_convolution(sieve, ConvolutionSpec(N=2, M=2.0, boundary="half_open")) == 0.0
+    # Lambda is read on 1..N-1, so N may reach (limit + 1)**2
+    spec = ConvolutionSpec(N=121, M=121.0, boundary="half_open")
+    assert lambda_convolution(sieve, spec) == _dense_lambda_sum(spec)
+    with pytest.raises(UsageError, match=r"N must lie in \[2, 121\]"):
+        lambda_convolution(sieve, ConvolutionSpec(N=122, M=10.0, boundary="half_open"))
+
