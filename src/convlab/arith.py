@@ -5,35 +5,35 @@ come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
 factorization; above the sieve's limit, to about its square, the sieve's
 primes factor n by trial division.  Bulk tables over [1, N] are vectorised
-rather than built per n: mu, phi and Lambda read spf segments sieved on
-the fly by the sieve's primes up to isqrt(N), so their N may reach the
-square of the sieve's limit and no spf to N is read; mu and phi are
-built only up to the largest N or R a caller has asked for
-(FactorSieve.upto), and a caller that reads both has them built in one
-walk (FactorSieve.prepare).  prime_mask marks the primes from the same
-segments, one byte per n, for sums that read Lambda only at prime
-powers.  Divisor sums come from hyperbola enumeration, so
-tabulation costs O(N log N) array element updates.  The hyperbola
-tables (d, sigma, sigma_norm) never read the sieve, so their N may
-exceed its limit.  spf is sieved in segments of _SEGMENT entries, mu
-and phi walk blocks of as many, and the hyperbola tables are written in
-blocks of at most _BLOCK entries, so the strided updates stay in cache;
-the order of the updates each entry receives does not depend on the
-block size, and neither do the bits of any table.  An integer table
-comes in the narrowest dtype proven to hold it (int16 for d below
-2**31, int32 for phi and for sigma_s while N**s (2 + ln N) < 2**31), so
-a caller widens before it multiplies values.  mu, phi and the
-hyperbola tables read their own entries at m <= n/2, below n's block: mu
-and phi walk their blocks up, and the hyperbola tables start from n**s
-and walk down, so a cofactor j = n/d with d >= 2 still holds j**s.
-Every table tabulate returns is read-only.
+rather than built per n.  mu, phi, d and sigma_k for an integer k >= 0
+are walked up from spf segments sieved on the fly by the sieve's primes
+up to isqrt(N): f(n) for n = p m, p = spf(n), comes from f(m) and, where
+p divides m, from f(m / p), entries below n's block.  So their N may
+reach the square of the sieve's limit, no spf to N is read, and the
+tables a caller reads together share one walk (FactorSieve.prepare).
+Lambda reads the same segments, and prime_mask marks their primes, one
+byte per n, for sums that read Lambda only at prime powers.  Divisor
+sums with a real exponent (sigma_s, sigma_norm) come from hyperbola
+enumeration, O(N log N) array element updates, and never read the
+sieve, so their N may exceed its limit.  spf is sieved in segments of
+_SEGMENT entries, the walk runs blocks of as many, and the hyperbola
+tables are written in blocks of at most _BLOCK entries, so the strided
+updates stay in cache; the order of the updates each entry receives
+does not depend on the block size, and neither do the bits of any
+table.  The hyperbola tables start from n**s and walk their blocks
+down, so a cofactor j = n/d with d >= 2 still holds j**s.  An integer
+table comes in the narrowest dtype proven to hold it (int16 for d below
+2**31, int32 for phi and for sigma_k while N**k (2 + ln N) < 2**31), so
+a caller widens before it multiplies values.  mu and phi are cached per
+sieve up to the largest N or R asked for (FactorSieve.upto), d and
+sigma_k only where a caller prepares them.  Every table tabulate
+returns is read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Hashable, List, Sequence, Tuple
 
@@ -62,18 +62,9 @@ _BLOCK = 1 << 20
 # segment stays in L2 while the primes stride over it, and
 # build_sieve(10**7) takes about 0.05 s against 0.08 s at 2**20 (2-vCPU
 # Xeon).  The hyperbola tables loop over d <= sqrt(hi) once per block, so
-# 2**18 blocks made the sigma(1) table about 20 % slower there.
+# 2**18 blocks made a sigma table about 20 % slower there.
 _SEGMENT = 1 << 18
 _WHEEL = 210  # 2 * 3 * 5 * 7, the period of the primes the sieve does not stride with
-
-# f(p m) from f(m), p = spf(p m) and whether p does not divide m, for
-# the tables FactorSieve derives from spf; dtype None is the spf dtype of
-# their n_max, which holds phi(n) <= n.  Arithmetic on the mask, not
-# np.where, which branches on it and took about 4x as long
-_FROM_SPF = {
-    "mobius": (np.int8, lambda mu_m, p, p_nmid_m: -mu_m * p_nmid_m),
-    "phi": (None, lambda phi_m, p, p_nmid_m: phi_m * (p - p_nmid_m)),
-}
 
 
 @dataclass(frozen=True)
@@ -84,16 +75,18 @@ class FactorSieve:
     is immutable, but memo is filled lazily and has no lock, so a sieve
     is not safe to share between threads.  Memory is about
     4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
-    it one _SEGMENT at a time, as the mu, phi and Lambda tables sieve
-    their own segments from its primes up to the root of their N.
+    it one _SEGMENT at a time, as the tables of the spf walk and Lambda
+    sieve their own segments from its primes up to the root of their N.
 
     Every table derived from it goes through memo: the primes, and the
     tables a caller reads only on 0..R, which prefix(key, R, build) keeps
-    one per key at the largest R asked for so far.  upto(name, R) is that
-    cache over the mu and phi tables, which sieve their own spf segments
-    from the primes up to isqrt(R), so R may reach (limit + 1)**2 - 1;
-    prepare(names, R) builds both in one walk.  Other modules keep their
-    own keys, with R <= limit.
+    one per key at the largest R asked for so far.  The walk's tables
+    sieve their own spf segments from the primes up to isqrt(R), so R may
+    reach (limit + 1)**2 - 1: prepare(names, R) caches any of them
+    (walk_name) built in one walk, upto(name, R) is that cache over mu
+    and phi, and walked(name, R) reads d or sigma_k from it or walks the
+    table alone, uncached.  Other modules keep their own keys, with
+    R <= limit.
     """
 
     limit: int
@@ -117,16 +110,16 @@ class FactorSieve:
         return self.memo[name][: R + 1]
 
     def prepare(self, names: Sequence[str], R: int) -> None:
-        """Cache each of names ("mobius", "phi") on at least 0..R, in one spf walk.
+        """Cache each of names on at least 0..R, in one spf walk.
 
-        The named tables cached shorter are dropped first and then built
-        together, sharing each block's spf segment, so a caller that reads
-        both mu and phi asks for them here and walks spf once, in either
-        order.  R may reach (limit + 1)**2 - 1.
+        names are the walk's tables: "mobius", "phi", "divisor" and
+        "sigma(k)" for an integer k >= 1 (walk_name).  The named tables
+        cached shorter are dropped first and then built together, sharing
+        each block's spf segment, so a caller that reads two of them, such
+        as mu and phi or sigma_1 and d, asks for them here and walks spf
+        once, in either order.  R may reach (limit + 1)**2 - 1.
         """
-        top = (self.limit + 1) ** 2 - 1
-        if not 0 <= R <= top:
-            raise UsageError(f"R must lie in [0, {top}], got {R}")
+        self._check_walk(R)
         short = [name for name in dict.fromkeys(names) if len(self.memo.get(name, ())) <= R]
         if not short:
             return
@@ -135,6 +128,22 @@ class FactorSieve:
         for name, table in zip(short, self._from_spf(short, R)):
             table.setflags(write=False)
             self.memo[name] = table
+
+    def walked(self, name: str, R: int) -> np.ndarray:
+        """The walk's table name on 0..R, read-only, for d and integer sigma.
+
+        A view of the table prepare cached, where it holds 0..R in the
+        dtype of a table to R; otherwise a walk of its own, which memo
+        does not keep: a d table to 10**7 is 20 MB.
+        """
+        dtype = _walk(name, R)[0]
+        cached = self.memo.get(name)
+        if cached is not None and len(cached) > R and cached.dtype == dtype:
+            return cached[: R + 1]
+        self._check_walk(R)
+        (table,) = self._from_spf([name], R)
+        table.setflags(write=False)
+        return table
 
     def prefix(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
         """build(R) on 0..R, read-only, for 0 <= R <= limit.
@@ -147,6 +156,11 @@ class FactorSieve:
             raise UsageError(f"R must lie in [0, {self.limit}], got {R}")
         return self._cached(key, R, build)
 
+    def _check_walk(self, R: int) -> None:
+        top = (self.limit + 1) ** 2 - 1
+        if not 0 <= R <= top:
+            raise UsageError(f"R must lie in [0, {top}], got {R}")
+
     def _cached(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
         if len(self.memo.get(key, ())) <= R:
             self.memo.pop(key, None)
@@ -155,33 +169,91 @@ class FactorSieve:
         return self.memo[key][: R + 1]
 
     def _from_spf(self, names: Sequence[str], n_max: int) -> List[np.ndarray]:
-        # f(n) = step(f(m), p, p does not divide m) for n = p m with
-        # p = spf(n), for each f of names; the blocks run up, so
-        # m <= n / 2 is already filled, and the tables share each block's
-        # spf, m and mask
-        tables = [np.zeros(n_max + 1, _FROM_SPF[name][0] or _spf_dtype(n_max)) for name in names]
-        steps = [_FROM_SPF[name][1] for name in names]
+        # f(n) for n = p m, p = spf(n), of each f of names (_walk): the
+        # blocks run up, so m <= n / 2 is already filled, and the tables
+        # share each block's spf, m, the positions where p divides m and
+        # m / p there
+        walks = [_walk(name, n_max) for name in names]
+        tables = [np.zeros(n_max + 1, dtype) for dtype, _, _ in walks]
         for out in tables:
             out[1:2] = 1
-        is_odd = np.resize([False, True], min(_SEGMENT, n_max) // 2 + 2)  # is_odd[j]: j is odd
         for lo, p in _spf_blocks(self, n_max):
-            # the even n have p = 2 and their m = n / 2 in one slice, so
-            # only the odd n divide: phi and mu to 10**7 took about a
+            # the even n have p = 2 and their m = n / 2 and m / 2 = n / 4
+            # in slices: n = 2 mod 4 has an odd m, n = 0 mod 4 an even one.
+            # So only the odd n divide: phi and mu to 10**7 took about a
             # fifth less time so (2-vCPU host)
-            hi = lo + len(p)
-            even, odd = lo + lo % 2, lo + 1 - lo % 2
-            m_even = slice(even // 2, (hi + 1) // 2)
-            p_odd = p[odd - lo :: 2]
-            m_odd = np.arange(odd, hi, 2, dtype=p.dtype) // p_odd
-            parts = (
-                (slice(even, hi, 2), m_even, p.dtype.type(2),
-                 is_odd[even // 2 % 2 :][: m_even.stop - m_even.start]),
-                (slice(odd, hi, 2), m_odd, p_odd, m_odd % p_odd != 0),
-            )
-            for n, m, p_n, p_nmid_m in parts:
-                for out, step in zip(tables, steps):
-                    out[n] = step(out[m], p_n, p_nmid_m)
+            hi, two = lo + len(p), p.dtype.type(2)
+            n2, n4 = lo + (2 - lo) % 4, lo + (-lo) % 4
+            for out, (_, prime, power) in zip(tables, walks):
+                np.multiply(out[n2 // 2 : (hi + 1) // 2 : 2], prime(two), out=out[n2:hi:4])
+                power(out[n4 // 2 : (hi + 1) // 2 : 2], out[n4 // 4 : (hi + 3) // 4], two,
+                      out[n4:hi:4])
+            for n, m, p_n, div, m_div, q in _odd_parts(lo, p):
+                for out, (_, prime, power) in zip(tables, walks):
+                    # np.take: out[m] took twice as long with int32 m.
+                    # Where p divides m, power overwrites prime(p) f(m),
+                    # which may pass the dtype there
+                    t = np.take(out, m)
+                    t *= prime(p_n)
+                    fq = np.take(out, q)
+                    power(np.take(out, m_div), fq, p_n[div], fq)
+                    t[div] = fq
+                    out[n] = t
         return tables
+
+
+# The odd n of an spf block are walked _STEP at a time, so each part's
+# temporaries stay about half a megabyte
+_STEP = 1 << 15
+
+
+def _odd_parts(lo: int, p: np.ndarray):
+    # (n, m, p, div, m[div], q) over the odd n of the block [lo, lo +
+    # len(p)), p their spf: n = p m, div the positions where p divides m
+    # and q = m / p there
+    hi = lo + len(p)
+    for a in range(lo + 1 - lo % 2, hi, 2 * _STEP):
+        b = min(a + 2 * _STEP, hi)
+        p_n = p[a - lo : b - lo : 2]
+        m = np.arange(a, b, 2, dtype=p.dtype)
+        m //= p_n
+        div = np.flatnonzero(m % p_n == 0)
+        m_div = m[div]
+        yield slice(a, b, 2), m, p_n, div, m_div, m_div // p_n[div]
+
+
+def _walk(name: str, n_max: int):
+    # (dtype, prime, power) of a table FactorSieve builds in its spf walk:
+    # f(n) = prime(p) f(m) for n = p m, p = spf(n), where p does not
+    # divide m, and power(f(m), f(m / p), p, out) writes f(n) into out
+    # where it does.  mu is int8 and phi the spf dtype of n_max, which
+    # holds phi(n) <= n
+    if name == "mobius":
+        return np.int8, lambda p: -1, lambda fm, fq, p, out: out.fill(0)
+    if name == "phi":
+        return (_spf_dtype(n_max), lambda p: p - 1,
+                lambda fm, fq, p, out: np.multiply(fm, p, out=out))
+    k = 0 if name == "divisor" else int(name[len("sigma(") : -1])
+    dtype = _sigma_dtype(n_max, k)
+
+    def pk(p):
+        # p**k in the table's dtype; p itself for k = 1, which the dtype holds
+        return p if k == 1 else np.power(p, k, dtype=dtype)
+
+    def prime(p):
+        return pk(p) + 1 if k else 2
+
+    def power(fm, fq, p, out):
+        # sigma_k(p m) = f(m) + p**k (f(m) - f(m / p)), from S_e =
+        # (1 + p**k) S_{e-1} - p**k S_{e-2} on the powers of p.  f(m / p)
+        # <= f(m), so every value on the way lies in [0, sigma_k(p m)] and
+        # the table's dtype holds it
+        np.subtract(fm, fq, out=out)
+        if k:
+            out *= pk(p)
+        out += fm
+
+    return dtype, prime, power
 
 
 def _halving_blocks(n_max: int, size: int = _BLOCK) -> List[Tuple[int, int]]:
@@ -212,8 +284,7 @@ class ArithTable:
     is read-only, and an integer one is in the narrowest dtype proven to
     hold it (int16 for d below 2**31), so widen before multiplying
     values; the mobius and phi values are views of the sieve's own
-    tables, not copies.  abs_max, the table-wide max |value| that proves
-    an exact sum fits int64, is computed once on first use.
+    tables, not copies.
     """
 
     kind: str
@@ -226,16 +297,6 @@ class ArithTable:
     @property
     def is_integer(self) -> bool:
         return np.issubdtype(self.values.dtype, np.integer)
-
-    @cached_property
-    def abs_max(self) -> int:
-        """max |values[n]| over the whole integer table, cached.
-
-        The cache is only as good as the values staying put, so the
-        convolution kernels read it only from read-only tables that view
-        no writable array.
-        """
-        return max(-int(self.values.min()), int(self.values.max()))
 
 
 def build_sieve(limit: int) -> FactorSieve:
@@ -442,43 +503,46 @@ def von_mangoldt(f: Factorization) -> float:
 # --- bulk tables -------------------------------------------------------
 
 
-def _hyperbola_table(N: int, s: int | float) -> np.ndarray:
-    # sum_{d | n} d**s by hyperbola pairing: each d <= sqrt(n) dividing n
-    # adds d**s + (n/d)**s, and d = sqrt(n) takes its d**s back.  out
-    # starts as n**s and the blocks run down, so each d >= 2 reads its
-    # cofactor n/d while it is still (n/d)**s.  d ascends in each block, so
-    # every n gets the same additions in the same order as whole-range passes.
-    # An int s gives an exact table in _hyperbola_dtype(N, s), any other
-    # s a float64 one.  sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any
-    # addressable n.  This check comes first, so N**s below has at most
-    # about 1000 bits
-    if s * math.log2(N) > 1000:
-        raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
-    if isinstance(s, int) and N**s >= 2**61:
-        raise UsageError(
-            f"sigma({s}) table to N={N} would overflow 64-bit accumulation; "
-            "use sigma_norm or sigma_real instead"
-        )
-    dtype = _hyperbola_dtype(N, s) if isinstance(s, int) else np.float64
-    if s == 0:
-        out = np.ones(N + 1, dtype=dtype)  # n**0, with no pass of powers
-    else:
-        out = np.arange(N + 1, dtype=dtype)
-        out[0] = 1
-        out **= s
+def _hyperbola_table(N: int, s: float) -> np.ndarray:
+    # sum_{d | n} d**s in float64 by hyperbola pairing, for a real s: each
+    # d <= sqrt(n) dividing n adds d**s + (n/d)**s, and d = sqrt(n) takes
+    # its d**s back.  out starts as n**s and the blocks run down, so each
+    # d >= 2 reads its cofactor n/d while it is still (n/d)**s.  d ascends
+    # in each block, so every n gets the same additions in the same order
+    # as whole-range passes
+    _check_powers(N, s)
+    out = np.arange(N + 1, dtype=np.float64)
+    out[0] = 1
+    out **= s
     out[0] = 0
     for lo, hi in reversed(_halving_blocks(N)):
         out[lo:hi] += 1
         for d in range(2, math.isqrt(hi - 1) + 1):
             ds = d**s
             j0 = max(d, -(-lo // d))
-            if s == 0:
-                out[j0 * d : hi : d] += 2
-            else:
-                out[j0 * d : hi : d] += ds + out[j0 : (hi - 1) // d + 1]
+            out[j0 * d : hi : d] += ds + out[j0 : (hi - 1) // d + 1]
             if lo <= d * d:
                 out[d * d] -= ds
     return out
+
+
+def _check_powers(N: int, s: float) -> None:
+    # sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any addressable n
+    if s * math.log2(N) > 1000:
+        raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
+
+
+def _sigma_dtype(N: int, k: int):
+    # _hyperbola_dtype(N, k) for sigma_k on 0..N, after the float64 check
+    # of the powers, which comes first, so N**k below has at most about
+    # 1000 bits
+    _check_powers(N, k)
+    if N**k >= 2**61:
+        raise UsageError(
+            f"sigma({k}) table to N={N} would overflow 64-bit accumulation; "
+            "use sigma_norm or sigma_real instead"
+        )
+    return _hyperbola_dtype(N, k)
 
 
 def _hyperbola_dtype(N: int, s: int):
@@ -486,8 +550,9 @@ def _hyperbola_dtype(N: int, s: int):
     # int16 for d = sigma_0 below N = 2**31, where d(n) < 1750 (Nicolas and
     # Robin, Canad. Math. Bull. 26, 1983), int32 above.  For s >= 1, int32
     # while s log2 N + log2(2 + ln N) < 31: sigma_s(n) <= n**s H_n <=
-    # n**s (1 + ln n), and the build holds at most n**(s/2) more for a
-    # moment at a square n; int64 above.  In logs, never as N**s
+    # n**s (1 + ln n), and the extra N**s is the margin the hyperbola
+    # build of these tables needed, kept so no dtype changed when the spf
+    # walk replaced it; int64 above.  In logs, never as N**s
     if s == 0:
         return np.int16 if N < 2**31 else np.int32
     if s * math.log2(N) + math.log2(2 + math.log(N)) < 31:
@@ -541,14 +606,30 @@ def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
 _TABLE_KINDS = ("divisor", "sigma", "mobius", "phi", "lambda", "sigma_norm")
 
 
-def sieve_limit_for(kind: str, N: int) -> int:
+def walk_name(kind: str, s: float | None = None) -> str | None:
+    """The FactorSieve.prepare name of a kind table built in the spf walk, else None.
+
+    "mobius" and "phi", "divisor" for d and for sigma with s = 0, and
+    "sigma(k)" for sigma with an integer s = k >= 1; None for lambda,
+    sigma_norm and sigma with any other s.
+    """
+    if kind in ("mobius", "phi", "divisor"):
+        return kind
+    if kind == "sigma" and s is not None and s >= 0 and float(s).is_integer():
+        return f"sigma({int(s)})" if s else "divisor"
+    return None
+
+
+def sieve_limit_for(kind: str, N: int, s: float | None = None) -> int:
     """The smallest sieve limit tabulate accepts for a kind table to N >= 1.
 
-    isqrt(N) for mobius, phi and lambda, which read only the primes up to
-    isqrt(N), and the minimal limit 2 for the hyperbola kinds, which
-    never read the sieve.
+    isqrt(N) for lambda and the kinds of the spf walk (walk_name: mobius,
+    phi, d and sigma with an integer s >= 0), which read only the primes
+    up to isqrt(N), and the minimal limit 2 for the real-exponent
+    hyperbola kinds (sigma with any other s, sigma_norm), which never
+    read the sieve.
     """
-    return math.isqrt(N) if kind in ("mobius", "phi", "lambda") else 2
+    return math.isqrt(N) if kind == "lambda" or walk_name(kind, s) else 2
 
 
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:
@@ -560,19 +641,22 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     float table.  Each integer table comes in the narrowest dtype proven
     to hold it (_hyperbola_dtype; int8 mu, int32 phi below 2**31), so
     widen before multiplying values.  sigma_norm(s) tabulates
-    sigma_s(n) / n**s, which is sigma_{-s}(n).  A table that could overflow raises UsageError before
-    anything is allocated: any one with t log2 N > 1000 for its powers
-    d**t (t = s, or -s for sigma_norm), checked first, and an integer one
-    past int64.
-    mobius, phi and lambda read the sieve's primes up to isqrt(N), so
-    N < (sieve.limit + 1)**2, as for factorize; the hyperbola kinds
-    (divisor, sigma, sigma_norm) never read it (sieve_limit_for).
+    sigma_s(n) / n**s, which is sigma_{-s}(n).  A table that could
+    overflow raises UsageError before anything is allocated: any one with
+    t log2 N > 1000 for its powers d**t (t = s, or -s for sigma_norm),
+    checked first, and an integer one past int64.
+    mu, phi, d, integer sigma and lambda read the sieve's primes up to
+    isqrt(N), so N < (sieve.limit + 1)**2, as for factorize; the real
+    sigma and sigma_norm kinds never read it (sieve_limit_for).  mu and
+    phi are views of the sieve's cached tables (FactorSieve.upto); d and
+    integer sigma are views of the tables FactorSieve.prepare cached,
+    where it did, and otherwise walked on their own and not cached.
     """
     if kind not in _TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}")
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
-    if sieve_limit_for(kind, N) > sieve.limit:
+    if sieve_limit_for(kind, N, s) > sieve.limit:
         top = (sieve.limit + 1) ** 2 - 1
         raise UsageError(f"{kind} table: N must lie in [1, {top}], got {N}")
     check_addressable(N, "table to N =")
@@ -583,16 +667,18 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     elif s is not None:
         raise UsageError(f"kind {kind!r} takes no exponent")
 
-    if kind == "divisor":
-        values = _hyperbola_table(N, 0)
-    elif kind == "sigma":
-        values = _hyperbola_table(N, int(s) if s >= 0 and s.is_integer() else s)
-        kind = f"sigma({s:g})"
-    elif kind == "sigma_norm":
-        kind, values = f"sigma_norm({s:g})", _hyperbola_table(N, -s)
-    elif kind in ("mobius", "phi"):
+    name = walk_name(kind, s)
+    if kind in ("mobius", "phi"):
         values = sieve.upto(kind, N)
+    elif name is not None:
+        values = sieve.walked(name, N)
+    elif kind == "sigma":
+        values = _hyperbola_table(N, s)
+    elif kind == "sigma_norm":
+        values = _hyperbola_table(N, -s)
     else:
         values = _lambda_table(sieve, N)
+    if kind in ("sigma", "sigma_norm"):
+        kind = f"{kind}({s:g})"
     values.setflags(write=False)
     return ArithTable(kind, values)

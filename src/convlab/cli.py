@@ -35,18 +35,20 @@ is checked before any table is built.  An option value may start with
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
 needs, so no output depends on its size: R where the Ramanujan sums
-read it, isqrt(N) where a mu, phi or Lambda table sieves its own
-segments from the primes up to isqrt(N) or the sieve only factors the N
-of a main term next to d, sigma or sigma_norm tables, which never read
-it, and the minimal limit 2 for a convolve of two such tables, which has
-no main term.
+read it, isqrt(N) where a mu, phi, d, integer sigma or Lambda table
+sieves its own segments from the primes up to isqrt(N) or the sieve
+only factors the N of a main term next to sigma_norm tables, which
+never read it, and the minimal limit 2 for a convolve of two sigma or
+sigma_norm tables with real exponents, which read no sieve and have no
+main term.
 convolve builds f and g to N whatever M is, so its tables and its
 memory do not depend on M.  Whether the largest table is addressable is
 checked before the sieve is built.  goldbach and convolve of lambda with
 lambda build no Lambda table: lambda_convolution sums over the pairs of
 prime powers below N, with the bits of the dense tables' sum.  A
-convolve of phi with mu, in either order, builds both tables in one spf
-walk (FactorSieve.prepare).
+convolve of two tables of the spf walk (mu, phi, d, sigma with an
+integer exponent), such as phi with mu or sigma:1 with d, in either
+order, builds both in one walk (FactorSieve.prepare).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .arith import build_sieve, check_addressable, sieve_limit_for, tabulate
+from .arith import build_sieve, check_addressable, sieve_limit_for, tabulate, walk_name
 from .asymptotics import (
     ConvolutionReport,
     check_divisor_report,
@@ -204,13 +206,14 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     _check_N(args.N)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
     sieve = _sieve_for(
-        max(sieve_limit_for(fkind, args.N), sieve_limit_for(gkind, args.N)), args.N
+        max(sieve_limit_for(fkind, args.N, fs), sieve_limit_for(gkind, args.N, gs)), args.N
     )
     if fkind == gkind == "lambda":
         value = lambda_convolution(sieve, spec)
     else:
-        if {fkind, gkind} == {"mobius", "phi"}:
-            sieve.prepare((fkind, gkind), args.N)  # both in one spf walk
+        names = [walk_name(fkind, fs), walk_name(gkind, gs)]
+        if None not in names:
+            sieve.prepare(names, args.N)  # both in one spf walk
         ftab = tabulate(sieve, fkind, args.N, s=fs)
         gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
         value = additive_convolution(ftab, gtab, spec)

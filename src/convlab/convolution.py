@@ -22,10 +22,10 @@ B = max|f| * max|g|, shifted sums in the last two:
 
 Where a block's products could pass 2**53 the int64 runs are at least
 as long and cheaper than shorter float64 blocks, so the float64 tier
-takes whole blocks only.  B reads each table's max|value|, computed once
-per ArithTable (ArithTable.abs_max) when the table and every array it
-views are read-only, and scans the summed slices when they are not or
-when that bound allows no int64 run.
+takes whole blocks only.  B reads the max|value| of what the sums read:
+of f over the union of a grid's f slices and of g over the union of its
+g slices, scanned once per call, and of each sum's own two slices where
+that bound allows no int64 run.
 
 Real sums follow one chunk rule, with no BLAS call, so their bits do
 not depend on the thread count: the summands are cut into chunks of
@@ -138,17 +138,6 @@ def _abs_max(a: np.ndarray) -> int:
     return max(-int(a.min()), int(a.max()))
 
 
-def _table_bound(t: ArithTable) -> int | None:
-    # the cached bound holds only while nothing can write the values: a
-    # read-only view of a writable array changes with that array
-    a = t.values
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return None
-        a = a.base
-    return t.abs_max if a is None else None
-
-
 def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
     # the int64 and Python-int tiers; fmax, gmax: bounds on |fa| and |ga|,
     # and the slices are scanned when a bound is missing or too loose to
@@ -233,11 +222,8 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
     live = [(N, k) for N, k in ranges if k >= 1]
     if not live:
         return [0] * len(ranges)
-    fmax, gmax = _table_bound(f), _table_bound(g)
-    if fmax is None:
-        fmax = _abs_max(fv[1 : max(k for _, k in live) + 1])
-    if gmax is None:
-        gmax = _abs_max(gv[min(N - k for N, k in live) : max(N for N, _ in live)])
+    fmax = _abs_max(fv[1 : max(k for _, k in live) + 1])
+    gmax = _abs_max(gv[min(N - k for N, k in live) : max(N for N, _ in live)])
     if _CHUNK * fmax * gmax <= _FLOAT_EXACT:
         return _float_sums(fv, gv, ranges)
     return [_exact_int_sum(fv[1 : k + 1], gv[N - 1 : N - k - 1 : -1], fmax, gmax)
@@ -305,10 +291,7 @@ def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:
         raise UsageError(f"need N >= 1 and h >= 1, got N={N}, h={h}")
     if dtable.N < N + h:
         raise UsageError(f"divisor table covers 1..{dtable.N}, need 1..{N + h}")
-    bound = _table_bound(dtable)
-    return _exact_int_sum(
-        dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1], bound, bound
-    )
+    return _exact_int_sum(dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1])
 
 
 def _harmonic(k: np.ndarray) -> np.ndarray:

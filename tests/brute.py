@@ -206,10 +206,11 @@ def tau(y: float) -> float:
 # --- bulk oracles ---------------------------------------------------------
 #
 # A boolean prime sieve with one pass per prime for mu, phi and Lambda, a
-# masked ascending pass per prime for spf, and whole-range hyperbola loops
-# for d and sigma.  Each entry is computed with the same floating-point
-# operations as the library's tables, so comparisons against them are
-# exact.
+# masked ascending pass per prime for spf, whole-range hyperbola loops
+# for d and sigma, and the blocked hyperbola build of the exact sigma_k
+# tables that the spf walk replaced.  Each entry is computed with the
+# same floating-point operations as the library's tables, so comparisons
+# against them are exact.
 
 
 def spf_table(limit: int) -> np.ndarray:
@@ -316,6 +317,38 @@ def sigma_table(N: int, s) -> np.ndarray:
             out[idx] += float(d) ** s + (idx // d).astype(np.float64) ** s
             out[d * d] -= float(d) ** s
     return _narrow(out, exact_sigma_dtype(N, s)) if exact else out
+
+
+def hyperbola_sigma_table(N: int, k: int) -> np.ndarray:
+    """sigma_k for an int k >= 0 as the library built it before its spf walk.
+
+    Hyperbola pairing in blocks [lo, hi) of at most 2**20 with hi <= 2 lo,
+    from the top down: each block starts as n**k (1 for d, with no pass of
+    powers) and adds d**k + (n/d)**k for each d <= sqrt(n) dividing n,
+    reading the cofactor n/d from the table while it still holds
+    (n/d)**k, in exact_sigma_dtype(N, k).
+    """
+    dtype = exact_sigma_dtype(N, k)
+    if k == 0:
+        out = np.ones(N + 1, dtype=dtype)
+    else:
+        out = np.arange(N + 1, dtype=dtype)
+        out **= k
+    out[0] = 0
+    edges = [2]
+    while edges[-1] <= N:
+        edges.append(min(2 * edges[-1], edges[-1] + (1 << 20), N + 1))
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
+        out[lo:hi] += 1
+        for d in range(2, math.isqrt(hi - 1) + 1):
+            j0 = max(d, -(-lo // d))
+            if k == 0:
+                out[j0 * d : hi : d] += 2
+            else:
+                out[j0 * d : hi : d] += d**k + out[j0 : (hi - 1) // d + 1]
+            if lo <= d * d:
+                out[d * d] -= d**k
+    return out
 
 
 def tau_fsum(y: float) -> float:

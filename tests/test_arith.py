@@ -256,9 +256,9 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         ("sigma", 1.5, brute.sigma_table(limit, 1.5)),
         ("sigma_norm", 2, brute.sigma_table(limit, -2.0)),
     ]
-    # the hyperbola kinds never read the sieve and mu, phi and Lambda read
-    # only its primes to isqrt(limit): one to isqrt(limit), all the CLI
-    # builds for them, gives the same bytes
+    # the real sigma kinds never read the sieve, and the spf walk's kinds
+    # and Lambda read only its primes to isqrt(limit): one to
+    # isqrt(limit), all the CLI builds for them, gives the same bytes
     root = build_sieve(max(math.isqrt(limit), 2))
     for kind, s, expected in cases:
         values = tabulate(sv, kind, limit, s=s).values
@@ -282,7 +282,7 @@ def test_sigma_2_dtype_crosses_to_int64_where_bound_reaches_2_31():
     top = max(N for N in range(13_000, 14_000) if _hyperbola_dtype(N, 2) == np.int32)
     assert 13_600 < top < 13_700
     assert top**2 * (2 + math.log(top)) < 2**31 <= (top + 1) ** 2 * (2 + math.log(top + 1))
-    sv = build_sieve(2)
+    sv = build_sieve(math.isqrt(top + 1))
     for N, dtype in ((top, np.int32), (top + 1, np.int64)):
         values = tabulate(sv, "sigma", N, s=2).values
         expected = brute.sigma_table(N, 2)
@@ -342,9 +342,11 @@ def test_tabulate_tables_reject_writes(sieve_small):
 
 
 def test_sigma_table_peak_memory(sieve_10m):
-    # the table starts as n**s and reads its cofactors from itself, so
-    # beside the result only one block's temporaries are live: about 1.06x
-    # the result at 2**23 (1.625x with powers j**s to N//2 beside it)
+    # beside the result only one block's spf segment and one part's
+    # temporaries are live: sigma(1), walked from spf, about 1.10x the
+    # result at 2**23; sigma_norm(0.5) starts as n**s and reads its
+    # cofactors from itself, about 1.06x (1.625x with powers j**s to N//2
+    # beside it)
     for kind, s in (("sigma", 1), ("sigma_norm", 0.5)):
         tracemalloc.start()
         try:
@@ -448,6 +450,51 @@ def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatc
     assert np.array_equal(sv.memo["phi"], brute.phi_table(8000))
     with pytest.raises(UsageError, match=r"R must lie in \[0, 10200\]"):
         sv.prepare(("phi",), 101**2)
+
+
+# ... around the edges of the walk's odd parts inside a full block, and
+# on both sides of sigma_2's crossover from int32 to int64
+_DIVISOR_SUM_RS = sorted(set(_WALK_RS) | {13_651, 13_652}
+                         | {_SEGMENT + 2 * arith._STEP + d for d in (-1, 0, 1, 2)})
+
+
+def test_walked_divisor_sums_match_the_oracles_at_every_block_edge():
+    # d, sigma_1 and sigma_2 from the spf walk, each alone and all in one
+    # walk with mu and phi, against the whole-range hyperbola sums and the
+    # blocked hyperbola build the walk replaced, in the dtype of each R
+    top = _DIVISOR_SUM_RS[-1]
+    oracles = {k: brute.sigma_table(top, k) for k in (0, 1, 2)}
+    for k, table in oracles.items():
+        assert np.array_equal(table, brute.hyperbola_sigma_table(top, k)), k
+    names = {0: "divisor", 1: "sigma(1)", 2: "sigma(2)"}
+    for R in _DIVISOR_SUM_RS:
+        sv, together = (build_sieve(max(math.isqrt(R), 2)) for _ in range(2))
+        together.prepare(("mobius", "phi", *names.values()), R)
+        assert np.array_equal(together.memo["mobius"], brute.mobius_table(R)), R
+        assert np.array_equal(together.memo["phi"], brute.phi_table(R)), R
+        for k, name in names.items():
+            kind, s = ("sigma", k) if k else ("divisor", None)
+            alone = tabulate(sv, kind, R, s=s).values
+            assert alone.dtype == brute.exact_sigma_dtype(R, k), (R, k)
+            assert np.array_equal(alone, oracles[k][: R + 1]), (R, k)
+            assert together.memo[name].tobytes() == alone.tobytes(), (R, k)
+        assert sv.memo == {}
+
+
+def test_bare_tabulate_caches_no_divisor_sum_table():
+    # a d table to 10**7 is 20 MB, so only prepare keeps one in memo; a
+    # prepared table is read back as a view in the dtype of the N asked for
+    sv = build_sieve(200)
+    for kind, s in (("divisor", None), ("sigma", 0), ("sigma", 1), ("sigma", 2)):
+        tabulate(sv, kind, 20_000, s=s)
+    assert sv.memo == {}
+    sv.prepare(("divisor", "sigma(2)"), 20_000)
+    assert np.shares_memory(tabulate(sv, "divisor", 5000).values, sv.memo["divisor"])
+    assert np.shares_memory(tabulate(sv, "sigma", 5000, s=0).values, sv.memo["divisor"])
+    s2 = tabulate(sv, "sigma", 13_000, s=2).values  # int32 to 13000, int64 to 20000
+    assert s2.dtype == np.int32 and not np.shares_memory(s2, sv.memo["sigma(2)"])
+    assert np.array_equal(s2, sv.memo["sigma(2)"][:13_001])
+    assert sorted(sv.memo) == ["divisor", "sigma(2)"]
 
 
 def test_sigma_minus_one_identity(sieve_small):

@@ -234,12 +234,13 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, limit", [
-    # hyperbola tables only: convolve reads no sieve, so it builds the
-    # minimal one, and a main term's sieve just factors N, so isqrt(N)
+    # d and integer sigma are walked from spf segments sieved by the
+    # primes to isqrt(N), and a main term's sieve just factors N, so
+    # isqrt(N)
     (("convolve", "--f", "d", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
-     2),
+     31),
     (("convolve", "--f", "sigma:1", "--g", "sigma_norm:0.5", "--N", "9999", "--M", "50",
-      "--boundary", "half_open"), 2),
+      "--boundary", "half_open"), 99),
     (("verify-ingham", "--N-grid", "1000,5000,2000", "--M-rule", "half"), math.isqrt(5000)),
     (("verify-general", "--alpha", "2", "--beta", "2", "--N", "3000", "--M-grid", "10,100"),
      math.isqrt(3000)),
@@ -257,6 +258,9 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     # f is built to N whatever M is, so a mu table to N reads the sieve to isqrt(N)
     (("convolve", "--f", "mu", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
      31),
+    # the real sigma kinds read no sieve, so their convolve builds the minimal one
+    (("convolve", "--f", "sigma_norm:1", "--g", "sigma:0.5", "--N", "9999", "--M", "50",
+      "--boundary", "half_open"), 2),
 ])
 def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv, limit):
     import convlab.cli as cli
@@ -276,8 +280,14 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
 @pytest.mark.parametrize("f, g, walks", [
     ("phi", "mu", [["phi", "mobius"]]),
     ("mu", "phi", [["mobius", "phi"]]),
-    ("phi", "d", [["phi"]]),
+    ("phi", "d", [["phi", "divisor"]]),
     ("mu", "mu", [["mobius"]]),
+    # any two kinds of the spf walk share one walk: d, and sigma with an
+    # integer exponent (sigma:0 is d), as well as mu and phi
+    ("sigma:1", "d", [["sigma(1)", "divisor"]]),
+    ("d", "sigma:1", [["divisor", "sigma(1)"]]),
+    ("sigma:0", "d", [["divisor"]]),
+    ("sigma:2", "sigma:0.5", [["sigma(2)"]]),
 ])
 def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypatch, f, g, walks):
     from convlab import arith
@@ -295,8 +305,10 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
 _CLI_TABLES_AT_2_22 = [
     # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
     # Measured: phi.mu 0.75 (0.77 with mu and phi walked apart, 1.53 with
-    # a sieve to N, 2.29 with an int64 phi as well), sigma.d 0.77 (1.52
-    # with an int64 sigma and an int32 d, 2.25 with a sieve to N as well),
+    # a sieve to N, 2.29 with an int64 phi as well), sigma.d 0.86 walked
+    # together, both tables beside one spf segment's sieving (0.77 as
+    # hyperbola tables, 1.52 with an int64 sigma and an int32 d, 2.25 with
+    # a sieve to N as well),
     # the sigma_norm pair 1.13, goldbach 0.257 and lambda.lambda 0.252,
     # nearly all the one-byte prime-power mask to N (1.11 with the float64
     # Lambda table, 1.68 with a sieve to N for Lambda's primes as well)

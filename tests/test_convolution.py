@@ -199,7 +199,7 @@ def test_int_mode_python_fallback():
 
 
 def test_writable_table_is_bounded_on_every_sum():
-    # a writable table may change after a sum, so its bound is never cached
+    # no bound outlives a sum, so a table written between sums is bounded afresh
     N = 10
     vals = np.ones(N + 1, dtype=np.int64)
     t = ArithTable("custom", vals)
@@ -226,7 +226,7 @@ def test_table_length_comes_from_values():
 
 
 def test_read_only_view_of_writable_array_is_bounded_on_every_sum():
-    # the cached bound of a read-only view is stale once its base is written
+    # a read-only view changes with its base, and each sum bounds what it reads then
     base = np.ones(1001, dtype=np.int64)
     v = base.view()
     v.setflags(write=False)
@@ -401,11 +401,12 @@ def _frozen_table(vals, dtype):
 
 
 @st.composite
-def _tables_with_extremes_outside_the_sum(draw):
-    """(f, g, spec, mode): read-only int tables whose max |value| is never summed.
+def _tables_with_extremes_in_the_sum(draw):
+    """(f, g, spec, mode): int tables whose summed slices reach max |value| F and G.
 
-    mode "under" or "over" puts k * f.abs_max * g.abs_max just below or at
-    or above 2**62; "free" draws the magnitudes anywhere in their dtypes.
+    mode "under" or "over" puts k * F * G just below or at or above
+    2**62; "free" draws the magnitudes anywhere in their dtypes.  Outside
+    the summed slices any value of the dtype may sit, which no bound reads.
     """
     k = draw(st.integers(1, 64))
     N = k + 1 + draw(st.integers(1, 8))
@@ -420,18 +421,20 @@ def _tables_with_extremes_outside_the_sum(draw):
         F = draw(st.integers(1, -int(np.iinfo(ftype).min)))
     assume(1 <= F <= -int(np.iinfo(ftype).min))
 
-    def table(dtype, magnitude, outside):
+    def table(dtype, magnitude, inside, outside):
         info = np.iinfo(dtype)
-        small = draw(st.one_of(st.just(magnitude), st.integers(0, magnitude)))
-        vals = [0] + draw(st.lists(
-            st.integers(-small, min(small, info.max)), min_size=N, max_size=N))
+        vals = [0] * (N + 1)
+        for i in inside:
+            vals[i] = draw(st.integers(-magnitude, min(magnitude, info.max)))
         extreme = magnitude if magnitude <= info.max and draw(st.booleans()) else -magnitude
-        vals[draw(st.sampled_from(outside))] = extreme
+        vals[draw(st.sampled_from(inside))] = extreme
+        for i in outside:
+            vals[i] = draw(st.integers(int(info.min), int(info.max)))
         return _frozen_table(vals, dtype)
 
-    # f sums f[1..k] and g sums g[N-k..N-1]; each extreme sits elsewhere
-    f = table(ftype, F, list(range(k + 1, N + 1)))
-    g = table(gtype, G, list(range(1, N - k)) + [N])
+    # f sums f[1..k] and g sums g[N-k..N-1]
+    f = table(ftype, F, list(range(1, k + 1)), list(range(k + 1, N + 1)))
+    g = table(gtype, G, list(range(N - k, N)), list(range(1, N - k)) + [N])
     boundary = draw(st.sampled_from(("half_open", "closed")))
     M = float(k + 1 if boundary == "half_open" else k)
     spec = ConvolutionSpec(N=N, M=M, boundary=boundary)
@@ -439,15 +442,32 @@ def _tables_with_extremes_outside_the_sum(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tables_with_extremes_outside_the_sum())
-def test_additive_convolution_exact_with_table_bounds(case):
+@given(_tables_with_extremes_in_the_sum())
+def test_additive_convolution_exact_with_slice_bounds(case):
     f, g, spec, mode = case
-    k = spec.last_index
+    N, k = spec.N, spec.last_index
+    fmax = max(abs(int(v)) for v in f.values[1 : k + 1])
+    gmax = max(abs(int(v)) for v in g.values[N - k : N])
     if mode != "free":
-        assert (k * f.abs_max * g.abs_max >= 2**62) == (mode == "over")
+        assert (k * fmax * gmax >= 2**62) == (mode == "over")
     got = additive_convolution(f, g, spec)
     assert isinstance(got, int)
-    assert got == sum(int(f.values[n]) * int(g.values[spec.N - n]) for n in range(1, k + 1))
+    assert got == sum(int(f.values[n]) * int(g.values[N - n]) for n in range(1, k + 1))
+
+
+def test_additive_convolutions_scan_the_union_of_their_slices(monkeypatch, dtable_small):
+    # one scan per table, of the union of the grid's slices: f[1..max k]
+    # and g[min(N - k)..max(N) - 1], not of the whole table
+    scanned = []
+    abs_max = convolution._abs_max
+    monkeypatch.setattr(convolution, "_abs_max", lambda a: scanned.append(len(a)) or abs_max(a))
+    d = dtable_small
+    specs = [ConvolutionSpec(N=N, M=M, boundary="closed")
+             for N, M in ((3000, 1000.0), (5000, 100.0), (4000, 2000.0))]
+    got = additive_convolutions(d, d, specs)
+    v = d.values.tolist()
+    assert got == [brute.additive_sum(v, v, s.N, s.last_index) for s in specs]
+    assert scanned == [2000, 5000 - 2000]
 
 
 @pytest.mark.parametrize("fvals, gvals, dtype", [
@@ -616,14 +636,24 @@ def test_additive_convolutions_match_the_literal_sums(case):
     assert got[0] == additive_convolution(f, g, specs[0])
 
 
-def test_shifted_convolution_reads_the_table_bound(dtable_small):
+def test_shifted_convolution_reads_its_two_slices(monkeypatch, dtable_small):
+    scanned = []
+    abs_max = convolution._abs_max
+    monkeypatch.setattr(convolution, "_abs_max", lambda a: scanned.append(len(a)) or abs_max(a))
     d = dtable_small
-    assert not d.values.flags.writeable
-    assert d.abs_max == int(d.values.max())
     for N, h in ((1, 1), (5000, 7), (9000, 1000)):
+        del scanned[:]
         v = d.values
         expected = sum(int(v[n]) * int(v[n + h]) for n in range(1, N + 1))
         assert shifted_divisor_convolution(d, N, h) == expected
+        assert scanned == [N, N]
+    # 64 summands of magnitude V reach 2**62 at V = 2**28, the last V with
+    # int64 runs of 64; the table's extreme sits past both slices
+    for V in (2**28 - 1, 2**28, 2**28 + 1):
+        vals = np.array([0] + [V, -V] * 33 + [-(2**62)], dtype=np.int64)
+        vals.setflags(write=False)
+        t = ArithTable("divisor", vals)
+        assert shifted_divisor_convolution(t, 64, 1) == -64 * V**2
 
 
 # --- the Lambda pair sum -------------------------------------------------
