@@ -5,29 +5,23 @@ come out of it in O(log n) divisions, and the classical point functions
 d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
 factorization; above the sieve's limit, to about its square, the sieve's
 primes factor n by trial division.  Bulk tables over [1, N] are vectorised
-rather than built per n.  mu, phi, d and sigma_k for an integer k >= 0
-are walked up from spf segments sieved on the fly by the sieve's primes
-up to isqrt(N): f(n) for n = p m, p = spf(n), comes from f(m) and, where
-p divides m, from f(m / p), entries below n's block.  So their N may
-reach the square of the sieve's limit, no spf to N is read, and the
-tables a caller reads together share one walk (FactorSieve.prepare).
-Lambda reads the same segments, and prime_mask marks their primes, one
-byte per n, for sums that read Lambda only at prime powers.  Divisor
-sums with a real exponent (sigma_s, sigma_norm) come from hyperbola
-enumeration, O(N log N) array element updates, and never read the
-sieve, so their N may exceed its limit.  spf is sieved in segments of
-_SEGMENT entries, the walk runs blocks of as many, and the hyperbola
-tables are written in blocks of at most _BLOCK entries, so the strided
-updates stay in cache; the order of the updates each entry receives
-does not depend on the block size, and neither do the bits of any
-table.  The hyperbola tables start from n**s and walk their blocks
-down, so a cofactor j = n/d with d >= 2 still holds j**s.  An integer
-table comes in the narrowest dtype proven to hold it (int16 for d below
-2**31, int32 for phi and for sigma_k while N**k (2 + ln N) < 2**31), so
-a caller widens before it multiplies values.  mu and phi are cached per
-sieve up to the largest N or R asked for (FactorSieve.upto), d and
-sigma_k only where a caller prepares them.  Every table tabulate
-returns is read-only.
+rather than built per n.  mu, phi, d and sigma_t for any real t are
+walked up from spf segments sieved on the fly by the sieve's primes up to
+isqrt(N) (or sliced from spf where the sieve reaches N): f(n) for
+n = p m, p = spf(n), comes from f(m) and, where p divides m, from
+f(m / p), entries below n's block.  So their N may reach the square of
+the sieve's limit, no spf to N is read, and the tables a caller reads
+together share one walk (FactorSieve.prepare).  Lambda reads the same
+segments, and prime_mask marks their primes, one byte per n, for sums
+that read Lambda only at prime powers.  spf is sieved in segments of
+_SEGMENT entries and the walk runs blocks of as many; the bits of no
+table depend on the block size.  An integer table comes in the narrowest
+dtype proven to hold it (int16 for d below 2**31, int32 for phi and for
+sigma_k while N**k (2 + ln N) < 2**31), so a caller widens before it
+multiplies values; sigma_t for any other t, and sigma_norm, are float64.
+mu and phi are cached per sieve up to the largest N or R asked for
+(FactorSieve.upto), the divisor sums only where a caller prepares them.
+Every table tabulate returns is read-only.
 """
 
 from __future__ import annotations
@@ -61,8 +55,7 @@ _BLOCK = 1 << 20
 # The sieve's segments are shorter than _BLOCK: at 2**18 int32 entries a
 # segment stays in L2 while the primes stride over it, and
 # build_sieve(10**7) takes about 0.05 s against 0.08 s at 2**20 (2-vCPU
-# Xeon).  The hyperbola tables loop over d <= sqrt(hi) once per block, so
-# 2**18 blocks made a sigma table about 20 % slower there.
+# Xeon).
 _SEGMENT = 1 << 18
 _WHEEL = 210  # 2 * 3 * 5 * 7, the period of the primes the sieve does not stride with
 
@@ -84,7 +77,7 @@ class FactorSieve:
     sieve their own spf segments from the primes up to isqrt(R), so R may
     reach (limit + 1)**2 - 1: prepare(names, R) caches any of them
     (walk_name) built in one walk, upto(name, R) is that cache over mu
-    and phi, and walked(name, R) reads d or sigma_k from it or walks the
+    and phi, and walked(name, R) reads a divisor sum from it or walks the
     table alone, uncached.  Other modules keep their own keys, with
     R <= limit.
     """
@@ -112,12 +105,13 @@ class FactorSieve:
     def prepare(self, names: Sequence[str], R: int) -> None:
         """Cache each of names on at least 0..R, in one spf walk.
 
-        names are the walk's tables: "mobius", "phi", "divisor" and
-        "sigma(k)" for an integer k >= 1 (walk_name).  The named tables
-        cached shorter are dropped first and then built together, sharing
-        each block's spf segment, so a caller that reads two of them, such
-        as mu and phi or sigma_1 and d, asks for them here and walks spf
-        once, in either order.  R may reach (limit + 1)**2 - 1.
+        names are the walk's tables: "mobius", "phi", "divisor",
+        "sigma(k)" for an integer k >= 1 and "sigma(t)" for a real t
+        written as a float (walk_name).  The named tables cached shorter
+        are dropped first and then built together, sharing each block's
+        spf segment, so a caller that reads two of them, such as mu and
+        phi or sigma_1 and d, asks for them here and walks spf once, in
+        either order.  R may reach (limit + 1)**2 - 1.
         """
         self._check_walk(R)
         short = [name for name in dict.fromkeys(names) if len(self.memo.get(name, ())) <= R]
@@ -130,11 +124,11 @@ class FactorSieve:
             self.memo[name] = table
 
     def walked(self, name: str, R: int) -> np.ndarray:
-        """The walk's table name on 0..R, read-only, for d and integer sigma.
+        """The walk's table name on 0..R, read-only, for d and sigma.
 
         A view of the table prepare cached, where it holds 0..R in the
         dtype of a table to R; otherwise a walk of its own, which memo
-        does not keep: a d table to 10**7 is 20 MB.
+        does not keep: a d table to 10**7 is 20 MB, a float64 one 80 MB.
         """
         dtype = _walk(name, R)[0]
         cached = self.memo.get(name)
@@ -174,92 +168,125 @@ class FactorSieve:
         # share each block's spf, m, the positions where p divides m and
         # m / p there
         walks = [_walk(name, n_max) for name in names]
-        tables = [np.zeros(n_max + 1, dtype) for dtype, _, _ in walks]
+        tables = [np.zeros(n_max + 1, dtype) for dtype, _, _, _ in walks]
         for out in tables:
             out[1:2] = 1
         for lo, p in _spf_blocks(self, n_max):
-            # the even n have p = 2 and their m = n / 2 and m / 2 = n / 4
-            # in slices: n = 2 mod 4 has an odd m, n = 0 mod 4 an even one.
-            # So only the odd n divide: phi and mu to 10**7 took about a
-            # fifth less time so (2-vCPU host)
-            hi, two = lo + len(p), p.dtype.type(2)
-            n2, n4 = lo + (2 - lo) % 4, lo + (-lo) % 4
-            for out, (_, prime, power) in zip(tables, walks):
-                np.multiply(out[n2 // 2 : (hi + 1) // 2 : 2], prime(two), out=out[n2:hi:4])
-                power(out[n4 // 2 : (hi + 1) // 2 : 2], out[n4 // 4 : (hi + 3) // 4], two,
-                      out[n4:hi:4])
-            for n, m, p_n, div, m_div, q in _odd_parts(lo, p):
-                for out, (_, prime, power) in zip(tables, walks):
+            # the n with p = 2 or 3 read m = n / p and m / p from slices:
+            # p divides m where n = 0 mod 4 or n = 9 mod 18.  So only the n
+            # prime to 6 divide: phi and mu to 10**7 took about a fifth less
+            # time with the even n so (2-vCPU host)
+            hi = lo + len(p)
+            for out, (_, base, prime, power) in zip(tables, walks):
+                for q, r, step in _SMALL_PRIMES:
+                    b = base(p.dtype.type(q))
+                    n = slice(lo + (r - lo) % step, hi, step)
+                    fm = out[_divided(n, q)]
+                    if r % (q * q):
+                        np.multiply(fm, prime(b), out=out[n])
+                    else:
+                        power(fm, out[_divided(n, q * q)], b, out[n])
+            for n, m, p_n, div, m_div, q in _coprime_parts(lo, p):
+                for out, (_, base, prime, power) in zip(tables, walks):
                     # np.take: out[m] took twice as long with int32 m.
-                    # Where p divides m, power overwrites prime(p) f(m),
+                    # Where p divides m, power overwrites prime(b) f(m),
                     # which may pass the dtype there
+                    b = base(p_n)
                     t = np.take(out, m)
-                    t *= prime(p_n)
+                    t *= prime(b)
                     fq = np.take(out, q)
-                    power(np.take(out, m_div), fq, p_n[div], fq)
+                    power(np.take(out, m_div), fq, b[div], fq)
                     t[div] = fq
                     out[n] = t
         return tables
 
 
-# The odd n of an spf block are walked _STEP at a time, so each part's
-# temporaries stay about half a megabyte
+# (p, r, step): the n = r mod step have spf(n) = p, and p divides n / p
+# where p * p divides r
+_SMALL_PRIMES = ((2, 2, 4), (2, 0, 4), (3, 3, 18), (3, 15, 18), (3, 9, 18))
+
+
+def _divided(n: slice, d: int) -> slice:
+    # the entries n / d of the slice n of multiples of d, as a slice
+    return slice(n.start // d, (n.stop - 1) // d + 1, n.step // d)
+
+
+# The n of an spf block prime to 6 are walked at most _STEP at a time, so
+# each part's temporaries stay about half a megabyte
 _STEP = 1 << 15
 
 
-def _odd_parts(lo: int, p: np.ndarray):
-    # (n, m, p, div, m[div], q) over the odd n of the block [lo, lo +
-    # len(p)), p their spf: n = p m, div the positions where p divides m
-    # and q = m / p there
+def _coprime_parts(lo: int, p: np.ndarray):
+    # (n, m, p, div, m[div], q) over the n prime to 6 of the block [lo,
+    # lo + len(p)), p their spf, one residue mod 6 at a time: n = p m,
+    # div the positions where p divides m and q = m / p there.  The parts
+    # of a residue are of about equal length: parts of _STEP and a short
+    # rest raised the session bench's peak RSS by 3 MB (glibc's mmap
+    # threshold follows the sizes freed)
     hi = lo + len(p)
-    for a in range(lo + 1 - lo % 2, hi, 2 * _STEP):
-        b = min(a + 2 * _STEP, hi)
-        p_n = p[a - lo : b - lo : 2]
-        m = np.arange(a, b, 2, dtype=p.dtype)
-        m //= p_n
-        div = np.flatnonzero(m % p_n == 0)
-        m_div = m[div]
-        yield slice(a, b, 2), m, p_n, div, m_div, m_div // p_n[div]
+    for r in (1, 5):
+        ns = range(lo + (r - lo) % 6, hi, 6)
+        parts = -(-len(ns) // _STEP)
+        for i in range(parts):
+            part = ns[len(ns) * i // parts : len(ns) * (i + 1) // parts]
+            a, b = part.start, part.stop
+            p_n = p[a - lo : b - lo : 6]
+            m = np.arange(a, b, 6, dtype=p.dtype)
+            m //= p_n
+            div = np.flatnonzero(m % p_n == 0)
+            m_div = m[div]
+            yield slice(a, b, 6), m, p_n, div, m_div, m_div // p_n[div]
 
 
 def _walk(name: str, n_max: int):
-    # (dtype, prime, power) of a table FactorSieve builds in its spf walk:
-    # f(n) = prime(p) f(m) for n = p m, p = spf(n), where p does not
-    # divide m, and power(f(m), f(m / p), p, out) writes f(n) into out
-    # where it does.  mu is int8 and phi the spf dtype of n_max, which
-    # holds phi(n) <= n
+    # (dtype, base, prime, power) of a table FactorSieve builds in its spf
+    # walk: b = base(p) is computed once for the p of each part, f(n) =
+    # prime(b) f(m) for n = p m, p = spf(n), where p does not divide m,
+    # and power(f(m), f(m / p), b, out) writes f(n) into out where it
+    # does.  mu is int8 and phi the spf dtype of n_max, which holds
+    # phi(n) <= n
     if name == "mobius":
-        return np.int8, lambda p: -1, lambda fm, fq, p, out: out.fill(0)
+        return np.int8, _same, lambda b: -1, lambda fm, fq, b, out: out.fill(0)
     if name == "phi":
-        return (_spf_dtype(n_max), lambda p: p - 1,
-                lambda fm, fq, p, out: np.multiply(fm, p, out=out))
-    k = 0 if name == "divisor" else int(name[len("sigma(") : -1])
-    dtype = _sigma_dtype(n_max, k)
+        return (_spf_dtype(n_max), _same, lambda b: b - 1,
+                lambda fm, fq, b, out: np.multiply(fm, b, out=out))
+    # sigma_k, k an integer >= 0 in the integer dtype of _sigma_dtype, or
+    # a real k written as a float in float64
+    arg = "0" if name == "divisor" else name[len("sigma(") : -1]
+    if arg.isdigit():
+        k = int(arg)
+        dtype = _sigma_dtype(n_max, k)
+    else:
+        k = float(arg)
+        _check_powers(n_max, k)
+        dtype = np.float64
+    # b = p**k in the table's dtype: p itself for k = 1, and d reads none
+    base = _same if k in (0, 1) else lambda p: np.power(p, k, dtype=dtype)
 
-    def pk(p):
-        # p**k in the table's dtype; p itself for k = 1, which the dtype holds
-        return p if k == 1 else np.power(p, k, dtype=dtype)
+    def prime(b):
+        return b + 1 if k else 2
 
-    def prime(p):
-        return pk(p) + 1 if k else 2
-
-    def power(fm, fq, p, out):
+    def power(fm, fq, b, out):
         # sigma_k(p m) = f(m) + p**k (f(m) - f(m / p)), from S_e =
         # (1 + p**k) S_{e-1} - p**k S_{e-2} on the powers of p.  f(m / p)
-        # <= f(m), so every value on the way lies in [0, sigma_k(p m)] and
-        # the table's dtype holds it
+        # <= f(m), so every integer value on the way lies in
+        # [0, sigma_k(p m)] and the table's dtype holds it
         np.subtract(fm, fq, out=out)
         if k:
-            out *= pk(p)
+            out *= b
         out += fm
 
-    return dtype, prime, power
+    return dtype, base, prime, power
 
 
-def _halving_blocks(n_max: int, size: int = _BLOCK) -> List[Tuple[int, int]]:
+def _same(p):
+    return p
+
+
+def _halving_blocks(n_max: int, size: int) -> List[Tuple[int, int]]:
     # [lo, hi) over 2..n_max, ascending, at most size long and hi <= 2 lo,
-    # so each m <= n/2 of an n in a block lies below it: finished when the
-    # blocks run up, untouched when they run down
+    # so each m <= n/2 of an n in a block lies below it, finished when the
+    # blocks run up
     edges = [2]
     while edges[-1] <= n_max:
         edges.append(min(2 * edges[-1], edges[-1] + size, n_max + 1))
@@ -367,8 +394,13 @@ def _spf_segment(seg: np.ndarray, lo: int, primes: np.ndarray, wheel: np.ndarray
 
 def _spf_blocks(sieve: FactorSieve, n_max: int):
     # (lo, spf of lo..hi-1) over the _halving_blocks of 2..n_max at most
-    # _SEGMENT long, each sieved from the sieve's primes up to
-    # isqrt(n_max) into one buffer, which the next block overwrites
+    # _SEGMENT long: slices of the sieve's own spf where it reaches
+    # n_max, else each sieved from its primes up to isqrt(n_max) into one
+    # buffer, which the next block overwrites
+    if n_max <= sieve.limit:
+        for lo, hi in _halving_blocks(n_max, _SEGMENT):
+            yield lo, sieve.spf[lo:hi]
+        return
     root = _primes_in(sieve.spf[: math.isqrt(n_max) + 1], 0)
     buf = np.empty(min(_SEGMENT, n_max + 1), dtype=_spf_dtype(n_max))
     wheel = _wheel(len(buf) + _WHEEL, buf.dtype)
@@ -503,29 +535,6 @@ def von_mangoldt(f: Factorization) -> float:
 # --- bulk tables -------------------------------------------------------
 
 
-def _hyperbola_table(N: int, s: float) -> np.ndarray:
-    # sum_{d | n} d**s in float64 by hyperbola pairing, for a real s: each
-    # d <= sqrt(n) dividing n adds d**s + (n/d)**s, and d = sqrt(n) takes
-    # its d**s back.  out starts as n**s and the blocks run down, so each
-    # d >= 2 reads its cofactor n/d while it is still (n/d)**s.  d ascends
-    # in each block, so every n gets the same additions in the same order
-    # as whole-range passes
-    _check_powers(N, s)
-    out = np.arange(N + 1, dtype=np.float64)
-    out[0] = 1
-    out **= s
-    out[0] = 0
-    for lo, hi in reversed(_halving_blocks(N)):
-        out[lo:hi] += 1
-        for d in range(2, math.isqrt(hi - 1) + 1):
-            ds = d**s
-            j0 = max(d, -(-lo // d))
-            out[j0 * d : hi : d] += ds + out[j0 : (hi - 1) // d + 1]
-            if lo <= d * d:
-                out[d * d] -= ds
-    return out
-
-
 def _check_powers(N: int, s: float) -> None:
     # sigma_s(n) <= d(n) n**s, and d(n) < 2**17 for any addressable n
     if s * math.log2(N) > 1000:
@@ -533,29 +542,23 @@ def _check_powers(N: int, s: float) -> None:
 
 
 def _sigma_dtype(N: int, k: int):
-    # _hyperbola_dtype(N, k) for sigma_k on 0..N, after the float64 check
-    # of the powers, which comes first, so N**k below has at most about
-    # 1000 bits
+    # the narrowest dtype proven to hold sigma_k on 0..N, for an int k >= 0,
+    # after the float64 check of the powers, which comes first, so N**k
+    # below has at most about 1000 bits: int16 for d = sigma_0 below
+    # N = 2**31, where d(n) < 1750 (Nicolas and Robin, Canad. Math. Bull.
+    # 26, 1983), int32 above.  For k >= 1, int32 while k log2 N +
+    # log2(2 + ln N) < 31: sigma_k(n) <= n**k H_n <= n**k (1 + ln n), and
+    # the extra N**k is the margin an earlier build of these tables
+    # needed, kept so no dtype changed; int64 above, up to 2**61
     _check_powers(N, k)
     if N**k >= 2**61:
         raise UsageError(
             f"sigma({k}) table to N={N} would overflow 64-bit accumulation; "
             "use sigma_norm or sigma_real instead"
         )
-    return _hyperbola_dtype(N, k)
-
-
-def _hyperbola_dtype(N: int, s: int):
-    # the narrowest dtype proven to hold sigma_s on 0..N, for an int s >= 0:
-    # int16 for d = sigma_0 below N = 2**31, where d(n) < 1750 (Nicolas and
-    # Robin, Canad. Math. Bull. 26, 1983), int32 above.  For s >= 1, int32
-    # while s log2 N + log2(2 + ln N) < 31: sigma_s(n) <= n**s H_n <=
-    # n**s (1 + ln n), and the extra N**s is the margin the hyperbola
-    # build of these tables needed, kept so no dtype changed when the spf
-    # walk replaced it; int64 above.  In logs, never as N**s
-    if s == 0:
+    if k == 0:
         return np.int16 if N < 2**31 else np.int32
-    if s * math.log2(N) + math.log2(2 + math.log(N)) < 31:
+    if k * math.log2(N) + math.log2(2 + math.log(N)) < 31:
         return np.int32
     return np.int64
 
@@ -607,29 +610,22 @@ _TABLE_KINDS = ("divisor", "sigma", "mobius", "phi", "lambda", "sigma_norm")
 
 
 def walk_name(kind: str, s: float | None = None) -> str | None:
-    """The FactorSieve.prepare name of a kind table built in the spf walk, else None.
+    """The FactorSieve.prepare name of a kind table, None for lambda.
 
-    "mobius" and "phi", "divisor" for d and for sigma with s = 0, and
-    "sigma(k)" for sigma with an integer s = k >= 1; None for lambda,
-    sigma_norm and sigma with any other s.
+    "mobius", "phi" and "divisor"; sigma_s is "divisor" for s = 0 and
+    "sigma(k)" for an integer s = k >= 1, and any other sigma_t is
+    "sigma(t)", t written as a float: t = s for sigma and -s for
+    sigma_norm(s) = sigma_{-s}, so sigma_norm(s) and sigma(-s) name one
+    float64 table, unless -s is an integer >= 0 and sigma(-s) is exact.
     """
     if kind in ("mobius", "phi", "divisor"):
         return kind
-    if kind == "sigma" and s is not None and s >= 0 and float(s).is_integer():
-        return f"sigma({int(s)})" if s else "divisor"
-    return None
-
-
-def sieve_limit_for(kind: str, N: int, s: float | None = None) -> int:
-    """The smallest sieve limit tabulate accepts for a kind table to N >= 1.
-
-    isqrt(N) for lambda and the kinds of the spf walk (walk_name: mobius,
-    phi, d and sigma with an integer s >= 0), which read only the primes
-    up to isqrt(N), and the minimal limit 2 for the real-exponent
-    hyperbola kinds (sigma with any other s, sigma_norm), which never
-    read the sieve.
-    """
-    return math.isqrt(N) if kind == "lambda" or walk_name(kind, s) else 2
+    if kind == "lambda":
+        return None
+    t = float(s) if kind == "sigma" else -float(s)
+    if kind == "sigma" and t >= 0 and t.is_integer():
+        return f"sigma({int(t)})" if t else "divisor"
+    return f"sigma({t + 0.0!r})"  # + 0.0 reads -0.0 as 0.0
 
 
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:
@@ -638,25 +634,24 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     kind is one of "divisor", "sigma", "mobius", "phi", "lambda",
     "sigma_norm"; the sigma kinds take the exponent s.  sigma with a
     non-negative integer s yields an exact integer table, any other s a
-    float table.  Each integer table comes in the narrowest dtype proven
-    to hold it (_hyperbola_dtype; int8 mu, int32 phi below 2**31), so
-    widen before multiplying values.  sigma_norm(s) tabulates
-    sigma_s(n) / n**s, which is sigma_{-s}(n).  A table that could
-    overflow raises UsageError before anything is allocated: any one with
-    t log2 N > 1000 for its powers d**t (t = s, or -s for sigma_norm),
-    checked first, and an integer one past int64.
-    mu, phi, d, integer sigma and lambda read the sieve's primes up to
-    isqrt(N), so N < (sieve.limit + 1)**2, as for factorize; the real
-    sigma and sigma_norm kinds never read it (sieve_limit_for).  mu and
-    phi are views of the sieve's cached tables (FactorSieve.upto); d and
-    integer sigma are views of the tables FactorSieve.prepare cached,
-    where it did, and otherwise walked on their own and not cached.
+    float64 one.  Each integer table comes in the narrowest dtype proven
+    to hold it (_sigma_dtype; int8 mu, int32 phi below 2**31), so widen
+    before multiplying values.  sigma_norm(s) tabulates
+    sigma_s(n) / n**s, which is sigma_{-s}(n), in float64.  A table that
+    could overflow raises UsageError before anything is allocated: any
+    one with t log2 N > 1000 for its powers d**t (t = s, or -s for
+    sigma_norm), checked first, and an integer one past int64.
+    Every kind reads the sieve's primes up to isqrt(N), so
+    N < (sieve.limit + 1)**2, as for factorize.  mu and phi are views of
+    the sieve's cached tables (FactorSieve.upto); d and sigma are views
+    of the tables FactorSieve.prepare cached, where it did, and otherwise
+    walked on their own and not cached.
     """
     if kind not in _TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}")
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
-    if sieve_limit_for(kind, N, s) > sieve.limit:
+    if math.isqrt(N) > sieve.limit:
         top = (sieve.limit + 1) ** 2 - 1
         raise UsageError(f"{kind} table: N must lie in [1, {top}], got {N}")
     check_addressable(N, "table to N =")
@@ -667,17 +662,12 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     elif s is not None:
         raise UsageError(f"kind {kind!r} takes no exponent")
 
-    name = walk_name(kind, s)
     if kind in ("mobius", "phi"):
         values = sieve.upto(kind, N)
-    elif name is not None:
-        values = sieve.walked(name, N)
-    elif kind == "sigma":
-        values = _hyperbola_table(N, s)
-    elif kind == "sigma_norm":
-        values = _hyperbola_table(N, -s)
-    else:
+    elif kind == "lambda":
         values = _lambda_table(sieve, N)
+    else:
+        values = sieve.walked(walk_name(kind, s), N)
     if kind in ("sigma", "sigma_norm"):
         kind = f"{kind}({s:g})"
     values.setflags(write=False)

@@ -35,20 +35,16 @@ is checked before any table is built.  An option value may start with
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
 needs, so no output depends on its size: R where the Ramanujan sums
-read it, isqrt(N) where a mu, phi, d, integer sigma or Lambda table
-sieves its own segments from the primes up to isqrt(N) or the sieve
-only factors the N of a main term next to sigma_norm tables, which
-never read it, and the minimal limit 2 for a convolve of two sigma or
-sigma_norm tables with real exponents, which read no sieve and have no
-main term.
+read it, and isqrt(N) where a table to N sieves its own segments from
+the primes up to isqrt(N) or a main term factors N.
 convolve builds f and g to N whatever M is, so its tables and its
 memory do not depend on M.  Whether the largest table is addressable is
 checked before the sieve is built.  goldbach and convolve of lambda with
 lambda build no Lambda table: lambda_convolution sums over the pairs of
 prime powers below N, with the bits of the dense tables' sum.  A
-convolve of two tables of the spf walk (mu, phi, d, sigma with an
-integer exponent), such as phi with mu or sigma:1 with d, in either
-order, builds both in one walk (FactorSieve.prepare).
+convolve of two tables other than Lambda, such as phi with mu or
+sigma:1 with d, in either order, and verify-general with alpha != beta
+build both in one walk (FactorSieve.prepare).
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .arith import build_sieve, check_addressable, sieve_limit_for, tabulate, walk_name
+from .arith import build_sieve, check_addressable, tabulate, walk_name
 from .asymptotics import (
     ConvolutionReport,
     check_divisor_report,
@@ -205,9 +201,7 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     M = _parse_float(args.M, "--M")
     _check_N(args.N)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
-    sieve = _sieve_for(
-        max(sieve_limit_for(fkind, args.N, fs), sieve_limit_for(gkind, args.N, gs)), args.N
-    )
+    sieve = _sieve_for(math.isqrt(args.N), args.N)
     if fkind == gkind == "lambda":
         value = lambda_convolution(sieve, spec)
     else:
@@ -282,6 +276,9 @@ def cmd_verify_general(args: argparse.Namespace) -> Result:
     sieve = _sieve_for(math.isqrt(args.N), args.N)
     # the main term's zeta factor rejects an exponent before any table
     _, delta = main_term_sigma_norm(sieve, alpha, beta, args.N, 1.0)
+    if beta != alpha:
+        names = [walk_name("sigma_norm", alpha), walk_name("sigma_norm", beta)]
+        sieve.prepare(names, args.N)  # both in one spf walk
     ftab = tabulate(sieve, "sigma_norm", args.N, s=alpha)
     gtab = ftab if beta == alpha else tabulate(sieve, "sigma_norm", args.N, s=beta)
     regime = ramanujan_regime(delta)
@@ -336,7 +333,7 @@ def cmd_goldbach(args: argparse.Namespace) -> Result:
         raise UsageError(f"N must be an even integer >= 2, got {args.N}")
     if args.R < 1:
         raise UsageError(f"R must be >= 1, got {args.R}")
-    sieve = _sieve_for(max(sieve_limit_for("lambda", args.N), args.R), args.N)
+    sieve = _sieve_for(max(math.isqrt(args.N), args.R), args.N)
     spec = ConvolutionSpec(N=args.N, M=float(args.N), boundary="half_open")
     exact = lambda_convolution(sieve, spec)
     ss = singular_series(sieve, args.N, args.R)

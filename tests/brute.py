@@ -57,6 +57,18 @@ def sigma_float(n: int, s: float) -> float:
     return math.fsum(d**s for d in divisors(n))
 
 
+def sigma_fsum(n: int, t: float) -> float:
+    """sigma_t(n) as math.fsum of float(d)**t over the divisors from factorize.
+
+    Correctly rounded from the powers, each within about an ulp; trial
+    division to sqrt(n), so it serves n far past divisors' range.
+    """
+    ds = [1]
+    for p, e in factorize(n):
+        ds = [d * p**i for d in ds for i in range(e + 1)]
+    return math.fsum(float(d) ** t for d in ds)
+
+
 def mobius(n: int) -> int:
     fs = factorize(n)
     if any(e >= 2 for _, e in fs):
@@ -208,9 +220,9 @@ def tau(y: float) -> float:
 # A boolean prime sieve with one pass per prime for mu, phi and Lambda, a
 # masked ascending pass per prime for spf, whole-range hyperbola loops
 # for d and sigma, and the blocked hyperbola build of the exact sigma_k
-# tables that the spf walk replaced.  Each entry is computed with the
-# same floating-point operations as the library's tables, so comparisons
-# against them are exact.
+# tables that the spf walk replaced.  The integer tables are exact, so
+# comparisons against them are too; the real sigma_t tables of the walk
+# are held to an ulp bound against sigma_longdouble instead.
 
 
 def spf_table(limit: int) -> np.ndarray:
@@ -304,19 +316,32 @@ def lambda_pair_sum(lam: np.ndarray, N: int, k: int) -> float:
     return total
 
 
-def sigma_table(N: int, s) -> np.ndarray:
-    """sum_{d | n} d**s: exact for an int s >= 0, in exact_sigma_dtype, float64 otherwise."""
-    exact = isinstance(s, int)
-    out = np.zeros(N + 1, dtype=np.int64 if exact else np.float64)
+def sigma_table(N: int, s: int) -> np.ndarray:
+    """sum_{d | n} d**s for an int s >= 0, exactly, in exact_sigma_dtype."""
+    out = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, math.isqrt(N) + 1):
         idx = np.arange(d * d, N + 1, d, dtype=np.int64)
-        if exact:
-            out[idx] += d**s + (idx // d) ** s
-            out[d * d] -= d**s
-        else:
-            out[idx] += float(d) ** s + (idx // d).astype(np.float64) ** s
-            out[d * d] -= float(d) ** s
-    return _narrow(out, exact_sigma_dtype(N, s)) if exact else out
+        out[idx] += d**s + (idx // d) ** s
+        out[d * d] -= d**s
+    return _narrow(out, exact_sigma_dtype(N, s))
+
+
+def sigma_longdouble(N: int, t: float) -> np.ndarray:
+    """sum_{d | n} d**t for a real t by whole-range hyperbola pairing, in np.longdouble.
+
+    The build the float64 sigma_t tables had before the spf walk, carried
+    in extended precision (a 64-bit significand on x86-64), so each entry
+    is within a small fraction of a float64 ulp of the exact sum.  The
+    powers j**t are computed once, to N.
+    """
+    n = np.arange(N + 1, dtype=np.longdouble)
+    n[0] = 1
+    powers = n ** np.longdouble(t)
+    out = np.zeros(N + 1, dtype=np.longdouble)
+    for d in range(1, math.isqrt(N) + 1):
+        out[d * d :: d] += powers[d] + powers[d : N // d + 1]
+        out[d * d] -= powers[d]
+    return out
 
 
 def hyperbola_sigma_table(N: int, k: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from convlab import (
     von_mangoldt,
 )
 from convlab import arith
-from convlab.arith import _SEGMENT, _halving_blocks, _hyperbola_dtype
+from convlab.arith import _SEGMENT, _halving_blocks, _sigma_dtype
 
 
 def test_build_sieve_small_values():
@@ -226,19 +227,24 @@ def test_tabulate_matches_pointwise(sieve_small):
         )
 
 
-@pytest.mark.parametrize(
-    "limit",
-    [2, 3, 4, 209, 210, 211, 2**18 - 1, 2**18, 2**18 + 1,
-     2**21 - 1, 2**21, 2**21 + 1, 2**21 + 12345, 1451**2],
-)
+# cross the 2**20 block cap of the spf-derived tables and the 2**18 sieve
+# segments at a limit that is no power of two, end on, before and after
+# one period 210 of the sieve's wheel and on, before and after the first
+# segment edge, and cover the smallest sieves; at 1451**2 the last entry
+# of the last segment is a prime square.  At 2**21 - 1, 2**21 and
+# 2**21 + 1 the cofactors N//2 and N//2 + 1 of the top block sit on or
+# next to the block edge 2**20
+_ORACLE_LIMITS = [2, 3, 4, 209, 210, 211, 2**18 - 1, 2**18, 2**18 + 1,
+                  2**21 - 1, 2**21, 2**21 + 1, 2**21 + 12345, 1451**2]
+
+# (kind, s) of the real sigma_t tables, t = s for sigma and -s for sigma_norm
+_REAL_KINDS = [("sigma", 0.5), ("sigma_norm", 0.5), ("sigma", 1.5), ("sigma_norm", 2)]
+
+
+@pytest.mark.parametrize("limit", _ORACLE_LIMITS)
 def test_tabulate_bit_identical_to_bulk_oracles(limit):
-    # crosses the 2**20 block cap of the spf-derived tables and of the
-    # hyperbola blocks and the 2**18 sieve segments at a limit that is no
-    # power of two, ends on, before and after one period 210 of the sieve's
-    # wheel and on, before and after the first segment edge, and covers the
-    # smallest sieves; at 1451**2 the last entry of the last segment is a
-    # prime square.  At 2**21 - 1, 2**21 and 2**21 + 1 the cofactors N//2
-    # and N//2 + 1 of the top block sit on or next to the block edge 2**20
+    # the exact tables against the bulk oracles, byte for byte; the real
+    # sigma tables are held to an ulp bound by the test below
     sv = build_sieve(limit)
     expected_spf = brute.spf_table(limit)
     assert sv.spf.dtype == expected_spf.dtype
@@ -250,21 +256,71 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         ("lambda", None, brute.lambda_table(limit)),
         ("sigma", 1, brute.sigma_table(limit, 1)),
         ("sigma", 2, brute.sigma_table(limit, 2)),
-        ("sigma", 0.5, brute.sigma_table(limit, 0.5)),
-        ("sigma_norm", 0.5, brute.sigma_table(limit, -0.5)),
         ("sigma", 0, brute.sigma_table(limit, 0)),
-        ("sigma", 1.5, brute.sigma_table(limit, 1.5)),
-        ("sigma_norm", 2, brute.sigma_table(limit, -2.0)),
     ]
-    # the real sigma kinds never read the sieve, and the spf walk's kinds
-    # and Lambda read only its primes to isqrt(limit): one to
-    # isqrt(limit), all the CLI builds for them, gives the same bytes
-    root = build_sieve(max(math.isqrt(limit), 2))
     for kind, s, expected in cases:
         values = tabulate(sv, kind, limit, s=s).values
         assert values.dtype == expected.dtype, (kind, s)
         assert np.array_equal(values, expected), (kind, s)
+    # every kind reads only the sieve's primes to isqrt(limit): one to
+    # isqrt(limit), all the CLI builds, gives the bytes of the sieve to
+    # limit, whose spf the walk reads in slices
+    root = build_sieve(max(math.isqrt(limit), 2))
+    for kind, s in [case[:2] for case in cases] + _REAL_KINDS:
+        values = tabulate(sv, kind, limit, s=s).values
         assert tabulate(root, kind, limit, s=s).values.tobytes() == values.tobytes(), (kind, s)
+
+
+_LONGDOUBLE_TOP = 2**18 + 1
+
+
+@lru_cache(maxsize=None)
+def _longdouble_sigma(t):
+    return brute.sigma_longdouble(_LONGDOUBLE_TOP, t)
+
+
+def _ulps(values, ref):
+    # |values - ref| in units of the float64 spacing at ref
+    ref = np.asarray(ref, dtype=np.longdouble)
+    return np.abs(values.astype(np.longdouble) - ref) / np.spacing(ref.astype(np.float64))
+
+
+@pytest.mark.parametrize("limit", _ORACLE_LIMITS)
+def test_real_sigma_tables_within_ulp_of_an_exact_oracle(limit):
+    # sigma_t for a real t from the spf walk, f(p m) = f(m) + p**t (f(m) -
+    # f(m / p)) where p | m, against sums carried in extended precision:
+    # every entry up to 2**18 + 1, and above it a seeded sample of 10**4 n
+    # against math.fsum over their divisors (a longdouble table to 2*10**6
+    # takes seconds).  At 9 990 176 the walk measured 9.1, 6.2, 18.0 and
+    # 17.3 ulp for t = -0.5, -2, 0.5 and 1.5, the hyperbola build it
+    # replaced 9.9, 12.4, 10.2 and 11.9
+    sv = build_sieve(max(math.isqrt(limit), 2))
+    if limit <= _LONGDOUBLE_TOP:
+        n = np.arange(1, limit + 1)
+    else:
+        rng = np.random.default_rng(limit)
+        n = np.unique(np.concatenate([rng.integers(1, limit + 1, 10**4), [limit]]))
+    for kind, s in _REAL_KINDS:
+        t = s if kind == "sigma" else -s
+        values = tabulate(sv, kind, limit, s=s).values
+        assert values.dtype == np.float64
+        if limit <= _LONGDOUBLE_TOP:
+            ref = _longdouble_sigma(t)[1 : limit + 1]
+        else:
+            ref = [brute.sigma_fsum(int(i), t) for i in n]
+        err = _ulps(values[n], ref)
+        assert err.max() <= (12 if t < 0 else 24), (kind, s, n[np.argmax(err)], err.max())
+
+
+@pytest.mark.parametrize("N", [2**17, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7])
+def test_real_sigma_table_is_a_prefix_of_a_longer_one(N):
+    # a real table to N is the first N + 1 entries of one to 2N + 1: the
+    # last block of the shorter walk ends inside a block of the longer one
+    sv = build_sieve(math.isqrt(2 * N + 1))
+    for kind, s in _REAL_KINDS:
+        short = tabulate(sv, kind, N, s=s).values
+        long = tabulate(sv, kind, 2 * N + 1, s=s).values
+        assert short.tobytes() == long[: N + 1].tobytes(), (kind, s, N)
 
 
 @pytest.mark.parametrize("N, dtype", [
@@ -273,13 +329,13 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
 def test_divisor_dtype_rule_at_2_31(N, dtype):
     # d(n) < 1750 below 2**31 (Nicolas-Robin), so d and sigma(0) are int16
     # there; the rule alone, no table this size is built
-    assert _hyperbola_dtype(N, 0) == dtype == brute.exact_sigma_dtype(N, 0)
+    assert _sigma_dtype(N, 0) == dtype == brute.exact_sigma_dtype(N, 0)
 
 
 def test_sigma_2_dtype_crosses_to_int64_where_bound_reaches_2_31():
     # N**2 (2 + ln N) crosses 2**31 near N = 13650: the last int32 table
     # and the first int64 one both hold the exact values
-    top = max(N for N in range(13_000, 14_000) if _hyperbola_dtype(N, 2) == np.int32)
+    top = max(N for N in range(13_000, 14_000) if _sigma_dtype(N, 2) == np.int32)
     assert 13_600 < top < 13_700
     assert top**2 * (2 + math.log(top)) < 2**31 <= (top + 1) ** 2 * (2 + math.log(top + 1))
     sv = build_sieve(math.isqrt(top + 1))
@@ -342,11 +398,9 @@ def test_tabulate_tables_reject_writes(sieve_small):
 
 
 def test_sigma_table_peak_memory(sieve_10m):
-    # beside the result only one block's spf segment and one part's
-    # temporaries are live: sigma(1), walked from spf, about 1.10x the
-    # result at 2**23; sigma_norm(0.5) starts as n**s and reads its
-    # cofactors from itself, about 1.06x (1.625x with powers j**s to N//2
-    # beside it)
+    # beside the result only one part's temporaries are live, and the
+    # walk reads the sieve's own spf in slices: sigma(1) and
+    # sigma_norm(0.5) at 2**23, both walked from spf
     for kind, s in (("sigma", 1), ("sigma_norm", 0.5)):
         tracemalloc.start()
         try:
@@ -419,6 +473,26 @@ def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(mon
     assert one_walk > 1  # the last R walks several segments
 
 
+def test_tables_on_a_sieve_to_N_sieve_no_segment(monkeypatch):
+    # where the sieve reaches N, the walk and Lambda read slices of its own
+    # spf: no segment is sieved, and the bytes are those of a sieve to
+    # isqrt(N), which sieves every segment from its primes
+    N = 3 * _SEGMENT + 12345
+    root, full = build_sieve(math.isqrt(N)), build_sieve(N)
+    kinds = [("divisor", None), ("mobius", None), ("phi", None), ("lambda", None),
+             ("sigma", 1), ("sigma_norm", 0.5)]
+    expected = {(kind, s): tabulate(root, kind, N, s=s).values.tobytes() for kind, s in kinds}
+    primes = arith.prime_mask(root, N)
+
+    def no_segment(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(arith, "_spf_segment", no_segment)
+    for kind, s in kinds:
+        assert tabulate(full, kind, N, s=s).values.tobytes() == expected[kind, s], kind
+    assert np.array_equal(arith.prime_mask(full, N), primes)
+
+
 def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatch):
     sv = build_sieve(100)
     sv.upto("phi", 3000)
@@ -452,10 +526,11 @@ def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatc
         sv.prepare(("phi",), 101**2)
 
 
-# ... around the edges of the walk's odd parts inside a full block, and
-# on both sides of sigma_2's crossover from int32 to int64
+# ... around the edges of the walk's parts inside a full block (a residue
+# mod 6 splits into two at _SEGMENT + _SEGMENT / 2 + 1 or + 3), and on both
+# sides of sigma_2's crossover from int32 to int64
 _DIVISOR_SUM_RS = sorted(set(_WALK_RS) | {13_651, 13_652}
-                         | {_SEGMENT + 2 * arith._STEP + d for d in (-1, 0, 1, 2)})
+                         | {_SEGMENT + _SEGMENT // 2 + d for d in range(-1, 6)})
 
 
 def test_walked_divisor_sums_match_the_oracles_at_every_block_edge():
@@ -495,6 +570,14 @@ def test_bare_tabulate_caches_no_divisor_sum_table():
     assert s2.dtype == np.int32 and not np.shares_memory(s2, sv.memo["sigma(2)"])
     assert np.array_equal(s2, sv.memo["sigma(2)"][:13_001])
     assert sorted(sv.memo) == ["divisor", "sigma(2)"]
+    # walk names are canonical: sigma_norm(s) is sigma(-s), one float64
+    # table, while sigma_norm(-2) stays float64 beside the exact sigma(2)
+    assert arith.walk_name("sigma_norm", 0.5) == arith.walk_name("sigma", -0.5) == "sigma(-0.5)"
+    sv.prepare(("sigma(-0.5)", arith.walk_name("sigma_norm", -2)), 20_000)
+    for kind, s in (("sigma_norm", 0.5), ("sigma", -0.5)):
+        assert np.shares_memory(tabulate(sv, kind, 5000, s=s).values, sv.memo["sigma(-0.5)"])
+    assert tabulate(sv, "sigma_norm", 5000, s=-2).values.dtype == np.float64
+    assert sorted(sv.memo) == ["divisor", "sigma(-0.5)", "sigma(2)", "sigma(2.0)"]
 
 
 def test_sigma_minus_one_identity(sieve_small):

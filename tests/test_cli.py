@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from convlab.cli import (
@@ -258,9 +262,9 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     # f is built to N whatever M is, so a mu table to N reads the sieve to isqrt(N)
     (("convolve", "--f", "mu", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
      31),
-    # the real sigma kinds read no sieve, so their convolve builds the minimal one
+    # the real sigma kinds are walked from spf segments too
     (("convolve", "--f", "sigma_norm:1", "--g", "sigma:0.5", "--N", "9999", "--M", "50",
-      "--boundary", "half_open"), 2),
+      "--boundary", "half_open"), 99),
 ])
 def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv, limit):
     import convlab.cli as cli
@@ -282,12 +286,13 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
     ("mu", "phi", [["mobius", "phi"]]),
     ("phi", "d", [["phi", "divisor"]]),
     ("mu", "mu", [["mobius"]]),
-    # any two kinds of the spf walk share one walk: d, and sigma with an
-    # integer exponent (sigma:0 is d), as well as mu and phi
+    # any two kinds but lambda share one walk: d and sigma with any
+    # exponent (sigma:0 is d, and sigma_norm:s is sigma:-s in float64), as
+    # well as mu and phi
     ("sigma:1", "d", [["sigma(1)", "divisor"]]),
     ("d", "sigma:1", [["divisor", "sigma(1)"]]),
     ("sigma:0", "d", [["divisor"]]),
-    ("sigma:2", "sigma:0.5", [["sigma(2)"]]),
+    ("sigma:2", "sigma:0.5", [["sigma(2)", "sigma(0.5)"]]),
 ])
 def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypatch, f, g, walks):
     from convlab import arith
@@ -300,6 +305,19 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
     code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5000", "--M", "2500",
                        "--boundary", "closed")
     assert code == 0 and built == walks
+
+
+def test_verify_general_walks_both_exponents_at_once(capsys, monkeypatch):
+    from convlab import arith
+
+    built = []
+    from_spf = arith.FactorSieve._from_spf
+    monkeypatch.setattr(arith.FactorSieve, "_from_spf",
+                        lambda self, names, n_max: built.append(list(names))
+                        or from_spf(self, names, n_max))
+    code, out, _ = run(capsys, "verify-general", "--alpha", "0.5", "--beta", "2", "--N", "5000",
+                       "--M-grid", "100,2500")
+    assert code in (0, 1) and built == [["sigma(-0.5)", "sigma(-2.0)"]]
 
 
 _CLI_TABLES_AT_2_22 = [
@@ -715,3 +733,74 @@ def test_package_main_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == ",".join(_TAU_HEADERS)
+
+
+# Malformed numbers: NaN, one that overflows to inf, a negative zero, a hex
+# literal, Arabic-Indic digits (which int() and float() read as 10) and an
+# empty value.  "1_000" (read as 1000) is drawn only where 1000 stays cheap
+_JUNK = ["nan", "1e400", "-0", "0x10", "\u0661\u0660", ""]
+
+# each command's options and the values drawn for them besides _JUNK
+_GRAMMAR = {
+    "convolve": {
+        "--f": ["d", "mu", "phi", "lambda", "sigma:1", "sigma:0.5", "sigma_norm:2",
+                "sigma_norm:-1", "sigma:", "sigma:1:2", "sigma:-0", "sigma_norm:1_000", "bogus"],
+        "--g": ["d", "mu", "lambda", "sigma:2", "sigma_norm:0.5", "sigma:-1.5", "sigma_norm:"],
+        "--N": ["2", "17", "100", "1_000"],
+        "--M": ["1", "8", "16.5", "50", "1_000"],
+        "--boundary": ["closed", "half_open", "open"],
+    },
+    "verify-ingham": {
+        "--N-grid": ["100", "17,1_000", "\u0661\u0660\u0660,40", ",", "16,2.5", "500,16"],
+        "--M-rule": ["half", "frac:", "frac:0.5", "frac:0", "fixed:inf", "fixed:7", "fixed:"],
+    },
+    "verify-general": {
+        "--alpha": ["0.5", "2", "1_000", "-inf", "1"],
+        "--beta": ["1.5", "3", "0.5"],
+        "--N": ["100", "17", "1_000"],
+        "--M-grid": ["1,10", "50", "\u0661\u0660,1_0", "0,5", ","],
+    },
+    "orthogonality": {
+        "--N": ["50", "100", "1_000"],
+        "--M": ["10", "50"],
+        "--r-max": ["3", "1_0"],
+        "--s-max": ["4", "1"],
+        "--assert-max": ["1.5", "0", "inf"],
+    },
+    "goldbach": {"--N": ["100", "98", "17", "1_000"], "--R": ["10", "1_000"]},
+    "tau": {"--y": ["100", "2", "0.5", "1_000", "-inf"]},
+}
+
+
+@st.composite
+def _argv(draw):
+    # each option is left out one time in ten and malformed two in ten
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for option, values in _GRAMMAR[command].items():
+        roll = draw(st.integers(0, 9))
+        if roll:
+            argv += [option, draw(st.sampled_from(_JUNK if roll < 3 else values))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_arguments_exit_0_1_or_2_without_a_traceback(argv):
+    # every argv of the six commands' grammar, malformed or not, ends in a
+    # documented exit code; a usage error is one "error: ..." line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "" and out.getvalue(), argv
