@@ -1,11 +1,13 @@
 """Sieve-backed arithmetic functions.
 
 A single smallest-prime-factor table is the source of truth: factorizations
-come out of it in O(log n) divisions, and the classical point functions
-d(n), sigma_s(n), mu(n), phi(n), Lambda(n) are evaluated from the
-factorization; above the sieve's limit, to about its square, the sieve's
-primes factor n by trial division.  Bulk tables over [1, N] are vectorised
-rather than built per n.  mu, phi, d and sigma_t for any real t are
+come out of it in O(log n) divisions, and the point functions sigma_s(n)
+(d(n) as sigma_0) and mu(n) are evaluated from the factorization; above
+the sieve's limit, to about its square, the sieve's primes factor n by
+trial division.  Every argument a sieve serves, a factorization or a
+table to n, is an integer below (limit + 1)**2 by one rule (as_index).
+Bulk tables over [1, N] are vectorised rather than built per n.  mu,
+phi, d and sigma_t for any real t are
 walked up from spf segments sieved on the fly by the sieve's primes up to
 isqrt(N) (or sliced from spf where the sieve reaches N): f(n) for
 n = p m, p = spf(n), comes from f(m) and, where p divides m, from
@@ -27,6 +29,7 @@ Every table tabulate returns is read-only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, List, Sequence, Tuple
@@ -42,12 +45,9 @@ __all__ = [
     "build_sieve",
     "factorize",
     "divisors",
-    "divisor_count",
     "sigma_real",
     "sigma_rational",
     "mobius",
-    "euler_phi",
-    "von_mangoldt",
     "tabulate",
 ]
 
@@ -75,11 +75,11 @@ class FactorSieve:
     tables a caller reads only on 0..R, which prefix(key, R, build) keeps
     one per key at the largest R asked for so far.  The walk's tables
     sieve their own spf segments from the primes up to isqrt(R), so R may
-    reach (limit + 1)**2 - 1: prepare(names, R) caches any of them
-    (walk_name) built in one walk, upto(name, R) is that cache over mu
-    and phi, and walked(name, R) reads a divisor sum from it or walks the
-    table alone, uncached.  Other modules keep their own keys, with
-    R <= limit.
+    reach (limit + 1)**2 - 1 (as_index): prepare(names, R) caches any of
+    them (walk_name) built in one walk, upto(name, R) is that cache over
+    mu and phi, and walked(name, R) reads a divisor sum from it or walks
+    the table alone, uncached.  Other modules keep their own prefix keys,
+    whose R reaches as far.
     """
 
     limit: int
@@ -113,7 +113,7 @@ class FactorSieve:
         phi or sigma_1 and d, asks for them here and walks spf once, in
         either order.  R may reach (limit + 1)**2 - 1.
         """
-        self._check_walk(R)
+        R = as_index("R", R, 0, self)
         short = [name for name in dict.fromkeys(names) if len(self.memo.get(name, ())) <= R]
         if not short:
             return
@@ -130,32 +130,23 @@ class FactorSieve:
         dtype of a table to R; otherwise a walk of its own, which memo
         does not keep: a d table to 10**7 is 20 MB, a float64 one 80 MB.
         """
+        R = as_index("R", R, 0, self)
         dtype = _walk(name, R)[0]
         cached = self.memo.get(name)
         if cached is not None and len(cached) > R and cached.dtype == dtype:
             return cached[: R + 1]
-        self._check_walk(R)
         (table,) = self._from_spf([name], R)
         table.setflags(write=False)
         return table
 
     def prefix(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
-        """build(R) on 0..R, read-only, for 0 <= R <= limit.
+        """build(R) on 0..R, read-only, for 0 <= R <= (limit + 1)**2 - 1.
 
         memo keeps one table per key, at the largest R asked for so far.
         A longer table is built only after memo has let go of the shorter
         one, so the two never sit in the cache together.
         """
-        if not 0 <= R <= self.limit:
-            raise UsageError(f"R must lie in [0, {self.limit}], got {R}")
-        return self._cached(key, R, build)
-
-    def _check_walk(self, R: int) -> None:
-        top = (self.limit + 1) ** 2 - 1
-        if not 0 <= R <= top:
-            raise UsageError(f"R must lie in [0, {top}], got {R}")
-
-    def _cached(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
+        R = as_index("R", R, 0, self)
         if len(self.memo.get(key, ())) <= R:
             self.memo.pop(key, None)
             self.memo[key] = build(R)
@@ -339,10 +330,37 @@ def build_sieve(limit: int) -> FactorSieve:
     return FactorSieve(limit=limit, spf=_spf_table(limit))
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def check_addressable(n: int, what: str) -> None:
     """Raise UsageError when an 8-byte table over 0..n is past numpy's index type."""
-    if (n + 1) * 8 > np.iinfo(np.intp).max:
+    if (n + 1) * 8 > _INTP_MAX:
         raise UsageError(f"{what} {n} is too large for one array")
+
+
+def as_index(name: str, value, lo: int, sieve: FactorSieve | None = None) -> int:
+    """value as a Python int >= lo, else UsageError.
+
+    numpy integers pass; a float does not, even an integral one, so no
+    NaN, infinity or fraction is ever truncated into an index.  With a
+    sieve, value is an argument the sieve serves, a factorization or a
+    table to value, and must also lie below (sieve.limit + 1)**2, where
+    the sieve's primes stop reaching isqrt(value), and be addressable.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if sieve is None:
+        if value < lo:
+            raise UsageError(f"{name} must be >= {lo}, got {value}")
+        return value
+    top = (sieve.limit + 1) ** 2 - 1
+    if not lo <= value <= top:
+        raise UsageError(f"{name} must lie in [{lo}, {top}], got {value}")
+    check_addressable(value, name)
+    return value
 
 
 def _spf_table(limit: int) -> np.ndarray:
@@ -431,11 +449,9 @@ def factorize(sieve: FactorSieve, n: int) -> Factorization:
     vectorised remainder over the sieve's primes, with no scan of spf, and
     what is left of n above 1 has no prime factor up to sqrt(n), so it is
     prime.  From (limit + 1)**2 on, sqrt(n) passes the limit and a prime
-    factor of n could be missing from the sieve.
+    factor of n could be missing from the sieve (as_index).
     """
-    top = (sieve.limit + 1) ** 2 - 1
-    if not 1 <= n <= top:
-        raise UsageError(f"n must lie in [1, {top}], got {n}")
+    n = as_index("n", n, 1, sieve)
     factors: List[Tuple[int, int]] = []
     m = n
     if n <= sieve.limit:
@@ -446,8 +462,6 @@ def factorize(sieve: FactorSieve, n: int) -> Factorization:
     else:
         primes = sieve.primes()
         primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-        if n > np.iinfo(np.int64).max:
-            primes = primes.astype(object)
         for p in primes[n % primes == 0].tolist():
             m, e = _divide_out(m, p)
             factors.append((p, e))
@@ -473,14 +487,6 @@ def divisors(f: Factorization) -> List[int]:
     return sorted(out)
 
 
-def divisor_count(f: Factorization) -> int:
-    """d(n) = prod (e_i + 1)."""
-    out = 1
-    for _, e in f.factors:
-        out *= e + 1
-    return out
-
-
 def sigma_real(f: Factorization, s: float) -> float:
     """sigma_s(n) = sum_{d | n} d**s for real s, in double precision.
 
@@ -494,7 +500,8 @@ def sigma_real(f: Factorization, s: float) -> float:
 def sigma_rational(f: Factorization, k: int) -> int | Fraction:
     """sigma_k(n) exactly, for integer k >= -1.
 
-    An int for k >= 0, from the Euler product in integers; for k = -1 the
+    An int for k >= 0, from the Euler product in integers (prod (e + 1)
+    for k = 0, where each factor's geometric sum is e + 1); for k = -1 the
     Fraction sigma_1(n) / n, the case the main terms consume.  Conversion
     to float is left to the caller so it happens exactly once.
     """
@@ -502,12 +509,10 @@ def sigma_rational(f: Factorization, k: int) -> int | Fraction:
         raise UsageError(f"sigma_rational supports k >= -1, got {k}")
     if k == -1:
         return Fraction(sigma_rational(f, 1), f.n)
-    if k == 0:
-        return divisor_count(f)
     out = 1
     for p, e in f.factors:
         pk = p**k
-        out *= (pk ** (e + 1) - 1) // (pk - 1)
+        out *= (pk ** (e + 1) - 1) // (pk - 1) if k else e + 1
     return out
 
 
@@ -516,20 +521,6 @@ def mobius(f: Factorization) -> int:
         if e > 1:
             return 0
     return -1 if len(f.factors) % 2 else 1
-
-
-def euler_phi(f: Factorization) -> int:
-    out = 1
-    for p, e in f.factors:
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-def von_mangoldt(f: Factorization) -> float:
-    """log p when n is a prime power p**e, else 0."""
-    if len(f.factors) == 1:
-        return math.log(f.factors[0][0])
-    return 0.0
 
 
 # --- bulk tables -------------------------------------------------------
@@ -570,6 +561,7 @@ def prime_mask(sieve: FactorSieve, n_max: int) -> np.ndarray:
     the sieve's primes up to isqrt(n_max), so n_max may reach
     (limit + 1)**2 - 1, and no spf to n_max is kept.
     """
+    n_max = as_index("n_max", n_max, 0, sieve)
     out = np.zeros(n_max + 1, dtype=bool)
     for lo, seg in _spf_blocks(sieve, n_max):
         n = np.arange(lo, lo + len(seg), dtype=seg.dtype)
@@ -649,12 +641,7 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     """
     if kind not in _TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}")
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
-    if math.isqrt(N) > sieve.limit:
-        top = (sieve.limit + 1) ** 2 - 1
-        raise UsageError(f"{kind} table: N must lie in [1, {top}], got {N}")
-    check_addressable(N, "table to N =")
+    N = as_index(f"{kind} table: N", N, 1, sieve)
     if kind in ("sigma", "sigma_norm"):
         if s is None:
             raise UsageError(f"kind {kind!r} needs an exponent s")

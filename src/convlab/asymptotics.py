@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .arith import ArithTable, FactorSieve, factorize, sigma_rational, sigma_real
+from .arith import ArithTable, FactorSieve, as_index, factorize, sigma_rational, sigma_real
 from .convolution import ConvolutionSpec, additive_convolution, additive_convolutions
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
@@ -71,8 +71,7 @@ def _sigma_minus_one(sieve: FactorSieve, N: int) -> float:
 
 def main_term_full(sieve: FactorSieve, N: int) -> float:
     """(6/pi^2) sigma_{-1}(N) N log^2 N for the full sum over 1 <= n < N."""
-    if N < 2:
-        raise UsageError(f"N must be >= 2, got {N}")
+    N = as_index("N", N, 2, sieve)
     return _SIX_OVER_PI2 * _sigma_minus_one(sieve, N) * N * math.log(N) ** 2
 
 
@@ -124,8 +123,7 @@ def main_term_general(
     """
     if pf.conditional or pg.conditional:
         raise UsageError("main_term_general needs providers with decay metadata")
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
+    N = as_index("N", N, 1, sieve)
     if not 0 <= M < math.inf:
         raise UsageError(f"M must be finite and >= 0, got {M}")
     if M == 0:
@@ -134,8 +132,6 @@ def main_term_general(
     if R is None:
         scale = product.bound * sigma_rational(factorize(sieve, N), 1)
         R = max(16, math.ceil((scale / (product.delta * 1e-9)) ** (1.0 / product.delta)))
-    if R > sieve.limit:
-        raise UsageError(f"truncation level R={R} exceeds sieve limit {sieve.limit}")
     res = expansion_partial_sum(sieve, product, N, R)
     return M * res.value, M * res.tail_bound
 
@@ -150,8 +146,7 @@ def main_term_sigma_norm(
     """
     if alpha <= 0 or beta <= 0:
         raise UsageError("alpha and beta must be positive")
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
+    N = as_index("N", N, 1, sieve)
     if not math.isfinite(M):
         raise UsageError(f"M must be finite, got {M}")
     w = alpha + beta + 1.0
@@ -170,8 +165,7 @@ def main_term_sigma_full(
     """
     if alpha <= 0 or beta <= 0:
         raise UsageError("alpha and beta must be positive")
-    if N < 2:
-        raise UsageError(f"N must be >= 2, got {N}")
+    N = as_index("N", N, 2, sieve)
     w = alpha + beta + 1.0
     gfac = gamma_real(alpha + 1.0) * gamma_real(beta + 1.0) / gamma_real(w + 1.0)
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)

@@ -34,9 +34,10 @@ is checked before any table is built.  An option value may start with
 "-" ("--beta -inf"), so it reaches the same checks as "--beta=-inf".
 Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
-needs, so no output depends on its size: R where the Ramanujan sums
-read it, and isqrt(N) where a table to N sieves its own segments from
-the primes up to isqrt(N) or a main term factors N.
+needs, so no output depends on its size: isqrt(n) for the largest n
+that the command tabulates to or factors, N or the R, r and s of the
+Ramanujan sums, as a table to n sieves its own segments from the primes
+up to isqrt(n) and a factorization of n divides by them.
 convolve builds f and g to N whatever M is, so its tables and its
 memory do not depend on M.  Whether the largest table is addressable is
 checked before the sieve is built.  goldbach and convolve of lambda with
@@ -310,7 +311,8 @@ def cmd_orthogonality(args: argparse.Namespace) -> Result:
         assert_max = _parse_float(assert_max, "--assert-max")
     _check_N(args.N)
     check_orthogonality_range(args.N, args.M)
-    sieve = _sieve_for(max(args.r_max, args.s_max), args.N)
+    n_max = max(args.r_max, args.s_max)
+    sieve = _sieve_for(math.isqrt(n_max), max(n_max, args.N))
     rows: List[Row] = []
     worst = 0.0
     # largest r and s first, so a pair whose lcm is too large to fold fails early
@@ -333,7 +335,8 @@ def cmd_goldbach(args: argparse.Namespace) -> Result:
         raise UsageError(f"N must be an even integer >= 2, got {args.N}")
     if args.R < 1:
         raise UsageError(f"R must be >= 1, got {args.R}")
-    sieve = _sieve_for(max(math.isqrt(args.N), args.R), args.N)
+    n_max = max(args.N, args.R)
+    sieve = _sieve_for(math.isqrt(n_max), n_max)
     spec = ConvolutionSpec(N=args.N, M=float(args.N), boundary="half_open")
     exact = lambda_convolution(sieve, spec)
     ss = singular_series(sieve, args.N, args.R)

@@ -54,12 +54,11 @@ in ascending d, so every call gives the same bits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, FactorSieve, build_sieve, higher_prime_powers, prime_mask
+from .arith import ArithTable, FactorSieve, as_index, build_sieve, higher_prime_powers, prime_mask
 from .errors import UsageError
 
 __all__ = [
@@ -93,9 +92,7 @@ class ConvolutionSpec:
 
     def __post_init__(self):
         # a numpy integer N is kept as a Python int, which no index arithmetic wraps
-        object.__setattr__(self, "N", _as_int("N", self.N))
-        if self.N < 2:
-            raise UsageError(f"N must be >= 2, got {self.N}")
+        object.__setattr__(self, "N", as_index("N", self.N, 2))
         if self.boundary not in ("half_open", "closed"):
             raise UsageError(f"boundary must be 'half_open' or 'closed', got {self.boundary!r}")
         if not 1 <= self.M <= self.N:
@@ -109,15 +106,6 @@ class ConvolutionSpec:
         if self.boundary == "closed":
             return math.floor(self.M)
         return math.ceil(self.M) - 1
-
-
-def _as_int(name: str, value) -> int:
-    # numpy integers pass; a float does not, even an integral one, so no
-    # NaN, infinity or fraction is ever truncated into an index
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 def real_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -246,13 +234,10 @@ def lambda_convolution(sieve: FactorSieve, spec: ConvolutionSpec) -> float:
 
     Only the n with both n and N - n prime powers add anything, and the
     sum is equal bit for bit to additive_convolution of two Lambda tables
-    (see the module docstring).  Lambda is read on 1..N-1, so
+    (see the module docstring).  Lambda is read on 1..N-1 (prime_mask), so
     N <= (sieve.limit + 1)**2.
     """
     N, k = spec.N, spec.last_index
-    top = (sieve.limit + 1) ** 2
-    if N > top:
-        raise UsageError(f"Lambda pair sum: N must lie in [2, {top}], got {N}")
     marked = prime_mask(sieve, N - 1)  # then the prime powers below N
     powers, bases = higher_prime_powers(sieve, N - 1)
     marked[powers] = True
@@ -286,9 +271,7 @@ def shifted_divisor_convolution(dtable: ArithTable, N: int, h: int) -> int:
     """sum_{n <= N} d(n) d(n + h), exact."""
     if dtable.kind != "divisor":
         raise UsageError(f"need a divisor table, got kind {dtable.kind!r}")
-    N, h = _as_int("N", N), _as_int("h", h)
-    if N < 1 or h < 1:
-        raise UsageError(f"need N >= 1 and h >= 1, got N={N}, h={h}")
+    N, h = as_index("N", N, 1), as_index("h", h, 1)
     if dtable.N < N + h:
         raise UsageError(f"divisor table covers 1..{dtable.N}, need 1..{N + h}")
     return _exact_int_sum(dtable.values[1 : N + 1], dtable.values[1 + h : N + h + 1])

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .arith import FactorSieve, divisors, factorize, mobius, sigma_rational
+from .arith import FactorSieve, as_index, divisors, factorize, mobius, sigma_rational
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
 from .special import zeta_real
@@ -61,11 +61,8 @@ _START_R = 256  # first truncation level of expansion_adaptive
 
 
 def ramanujan_sum(sieve: FactorSieve, r: int, n: int) -> int:
-    """c_r(n) = sum_{d | gcd(n, r)} mu(r/d) d, exact."""
-    if r < 1 or n < 1:
-        raise UsageError(f"ramanujan_sum needs r >= 1 and n >= 1, got r={r}, n={n}")
-    if r > sieve.limit:
-        raise UsageError(f"r={r} exceeds sieve limit {sieve.limit}")
+    """c_r(n) = sum_{d | gcd(n, r)} mu(r/d) d, exact, for any n >= 1."""
+    r, n = as_index("r", r, 1, sieve), as_index("n", n, 1)
     g = factorize(sieve, math.gcd(r, n))
     return sum(mobius(factorize(sieve, r // d)) * d for d in divisors(g))
 
@@ -75,13 +72,10 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
 
     Accumulates d * mu(r/d) over the divisors d of n, vectorised over the
     multiples of each d, with mu read up to R only: d = 1 is mu itself,
-    and each larger d <= R adds its multiples in ascending d.  Requires
-    R <= sieve.limit.
+    and each larger d <= R adds its multiples in ascending d.  n and R
+    reach as far as the sieve's tables (as_index).
     """
-    if n < 1 or R < 1:
-        raise UsageError(f"need n >= 1 and R >= 1, got n={n}, R={R}")
-    if R > sieve.limit:
-        raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
+    n, R = as_index("n", n, 1, sieve), as_index("R", R, 1, sieve)
     mu = sieve.upto("mobius", R)
     out = mu.astype(np.int64)
     for d in divisors(factorize(sieve, n))[1:]:
@@ -264,8 +258,7 @@ def expansion_partial_sum(
     sieve: FactorSieve, provider: CoefficientProvider, n: int, R: int
 ) -> ExpansionSum:
     """sum_{r <= R} a(r) c_r(n), by provider.partial_sums, with its tail bound."""
-    if n < 1 or not 1 <= R <= sieve.limit:
-        raise UsageError(f"need n >= 1 and 1 <= R <= {sieve.limit}, got n={n}, R={R}")
+    n, R = as_index("n", n, 1, sieve), as_index("R", R, 1, sieve)
     return _expansion_sum(sieve, provider, n, provider.partial_sums(sieve, n)(R), R)
 
 
@@ -300,9 +293,12 @@ def expansion_adaptive(
     Starts at R = 256 and, at each level, evaluates the function that
     provider.partial_sums(sieve, n) returns once per call.  Stops once two
     consecutive doublings move the partial sum by at most tol/4 each, and
-    raises ConsistencyError if R reaches the sieve's limit first.  Only
-    decay providers qualify; conditional expansions have no usable
-    truncation rule.
+    raises ConsistencyError if R reaches the sieve's limit first.  The cap
+    is the limit, not the (limit + 1)**2 - 1 the sieve's tables reach:
+    where a slow expansion stops, and so its value and R, follow the cap
+    (sigma_1 at n = 720720 stops at R = 10**7 in a sieve to 10**7 and
+    raises in one to 10**6).  Only decay providers qualify; conditional
+    expansions have no usable truncation rule.
     """
     if provider.conditional:
         raise UsageError("adaptive truncation needs a provider with decay metadata")
@@ -331,12 +327,7 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     sums settle at 2 C2 prod_{p | N, p > 2} (p-1)/(p-2), the classical
     twin-product value; for odd N they approach zero.
     """
-    if N < 2:
-        raise UsageError(f"N must be >= 2, got {N}")
-    if R < 1:
-        raise UsageError(f"R must be >= 1, got {R}")
-    if R > sieve.limit:
-        raise UsageError(f"R={R} exceeds sieve limit {sieve.limit}")
+    N, R = as_index("N", N, 2, sieve), as_index("R", R, 1, sieve)
     c = ramanujan_sum_table(sieve, N, R)
     weights = sieve.prefix("singular_weights", R, lambda n_max: _singular_weights(sieve, n_max))
     return float(np.sum(np.divide(c[1:], weights[1:])))
@@ -363,16 +354,16 @@ class OrthogonalityRecord:
     defect: int
 
 
-def check_orthogonality_range(N: int, M: int) -> None:
-    """Raise UsageError unless M is an integer with 1 <= M <= N.
+def check_orthogonality_range(N: int, M: int) -> Tuple[int, int]:
+    """(N, M) as ints, or UsageError unless they are integers with 1 <= M <= N.
 
     The range rule of orthogonality_defect, which a caller can check
     before it builds a sieve.
     """
-    if not isinstance(M, int):
-        raise UsageError(f"M must be an integer, got {M!r}")
-    if not 1 <= M <= N:
+    N, M = as_index("N", N, 1), as_index("M", M, 1)
+    if M > N:
         raise UsageError(f"need 1 <= M <= N, got M={M}, N={N}")
+    return N, M
 
 
 def orthogonality_defect(
@@ -386,11 +377,8 @@ def orthogonality_defect(
     period plus a partial block; the folded sum equals the direct one
     exactly.
     """
-    if r < 1 or s < 1:
-        raise UsageError(f"need r, s >= 1, got r={r}, s={s}")
-    check_orthogonality_range(N, M)
-    if max(r, s) > sieve.limit:
-        raise UsageError(f"r={r}, s={s} exceed sieve limit {sieve.limit}")
+    r, s = as_index("r", r, 1, sieve), as_index("s", s, 1, sieve)
+    N, M = check_orthogonality_range(N, M)
     L = math.lcm(r, s)
     if L > 2**24:
         raise UsageError(f"lcm(r, s) = {L} is too large to fold")

@@ -12,15 +12,12 @@ import brute
 from convlab import (
     UsageError,
     build_sieve,
-    divisor_count,
     divisors,
-    euler_phi,
     factorize,
     mobius,
     sigma_rational,
     sigma_real,
     tabulate,
-    von_mangoldt,
 )
 from convlab import arith
 from convlab.arith import _SEGMENT, _halving_blocks, _sigma_dtype
@@ -106,10 +103,9 @@ def test_factorize_past_the_limit_scans_nothing_per_call():
 
 
 def test_divisor_count_examples(sieve_small):
-    assert divisor_count(factorize(sieve_small, 1)) == 1
-    assert divisor_count(factorize(sieve_small, 6)) == 4
-    assert divisor_count(factorize(sieve_small, 360)) == 24
-    assert divisor_count(factorize(sieve_small, 360)) == len(brute.divisors(360))
+    # d(n) of one n is sigma_0(n), prod (e + 1)
+    for n, d in ((1, 1), (6, 4), (360, 24)):
+        assert sigma_rational(factorize(sieve_small, n), 0) == d == brute.divisor_count(n)
 
 
 def test_divisors_sorted(sieve_small):
@@ -165,15 +161,19 @@ def test_mobius_phi_lambda_examples(sieve_small):
     assert mobius(factorize(sieve_small, 1)) == 1
     assert mobius(factorize(sieve_small, 30)) == -1
     assert mobius(factorize(sieve_small, 12)) == 0
-    assert euler_phi(factorize(sieve_small, 1)) == 1
-    assert euler_phi(factorize(sieve_small, 12)) == 4
-    assert von_mangoldt(factorize(sieve_small, 8)) == pytest.approx(math.log(2))
-    assert von_mangoldt(factorize(sieve_small, 6)) == 0.0
-    assert von_mangoldt(factorize(sieve_small, 7919)) == pytest.approx(math.log(7919))
+    # phi and Lambda of one n come from their tables
+    phi = tabulate(sieve_small, "phi", 12).values
+    lam = tabulate(sieve_small, "lambda", 7919).values
+    assert phi[1] == brute.phi(1) == 1
+    assert phi[12] == brute.phi(12) == 4
+    assert lam[8] == brute.von_mangoldt(8) == pytest.approx(math.log(2))
+    assert lam[6] == brute.von_mangoldt(6) == 0.0
+    assert lam[7919] == brute.von_mangoldt(7919) == pytest.approx(math.log(7919))
 
 
-def test_phi_of_large_prime(sieve_10m):
-    assert euler_phi(factorize(sieve_10m, 9999991)) == 9999990
+def test_phi_of_large_prime():
+    # from a sieve to isqrt(9999991), as factorize reaches it
+    assert tabulate(build_sieve(3162), "phi", 9999991).values[9999991] == 9999990
 
 
 def test_tabulate_examples(sieve_small):
@@ -214,12 +214,13 @@ def test_tabulate_matches_pointwise(sieve_small):
     sr = tabulate(sieve_small, "sigma", N, s=0.5)
     sn = tabulate(sieve_small, "sigma_norm", N, s=1.0)
     assert s2.is_integer and not sr.is_integer
+    phi = brute.phi_table(N)
     for n in range(1, N + 1):
         f = facts[n]
-        assert dt.values[n] == divisor_count(f)
+        assert dt.values[n] == sigma_rational(f, 0)
         assert mt.values[n] == mobius(f)
-        assert pt.values[n] == euler_phi(f)
-        assert lt.values[n] == pytest.approx(von_mangoldt(f), abs=1e-12)
+        assert pt.values[n] == phi[n]
+        assert lt.values[n] == pytest.approx(brute.von_mangoldt(n), abs=1e-12)
         assert s2.values[n] == sigma_rational(f, 2)
         assert sr.values[n] == pytest.approx(sigma_real(f, 0.5), rel=1e-12)
         assert sn.values[n] == pytest.approx(
@@ -640,7 +641,8 @@ def test_sigma_multiplicative_on_coprime(a, b):
     fa, fb, fab = factorize(sv, a), factorize(sv, b), factorize(sv, a * b)
     assert sigma_rational(fa, 1) * sigma_rational(fb, 1) == sigma_rational(fab, 1)
     assert mobius(fa) * mobius(fb) == mobius(fab)
-    assert euler_phi(fa) * euler_phi(fb) == euler_phi(fab)
+    phi = sv.upto("phi", 999 * 999)
+    assert int(phi[a]) * int(phi[b]) == phi[a * b]
 
 
 _HYP_SIEVE = None

@@ -254,11 +254,13 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
      31),
     (("convolve", "--f", "d", "--g", "lambda", "--N", "1000", "--M", "3",
       "--boundary", "closed"), 31),
-    # goldbach reads the sieve to R for its Ramanujan sums, to isqrt(N) for Lambda
-    (("goldbach", "--N", "1000", "--R", "2000"), 2000),
+    # goldbach's Lambda reads the sieve to isqrt(N), and its Ramanujan sums
+    # walk mu and phi to R from the primes to isqrt(R)
+    (("goldbach", "--N", "1000", "--R", "2000"), 44),
     (("goldbach", "--N", "1000", "--R", "10"), 31),
-    # the Ramanujan sums of orthogonality read the sieve only to max(r, s)
-    (("orthogonality", "--N", "500", "--M", "500", "--r-max", "3", "--s-max", "4"), 4),
+    # the Ramanujan sums of orthogonality factor r and s and walk mu to
+    # them, so they read the sieve only to isqrt(max(r, s))
+    (("orthogonality", "--N", "500", "--M", "500", "--r-max", "3", "--s-max", "4"), 2),
     # f is built to N whatever M is, so a mu table to N reads the sieve to isqrt(N)
     (("convolve", "--f", "mu", "--g", "d", "--N", "1000", "--M", "3", "--boundary", "closed"),
      31),

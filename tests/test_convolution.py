@@ -709,6 +709,6 @@ def test_lambda_pair_sum_range_and_sieve():
     # Lambda is read on 1..N-1, so N may reach (limit + 1)**2
     spec = ConvolutionSpec(N=121, M=121.0, boundary="half_open")
     assert lambda_convolution(sieve, spec) == _dense_lambda_sum(spec)
-    with pytest.raises(UsageError, match=r"N must lie in \[2, 121\]"):
+    with pytest.raises(UsageError, match=r"n_max must lie in \[0, 120\], got 121"):
         lambda_convolution(sieve, ConvolutionSpec(N=122, M=10.0, boundary="half_open"))
 

@@ -12,6 +12,7 @@ import brute
 from convlab import (
     ConsistencyError,
     main_term_general,
+    main_term_sigma_norm,
     UsageError,
     build_sieve,
     custom_provider,
@@ -27,6 +28,7 @@ from convlab import (
     sigma_provider,
     sigma_rational,
     singular_series,
+    tabulate,
     zeta_real,
 )
 from convlab.convolution import real_dot
@@ -45,8 +47,10 @@ def test_ramanujan_sum_argument_errors(sieve_small):
         ramanujan_sum(sieve_small, 0, 5)
     with pytest.raises(UsageError):
         ramanujan_sum(sieve_small, 5, 0)
+    # r reaches (limit + 1)**2 - 1, as factorize does
+    assert ramanujan_sum(sieve_small, 10_001, 5) == brute.ramanujan_sum(10_001, 5)
     with pytest.raises(UsageError):
-        ramanujan_sum(sieve_small, 10_001, 5)
+        ramanujan_sum(sieve_small, 10_001**2, 5)
 
 
 def test_ascending_ramanujan_sums_build_no_mobius_table():
@@ -151,11 +155,13 @@ def test_provider_coefficient_vector_matches_rule(sieve_small):
             assert vec[r] == pytest.approx(formula(r), rel=1e-12)
 
 
-def test_hardy_coefficients_reject_R_past_sieve(sieve_small):
-    provider = hardy_provider(sieve_small)
-    assert len(provider.coefficients(sieve_small.limit)) == sieve_small.limit + 1
+def test_hardy_coefficients_reject_R_past_sieve():
+    # mu and phi are walked to R, so R reaches (limit + 1)**2 - 1
+    sv = build_sieve(100)
+    provider = hardy_provider(sv)
+    assert len(provider.coefficients(101**2 - 1)) == 101**2
     with pytest.raises(UsageError):
-        provider.coefficients(sieve_small.limit + 1)
+        provider.coefficients(101**2)
 
 
 def test_product_provider_coefficients_and_metadata(sieve_small):
@@ -206,7 +212,7 @@ def test_expansion_partial_sum_argument_errors(sieve_small):
     # the regrouped sigma sums read no c_r table, whose checks the literal
     # sums inherit, so expansion_partial_sum checks n and R itself
     for provider in (sigma_provider(1.0), divisor_provider()):
-        for n, R in ((6, 0), (6, -3), (0, 10), (6, sieve_small.limit + 1)):
+        for n, R in ((6, 0), (6, -3), (0, 10), (6, (sieve_small.limit + 1) ** 2)):
             with pytest.raises(UsageError):
                 expansion_partial_sum(sieve_small, provider, n, R)
 
@@ -519,3 +525,80 @@ def test_real_dot_products_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _served_calls(sv):
+    # one call per argument a sieve serves, the argument x and the others
+    # valid
+    s1, s2 = sigma_provider(1.0), sigma_provider(2.0)
+    return {
+        "factorize n": lambda x: factorize(sv, x),
+        "tabulate N": lambda x: tabulate(sv, "divisor", x).values.tobytes(),
+        "upto R": lambda x: sv.upto("phi", x).tobytes(),
+        "prefix R": lambda x: sv.prefix("integer rule", x, lambda n: np.arange(n + 1.0)).tobytes(),
+        "ramanujan_sum r": lambda x: ramanujan_sum(sv, x, 12),
+        "ramanujan_sum n": lambda x: ramanujan_sum(sv, 12, x),
+        "ramanujan_sum_table n": lambda x: ramanujan_sum_table(sv, x, 20).tolist(),
+        "ramanujan_sum_table R": lambda x: ramanujan_sum_table(sv, 12, x).tolist(),
+        "singular_series N": lambda x: singular_series(sv, x, 20),
+        "singular_series R": lambda x: singular_series(sv, 12, x),
+        "expansion_partial_sum n": lambda x: expansion_partial_sum(sv, s1, x, 20),
+        "expansion_partial_sum R": lambda x: expansion_partial_sum(sv, s1, 12, x),
+        "expansion_adaptive n": lambda x: expansion_adaptive(sv, s2, x),
+        "orthogonality_defect r": lambda x: orthogonality_defect(sv, x, 4, 30, 5),
+        "orthogonality_defect N": lambda x: orthogonality_defect(sv, 3, 4, x, 5),
+        "orthogonality_defect M": lambda x: orthogonality_defect(sv, 3, 3, 30, x),
+        "main_term_general N": lambda x: main_term_general(sv, s1, s2, x, 5.0, R=20),
+        "main_term_general R": lambda x: main_term_general(sv, s1, s2, 12, 5.0, R=x),
+        "main_term_sigma_norm N": lambda x: main_term_sigma_norm(sv, 1.0, 2.0, x, 5.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_served_calls(None)))
+def test_served_arguments_are_integers(name, sieve_small):
+    # no float, even an integral one, and no string is truncated into an
+    # index; a numpy integer is the Python int of its value
+    call = _served_calls(sieve_small)[name]
+    for bad in (6.0, 12.5, math.nan, math.inf, "6"):
+        with pytest.raises(UsageError, match="must be an integer"):
+            call(bad)
+    assert call(np.int64(6)) == call(6)
+
+
+def test_R_past_the_limit_keeps_its_bits():
+    # mu and phi are exact integers whatever sieve walks them, so a sieve to
+    # isqrt(top) gives every result a sieve reaching R gives, up to
+    # top = (limit + 1)**2 - 1, and refuses R = top + 1
+    limit = 30
+    top = (limit + 1) ** 2 - 1
+    small, large = build_sieve(limit), build_sieve(top)
+    s1, s2 = sigma_provider(1.0), sigma_provider(2.0)
+
+    def results(sv, R):
+        return [
+            singular_series(sv, 840, R),
+            ramanujan_sum_table(sv, 720, R).tolist(),
+            hardy_provider(sv).coefficients(R).tobytes(),
+            _mu_power_prefix(sv, 3.0, R).tobytes(),
+            expansion_partial_sum(sv, s1, 720, R),
+            expansion_partial_sum(sv, hardy_provider(sv), 719, R),
+            orthogonality_defect(sv, R, R, 900, 451),
+            orthogonality_defect(sv, R, 12, 900, 451),
+            main_term_general(sv, s1, s2, 840, 420.5, R=R),
+        ]
+
+    for R in (limit + 1, top):
+        assert results(small, R) == results(large, R), R
+    refusals = (
+        lambda R: singular_series(small, 840, R),
+        lambda R: ramanujan_sum_table(small, 720, R),
+        lambda R: hardy_provider(small).coefficients(R),
+        lambda R: _mu_power_prefix(small, 3.0, R),
+        lambda R: expansion_partial_sum(small, s1, 720, R),
+        lambda R: expansion_partial_sum(small, hardy_provider(small), 719, R),
+        lambda R: orthogonality_defect(small, R, R, 900, 451),
+        lambda R: main_term_general(small, s1, s2, 840, 420.5, R=R),
+    )
+    for refuse in refusals:
+        with pytest.raises(UsageError, match=rf"must lie in \[\d+, {top}\], got {top + 1}"):
+            refuse(top + 1)
