@@ -12,8 +12,10 @@ walked up from spf segments sieved on the fly by the sieve's primes up to
 isqrt(N) (or sliced from spf where the sieve reaches N): f(n) for
 n = p m, p = spf(n), comes from f(m) and, where p divides m, from
 f(m / p), entries below n's block.  So their N may reach the square of
-the sieve's limit, no spf to N is read, and the tables a caller reads
-together share one walk (FactorSieve.prepare).  Lambda reads the same
+the sieve's limit, no spf to N is read, the tables a caller reads
+together share one walk (FactorSieve.prepare), and as the walk reads no
+entry above N / 2, a caller may hold only those and take the rest block
+by block (FactorSieve.stream).  Lambda reads the same
 segments, and prime_mask marks their primes, one byte per n, for sums
 that read Lambda only at prime powers.  spf is sieved in segments of
 _SEGMENT entries and the walk runs blocks of as many; the bits of no
@@ -28,11 +30,12 @@ Every table tabulate returns is read-only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, List, Sequence, Tuple
+from typing import Callable, Hashable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,8 +81,12 @@ class FactorSieve:
     reach (limit + 1)**2 - 1 (as_index): prepare(names, R) caches any of
     them (walk_name) built in one walk, upto(name, R) is that cache over
     mu and phi, and walked(name, R) reads a divisor sum from it or walks
-    the table alone, uncached.  Other modules keep their own prefix keys,
-    whose R reaches as far.
+    the table alone, uncached.  Each of these walks holds its tables
+    whole; stream(names, n_max, held) is the same walk holding them only
+    on 0..held, at least n_max // 2, which is all the walk reads, and
+    passing the blocks above through one reused buffer per table, so a
+    sum that reads each table once holds about half of it.  Other modules
+    keep their own prefix keys, whose R reaches as far.
     """
 
     limit: int
@@ -153,43 +160,93 @@ class FactorSieve:
             self.memo[key].setflags(write=False)
         return self.memo[key][: R + 1]
 
-    def _from_spf(self, names: Sequence[str], n_max: int) -> List[np.ndarray]:
-        # f(n) for n = p m, p = spf(n), of each f of names (_walk): the
-        # blocks run up, so m <= n / 2 is already filled, and the tables
-        # share each block's spf, m, the positions where p divides m and
-        # m / p there
+    def stream(
+        self, names: Sequence[str], n_max: int, held: int
+    ) -> Tuple[List[np.ndarray], Iterator[Tuple[int, List[np.ndarray]]]]:
+        """The walk's tables of names on 0..held, and their blocks above it.
+
+        One walk to n_max, which may reach (limit + 1)**2 - 1.  Every
+        entry it reads lies at or below n_max // 2, so held must lie in
+        [n_max // 2, n_max], and the tables come back filled on 0..held.
+        The iterator walks on over held + 1..n_max: per block, ascending,
+        it yields (lo, views), one view per name of its values on
+        [lo, lo + len), in one buffer per name that the next block
+        overwrites.  Every block is at most _SEGMENT long, and all but the
+        first and the last are _SEGMENT long.  Held whole (held = n_max),
+        the walk yields no block: _from_spf.
+        """
+        n_max = as_index("n_max", n_max, 0, self)
+        held = as_index("held", held, n_max // 2)
+        if held > n_max:
+            raise UsageError(f"held must lie in [{n_max // 2}, {n_max}], got {held}")
         walks = [_walk(name, n_max) for name in names]
-        tables = [np.zeros(n_max + 1, dtype) for dtype, _, _, _ in walks]
+        tables = [np.zeros(held + 1, dtype) for dtype, _, _, _ in walks]
         for out in tables:
             out[1:2] = 1
-        for lo, p in _spf_blocks(self, n_max):
-            # the n with p = 2 or 3 read m = n / p and m / p from slices:
-            # p divides m where n = 0 mod 4 or n = 9 mod 18.  So only the n
-            # prime to 6 divide: phi and mu to 10**7 took about a fifth less
-            # time with the even n so (2-vCPU host)
-            hi = lo + len(p)
-            for out, (_, base, prime, power) in zip(tables, walks):
-                for q, r, step in _SMALL_PRIMES:
-                    b = base(p.dtype.type(q))
-                    n = slice(lo + (r - lo) % step, hi, step)
-                    fm = out[_divided(n, q)]
-                    if r % (q * q):
-                        np.multiply(fm, prime(b), out=out[n])
-                    else:
-                        power(fm, out[_divided(n, q * q)], b, out[n])
-            for n, m, p_n, div, m_div, q in _coprime_parts(lo, p):
-                for out, (_, base, prime, power) in zip(tables, walks):
-                    # np.take: out[m] took twice as long with int32 m.
-                    # Where p divides m, power overwrites prime(b) f(m),
-                    # which may pass the dtype there
-                    b = base(p_n)
-                    t = np.take(out, m)
-                    t *= prime(b)
-                    fq = np.take(out, q)
-                    power(np.take(out, m_div), fq, b[div], fq)
-                    t[div] = fq
-                    out[n] = t
-        return tables
+        blocks = _spf_blocks(self, n_max)
+        for lo, p in blocks:
+            # a block that crosses held is split there
+            cut = min(held + 1 - lo, len(p))
+            if cut:
+                _walk_block(tables, tables, walks, lo, p[:cut], 0)
+            if cut < len(p):
+                size = min(_SEGMENT, n_max - held)
+                above = itertools.chain([(lo + cut, p[cut:])], blocks)
+                return tables, _walk_above(tables, walks, size, above)
+        return tables, iter(())
+
+    def _from_spf(self, names: Sequence[str], n_max: int) -> List[np.ndarray]:
+        # the walk's tables of names, each held whole on 0..n_max
+        return self.stream(names, n_max, n_max)[0]
+
+
+def _walk_above(tables, walks, size, blocks):
+    # the (lo, spf) blocks of the walk above its held tables, each written
+    # into one buffer per table of size entries, the longest block
+    bufs = [np.empty(size, out.dtype) for out in tables]
+    for lo, p in blocks:
+        views = [buf[: len(p)] for buf in bufs]
+        _walk_block(tables, views, walks, lo, p, lo)
+        yield lo, views
+
+
+def _walk_block(tables, dests, walks, lo, p, shift) -> None:
+    # f(n) for n = p m, p = spf(n), over the block [lo, lo + len(p)), of
+    # each f of walks (_walk), into dests[n - shift]: m <= n / 2 lies below
+    # the block, in tables, filled as the blocks run up, and the tables
+    # share the block's spf, m, the positions where p divides m and m / p
+    # there.  The n with p = 2 or 3 read m = n / p and m / p from slices:
+    # p divides m where n = 0 mod 4 or n = 9 mod 18.  So only the n prime
+    # to 6 divide: phi and mu to 10**7 took about a fifth less time with
+    # the even n so (2-vCPU host)
+    hi = lo + len(p)
+    for out, dest, (_, base, prime, power) in zip(tables, dests, walks):
+        for q, r, step in _SMALL_PRIMES:
+            b = base(p.dtype.type(q))
+            n = slice(lo + (r - lo) % step, hi, step)
+            at = _shifted(n, shift)
+            fm = out[_divided(n, q)]
+            if r % (q * q):
+                np.multiply(fm, prime(b), out=dest[at])
+            else:
+                power(fm, out[_divided(n, q * q)], b, dest[at])
+    for n, m, p_n, div, m_div, q in _coprime_parts(lo, p):
+        at = _shifted(n, shift)
+        for out, dest, (_, base, prime, power) in zip(tables, dests, walks):
+            # np.take: out[m] took twice as long with int32 m.  Where p
+            # divides m, power overwrites prime(b) f(m), which may pass
+            # the dtype there
+            b = base(p_n)
+            t = np.take(out, m)
+            t *= prime(b)
+            fq = np.take(out, q)
+            power(np.take(out, m_div), fq, b[div], fq)
+            t[div] = fq
+            dest[at] = t
+
+
+def _shifted(n: slice, shift: int) -> slice:
+    return slice(n.start - shift, n.stop - shift, n.step)
 
 
 # (p, r, step): the n = r mod step have spf(n) = p, and p divides n / p

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .arith import ArithTable, FactorSieve, as_index, factorize, sigma_rational, sigma_real
-from .convolution import ConvolutionSpec, additive_convolution, additive_convolutions
+from .convolution import ConvolutionSpec, additive_convolutions
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
 from .special import gamma_real, zeta_real
@@ -77,6 +77,7 @@ def main_term_full(sieve: FactorSieve, N: int) -> float:
 
 def main_term_subsum(sieve: FactorSieve, N: int, M: float) -> float:
     """(6/pi^2) M sigma_{-1}(N) log^2 sqrt(M(N-M)) for M <= N/2."""
+    N = as_index("N", N, 1, sieve)
     if not 1 <= M <= N / 2:
         raise UsageError(f"main_term_subsum needs 1 <= M <= N/2, got M={M}, N={N}")
     _check_subsum_x(N, M)
@@ -95,6 +96,7 @@ def main_term_supersum(sieve: FactorSieve, N: int, M: float) -> float:
 
     The boundary term (N - M) log^2 X vanishes by convention at M = N.
     """
+    N = as_index("N", N, 1, sieve)
     if not N / 2 <= M <= N:
         raise UsageError(f"main_term_supersum needs N/2 <= M <= N, got M={M}, N={N}")
     if M == N:
@@ -124,6 +126,8 @@ def main_term_general(
     if pf.conditional or pg.conditional:
         raise UsageError("main_term_general needs providers with decay metadata")
     N = as_index("N", N, 1, sieve)
+    if R is not None:
+        R = as_index("R", R, 1, sieve)
     if not 0 <= M < math.inf:
         raise UsageError(f"M must be finite and >= 0, got {M}")
     if M == 0:
@@ -191,12 +195,14 @@ def _check_envelope_n(N: int) -> None:
 
 def envelope_subsum(sieve: FactorSieve, N: int, M: float) -> float:
     """M sigma_{-1}(N) log N loglog N."""
+    N = as_index("N", N, 1, sieve)
     _check_envelope_n(N)
     return M * _sigma_minus_one(sieve, N) * math.log(N) * math.log(math.log(N))
 
 
 def envelope_fullsum(sieve: FactorSieve, N: int) -> float:
     """sigma_1(N) log N loglog N."""
+    N = as_index("N", N, 1, sieve)
     _check_envelope_n(N)
     s1 = sigma_rational(factorize(sieve, N), 1)
     return s1 * math.log(N) * math.log(math.log(N))
@@ -370,8 +376,7 @@ def check_divisor_report(N: int, M: float) -> None:
 
 def sigma_norm_report(
     sieve: FactorSieve,
-    ftable: ArithTable,
-    gtable: ArithTable,
+    exact: float,
     alpha: float,
     beta: float,
     N: int,
@@ -379,11 +384,13 @@ def sigma_norm_report(
 ) -> ConvolutionReport:
     """Report for the half-open normalized sigma convolution at (N, M).
 
-    The regime envelope needs log M > 0, so for 1 <= M < 2 envelope and
-    normalized are NaN.
+    exact is the sum itself, sum_{n < M} sigma_a(n)/n^a *
+    sigma_b(N-n)/(N-n)^b: additive_convolution of the two sigma_norm
+    tables, or streamed_convolutions for a grid of M, which holds neither
+    table whole.  The regime envelope needs log M > 0, so for 1 <= M < 2
+    envelope and normalized are NaN.
     """
-    spec = ConvolutionSpec(N=N, M=M, boundary="half_open")
-    exact = additive_convolution(ftable, gtable, spec)
+    ConvolutionSpec(N=N, M=M, boundary="half_open")  # checks N and M
     main, delta = main_term_sigma_norm(sieve, alpha, beta, N, M)
     env = envelope_ramanujan(delta, M) if M >= 2 else math.nan
     return verify(exact, main, env, N=N, M=M, envelope_kind=ramanujan_regime(delta))

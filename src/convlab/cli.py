@@ -44,8 +44,13 @@ checked before the sieve is built.  goldbach and convolve of lambda with
 lambda build no Lambda table: lambda_convolution sums over the pairs of
 prime powers below N, with the bits of the dense tables' sum.  A
 convolve of two tables other than Lambda, such as phi with mu or
-sigma:1 with d, in either order, and verify-general with alpha != beta
-build both in one walk (FactorSieve.prepare).
+sigma:1 with d, in either order, builds both in one walk
+(FactorSieve.prepare).  verify-general takes every exact sum of its grid
+from one walk of its sigma_norm tables to N - 1, one table when
+alpha = beta, that holds each only up to N/2 and passes the entries
+above through one reused block buffer into the sums
+(streamed_convolutions), so its memory is about half a table per
+exponent; the sums keep the bits of those over the whole tables.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from .convolution import (
     additive_convolution,
     additive_convolutions,
     lambda_convolution,
+    streamed_convolutions,
     tau_exact,
 )
 from .errors import UsageError
@@ -272,18 +278,16 @@ def cmd_verify_general(args: argparse.Namespace) -> Result:
         raise UsageError("alpha and beta must be positive")
     grid = _parse_grid(args.M_grid, "M")
     _check_N(args.N)
-    for M in grid:
-        ConvolutionSpec(N=args.N, M=M, boundary="half_open")
+    specs = [ConvolutionSpec(N=args.N, M=M, boundary="half_open") for M in grid]
     sieve = _sieve_for(math.isqrt(args.N), args.N)
     # the main term's zeta factor rejects an exponent before any table
     _, delta = main_term_sigma_norm(sieve, alpha, beta, args.N, 1.0)
-    if beta != alpha:
-        names = [walk_name("sigma_norm", alpha), walk_name("sigma_norm", beta)]
-        sieve.prepare(names, args.N)  # both in one spf walk
-    ftab = tabulate(sieve, "sigma_norm", args.N, s=alpha)
-    gtab = ftab if beta == alpha else tabulate(sieve, "sigma_norm", args.N, s=beta)
+    # every exact sum of the grid in one walk of both tables, each held
+    # only up to N/2 (streamed_convolutions)
+    names = walk_name("sigma_norm", alpha), walk_name("sigma_norm", beta)
+    exacts = dict(zip(grid, streamed_convolutions(sieve, *names, specs)))
     regime = ramanujan_regime(delta)
-    result = sweep(lambda M: sigma_norm_report(sieve, ftab, gtab, alpha, beta, args.N, M), grid)
+    result = sweep(lambda M: sigma_norm_report(sieve, exacts[M], alpha, beta, args.N, M), grid)
     rows: List[Row] = [
         {**vars(rep), "alpha": alpha, "beta": beta, "delta": delta, "regime": regime}
         for rep in result.reports

@@ -31,7 +31,14 @@ Real sums follow one chunk rule, with no BLAS call, so their bits do
 not depend on the thread count: the summands are cut into chunks of
 2**16 from the first index, each chunk's float64 products are reduced
 by np.sum, and the chunk sums are added in index order, starting from
-0.0.  real_dot is that rule, and each real sum is one real_dot call.
+0.0.  real_dot is that rule.  The real sums of a grid of one N go
+through one kernel that keeps it: each n reads min(n, N - n), at most
+N // 2, from the low halves of f and g and its upper entry
+max(n, N - n) from blocks of the rest, so the tables above N // 2 may
+be whole (additive_convolutions) or pass once through a reused buffer
+(streamed_convolutions, which holds only the low halves of two walked
+tables).  Every sum shares the full chunks of its N and sums its own
+short last chunk, and has the bits of its own real_dot.
 lambda_convolution keeps the rule with no Lambda table: Lambda(n)
 Lambda(N - n) is nonzero only where n and N - n are both prime powers,
 so each chunk is a zeroed buffer with those products scattered into it,
@@ -67,6 +74,7 @@ __all__ = [
     "additive_convolutions",
     "lambda_convolution",
     "shifted_divisor_convolution",
+    "streamed_convolutions",
     "tau_exact",
 ]
 
@@ -183,20 +191,85 @@ def _float_sums(fv: np.ndarray, gv: np.ndarray, ranges) -> list:
     return totals
 
 
-def _real_sum(fv: np.ndarray, gv: np.ndarray, N: int, k: int) -> float:
+def _real_sums(f_low, g_low, blocks, N: int, ks) -> list:
+    # sum_{n <= k} f(n) g(N - n) for each k of ks, by real_dot's rule, and
+    # UsageError where one overflows.  f and g up to held = N // 2 are
+    # f_low and g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi)),
+    # ascending from held + 1, each but the first and the last at least
+    # _CHUNK long.  n reads min(n, N - n) <= held from f_low or g_low and
+    # its upper entry max(n, N - n) from a block; a chunk's upper entries
+    # lie within _CHUNK of each other, so it is summed when the block that
+    # holds the largest arrives, from that block and a copy of the last
+    # _CHUNK entries of the one before.  The full chunks are shared by
+    # every k; each k's short last chunk is its own
+    held = N // 2
+    top = max(ks, default=0)
+    jobs = [(c * _CHUNK + 1, (c + 1) * _CHUNK) for c in range(top // _CHUNK)]
+    jobs += [(k - k % _CHUNK + 1, k) for k in sorted(set(ks)) if k % _CHUNK]
+    queue = sorted(((max(N - a, b), j) for j, (a, b) in enumerate(jobs)), reverse=True)
+    sums = [0.0] * len(jobs)
+    prod = np.empty(_CHUNK)
+    window = []  # the end of the block before and the current block
+
+    def upper(i, x, y):
+        # entries x..y of f (i = 1) or g (i = 2) from the window
+        parts = [block[i][max(x - block[0], 0) : y - block[0] + 1] for block in window
+                 if block[0] <= y and x < block[0] + len(block[i])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def chunk(a, b):
+        out = prod[: b - a + 1]
+        # the n whose g(N - n), both or f(n) lie above held
+        e = min(b, N - held - 1)
+        if a <= e:
+            np.multiply(f_low[a : e + 1], upper(2, N - e, N - a)[::-1],
+                        out=out[: e - a + 1], dtype=np.float64)
+        s, e = max(a, N - held), min(b, held)
+        if s <= e:
+            np.multiply(f_low[s : e + 1], g_low[N - e : N - s + 1][::-1],
+                        out=out[s - a : e - a + 1], dtype=np.float64)
+        s = max(a, held + 1)
+        if s <= b:
+            np.multiply(upper(1, s, b), g_low[N - b : N - s + 1][::-1],
+                        out=out[s - a :], dtype=np.float64)
+        return float(np.sum(out))
+
+    def finish(hi):
+        # every queued chunk whose upper entries all lie below hi
+        while queue and queue[-1][0] < hi:
+            j = queue.pop()[1]
+            sums[j] = chunk(*jobs[j])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        total = real_dot(fv[1 : k + 1], gv[N - 1 : N - k - 1 : -1])
-    if not math.isfinite(total):
-        raise UsageError(f"the sum overflows float64: {total}")
-    return total
+        finish(held + 1)
+        for lo, fb, gb in blocks:
+            hi = lo + max(len(fb), len(gb))
+            window = [*window[-1:], (lo, fb, gb)]
+            finish(hi)
+            # the next block may overwrite this one, whose entries from
+            # hi - _CHUNK on are all that a later chunk reads of it
+            t = max(hi - _CHUNK, lo)
+            ft = fb[t - lo :].copy()
+            window[-1] = (t, ft, ft if gb is fb else gb[t - lo :].copy())
+    full = top // _CHUNK
+    prefix = [0.0]
+    for s in sums[:full]:
+        prefix.append(prefix[-1] + s)
+    last = dict(zip((k for k in sorted(set(ks)) if k % _CHUNK), sums[full:]))
+    totals = [prefix[k // _CHUNK] + last[k] if k in last else prefix[k // _CHUNK] for k in ks]
+    for total in totals:
+        if not math.isfinite(total):
+            raise UsageError(f"the sum overflows float64: {total}")
+    return totals
 
 
 def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
     """[additive_convolution(f, g, spec) for spec in specs], in one pass.
 
     Every range is checked before any sum.  Integer sums share each block
-    of g between the specs that read it (see the module docstring); real
-    sums run one spec at a time, so each keeps the bits of its own call.
+    of g between the specs that read it, and real sums the full chunks of
+    their N (see the module docstring); each keeps the bits of its own
+    call.
     """
     ranges = [(spec.N, spec.last_index) for spec in specs]
     for N, k in ranges:
@@ -206,7 +279,14 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
             raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
     fv, gv = f.values, g.values
     if not (f.is_integer and g.is_integer):
-        return [_real_sum(fv, gv, N, k) for N, k in ranges]
+        # one _real_sums grid per N, over the whole tables as one block
+        sums = {}
+        for N in dict.fromkeys(N for N, _ in ranges):
+            ks = [k for n, k in ranges if n == N]
+            h = N // 2
+            blocks = [(h + 1, fv[h + 1 : N], gv[h + 1 : N])]
+            sums[N] = dict(zip(ks, _real_sums(fv[: h + 1], gv[: h + 1], blocks, N, ks)))
+        return [sums[N][k] for N, k in ranges]
     live = [(N, k) for N, k in ranges if k >= 1]
     if not live:
         return [0] * len(ranges)
@@ -216,6 +296,30 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
         return _float_sums(fv, gv, ranges)
     return [_exact_int_sum(fv[1 : k + 1], gv[N - 1 : N - k - 1 : -1], fmax, gmax)
             for N, k in ranges]
+
+
+def streamed_convolutions(sieve: FactorSieve, f: str, g: str, specs) -> list:
+    """The real sums of additive_convolutions of two walked tables, neither held whole.
+
+    f and g name the walk's tables (FactorSieve.prepare), and every spec
+    has one N.  One walk to N - 1 (FactorSieve.stream) holds both tables
+    on 0..N // 2, where each summand reads min(n, N - n), and passes the
+    entries above through one reused buffer per table, which every sum of
+    the grid reads as the blocks arrive.  Each sum is a float by
+    real_dot's rule, with the bits of additive_convolutions of the two
+    whole tables where either is real, and UsageError where it overflows.
+    """
+    specs = list(specs)
+    if len({spec.N for spec in specs}) > 1:
+        raise UsageError("streamed sums need one N for every spec")
+    if not specs:
+        return []
+    N = specs[0].N
+    names = list(dict.fromkeys((f, g)))
+    i, j = names.index(f), names.index(g)
+    low, blocks = sieve.stream(names, N - 1, N // 2)
+    pairs = ((lo, views[i], views[j]) for lo, views in blocks)
+    return _real_sums(low[i], low[j], pairs, N, [spec.last_index for spec in specs])
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):

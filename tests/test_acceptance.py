@@ -33,9 +33,11 @@ from convlab import (
     sigma_provider,
     sigma_rational,
     singular_series,
+    streamed_convolutions,
     tabulate,
     zeta_real,
 )
+from convlab.arith import walk_name
 
 
 def _dd(dtable, N, M, boundary):
@@ -243,13 +245,18 @@ def test_criterion_09_general_regimes(sieve_1m):
     N = 10**5
     grid = [10**3, 10**4, 5 * 10**4]
 
-    tab2 = tabulate(sieve_1m, "sigma_norm", N, s=2.0)
-    reps2 = [sigma_norm_report(sieve_1m, tab2, tab2, 2.0, 2.0, N, float(M)) for M in grid]
+    def reports(s):
+        name = walk_name("sigma_norm", s)
+        specs = [ConvolutionSpec(N=N, M=float(M), boundary="half_open") for M in grid]
+        exacts = streamed_convolutions(sieve_1m, name, name, specs)
+        return [sigma_norm_report(sieve_1m, exact, s, s, N, float(M))
+                for exact, M in zip(exacts, grid)]
+
+    reps2 = reports(2.0)
     resid = [abs(r.residual) for r in reps2]
     gt1_ok = resid[-1] <= 10.0 * resid[0]
 
-    tabh = tabulate(sieve_1m, "sigma_norm", N, s=0.5)
-    repsh = [sigma_norm_report(sieve_1m, tabh, tabh, 0.5, 0.5, N, float(M)) for M in grid]
+    repsh = reports(0.5)
     norm = [abs(r.normalized) for r in repsh]
     lt1_ok = all(v <= 2.0 * norm[0] for v in norm)
 

@@ -494,6 +494,32 @@ def test_tables_on_a_sieve_to_N_sieve_no_segment(monkeypatch):
     assert np.array_equal(arith.prime_mask(full, N), primes)
 
 
+@pytest.mark.parametrize("N", [2, 3, 1000, 262_147, 1_000_003])
+def test_streamed_blocks_are_slices_of_the_whole_tables(N):
+    # the walk that holds its tables to held passes each entry above
+    # through one buffer per table, in ascending blocks of _SEGMENT but
+    # the first and the last, with the bytes of the tables held whole;
+    # from segments sieved to N and from slices of a sieve's own spf
+    names = ["divisor", "sigma(1)", "sigma(-0.5)", "mobius", "phi"]
+    for sieve in (build_sieve(max(math.isqrt(N), 2)), build_sieve(max(N, 2))):
+        whole = sieve._from_spf(names, N)
+        for held in sorted({N // 2, N // 2 + 1, N - 1, N} & set(range(N // 2, N + 1))):
+            low, blocks = sieve.stream(names, N, held)
+            assert [t.tobytes() for t in low] == [t[: held + 1].tobytes() for t in whole]
+            start, sizes = held + 1, []
+            for lo, views in blocks:
+                assert lo == start
+                for table, view in zip(whole, views):
+                    assert view.tobytes() == table[lo : lo + len(view)].tobytes(), (held, lo)
+                sizes.append(len(views[0]))
+                start += sizes[-1]
+            assert start == N + 1 and all(size == _SEGMENT for size in sizes[1:-1])
+    with pytest.raises(UsageError, match="held"):
+        sieve.stream(names, N, N // 2 - 1)
+    with pytest.raises(UsageError, match="held"):
+        sieve.stream(names, N, N + 1)
+
+
 def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatch):
     sv = build_sieve(100)
     sv.upto("phi", 3000)

@@ -2,11 +2,14 @@ import math
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import brute
 from convlab import (
+    ConvolutionSpec,
     UsageError,
+    additive_convolution,
     custom_provider,
     divisor_provider,
     divisor_report,
@@ -105,6 +108,31 @@ def test_general_matches_cor32_closed_form(sieve_1m):
 def test_general_zero_M(sieve_small):
     p = sigma_provider(1.0)
     assert main_term_general(sieve_small, p, p, 6, 0.0) == (0.0, 0.0)
+
+
+def test_general_checks_R_before_a_zero_M(sieve_small):
+    # R is checked whatever M is, so M = 0 no longer lets a float R pass
+    p = sigma_provider(1.0)
+    for bad in (12.5, 12.0, "12", math.nan):
+        with pytest.raises(UsageError, match="R must be an integer"):
+            main_term_general(sieve_small, p, p, 12, 0.0, R=bad)
+    with pytest.raises(UsageError, match="R must lie in"):
+        main_term_general(sieve_small, p, p, 12, 0.0, R=0)
+    assert main_term_general(sieve_small, p, p, 12, 0.0, R=12) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sieve, N: main_term_subsum(sieve, N, 10.0),
+    lambda sieve, N: main_term_supersum(sieve, N, 60.0),
+    lambda sieve, N: envelope_subsum(sieve, N, 10.0),
+    lambda sieve, N: envelope_fullsum(sieve, N),
+], ids=["main_term_subsum", "main_term_supersum", "envelope_subsum", "envelope_fullsum"])
+def test_divisor_terms_check_N_is_an_integer_first(sieve_small, call):
+    # N is checked before it is compared with M or 16, so no TypeError
+    for bad in ("100", 100.0, None):
+        with pytest.raises(UsageError, match="N must be an integer"):
+            call(sieve_small, bad)
+    assert call(sieve_small, np.int64(100)) == call(sieve_small, 100)
 
 
 def test_general_at_N1(sieve_small):
@@ -313,20 +341,29 @@ def test_divisor_report_boundaries(sieve_small, dtable_small):
     assert sup.envelope_kind == "divisor_supersum"
 
 
+def _sigma_norm_exact(sieve, f, g, N, M):
+    return additive_convolution(f, g, ConvolutionSpec(N=N, M=M, boundary="half_open"))
+
+
 def test_sigma_norm_report_regimes(sieve_small):
     f = tabulate(sieve_small, "sigma_norm", 1000, s=0.5)
-    rep = sigma_norm_report(sieve_small, f, f, 0.5, 0.5, 1000, 100.0)
-    assert rep.envelope_kind == "delta_lt_1"
+    exact = _sigma_norm_exact(sieve_small, f, f, 1000, 100.0)
+    rep = sigma_norm_report(sieve_small, exact, 0.5, 0.5, 1000, 100.0)
+    assert rep.envelope_kind == "delta_lt_1" and rep.exact == exact
     assert rep.envelope == pytest.approx(100.0**0.5 * math.log(100.0) ** 3)
     g = tabulate(sieve_small, "sigma_norm", 1000, s=1.0)
-    rep = sigma_norm_report(sieve_small, g, g, 1.0, 1.0, 1000, 100.0)
+    rep = sigma_norm_report(sieve_small, _sigma_norm_exact(sieve_small, g, g, 1000, 100.0),
+                            1.0, 1.0, 1000, 100.0)
     assert rep.envelope_kind == "delta_eq_1"
+    with pytest.raises(UsageError):
+        sigma_norm_report(sieve_small, exact, 0.5, 0.5, 1000, 1001.0)
 
 
 def test_sigma_norm_report_below_M_2_has_nan_envelope(sieve_small):
     f = tabulate(sieve_small, "sigma_norm", 1000, s=0.5)
     for M in (1.0, 1.5):
-        rep = sigma_norm_report(sieve_small, f, f, 0.5, 0.5, 1000, M)
+        rep = sigma_norm_report(sieve_small, _sigma_norm_exact(sieve_small, f, f, 1000, M),
+                                0.5, 0.5, 1000, M)
         main, _ = main_term_sigma_norm(sieve_small, 0.5, 0.5, 1000, M)
         exact = float(f.values[1] * f.values[999]) if M > 1 else 0.0
         assert (rep.exact, rep.main, rep.residual) == (exact, main, exact - main)

@@ -310,16 +310,19 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
 
 
 def test_verify_general_walks_both_exponents_at_once(capsys, monkeypatch):
+    # one walk to N - 1 for the whole grid, holding each table to N/2 only
     from convlab import arith
 
     built = []
-    from_spf = arith.FactorSieve._from_spf
-    monkeypatch.setattr(arith.FactorSieve, "_from_spf",
-                        lambda self, names, n_max: built.append(list(names))
-                        or from_spf(self, names, n_max))
-    code, out, _ = run(capsys, "verify-general", "--alpha", "0.5", "--beta", "2", "--N", "5000",
-                       "--M-grid", "100,2500")
-    assert code in (0, 1) and built == [["sigma(-0.5)", "sigma(-2.0)"]]
+    stream = arith.FactorSieve.stream
+    monkeypatch.setattr(arith.FactorSieve, "stream",
+                        lambda self, names, n_max, held: built.append((list(names), n_max, held))
+                        or stream(self, names, n_max, held))
+    for beta, names in (("2", ["sigma(-0.5)", "sigma(-2.0)"]), ("0.5", ["sigma(-0.5)"])):
+        built.clear()
+        code, out, _ = run(capsys, "verify-general", "--alpha", "0.5", "--beta", beta,
+                           "--N", "5000", "--M-grid", "100,2500,4999")
+        assert code in (0, 1) and built == [(names, 4999, 2500)]
 
 
 _CLI_TABLES_AT_2_22 = [
@@ -329,18 +332,23 @@ _CLI_TABLES_AT_2_22 = [
     # together, both tables beside one spf segment's sieving (0.77 as
     # hyperbola tables, 1.52 with an int64 sigma and an int32 d, 2.25 with
     # a sieve to N as well),
-    # the sigma_norm pair 1.13, goldbach 0.257 and lambda.lambda 0.252,
-    # nearly all the one-byte prime-power mask to N (1.11 with the float64
-    # Lambda table, 1.68 with a sieve to N for Lambda's primes as well)
+    # the sigma_norm pair 0.710 and 1.299 with alpha != beta, each table
+    # held to N/2 and its upper half streamed through one 2**18 block
+    # (1.11 and 2.11 with the whole tables), goldbach 0.257 and
+    # lambda.lambda 0.252, nearly all the one-byte prime-power mask to N
+    # (1.11 with the float64 Lambda table, 1.68 with a sieve to N for
+    # Lambda's primes as well)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
       "--boundary", "closed"), 0.9),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
       "--boundary", "half_open"), 0.9),
     (("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", str(2**22),
-      "--M-grid", "1000,2000000,4000000"), 2.0),
+      "--M-grid", "1000,2000000,4000000"), 0.72),
     (("goldbach", "--N", str(2**22), "--R", "1000"), 0.296),
     (("convolve", "--f", "lambda", "--g", "lambda", "--N", str(2**22), "--M", str(2**20),
       "--boundary", "closed"), 0.29),
+    (("verify-general", "--alpha", "0.5", "--beta", "1.5", "--N", str(2**22),
+      "--M-grid", "1000,2000000,4000000"), 1.31),
 ]
 
 

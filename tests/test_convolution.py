@@ -15,11 +15,13 @@ from convlab import (
     build_sieve,
     lambda_convolution,
     shifted_divisor_convolution,
+    streamed_convolutions,
     tabulate,
     tau_exact,
 )
 from convlab import convolution
-from convlab.convolution import _CHUNK, _MIN_RUN, _exact_int_sum, _run_length
+from convlab.arith import _SEGMENT, walk_name
+from convlab.convolution import _CHUNK, _MIN_RUN, _exact_int_sum, _run_length, real_dot
 
 # the dense Lambda table of the pair-sum oracle, to the largest N drawn
 _LAMBDA_TOP = 300_000
@@ -335,6 +337,61 @@ def test_real_mode_bit_identical_to_whole_product(sieve_1m):
     for i in range(0, len(prod), 1 << 16):
         ref += float(np.sum(prod[i : i + (1 << 16)]))
     assert additive_convolution(f, g, spec) == ref
+
+
+@pytest.mark.parametrize("N", [
+    2 * _SEGMENT - 1, 2 * _SEGMENT, 2 * _SEGMENT + 1,
+    2 * _SEGMENT + _CHUNK - 1, 2 * _SEGMENT + _CHUNK, 2 * _SEGMENT + _CHUNK + 1,
+    6 * _SEGMENT - 10,  # the first block above N // 2 is 4 entries long
+])
+def test_streamed_sums_bit_identical_to_real_dot_on_whole_tables(N):
+    # the walk holds each table to N // 2 and streams the rest in 2**18
+    # blocks, so these N put the middle, the block edges and the chunk
+    # edges in every position; each M's sum is real_dot over the whole
+    # tables, and so is additive_convolutions', bit for bit
+    sieve = build_sieve(math.isqrt(N))
+    Ms = [1, 1.5, 2, _CHUNK, _CHUNK + 1, N / 2 - 1, N / 2, N / 2 + 1, N - 1]
+    specs = [ConvolutionSpec(N=N, M=M, boundary="half_open") for M in Ms]
+    specs += [ConvolutionSpec(N=N, M=M, boundary="closed") for M in (N // 2, N - 1)]
+    for a, b in ((0.5, 0.5), (0.5, 1.5)):
+        f = tabulate(sieve, "sigma_norm", N, s=a).values
+        g = tabulate(sieve, "sigma_norm", N, s=b).values
+        ref = [real_dot(f[1 : s.last_index + 1], g[N - 1 : N - s.last_index - 1 : -1])
+               for s in specs]
+        got = streamed_convolutions(sieve, walk_name("sigma_norm", a), walk_name("sigma_norm", b),
+                                    specs)
+        whole = additive_convolutions(ArithTable("f", f), ArithTable("g", g), specs)
+        assert [x.hex() for x in got] == [x.hex() for x in ref], (a, b)
+        assert [x.hex() for x in whole] == [x.hex() for x in ref], (a, b)
+
+
+def test_streamed_sums_small_N_and_one_N_per_grid(sieve_small):
+    # N below one block, N = 2 where the one summand is held, and a real
+    # table against an integer one; a grid of two N is refused
+    for N in (2, 3, 4, 5, 1000, 1001):
+        specs = [ConvolutionSpec(N=N, M=M, boundary="half_open") for M in range(1, N + 1)]
+        f = tabulate(sieve_small, "sigma_norm", N, s=0.5).values
+        g = tabulate(sieve_small, "divisor", N).values
+        ref = [real_dot(f[1 : s.last_index + 1], g[N - 1 : N - s.last_index - 1 : -1])
+               for s in specs]
+        got = streamed_convolutions(sieve_small, "sigma(-0.5)", "divisor", specs)
+        assert [x.hex() for x in got] == [x.hex() for x in ref], N
+    assert streamed_convolutions(sieve_small, "divisor", "divisor", []) == []
+    with pytest.raises(UsageError, match="one N"):
+        streamed_convolutions(sieve_small, "divisor", "divisor",
+                              [ConvolutionSpec(N=10, M=5, boundary="closed"),
+                               ConvolutionSpec(N=11, M=5, boundary="closed")])
+
+
+def test_overflowing_real_sums_raise(sieve_small):
+    # sigma_60 to 10**5 is finite, its products are not
+    N = 100_000
+    spec = ConvolutionSpec(N=N, M=500.0, boundary="closed")
+    with pytest.raises(UsageError, match="the sum overflows float64"):
+        streamed_convolutions(sieve_small, "sigma(60.0)", "sigma(60.0)", [spec])
+    f = tabulate(sieve_small, "sigma_norm", N, s=-60.0)
+    with pytest.raises(UsageError, match="the sum overflows float64"):
+        additive_convolutions(f, f, [ConvolutionSpec(N=N, M=3.0, boundary="closed"), spec])
 
 
 _INT_DTYPES = (np.int8, np.int32, np.int64)
