@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,11 +55,9 @@ __all__ = [
     "tabulate",
 ]
 
-_BLOCK = 1 << 20
-# The sieve's segments are shorter than _BLOCK: at 2**18 int32 entries a
-# segment stays in L2 while the primes stride over it, and
-# build_sieve(10**7) takes about 0.05 s against 0.08 s at 2**20 (2-vCPU
-# Xeon).
+# At 2**18 int32 entries a segment of the sieve stays in L2 while the
+# primes stride over it, and build_sieve(10**7) takes about 0.05 s
+# against 0.08 s at 2**20 (2-vCPU Xeon).
 _SEGMENT = 1 << 18
 _WHEEL = 210  # 2 * 3 * 5 * 7, the period of the primes the sieve does not stride with
 
@@ -86,7 +85,8 @@ class FactorSieve:
     on 0..held, at least n_max // 2, which is all the walk reads, and
     passing the blocks above through one reused buffer per table, so a
     sum that reads each table once holds about half of it.  Other modules
-    keep their own prefix keys, whose R reaches as far.
+    keep their own prefix keys, whose R reaches as far, and ramanujan its
+    compact mu-power prefixes, which it grows in memo itself.
     """
 
     limit: int
@@ -420,6 +420,18 @@ def as_index(name: str, value, lo: int, sieve: FactorSieve | None = None) -> int
     return value
 
 
+def as_real(name: str, value):
+    """value unchanged if it is a real number (numbers.Real), else UsageError.
+
+    Python and numpy integers and floats pass, NaN and infinities too, so
+    a caller checks the type once, before it compares the value, and then
+    bounds it with its own message.
+    """
+    if not isinstance(value, numbers.Real):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _spf_table(limit: int) -> np.ndarray:
     # segment by segment, from the primes up to sqrt(limit) (from the
     # sieve of sqrt(limit))
@@ -486,7 +498,7 @@ def _spf_blocks(sieve: FactorSieve, n_max: int):
 
 def _primes(spf: np.ndarray) -> np.ndarray:
     return np.concatenate(
-        [_primes_in(spf[lo : lo + _BLOCK], lo) for lo in range(0, len(spf), _BLOCK)]
+        [_primes_in(spf[lo : lo + _SEGMENT], lo) for lo in range(0, len(spf), _SEGMENT)]
     )
 
 

@@ -32,7 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .arith import ArithTable, FactorSieve, as_index, factorize, sigma_rational, sigma_real
+from .arith import (
+    ArithTable, FactorSieve, as_index, as_real, factorize, sigma_rational, sigma_real,
+)
 from .convolution import ConvolutionSpec, additive_convolutions
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
@@ -78,7 +80,7 @@ def main_term_full(sieve: FactorSieve, N: int) -> float:
 def main_term_subsum(sieve: FactorSieve, N: int, M: float) -> float:
     """(6/pi^2) M sigma_{-1}(N) log^2 sqrt(M(N-M)) for M <= N/2."""
     N = as_index("N", N, 1, sieve)
-    if not 1 <= M <= N / 2:
+    if not 1 <= as_real("M", M) <= N / 2:
         raise UsageError(f"main_term_subsum needs 1 <= M <= N/2, got M={M}, N={N}")
     _check_subsum_x(N, M)
     X = math.sqrt(M * (N - M))
@@ -97,7 +99,7 @@ def main_term_supersum(sieve: FactorSieve, N: int, M: float) -> float:
     The boundary term (N - M) log^2 X vanishes by convention at M = N.
     """
     N = as_index("N", N, 1, sieve)
-    if not N / 2 <= M <= N:
+    if not N / 2 <= as_real("M", M) <= N:
         raise UsageError(f"main_term_supersum needs N/2 <= M <= N, got M={M}, N={N}")
     if M == N:
         boundary = 0.0
@@ -128,7 +130,7 @@ def main_term_general(
     N = as_index("N", N, 1, sieve)
     if R is not None:
         R = as_index("R", R, 1, sieve)
-    if not 0 <= M < math.inf:
+    if not 0 <= as_real("M", M) < math.inf:
         raise UsageError(f"M must be finite and >= 0, got {M}")
     if M == 0:
         return 0.0, 0.0
@@ -151,7 +153,7 @@ def main_term_sigma_norm(
     if alpha <= 0 or beta <= 0:
         raise UsageError("alpha and beta must be positive")
     N = as_index("N", N, 1, sieve)
-    if not math.isfinite(M):
+    if not math.isfinite(as_real("M", M)):
         raise UsageError(f"M must be finite, got {M}")
     w = alpha + beta + 1.0
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
@@ -197,7 +199,7 @@ def envelope_subsum(sieve: FactorSieve, N: int, M: float) -> float:
     """M sigma_{-1}(N) log N loglog N."""
     N = as_index("N", N, 1, sieve)
     _check_envelope_n(N)
-    return M * _sigma_minus_one(sieve, N) * math.log(N) * math.log(math.log(N))
+    return as_real("M", M) * _sigma_minus_one(sieve, N) * math.log(N) * math.log(math.log(N))
 
 
 def envelope_fullsum(sieve: FactorSieve, N: int) -> float:
@@ -224,7 +226,7 @@ def envelope_ramanujan(delta: float, M: float) -> float:
     """
     if delta <= 0:
         raise UsageError(f"delta must be positive, got {delta}")
-    if M < 2:
+    if as_real("M", M) < 2:
         raise UsageError(f"envelope needs M >= 2, got {M}")
     if delta < 1.0:
         return M ** (1.0 - delta) * math.log(M) ** (4.0 - 2.0 * delta)

@@ -65,7 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable, FactorSieve, as_index, build_sieve, higher_prime_powers, prime_mask
+from .arith import (
+    ArithTable, FactorSieve, as_index, as_real, build_sieve, higher_prime_powers, prime_mask,
+)
 from .errors import UsageError
 
 __all__ = [
@@ -103,7 +105,7 @@ class ConvolutionSpec:
         object.__setattr__(self, "N", as_index("N", self.N, 2))
         if self.boundary not in ("half_open", "closed"):
             raise UsageError(f"boundary must be 'half_open' or 'closed', got {self.boundary!r}")
-        if not 1 <= self.M <= self.N:
+        if not 1 <= as_real("M", self.M) <= self.N:
             raise UsageError(f"M must lie in [1, N], got M={self.M}, N={self.N}")
         if self.boundary == "closed" and self.M > self.N - 1:
             raise UsageError("closed boundary requires M <= N - 1 so N - n >= 1 everywhere")

@@ -29,9 +29,10 @@ each, 2-vCPU host) and most of their results changed in the last bits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,18 +125,28 @@ class _SigmaProvider(CoefficientProvider):
     #   sum_{r <= R} z r**-(s+1) c_r(n)
     #     = z sum_{d | n} d**-s sum_{q <= R/d} mu(q) q**-(s+1),
     # so with prefix sums of mu(q) q**-(s+1) each R is one O(d(n)) float
-    # loop over the ascending pairs (d, d**-s), built once per call.
+    # loop over the ascending pairs (d, d**-s), built once per call.  The
+    # reads R // d past the prefix's dense part, those of d <= R // _DENSE,
+    # come first and are recomputed together, one batch per R; the dense
+    # reads come out as Python floats, which add with the same bits.
     def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
         s, z = self.delta, self.bound
-        terms = [(d, float(d) ** -s) for d in divisors(factorize(sieve, n))]
+        ds = divisors(factorize(sieve, n))
+        terms = [(d, float(d) ** -s) for d in ds]
 
         def at(R: int) -> float:
             pref = _mu_power_prefix(sieve, s + 1.0, R)
+            k = bisect.bisect_right(ds, R // _DENSE)
             total = 0.0
-            for d, weight in terms:
+            if k:
+                reads = pref.sampled(sieve, [R // d for d in ds[:k]])
+                for (_, weight), value in zip(terms, reads):
+                    total += weight * value
+            dense = pref.dense.item
+            for d, weight in terms[k:]:
                 if d > R:
                     break
-                total += weight * pref[R // d]
+                total += weight * dense(R // d)
             return float(z * total)
 
         return at
@@ -262,24 +273,106 @@ def expansion_partial_sum(
     return _expansion_sum(sieve, provider, n, provider.partial_sums(sieve, n)(R), R)
 
 
-# The sigma-type partial sums read prefix sums of mu(q) q**-expo on 0..R
-# only, through the sieve's prefix cache, one per exponent: s + 1 for an
+# The sigma-type partial sums read P(x) = sum_{q <= x} mu(q) q**-expo on
+# 0..R only, one prefix per exponent in the sieve's memo: s + 1 for an
 # expansion of sigma_s, and a + b + 2 for the main term of a sigma_a,
-# sigma_b pair.  As the adaptive loop doubles R they are rebuilt, each
-# entry the same bits whatever R they are built to.
+# sigma_b pair.  It holds P(x) for every x below _DENSE and, above, for
+# every x divisible by _STRIDE, so to 10**7 it takes 9.5 MB, not 80.  A
+# read past the dense part adds the terms of (_STRIDE floor(x / _STRIDE),
+# x] to the stored sum in order, each from the same np.power of a float64
+# q as the build, so every P(x) keeps the bits of one np.cumsum over the
+# whole table.  It grows by blocks of _GROW entries whose cumsum continues
+# from the last value, as the adaptive loop doubles R, and never holds a
+# table to R.
+
+_DENSE = 1 << 20
+_STRIDE = 64
+_GROW = 1 << 18
 
 
-def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> np.ndarray:
-    def build(n_max: int) -> np.ndarray:
-        # in place, so building it holds one float64 table, not three
-        pref = np.arange(n_max + 1, dtype=np.float64)
-        pref[0] = 1.0
-        pref **= -expo
-        pref *= sieve.upto("mobius", n_max)
-        np.cumsum(pref, out=pref)
-        return pref
+class _MuPowerPrefix:
+    """P(x) = sum_{q <= x} mu(q) q**-expo for x = 0..len - 1, held compactly.
 
-    return sieve.prefix(("mu_power_prefix", expo), R, build)
+    dense holds P(x) for x < min(len, _DENSE), and sampled reads the x
+    from _DENSE on.
+    """
+
+    def __init__(self, expo: float):
+        self.expo = expo
+        self.dense = np.zeros(0)
+        self.samples = np.zeros(0)  # P(_DENSE + _STRIDE k), k = 0, 1, ...
+        self.last = 0.0  # P(len - 1)
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def grow(self, sieve: FactorSieve, n_max: int) -> None:
+        # P on len..n_max, block by block
+        mu = sieve.upto("mobius", n_max)
+        self.dense = _lengthened(self.dense, min(n_max + 1, _DENSE))
+        self.samples = _lengthened(self.samples, max(n_max - _DENSE + _STRIDE, 0) // _STRIDE)
+        for lo in range(self.size, n_max + 1, _GROW):
+            hi = min(lo + _GROW, n_max + 1)
+            t = np.arange(lo, hi, dtype=np.float64)
+            if lo == 0:
+                t[0] = 1.0  # not 0**-expo = inf: mu(0) = 0 makes the term 0.0
+            t **= -self.expo
+            t *= mu[lo:hi]
+            t[0] += self.last
+            np.cumsum(t, out=t)
+            if lo < _DENSE:
+                self.dense[lo:hi] = t[: _DENSE - lo]
+            first = max(lo, _DENSE)
+            first += -first % _STRIDE
+            kept = t[first - lo :: _STRIDE]
+            k = (first - _DENSE) // _STRIDE
+            self.samples[k : k + len(kept)] = kept
+            self.last, self.size = t[-1], hi
+
+    def sampled(self, sieve: FactorSieve, xs: List[int]) -> List[float]:
+        """P(x) for each x of xs, _DENSE <= x < len.
+
+        Each is the stored sum at x's multiple of _STRIDE and then the
+        terms after it, added in order; the terms of every x come from one
+        np.power and one read of mu.
+        """
+        out, spans = [], []
+        for x in xs:
+            k, r = divmod(x - _DENSE, _STRIDE)
+            out.append(self.samples.item(k))
+            if r:
+                spans.append(np.arange(x - r + 1, x + 1))
+        if spans:
+            q = np.concatenate(spans)
+            t = q.astype(np.float64)
+            t **= -self.expo
+            t *= sieve.upto("mobius", max(xs))[q]
+            terms = iter(t.tolist())
+            for i, x in enumerate(xs):
+                for _ in range((x - _DENSE) % _STRIDE):
+                    out[i] += next(terms)
+        return out
+
+
+def _lengthened(a: np.ndarray, n: int) -> np.ndarray:
+    # a itself if it has room for n entries, else a copy of it with room for n
+    if len(a) >= n:
+        return a
+    out = np.empty(n)
+    out[: len(a)] = a
+    return out
+
+
+def _mu_power_prefix(sieve: FactorSieve, expo: float, R: int) -> _MuPowerPrefix:
+    R = as_index("R", R, 0, sieve)
+    key = ("mu_power_prefix", expo)
+    pref = sieve.memo.get(key)
+    if pref is None:
+        pref = sieve.memo[key] = _MuPowerPrefix(expo)
+    if len(pref) <= R:
+        pref.grow(sieve, R)
+    return pref
 
 
 def expansion_adaptive(

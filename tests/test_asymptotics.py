@@ -135,6 +135,25 @@ def test_divisor_terms_check_N_is_an_integer_first(sieve_small, call):
     assert call(sieve_small, np.int64(100)) == call(sieve_small, 100)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sieve, M: ConvolutionSpec(N=100, M=M, boundary="half_open"),
+    lambda sieve, M: main_term_general(sieve, sigma_provider(1.0), sigma_provider(1.0), 12, M),
+    lambda sieve, M: main_term_sigma_norm(sieve, 1.0, 1.0, 12, M),
+    lambda sieve, M: main_term_subsum(sieve, 100, M),
+    lambda sieve, M: main_term_supersum(sieve, 100, M),
+    lambda sieve, M: envelope_subsum(sieve, 100, M),
+    lambda sieve, M: envelope_ramanujan(0.5, M),
+    lambda sieve, M: sigma_norm_report(sieve, 1.0, 0.5, 0.5, 100, M),
+], ids=["ConvolutionSpec", "main_term_general", "main_term_sigma_norm", "main_term_subsum",
+        "main_term_supersum", "envelope_subsum", "envelope_ramanujan", "sigma_norm_report"])
+def test_M_is_checked_real_first(sieve_small, call):
+    # M is checked once before it is compared or converted, so no TypeError
+    for bad in ("5", None, 5j):
+        with pytest.raises(UsageError, match="M must be a real number"):
+            call(sieve_small, bad)
+    assert call(sieve_small, np.float64(50.0)) == call(sieve_small, 50.0)
+
+
 def test_general_at_N1(sieve_small):
     # sigma(1) pair at N=1 reduces to the Cor. 3.2 constant z(2)^2/z(4) = 5/2
     p = sigma_provider(1.0)

@@ -32,7 +32,20 @@ from convlab import (
     zeta_real,
 )
 from convlab.convolution import real_dot
-from convlab.ramanujan import _mu_power_prefix
+from convlab.ramanujan import _DENSE, _STRIDE, _mu_power_prefix
+
+
+def _prefix_at(sv, expo, xs):
+    # P(x) of the sieve's mu-power prefix for each x of xs, read as the
+    # sigma partial sums read it: from the dense part below _DENSE, and
+    # from the stored sums and the terms after them above it
+    xs = np.asarray(xs)
+    pref = _mu_power_prefix(sv, expo, int(xs.max()))
+    out = np.empty(len(xs))
+    below = xs < _DENSE
+    out[below] = pref.dense[xs[below]]
+    out[~below] = pref.sampled(sv, xs[~below].tolist())
+    return out
 
 
 def test_ramanujan_sum_examples(sieve_small):
@@ -438,8 +451,8 @@ def test_grown_prefixes_match_one_shot_builds():
         for name in ("mobius", "phi"):
             assert np.array_equal(grown.upto(name, R), oracles[name][: R + 1]), (name, R)
         for expo in (2.0, 3.0):
-            pref = _mu_power_prefix(grown, expo, R)
-            assert pref.tobytes() == _mu_power_prefix(oneshot, expo, R).tobytes(), (expo, R)
+            pref = _prefix_at(grown, expo, range(R + 1))
+            assert pref.tobytes() == _prefix_at(oneshot, expo, range(R + 1)).tobytes(), (expo, R)
         for n in (1, 12, 97, 720, 5040, 65536, 99991):
             for s, tol in ((1.0, 1e-3), (2.0, 1e-6)):
                 assert expansion_adaptive(grown, sigma_provider(s), n, tol=tol) == (
@@ -452,6 +465,61 @@ def test_grown_prefixes_match_one_shot_builds():
         assert np.array_equal(ramanujan_sum_table(grown, N, R), ramanujan_sum_table(oneshot, N, R))
     assert {k: len(v) for k, v in grown.memo.items()} == full
     assert {k: len(v) for k, v in oneshot.memo.items()} == full
+
+
+def test_sampled_prefix_reads_keep_the_bits_of_one_cumsum():
+    # past _DENSE only every _STRIDE-th P(x) is stored; each read there
+    # adds the terms after its stored sum in order, so every P(x) near and
+    # past _DENSE, and a sample below it, has the bits of the oracle's one
+    # cumsum over the whole table
+    limit = _DENSE + 5000
+    sv = build_sieve(limit)
+    rng = np.random.default_rng(24)
+    xs = np.concatenate([rng.integers(0, _DENSE - _STRIDE, 2000),
+                         np.arange(_DENSE - _STRIDE, limit + 1)])
+    for expo in (2.0, 3.0, 2.5):
+        want = brute.mu_power_prefix(limit, expo)[xs]
+        assert _prefix_at(sv, expo, xs).tobytes() == want.tobytes(), expo
+
+
+def test_prefix_grown_across_the_dense_part_matches_one_shot():
+    # grown in mixed R order, with blocks that cross _DENSE, start at it
+    # and start between two stored sums, the prefix holds what one build
+    # straight to the limit holds, and reads the same every R
+    limit = _DENSE + 5000
+    grown, oneshot = build_sieve(limit), build_sieve(limit)
+    orders = {
+        2.0: (300, _DENSE + _STRIDE, 5000, _DENSE - 1, _DENSE + 1000, limit),
+        2.5: (_DENSE - 1, _DENSE, _DENSE + 1, 70, limit),
+    }
+    for expo, order in orders.items():
+        _mu_power_prefix(oneshot, expo, limit)
+        for R in order:
+            xs = range(R + 1)
+            assert _prefix_at(grown, expo, xs).tobytes() == (
+                _prefix_at(oneshot, expo, xs).tobytes()
+            ), (expo, R)
+        a, b = (_mu_power_prefix(sv, expo, limit) for sv in (grown, oneshot))
+        assert len(a) == len(b) == limit + 1
+        assert a.dense.tobytes() == b.dense.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def test_expansion_to_the_cap_holds_a_compact_prefix():
+    # sigma_1 at n = 720720 doubles R to the cap of a sieve to 2**22 and
+    # raises there.  Its mu-power prefix, grown block by block, holds P(x)
+    # below _DENSE and every _STRIDE-th above: 8.4 MB where one table to R
+    # would be 32 MB.  Measured: 0.514 (1.136 with the whole table rebuilt
+    # at each doubling)
+    sv = build_sieve(2**22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConsistencyError, match="by R = 4194304"):
+            expansion_adaptive(sv, sigma_provider(1.0), 720720)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.55 * 8 * 2**22, peak / (8 * 2**22)
 
 
 def test_orthogonality_examples(sieve_small):
@@ -579,7 +647,7 @@ def test_R_past_the_limit_keeps_its_bits():
             singular_series(sv, 840, R),
             ramanujan_sum_table(sv, 720, R).tolist(),
             hardy_provider(sv).coefficients(R).tobytes(),
-            _mu_power_prefix(sv, 3.0, R).tobytes(),
+            _prefix_at(sv, 3.0, range(R + 1)).tobytes(),
             expansion_partial_sum(sv, s1, 720, R),
             expansion_partial_sum(sv, hardy_provider(sv), 719, R),
             orthogonality_defect(sv, R, R, 900, 451),
