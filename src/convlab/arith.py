@@ -7,24 +7,25 @@ the sieve's limit, to about its square, the sieve's primes factor n by
 trial division.  Every argument a sieve serves, a factorization or a
 table to n, is an integer below (limit + 1)**2 by one rule (as_index).
 Bulk tables over [1, N] are vectorised rather than built per n.  mu,
-phi, d and sigma_t for any real t are
-walked up from spf segments sieved on the fly by the sieve's primes up to
-isqrt(N) (or sliced from spf where the sieve reaches N): f(n) for
-n = p m, p = spf(n), comes from f(m) and, where p divides m, from
-f(m / p), entries below n's block.  So their N may reach the square of
-the sieve's limit, no spf to N is read, the tables a caller reads
-together share one walk (FactorSieve.prepare), and as the walk reads no
-entry above N / 2, a caller may hold only those and take the rest block
-by block (FactorSieve.stream).  Lambda reads the same
-segments, and prime_mask marks their primes, one byte per n, for sums
-that read Lambda only at prime powers.  spf is sieved in segments of
+phi, d, sigma_t for any real t, and the Ramanujan expansions' mu/phi and
+phi**2 (+inf where mu = 0) are walked up from spf segments sieved on the
+fly by the sieve's primes up to isqrt(N) (or sliced from spf where the
+sieve reaches N): f(n) for n = p m, p = spf(n), comes from f(m) and,
+where p divides m, from f(m / p), entries below n's block.  So their N
+may reach the square of the sieve's limit, no spf to N is read, the
+tables a caller reads together share one walk (FactorSieve.prepare), and
+as the walk reads no entry above N / 2, a caller may hold only those and
+take the rest block by block (FactorSieve.stream).  Lambda reads the
+same segments, and prime_mask marks their primes, one byte per n, for
+sums that read Lambda only at prime powers.  spf is sieved in segments of
 _SEGMENT entries and the walk runs blocks of as many; the bits of no
 table depend on the block size.  An integer table comes in the narrowest
 dtype proven to hold it (int16 for d below 2**31, int32 for phi and for
 sigma_k while N**k (2 + ln N) < 2**31), so a caller widens before it
-multiplies values; sigma_t for any other t, and sigma_norm, are float64.
-mu and phi are cached per sieve up to the largest N or R asked for
-(FactorSieve.upto), the divisor sums only where a caller prepares them.
+multiplies values; sigma_t for any other t, sigma_norm and the Ramanujan
+tables are float64.  mu, phi and the Ramanujan tables are cached per sieve
+up to the largest N or R asked for (FactorSieve.upto), the divisor sums
+only where a caller prepares them.
 Every table tabulate returns is read-only.
 """
 
@@ -36,7 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,19 +75,18 @@ class FactorSieve:
     sieve their own segments from its primes up to the root of their N.
 
     Every table derived from it goes through memo: the primes, and the
-    tables a caller reads only on 0..R, which prefix(key, R, build) keeps
-    one per key at the largest R asked for so far.  The walk's tables
-    sieve their own spf segments from the primes up to isqrt(R), so R may
-    reach (limit + 1)**2 - 1 (as_index): prepare(names, R) caches any of
-    them (walk_name) built in one walk, upto(name, R) is that cache over
-    mu and phi, and walked(name, R) reads a divisor sum from it or walks
-    the table alone, uncached.  Each of these walks holds its tables
-    whole; stream(names, n_max, held) is the same walk holding them only
-    on 0..held, at least n_max // 2, which is all the walk reads, and
-    passing the blocks above through one reused buffer per table, so a
-    sum that reads each table once holds about half of it.  Other modules
-    keep their own prefix keys, whose R reaches as far, and ramanujan its
-    compact mu-power prefixes, which it grows in memo itself.
+    tables of the spf walk, one per name at the largest R asked for so
+    far.  The walk's tables sieve their own spf segments from the primes
+    up to isqrt(R), so R may reach (limit + 1)**2 - 1 (as_index):
+    prepare(names, R) caches any of them (_walk) built in one walk,
+    upto(name, R) reads that cache, and walked(name, R) reads a divisor
+    sum from it or walks the table alone, uncached.  Each of these walks
+    holds its tables whole; stream(names, n_max, held) is the same walk
+    holding them only on 0..held, at least n_max // 2, which is all the
+    walk reads, and passing the blocks above through one reused buffer
+    per table, so a sum that reads each table once holds about half of
+    it.  Beside them ramanujan keeps its compact mu-power prefixes, which
+    it grows in memo itself.
     """
 
     limit: int
@@ -102,9 +102,12 @@ class FactorSieve:
         return primes
 
     def upto(self, name: str, R: int) -> np.ndarray:
-        """mu ("mobius", int8) or phi ("phi", int32 below 2**31) on 0..R, read-only.
+        """The walk's table name on 0..R, read-only, cached by prepare.
 
-        Entry 0 is 0, and R may reach (limit + 1)**2 - 1.
+        Any name of prepare: mu ("mobius", int8), phi ("phi", int32 below
+        2**31) and the float64 "mobius/phi" and "phi^2/mobius^2" the
+        Ramanujan expansions read among them.  Entry 0 is 0, and R may
+        reach (limit + 1)**2 - 1.
         """
         self.prepare((name,), R)
         return self.memo[name][: R + 1]
@@ -114,11 +117,13 @@ class FactorSieve:
 
         names are the walk's tables: "mobius", "phi", "divisor",
         "sigma(k)" for an integer k >= 1 and "sigma(t)" for a real t
-        written as a float (walk_name).  The named tables cached shorter
-        are dropped first and then built together, sharing each block's
-        spf segment, so a caller that reads two of them, such as mu and
-        phi or sigma_1 and d, asks for them here and walks spf once, in
-        either order.  R may reach (limit + 1)**2 - 1.
+        written as a float (walk_name), and "mobius/phi" and
+        "phi^2/mobius^2" (_walk).  The named tables cached shorter are
+        dropped first and then built together, sharing each block's spf
+        segment, so a caller that reads two of them, such as mu and phi,
+        sigma_1 and d or mu and the singular-series weights, asks for them
+        here and walks spf once, in either order.  R may reach
+        (limit + 1)**2 - 1.
         """
         R = as_index("R", R, 0, self)
         short = [name for name in dict.fromkeys(names) if len(self.memo.get(name, ())) <= R]
@@ -126,7 +131,7 @@ class FactorSieve:
             return
         for name in short:
             self.memo.pop(name, None)
-        for name, table in zip(short, self._from_spf(short, R)):
+        for name, table in zip(short, self.stream(short, R, R)[0]):
             table.setflags(write=False)
             self.memo[name] = table
 
@@ -142,23 +147,9 @@ class FactorSieve:
         cached = self.memo.get(name)
         if cached is not None and len(cached) > R and cached.dtype == dtype:
             return cached[: R + 1]
-        (table,) = self._from_spf([name], R)
+        (table,), _ = self.stream([name], R, R)
         table.setflags(write=False)
         return table
-
-    def prefix(self, key: Hashable, R: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
-        """build(R) on 0..R, read-only, for 0 <= R <= (limit + 1)**2 - 1.
-
-        memo keeps one table per key, at the largest R asked for so far.
-        A longer table is built only after memo has let go of the shorter
-        one, so the two never sit in the cache together.
-        """
-        R = as_index("R", R, 0, self)
-        if len(self.memo.get(key, ())) <= R:
-            self.memo.pop(key, None)
-            self.memo[key] = build(R)
-            self.memo[key].setflags(write=False)
-        return self.memo[key][: R + 1]
 
     def stream(
         self, names: Sequence[str], n_max: int, held: int
@@ -173,7 +164,7 @@ class FactorSieve:
         [lo, lo + len), in one buffer per name that the next block
         overwrites.  Every block is at most _SEGMENT long, and all but the
         first and the last are _SEGMENT long.  Held whole (held = n_max),
-        the walk yields no block: _from_spf.
+        the walk yields no block, as for prepare and walked.
         """
         n_max = as_index("n_max", n_max, 0, self)
         held = as_index("held", held, n_max // 2)
@@ -194,10 +185,6 @@ class FactorSieve:
                 above = itertools.chain([(lo + cut, p[cut:])], blocks)
                 return tables, _walk_above(tables, walks, size, above)
         return tables, iter(())
-
-    def _from_spf(self, names: Sequence[str], n_max: int) -> List[np.ndarray]:
-        # the walk's tables of names, each held whole on 0..n_max
-        return self.stream(names, n_max, n_max)[0]
 
 
 def _walk_above(tables, walks, size, blocks):
@@ -298,6 +285,15 @@ def _walk(name: str, n_max: int):
     if name == "phi":
         return (_spf_dtype(n_max), _same, lambda b: b - 1,
                 lambda fm, fq, b, out: np.multiply(fm, b, out=out))
+    # mu/phi, the Hardy coefficients, and the singular-series weights
+    # phi**2, +inf where mu = 0, in float64: products of -1/(p - 1) and of
+    # (p - 1)**2 over the primes of n, 0 and +inf once p divides m.  Each
+    # weight is an exact integer while phi(n)**2 < 2**53
+    if name == "mobius/phi":
+        return np.float64, _same, lambda b: -1.0 / (b - 1), lambda fm, fq, b, out: out.fill(0.0)
+    if name == "phi^2/mobius^2":
+        return (np.float64, _same, lambda b: np.square(b - 1.0),
+                lambda fm, fq, b, out: out.fill(np.inf))
     # sigma_k, k an integer >= 0 in the integer dtype of _sigma_dtype, or
     # a real k written as a float in float64
     arg = "0" if name == "divisor" else name[len("sigma(") : -1]
@@ -714,6 +710,8 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     if kind in ("sigma", "sigma_norm"):
         if s is None:
             raise UsageError(f"kind {kind!r} needs an exponent s")
+        if not math.isfinite(as_real("s", s)):
+            raise UsageError(f"exponent s must be finite, got {s}")
         s = float(s)
     elif s is not None:
         raise UsageError(f"kind {kind!r} takes no exponent")

@@ -150,7 +150,7 @@ def main_term_sigma_norm(
     Returns (value, delta) with delta = min(alpha, beta) selecting the
     error regime.
     """
-    if alpha <= 0 or beta <= 0:
+    if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
         raise UsageError("alpha and beta must be positive")
     N = as_index("N", N, 1, sieve)
     if not math.isfinite(as_real("M", M)):
@@ -169,7 +169,7 @@ def main_term_sigma_full(
     Returns (value, omega) where residuals are expected to grow no faster
     than N**omega, omega = alpha + beta + 1 - min(alpha, beta, 1).
     """
-    if alpha <= 0 or beta <= 0:
+    if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
         raise UsageError("alpha and beta must be positive")
     N = as_index("N", N, 2, sieve)
     w = alpha + beta + 1.0
@@ -182,7 +182,7 @@ def main_term_sigma_full(
 
 def tau_main(y: float) -> float:
     """(3/pi^2) log^2 y."""
-    if y < 2:
+    if as_real("y", y) < 2:
         raise UsageError(f"tau_main needs y >= 2, got {y}")
     return _THREE_OVER_PI2 * math.log(y) ** 2
 
@@ -224,7 +224,7 @@ def envelope_ramanujan(delta: float, M: float) -> float:
     delta < 1: M**(1-delta) (log M)**(4-2 delta); delta = 1: (log M)**3;
     delta > 1: 1.
     """
-    if delta <= 0:
+    if as_real("delta", delta) <= 0:
         raise UsageError(f"delta must be positive, got {delta}")
     if as_real("M", M) < 2:
         raise UsageError(f"envelope needs M >= 2, got {M}")

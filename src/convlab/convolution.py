@@ -409,7 +409,7 @@ def tau_exact(y: float) -> float:
     docstring): O(sqrt(y) log y) work.  Deterministic order: d ascending.
     Capped at y <= 10**7.
     """
-    if not math.isfinite(y):
+    if not math.isfinite(as_real("y", y)):
         raise UsageError(f"y must be finite, got {y}")
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")

@@ -20,11 +20,14 @@ K sigma_1(n) R**-delta / delta; providers without decay metadata (the
 divisor and Hardy expansions converge only conditionally) must be summed
 in increasing r and carry no tail bound.
 
-singular_series keeps its own kernel, c_r(N) over cached weights
-phi(r)**2 (+inf where mu(r) = 0).  Evaluated instead as the partial sum
-of product_provider(h, h), h the Hardy provider, the benchmark's session
-singular queries took about three times as long (2.1 ms against 0.64 ms
-each, 2-vCPU host) and most of their results changed in the last bits.
+The Hardy coefficients mu(r)/phi(r) and the singular-series weights
+phi(r)**2 (+inf where mu(r) = 0) are tables of the sieve's spf walk
+(FactorSieve.upto), and this module reads no phi.  singular_series keeps
+its own kernel, c_r(N) over those weights.  Evaluated instead as the
+partial sum of product_provider(h, h), h the Hardy provider, the
+benchmark's session singular queries took about three times as long
+(2.1 ms against 0.64 ms each, 2-vCPU host) and most of their results
+changed in the last bits.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .arith import FactorSieve, as_index, divisors, factorize, mobius, sigma_rational
+from .arith import FactorSieve, as_index, as_real, divisors, factorize, mobius, sigma_rational
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
 from .special import zeta_real
@@ -167,7 +170,7 @@ def _sigma_type(kind: str, s: float, z: float) -> CoefficientProvider:
 
 def sigma_provider(s: float) -> CoefficientProvider:
     """Coefficients of sigma_s(n)/n**s = zeta(s+1) sum_r c_r(n) / r**(s+1), s > 0."""
-    if s <= 0:
+    if as_real("s", s) <= 0:
         raise UsageError(f"sigma provider needs s > 0, got {s}")
     s = float(s)
     return _sigma_type(f"sigma({s:g})", s, zeta_real(s + 1.0))
@@ -187,18 +190,7 @@ def divisor_provider() -> CoefficientProvider:
 
 def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
     """Coefficients of (phi(n)/n) Lambda(n) = sum_r (mu(r)/phi(r)) c_r(n)."""
-
-    def build(n_max: int) -> np.ndarray:
-        out = np.zeros(n_max + 1, dtype=np.float64)
-        sieve.prepare(("mobius", "phi"), n_max)
-        out[1:] = sieve.upto("mobius", n_max)[1:] / sieve.upto("phi", n_max)[1:]
-        return out
-
-    def coefficients(R: int) -> np.ndarray:
-        # one table per sieve, a read-only prefix to the largest R so far
-        return sieve.prefix("hardy_coefficients", R, build)
-
-    return CoefficientProvider(kind="hardy", coefficients=coefficients)
+    return CoefficientProvider(kind="hardy", coefficients=lambda R: sieve.upto("mobius/phi", R))
 
 
 def custom_provider(
@@ -395,7 +387,7 @@ def expansion_adaptive(
     """
     if provider.conditional:
         raise UsageError("adaptive truncation needs a provider with decay metadata")
-    if not 0 < tol < math.inf:
+    if not 0 < as_real("tol", tol) < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
     partial_sum = provider.partial_sums(sieve, n)
     R = min(_START_R, sieve.limit)
@@ -421,21 +413,13 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     twin-product value; for odd N they approach zero.
     """
     N, R = as_index("N", N, 2, sieve), as_index("R", R, 1, sieve)
-    c = ramanujan_sum_table(sieve, N, R)
-    weights = sieve.prefix("singular_weights", R, lambda n_max: _singular_weights(sieve, n_max))
-    return float(np.sum(np.divide(c[1:], weights[1:])))
-
-
-def _singular_weights(sieve: FactorSieve, n_max: int) -> np.ndarray:
-    # phi(r)**2 in float64, +inf where mu(r) = 0, so c_r(N) / weight is the
+    # weights phi(r)**2, +inf where mu(r) = 0, so c_r(N) / weight is the
     # term mu(r)**2 c_r(N) / phi(r)**2.  Where mu(r) = 0 that is -0.0 for a
     # negative c_r(N), not +0.0, which changes no sum that has a nonzero
     # term, and the r = 1 term is 1
-    sieve.prepare(("mobius", "phi"), n_max)
-    out = sieve.upto("phi", n_max).astype(np.float64)
-    out **= 2
-    out[sieve.upto("mobius", n_max) == 0] = np.inf
-    return out
+    sieve.prepare(("mobius", "phi^2/mobius^2"), R)
+    c = ramanujan_sum_table(sieve, N, R)
+    return float(np.sum(np.divide(c[1:], sieve.upto("phi^2/mobius^2", R)[1:])))
 
 
 @dataclass(frozen=True)

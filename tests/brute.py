@@ -292,6 +292,31 @@ def phi_table(N: int) -> np.ndarray:
     return phi
 
 
+def hardy_coefficients(N: int) -> np.ndarray:
+    """mu(n)/phi(n) for n = 0..N as products of rounded factors, n by n.
+
+    a(n) = a(n / p) (-1/(p - 1)) for p = spf(n), and 0 where p divides
+    n / p: the recurrence the spf walk runs in blocks, so its last bits,
+    not those of the correctly rounded mu(n) / phi(n).
+    """
+    spf = spf_table(N).tolist()
+    a = [0.0] * (N + 1)
+    a[1:2] = [1.0]
+    for n in range(2, N + 1):
+        p = spf[n]
+        m = n // p
+        a[n] = 0.0 if m % p == 0 else a[m] * (-1.0 / (p - 1))
+    return np.array(a)
+
+
+def singular_weights(N: int) -> np.ndarray:
+    """phi(n)**2 in float64, +inf where mu(n) = 0, for n = 0..N, entry 0 zero."""
+    out = phi_table(N).astype(np.float64) ** 2
+    out[mobius_table(N) == 0] = np.inf
+    out[0] = 0.0
+    return out
+
+
 def lambda_table(N: int) -> np.ndarray:
     out = np.zeros(N + 1, dtype=np.float64)
     for p in primes_upto(N).tolist():

@@ -154,6 +154,36 @@ def test_M_is_checked_real_first(sieve_small, call):
     assert call(sieve_small, np.float64(50.0)) == call(sieve_small, 50.0)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("s", lambda sieve, x: tabulate(sieve, "sigma", 12, s=x).values.tobytes()),
+    ("s", lambda sieve, x: tabulate(sieve, "sigma_norm", 12, s=x).values.tobytes()),
+    ("s", lambda sieve, x: sigma_provider(x).coefficients(12).tobytes()),
+    ("alpha", lambda sieve, x: main_term_sigma_norm(sieve, x, 1.0, 12, 5.0)),
+    ("beta", lambda sieve, x: main_term_sigma_norm(sieve, 1.0, x, 12, 5.0)),
+    ("alpha", lambda sieve, x: main_term_sigma_full(sieve, x, 1.0, 12)),
+    ("beta", lambda sieve, x: main_term_sigma_full(sieve, 1.0, x, 12)),
+    ("delta", lambda sieve, x: envelope_ramanujan(x, 5.0)),
+    ("tol", lambda sieve, x: expansion_adaptive(sieve, sigma_provider(2.0), 12, tol=x)),
+    ("y", lambda sieve, x: tau_exact(x)),
+    ("y", lambda sieve, x: tau_main(x)),
+], ids=["tabulate sigma", "tabulate sigma_norm", "sigma_provider", "main_term_sigma_norm alpha",
+        "main_term_sigma_norm beta", "main_term_sigma_full alpha", "main_term_sigma_full beta",
+        "envelope_ramanujan", "expansion_adaptive", "tau_exact", "tau_main"])
+def test_real_parameters_are_checked_real_first(request, sieve_small, name, call):
+    # each real parameter is checked once before it is compared or
+    # converted, so no TypeError and no string read as its number; a
+    # table's exponent must be finite too, where NaN gave a NaN table and
+    # an infinity a table of ones
+    for bad in ("2", 2j):
+        with pytest.raises(UsageError, match=f"{name} must be a real number"):
+            call(sieve_small, bad)
+    if request.node.callspec.id.startswith("tabulate"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(UsageError, match="s must be finite"):
+                call(sieve_small, bad)
+    assert call(sieve_small, np.float64(2.0)) == call(sieve_small, 2.0)
+
+
 def test_general_at_N1(sieve_small):
     # sigma(1) pair at N=1 reduces to the Cor. 3.2 constant z(2)^2/z(4) = 5/2
     p = sigma_provider(1.0)

@@ -300,10 +300,10 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
     from convlab import arith
 
     built = []
-    from_spf = arith.FactorSieve._from_spf
-    monkeypatch.setattr(arith.FactorSieve, "_from_spf",
-                        lambda self, names, n_max: built.append(list(names))
-                        or from_spf(self, names, n_max))
+    stream = arith.FactorSieve.stream
+    monkeypatch.setattr(arith.FactorSieve, "stream",
+                        lambda self, names, n_max, held: built.append(list(names))
+                        or stream(self, names, n_max, held))
     code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5000", "--M", "2500",
                        "--boundary", "closed")
     assert code == 0 and built == walks

@@ -302,30 +302,34 @@ def test_hoisted_sigma_steps_match_per_call_regrouped_sums():
 
 
 def test_singular_series_matches_masked_formula():
-    # the weights prefix (phi**2, +inf where mu = 0) against the np.where
-    # form, for every N <= 500, as R grows and then shrinks
+    # the walked weights (phi**2, +inf where mu = 0) against the np.where
+    # form, for every N <= 500, as R grows and then shrinks; walked with mu,
+    # and no phi
     sv = build_sieve(5000)
     for R in (1, 60, 1000, 5000, 300, 7):
         for N in range(2, 501):
             assert singular_series(sv, N, R) == brute.singular_series(N, R), (N, R)
-    assert len(sv.memo["singular_weights"]) == 5001
+    assert {k: len(v) for k, v in sv.memo.items()} == {"mobius": 5001, "phi^2/mobius^2": 5001}
 
 
 def test_hardy_coefficients_are_read_only_prefixes(sieve_small):
     # once a longer R is cached, a shorter one is a read-only view that
-    # equals a fresh mu/phi division bit for bit
+    # equals the n-by-n recurrence bit for bit, within a few ulp of the
+    # correctly rounded mu/phi; a partial sum reads them and mu, no phi
     sv = build_sieve(sieve_small.limit)
     provider = hardy_provider(sv)
     provider.coefficients(5000)
+    recurrence = brute.hardy_coefficients(5000)
     for R in (5000, 1, 700, 4999):
         a = provider.coefficients(R)
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[1] = 0.0
-        fresh = np.zeros(R + 1, dtype=np.float64)
-        fresh[1:] = brute.mobius_table(R)[1:] / brute.phi_table(R)[1:]
-        assert a.tobytes() == fresh.tobytes(), R
-    assert len(sv.memo["hardy_coefficients"]) == 5001
+        assert a.tobytes() == recurrence[: R + 1].tobytes(), R
+        exact = brute.mobius_table(R)[1:] / brute.phi_table(R)[1:]
+        assert np.all(np.abs(a[1:] - exact) <= 4 * np.abs(np.spacing(exact))), R
+    expansion_partial_sum(sv, provider, 720, 5000)
+    assert {k: len(v) for k, v in sv.memo.items()} == {"mobius/phi": 5001, "mobius": 5001}
 
 
 def test_ramanujan_sum_table_matches_per_divisor_casts(sieve_small):
@@ -388,8 +392,9 @@ def test_singular_series_euler_product(sieve_1m):
 
 
 def test_prefix_tables_bit_identical_to_full_tables():
-    # singular series, Hardy coefficients and c_r tables read mu and phi
-    # only up to R: a prefix of the spf-derived tables, not the full ones
+    # singular series, Hardy coefficients and c_r tables read mu and their
+    # walked tables only up to R: a prefix of the spf-derived tables, not
+    # the full ones
     prefix_sv = build_sieve(10**6)
     full_sv = build_sieve(10**6)
     for name in ("mobius", "phi"):  # build the full tables first
@@ -397,7 +402,7 @@ def test_prefix_tables_bit_identical_to_full_tables():
     N = 2 * 3 * 5 * 7 * 11 * 13 * 17
     assert singular_series(prefix_sv, N, 10**3) == singular_series(full_sv, N, 10**3)
     assert {k: len(v) for k, v in prefix_sv.memo.items()} == {
-        "mobius": 1001, "phi": 1001, "singular_weights": 1001,
+        "mobius": 1001, "phi^2/mobius^2": 1001,
     }
     for R in (500, 2000, 1000, 3):
         assert singular_series(prefix_sv, N + 2, R) == singular_series(full_sv, N + 2, R)
@@ -408,10 +413,8 @@ def test_prefix_tables_bit_identical_to_full_tables():
             ramanujan_sum_table(prefix_sv, N, R), ramanujan_sum_table(full_sv, N, R)
         )
     # one memo entry per name, at the largest R asked for so far
-    derived = {"singular_weights": 2001, "hardy_coefficients": 2001}
-    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {
-        "mobius": 2001, "phi": 2001, **derived,
-    }
+    derived = {"phi^2/mobius^2": 2001, "mobius/phi": 2001}
+    assert {k: len(v) for k, v in prefix_sv.memo.items()} == {"mobius": 2001, **derived}
     # the full tables were sliced, never replaced by a shorter prefix
     assert {k: len(v) for k, v in full_sv.memo.items()} == {
         "mobius": 10**6 + 1, "phi": 10**6 + 1, **derived,
@@ -603,7 +606,7 @@ def _served_calls(sv):
         "factorize n": lambda x: factorize(sv, x),
         "tabulate N": lambda x: tabulate(sv, "divisor", x).values.tobytes(),
         "upto R": lambda x: sv.upto("phi", x).tobytes(),
-        "prefix R": lambda x: sv.prefix("integer rule", x, lambda n: np.arange(n + 1.0)).tobytes(),
+        "hardy_provider R": lambda x: hardy_provider(sv).coefficients(x).tobytes(),
         "ramanujan_sum r": lambda x: ramanujan_sum(sv, x, 12),
         "ramanujan_sum n": lambda x: ramanujan_sum(sv, 12, x),
         "ramanujan_sum_table n": lambda x: ramanujan_sum_table(sv, x, 20).tolist(),
