@@ -1,36 +1,34 @@
 """Sieve-backed arithmetic functions.
 
-A single smallest-prime-factor table is the source of truth: factorizations
-come out of it in O(log n) divisions, and the point functions sigma_s(n)
-(d(n) as sigma_0) and mu(n) are evaluated from the factorization; above
-the sieve's limit, to about its square, the sieve's primes factor n by
-trial division.  Every argument a sieve serves, a factorization or a
-table to n, is an integer below (limit + 1)**2 by one rule (as_index).
-Bulk tables over [1, N] are vectorised rather than built per n.  mu,
-phi, d, sigma_t for any real t, and the Ramanujan expansions' mu/phi and
-phi**2 (+inf where mu = 0) are walked up from spf segments sieved on the
-fly by the sieve's primes up to isqrt(N) (or sliced from spf where the
-sieve reaches N): f(n) for n = p m, p = spf(n), comes from f(m) and,
-where p divides m, from f(m / p), entries below n's block.  So their N
-may reach the square of the sieve's limit, no spf to N is read, the
-tables a caller reads together share one walk (FactorSieve.prepare), and
-as the walk reads no entry above N / 2, a caller may hold only those and
-take the rest block by block (FactorSieve.stream).  Lambda reads the
-same segments, and prime_mask marks their primes, one byte per n, for
-sums that read Lambda only at prime powers.  spf is sieved in segments of
-_SEGMENT entries and the walk runs blocks of as many; the bits of no
-table depend on the block size.  An integer table comes in the narrowest
-dtype proven to hold it (int16 for d below 2**31, int32 for phi and for
-sigma_k while N**k (2 + ln N) < 2**31), so a caller widens before it
-multiplies values; sigma_t for any other t, sigma_norm and the Ramanujan
-tables are float64.  mu, phi and the Ramanujan tables are cached per sieve
-up to the largest N or R asked for (FactorSieve.upto), the divisor sums
-only where a caller prepares them.
-Every table tabulate returns is read-only.
+A sieve holds no table to its limit.  Every argument it serves, a
+factorization or a table to n, is an integer below (limit + 1)**2 by one
+rule (as_index), and it finds its primes once, up to the root of the
+largest argument asked so far.  factorize divides n by those up to
+isqrt(n), and sigma_s(n) (d(n) as sigma_0) and mu(n) are evaluated from
+the factorization.  Bulk tables over [1, N] are vectorised rather than
+built per n.  mu, phi, d, sigma_t for any real t, and the Ramanujan
+expansions' mu/phi and phi**2 (+inf where mu = 0) are walked up from spf
+(smallest prime factor) segments sieved on the fly by the primes up to
+isqrt(N): f(n) for n = p m, p = spf(n), comes from f(m) and, where p
+divides m, from f(m / p), entries below n's block.  So the tables a
+caller reads together share one walk (FactorSieve.prepare), a walk
+resumes above a table memo caches shorter, and as it reads no entry
+above N / 2, a caller may hold only those and take the rest block by
+block (FactorSieve.stream).  Lambda reads the same segments, and
+prime_mask marks their primes, one byte per n.  Each segment is at most
+_SEGMENT long; the bits of no table depend on the block size.  An
+integer table comes in the narrowest dtype proven to hold it (int16 for
+d below 2**31, int32 for phi and for sigma_k while N**k (2 + ln N) <
+2**31), so a caller widens before it multiplies values; sigma_t for any
+other t, sigma_norm and the Ramanujan tables are float64.  mu, phi and
+the Ramanujan tables are cached per sieve up to the largest N or R asked
+for (FactorSieve.upto), the divisor sums only where a caller prepares
+them.  Every table tabulate returns is read-only.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -56,50 +54,48 @@ __all__ = [
     "tabulate",
 ]
 
-# At 2**18 int32 entries a segment of the sieve stays in L2 while the
-# primes stride over it, and build_sieve(10**7) takes about 0.05 s
-# against 0.08 s at 2**20 (2-vCPU Xeon).
+# At 2**18 int32 entries an spf segment stays in L2 while the primes
+# stride over it: spf to 10**7 took about 0.05 s against 0.08 s at 2**20
+# (2-vCPU Xeon)
 _SEGMENT = 1 << 18
 _WHEEL = 210  # 2 * 3 * 5 * 7, the period of the primes the sieve does not stride with
 
 
 @dataclass(frozen=True)
 class FactorSieve:
-    """Smallest-prime-factor table for 1..limit.
+    """The arithmetic of the integers below (limit + 1)**2.
 
-    Conventions: spf[0] = 0, spf[1] = 1, spf[p] = p for primes.  The table
-    is immutable, but memo is filled lazily and has no lock, so a sieve
-    is not safe to share between threads.  Memory is about
-    4 bytes per entry (int32) for limits below 2**31.  build_sieve fills
-    it one _SEGMENT at a time, as the tables of the spf walk and Lambda
-    sieve their own segments from its primes up to the root of their N.
-
-    Every table derived from it goes through memo: the primes, and the
-    tables of the spf walk, one per name at the largest R asked for so
-    far.  The walk's tables sieve their own spf segments from the primes
-    up to isqrt(R), so R may reach (limit + 1)**2 - 1 (as_index):
-    prepare(names, R) caches any of them (_walk) built in one walk,
-    upto(name, R) reads that cache, and walked(name, R) reads a divisor
-    sum from it or walks the table alone, uncached.  Each of these walks
-    holds its tables whole; stream(names, n_max, held) is the same walk
-    holding them only on 0..held, at least n_max // 2, which is all the
-    walk reads, and passing the blocks above through one reused buffer
-    per table, so a sum that reads each table once holds about half of
-    it.  Beside them ramanujan keeps its compact mu-power prefixes, which
-    it grows in memo itself.
+    memo is filled lazily and has no lock, so a sieve is not safe to
+    share between threads.  It holds every table derived from the sieve:
+    its primes (primes), and the tables of the spf walk, one per name at
+    the largest R asked for so far.  The walk sieves its own spf segments
+    from the primes up to isqrt(R), so R may reach (limit + 1)**2 - 1
+    (as_index): prepare(names, R) caches any of them (_walk) built in one
+    walk, upto(name, R) reads that cache, and walked(name, R) reads a
+    divisor sum from it or walks the table alone, uncached.  Each of
+    these walks holds its tables whole; stream(names, n_max, held) is the
+    same walk holding them only on 0..held, at least n_max // 2, which is
+    all the walk reads, and passing the blocks above through one reused
+    buffer per table, so a sum that reads each table once holds about
+    half of it.  Every walk resumes each table above the prefix memo
+    caches.  Beside them ramanujan keeps its compact mu-power prefixes,
+    which it grows in memo itself.
     """
 
     limit: int
-    spf: np.ndarray
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def primes(self) -> np.ndarray:
-        """All primes up to the sieve limit, ascending, read-only; built once."""
-        primes = self.memo.get("primes")
-        if primes is None:
-            primes = self.memo["primes"] = _primes(self.spf)
-            primes.setflags(write=False)
-        return primes
+    def primes(self, top: int) -> np.ndarray:
+        """The primes up to top, ascending, read-only, for 0 <= top <= limit.
+
+        Sieved once, and again only for a larger top, then to at least
+        twice the last (at most the limit), so growing tops cost in all
+        about two sieves of the last.
+        """
+        top = as_index("top", top, 0)
+        if top > self.limit:
+            raise UsageError(f"top must lie in [0, {self.limit}], got {top}")
+        return _primes_upto(self, top)
 
     def upto(self, name: str, R: int) -> np.ndarray:
         """The walk's table name on 0..R, read-only, cached by prepare.
@@ -119,18 +115,17 @@ class FactorSieve:
         "sigma(k)" for an integer k >= 1 and "sigma(t)" for a real t
         written as a float (walk_name), and "mobius/phi" and
         "phi^2/mobius^2" (_walk).  The named tables cached shorter are
-        dropped first and then built together, sharing each block's spf
-        segment, so a caller that reads two of them, such as mu and phi,
-        sigma_1 and d or mu and the singular-series weights, asks for them
-        here and walks spf once, in either order.  R may reach
-        (limit + 1)**2 - 1.
+        walked together, sharing each block's spf segment, so a caller
+        that reads two of them, such as mu and phi, sigma_1 and d or mu
+        and the singular-series weights, asks for them here and walks spf
+        once, in either order.  Each is resumed above its cached length
+        (stream), so a table grown by doubling R is walked about once in
+        all.  R may reach (limit + 1)**2 - 1.
         """
         R = as_index("R", R, 0, self)
         short = [name for name in dict.fromkeys(names) if len(self.memo.get(name, ())) <= R]
         if not short:
             return
-        for name in short:
-            self.memo.pop(name, None)
         for name, table in zip(short, self.stream(short, R, R)[0]):
             table.setflags(write=False)
             self.memo[name] = table
@@ -158,33 +153,58 @@ class FactorSieve:
 
         One walk to n_max, which may reach (limit + 1)**2 - 1.  Every
         entry it reads lies at or below n_max // 2, so held must lie in
-        [n_max // 2, n_max], and the tables come back filled on 0..held.
-        The iterator walks on over held + 1..n_max: per block, ascending,
-        it yields (lo, views), one view per name of its values on
-        [lo, lo + len), in one buffer per name that the next block
-        overwrites.  Every block is at most _SEGMENT long, and all but the
-        first and the last are _SEGMENT long.  Held whole (held = n_max),
-        the walk yields no block, as for prepare and walked.
+        [n_max // 2, n_max], and the tables come back filled on 0..held,
+        new arrays: where memo caches a table, a copy of it, widened to the
+        dtype of a table to n_max (views of it are out), that the walk
+        resumes above.  The iterator walks on over held + 1..n_max: per
+        block, ascending, it yields (lo, views), one view per name of its
+        values on [lo, lo + len), in one buffer per name that the next
+        block overwrites.  Every block is at most _SEGMENT long, and all
+        but the first and the last are _SEGMENT long.  Held whole
+        (held = n_max), the walk yields no block, as for prepare and walked.
         """
         n_max = as_index("n_max", n_max, 0, self)
         held = as_index("held", held, n_max // 2)
         if held > n_max:
             raise UsageError(f"held must lie in [{n_max // 2}, {n_max}], got {held}")
         walks = [_walk(name, n_max) for name in names]
-        tables = [np.zeros(held + 1, dtype) for dtype, _, _, _ in walks]
-        for out in tables:
-            out[1:2] = 1
-        blocks = _spf_blocks(self, n_max)
+        tables, starts = [], []
+        for name, (dtype, _, _, _) in zip(names, walks):
+            cached = self.memo.get(name)
+            if cached is None or len(cached) < 2:
+                cached = np.arange(2, dtype=dtype)  # f(0) = 0 and f(1) = 1
+            start = min(len(cached), held + 1)
+            out = np.empty(held + 1, dtype)
+            out[:start] = cached[:start]
+            tables.append(out)
+            starts.append(start)
+        blocks = _spf_blocks(self.primes(math.isqrt(n_max)), n_max, min(starts, default=2))
         for lo, p in blocks:
-            # a block that crosses held is split there
+            # a block that crosses held is split there; below it the walk
+            # passes over the tables that hold the block already
             cut = min(held + 1 - lo, len(p))
-            if cut:
-                _walk_block(tables, tables, walks, lo, p[:cut], 0)
+            live = [i for i, start in enumerate(starts) if start < lo + cut]
+            if cut and live:
+                got = [tables[i] for i in live]
+                _walk_block(got, got, [walks[i] for i in live], lo, p[:cut], 0)
             if cut < len(p):
                 size = min(_SEGMENT, n_max - held)
                 above = itertools.chain([(lo + cut, p[cut:])], blocks)
                 return tables, _walk_above(tables, walks, size, above)
         return tables, iter(())
+
+
+def _primes_upto(sieve: FactorSieve, top: int) -> np.ndarray:
+    # FactorSieve.primes for a top already checked, as factorize reads
+    # them, cut by bisect in a list, faster than np.searchsorted
+    found, primes, listed = sieve.memo.get("primes", (-1, None, None))
+    if found < top:
+        found = min(max(top, 2 * found), sieve.limit)
+        primes = _sieved_primes(found)
+        primes.setflags(write=False)
+        listed = primes.tolist()
+        sieve.memo["primes"] = found, primes, listed
+    return primes[: bisect.bisect_right(listed, top)]
 
 
 def _walk_above(tables, walks, size, blocks):
@@ -327,11 +347,11 @@ def _same(p):
     return p
 
 
-def _halving_blocks(n_max: int, size: int) -> List[Tuple[int, int]]:
-    # [lo, hi) over 2..n_max, ascending, at most size long and hi <= 2 lo,
-    # so each m <= n/2 of an n in a block lies below it, finished when the
-    # blocks run up
-    edges = [2]
+def _halving_blocks(n_max: int, size: int, start: int = 2) -> List[Tuple[int, int]]:
+    # [lo, hi) over start..n_max, start >= 2, ascending, at most size long
+    # and hi <= 2 lo, so each m <= n/2 of an n in a block lies below it,
+    # finished when the blocks run up
+    edges = [start]
     while edges[-1] <= n_max:
         edges.append(min(2 * edges[-1], edges[-1] + size, n_max + 1))
     return list(zip(edges, edges[1:]))
@@ -371,16 +391,11 @@ class ArithTable:
 
 
 def build_sieve(limit: int) -> FactorSieve:
-    """Build the smallest-prime-factor table for 1..limit.
+    """A sieve for the integers below (limit + 1)**2, which sieves nothing yet.
 
-    Raises UsageError for limit < 2 or a table too large for numpy to
-    address, and propagates MemoryError if the table (about 4*limit bytes)
-    cannot be allocated.
+    Raises UsageError unless limit is an integer >= 2.
     """
-    if limit < 2:
-        raise UsageError(f"sieve limit must be >= 2, got {limit}")
-    check_addressable(limit, "sieve limit")
-    return FactorSieve(limit=limit, spf=_spf_table(limit))
+    return FactorSieve(limit=as_index("sieve limit", limit, 2))
 
 
 _INTP_MAX = int(np.iinfo(np.intp).max)
@@ -417,28 +432,26 @@ def as_index(name: str, value, lo: int, sieve: FactorSieve | None = None) -> int
 
 
 def as_real(name: str, value):
-    """value unchanged if it is a real number (numbers.Real), else UsageError.
+    """value unchanged if it is a finite real number, else UsageError.
 
-    Python and numpy integers and floats pass, NaN and infinities too, so
-    a caller checks the type once, before it compares the value, and then
-    bounds it with its own message.
+    Python and numpy integers and floats pass (numbers.Real), and NaN and
+    the infinities do not, so a caller checks the value once, before it
+    compares it, and then bounds it with its own message: no comparison
+    it makes is false for a NaN.
     """
     if not isinstance(value, numbers.Real):
         raise UsageError(f"{name} must be a real number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value}")
     return value
 
 
-def _spf_table(limit: int) -> np.ndarray:
-    # segment by segment, from the primes up to sqrt(limit) (from the
-    # sieve of sqrt(limit))
-    dtype = _spf_dtype(limit)
-    spf = np.empty(limit + 1, dtype=dtype)
-    root = math.isqrt(limit)
-    primes = _primes(_spf_table(root)) if root >= 2 else np.zeros(0, dtype=dtype)
-    wheel = _wheel(min(_SEGMENT, limit + 1) + _WHEEL, dtype)
-    for lo in range(0, limit + 1, _SEGMENT):
-        _spf_segment(spf[lo : lo + _SEGMENT], lo, primes, wheel)
-    return spf
+def _sieved_primes(top: int) -> np.ndarray:
+    # the primes up to top, int64, from spf segments sieved by the primes
+    # up to isqrt(top)
+    root = _sieved_primes(math.isqrt(top)) if top >= 4 else np.zeros(0, np.int64)
+    found = [_primes_in(seg, lo) for lo, seg in _spf_blocks(root, top)]
+    return np.concatenate([np.zeros(0, np.int64), *found])
 
 
 def _spf_dtype(limit: int):
@@ -475,27 +488,15 @@ def _spf_segment(seg: np.ndarray, lo: int, primes: np.ndarray, wheel: np.ndarray
     np.minimum(seg, wheel[offset : offset + len(seg)], out=seg)
 
 
-def _spf_blocks(sieve: FactorSieve, n_max: int):
-    # (lo, spf of lo..hi-1) over the _halving_blocks of 2..n_max at most
-    # _SEGMENT long: slices of the sieve's own spf where it reaches
-    # n_max, else each sieved from its primes up to isqrt(n_max) into one
-    # buffer, which the next block overwrites
-    if n_max <= sieve.limit:
-        for lo, hi in _halving_blocks(n_max, _SEGMENT):
-            yield lo, sieve.spf[lo:hi]
-        return
-    root = _primes_in(sieve.spf[: math.isqrt(n_max) + 1], 0)
+def _spf_blocks(primes: np.ndarray, n_max: int, start: int = 2):
+    # (lo, spf of lo..hi-1) over the _halving_blocks of start..n_max at
+    # most _SEGMENT long, each sieved from primes (ascending, up to at
+    # least isqrt(n_max)) into one buffer, which the next block overwrites
     buf = np.empty(min(_SEGMENT, n_max + 1), dtype=_spf_dtype(n_max))
     wheel = _wheel(len(buf) + _WHEEL, buf.dtype)
-    for lo, hi in _halving_blocks(n_max, _SEGMENT):
-        _spf_segment(buf[: hi - lo], lo, root, wheel)
+    for lo, hi in _halving_blocks(n_max, _SEGMENT, start):
+        _spf_segment(buf[: hi - lo], lo, primes, wheel)
         yield lo, buf[: hi - lo]
-
-
-def _primes(spf: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [_primes_in(spf[lo : lo + _SEGMENT], lo) for lo in range(0, len(spf), _SEGMENT)]
-    )
 
 
 def _primes_in(seg: np.ndarray, lo: int) -> np.ndarray:
@@ -509,29 +510,21 @@ def _primes_in(seg: np.ndarray, lo: int) -> np.ndarray:
 def factorize(sieve: FactorSieve, n: int) -> Factorization:
     """Factor n, for 1 <= n < (sieve.limit + 1)**2.
 
-    Up to the limit, by repeated division by the sieve's smallest prime
-    factors.  Above it, the primes p <= sqrt(n) dividing n come out of one
-    vectorised remainder over the sieve's primes, with no scan of spf, and
-    what is left of n above 1 has no prime factor up to sqrt(n), so it is
-    prime.  From (limit + 1)**2 on, sqrt(n) passes the limit and a prime
-    factor of n could be missing from the sieve (as_index).
+    The primes p <= sqrt(n) dividing n come out of one vectorised
+    remainder over the sieve's primes, and what is left of n above 1 has
+    no prime factor up to sqrt(n), so it is prime.  From
+    (limit + 1)**2 on, sqrt(n) passes the limit and a prime factor of n
+    could be missing from the sieve (as_index).
     """
     n = as_index("n", n, 1, sieve)
+    primes = _primes_upto(sieve, math.isqrt(n))
     factors: List[Tuple[int, int]] = []
     m = n
-    if n <= sieve.limit:
-        while m > 1:
-            p = int(sieve.spf[m])
-            m, e = _divide_out(m, p)
-            factors.append((p, e))
-    else:
-        primes = sieve.primes()
-        primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-        for p in primes[n % primes == 0].tolist():
-            m, e = _divide_out(m, p)
-            factors.append((p, e))
-        if m > 1:
-            factors.append((m, 1))
+    for p in primes[n % primes == 0].tolist():
+        m, e = _divide_out(m, p)
+        factors.append((p, e))
+    if m > 1:
+        factors.append((m, 1))
     return Factorization(n=n, factors=tuple(factors))
 
 
@@ -624,11 +617,11 @@ def prime_mask(sieve: FactorSieve, n_max: int) -> np.ndarray:
 
     The primes are the n >= 2 with spf(n) == n in spf segments sieved from
     the sieve's primes up to isqrt(n_max), so n_max may reach
-    (limit + 1)**2 - 1, and no spf to n_max is kept.
+    (limit + 1)**2 - 1, and no spf to n_max is held.
     """
     n_max = as_index("n_max", n_max, 0, sieve)
     out = np.zeros(n_max + 1, dtype=bool)
-    for lo, seg in _spf_blocks(sieve, n_max):
+    for lo, seg in _spf_blocks(sieve.primes(math.isqrt(n_max)), n_max):
         n = np.arange(lo, lo + len(seg), dtype=seg.dtype)
         np.equal(seg, n, out=out[lo : lo + len(seg)])
     return out
@@ -640,7 +633,7 @@ def higher_prime_powers(sieve: FactorSieve, n_max: int) -> Tuple[np.ndarray, np.
     Read from the sieve's primes up to isqrt(n_max).
     """
     powers, bases = [], []
-    for p in _primes_in(sieve.spf[: math.isqrt(n_max) + 1], 0).tolist():
+    for p in sieve.primes(math.isqrt(n_max)).tolist():
         q = p * p
         while q <= n_max:
             powers.append(q)
@@ -655,7 +648,7 @@ def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
     # neither spf to N nor a list of all the primes is built.  math.log,
     # not np.log: the two differ in the last bit for some p
     out = np.zeros(N + 1, dtype=np.float64)
-    for lo, seg in _spf_blocks(sieve, N):
+    for lo, seg in _spf_blocks(sieve.primes(math.isqrt(N)), N):
         primes = _primes_in(seg, lo)
         out[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
     powers, bases = higher_prime_powers(sieve, N)
@@ -710,9 +703,7 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     if kind in ("sigma", "sigma_norm"):
         if s is None:
             raise UsageError(f"kind {kind!r} needs an exponent s")
-        if not math.isfinite(as_real("s", s)):
-            raise UsageError(f"exponent s must be finite, got {s}")
-        s = float(s)
+        s = float(as_real("s", s))
     elif s is not None:
         raise UsageError(f"kind {kind!r} takes no exponent")
 

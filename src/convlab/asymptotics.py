@@ -130,15 +130,16 @@ def main_term_general(
     N = as_index("N", N, 1, sieve)
     if R is not None:
         R = as_index("R", R, 1, sieve)
-    if not 0 <= as_real("M", M) < math.inf:
-        raise UsageError(f"M must be finite and >= 0, got {M}")
+    if as_real("M", M) < 0:
+        raise UsageError(f"M must be >= 0, got {M}")
     if M == 0:
         return 0.0, 0.0
     product = product_provider(pf, pg)
+    f = factorize(sieve, N)
     if R is None:
-        scale = product.bound * sigma_rational(factorize(sieve, N), 1)
+        scale = product.bound * sigma_rational(f, 1)
         R = max(16, math.ceil((scale / (product.delta * 1e-9)) ** (1.0 / product.delta)))
-    res = expansion_partial_sum(sieve, product, N, R)
+    res = expansion_partial_sum(sieve, product, f, R)
     return M * res.value, M * res.tail_bound
 
 
@@ -153,8 +154,7 @@ def main_term_sigma_norm(
     if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
         raise UsageError("alpha and beta must be positive")
     N = as_index("N", N, 1, sieve)
-    if not math.isfinite(as_real("M", M)):
-        raise UsageError(f"M must be finite, got {M}")
+    as_real("M", M)
     w = alpha + beta + 1.0
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
     snorm = sigma_real(factorize(sieve, N), -w)

@@ -409,9 +409,7 @@ def tau_exact(y: float) -> float:
     docstring): O(sqrt(y) log y) work.  Deterministic order: d ascending.
     Capped at y <= 10**7.
     """
-    if not math.isfinite(as_real("y", y)):
-        raise UsageError(f"y must be finite, got {y}")
-    if y < 1:
+    if as_real("y", y) < 1:
         raise UsageError(f"y must be >= 1, got {y}")
     if y > _TAU_CAP:
         raise UsageError(f"tau_exact is capped at y <= {_TAU_CAP:g}")

@@ -39,7 +39,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .arith import FactorSieve, as_index, as_real, divisors, factorize, mobius, sigma_rational
+from .arith import (
+    FactorSieve, Factorization, as_index, as_real, divisors, factorize, mobius, sigma_rational,
+)
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
 from .special import zeta_real
@@ -80,9 +82,14 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
     reach as far as the sieve's tables (as_index).
     """
     n, R = as_index("n", n, 1, sieve), as_index("R", R, 1, sieve)
+    return _sum_table(sieve, factorize(sieve, n), R)
+
+
+def _sum_table(sieve: FactorSieve, f: Factorization, R: int) -> np.ndarray:
+    # ramanujan_sum_table at n = f.n
     mu = sieve.upto("mobius", R)
     out = mu.astype(np.int64)
-    for d in divisors(factorize(sieve, n))[1:]:
+    for d in divisors(f)[1:]:
         if d > R:
             break
         out[d :: d] += np.multiply(mu[1 : R // d + 1], d, dtype=np.int64)
@@ -112,14 +119,14 @@ class CoefficientProvider:
     def conditional(self) -> bool:
         return self.delta is None
 
-    def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
-        """R -> sum_{r <= R} a(r) c_r(n), terms in increasing r.
+    def partial_sums(self, sieve: FactorSieve, f: Factorization) -> Callable[[int], float]:
+        """R -> sum_{r <= R} a(r) c_r(n), terms in increasing r, f factoring n.
 
         The literal dot product with the c_r(n) table.  Sigma-type
-        providers override it with an O(d(n)) regrouping that factors n and
-        takes the powers of its divisors once, in this call, not once per R.
+        providers override it with an O(d(n)) regrouping that takes the
+        powers of the divisors of n once, in this call, not once per R.
         """
-        return lambda R: real_dot(self.coefficients(R)[1:], ramanujan_sum_table(sieve, n, R)[1:])
+        return lambda R: real_dot(self.coefficients(R)[1:], _sum_table(sieve, f, R)[1:])
 
 
 class _SigmaProvider(CoefficientProvider):
@@ -132,9 +139,9 @@ class _SigmaProvider(CoefficientProvider):
     # reads R // d past the prefix's dense part, those of d <= R // _DENSE,
     # come first and are recomputed together, one batch per R; the dense
     # reads come out as Python floats, which add with the same bits.
-    def partial_sums(self, sieve: FactorSieve, n: int) -> Callable[[int], float]:
+    def partial_sums(self, sieve: FactorSieve, f: Factorization) -> Callable[[int], float]:
         s, z = self.delta, self.bound
-        ds = divisors(factorize(sieve, n))
+        ds = divisors(f)
         terms = [(d, float(d) ** -s) for d in ds]
 
         def at(R: int) -> float:
@@ -246,23 +253,26 @@ class ExpansionSum:
 
 
 def _expansion_sum(
-    sieve: FactorSieve, provider: CoefficientProvider, n: int, value: float, R: int
+    provider: CoefficientProvider, f: Factorization, value: float, R: int
 ) -> ExpansionSum:
-    # |c_r(n)| <= sigma_1(n) and sum_{r > R} r**-(1+delta) <= R**-delta / delta;
-    # n is factored only for a provider with that decay
+    # |c_r(n)| <= sigma_1(n) and sum_{r > R} r**-(1+delta) <= R**-delta / delta
     tail = None
     if not provider.conditional:
-        sigma1_n = sigma_rational(factorize(sieve, n), 1)
+        sigma1_n = sigma_rational(f, 1)
         tail = provider.bound * sigma1_n * R**-provider.delta / provider.delta
     return ExpansionSum(value=value, tail_bound=tail, R=R)
 
 
 def expansion_partial_sum(
-    sieve: FactorSieve, provider: CoefficientProvider, n: int, R: int
+    sieve: FactorSieve, provider: CoefficientProvider, n: int | Factorization, R: int
 ) -> ExpansionSum:
-    """sum_{r <= R} a(r) c_r(n), by provider.partial_sums, with its tail bound."""
-    n, R = as_index("n", n, 1, sieve), as_index("R", R, 1, sieve)
-    return _expansion_sum(sieve, provider, n, provider.partial_sums(sieve, n)(R), R)
+    """sum_{r <= R} a(r) c_r(n), by provider.partial_sums, with its tail bound.
+
+    n may come as its Factorization, which is then not factored again.
+    """
+    f = n if isinstance(n, Factorization) else factorize(sieve, n)
+    R = as_index("R", R, 1, sieve)
+    return _expansion_sum(provider, f, provider.partial_sums(sieve, f)(R), R)
 
 
 # The sigma-type partial sums read P(x) = sum_{q <= x} mu(q) q**-expo on
@@ -387,9 +397,10 @@ def expansion_adaptive(
     """
     if provider.conditional:
         raise UsageError("adaptive truncation needs a provider with decay metadata")
-    if not 0 < as_real("tol", tol) < math.inf:
-        raise UsageError(f"tol must be positive and finite, got {tol}")
-    partial_sum = provider.partial_sums(sieve, n)
+    if as_real("tol", tol) <= 0:
+        raise UsageError(f"tol must be positive, got {tol}")
+    f = factorize(sieve, n)
+    partial_sum = provider.partial_sums(sieve, f)
     R = min(_START_R, sieve.limit)
     value = partial_sum(R)
     stable = 0
@@ -402,7 +413,7 @@ def expansion_adaptive(
             break
         if R >= sieve.limit:
             raise ConsistencyError(f"partial sums not stable within {tol} by R = {R}")
-    return _expansion_sum(sieve, provider, n, value, R)
+    return _expansion_sum(provider, f, value, R)
 
 
 def singular_series(sieve: FactorSieve, N: int, R: int) -> float:

@@ -23,14 +23,27 @@ from convlab import arith
 from convlab.arith import _SEGMENT, _halving_blocks, _sigma_dtype
 
 
+def _spf(sieve, n_max):
+    # spf on 0..n_max from the segments the walks sieve (spf(0) = 0 and
+    # spf(1) = 1), each block copied out of the reused buffer
+    head = np.arange(min(n_max + 1, 2), dtype=arith._spf_dtype(n_max))
+    blocks = arith._spf_blocks(sieve.primes(math.isqrt(n_max)), n_max)
+    return np.concatenate([head] + [seg.copy() for _, seg in blocks])
+
+
+def _cached(sieve):
+    # the lengths of the tables in memo, beside the primes the walks read
+    return {k: len(v) for k, v in sieve.memo.items() if k != "primes"}
+
+
 def test_build_sieve_small_values():
     sv = build_sieve(10)
-    assert list(sv.spf[1:11]) == [1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+    assert list(_spf(sv, 10)[1:11]) == [1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
 
 
 def test_build_sieve_minimal():
     sv = build_sieve(2)
-    assert sv.spf[2] == 2
+    assert _spf(sv, 2)[2] == 2
 
 
 def test_build_sieve_rejects_tiny_limit():
@@ -39,17 +52,18 @@ def test_build_sieve_rejects_tiny_limit():
 
 
 def test_sieve_large_prime(sieve_10m):
-    assert sieve_10m.spf[9999991] == 9999991
+    assert _spf(sieve_10m, 9999991)[9999991] == 9999991
     assert brute.is_prime(9999991)
 
 
 def test_sieve_invariants_sampled(sieve_small):
+    spf = _spf(sieve_small, 7919)
     for n in range(2, 2000):
-        p = int(sieve_small.spf[n])
+        p = int(spf[n])
         assert n % p == 0
         assert brute.is_prime(p)
     for p in (2, 3, 5, 97, 7919):
-        assert sieve_small.spf[p] == p
+        assert spf[p] == p
 
 
 def test_factorize_examples(sieve_10m):
@@ -88,18 +102,31 @@ def test_factorize_past_the_limit_matches_brute():
 
 
 def test_factorize_past_the_limit_scans_nothing_per_call():
-    # the primes are found once per sieve; past the limit a call reads them
-    # and never spf
+    # the primes are sieved once, to the root of the largest n asked; a
+    # call reads them and sieves nothing
     sv = build_sieve(1000)
-    primes = sv.primes()
-    spf = sv.spf
-    object.__setattr__(sv, "spf", None)
-    try:
-        for n in (999_983, 997**2, 1000**2, 510_510, 1001**2 - 1):
-            assert list(factorize(sv, n).factors) == brute.factorize(n), n
-        assert sv.primes() is primes
-    finally:
-        object.__setattr__(sv, "spf", spf)
+    assert list(factorize(sv, 1001**2 - 1).factors) == brute.factorize(1001**2 - 1)
+    found = sv.memo["primes"]
+    for n in (999_983, 997**2, 1000**2, 510_510, 12, 1):
+        assert list(factorize(sv, n).factors) == brute.factorize(n), n
+    assert sv.memo["primes"] is found and found[0] == 1000
+
+
+def test_primes_are_sieved_on_demand_to_twice_the_last_top():
+    # build_sieve sieves nothing; the primes grow to the largest top asked,
+    # and at least twice the last, up to the limit
+    sv = build_sieve(10_000)
+    assert sv.memo == {}
+    oracle = [p for p in range(10_001) if brute.is_prime(p)]
+    for top, found in ((100, 100), (50, 100), (101, 200), (9000, 9000), (9001, 10_000),
+                       (10_000, 10_000), (0, 10_000), (2, 10_000)):
+        primes = sv.primes(top)
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+        assert primes.tolist() == [p for p in oracle if p <= top], top
+        assert sv.memo["primes"][0] == found, top
+    for bad in (-1, 10_001, 5.0, "5"):
+        with pytest.raises(UsageError, match="top must"):
+            sv.primes(bad)
 
 
 def test_divisor_count_examples(sieve_small):
@@ -248,12 +275,13 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
     # sigma tables are held to an ulp bound by the test below
     sv = build_sieve(limit)
     expected_spf = brute.spf_table(limit)
-    assert sv.spf.dtype == expected_spf.dtype
-    assert np.array_equal(sv.spf, expected_spf)
+    spf = _spf(sv, limit)
+    assert spf.dtype == expected_spf.dtype
+    assert np.array_equal(spf, expected_spf)
     cases = [
         ("divisor", None, brute.divisor_table(limit)),
         ("mobius", None, brute.mobius_table(limit)),
-        ("phi", None, brute.phi_table(limit).astype(sv.spf.dtype)),
+        ("phi", None, brute.phi_table(limit).astype(expected_spf.dtype)),
         ("lambda", None, brute.lambda_table(limit)),
         ("sigma", 1, brute.sigma_table(limit, 1)),
         ("sigma", 2, brute.sigma_table(limit, 2)),
@@ -265,7 +293,7 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         assert np.array_equal(values, expected), (kind, s)
     # every kind reads only the sieve's primes to isqrt(limit): one to
     # isqrt(limit), all the CLI builds, gives the bytes of the sieve to
-    # limit, whose spf the walk reads in slices
+    # limit
     root = build_sieve(max(math.isqrt(limit), 2))
     for kind, s in [case[:2] for case in cases] + _REAL_KINDS:
         values = tabulate(sv, kind, limit, s=s).values
@@ -427,7 +455,7 @@ def test_upto_prefix_matches_full_tables():
     sv = build_sieve(10_000)
     prefixes = {name: sv.upto(name, 777) for name in ("mobius", "phi")}
     # one cache entry per name, no longer than asked for
-    assert {k: len(v) for k, v in sv.memo.items()} == {"mobius": 778, "phi": 778}
+    assert _cached(sv) == {"mobius": 778, "phi": 778}
     for name in ("mobius", "phi"):
         full = sv.upto(name, sv.limit)
         assert prefixes[name].dtype == full.dtype
@@ -435,7 +463,7 @@ def test_upto_prefix_matches_full_tables():
         assert np.array_equal(prefixes[name], full[:778])
         # once the full table is built it is sliced, not a second prefix
         assert np.shares_memory(sv.upto(name, 500), full)
-    assert {k: len(v) for k, v in sv.memo.items()} == {"mobius": 10_001, "phi": 10_001}
+    assert _cached(sv) == {"mobius": 10_001, "phi": 10_001}
     # mu and phi sieve their own segments from the primes to isqrt(R)
     with pytest.raises(UsageError):
         sv.upto("phi", 10_001**2)
@@ -455,12 +483,14 @@ def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(mon
     monkeypatch.setattr(arith, "_spf_segment", lambda *a: calls.append(a[1]) or segment(*a))
     for R in _WALK_RS:
         alone = build_sieve(math.isqrt(R) + 2)
-        del calls[:]  # build_sieve sieves segments too
+        alone.primes(math.isqrt(R))
+        del calls[:]  # finding the primes sieves segments too
         own = {name: alone.upto(name, R) for name in ("mobius", "phi")}
         one_walk = len(calls) // 2
         assert calls[:one_walk] == calls[one_walk:]
         for names in (("phi", "mobius"), ("mobius", "phi")):
             sv = build_sieve(math.isqrt(R) + 2)
+            sv.primes(math.isqrt(R))
             del calls[:]
             sv.prepare(names, R)
             assert len(calls) == one_walk, (R, names)
@@ -474,32 +504,12 @@ def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(mon
     assert one_walk > 1  # the last R walks several segments
 
 
-def test_tables_on_a_sieve_to_N_sieve_no_segment(monkeypatch):
-    # where the sieve reaches N, the walk and Lambda read slices of its own
-    # spf: no segment is sieved, and the bytes are those of a sieve to
-    # isqrt(N), which sieves every segment from its primes
-    N = 3 * _SEGMENT + 12345
-    root, full = build_sieve(math.isqrt(N)), build_sieve(N)
-    kinds = [("divisor", None), ("mobius", None), ("phi", None), ("lambda", None),
-             ("sigma", 1), ("sigma_norm", 0.5)]
-    expected = {(kind, s): tabulate(root, kind, N, s=s).values.tobytes() for kind, s in kinds}
-    primes = arith.prime_mask(root, N)
-
-    def no_segment(*args):
-        raise AssertionError("a segment was sieved")
-
-    monkeypatch.setattr(arith, "_spf_segment", no_segment)
-    for kind, s in kinds:
-        assert tabulate(full, kind, N, s=s).values.tobytes() == expected[kind, s], kind
-    assert np.array_equal(arith.prime_mask(full, N), primes)
-
-
 @pytest.mark.parametrize("N", [2, 3, 1000, 262_147, 1_000_003])
 def test_streamed_blocks_are_slices_of_the_whole_tables(N):
     # the walk that holds its tables to held passes each entry above
     # through one buffer per table, in ascending blocks of _SEGMENT but
-    # the first and the last, with the bytes of the tables held whole;
-    # from segments sieved to N and from slices of a sieve's own spf
+    # the first and the last, with the bytes of the tables held whole,
+    # whether the sieve reaches isqrt(N) or N
     names = ["divisor", "sigma(1)", "sigma(-0.5)", "mobius", "phi"]
     for sieve in (build_sieve(max(math.isqrt(N), 2)), build_sieve(max(N, 2))):
         whole, _ = sieve.stream(names, N, N)
@@ -520,7 +530,7 @@ def test_streamed_blocks_are_slices_of_the_whole_tables(N):
         sieve.stream(names, N, N + 1)
 
 
-def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatch):
+def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
     sv = build_sieve(100)
     sv.upto("phi", 3000)
     assert "mobius" not in sv.memo  # phi alone builds no mu
@@ -536,21 +546,63 @@ def test_prepare_rebuilds_only_the_shorter_tables_dropping_them_first(monkeypatc
     seen = []
     blocks = arith._spf_blocks
 
-    def watching(sieve, n_max):
-        for block in blocks(sieve, n_max):
-            seen.append(("mobius" in sieve.memo, "phi" in sieve.memo))
-            yield block
+    def watching(primes, n_max, start=2):
+        for lo, p in blocks(primes, n_max, start):
+            seen.append((lo, lo + len(p)))
+            yield lo, p
 
     monkeypatch.setattr(arith, "_spf_blocks", watching)
+    phi = sv.upto("phi", 4000)
     sv.prepare(("phi", "mobius", "phi"), 8000)
-    # both shorter tables were let go before the one walk that filled them
+    # one walk of both, resumed at phi's cached length: its blocks run on
+    # from 4001, and mu joins where it stopped, at 5001
     assert built[1:] == [["phi", "mobius"]]
-    assert seen and not any(any(s) for s in seen)
+    assert seen[0][0] == 4001 and seen[-1][1] == 8001
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    # into new tables: the view handed out of the shorter one is unchanged
+    assert not np.shares_memory(phi, sv.memo["phi"])
+    assert not np.shares_memory(longer, sv.memo["mobius"])
+    assert np.array_equal(phi, brute.phi_table(4000))
     assert len(sv.memo["mobius"]) == 8001 and len(sv.memo["phi"]) == 8001
     assert np.array_equal(sv.memo["mobius"], brute.mobius_table(8000))
     assert np.array_equal(sv.memo["phi"], brute.phi_table(8000))
     with pytest.raises(UsageError, match=r"R must lie in \[0, 10200\]"):
         sv.prepare(("phi",), 101**2)
+    # a table whose dtype grows is resumed in the wider dtype, which holds
+    # the values copied exactly: sigma_2 is int32 to 13000, int64 to 20000
+    sv = build_sieve(200)
+    sv.prepare(("sigma(2)",), 13_000)
+    sv.primes(200)  # whose sieve walks segments too
+    del seen[:]
+    sv.prepare(("sigma(2)",), 20_000)
+    assert seen[0][0] == 13_001 and sv.memo["sigma(2)"].dtype == np.int64
+    assert np.array_equal(sv.memo["sigma(2)"], brute.sigma_table(20_000, 2))
+
+
+# R doubled from 256 past the block edges 2**18 and 2**20
+_DOUBLED_RS = [256 << k for k in range(14)]
+
+
+def test_tables_grown_by_doubling_R_match_one_shot_walks():
+    # every table prepare caches, grown by doubling R, mu and phi cached
+    # at different lengths and then grown together, has the bytes of one
+    # walk to the top; so do a divisor sum and a real sigma grown so
+    names = ("mobius", "phi", "mobius/phi", "phi^2/mobius^2", "divisor", "sigma(-0.5)")
+    top = _DOUBLED_RS[-1]
+    oneshot = build_sieve(math.isqrt(top))
+    oneshot.prepare(names, top)
+    grown = build_sieve(math.isqrt(top))
+    for R in _DOUBLED_RS:
+        grown.upto("mobius", R)
+        grown.prepare(("mobius/phi", "divisor"), R // 2)
+        grown.prepare(("phi", "phi^2/mobius^2", "sigma(-0.5)"), R // 3)
+        grown.prepare(names, R - 1)
+        for name in names:
+            got = grown.memo[name]
+            assert got.tobytes() == oneshot.memo[name][: len(got)].tobytes(), (R, name)
+    grown.prepare(names, top)
+    for name in names:
+        assert grown.memo[name].tobytes() == oneshot.memo[name].tobytes(), name
 
 
 # ... around the edges of the walk's parts inside a full block (a residue
@@ -597,7 +649,7 @@ def test_walked_divisor_sums_match_the_oracles_at_every_block_edge():
             alone = sv.walked(name, R)
             assert alone.tobytes() == oracle[: R + 1].tobytes(), (R, name)
             assert together.memo[name].tobytes() == alone.tobytes(), (R, name)
-        assert sv.memo == {}
+        assert _cached(sv) == {}
 
 
 def test_bare_tabulate_caches_no_divisor_sum_table():
@@ -606,14 +658,14 @@ def test_bare_tabulate_caches_no_divisor_sum_table():
     sv = build_sieve(200)
     for kind, s in (("divisor", None), ("sigma", 0), ("sigma", 1), ("sigma", 2)):
         tabulate(sv, kind, 20_000, s=s)
-    assert sv.memo == {}
+    assert list(sv.memo) == ["primes"]
     sv.prepare(("divisor", "sigma(2)"), 20_000)
     assert np.shares_memory(tabulate(sv, "divisor", 5000).values, sv.memo["divisor"])
     assert np.shares_memory(tabulate(sv, "sigma", 5000, s=0).values, sv.memo["divisor"])
     s2 = tabulate(sv, "sigma", 13_000, s=2).values  # int32 to 13000, int64 to 20000
     assert s2.dtype == np.int32 and not np.shares_memory(s2, sv.memo["sigma(2)"])
     assert np.array_equal(s2, sv.memo["sigma(2)"][:13_001])
-    assert sorted(sv.memo) == ["divisor", "sigma(2)"]
+    assert sorted(_cached(sv)) == ["divisor", "sigma(2)"]
     # walk names are canonical: sigma_norm(s) is sigma(-s), one float64
     # table, while sigma_norm(-2) stays float64 beside the exact sigma(2)
     assert arith.walk_name("sigma_norm", 0.5) == arith.walk_name("sigma", -0.5) == "sigma(-0.5)"
@@ -621,7 +673,7 @@ def test_bare_tabulate_caches_no_divisor_sum_table():
     for kind, s in (("sigma_norm", 0.5), ("sigma", -0.5)):
         assert np.shares_memory(tabulate(sv, kind, 5000, s=s).values, sv.memo["sigma(-0.5)"])
     assert tabulate(sv, "sigma_norm", 5000, s=-2).values.dtype == np.float64
-    assert sorted(sv.memo) == ["divisor", "sigma(-0.5)", "sigma(2)", "sigma(2.0)"]
+    assert sorted(_cached(sv)) == ["divisor", "sigma(-0.5)", "sigma(2)", "sigma(2.0)"]
 
 
 def test_sigma_minus_one_identity(sieve_small):

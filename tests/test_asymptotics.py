@@ -184,6 +184,30 @@ def test_real_parameters_are_checked_real_first(request, sieve_small, name, call
     assert call(sieve_small, np.float64(2.0)) == call(sieve_small, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, call", [
+    ("delta", lambda sieve, x: envelope_ramanujan(x, 5.0)),
+    ("M", lambda sieve, x: envelope_ramanujan(2.0, x)),
+    ("y", lambda sieve, x: tau_main(x)),
+    ("M", lambda sieve, x: envelope_subsum(sieve, 100, x)),
+    ("M", lambda sieve, x: main_term_subsum(sieve, 100, x)),
+    ("M", lambda sieve, x: main_term_supersum(sieve, 100, x)),
+    ("M", lambda sieve, x: ConvolutionSpec(100, x, "closed")),
+    ("s", lambda sieve, x: sigma_provider(x)),
+    ("alpha", lambda sieve, x: main_term_sigma_norm(sieve, x, 1.0, 12, 5.0)),
+    ("beta", lambda sieve, x: main_term_sigma_full(sieve, 1.0, x, 12)),
+    ("tol", lambda sieve, x: expansion_adaptive(sieve, sigma_provider(2.0), 12, tol=x)),
+], ids=["envelope_ramanujan delta", "envelope_ramanujan M", "tau_main", "envelope_subsum",
+        "main_term_subsum", "main_term_supersum", "ConvolutionSpec", "sigma_provider",
+        "main_term_sigma_norm", "main_term_sigma_full", "expansion_adaptive"])
+def test_non_finite_real_parameters_raise(sieve_small, name, call, bad):
+    # as_real rejects NaN and the infinities before any comparison, where
+    # a NaN passed every one: envelope_ramanujan returned 1.0 and tau_main
+    # nan, and the others raised with a message about another bound
+    with pytest.raises(UsageError, match=f"{name} must be finite"):
+        call(sieve_small, bad)
+
+
 def test_general_at_N1(sieve_small):
     # sigma(1) pair at N=1 reduces to the Cor. 3.2 constant z(2)^2/z(4) = 5/2
     p = sigma_provider(1.0)
