@@ -78,8 +78,9 @@ class FactorSieve:
     all the walk reads, and passing the blocks above through one reused
     buffer per table, so a sum that reads each table once holds about
     half of it.  Every walk resumes each table above the prefix memo
-    caches.  Beside them ramanujan keeps its compact mu-power prefixes,
-    which it grows in memo itself.
+    caches.  Beside them ramanujan keeps in memo what depends only on the
+    sieve: its compact mu-power prefixes, which it grows itself, the
+    singular series' d = 1 sums and the periods of c_r for small r.
     """
 
     limit: int
@@ -315,14 +316,15 @@ def _walk(name: str, n_max: int):
         return (np.float64, _same, lambda b: np.square(b - 1.0),
                 lambda fm, fq, b, out: out.fill(np.inf))
     # sigma_k, k an integer >= 0 in the integer dtype of _sigma_dtype, or
-    # a real k written as a float in float64
+    # a real k written as a float in float64; a table to 0 is typed as
+    # one to 1
     arg = "0" if name == "divisor" else name[len("sigma(") : -1]
     if arg.isdigit():
         k = int(arg)
-        dtype = _sigma_dtype(n_max, k)
+        dtype = _sigma_dtype(max(n_max, 1), k)
     else:
         k = float(arg)
-        _check_powers(n_max, k)
+        _check_powers(max(n_max, 1), k)
         dtype = np.float64
     # b = p**k in the table's dtype: p itself for k = 1, and d reads none
     base = _same if k in (0, 1) else lambda p: np.power(p, k, dtype=dtype)

@@ -22,12 +22,14 @@ in increasing r and carry no tail bound.
 
 The Hardy coefficients mu(r)/phi(r) and the singular-series weights
 phi(r)**2 (+inf where mu(r) = 0) are tables of the sieve's spf walk
-(FactorSieve.upto), and this module reads no phi.  singular_series keeps
-its own kernel, c_r(N) over those weights.  Evaluated instead as the
-partial sum of product_provider(h, h), h the Hardy provider, the
-benchmark's session singular queries took about three times as long
-(2.1 ms against 0.64 ms each, 2-vCPU host) and most of their results
-changed in the last bits.
+(FactorSieve.upto), and this module reads no phi.  The literal partial
+sums (Hardy, divisor, custom) dot the coefficients with a float64 c_r(n)
+table.  singular_series keeps its own kernel, regrouped over the divisors
+of N, whose d = 1 sum is the same for every N; it builds no c_r(N) table.
+Beside the walk's tables, memo keeps what depends only on the sieve: the
+mu-power prefixes of the sigma partial sums, that d = 1 sum per R, and
+the periods of c_r for r up to _PERIODS_CACHED that orthogonality_defect
+reads.
 """
 
 from __future__ import annotations
@@ -82,17 +84,19 @@ def ramanujan_sum_table(sieve: FactorSieve, n: int, R: int) -> np.ndarray:
     reach as far as the sieve's tables (as_index).
     """
     n, R = as_index("n", n, 1, sieve), as_index("R", R, 1, sieve)
-    return _sum_table(sieve, factorize(sieve, n), R)
+    return _sum_table(sieve, factorize(sieve, n), R, np.int64)
 
 
-def _sum_table(sieve: FactorSieve, f: Factorization, R: int) -> np.ndarray:
-    # ramanujan_sum_table at n = f.n
+def _sum_table(sieve: FactorSieve, f: Factorization, R: int, dtype) -> np.ndarray:
+    # ramanujan_sum_table at n = f.n in dtype: int64, or float64, which
+    # holds the same integers, as |c_r(n)| <= sigma_1(r) < 2**53 for every
+    # r below 2**47, far past any table's R
     mu = sieve.upto("mobius", R)
-    out = mu.astype(np.int64)
+    out = mu.astype(dtype)
     for d in divisors(f)[1:]:
         if d > R:
             break
-        out[d :: d] += np.multiply(mu[1 : R // d + 1], d, dtype=np.int64)
+        out[d :: d] += np.multiply(mu[1 : R // d + 1], d, dtype=dtype)
     return out
 
 
@@ -122,11 +126,14 @@ class CoefficientProvider:
     def partial_sums(self, sieve: FactorSieve, f: Factorization) -> Callable[[int], float]:
         """R -> sum_{r <= R} a(r) c_r(n), terms in increasing r, f factoring n.
 
-        The literal dot product with the c_r(n) table.  Sigma-type
-        providers override it with an O(d(n)) regrouping that takes the
-        powers of the divisors of n once, in this call, not once per R.
+        The literal dot product with the c_r(n) table, built in float64.
+        Sigma-type providers override it with an O(d(n)) regrouping that
+        takes the powers of the divisors of n once, in this call, not once
+        per R.
         """
-        return lambda R: real_dot(self.coefficients(R)[1:], _sum_table(sieve, f, R)[1:])
+        return lambda R: real_dot(
+            self.coefficients(R)[1:], _sum_table(sieve, f, R, np.float64)[1:]
+        )
 
 
 class _SigmaProvider(CoefficientProvider):
@@ -419,18 +426,45 @@ def expansion_adaptive(
 def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     """Partial singular series sum_{r <= R} mu(r)**2 / phi(r)**2 * c_r(N).
 
-    Absolutely convergent; summed in increasing r.  For even N the partial
-    sums settle at 2 C2 prod_{p | N, p > 2} (p-1)/(p-2), the classical
-    twin-product value; for odd N they approach zero.
+    Absolutely convergent.  For even N the partial sums settle at
+    2 C2 prod_{p | N, p > 2} (p-1)/(p-2), the classical twin-product
+    value; for odd N they approach zero.  Summed regrouped over the
+    divisors d of N, r = d q:
+
+        sum_{d | N, d <= R} d sum_{q <= R/d} mu(q) mu(d q)**2 / phi(d q)**2,
+
+    d ascending, each inner sum in fixed chunks of _CHUNK from q = 1.  The
+    d = 1 sum is the same for every N and is kept in the sieve's memo,
+    one float per R asked for.
     """
     N, R = as_index("N", N, 2, sieve), as_index("R", R, 1, sieve)
-    # weights phi(r)**2, +inf where mu(r) = 0, so c_r(N) / weight is the
-    # term mu(r)**2 c_r(N) / phi(r)**2.  Where mu(r) = 0 that is -0.0 for a
-    # negative c_r(N), not +0.0, which changes no sum that has a nonzero
-    # term, and the r = 1 term is 1
     sieve.prepare(("mobius", "phi^2/mobius^2"), R)
-    c = ramanujan_sum_table(sieve, N, R)
-    return float(np.sum(np.divide(c[1:], sieve.upto("phi^2/mobius^2", R)[1:])))
+    mu, w = sieve.upto("mobius", R), sieve.upto("phi^2/mobius^2", R)
+    key = ("singular_first", R)
+    total = sieve.memo.get(key)
+    if total is None:
+        total = sieve.memo[key] = _singular_inner(mu, w, 1)
+    for d in divisors(factorize(sieve, N))[1:]:
+        if d > R:
+            break
+        total += d * _singular_inner(mu, w, d)
+    return total
+
+
+_CHUNK = 1 << 16  # the inner sums of singular_series add chunks of this many terms
+
+
+def _singular_inner(mu: np.ndarray, w: np.ndarray, d: int) -> float:
+    # sum_{q <= R/d} mu(q) / w(d q), mu and w on 0..R, w the weights
+    # phi**2, +inf where mu = 0, so each term is mu(q) mu(d q)**2 /
+    # phi(d q)**2, a zero where mu(q) = 0 or mu(d q) = 0, and the r = 1
+    # term is 1.  Chunk sums are added in ascending q
+    top = (len(mu) - 1) // d + 1
+    total = 0.0
+    for lo in range(1, top, _CHUNK):
+        hi = min(lo + _CHUNK, top)
+        total += float(np.sum(np.divide(mu[lo:hi], w[d * lo : d * hi : d])))
+    return total
 
 
 @dataclass(frozen=True)
@@ -460,7 +494,8 @@ def orthogonality_defect(
     """sum_{1 <= n < M} c_r(n) c_s(N - n) against delta_{r,s} M c_r(N).
 
     Exact integer arithmetic throughout.  One period of c_r and of c_s
-    comes from the divisor form in O(d(r)) array steps.  The summand is
+    comes from the divisor form in O(d(r)) array steps, once per sieve
+    for r up to _PERIODS_CACHED (it is kept in memo).  The summand is
     periodic in n with period lcm(r, s), so the range folds into one
     period plus a partial block; the folded sum equals the direct one
     exactly.
@@ -483,13 +518,25 @@ def orthogonality_defect(
     return OrthogonalityRecord(exact=exact, main=main, defect=exact - main)
 
 
+# The periods of c_r for r up to _PERIODS_CACHED are kept in the sieve's
+# memo, read-only, at most 8 (2**10)**2 / 2 bytes, about 4 MB, in all
+_PERIODS_CACHED = 1 << 10
+
+
 def _period_table(sieve: FactorSieve, r: int) -> np.ndarray:
     # c_r(j) for j = 0..r-1, one period: each d | r adds mu(r/d) d to the
     # j divisible by d, O(d(r)) numpy steps
+    key = ("period", r)
+    out = sieve.memo.get(key)
+    if out is not None:
+        return out
     mu = sieve.upto("mobius", r)
     out = np.zeros(r, dtype=np.int64)
     for d in divisors(factorize(sieve, r)):
         m = int(mu[r // d])
         if m:
             out[::d] += m * d
+    if r <= _PERIODS_CACHED:
+        out.setflags(write=False)
+        sieve.memo[key] = out
     return out

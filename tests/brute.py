@@ -466,6 +466,39 @@ def singular_series(N: int, R: int) -> float:
     return float(np.sum(terms))
 
 
+def singular_series_exact(N: int, Rs) -> dict:
+    """{R: (series, scale)} for each R of Rs, both exact Fractions.
+
+    series is sum_{r <= R} mu(r)**2 c_r(N) / phi(r)**2 and scale the sum
+    of the absolute values of its terms, which sets the size of a float
+    sum's rounding errors.  Every term is an integer over the common
+    denominator D = lcm of the phi(r)**2, so both are integer sums over D.
+    """
+    top = max(Rs)
+    D, E = _singular_denominator(top)
+    c = ramanujan_sum_table(N, top).tolist()
+    ends = set(Rs)
+    total = scale = 0
+    out = {}
+    for r in range(1, top + 1):
+        total += c[r] * E[r]
+        scale += abs(c[r]) * E[r]
+        if r in ends:
+            out[r] = Fraction(total, D), Fraction(scale, D)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _singular_denominator(R: int):
+    # D = lcm of phi(r)**2 over the squarefree r <= R, and D / phi(r)**2
+    # for each of them, 0 for the others
+    mu, phi = _mu_phi(R)
+    D = 1
+    for r in np.flatnonzero(mu).tolist():
+        D = math.lcm(D, int(phi[r]) ** 2)
+    return D, [D // int(phi[r]) ** 2 if mu[r] else 0 for r in range(R + 1)]
+
+
 @lru_cache(maxsize=16)
 def _mu_phi(R: int):
     mu, phi = mobius_table(R), phi_table(R)

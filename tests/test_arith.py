@@ -676,6 +676,24 @@ def test_bare_tabulate_caches_no_divisor_sum_table():
     assert sorted(_cached(sv)) == ["divisor", "sigma(-0.5)", "sigma(2)", "sigma(2.0)"]
 
 
+_WALK_NAMES = ("mobius", "phi", "divisor", "sigma(1)", "sigma(2)", "sigma(0.5)",
+               "sigma(-0.5)", "mobius/phi", "phi^2/mobius^2")
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_every_walk_to_below_two_holds_f0_and_f1(n_max):
+    # f(0) = 0 and f(1) = 1 in the dtype of a longer table, through walked
+    # and prepare, for every walk name; the divisor sums to 0 raised
+    # ValueError from log2(0) in their dtype check
+    longer = build_sieve(10)
+    longer.prepare(_WALK_NAMES, 10)
+    for name in _WALK_NAMES:
+        sv = build_sieve(10)
+        for got in (sv.walked(name, n_max), sv.upto(name, n_max)):
+            assert got.tolist() == [0, 1][: n_max + 1], name
+            assert got.dtype == longer.memo[name].dtype, name
+
+
 def test_sigma_minus_one_identity(sieve_small):
     # sigma_{-1}(n) * n = sigma_1(n) exactly in rational arithmetic
     for n in range(1, 10_001):

@@ -31,6 +31,7 @@ from convlab import (
     tabulate,
     zeta_real,
 )
+from convlab import ramanujan
 from convlab.convolution import real_dot
 from convlab.ramanujan import _DENSE, _STRIDE, _mu_power_prefix
 
@@ -301,21 +302,67 @@ def test_hoisted_sigma_steps_match_per_call_regrouped_sums():
                 assert step(R) == want, (s, n, R)
 
 
+def _lengths(sieve):
+    # the length of each entry of memo, but for the singular series' d = 1
+    # sums and the c_r periods, which are not grown to an R
+    return {k: len(v) for k, v in sieve.memo.items()
+            if not (isinstance(k, tuple) and k[0] in ("singular_first", "period"))}
+
+
 def _cached(sieve):
     # the lengths of the tables in memo, beside the primes the walks read
     assert "primes" in sieve.memo
-    return {k: len(v) for k, v in sieve.memo.items() if k != "primes"}
+    return {k: v for k, v in _lengths(sieve).items() if k != "primes"}
 
 
-def test_singular_series_matches_masked_formula():
-    # the walked weights (phi**2, +inf where mu = 0) against the np.where
-    # form, for every N <= 500, as R grows and then shrinks; walked with mu,
-    # and no phi
+def _kept(sieve, kind):
+    # {R or r: value} of the memo entries (kind, R or r)
+    return {k[1]: v for k, v in sieve.memo.items() if isinstance(k, tuple) and k[0] == kind}
+
+
+# The regrouped singular series, and the literal sum of brute, lie within
+# this many ulp of the sum of the absolute values of their terms from the
+# exact sum, for every N <= 500 and R <= 5000: measured 1.9 and 2.0 ulp.
+# That scale, not the value, bounds the odd N, whose partial sums cancel
+# towards 0
+_SINGULAR_ULPS = 4
+
+
+def test_singular_series_within_ulps_of_the_exact_sum():
+    # every N <= 500, as R grows and then shrinks, against the exact
+    # rational sum; the series is walked with mu, and no phi
     sv = build_sieve(5000)
-    for R in (1, 60, 1000, 5000, 300, 7):
-        for N in range(2, 501):
-            assert singular_series(sv, N, R) == brute.singular_series(N, R), (N, R)
+    Rs = (1, 60, 1000, 5000, 300, 7)
+    for N in range(2, 501):
+        exact = brute.singular_series_exact(N, Rs)
+        for R in Rs:
+            value, scale = exact[R]
+            tol = _SINGULAR_ULPS * Fraction(math.ulp(float(scale)))
+            assert abs(Fraction(singular_series(sv, N, R)) - value) <= tol, (N, R)
+            assert abs(Fraction(brute.singular_series(N, R)) - value) <= tol, (N, R)
     assert _cached(sv) == {"mobius": 5001, "phi^2/mobius^2": 5001}
+
+
+def test_singular_first_sums_are_kept_once_per_R(monkeypatch):
+    # the d = 1 sum is the same for every N: one memo entry per R, summed
+    # once and read by every N after; at a prime N > R it is the series
+    sv = build_sieve(5000)
+    summed = []
+    inner = ramanujan._singular_inner
+
+    def counted(mu, w, d):
+        summed.append((d, len(mu) - 1))
+        return inner(mu, w, d)
+
+    monkeypatch.setattr(ramanujan, "_singular_inner", counted)
+    for R in (1000, 60, 1000, 5000, 60):
+        for N in (2, 720720, 2 * 4999, 7919):
+            singular_series(sv, N, R)
+    assert [R for d, R in summed if d == 1] == [1000, 60, 5000]
+    first = _kept(sv, "singular_first")
+    assert sorted(first) == [60, 1000, 5000]
+    mu, w = sv.upto("mobius", 5000), sv.upto("phi^2/mobius^2", 5000)
+    assert first[5000] == inner(mu, w, 1) == singular_series(sv, 7919, 5000)
 
 
 def test_hardy_coefficients_are_read_only_prefixes(sieve_small):
@@ -345,6 +392,21 @@ def test_ramanujan_sum_table_matches_per_divisor_casts(sieve_small):
         for R in (1, 5, 100, 5040, 10_000):
             assert np.array_equal(ramanujan_sum_table(sieve_small, n, R),
                                   brute.ramanujan_sum_table(n, R)), (n, R)
+
+
+def test_literal_partial_sums_read_c_r_in_float64(sieve_1m):
+    # the float64 c_r(n) table holds the int64 one's integers, so the
+    # literal partial sums keep the bits of the dot with the int64 table
+    hardy = hardy_provider(sieve_1m)
+    for n in (1, 720720, 9699690, 10**7 - 1):
+        for R in (1, 5040, 10**5):
+            want = ramanujan_sum_table(sieve_1m, n, R)
+            got = ramanujan._sum_table(sieve_1m, factorize(sieve_1m, n), R, np.float64)
+            assert got.dtype == np.float64 and np.array_equal(got, want), (n, R)
+            for provider in (hardy, divisor_provider()):
+                assert expansion_partial_sum(sieve_1m, provider, n, R).value == (
+                    _literal_partial_sum(sieve_1m, provider, n, R)
+                ), (provider.kind, n, R)
 
 
 def test_custom_decay_provider_end_to_end(sieve_small):
@@ -454,7 +516,7 @@ def test_grown_prefixes_match_one_shot_builds():
     N = 2 * 3 * 5 * 7 * 11 * 13
     singular_series(oneshot, N, limit)
     hardy_provider(oneshot).coefficients(limit)
-    full = {k: len(v) for k, v in oneshot.memo.items()}
+    full = _lengths(oneshot)
     oracles = {"mobius": brute.mobius_table(limit), "phi": brute.phi_table(limit)}
     for R in (300, 5000, 700, limit):
         for name in ("mobius", "phi"):
@@ -472,8 +534,8 @@ def test_grown_prefixes_match_one_shot_builds():
             hardy_provider(grown).coefficients(R), hardy_provider(oneshot).coefficients(R)
         )
         assert np.array_equal(ramanujan_sum_table(grown, N, R), ramanujan_sum_table(oneshot, N, R))
-    assert {k: len(v) for k, v in grown.memo.items()} == full
-    assert {k: len(v) for k, v in oneshot.memo.items()} == full
+    assert _lengths(grown) == full
+    assert _lengths(oneshot) == full
 
 
 def test_sampled_prefix_reads_keep_the_bits_of_one_cumsum():
@@ -572,6 +634,39 @@ def test_orthogonality_against_per_j_ramanujan_sums(sieve_small):
                 exact = (K // L) * sum(terms) + sum(terms[: K % L]) if K > L else sum(terms)
                 main = M * ramanujan_sum(sieve_small, r, N) if r == s else 0
                 assert (rec.exact, rec.main, rec.defect) == (exact, main, exact - main), (r, s, N, M)
+
+
+def test_orthogonality_same_with_cold_and_warm_periods(monkeypatch):
+    # every pair on a sieve that keeps no period, so each call builds its
+    # own, and on one whose memo keeps every period from the first pair
+    # that read it
+    cold, warm = build_sieve(100), build_sieve(100)
+    pairs = [(r, s, N, M) for r in range(1, 61) for s in range(1, 61)
+             for N, M in ((10**6 + 7, 777_777), (1000, 500))]
+    monkeypatch.setattr(ramanujan, "_PERIODS_CACHED", 0)
+    want = [orthogonality_defect(cold, *pair) for pair in pairs]
+    assert not _kept(cold, "period")
+    monkeypatch.undo()
+    for pair, rec in zip(pairs, want):
+        assert orthogonality_defect(warm, *pair) == rec, pair
+    periods = _kept(warm, "period")
+    assert sorted(periods) == list(range(1, 61))
+    assert all(not c.flags.writeable and len(c) == r for r, c in periods.items())
+
+
+def test_no_period_above_the_bound_is_cached():
+    # the periods of r up to _PERIODS_CACHED stay in memo, about 4 MB in
+    # all; a longer one is built for its call and dropped
+    sv = build_sieve(3000)
+    top = ramanujan._PERIODS_CACHED
+    for r in (top, top + 1, 2 * top + 1):
+        want = orthogonality_defect(build_sieve(3000), r, r, 10**6, 5000)
+        for _ in range(2):
+            assert orthogonality_defect(sv, r, r, 10**6, 5000) == want, r
+            assert orthogonality_defect(sv, r, 1, 10**6, 5000) == (
+                orthogonality_defect(build_sieve(3000), r, 1, 10**6, 5000)
+            ), r
+    assert sorted(_kept(sv, "period")) == [1, top]
 
 
 def test_orthogonality_domain(sieve_small):
