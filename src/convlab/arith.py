@@ -77,10 +77,11 @@ class FactorSieve:
     same walk holding them only on 0..held, at least n_max // 2, which is
     all the walk reads, and passing the blocks above through one reused
     buffer per table, so a sum that reads each table once holds about
-    half of it.  Every walk resumes each table above the prefix memo
-    caches.  Beside them ramanujan keeps in memo what depends only on the
-    sieve: its compact mu-power prefixes, which it grows itself, the
-    singular series' d = 1 sums and the periods of c_r for small r.
+    half of it: the half that prepare(names, held) cached, which stream
+    hands back uncopied.  Every walk resumes each table above the prefix
+    memo caches.  Beside them ramanujan keeps in memo what depends only
+    on the sieve: its compact mu-power prefixes, which it grows itself,
+    the singular series' d = 1 sums and the periods of c_r for small r.
     """
 
     limit: int
@@ -139,7 +140,7 @@ class FactorSieve:
         does not keep: a d table to 10**7 is 20 MB, a float64 one 80 MB.
         """
         R = as_index("R", R, 0, self)
-        dtype = _walk(name, R)[0]
+        dtype = walk_dtype(name, R)
         cached = self.memo.get(name)
         if cached is not None and len(cached) > R and cached.dtype == dtype:
             return cached[: R + 1]
@@ -154,9 +155,11 @@ class FactorSieve:
 
         One walk to n_max, which may reach (limit + 1)**2 - 1.  Every
         entry it reads lies at or below n_max // 2, so held must lie in
-        [n_max // 2, n_max], and the tables come back filled on 0..held,
-        new arrays: where memo caches a table, a copy of it, widened to the
-        dtype of a table to n_max (views of it are out), that the walk
+        [n_max // 2, n_max], and the tables come back filled on 0..held.
+        Where memo caches a table on 0..held in the dtype of a table to
+        n_max, it is memo's own, a read-only view that the walk only
+        reads; otherwise a new array: a copy of what memo caches, widened
+        to that dtype (views of memo's table are out), that the walk
         resumes above.  The iterator walks on over held + 1..n_max: per
         block, ascending, it yields (lo, views), one view per name of its
         values on [lo, lo + len), in one buffer per name that the next
@@ -172,6 +175,10 @@ class FactorSieve:
         tables, starts = [], []
         for name, (dtype, _, _, _) in zip(names, walks):
             cached = self.memo.get(name)
+            if cached is not None and len(cached) > held and cached.dtype == dtype:
+                tables.append(cached[: held + 1])
+                starts.append(held + 1)
+                continue
             if cached is None or len(cached) < 2:
                 cached = np.arange(2, dtype=dtype)  # f(0) = 0 and f(1) = 1
             start = min(len(cached), held + 1)
@@ -678,6 +685,15 @@ def walk_name(kind: str, s: float | None = None) -> str | None:
     if kind == "sigma" and t >= 0 and t.is_integer():
         return f"sigma({int(t)})" if t else "divisor"
     return f"sigma({t + 0.0!r})"  # + 0.0 reads -0.0 as 0.0
+
+
+def walk_dtype(name: str, N: int):
+    """The dtype of the walk's table name to N (FactorSieve.prepare).
+
+    Raises UsageError where that table would overflow it, or its powers
+    d**t float64, as a walk to N would before it allocates anything.
+    """
+    return _walk(name, N)[0]
 
 
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:

@@ -388,8 +388,8 @@ def sigma_norm_report(
 
     exact is the sum itself, sum_{n < M} sigma_a(n)/n^a *
     sigma_b(N-n)/(N-n)^b: additive_convolution of the two sigma_norm
-    tables, or streamed_convolutions for a grid of M, which holds neither
-    table whole.  The regime envelope needs log M > 0, so for 1 <= M < 2
+    tables, or additive_convolutions for a grid of M, whose above lets
+    it hold neither table whole.  The regime envelope needs log M > 0, so for 1 <= M < 2
     envelope and normalized are NaN.
     """
     ConvolutionSpec(N=N, M=M, boundary="half_open")  # checks N and M

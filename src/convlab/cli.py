@@ -38,19 +38,20 @@ needs, so no output depends on its size: isqrt(n) for the largest n
 that the command tabulates to or factors, N or the R, r and s of the
 Ramanujan sums, as a table to n sieves its own segments from the primes
 up to isqrt(n) and a factorization of n divides by them.
-convolve builds f and g to N whatever M is, so its tables and its
-memory do not depend on M.  Whether the largest table is addressable is
-checked before the sieve is built.  goldbach and convolve of lambda with
-lambda build no Lambda table: lambda_convolution sums over the pairs of
-prime powers below N, with the bits of the dense tables' sum.  A
-convolve of two tables other than Lambda, such as phi with mu or
-sigma:1 with d, in either order, builds both in one walk
-(FactorSieve.prepare).  verify-general takes every exact sum of its grid
-from one walk of its sigma_norm tables to N - 1, one table when
-alpha = beta, that holds each only up to N/2 and passes the entries
-above through one reused block buffer into the sums
-(streamed_convolutions), so its memory is about half a table per
-exponent; the sums keep the bits of those over the whole tables.
+Whether the largest table, to N, is addressable is checked before the
+sieve is built.  goldbach and convolve of lambda with lambda build no
+Lambda table: lambda_convolution sums over the pairs of prime powers
+below N, with the bits of the dense tables' sum.  A convolve of two
+tables other than Lambda, such as phi with mu or sigma:1 with d, in
+either order, and verify-general's grid of sums of its sigma_norm
+tables (one table when alpha = beta) walk both tables together to N/2
+(FactorSieve.prepare), hold them only that far whatever M is, and walk
+on to N - 1, passing the entries above through one reused block buffer
+per table into the sums (additive_convolution's above), so their memory
+is about half a table per function and does not depend on M; the sums
+keep the values and bits of those over the whole tables, and a table
+that would overflow to N is refused as before.  convolve of Lambda with
+another kind builds both tables to N.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .arith import build_sieve, check_addressable, tabulate, walk_name
+from .arith import build_sieve, check_addressable, tabulate, walk_dtype, walk_name
 from .asymptotics import (
     ConvolutionReport,
     check_divisor_report,
@@ -78,7 +79,6 @@ from .convolution import (
     additive_convolution,
     additive_convolutions,
     lambda_convolution,
-    streamed_convolutions,
     tau_exact,
 )
 from .errors import UsageError
@@ -191,6 +191,24 @@ def _sieve_for(limit: int, table_N: int):
     return build_sieve(max(limit, 2))
 
 
+def _walked_halves(sieve, f: Tuple[str, Optional[float]], g: Tuple[str, Optional[float]], N: int):
+    # f and g, two (kind, s) of the spf walk, as tables on 1..N // 2 from
+    # one walk, and the blocks of both above it, (lo, f block, g block),
+    # from that walk resumed to N - 1: the above of additive_convolution(s).
+    # A table is refused where one to N would be
+    names = [walk_name(*f), walk_name(*g)]
+    walks = list(dict.fromkeys(names))
+    for name in walks:
+        walk_dtype(name, N)
+    sieve.prepare(walks, N // 2)
+    ftab = tabulate(sieve, f[0], N // 2, s=f[1])
+    gtab = ftab if g == f else tabulate(sieve, g[0], N // 2, s=g[1])
+    # stream hands back the halves prepare cached, and walks on above them
+    _, blocks = sieve.stream(walks, N - 1, N // 2)
+    i, j = walks.index(names[0]), walks.index(names[1])
+    return ftab, gtab, ((lo, views[i], views[j]) for lo, views in blocks)
+
+
 def _within_twice_first(reports: Sequence[ConvolutionReport]) -> bool:
     return all(abs(r.normalized) <= 2.0 * abs(reports[0].normalized) for r in reports)
 
@@ -211,13 +229,13 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     sieve = _sieve_for(math.isqrt(args.N), args.N)
     if fkind == gkind == "lambda":
         value = lambda_convolution(sieve, spec)
-    else:
-        names = [walk_name(fkind, fs), walk_name(gkind, gs)]
-        if None not in names:
-            sieve.prepare(names, args.N)  # both in one spf walk
+    elif "lambda" in (fkind, gkind):
         ftab = tabulate(sieve, fkind, args.N, s=fs)
         gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
         value = additive_convolution(ftab, gtab, spec)
+    else:
+        ftab, gtab, above = _walked_halves(sieve, (fkind, fs), (gkind, gs), args.N)
+        value = additive_convolution(ftab, gtab, spec, above=above)
     return [{"N": args.N, "M": M, "boundary": args.boundary, "value": value}], {}, 0
 
 
@@ -283,9 +301,9 @@ def cmd_verify_general(args: argparse.Namespace) -> Result:
     # the main term's zeta factor rejects an exponent before any table
     _, delta = main_term_sigma_norm(sieve, alpha, beta, args.N, 1.0)
     # every exact sum of the grid in one walk of both tables, each held
-    # only up to N/2 (streamed_convolutions)
-    names = walk_name("sigma_norm", alpha), walk_name("sigma_norm", beta)
-    exacts = dict(zip(grid, streamed_convolutions(sieve, *names, specs)))
+    # only up to N/2
+    f, g, above = _walked_halves(sieve, ("sigma_norm", alpha), ("sigma_norm", beta), args.N)
+    exacts = dict(zip(grid, additive_convolutions(f, g, specs, above=above)))
     regime = ramanujan_regime(delta)
     result = sweep(lambda M: sigma_norm_report(sieve, exacts[M], alpha, beta, args.N, M), grid)
     rows: List[Row] = [

@@ -25,20 +25,25 @@ as long and cheaper than shorter float64 blocks, so the float64 tier
 takes whole blocks only.  B reads the max|value| of what the sums read:
 of f over the union of a grid's f slices and of g over the union of its
 g slices, scanned once per call, and of each sum's own two slices where
-that bound allows no int64 run.
+that bound allows no int64 run.  Sums over tables held only to N // 2
+(additive_convolutions' above) pick the tier per chunk of the kernel
+below, from the max|value| of the held halves and of the blocks read so
+far, and add the chunk sums in a Python int.
 
 Real sums follow one chunk rule, with no BLAS call, so their bits do
 not depend on the thread count: the summands are cut into chunks of
 2**16 from the first index, each chunk's float64 products are reduced
 by np.sum, and the chunk sums are added in index order, starting from
 0.0.  real_dot is that rule.  The real sums of a grid of one N go
-through one kernel that keeps it: each n reads min(n, N - n), at most
-N // 2, from the low halves of f and g and its upper entry
+through one kernel that keeps it, _block_sums, which also takes the
+integer sums of tables held to N // 2: each n reads min(n, N - n), at
+most N // 2, from the low halves of f and g and its upper entry
 max(n, N - n) from blocks of the rest, so the tables above N // 2 may
-be whole (additive_convolutions) or pass once through a reused buffer
-(streamed_convolutions, which holds only the low halves of two walked
-tables).  Every sum shares the full chunks of its N and sums its own
-short last chunk, and has the bits of its own real_dot.
+be whole or pass once through a reused buffer (the above of
+additive_convolutions, such as the blocks of FactorSieve.stream, whose
+walk holds only the low halves).  Every sum shares the full chunks of
+its N and sums its own short last chunk, and a real one has the bits of
+its own real_dot.
 lambda_convolution keeps the rule with no Lambda table: Lambda(n)
 Lambda(N - n) is nonzero only where n and N - n are both prime powers,
 so each chunk is a zeroed buffer with those products scattered into it,
@@ -76,7 +81,6 @@ __all__ = [
     "additive_convolutions",
     "lambda_convolution",
     "shifted_divisor_convolution",
-    "streamed_convolutions",
     "tau_exact",
 ]
 
@@ -193,48 +197,56 @@ def _float_sums(fv: np.ndarray, gv: np.ndarray, ranges) -> list:
     return totals
 
 
-def _real_sums(f_low, g_low, blocks, N: int, ks) -> list:
-    # sum_{n <= k} f(n) g(N - n) for each k of ks, by real_dot's rule, and
-    # UsageError where one overflows.  f and g up to held = N // 2 are
-    # f_low and g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi)),
-    # ascending from held + 1, each but the first and the last at least
-    # _CHUNK long.  n reads min(n, N - n) <= held from f_low or g_low and
-    # its upper entry max(n, N - n) from a block; a chunk's upper entries
-    # lie within _CHUNK of each other, so it is summed when the block that
-    # holds the largest arrives, from that block and a copy of the last
-    # _CHUNK entries of the one before.  The full chunks are shared by
-    # every k; each k's short last chunk is its own
+def _block_sums(f_low, g_low, blocks, N: int, ks) -> list:
+    # sum_{n <= k} f(n) g(N - n) for each k of ks: exact Python ints where
+    # f and g are integer, else floats by real_dot's rule, and UsageError
+    # where one overflows.  f and g up to held = N // 2 are f_low and
+    # g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi)), ascending
+    # from held + 1, each but the first and the last at least _CHUNK long.
+    # n reads min(n, N - n) <= held from f_low or g_low and its upper
+    # entry max(n, N - n) from a block; a chunk's upper entries lie within
+    # _CHUNK of each other, so it is summed when the block that holds the
+    # largest arrives, from that block and a copy of the last _CHUNK
+    # entries of the one before.  The full chunks are shared by every k;
+    # each k's short last chunk is its own
     held = N // 2
+    exact = np.issubdtype(f_low.dtype, np.integer) and np.issubdtype(g_low.dtype, np.integer)
+    # bounds on |f| and |g| over the held halves and the blocks seen so far
+    fmax, gmax = (_abs_max(f_low), _abs_max(g_low)) if exact else (0, 0)
     top = max(ks, default=0)
     jobs = [(c * _CHUNK + 1, (c + 1) * _CHUNK) for c in range(top // _CHUNK)]
     jobs += [(k - k % _CHUNK + 1, k) for k in sorted(set(ks)) if k % _CHUNK]
     queue = sorted(((max(N - a, b), j) for j, (a, b) in enumerate(jobs)), reverse=True)
-    sums = [0.0] * len(jobs)
+    sums = [0] * len(jobs)
     prod = np.empty(_CHUNK)
+    gbuf = np.empty(_CHUNK) if exact else None  # the dots' second operand
     window = []  # the end of the block before and the current block
 
-    def upper(i, x, y):
-        # entries x..y of f (i = 1) or g (i = 2) from the window
+    def entries(i, low, x, y):
+        # entries x..y of f (i = 1) or g (i = 2): up to held from low,
+        # above it from the window
+        if y <= held:
+            return low[x : y + 1]
         parts = [block[i][max(x - block[0], 0) : y - block[0] + 1] for block in window
-                 if block[0] <= y and x < block[0] + len(block[i])]
+                 if block[0] <= y and max(x, held + 1) < block[0] + len(block[i])]
+        if x <= held:
+            parts.insert(0, low[x:])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def chunk(a, b):
+        fa, ga = entries(1, f_low, a, b), entries(2, g_low, N - b, N - a)[::-1]
         out = prod[: b - a + 1]
-        # the n whose g(N - n), both or f(n) lie above held
-        e = min(b, N - held - 1)
-        if a <= e:
-            np.multiply(f_low[a : e + 1], upper(2, N - e, N - a)[::-1],
-                        out=out[: e - a + 1], dtype=np.float64)
-        s, e = max(a, N - held), min(b, held)
-        if s <= e:
-            np.multiply(f_low[s : e + 1], g_low[N - e : N - s + 1][::-1],
-                        out=out[s - a : e - a + 1], dtype=np.float64)
-        s = max(a, held + 1)
-        if s <= b:
-            np.multiply(upper(1, s, b), g_low[N - b : N - s + 1][::-1],
-                        out=out[s - a :], dtype=np.float64)
-        return float(np.sum(out))
+        if not exact:
+            np.multiply(fa, ga, out=out, dtype=np.float64)
+            return float(np.sum(out))
+        if _CHUNK * fmax * gmax > _FLOAT_EXACT:
+            return _exact_int_sum(fa, ga, fmax, gmax)
+        # a float64 dot, exact while every product and partial sum stays
+        # within 2**53, whatever order BLAS adds them in
+        np.copyto(out, fa)
+        gw = gbuf[: b - a + 1]
+        np.copyto(gw, ga)
+        return int(np.dot(out, gw))
 
     def finish(hi):
         # every queued chunk whose upper entries all lie below hi
@@ -247,6 +259,8 @@ def _real_sums(f_low, g_low, blocks, N: int, ks) -> list:
         for lo, fb, gb in blocks:
             hi = lo + max(len(fb), len(gb))
             window = [*window[-1:], (lo, fb, gb)]
+            if exact and queue:
+                fmax, gmax = max(fmax, _abs_max(fb)), max(gmax, _abs_max(gb))
             finish(hi)
             # the next block may overwrite this one, whose entries from
             # hi - _CHUNK on are all that a later chunk reads of it
@@ -254,40 +268,57 @@ def _real_sums(f_low, g_low, blocks, N: int, ks) -> list:
             ft = fb[t - lo :].copy()
             window[-1] = (t, ft, ft if gb is fb else gb[t - lo :].copy())
     full = top // _CHUNK
-    prefix = [0.0]
+    prefix = [0 if exact else 0.0]
     for s in sums[:full]:
         prefix.append(prefix[-1] + s)
     last = dict(zip((k for k in sorted(set(ks)) if k % _CHUNK), sums[full:]))
     totals = [prefix[k // _CHUNK] + last[k] if k in last else prefix[k // _CHUNK] for k in ks]
-    for total in totals:
-        if not math.isfinite(total):
-            raise UsageError(f"the sum overflows float64: {total}")
+    if not exact:
+        for total in totals:
+            if not math.isfinite(total):
+                raise UsageError(f"the sum overflows float64: {total}")
     return totals
 
 
-def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
+def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> list:
     """[additive_convolution(f, g, spec) for spec in specs], in one pass.
 
     Every range is checked before any sum.  Integer sums share each block
     of g between the specs that read it, and real sums the full chunks of
     their N (see the module docstring); each keeps the bits of its own
-    call.
+    call.  Given above, the blocks of f and g above N // 2 for the one N
+    of every spec, the tables hold 1..N // 2 only: above yields
+    (lo, f block, g block), ascending from N // 2 + 1 to N - 1, each
+    block but the first and the last at least 2**16 long, as from
+    FactorSieve.stream(names, N - 1, N // 2).  Each block is read once,
+    as it arrives, and the sums keep the values and bits of those over
+    the whole tables.
     """
+    specs = list(specs)
     ranges = [(spec.N, spec.last_index) for spec in specs]
+    fv, gv = f.values, g.values
+    if above is not None:
+        if len({N for N, _ in ranges}) > 1:
+            raise UsageError("streamed sums need one N for every spec")
+        if not ranges:
+            return []
+        N = ranges[0][0]
+        if not f.N == g.N == N // 2:
+            raise UsageError(f"streamed sums need f and g on 1..{N // 2}, got 1..{f.N}, 1..{g.N}")
+        return _block_sums(fv, gv, above, N, [k for _, k in ranges])
     for N, k in ranges:
         if k >= 1 and f.N < k:
             raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
         if k >= 1 and g.N < N - 1:
             raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
-    fv, gv = f.values, g.values
     if not (f.is_integer and g.is_integer):
-        # one _real_sums grid per N, over the whole tables as one block
+        # one _block_sums grid per N, over the whole tables as one block
         sums = {}
         for N in dict.fromkeys(N for N, _ in ranges):
             ks = [k for n, k in ranges if n == N]
             h = N // 2
             blocks = [(h + 1, fv[h + 1 : N], gv[h + 1 : N])]
-            sums[N] = dict(zip(ks, _real_sums(fv[: h + 1], gv[: h + 1], blocks, N, ks)))
+            sums[N] = dict(zip(ks, _block_sums(fv[: h + 1], gv[: h + 1], blocks, N, ks)))
         return [sums[N][k] for N, k in ranges]
     live = [(N, k) for N, k in ranges if k >= 1]
     if not live:
@@ -300,39 +331,16 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs) -> list:
             for N, k in ranges]
 
 
-def streamed_convolutions(sieve: FactorSieve, f: str, g: str, specs) -> list:
-    """The real sums of additive_convolutions of two walked tables, neither held whole.
-
-    f and g name the walk's tables (FactorSieve.prepare), and every spec
-    has one N.  One walk to N - 1 (FactorSieve.stream) holds both tables
-    on 0..N // 2, where each summand reads min(n, N - n), and passes the
-    entries above through one reused buffer per table, which every sum of
-    the grid reads as the blocks arrive.  Each sum is a float by
-    real_dot's rule, with the bits of additive_convolutions of the two
-    whole tables where either is real, and UsageError where it overflows.
-    """
-    specs = list(specs)
-    if len({spec.N for spec in specs}) > 1:
-        raise UsageError("streamed sums need one N for every spec")
-    if not specs:
-        return []
-    N = specs[0].N
-    names = list(dict.fromkeys((f, g)))
-    i, j = names.index(f), names.index(g)
-    low, blocks = sieve.stream(names, N - 1, N // 2)
-    pairs = ((lo, views[i], views[j]) for lo, views in blocks)
-    return _real_sums(low[i], low[j], pairs, N, [spec.last_index for spec in specs])
-
-
-def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec):
+def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec, above=None):
     """sum f(n) g(N - n) over the range selected by spec, for any pair.
 
     Exact, as a Python int, when both tables are integer-valued; a float
     otherwise, and UsageError when that float overflows or the range
     runs past the end of either table's values.  The one-spec grid of
-    additive_convolutions.
+    additive_convolutions, whose above passes the blocks of two tables
+    held only to N // 2.
     """
-    return additive_convolutions(f, g, [spec])[0]
+    return additive_convolutions(f, g, [spec], above)[0]
 
 
 def lambda_convolution(sieve: FactorSieve, spec: ConvolutionSpec) -> float:

@@ -150,9 +150,12 @@ class _SigmaProvider(CoefficientProvider):
         s, z = self.delta, self.bound
         ds = divisors(f)
         terms = [(d, float(d) ** -s) for d in ds]
+        # memo's prefix, grown in place; R comes checked from the callers
+        pref = _mu_power_prefix(sieve, s + 1.0, 0)
 
         def at(R: int) -> float:
-            pref = _mu_power_prefix(sieve, s + 1.0, R)
+            if R >= len(pref):
+                _mu_power_prefix(sieve, s + 1.0, R)
             k = bisect.bisect_right(ds, R // _DENSE)
             total = 0.0
             if k:
@@ -433,9 +436,10 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
 
         sum_{d | N, d <= R} d sum_{q <= R/d} mu(q) mu(d q)**2 / phi(d q)**2,
 
-    d ascending, each inner sum in fixed chunks of _CHUNK from q = 1.  The
-    d = 1 sum is the same for every N and is kept in the sieve's memo,
-    one float per R asked for.
+    d ascending, each inner sum in fixed chunks of _CHUNK from q = 1; a d
+    with mu(d) = 0, whose inner sum is zero, is skipped.  The d = 1 sum
+    is the same for every N and is kept in the sieve's memo, one float
+    per R asked for.
     """
     N, R = as_index("N", N, 2, sieve), as_index("R", R, 1, sieve)
     sieve.prepare(("mobius", "phi^2/mobius^2"), R)
@@ -447,7 +451,8 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     for d in divisors(factorize(sieve, N))[1:]:
         if d > R:
             break
-        total += d * _singular_inner(mu, w, d)
+        if mu[d]:  # else every mu(d q) is 0 and the inner sum adds only zeros
+            total += d * _singular_inner(mu, w, d)
     return total
 
 

@@ -16,6 +16,7 @@ import brute
 from convlab import (
     ConvolutionSpec,
     additive_convolution,
+    additive_convolutions,
     build_sieve,
     divisor_report,
     envelope_defect,
@@ -33,11 +34,9 @@ from convlab import (
     sigma_provider,
     sigma_rational,
     singular_series,
-    streamed_convolutions,
     tabulate,
     zeta_real,
 )
-from convlab.arith import walk_name
 
 
 def _dd(dtable, N, M, boundary):
@@ -246,9 +245,9 @@ def test_criterion_09_general_regimes(sieve_1m):
     grid = [10**3, 10**4, 5 * 10**4]
 
     def reports(s):
-        name = walk_name("sigma_norm", s)
+        table = tabulate(sieve_1m, "sigma_norm", N, s=s)
         specs = [ConvolutionSpec(N=N, M=float(M), boundary="half_open") for M in grid]
-        exacts = streamed_convolutions(sieve_1m, name, name, specs)
+        exacts = additive_convolutions(table, table, specs)
         return [sigma_norm_report(sieve_1m, exact, s, s, N, float(M))
                 for exact, M in zip(exacts, grid)]
 

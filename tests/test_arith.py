@@ -583,6 +583,37 @@ def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
 _DOUBLED_RS = [256 << k for k in range(14)]
 
 
+def test_stream_hands_back_the_tables_memo_holds():
+    # where memo holds 0..held in the dtype of a table to n_max, stream
+    # returns memo's own read-only table, which the walk above only reads;
+    # otherwise a copy, widened or resumed above memo's length
+    sv = build_sieve(100)
+    sv.prepare(("phi", "mobius", "sigma(3)"), 500)
+    names = ["phi", "mobius"]
+    low, blocks = sv.stream(names, 999, 500)
+    for name, table in zip(names, low):
+        assert np.shares_memory(table, sv.memo[name]) and not table.flags.writeable
+        assert len(table) == 501
+    ((lo, views),) = list(blocks)
+    assert lo == 501
+    assert np.array_equal(views[0], brute.phi_table(999)[501:])
+    assert np.array_equal(views[1], brute.mobius_table(999)[501:])
+    assert np.array_equal(sv.memo["phi"], brute.phi_table(500))  # untouched
+    # sigma_3 to 500 is int32, a table to 999 int64: a widened copy
+    assert sv.memo["sigma(3)"].dtype == np.int32
+    (table,), blocks = sv.stream(["sigma(3)"], 999, 499)
+    assert table.dtype == np.int64 and not np.shares_memory(table, sv.memo["sigma(3)"])
+    assert table.flags.writeable and np.array_equal(table, brute.sigma_table(499, 3))
+    ((lo, (view,)),) = list(blocks)
+    assert lo == 500 and np.array_equal(view, brute.sigma_table(999, 3)[500:])
+    # memo shorter than held: a copy, resumed above memo's 0..500
+    (table, mu), _ = sv.stream(["phi", "mobius"], 1400, 700)
+    for got, name in ((table, "phi"), (mu, "mobius")):
+        assert len(got) == 701 and not np.shares_memory(got, sv.memo[name])
+    assert np.array_equal(table, brute.phi_table(700))
+    assert np.array_equal(mu, brute.mobius_table(700))
+
+
 def test_tables_grown_by_doubling_R_match_one_shot_walks():
     # every table prepare caches, grown by doubling R, mu and phi cached
     # at different lengths and then grown together, has the bytes of one

@@ -302,15 +302,39 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
     built = []
     stream = arith.FactorSieve.stream
     monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, names, n_max, held: built.append(list(names))
+                        lambda self, names, n_max, held: built.append((list(names), n_max, held))
                         or stream(self, names, n_max, held))
     code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5000", "--M", "2500",
                        "--boundary", "closed")
-    assert code == 0 and built == walks
+    # both tables walked together to N // 2, and that walk resumed above it
+    (names,) = walks
+    assert code == 0 and built == [(names, 2500, 2500), (names, 4999, 2500)]
+
+
+@pytest.mark.parametrize("M, boundary", [("1", "half_open"), ("10", "closed"),
+                                         ("2500", "closed"), ("5000", "half_open")])
+def test_convolve_holds_its_tables_to_half_N_whatever_M(capsys, monkeypatch, M, boundary):
+    # two walked kinds are held to N // 2 and streamed to N - 1 above it;
+    # lambda against any kind keeps its whole table
+    from convlab import arith
+
+    built = []
+    stream = arith.FactorSieve.stream
+    monkeypatch.setattr(arith.FactorSieve, "stream",
+                        lambda self, names, n_max, held: built.append((list(names), n_max, held))
+                        or stream(self, names, n_max, held))
+    for f, g, walks in (("sigma:1", "d", [(["sigma(1)", "divisor"], 2500, 2500),
+                                          (["sigma(1)", "divisor"], 5000, 2500)]),
+                        ("lambda", "d", [(["divisor"], 5001, 5001)])):
+        built.clear()
+        code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5001", "--M", M,
+                           "--boundary", boundary)
+        assert code == 0 and built == walks, (f, g)
 
 
 def test_verify_general_walks_both_exponents_at_once(capsys, monkeypatch):
-    # one walk to N - 1 for the whole grid, holding each table to N/2 only
+    # one walk for the whole grid, to N/2 and on above it to N - 1,
+    # holding each table to N/2 only
     from convlab import arith
 
     built = []
@@ -322,16 +346,17 @@ def test_verify_general_walks_both_exponents_at_once(capsys, monkeypatch):
         built.clear()
         code, out, _ = run(capsys, "verify-general", "--alpha", "0.5", "--beta", beta,
                            "--N", "5000", "--M-grid", "100,2500,4999")
-        assert code in (0, 1) and built == [(names, 4999, 2500)]
+        assert code in (0, 1) and built == [(names, 2500, 2500), (names, 4999, 2500)]
 
 
 _CLI_TABLES_AT_2_22 = [
     # (argv, bound on the tracemalloc peak in units of 8 * 2**22 bytes).
-    # Measured: phi.mu 0.75 (0.77 with mu and phi walked apart, 1.53 with
-    # a sieve to N, 2.29 with an int64 phi as well), sigma.d 0.86 walked
-    # together, both tables beside one spf segment's sieving (0.77 as
-    # hyperbola tables, 1.52 with an int64 sigma and an int32 d, 2.25 with
-    # a sieve to N as well),
+    # Measured: phi.mu 0.499 and sigma.d 0.572, each pair walked together
+    # and held to N/2, its upper half streamed through one 2**18 block
+    # (whole to N: phi.mu 0.75, 0.77 with mu and phi walked apart, 1.53
+    # with a sieve to N, 2.29 with an int64 phi as well; sigma.d 0.86,
+    # 0.77 as hyperbola tables, 1.52 with an int64 sigma and an int32 d,
+    # 2.25 with a sieve to N as well),
     # the sigma_norm pair 0.710 and 1.299 with alpha != beta, each table
     # held to N/2 and its upper half streamed through one 2**18 block
     # (1.11 and 2.11 with the whole tables), goldbach 0.257 and
@@ -339,9 +364,9 @@ _CLI_TABLES_AT_2_22 = [
     # (1.11 with the float64 Lambda table, 1.68 with a sieve to N for
     # Lambda's primes as well)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
-      "--boundary", "closed"), 0.9),
+      "--boundary", "closed"), 0.52),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
-      "--boundary", "half_open"), 0.9),
+      "--boundary", "half_open"), 0.59),
     (("verify-general", "--alpha", "0.5", "--beta", "0.5", "--N", str(2**22),
       "--M-grid", "1000,2000000,4000000"), 0.72),
     (("goldbach", "--N", str(2**22), "--R", "1000"), 0.296),

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,17 +17,29 @@ from convlab import (
     build_sieve,
     lambda_convolution,
     shifted_divisor_convolution,
-    streamed_convolutions,
     tabulate,
     tau_exact,
 )
 from convlab import convolution
 from convlab.arith import _SEGMENT, walk_name
-from convlab.convolution import _CHUNK, _MIN_RUN, _exact_int_sum, _run_length, real_dot
+from convlab.convolution import (
+    _CHUNK, _MIN_RUN, _abs_max, _exact_int_sum, _run_length, real_dot,
+)
 
 # the dense Lambda table of the pair-sum oracle, to the largest N drawn
 _LAMBDA_TOP = 300_000
 _DENSE_LAMBDA = brute.lambda_table(_LAMBDA_TOP)
+
+
+def _streamed(sieve, f, g, specs):
+    # additive_convolutions of the walk's tables f and g, held to N // 2,
+    # with the blocks above from one walk to N - 1 (FactorSieve.stream)
+    N = specs[0].N
+    names = list(dict.fromkeys((f, g)))
+    low, blocks = sieve.stream(names, N - 1, N // 2)
+    i, j = names.index(f), names.index(g)
+    return additive_convolutions(ArithTable(f, low[i]), ArithTable(g, low[j]), specs,
+                                 above=((lo, v[i], v[j]) for lo, v in blocks))
 
 
 def _dd(dtable, N, M, boundary):
@@ -358,8 +372,7 @@ def test_streamed_sums_bit_identical_to_real_dot_on_whole_tables(N):
         g = tabulate(sieve, "sigma_norm", N, s=b).values
         ref = [real_dot(f[1 : s.last_index + 1], g[N - 1 : N - s.last_index - 1 : -1])
                for s in specs]
-        got = streamed_convolutions(sieve, walk_name("sigma_norm", a), walk_name("sigma_norm", b),
-                                    specs)
+        got = _streamed(sieve, walk_name("sigma_norm", a), walk_name("sigma_norm", b), specs)
         whole = additive_convolutions(ArithTable("f", f), ArithTable("g", g), specs)
         assert [x.hex() for x in got] == [x.hex() for x in ref], (a, b)
         assert [x.hex() for x in whole] == [x.hex() for x in ref], (a, b)
@@ -374,13 +387,19 @@ def test_streamed_sums_small_N_and_one_N_per_grid(sieve_small):
         g = tabulate(sieve_small, "divisor", N).values
         ref = [real_dot(f[1 : s.last_index + 1], g[N - 1 : N - s.last_index - 1 : -1])
                for s in specs]
-        got = streamed_convolutions(sieve_small, "sigma(-0.5)", "divisor", specs)
+        got = _streamed(sieve_small, "sigma(-0.5)", "divisor", specs)
         assert [x.hex() for x in got] == [x.hex() for x in ref], N
-    assert streamed_convolutions(sieve_small, "divisor", "divisor", []) == []
+    half = tabulate(sieve_small, "divisor", 5)
+    assert additive_convolutions(half, half, [], above=iter(())) == []
     with pytest.raises(UsageError, match="one N"):
-        streamed_convolutions(sieve_small, "divisor", "divisor",
-                              [ConvolutionSpec(N=10, M=5, boundary="closed"),
-                               ConvolutionSpec(N=11, M=5, boundary="closed")])
+        additive_convolutions(half, half, [ConvolutionSpec(N=10, M=5, boundary="closed"),
+                                           ConvolutionSpec(N=11, M=5, boundary="closed")],
+                              above=iter(()))
+    # the held tables must end at N // 2, where the blocks begin
+    for N in (9, 12):
+        with pytest.raises(UsageError, match=r"f and g on 1\.\.%d" % (N // 2)):
+            additive_convolutions(half, half, [ConvolutionSpec(N=N, M=3, boundary="closed")],
+                                  above=iter(()))
 
 
 def test_overflowing_real_sums_raise(sieve_small):
@@ -388,10 +407,89 @@ def test_overflowing_real_sums_raise(sieve_small):
     N = 100_000
     spec = ConvolutionSpec(N=N, M=500.0, boundary="closed")
     with pytest.raises(UsageError, match="the sum overflows float64"):
-        streamed_convolutions(sieve_small, "sigma(60.0)", "sigma(60.0)", [spec])
+        _streamed(sieve_small, "sigma(60.0)", "sigma(60.0)", [spec])
     f = tabulate(sieve_small, "sigma_norm", N, s=-60.0)
     with pytest.raises(UsageError, match="the sum overflows float64"):
         additive_convolutions(f, f, [ConvolutionSpec(N=N, M=3.0, boundary="closed"), spec])
+
+
+_INT_WALKS = ("mobius", "phi", "divisor", "sigma(1)", "sigma(2)", "sigma(3)")
+
+
+def _specs(N, Ms):
+    return ([ConvolutionSpec(N=N, M=M, boundary="half_open") for M in Ms]
+            + [ConvolutionSpec(N=N, M=M, boundary="closed") for M in Ms if M <= N - 1])
+
+
+def test_streamed_integer_sums_equal_the_whole_table_sums(monkeypatch):
+    # every pair of the walk's integer tables, each held to N // 2 and
+    # streamed above it, at every N <= 1000: every M up to N = 24 and at
+    # N = 1000, the ends, the middle and a random M elsewhere.  sigma_2
+    # with itself reaches the int64 runs, sigma_3 with itself the Python
+    # ints, and the rest stay float64 dots; each sum is the exact int of
+    # the whole tables' additive_convolutions.  memo holds the tables to
+    # 1000, so each walk resumes above N // 2, from memo's own tables or,
+    # where the dtype of a table to N - 1 differs, from copies in it
+    top, rng = 1000, random.Random(5)
+    sieve = build_sieve(math.isqrt(top))
+    sieve.prepare(_INT_WALKS, top)
+    whole = [ArithTable(name, sieve.walked(name, top)) for name in _INT_WALKS]
+    cases = []
+    for N in range(2, top + 1):
+        if N <= 24 or N == top:
+            Ms = range(1, N + 1)
+        else:
+            Ms = sorted({1, N // 2, N - 1, rng.randint(1, N)})
+        specs = _specs(N, [*Ms, N / 2 + 0.5])
+        refs = {(i, j): additive_convolutions(whole[i], whole[j], specs)
+                for i, j in itertools.combinations_with_replacement(range(len(whole)), 2)}
+        cases.append((N, specs, refs))
+    tiers = set()
+    exact = convolution._exact_int_sum
+
+    def spying(fa, ga, fmax=None, gmax=None):
+        tiers.add(_run_length(_abs_max(fa), _abs_max(ga)) >= _MIN_RUN)
+        return exact(fa, ga, fmax, gmax)
+
+    monkeypatch.setattr(convolution, "_exact_int_sum", spying)
+    for N, specs, refs in cases:
+        low, blocks = sieve.stream(list(_INT_WALKS), N - 1, N // 2)
+        blocks = [(lo, [view.copy() for view in views]) for lo, views in blocks]
+        for (i, j), ref in refs.items():
+            above = [(lo, views[i], views[j]) for lo, views in blocks]
+            got = additive_convolutions(ArithTable(_INT_WALKS[i], low[i]),
+                                        ArithTable(_INT_WALKS[j], low[j]), specs, above=above)
+            assert all(type(x) is int for x in got) and got == ref, (N, i, j)
+    assert tiers == {True, False}  # the int64 runs and the Python ints
+
+
+def test_streamed_integer_sums_bound_the_blocks_they_read():
+    # tables of ones held to N // 2 and 2**40 + 1 above it: a chunk's tier
+    # must read the blocks' max|value| too, or its float64 dot of 2**16
+    # products past 2**40 drops their low bits
+    N = 4 * _CHUNK + 10
+    values = np.ones(N, dtype=np.int64)
+    values[N // 2 + 1 :] = 2**40 + 1
+    low = ArithTable("f", values[: N // 2 + 1])
+    specs = _specs(N, [_CHUNK, 2 * _CHUNK + 3, N - 1])
+    above = [(N // 2 + 1, values[N // 2 + 1 :], values[N // 2 + 1 :])]
+    got = additive_convolutions(low, low, specs, above=above)
+    assert got == [brute.additive_sum(values, values, N, spec.last_index) for spec in specs]
+
+
+@pytest.mark.parametrize("N", [2 * _SEGMENT + _CHUNK + 1, 6 * _SEGMENT - 10])
+def test_streamed_integer_sums_across_blocks(N):
+    # the block and chunk edges in every position, as for the real sums
+    # above, in each tier: sigma_1 d in float64 dots, sigma_2 d in int64
+    # runs and sigma_2 sigma_2 in Python ints, for M to N // 2 + 1
+    sieve = build_sieve(math.isqrt(N))
+    specs = _specs(N, [1, 2, _CHUNK, _CHUNK + 1, N / 2 - 1, N / 2, N / 2 + 1, N - 1])
+    for f, g in (("sigma(1)", "divisor"), ("divisor", "sigma(2)"), ("sigma(2)", "sigma(2)")):
+        if f == g == "sigma(2)":
+            specs = [spec for spec in specs if spec.last_index <= N // 2 + 1]
+        ref = additive_convolutions(ArithTable(f, sieve.walked(f, N)),
+                                    ArithTable(g, sieve.walked(g, N)), specs)
+        assert _streamed(sieve, f, g, specs) == ref, (f, g)
 
 
 _INT_DTYPES = (np.int8, np.int32, np.int64)
