@@ -3,47 +3,49 @@
 Both boundary conventions are first-class and must be chosen explicitly:
 "half_open" sums over 1 <= n < M, "closed" over 1 <= n <= M.  M may be
 real; the effective index ranges are n <= ceil(M) - 1 and n <= floor(M).
-Integer sums are exact.  Additive sums run in three tiers chosen by
-B = max|f| * max|g|, shifted sums in the last two:
+Integer sums are exact.  Every additive one goes through one kernel,
+_int_sums, which walks the blocks of one operand in pieces of 2**16
+entries and takes from each piece every sum of the grid that reads it,
+against a forward slice of the other table.  Over whole tables that
+operand is g, from min(N - k) to max(N) - 1, against f; over tables
+held only to N // 2 (additive_convolutions' above) it is the walk's f
+and g blocks above N // 2: n <= N / 2 reads g's blocks against f's half
+and n > N / 2 f's blocks against g's half, and g(N / 2) at even N is a
+block of one entry.  Each piece some sum reads is scanned once for its
+max|value|, the other table once per call (f on 1..max(k), or the held
+half), and with B the product of the two each sum's part in the piece
+takes one of three tiers; shifted sums take the last two, with B from
+their own two slices:
 
-  * float64, while 2**16 * B <= 2**53: the sum runs in blocks of 2**16
-    summands, each cast to float64 and reduced by one np.dot (BLAS
-    ddot).  Every product and every partial sum of a block is then an
-    integer of magnitude at most 2**53, so float64 holds each exactly
-    in any summation order, whatever BLAS does with threads or fused
-    multiply-adds, and the blocks add up in a Python int.
-    additive_convolutions walks g in fixed absolute blocks, reverses
-    and casts each block once, and takes from it every sum of the grid
-    that reads it, against a forward slice of f;
+  * float64, while 2**16 * B <= 2**53: the piece is reversed and cast to
+    float64 once, and each sum reduces its part by one np.dot (BLAS
+    ddot).  Every product and every partial sum is then an integer of
+    magnitude at most 2**53, so float64 holds each exactly in any
+    summation order, whatever BLAS does with threads or fused
+    multiply-adds, and the dots add up in a Python int;
   * int64 runs of at most 2**16 summands, each short enough that
     run * B <= 2**62, multiplied and reduced in int64 and added up in a
     Python int;
-  * Python ints, where B allows no int64 run of 64 summands.
+  * Python ints, where B allows no int64 run of 64 summands, after a
+    scan of the sum's own two slices finds no tighter bound.
 
-Where a block's products could pass 2**53 the int64 runs are at least
-as long and cheaper than shorter float64 blocks, so the float64 tier
-takes whole blocks only.  B reads the max|value| of what the sums read:
-of f over the union of a grid's f slices and of g over the union of its
-g slices, scanned once per call, and of each sum's own two slices where
-that bound allows no int64 run.  Sums over tables held only to N // 2
-(additive_convolutions' above) pick the tier per chunk of the kernel
-below, from the max|value| of the held halves and of the blocks read so
-far, and add the chunk sums in a Python int.
+Where a piece's products could pass 2**53 the int64 runs are at least
+as long and cheaper than shorter float64 dots, so the float64 tier
+takes whole pieces only.
 
 Real sums follow one chunk rule, with no BLAS call, so their bits do
 not depend on the thread count: the summands are cut into chunks of
 2**16 from the first index, each chunk's float64 products are reduced
 by np.sum, and the chunk sums are added in index order, starting from
 0.0.  real_dot is that rule.  The real sums of a grid of one N go
-through one kernel that keeps it, _block_sums, which also takes the
-integer sums of tables held to N // 2: each n reads min(n, N - n), at
-most N // 2, from the low halves of f and g and its upper entry
-max(n, N - n) from blocks of the rest, so the tables above N // 2 may
-be whole or pass once through a reused buffer (the above of
+through one kernel that keeps it, _block_sums: each n reads
+min(n, N - n), at most N // 2, from the low halves of f and g and its
+upper entry max(n, N - n) from blocks of the rest, so the tables above
+N // 2 may be whole or pass once through a reused buffer (the above of
 additive_convolutions, such as the blocks of FactorSieve.stream, whose
 walk holds only the low halves).  Every sum shares the full chunks of
-its N and sums its own short last chunk, and a real one has the bits of
-its own real_dot.
+its N and sums its own short last chunk, and has the bits of its own
+real_dot.
 lambda_convolution keeps the rule with no Lambda table: Lambda(n)
 Lambda(N - n) is nonzero only where n and N - n are both prime powers,
 so each chunk is a zeroed buffer with those products scattered into it,
@@ -65,6 +67,7 @@ in ascending d, so every call gives the same bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,7 +140,7 @@ def real_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _abs_max(a: np.ndarray) -> int:
-    return max(-int(a.min()), int(a.max()))
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
 
 
 def _exact_int_sum(fa: np.ndarray, ga: np.ndarray, fmax=None, gmax=None) -> int:
@@ -169,57 +172,64 @@ def _run_length(fmax: int, gmax: int) -> int:
     return min(_CHUNK, 2**62 // max(fmax * gmax, 1))
 
 
-def _float_sums(fv: np.ndarray, gv: np.ndarray, ranges) -> list:
-    # sum_{n <= k} fv[n] gv[N - n] for each (N, k) of ranges, exact while
-    # _CHUNK * max|fv| * max|gv| <= 2**53.  The g indices are cut into
-    # fixed blocks [b0, b0 + _CHUNK); each block a range reads is reversed
-    # into gbuf once (gbuf[j] = gv[top - j]), and every range reading it
-    # takes one dot of a slice of gbuf with a forward slice of f
-    readers: dict = {}
-    for i, (N, k) in enumerate(ranges):
-        if k >= 1:
-            for b in range((N - k) // _CHUNK, (N - 1) // _CHUNK + 1):
-                readers.setdefault(b, []).append(i)
-    totals = [0] * len(ranges)
-    gbuf, fbuf = np.empty(_CHUNK), np.empty(_CHUNK)
-    for b in sorted(readers):
-        b0 = b * _CHUNK
-        block = gv[b0 : b0 + _CHUNK]
-        top = b0 + len(block) - 1
-        rev = gbuf[: len(block)]
-        np.copyto(rev, block[::-1])
-        for i in readers[b]:
-            N, k = ranges[i]
-            lo, hi = max(N - k, b0), min(N - 1, top)
-            fw = fbuf[: hi - lo + 1]
-            np.copyto(fw, fv[N - hi : N - lo + 1])
-            totals[i] += int(np.dot(rev[top - hi : top - lo + 1], fw))
+def _int_sums(blocks, readers) -> list:
+    # exact sum_{a <= m <= b} P(m) Q(N - m) for each reader (p, N, a, b,
+    # Q, qmax): P is part p of blocks, (lo, values of each part on [lo,
+    # lo + len)), and Q a table with |Q| <= qmax at N - b..N - a.  Each
+    # block is cut into pieces of _CHUNK; a piece some reader reads is
+    # scanned once and, for the float64 dots, reversed and cast once
+    # (rev[j] = P(top - j)), and each reader takes from it one dot with a
+    # forward slice of Q, or the int64 runs or Python ints of
+    # _exact_int_sum.  A block is done with when the next one arrives
+    totals = [0] * len(readers)
+    rbuf, qbuf = np.empty(_CHUNK), np.empty(_CHUNK)
+    which, first, last = (np.array([r[j] for r in readers], dtype=np.int64) for j in (0, 2, 3))
+    for lo, *parts in blocks:
+        for p, part in enumerate(parts):
+            for at in range(0, len(part), _CHUNK):
+                piece = part[at : at + _CHUNK]
+                base, top = lo + at, lo + at + len(piece) - 1
+                reads = (which == p) & (first <= np.minimum(last, top)) & (last >= base)
+                live = np.flatnonzero(reads)
+                if not len(live):
+                    continue
+                pmax, rev = _abs_max(piece), None
+                for i in live.tolist():
+                    _, N, a, b, Q, qmax = readers[i]
+                    x, y = max(a, base), min(b, top)
+                    if _CHUNK * pmax * qmax > _FLOAT_EXACT:
+                        totals[i] += _exact_int_sum(piece[x - base : y - base + 1],
+                                                    Q[N - y : N - x + 1][::-1], pmax, qmax)
+                        continue
+                    # every product and partial sum of the dot stays within
+                    # 2**53, exact in float64 whatever order BLAS adds them in
+                    if rev is None:
+                        rev = rbuf[: len(piece)]
+                        np.copyto(rev, piece[::-1])
+                    fw = qbuf[: y - x + 1]
+                    np.copyto(fw, Q[N - y : N - x + 1])
+                    totals[i] += int(np.dot(rev[top - y : top - x + 1], fw))
     return totals
 
 
 def _block_sums(f_low, g_low, blocks, N: int, ks) -> list:
-    # sum_{n <= k} f(n) g(N - n) for each k of ks: exact Python ints where
-    # f and g are integer, else floats by real_dot's rule, and UsageError
-    # where one overflows.  f and g up to held = N // 2 are f_low and
-    # g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi)), ascending
-    # from held + 1, each but the first and the last at least _CHUNK long.
-    # n reads min(n, N - n) <= held from f_low or g_low and its upper
-    # entry max(n, N - n) from a block; a chunk's upper entries lie within
-    # _CHUNK of each other, so it is summed when the block that holds the
-    # largest arrives, from that block and a copy of the last _CHUNK
-    # entries of the one before.  The full chunks are shared by every k;
-    # each k's short last chunk is its own
+    # sum_{n <= k} f(n) g(N - n) for each k of ks by real_dot's rule, and
+    # UsageError where one overflows.  f and g up to held = N // 2 are
+    # f_low and g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi)),
+    # ascending from held + 1, each but the first and the last at least
+    # _CHUNK long.  n reads min(n, N - n) <= held from f_low or g_low and
+    # its upper entry max(n, N - n) from a block; a chunk's upper entries
+    # lie within _CHUNK of each other, so it is summed when the block that
+    # holds the largest arrives, from that block and a copy of the last
+    # _CHUNK entries of the one before.  The full chunks are shared by
+    # every k; each k's short last chunk is its own
     held = N // 2
-    exact = np.issubdtype(f_low.dtype, np.integer) and np.issubdtype(g_low.dtype, np.integer)
-    # bounds on |f| and |g| over the held halves and the blocks seen so far
-    fmax, gmax = (_abs_max(f_low), _abs_max(g_low)) if exact else (0, 0)
     top = max(ks, default=0)
     jobs = [(c * _CHUNK + 1, (c + 1) * _CHUNK) for c in range(top // _CHUNK)]
     jobs += [(k - k % _CHUNK + 1, k) for k in sorted(set(ks)) if k % _CHUNK]
     queue = sorted(((max(N - a, b), j) for j, (a, b) in enumerate(jobs)), reverse=True)
-    sums = [0] * len(jobs)
+    sums = [0.0] * len(jobs)
     prod = np.empty(_CHUNK)
-    gbuf = np.empty(_CHUNK) if exact else None  # the dots' second operand
     window = []  # the end of the block before and the current block
 
     def entries(i, low, x, y):
@@ -233,34 +243,21 @@ def _block_sums(f_low, g_low, blocks, N: int, ks) -> list:
             parts.insert(0, low[x:])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def chunk(a, b):
-        fa, ga = entries(1, f_low, a, b), entries(2, g_low, N - b, N - a)[::-1]
-        out = prod[: b - a + 1]
-        if not exact:
-            np.multiply(fa, ga, out=out, dtype=np.float64)
-            return float(np.sum(out))
-        if _CHUNK * fmax * gmax > _FLOAT_EXACT:
-            return _exact_int_sum(fa, ga, fmax, gmax)
-        # a float64 dot, exact while every product and partial sum stays
-        # within 2**53, whatever order BLAS adds them in
-        np.copyto(out, fa)
-        gw = gbuf[: b - a + 1]
-        np.copyto(gw, ga)
-        return int(np.dot(out, gw))
-
     def finish(hi):
         # every queued chunk whose upper entries all lie below hi
         while queue and queue[-1][0] < hi:
             j = queue.pop()[1]
-            sums[j] = chunk(*jobs[j])
+            a, b = jobs[j]
+            out = prod[: b - a + 1]
+            np.multiply(entries(1, f_low, a, b), entries(2, g_low, N - b, N - a)[::-1],
+                        out=out, dtype=np.float64)
+            sums[j] = float(np.sum(out))
 
     with np.errstate(over="ignore", invalid="ignore"):
         finish(held + 1)
         for lo, fb, gb in blocks:
             hi = lo + max(len(fb), len(gb))
             window = [*window[-1:], (lo, fb, gb)]
-            if exact and queue:
-                fmax, gmax = max(fmax, _abs_max(fb)), max(gmax, _abs_max(gb))
             finish(hi)
             # the next block may overwrite this one, whose entries from
             # hi - _CHUNK on are all that a later chunk reads of it
@@ -268,31 +265,30 @@ def _block_sums(f_low, g_low, blocks, N: int, ks) -> list:
             ft = fb[t - lo :].copy()
             window[-1] = (t, ft, ft if gb is fb else gb[t - lo :].copy())
     full = top // _CHUNK
-    prefix = [0 if exact else 0.0]
+    prefix = [0.0]
     for s in sums[:full]:
         prefix.append(prefix[-1] + s)
     last = dict(zip((k for k in sorted(set(ks)) if k % _CHUNK), sums[full:]))
     totals = [prefix[k // _CHUNK] + last[k] if k in last else prefix[k // _CHUNK] for k in ks]
-    if not exact:
-        for total in totals:
-            if not math.isfinite(total):
-                raise UsageError(f"the sum overflows float64: {total}")
+    for total in totals:
+        if not math.isfinite(total):
+            raise UsageError(f"the sum overflows float64: {total}")
     return totals
 
 
 def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> list:
     """[additive_convolution(f, g, spec) for spec in specs], in one pass.
 
-    Every range is checked before any sum.  Integer sums share each block
-    of g between the specs that read it, and real sums the full chunks of
-    their N (see the module docstring); each keeps the bits of its own
-    call.  Given above, the blocks of f and g above N // 2 for the one N
-    of every spec, the tables hold 1..N // 2 only: above yields
-    (lo, f block, g block), ascending from N // 2 + 1 to N - 1, each
-    block but the first and the last at least 2**16 long, as from
-    FactorSieve.stream(names, N - 1, N // 2).  Each block is read once,
-    as it arrives, and the sums keep the values and bits of those over
-    the whole tables.
+    Every range is checked before any sum.  Integer sums share each
+    piece of the table they walk between the specs that read it, and
+    real sums the full chunks of their N (see the module docstring);
+    each keeps the bits of its own call.  Given above, the blocks of f
+    and g above N // 2 for the one N of every spec, the tables hold
+    1..N // 2 only: above yields (lo, f block, g block), ascending from
+    N // 2 + 1 to N - 1, each block but the first and the last at least
+    2**16 long, as from FactorSieve.stream(names, N - 1, N // 2).  Each
+    block is read once, as it arrives, and the sums keep the values and
+    bits of those over the whole tables.
     """
     specs = list(specs)
     ranges = [(spec.N, spec.last_index) for spec in specs]
@@ -303,15 +299,18 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
         if not ranges:
             return []
         N = ranges[0][0]
-        if not f.N == g.N == N // 2:
-            raise UsageError(f"streamed sums need f and g on 1..{N // 2}, got 1..{f.N}, 1..{g.N}")
-        return _block_sums(fv, gv, above, N, [k for _, k in ranges])
-    for N, k in ranges:
-        if k >= 1 and f.N < k:
-            raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
-        if k >= 1 and g.N < N - 1:
-            raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
+        held = N // 2
+        if not f.N == g.N == held:
+            raise UsageError(f"streamed sums need f and g on 1..{held}, got 1..{f.N}, 1..{g.N}")
+    else:
+        for N, k in ranges:
+            if k >= 1 and f.N < k:
+                raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
+            if k >= 1 and g.N < N - 1:
+                raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
     if not (f.is_integer and g.is_integer):
+        if above is not None:
+            return _block_sums(fv, gv, above, N, [k for _, k in ranges])
         # one _block_sums grid per N, over the whole tables as one block
         sums = {}
         for N in dict.fromkeys(N for N, _ in ranges):
@@ -320,15 +319,21 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
             blocks = [(h + 1, fv[h + 1 : N], gv[h + 1 : N])]
             sums[N] = dict(zip(ks, _block_sums(fv[: h + 1], gv[: h + 1], blocks, N, ks)))
         return [sums[N][k] for N, k in ranges]
-    live = [(N, k) for N, k in ranges if k >= 1]
-    if not live:
-        return [0] * len(ranges)
-    fmax = _abs_max(fv[1 : max(k for _, k in live) + 1])
-    gmax = _abs_max(gv[min(N - k for N, k in live) : max(N for N, _ in live)])
-    if _CHUNK * fmax * gmax <= _FLOAT_EXACT:
-        return _float_sums(fv, gv, ranges)
-    return [_exact_int_sum(fv[1 : k + 1], gv[N - 1 : N - k - 1 : -1], fmax, gmax)
-            for N, k in ranges]
+    top = max((k for _, k in ranges), default=0)
+    fmax = _abs_max(fv[1 : top + 1])
+    if above is not None:
+        # n <= N / 2 reads g's blocks, and g(N / 2) at even N a block of
+        # one entry, against f's half; n > N / 2 reads f's blocks against
+        # g's half
+        gmax = _abs_max(gv[N - top : N - held])
+        readers = [(1, N, N - min(k, held), N - 1, fv, fmax) for _, k in ranges]
+        readers += [(0, N, held + 1, k, gv, gmax) for _, k in ranges]
+        sums = _int_sums(itertools.chain([(held, fv[held:], gv[held:])], above), readers)
+        return [x + y for x, y in zip(sums, sums[len(ranges) :])]
+    # g on the union of what the grid reads of it, min(N - k)..max(N) - 1
+    lo = min((N - k for N, k in ranges if k), default=0)
+    hi = max((N for N, k in ranges if k), default=0)
+    return _int_sums([(lo, gv[lo:hi])], [(0, N, N - k, N - 1, fv, fmax) for N, k in ranges])
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec, above=None):

@@ -169,16 +169,20 @@ def test_palindrome_identity(dtable_small):
 
 
 def test_complement_identity(dtable_small):
+    # each N's whole grid of M in one additive_convolutions call
     d = dtable_small
     for N in range(2, 501):
-        full = _dd(d, N, float(N), "half_open")
+        halves = [ConvolutionSpec(N=N, M=float(M), boundary="half_open") for M in range(1, N + 1)]
+        closed = [ConvolutionSpec(N=N, M=float(N - M), boundary="closed") for M in range(1, N)]
+        sums = additive_convolutions(d, d, halves + closed)
+        half, rest = sums[:N], sums[N:]
+        full = half[-1]
+        assert full == _dd(d, N, float(N), "half_open")
         for M in range(1, N + 1):
-            half = _dd(d, N, float(M), "half_open")
             if M == N:
-                assert half == full
+                assert half[M - 1] == full
             else:
-                closed = _dd(d, N, float(N - M), "closed")
-                assert half == full - closed, (N, M)
+                assert half[M - 1] == full - rest[M - 1], (N, M)
 
 
 def test_divisor_sum_matches_literal_sum(dtable_small):
@@ -492,6 +496,34 @@ def test_streamed_integer_sums_across_blocks(N):
         assert _streamed(sieve, f, g, specs) == ref, (f, g)
 
 
+@pytest.mark.parametrize("f, g", [("sigma(1)", "divisor"), ("sigma(2)", "divisor")])
+def test_streamed_integer_sums_scan_each_piece_once(f, g, monkeypatch):
+    # float64 dots (sigma_1 d) and int64 runs (sigma_2 d): each held half
+    # is scanned once, and each piece of the blocks above at most once,
+    # the same pieces for one M that reads every piece and for a grid of 40
+    N = 2 * _SEGMENT + _CHUNK + 1
+    held = N // 2
+    sieve = build_sieve(math.isqrt(N))
+    scanned = []
+    abs_max = convolution._abs_max
+    monkeypatch.setattr(convolution, "_abs_max", lambda a: scanned.append(len(a)) or abs_max(a))
+    whole = [ArithTable(name, sieve.walked(name, N)) for name in (f, g)]
+    grids = [[N], [N, *range(1, N, N // 39)]]
+    for Ms in grids:
+        specs = _specs(N, Ms)
+        del scanned[:]
+        got = _streamed(sieve, f, g, specs)
+        assert scanned[:2] == [held, held], Ms
+        pieces = scanned[2:]
+        # the pieces of f and g above held, and g(N / 2) at even N
+        assert all(size <= _CHUNK for size in pieces)
+        assert sum(pieces) <= 2 * (N - 1 - held) + 1
+        if Ms == grids[0]:
+            one = pieces
+        assert pieces == one, len(Ms)
+        assert got == additive_convolutions(*whole, specs)
+
+
 _INT_DTYPES = (np.int8, np.int32, np.int64)
 
 
@@ -672,23 +704,43 @@ def test_exact_sum_runs_at_the_chunk_boundary(fmax, gmax):
         assert _exact_int_sum(f, g, fmax, gmax) == ref, k
 
 
+def _held_sums(f, g, specs):
+    # additive_convolutions of the arrays f and g held to N // 2 for each
+    # N of specs, with the rest passed as blocks: a first one of 5
+    # entries, then _CHUNK + 7 each
+    sums = {}
+    for N in dict.fromkeys(s.N for s in specs):
+        grid = [s for s in specs if s.N == N]
+        h = N // 2
+        cuts = [h + 1, *range(min(h + 6, N), N, _CHUNK + 7), N]
+        above = [(a, f[a:b], g[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        got = additive_convolutions(ArithTable("custom", f[: h + 1]),
+                                    ArithTable("custom", g[: h + 1]), grid, above=above)
+        sums.update(zip(grid, got))
+    return [sums[s] for s in specs]
+
+
 @pytest.mark.parametrize("fmax, gmax, dtype", [
-    (2**20, 2**17, np.int32),  # _CHUNK * fmax * gmax == 2**53: float64 blocks
+    (2**20, 2**17, np.int32),  # _CHUNK * fmax * gmax == 2**53: float64 dots
     (2**37, 1, np.int64),  # the same bound from one table
-    (181, 181, np.int16),  # d-sized products: float64 blocks
+    (181, 181, np.int16),  # d-sized products: float64 dots
     (2**20 + 1, 2**17, np.int32),  # one past 2**53: int64 runs
 ])
 def test_exact_sums_at_the_float64_boundary(fmax, gmax, dtype, monkeypatch):
-    # a float64 block of _CHUNK maximal products sums to _CHUNK * fmax * gmax,
-    # exactly 2**53 at the bound; one past it the int64 runs take over
+    # a float64 dot of _CHUNK maximal products sums to _CHUNK * fmax * gmax,
+    # exactly 2**53 at the bound; one past it the int64 runs take over.
+    # Over whole tables and over tables held to N // 2 with blocks above
     L = _CHUNK
     floats = L * fmax * gmax <= 2**53
     assert floats == (fmax != 2**20 + 1)
+    runs = []  # the summands of each _exact_int_sum call
+    exact = convolution._exact_int_sum
 
-    def wrong_tier(*args):
-        raise AssertionError("summed in the wrong tier")
+    def spying(fa, ga, fmax=None, gmax=None):
+        runs.append(len(fa))
+        return exact(fa, ga, fmax, gmax)
 
-    monkeypatch.setattr(convolution, "_exact_int_sum" if floats else "_float_sums", wrong_tier)
+    monkeypatch.setattr(convolution, "_exact_int_sum", spying)
     ks = (L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, 3 * L + 1)
     T = 3 * L + 2
     rng = np.random.default_rng(0)
@@ -699,7 +751,7 @@ def test_exact_sums_at_the_float64_boundary(fmax, gmax, dtype, monkeypatch):
             f *= rng.choice(np.array([-1, 1], dtype=dtype), size=T + 1)
             g[rng.integers(0, T + 1, size=T // 3)] //= 7
         f[0] = g[0] = 0
-        # each k from the bottom of g, where blocks and runs start together,
+        # each k from the bottom of g, where pieces and runs start together,
         # and from its top, where they do not
         specs = [ConvolutionSpec(N=k + 1, M=float(k + 1), boundary="half_open") for k in ks]
         specs += [ConvolutionSpec(N=T + 1, M=float(k), boundary="closed") for k in ks]
@@ -707,8 +759,20 @@ def test_exact_sums_at_the_float64_boundary(fmax, gmax, dtype, monkeypatch):
         expected = [brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
         if not mixed:
             assert expected == [k * fmax * gmax for k in ks] * 2
-        assert additive_convolutions(_frozen_table(f, dtype), _frozen_table(g, dtype), specs) \
-            == expected
+        for streamed in (False, True):
+            del runs[:]
+            if streamed:
+                got = _held_sums(f, g, specs)
+            else:
+                got = additive_convolutions(_frozen_table(f, dtype), _frozen_table(g, dtype),
+                                            specs)
+            assert got == expected, (mixed, streamed)
+            # below the bound no summand leaves the float64 dots; past it,
+            # with every piece at its maximum, none stays in them
+            if floats:
+                assert runs == [], (mixed, streamed)
+            elif not mixed:
+                assert sum(runs) == 2 * sum(ks), streamed
 
 
 _GRID_DTYPES = (np.int8, np.int16, np.int32, np.int64)
