@@ -500,7 +500,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; try a smaller N", file=sys.stderr)
+        print("error: out of memory; try smaller sizes", file=sys.stderr)
         return 2
 
 

@@ -43,9 +43,13 @@ min(n, N - n), at most N // 2, from the low halves of f and g and its
 upper entry max(n, N - n) from blocks of the rest, so the tables above
 N // 2 may be whole or pass once through a reused buffer (the above of
 additive_convolutions, such as the blocks of FactorSieve.stream, whose
-walk holds only the low halves).  Every sum shares the full chunks of
-its N and sums its own short last chunk, and has the bits of its own
-real_dot.
+walk holds only the low halves).  A block on [lo, hi) holds the upper
+entries of two runs of n, [lo, hi) and [N - hi + 1, N - lo], and
+writes their products straight into the buffer of the 2**16 chunk of n
+that holds each; a chunk is summed once all its products are in, so
+the blocks may have any lengths and no block is kept or copied.  Every
+sum shares the full chunks of its N and sums its own short last chunk,
+and has the bits of its own real_dot.
 lambda_convolution keeps the rule with no Lambda table: Lambda(n)
 Lambda(N - n) is nonzero only where n and N - n are both prime powers,
 so each chunk is a zeroed buffer with those products scattered into it,
@@ -215,65 +219,72 @@ def _int_sums(blocks, readers) -> list:
 def _block_sums(f_low, g_low, blocks, N: int, ks) -> list:
     # sum_{n <= k} f(n) g(N - n) for each k of ks by real_dot's rule, and
     # UsageError where one overflows.  f and g up to held = N // 2 are
-    # f_low and g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi)),
-    # ascending from held + 1, each but the first and the last at least
-    # _CHUNK long.  n reads min(n, N - n) <= held from f_low or g_low and
-    # its upper entry max(n, N - n) from a block; a chunk's upper entries
-    # lie within _CHUNK of each other, so it is summed when the block that
-    # holds the largest arrives, from that block and a copy of the last
-    # _CHUNK entries of the one before.  The full chunks are shared by
-    # every k; each k's short last chunk is its own
-    held = N // 2
-    top = max(ks, default=0)
-    jobs = [(c * _CHUNK + 1, (c + 1) * _CHUNK) for c in range(top // _CHUNK)]
-    jobs += [(k - k % _CHUNK + 1, k) for k in sorted(set(ks)) if k % _CHUNK]
-    queue = sorted(((max(N - a, b), j) for j, (a, b) in enumerate(jobs)), reverse=True)
-    sums = [0.0] * len(jobs)
-    prod = np.empty(_CHUNK)
-    window = []  # the end of the block before and the current block
+    # f_low and g_low, and blocks are (lo, f on [lo, hi), g on [lo, hi))
+    # tiling held + 1..N - 1; f may stop early past max(ks).  A block
+    # holds the upper entry of n in [lo, hi), against g(N - n) in g_low,
+    # and of n in [N - hi + 1, N - lo], against f(n) in f_low; n = N / 2
+    # at even N reads both halves.  Each product goes straight into the
+    # buffer of its _CHUNK chunk of n, which np.sum reduces once all its
+    # products are in: whole, and up to each k that ends inside it.  The
+    # full chunks are shared by every k; each k's short last chunk is its own
+    held, top = N // 2, max(ks, default=0)
+    ends = {}  # chunk -> the k that end inside it
+    for k in set(ks):
+        if k % _CHUNK:
+            ends.setdefault(k // _CHUNK, []).append(k)
+    sums, last, filling = [0.0] * (top // _CHUNK), {}, {}
 
-    def entries(i, low, x, y):
-        # entries x..y of f (i = 1) or g (i = 2): up to held from low,
-        # above it from the window
-        if y <= held:
-            return low[x : y + 1]
-        parts = [block[i][max(x - block[0], 0) : y - block[0] + 1] for block in window
-                 if block[0] <= y and max(x, held + 1) < block[0] + len(block[i])]
-        if x <= held:
-            parts.insert(0, low[x:])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def finish(hi):
-        # every queued chunk whose upper entries all lie below hi
-        while queue and queue[-1][0] < hi:
-            j = queue.pop()[1]
-            a, b = jobs[j]
-            out = prod[: b - a + 1]
-            np.multiply(entries(1, f_low, a, b), entries(2, g_low, N - b, N - a)[::-1],
-                        out=out, dtype=np.float64)
-            sums[j] = float(np.sum(out))
+    def put(n0, fa, ga):
+        # the products fa[j] * ga[j] of n = n0 + j, up to top
+        n, stop = n0, min(n0 + len(ga), top + 1)
+        while n < stop:
+            c = (n - 1) // _CHUNK
+            base = c * _CHUNK + 1
+            size = min(_CHUNK, top + 1 - base)
+            e = min(stop, base + size)
+            buf, got = filling.pop(c, None) or (np.empty(_CHUNK), 0)
+            np.multiply(fa[n - n0 : e - n0], ga[n - n0 : e - n0], out=buf[n - base : e - base],
+                        dtype=np.float64)
+            got += e - n
+            if got < size:
+                filling[c] = buf, got
+            else:
+                if c < len(sums):
+                    sums[c] = float(np.sum(buf))
+                for k in ends.get(c, ()):
+                    last[k] = float(np.sum(buf[: k - base + 1]))
+            n = e
 
     with np.errstate(over="ignore", invalid="ignore"):
-        finish(held + 1)
+        if N % 2 == 0:
+            put(held, f_low[held:], g_low[held:])
         for lo, fb, gb in blocks:
-            hi = lo + max(len(fb), len(gb))
-            window = [*window[-1:], (lo, fb, gb)]
-            finish(hi)
-            # the next block may overwrite this one, whose entries from
-            # hi - _CHUNK on are all that a later chunk reads of it
-            t = max(hi - _CHUNK, lo)
-            ft = fb[t - lo :].copy()
-            window[-1] = (t, ft, ft if gb is fb else gb[t - lo :].copy())
-    full = top // _CHUNK
-    prefix = [0.0]
-    for s in sums[:full]:
-        prefix.append(prefix[-1] + s)
-    last = dict(zip((k for k in sorted(set(ks)) if k % _CHUNK), sums[full:]))
-    totals = [prefix[k // _CHUNK] + last[k] if k in last else prefix[k // _CHUNK] for k in ks]
+            hi = lo + len(gb)
+            # n <= N / 2 first: the chunk at N / 2 is then done before
+            # the n above it open another
+            put(N - hi + 1, f_low[N - hi + 1 : N - lo + 1], gb[::-1])
+            put(lo, fb, g_low[N - hi + 1 : N - lo + 1][::-1])
+    prefix = list(itertools.accumulate(sums, initial=0.0))
+    totals = [prefix[k // _CHUNK] + last[k] if k % _CHUNK else prefix[k // _CHUNK] for k in ks]
     for total in totals:
         if not math.isfinite(total):
             raise UsageError(f"the sum overflows float64: {total}")
     return totals
+
+
+def _tiled(blocks, N: int):
+    # blocks as they arrive, checked to tile N // 2 + 1..N - 1 in order,
+    # each with f and g parts of one length
+    end, tiling = N // 2 + 1, f"the blocks above N // 2 must tile {N // 2 + 1}..{N - 1}"
+    for lo, fb, gb in blocks:
+        if len(fb) != len(gb):
+            raise UsageError(f"{tiling}; the one from {lo} has {len(fb)} f and {len(gb)} g entries")
+        if lo != end or lo + len(fb) > N:
+            raise UsageError(f"{tiling}; one covers {lo}..{lo + len(fb) - 1} after {end - 1}")
+        end += len(fb)
+        yield lo, fb, gb
+    if end != N:
+        raise UsageError(f"{tiling}; they end at {end - 1}")
 
 
 def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> list:
@@ -284,9 +295,12 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
     real sums the full chunks of their N (see the module docstring);
     each keeps the bits of its own call.  Given above, the blocks of f
     and g above N // 2 for the one N of every spec, the tables hold
-    1..N // 2 only: above yields (lo, f block, g block), ascending from
-    N // 2 + 1 to N - 1, each block but the first and the last at least
-    2**16 long, as from FactorSieve.stream(names, N - 1, N // 2).  Each
+    1..N // 2 only: above yields (lo, f block, g block), as from
+    FactorSieve.stream(names, N - 1, N // 2).  The blocks may have any
+    lengths but must tile N // 2 + 1..N - 1 in order, each starting where
+    the one before ended and with f and g blocks of one length;
+    UsageError otherwise, raised as the first block out of place
+    arrives or, where they end short of N - 1, after the last.  Each
     block is read once, as it arrives, and the sums keep the values and
     bits of those over the whole tables.
     """
@@ -302,6 +316,7 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
         held = N // 2
         if not f.N == g.N == held:
             raise UsageError(f"streamed sums need f and g on 1..{held}, got 1..{f.N}, 1..{g.N}")
+        above = _tiled(above, N)
     else:
         for N, k in ranges:
             if k >= 1 and f.N < k:

@@ -235,6 +235,8 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "out of memory" in err
+    # the message names no one size: goldbach, say, runs out in its walk to R
+    assert err == "error: out of memory; try smaller sizes\n"
 
 
 @pytest.mark.parametrize("argv, limit", [

@@ -704,20 +704,86 @@ def test_exact_sum_runs_at_the_chunk_boundary(fmax, gmax):
         assert _exact_int_sum(f, g, fmax, gmax) == ref, k
 
 
-def _held_sums(f, g, specs):
+def _held_sums(f, g, specs, sizes=None, seed=0):
     # additive_convolutions of the arrays f and g held to N // 2 for each
     # N of specs, with the rest passed as blocks: a first one of 5
-    # entries, then _CHUNK + 7 each
+    # entries, then _CHUNK + 7 each, or every length drawn from sizes.
+    # Each block passes through one reused buffer per table, as the
+    # walk's blocks do
+    rng = random.Random(seed)
     sums = {}
     for N in dict.fromkeys(s.N for s in specs):
         grid = [s for s in specs if s.N == N]
         h = N // 2
-        cuts = [h + 1, *range(min(h + 6, N), N, _CHUNK + 7), N]
-        above = [(a, f[a:b], g[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        cuts = [h + 1]
+        while cuts[-1] < N:
+            step = rng.choice(sizes) if sizes else 5 if len(cuts) == 1 else _CHUNK + 7
+            cuts.append(min(cuts[-1] + step, N))
+
+        def above(cuts=cuts):
+            width = max(np.diff(cuts), default=0)
+            fbuf, gbuf = np.empty(width, f.dtype), np.empty(width, g.dtype)
+            for a, b in zip(cuts, cuts[1:]):
+                fbuf[: b - a], gbuf[: b - a] = f[a:b], g[a:b]
+                yield a, fbuf[: b - a], gbuf[: b - a]
+
         got = additive_convolutions(ArithTable("custom", f[: h + 1]),
-                                    ArithTable("custom", g[: h + 1]), grid, above=above)
+                                    ArithTable("custom", g[: h + 1]), grid, above=above())
         sums.update(zip(grid, got))
     return [sums[s] for s in specs]
+
+
+@pytest.mark.parametrize("N", [3 * _CHUNK + 5, 3 * _CHUNK + 6])
+def test_streamed_sums_over_blocks_of_any_length(N):
+    # the entries above N // 2 cut into blocks of random lengths, from one
+    # entry to _CHUNK - 1: each real sum keeps real_dot's bits over the
+    # whole tables, and each integer sum the whole tables' value
+    rng = np.random.default_rng(N)
+    ks = sorted({1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, N // 2 - 1, N // 2, N // 2 + 1,
+                 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK, N - 2, N - 1,
+                 *rng.integers(1, N, size=5).tolist()})
+    specs = _specs(N, [k + 1 for k in ks]) + _specs(N, [k + 0.5 for k in ks])
+    real = rng.standard_normal(N), rng.uniform(0, 3, N)
+    ints = rng.integers(-(2**40), 2**40, N), rng.integers(0, 2**15, N).astype(np.int16)
+    sizes = (1, 2, 3, 7, 4096, _CHUNK - 1)
+    for seed in range(4):
+        got = _held_sums(*real, specs, sizes, seed)
+        ref = [real_dot(real[0][1 : s.last_index + 1], real[1][N - 1 : N - s.last_index - 1 : -1])
+               for s in specs]
+        assert [x.hex() for x in got] == [x.hex() for x in ref], seed
+        whole = additive_convolutions(ArithTable("custom", ints[0]), ArithTable("custom", ints[1]),
+                                      specs)
+        assert _held_sums(*ints, specs, sizes, seed) == whole, seed
+
+
+@pytest.mark.parametrize("kind", ["divisor", "sigma_norm"])
+def test_streamed_sums_refuse_blocks_that_do_not_tile(sieve_small, kind):
+    # the blocks above N // 2 must tile N // 2 + 1..N - 1 in order with f
+    # and g parts of one length: blocks that stop short, leave a gap,
+    # overlap or run past N - 1 would give wrong sums, so each is refused
+    N = 300_001
+    h = N // 2
+    t = tabulate(sieve_small, kind, N, **({"s": 0.5} if kind == "sigma_norm" else {})).values
+    low = ArithTable(kind, t[: h + 1])
+    spec = ConvolutionSpec(N=N, M=N - 1, boundary="closed")
+    whole = additive_convolution(ArithTable(kind, t), ArithTable(kind, t), spec)
+    if kind == "divisor":
+        assert whole == 35658772
+
+    def blocks(*edges):
+        # a block on [a, b) for each pair a, b of edges
+        return [(a, t[a:b], t[a:b]) for a, b in zip(edges[::2], edges[1::2])]
+
+    assert additive_convolution(low, low, spec, above=blocks(h + 1, h + 1001, h + 1001, N)) == whole
+    for above in (blocks(h + 1, N - 10),  # short of N - 1
+                  blocks(h + 1, h + 1001, h + 1101, N),  # a gap
+                  blocks(h + 2, N),  # a gap at N // 2 + 1
+                  blocks(h + 1, h + 1001, h + 901, N),  # an overlap
+                  blocks(h + 1, N + 1),  # past N - 1
+                  [(h + 1, t[h + 1 : N], t[h + 1 : N - 1])],  # f and g of two lengths
+                  iter(())):  # no block at all
+        with pytest.raises(UsageError, match=r"must tile 150001\.\.300000"):
+            additive_convolution(low, low, spec, above=above)
 
 
 @pytest.mark.parametrize("fmax, gmax, dtype", [
