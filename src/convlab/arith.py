@@ -10,8 +10,10 @@ built per n.  mu, phi, d, sigma_t for any real t, and the Ramanujan
 expansions' mu/phi and phi**2 (+inf where mu = 0) are walked up from spf
 (smallest prime factor) segments sieved on the fly by the primes up to
 isqrt(N): f(n) for n = p m, p = spf(n), comes from f(m) and, where p
-divides m, from f(m / p), entries below n's block.  So the tables a
-caller reads together share one walk (FactorSieve.prepare), a walk
+divides m, from f(m / p), entries below n's block.  Each table's rule
+is one record (Walk): its name, its dtype and its local factors at p;
+walk(kind, s) is the record of a tabulate kind.  So the tables a caller
+reads together share one walk (FactorSieve.prepare), a walk
 resumes above a table memo caches shorter, and as it reads no entry
 above N / 2, a caller may hold only those and take the rest block by
 block (FactorSieve.stream).  Lambda reads the same segments, and
@@ -35,7 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,21 +69,22 @@ class FactorSieve:
 
     memo is filled lazily and has no lock, so a sieve is not safe to
     share between threads.  It holds every table derived from the sieve:
-    its primes (primes), and the tables of the spf walk, one per name at
-    the largest R asked for so far.  The walk sieves its own spf segments
-    from the primes up to isqrt(R), so R may reach (limit + 1)**2 - 1
-    (as_index): prepare(names, R) caches any of them (_walk) built in one
-    walk, upto(name, R) reads that cache, and walked(name, R) reads a
-    divisor sum from it or walks the table alone, uncached.  Each of
-    these walks holds its tables whole; stream(names, n_max, held) is the
-    same walk holding them only on 0..held, at least n_max // 2, which is
-    all the walk reads, and passing the blocks above through one reused
-    buffer per table, so a sum that reads each table once holds about
-    half of it: the half that prepare(names, held) cached, which stream
-    hands back uncopied.  Every walk resumes each table above the prefix
-    memo caches.  Beside them ramanujan keeps in memo what depends only
-    on the sieve: its compact mu-power prefixes, which it grows itself,
-    the singular series' d = 1 sums and the periods of c_r for small r.
+    its primes (primes), and the tables of the spf walk, one per rule
+    (Walk) under its name, at the largest R asked for so far.  The walk
+    sieves its own spf segments from the primes up to isqrt(R), so R may
+    reach (limit + 1)**2 - 1 (as_index): prepare(walks, R) caches any of
+    them built in one walk, upto(w, R) reads that cache, and walked(w, R)
+    reads a divisor sum from it or walks the table alone, uncached.  Each
+    of these walks holds its tables whole; stream(walks, n_max, held) is
+    the same walk holding them only on 0..held, at least n_max // 2,
+    which is all the walk reads, and passing the blocks above through one
+    reused buffer per table, so a sum that reads each table once holds
+    about half of it: the half that prepare(walks, held) cached, which
+    stream hands back uncopied.  Every walk resumes each table above the
+    prefix memo caches.  Beside them ramanujan keeps in memo what depends
+    only on the sieve: its compact mu-power prefixes, which it grows
+    itself, the singular series' d = 1 sums and the periods of c_r for
+    small r.
     """
 
     limit: int
@@ -99,59 +102,56 @@ class FactorSieve:
             raise UsageError(f"top must lie in [0, {self.limit}], got {top}")
         return _primes_upto(self, top)
 
-    def upto(self, name: str, R: int) -> np.ndarray:
-        """The walk's table name on 0..R, read-only, cached by prepare.
+    def upto(self, w: Walk, R: int) -> np.ndarray:
+        """The walk's table w on 0..R, read-only, cached by prepare.
 
-        Any name of prepare: mu ("mobius", int8), phi ("phi", int32 below
-        2**31) and the float64 "mobius/phi" and "phi^2/mobius^2" the
-        Ramanujan expansions read among them.  Entry 0 is 0, and R may
-        reach (limit + 1)**2 - 1.
+        Any walk of prepare: mu (MOBIUS, int8), phi (PHI, int32 below
+        2**31) and the float64 HARDY and SINGULAR the Ramanujan expansions
+        read among them.  Entry 0 is 0, and R may reach (limit + 1)**2 - 1.
         """
-        self.prepare((name,), R)
-        return self.memo[name][: R + 1]
+        self.prepare((w,), R)
+        return self.memo[w.name][: R + 1]
 
-    def prepare(self, names: Sequence[str], R: int) -> None:
-        """Cache each of names on at least 0..R, in one spf walk.
+    def prepare(self, walks: Sequence[Walk], R: int) -> None:
+        """Cache each of walks on at least 0..R, in one spf walk.
 
-        names are the walk's tables: "mobius", "phi", "divisor",
-        "sigma(k)" for an integer k >= 1 and "sigma(t)" for a real t
-        written as a float (walk_name), and "mobius/phi" and
-        "phi^2/mobius^2" (_walk).  The named tables cached shorter are
-        walked together, sharing each block's spf segment, so a caller
-        that reads two of them, such as mu and phi, sigma_1 and d or mu
-        and the singular-series weights, asks for them here and walks spf
-        once, in either order.  Each is resumed above its cached length
+        walks are records of the walk's tables (Walk): MOBIUS, PHI, HARDY,
+        SINGULAR and the divisor sums of walk(kind, s), each cached in
+        memo under its name.  Those cached shorter are walked together,
+        sharing each block's spf segment, so a caller that reads two of
+        them, such as mu and phi, sigma_1 and d or mu and the
+        singular-series weights, asks for them here and walks spf once,
+        in either order.  Each is resumed above its cached length
         (stream), so a table grown by doubling R is walked about once in
         all.  R may reach (limit + 1)**2 - 1.
         """
         R = as_index("R", R, 0, self)
-        short = [name for name in dict.fromkeys(names) if len(self.memo.get(name, ())) <= R]
+        short = [w for w in dict.fromkeys(walks) if len(self.memo.get(w.name, ())) <= R]
         if not short:
             return
-        for name, table in zip(short, self.stream(short, R, R)[0]):
+        for w, table in zip(short, self.stream(short, R, R)[0]):
             table.setflags(write=False)
-            self.memo[name] = table
+            self.memo[w.name] = table
 
-    def walked(self, name: str, R: int) -> np.ndarray:
-        """The walk's table name on 0..R, read-only, for d and sigma.
+    def walked(self, w: Walk, R: int) -> np.ndarray:
+        """The walk's table w on 0..R, read-only, for d and sigma.
 
         A view of the table prepare cached, where it holds 0..R in the
         dtype of a table to R; otherwise a walk of its own, which memo
         does not keep: a d table to 10**7 is 20 MB, a float64 one 80 MB.
         """
         R = as_index("R", R, 0, self)
-        dtype = walk_dtype(name, R)
-        cached = self.memo.get(name)
-        if cached is not None and len(cached) > R and cached.dtype == dtype:
+        cached = self.memo.get(w.name)
+        if cached is not None and len(cached) > R and cached.dtype == w.dtype(R):
             return cached[: R + 1]
-        (table,), _ = self.stream([name], R, R)
+        (table,), _ = self.stream([w], R, R)
         table.setflags(write=False)
         return table
 
     def stream(
-        self, names: Sequence[str], n_max: int, held: int
+        self, walks: Sequence[Walk], n_max: int, held: int
     ) -> Tuple[List[np.ndarray], Iterator[Tuple[int, List[np.ndarray]]]]:
-        """The walk's tables of names on 0..held, and their blocks above it.
+        """The walk's tables of walks on 0..held, and their blocks above it.
 
         One walk to n_max, which may reach (limit + 1)**2 - 1.  Every
         entry it reads lies at or below n_max // 2, so held must lie in
@@ -161,8 +161,8 @@ class FactorSieve:
         reads; otherwise a new array: a copy of what memo caches, widened
         to that dtype (views of memo's table are out), that the walk
         resumes above.  The iterator walks on over held + 1..n_max: per
-        block, ascending, it yields (lo, views), one view per name of its
-        values on [lo, lo + len), in one buffer per name that the next
+        block, ascending, it yields (lo, views), one view per walk of its
+        values on [lo, lo + len), in one buffer per walk that the next
         block overwrites.  Every block is at most _SEGMENT long, and all
         but the first and the last are _SEGMENT long.  Held whole
         (held = n_max), the walk yields no block, as for prepare and walked.
@@ -171,10 +171,9 @@ class FactorSieve:
         held = as_index("held", held, n_max // 2)
         if held > n_max:
             raise UsageError(f"held must lie in [{n_max // 2}, {n_max}], got {held}")
-        walks = [_walk(name, n_max) for name in names]
         tables, starts = [], []
-        for name, (dtype, _, _, _) in zip(names, walks):
-            cached = self.memo.get(name)
+        for w, dtype in zip(walks, [w.dtype(n_max) for w in walks]):
+            cached = self.memo.get(w.name)
             if cached is not None and len(cached) > held and cached.dtype == dtype:
                 tables.append(cached[: held + 1])
                 starts.append(held + 1)
@@ -227,7 +226,7 @@ def _walk_above(tables, walks, size, blocks):
 
 def _walk_block(tables, dests, walks, lo, p, shift) -> None:
     # f(n) for n = p m, p = spf(n), over the block [lo, lo + len(p)), of
-    # each f of walks (_walk), into dests[n - shift]: m <= n / 2 lies below
+    # each f of walks (Walk), into dests[n - shift]: m <= n / 2 lies below
     # the block, in tables, filled as the blocks run up, and the tables
     # share the block's spf, m, the positions where p divides m and m / p
     # there.  The n with p = 2 or 3 read m = n / p and m / p from slices:
@@ -235,27 +234,27 @@ def _walk_block(tables, dests, walks, lo, p, shift) -> None:
     # to 6 divide: phi and mu to 10**7 took about a fifth less time with
     # the even n so (2-vCPU host)
     hi = lo + len(p)
-    for out, dest, (_, base, prime, power) in zip(tables, dests, walks):
+    for out, dest, w in zip(tables, dests, walks):
         for q, r, step in _SMALL_PRIMES:
-            b = base(p.dtype.type(q))
+            b = w.base(p.dtype.type(q), out.dtype)
             n = slice(lo + (r - lo) % step, hi, step)
             at = _shifted(n, shift)
             fm = out[_divided(n, q)]
             if r % (q * q):
-                np.multiply(fm, prime(b), out=dest[at])
+                np.multiply(fm, w.prime(b), out=dest[at])
             else:
-                power(fm, out[_divided(n, q * q)], b, dest[at])
+                w.power(fm, out[_divided(n, q * q)], b, dest[at])
     for n, m, p_n, div, m_div, q in _coprime_parts(lo, p):
         at = _shifted(n, shift)
-        for out, dest, (_, base, prime, power) in zip(tables, dests, walks):
+        for out, dest, w in zip(tables, dests, walks):
             # np.take: out[m] took twice as long with int32 m.  Where p
             # divides m, power overwrites prime(b) f(m), which may pass
             # the dtype there
-            b = base(p_n)
+            b = w.base(p_n, out.dtype)
             t = np.take(out, m)
-            t *= prime(b)
+            t *= w.prime(b)
             fq = np.take(out, q)
-            power(np.take(out, m_div), fq, b[div], fq)
+            w.power(np.take(out, m_div), fq, b[div], fq)
             t[div] = fq
             dest[at] = t
 
@@ -301,61 +300,6 @@ def _coprime_parts(lo: int, p: np.ndarray):
             yield slice(a, b, 6), m, p_n, div, m_div, m_div // p_n[div]
 
 
-def _walk(name: str, n_max: int):
-    # (dtype, base, prime, power) of a table FactorSieve builds in its spf
-    # walk: b = base(p) is computed once for the p of each part, f(n) =
-    # prime(b) f(m) for n = p m, p = spf(n), where p does not divide m,
-    # and power(f(m), f(m / p), b, out) writes f(n) into out where it
-    # does.  mu is int8 and phi the spf dtype of n_max, which holds
-    # phi(n) <= n
-    if name == "mobius":
-        return np.int8, _same, lambda b: -1, lambda fm, fq, b, out: out.fill(0)
-    if name == "phi":
-        return (_spf_dtype(n_max), _same, lambda b: b - 1,
-                lambda fm, fq, b, out: np.multiply(fm, b, out=out))
-    # mu/phi, the Hardy coefficients, and the singular-series weights
-    # phi**2, +inf where mu = 0, in float64: products of -1/(p - 1) and of
-    # (p - 1)**2 over the primes of n, 0 and +inf once p divides m.  Each
-    # weight is an exact integer while phi(n)**2 < 2**53
-    if name == "mobius/phi":
-        return np.float64, _same, lambda b: -1.0 / (b - 1), lambda fm, fq, b, out: out.fill(0.0)
-    if name == "phi^2/mobius^2":
-        return (np.float64, _same, lambda b: np.square(b - 1.0),
-                lambda fm, fq, b, out: out.fill(np.inf))
-    # sigma_k, k an integer >= 0 in the integer dtype of _sigma_dtype, or
-    # a real k written as a float in float64; a table to 0 is typed as
-    # one to 1
-    arg = "0" if name == "divisor" else name[len("sigma(") : -1]
-    if arg.isdigit():
-        k = int(arg)
-        dtype = _sigma_dtype(max(n_max, 1), k)
-    else:
-        k = float(arg)
-        _check_powers(max(n_max, 1), k)
-        dtype = np.float64
-    # b = p**k in the table's dtype: p itself for k = 1, and d reads none
-    base = _same if k in (0, 1) else lambda p: np.power(p, k, dtype=dtype)
-
-    def prime(b):
-        return b + 1 if k else 2
-
-    def power(fm, fq, b, out):
-        # sigma_k(p m) = f(m) + p**k (f(m) - f(m / p)), from S_e =
-        # (1 + p**k) S_{e-1} - p**k S_{e-2} on the powers of p.  f(m / p)
-        # <= f(m), so every integer value on the way lies in
-        # [0, sigma_k(p m)] and the table's dtype holds it
-        np.subtract(fm, fq, out=out)
-        if k:
-            out *= b
-        out += fm
-
-    return dtype, base, prime, power
-
-
-def _same(p):
-    return p
-
-
 def _halving_blocks(n_max: int, size: int, start: int = 2) -> List[Tuple[int, int]]:
     # [lo, hi) over start..n_max, start >= 2, ascending, at most size long
     # and hi <= 2 lo, so each m <= n/2 of an n in a block lies below it,
@@ -378,9 +322,10 @@ class Factorization:
 class ArithTable:
     """Values of one arithmetic function on 1..N, N = len(values) - 1.
 
-    values is 1-indexed; values[0] is unused and zero.
-    kind is a canonical tag such as "divisor", "sigma(2)", "sigma_norm(0.5)",
-    "mobius", "phi", "lambda" or "custom".  Every table tabulate returns
+    values is a 1-D numpy array of an integer or real floating dtype,
+    else UsageError (bool included), and 1-indexed; values[0] is unused
+    and zero.  kind is a canonical tag such as "divisor", "sigma(2)",
+    "sigma_norm(0.5)", "mobius", "phi", "lambda" or "custom".  Every table tabulate returns
     is read-only, and an integer one is in the narrowest dtype proven to
     hold it (int16 for d below 2**31), so widen before multiplying
     values; the mobius and phi values are views of the sieve's own
@@ -389,6 +334,12 @@ class ArithTable:
 
     kind: str
     values: np.ndarray
+
+    def __post_init__(self):
+        v = self.values
+        if not isinstance(v, np.ndarray) or v.ndim != 1 or v.dtype.kind not in "iuf":
+            got = f"{v.ndim}-D {v.dtype}" if isinstance(v, np.ndarray) else type(v).__name__
+            raise UsageError(f"table values must be a 1-D integer or real array, got {got}")
 
     @property
     def N(self) -> int:
@@ -443,14 +394,20 @@ def as_index(name: str, value, lo: int, sieve: FactorSieve | None = None) -> int
 def as_real(name: str, value):
     """value unchanged if it is a finite real number, else UsageError.
 
-    Python and numpy integers and floats pass (numbers.Real), and NaN and
-    the infinities do not, so a caller checks the value once, before it
-    compares it, and then bounds it with its own message: no comparison
-    it makes is false for a NaN.
+    Python and numpy integers and floats pass (numbers.Real), and NaN,
+    the infinities and an integer past float64's range do not, so a
+    caller checks the value once, before it compares or converts it, and
+    then bounds it with its own message: no comparison it makes is false
+    for a NaN, and no float() of it overflows.
     """
     if not isinstance(value, numbers.Real):
         raise UsageError(f"{name} must be a real number, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        bits = abs(int(value)).bit_length()
+        raise UsageError(f"{name} must lie in float64's range, got {bits} bits") from None
+    if not finite:
         raise UsageError(f"{name} must be finite, got {value}")
     return value
 
@@ -570,8 +527,14 @@ def sigma_rational(f: Factorization, k: int) -> int | Fraction:
     An int for k >= 0, from the Euler product in integers (prod (e + 1)
     for k = 0, where each factor's geometric sum is e + 1); for k = -1 the
     Fraction sigma_1(n) / n, the case the main terms consume.  Conversion
-    to float is left to the caller so it happens exactly once.
+    to float is left to the caller so it happens exactly once.  k is an
+    integer (operator.index, as for as_index): a float, even an integral
+    one, raises UsageError (sigma_real takes a real s).
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise UsageError(f"sigma_rational needs an integer k, got {k!r}") from None
     if k < -1:
         raise UsageError(f"sigma_rational supports k >= -1, got {k}")
     if k == -1:
@@ -599,16 +562,19 @@ def _check_powers(N: int, s: float) -> None:
         raise UsageError(f"divisor powers d**{s:g} to N={N} would overflow float64")
 
 
-def _sigma_dtype(N: int, k: int):
-    # the narrowest dtype proven to hold sigma_k on 0..N, for an int k >= 0,
-    # after the float64 check of the powers, which comes first, so N**k
-    # below has at most about 1000 bits: int16 for d = sigma_0 below
-    # N = 2**31, where d(n) < 1750 (Nicolas and Robin, Canad. Math. Bull.
-    # 26, 1983), int32 above.  For k >= 1, int32 while k log2 N +
-    # log2(2 + ln N) < 31: sigma_k(n) <= n**k H_n <= n**k (1 + ln n), and
-    # the extra N**k is the margin an earlier build of these tables
-    # needed, kept so no dtype changed; int64 above, up to 2**61
+def _sigma_dtype(N: int, k: int | float):
+    # the narrowest dtype proven to hold sigma_k on 0..N, after the
+    # float64 check of the powers, which comes first: float64 for a float
+    # k; for an int k >= 0 (N**k below then has at most about 1000 bits)
+    # int16 for d = sigma_0 below N = 2**31, where d(n) < 1750
+    # (Nicolas and Robin, Canad. Math. Bull. 26, 1983), int32 above.  For
+    # k >= 1, int32 while k log2 N + log2(2 + ln N) < 31: sigma_k(n) <=
+    # n**k H_n <= n**k (1 + ln n), and the extra N**k is the margin an
+    # earlier build of these tables needed, kept so no dtype changed;
+    # int64 above, up to 2**61
     _check_powers(N, k)
+    if isinstance(k, float):
+        return np.float64
     if N**k >= 2**61:
         raise UsageError(
             f"sigma({k}) table to N={N} would overflow 64-bit accumulation; "
@@ -619,6 +585,89 @@ def _sigma_dtype(N: int, k: int):
     if k * math.log2(N) + math.log2(2 + math.log(N)) < 31:
         return np.int32
     return np.int64
+
+
+@dataclass(frozen=True)
+class Walk:
+    """One table of the spf walk: its rule, written once.
+
+    For n = p m, p = spf(n), f(n) = prime(b) f(m) where p does not divide
+    m, and power(f(m), f(m / p), b, out) writes f(n) into out where it
+    does, with b = base(p, dtype) computed once for the p of each part in
+    the table's dtype.  dtype(n_max) is the narrowest dtype proven to
+    hold the table on 0..n_max; it raises UsageError where none does,
+    before the walk allocates anything.  name is the key of the table in
+    FactorSieve.memo, and records compare and hash by it alone.
+    """
+
+    name: str
+    dtype: Callable = field(compare=False, repr=False)
+    base: Callable = field(compare=False, repr=False)
+    prime: Callable = field(compare=False, repr=False)
+    power: Callable = field(compare=False, repr=False)
+
+
+def _same(p, dtype):
+    return p
+
+
+def _fill(value):
+    # power where p divides m sets f(n) to value
+    return lambda fm, fq, b, out: out.fill(value)
+
+
+# mu in int8 and phi in the spf dtype of n_max, which holds phi(n) <= n
+MOBIUS = Walk("mobius", lambda n_max: np.int8, _same, lambda b: -1, _fill(0))
+PHI = Walk("phi", _spf_dtype, _same, lambda b: b - 1,
+           lambda fm, fq, b, out: np.multiply(fm, b, out=out))
+# mu/phi, the Hardy coefficients, and the singular-series weights phi**2,
+# +inf where mu = 0, in float64: products of -1/(p - 1) and of (p - 1)**2
+# over the primes of n, 0 and +inf once p divides m.  Each weight is an
+# exact integer while phi(n)**2 < 2**53
+HARDY = Walk("mobius/phi", lambda n_max: np.float64, _same, lambda b: -1.0 / (b - 1), _fill(0.0))
+SINGULAR = Walk("phi^2/mobius^2", lambda n_max: np.float64, _same,
+                lambda b: np.square(b - 1.0), _fill(np.inf))
+
+
+def _sigma_walk(k: int | float) -> Walk:
+    # sigma_k in the dtype of _sigma_dtype: exact for an int k >= 0, named
+    # "divisor" for k = 0, and float64 for a float k.  A table to 0 is
+    # typed as one to 1
+    def base(p, dtype):
+        # p**k in the table's dtype: p itself for k = 1, and d reads none
+        return p if k in (0, 1) else np.power(p, k, dtype=dtype)
+
+    def prime(b):
+        return b + 1 if k else 2
+
+    def power(fm, fq, b, out):
+        # sigma_k(p m) = f(m) + p**k (f(m) - f(m / p)), from S_e =
+        # (1 + p**k) S_{e-1} - p**k S_{e-2} on the powers of p.  f(m / p)
+        # <= f(m), so every integer value on the way lies in
+        # [0, sigma_k(p m)] and the table's dtype holds it
+        np.subtract(fm, fq, out=out)
+        if k:
+            out *= b
+        out += fm
+
+    name = "divisor" if k == 0 and isinstance(k, int) else f"sigma({k!r})"
+    return Walk(name, lambda n_max: _sigma_dtype(max(n_max, 1), k), base, prime, power)
+
+
+def walk(kind: str, s: float | None = None) -> Walk | None:
+    """The record of the spf walk that builds tabulate's kind, None for lambda.
+
+    MOBIUS and PHI; sigma_s is "divisor" for s = 0 and "sigma(k)" for an
+    integer s = k >= 1, exact, and any other sigma_t is "sigma(t)", t
+    written as a float, in float64: t = s for sigma and -s for
+    sigma_norm(s) = sigma_{-s}, so sigma_norm(s) and sigma(-s) are one
+    record and one table, unless -s is an integer >= 0 and sigma(-s) is
+    exact.
+    """
+    if kind in ("mobius", "phi", "lambda"):
+        return {"mobius": MOBIUS, "phi": PHI}.get(kind)
+    t = 0.0 if kind == "divisor" else float(s) if kind == "sigma" else -float(s)
+    return _sigma_walk(int(t) if kind != "sigma_norm" and t >= 0 and t.is_integer() else t + 0.0)
 
 
 def prime_mask(sieve: FactorSieve, n_max: int) -> np.ndarray:
@@ -668,34 +717,6 @@ def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
 _TABLE_KINDS = ("divisor", "sigma", "mobius", "phi", "lambda", "sigma_norm")
 
 
-def walk_name(kind: str, s: float | None = None) -> str | None:
-    """The FactorSieve.prepare name of a kind table, None for lambda.
-
-    "mobius", "phi" and "divisor"; sigma_s is "divisor" for s = 0 and
-    "sigma(k)" for an integer s = k >= 1, and any other sigma_t is
-    "sigma(t)", t written as a float: t = s for sigma and -s for
-    sigma_norm(s) = sigma_{-s}, so sigma_norm(s) and sigma(-s) name one
-    float64 table, unless -s is an integer >= 0 and sigma(-s) is exact.
-    """
-    if kind in ("mobius", "phi", "divisor"):
-        return kind
-    if kind == "lambda":
-        return None
-    t = float(s) if kind == "sigma" else -float(s)
-    if kind == "sigma" and t >= 0 and t.is_integer():
-        return f"sigma({int(t)})" if t else "divisor"
-    return f"sigma({t + 0.0!r})"  # + 0.0 reads -0.0 as 0.0
-
-
-def walk_dtype(name: str, N: int):
-    """The dtype of the walk's table name to N (FactorSieve.prepare).
-
-    Raises UsageError where that table would overflow it, or its powers
-    d**t float64, as a walk to N would before it allocates anything.
-    """
-    return _walk(name, N)[0]
-
-
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:
     """Tabulate one arithmetic function on 1..N.
 
@@ -725,13 +746,35 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     elif s is not None:
         raise UsageError(f"kind {kind!r} takes no exponent")
 
-    if kind in ("mobius", "phi"):
-        values = sieve.upto(kind, N)
-    elif kind == "lambda":
+    if kind == "lambda":
         values = _lambda_table(sieve, N)
+    elif kind in ("mobius", "phi"):
+        values = sieve.upto(walk(kind), N)
     else:
-        values = sieve.walked(walk_name(kind, s), N)
+        values = sieve.walked(walk(kind, s), N)
     if kind in ("sigma", "sigma_norm"):
         kind = f"{kind}({s:g})"
     values.setflags(write=False)
     return ArithTable(kind, values)
+
+
+def walked_halves(sieve: FactorSieve, f: Tuple[str, float | None], g: Tuple[str, float | None],
+                  N: int) -> Tuple[ArithTable, ArithTable, Iterator]:
+    """f and g, two (kind, s) of tabulate but lambda, on 1..N // 2 from one walk.
+
+    Returns the two tables and the blocks of both above N // 2, (lo,
+    f block, g block), from that walk resumed to N - 1 (FactorSieve.stream):
+    the above of additive_convolution(s).  A table is refused where one
+    to N would be, before the walk.
+    """
+    fw, gw = walk(*f), walk(*g)
+    walks = list(dict.fromkeys((fw, gw)))
+    for w in walks:
+        w.dtype(N)
+    sieve.prepare(walks, N // 2)
+    ftab = tabulate(sieve, f[0], N // 2, s=f[1])
+    gtab = ftab if g == f else tabulate(sieve, g[0], N // 2, s=g[1])
+    # stream hands back the halves prepare cached, and walks on above them
+    _, blocks = sieve.stream(walks, N - 1, N // 2)
+    i, j = walks.index(fw), walks.index(gw)
+    return ftab, gtab, ((lo, views[i], views[j]) for lo, views in blocks)

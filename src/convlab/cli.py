@@ -45,7 +45,7 @@ below N, with the bits of the dense tables' sum.  A convolve of two
 tables other than Lambda, such as phi with mu or sigma:1 with d, in
 either order, and verify-general's grid of sums of its sigma_norm
 tables (one table when alpha = beta) walk both tables together to N/2
-(FactorSieve.prepare), hold them only that far whatever M is, and walk
+(arith.walked_halves), hold them only that far whatever M is, and walk
 on to N - 1, passing the entries above through one reused block buffer
 per table into the sums (additive_convolution's above), so their memory
 is about half a table per function and does not depend on M; the sums
@@ -62,7 +62,7 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .arith import build_sieve, check_addressable, tabulate, walk_dtype, walk_name
+from .arith import build_sieve, check_addressable, tabulate, walked_halves
 from .asymptotics import (
     ConvolutionReport,
     check_divisor_report,
@@ -191,24 +191,6 @@ def _sieve_for(limit: int, table_N: int):
     return build_sieve(max(limit, 2))
 
 
-def _walked_halves(sieve, f: Tuple[str, Optional[float]], g: Tuple[str, Optional[float]], N: int):
-    # f and g, two (kind, s) of the spf walk, as tables on 1..N // 2 from
-    # one walk, and the blocks of both above it, (lo, f block, g block),
-    # from that walk resumed to N - 1: the above of additive_convolution(s).
-    # A table is refused where one to N would be
-    names = [walk_name(*f), walk_name(*g)]
-    walks = list(dict.fromkeys(names))
-    for name in walks:
-        walk_dtype(name, N)
-    sieve.prepare(walks, N // 2)
-    ftab = tabulate(sieve, f[0], N // 2, s=f[1])
-    gtab = ftab if g == f else tabulate(sieve, g[0], N // 2, s=g[1])
-    # stream hands back the halves prepare cached, and walks on above them
-    _, blocks = sieve.stream(walks, N - 1, N // 2)
-    i, j = walks.index(names[0]), walks.index(names[1])
-    return ftab, gtab, ((lo, views[i], views[j]) for lo, views in blocks)
-
-
 def _within_twice_first(reports: Sequence[ConvolutionReport]) -> bool:
     return all(abs(r.normalized) <= 2.0 * abs(reports[0].normalized) for r in reports)
 
@@ -234,7 +216,7 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
         gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
         value = additive_convolution(ftab, gtab, spec)
     else:
-        ftab, gtab, above = _walked_halves(sieve, (fkind, fs), (gkind, gs), args.N)
+        ftab, gtab, above = walked_halves(sieve, (fkind, fs), (gkind, gs), args.N)
         value = additive_convolution(ftab, gtab, spec, above=above)
     return [{"N": args.N, "M": M, "boundary": args.boundary, "value": value}], {}, 0
 
@@ -302,7 +284,7 @@ def cmd_verify_general(args: argparse.Namespace) -> Result:
     _, delta = main_term_sigma_norm(sieve, alpha, beta, args.N, 1.0)
     # every exact sum of the grid in one walk of both tables, each held
     # only up to N/2
-    f, g, above = _walked_halves(sieve, ("sigma_norm", alpha), ("sigma_norm", beta), args.N)
+    f, g, above = walked_halves(sieve, ("sigma_norm", alpha), ("sigma_norm", beta), args.N)
     exacts = dict(zip(grid, additive_convolutions(f, g, specs, above=above)))
     regime = ramanujan_regime(delta)
     result = sweep(lambda M: sigma_norm_report(sieve, exacts[M], alpha, beta, args.N, M), grid)

@@ -78,7 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
-    ArithTable, FactorSieve, as_index, as_real, build_sieve, higher_prime_powers, prime_mask,
+    MOBIUS, ArithTable, FactorSieve, as_index, as_real, build_sieve, higher_prime_powers,
+    prime_mask,
 )
 from .errors import UsageError
 
@@ -296,7 +297,7 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
     each keeps the bits of its own call.  Given above, the blocks of f
     and g above N // 2 for the one N of every spec, the tables hold
     1..N // 2 only: above yields (lo, f block, g block), as from
-    FactorSieve.stream(names, N - 1, N // 2).  The blocks may have any
+    FactorSieve.stream(walks, N - 1, N // 2).  The blocks may have any
     lengths but must tile N // 2 + 1..N - 1 in order, each starting where
     the one before ended and with f and g blocks of one length;
     UsageError otherwise, raised as the first block out of place
@@ -443,7 +444,7 @@ def tau_exact(y: float) -> float:
         raise UsageError(f"tau_exact is capped at y <= {_TAU_CAP:g}")
     Y = math.floor(y)
     dmax = math.isqrt(Y)
-    mu = build_sieve(max(dmax, 2)).upto("mobius", dmax)
+    mu = build_sieve(max(dmax, 2)).upto(MOBIUS, dmax)
     total = 0.0
     for d in range(1, dmax + 1):
         if mu[d]:

@@ -42,7 +42,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .arith import (
-    FactorSieve, Factorization, as_index, as_real, divisors, factorize, mobius, sigma_rational,
+    HARDY, MOBIUS, SINGULAR, FactorSieve, Factorization, as_index, as_real, divisors, factorize,
+    mobius, sigma_rational,
 )
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
@@ -91,7 +92,7 @@ def _sum_table(sieve: FactorSieve, f: Factorization, R: int, dtype) -> np.ndarra
     # ramanujan_sum_table at n = f.n in dtype: int64, or float64, which
     # holds the same integers, as |c_r(n)| <= sigma_1(r) < 2**53 for every
     # r below 2**47, far past any table's R
-    mu = sieve.upto("mobius", R)
+    mu = sieve.upto(MOBIUS, R)
     out = mu.astype(dtype)
     for d in divisors(f)[1:]:
         if d > R:
@@ -207,7 +208,7 @@ def divisor_provider() -> CoefficientProvider:
 
 def hardy_provider(sieve: FactorSieve) -> CoefficientProvider:
     """Coefficients of (phi(n)/n) Lambda(n) = sum_r (mu(r)/phi(r)) c_r(n)."""
-    return CoefficientProvider(kind="hardy", coefficients=lambda R: sieve.upto("mobius/phi", R))
+    return CoefficientProvider(kind="hardy", coefficients=lambda R: sieve.upto(HARDY, R))
 
 
 def custom_provider(
@@ -321,7 +322,7 @@ class _MuPowerPrefix:
 
     def grow(self, sieve: FactorSieve, n_max: int) -> None:
         # P on len..n_max, block by block
-        mu = sieve.upto("mobius", n_max)
+        mu = sieve.upto(MOBIUS, n_max)
         self.dense = _lengthened(self.dense, min(n_max + 1, _DENSE))
         self.samples = _lengthened(self.samples, max(n_max - _DENSE + _STRIDE, 0) // _STRIDE)
         for lo in range(self.size, n_max + 1, _GROW):
@@ -359,7 +360,7 @@ class _MuPowerPrefix:
             q = np.concatenate(spans)
             t = q.astype(np.float64)
             t **= -self.expo
-            t *= sieve.upto("mobius", max(xs))[q]
+            t *= sieve.upto(MOBIUS, max(xs))[q]
             terms = iter(t.tolist())
             for i, x in enumerate(xs):
                 for _ in range((x - _DENSE) % _STRIDE):
@@ -442,8 +443,8 @@ def singular_series(sieve: FactorSieve, N: int, R: int) -> float:
     per R asked for.
     """
     N, R = as_index("N", N, 2, sieve), as_index("R", R, 1, sieve)
-    sieve.prepare(("mobius", "phi^2/mobius^2"), R)
-    mu, w = sieve.upto("mobius", R), sieve.upto("phi^2/mobius^2", R)
+    sieve.prepare((MOBIUS, SINGULAR), R)
+    mu, w = sieve.upto(MOBIUS, R), sieve.upto(SINGULAR, R)
     key = ("singular_first", R)
     total = sieve.memo.get(key)
     if total is None:
@@ -535,7 +536,7 @@ def _period_table(sieve: FactorSieve, r: int) -> np.ndarray:
     out = sieve.memo.get(key)
     if out is not None:
         return out
-    mu = sieve.upto("mobius", r)
+    mu = sieve.upto(MOBIUS, r)
     out = np.zeros(r, dtype=np.int64)
     for d in divisors(factorize(sieve, r)):
         m = int(mu[r // d])

@@ -20,7 +20,9 @@ from convlab import (
     tabulate,
 )
 from convlab import arith
-from convlab.arith import _SEGMENT, _halving_blocks, _sigma_dtype
+from convlab.arith import (
+    HARDY, MOBIUS, PHI, SINGULAR, _SEGMENT, _halving_blocks, _sigma_dtype, walk,
+)
 
 
 def _spf(sieve, n_max):
@@ -182,6 +184,54 @@ def test_sigma_rational_matches_divisor_sums(sieve_small):
             got, want = sigma_rational(f, k), brute.sigma_int(n, k)
             assert got == want and float(got) == float(want), (n, k)
             assert isinstance(got, Fraction if k == -1 else int), (n, k)
+
+
+def test_sigma_rational_takes_only_integer_k(sieve_small):
+    # a float k, even an integral one, is refused: floor division of
+    # float powers gave sigma_2.5(12) = 608.0 (it is 641.2576...) and the
+    # float 210.0 for k = 2.0; numpy integers pass, as for as_index
+    f = factorize(sieve_small, 12)
+    for k in (2.5, 0.5, 2.0, -1.0, "2", None):
+        with pytest.raises(UsageError, match="sigma_rational needs an integer k"):
+            sigma_rational(f, k)
+    assert sigma_rational(f, np.int64(2)) == 210 and type(sigma_rational(f, 2)) is int
+    with pytest.raises(UsageError, match=r"sigma_rational supports k >= -1, got -2"):
+        sigma_rational(f, -2)
+
+
+def test_integers_past_float64_are_usage_errors(sieve_small):
+    # as_real refuses a Python int that float() would overflow, so no
+    # caller converts one into a raw OverflowError
+    from convlab import (
+        envelope_ramanujan, expansion_adaptive, main_term_sigma_full, main_term_sigma_norm,
+        sigma_provider,
+    )
+
+    huge = 10**400
+    calls = {
+        "s": [lambda: tabulate(sieve_small, "sigma", 10, s=huge),
+              lambda: tabulate(sieve_small, "sigma_norm", 10, s=huge),
+              lambda: tabulate(sieve_small, "sigma_norm", 10, s=-huge),
+              lambda: sigma_provider(huge)],
+        "alpha": [lambda: main_term_sigma_norm(sieve_small, huge, 1.0, 12, 3.0),
+                  lambda: main_term_sigma_full(sieve_small, huge, 1.0, 12)],
+        "M": [lambda: envelope_ramanujan(0.5, huge)],
+        "tol": [lambda: expansion_adaptive(sieve_small, sigma_provider(1.0), 12, tol=huge)],
+    }
+    for name, fs in calls.items():
+        for call in fs:
+            with pytest.raises(UsageError, match=rf"^{name} must lie in float64's range"):
+                call()
+    assert arith.as_real("s", 2**1000) == 2**1000  # within range, unchanged
+
+
+def test_arith_table_takes_one_axis_of_integers_or_reals():
+    for values in ([0, 1, 2], np.zeros((3, 2)), np.zeros(3, complex), np.zeros(3, object),
+                   np.zeros(3, bool), np.float64(1.0)):
+        with pytest.raises(UsageError, match="table values must be a 1-D integer or real array"):
+            arith.ArithTable("custom", values)
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.float32, np.float64):
+        assert arith.ArithTable("custom", np.zeros(4, dtype)).N == 3
 
 
 def test_mobius_phi_lambda_examples(sieve_small):
@@ -390,8 +440,8 @@ def test_phi_is_spf_dtype_and_exact(sieve_1m):
     # phi(n) <= n, so spf's int32 holds it below 2**31
     expected = brute.phi_table(sieve_1m.limit)
     for phi in (
-        sieve_1m.upto("phi", sieve_1m.limit),
-        sieve_1m.upto("phi", 777),
+        sieve_1m.upto(PHI, sieve_1m.limit),
+        sieve_1m.upto(PHI, 777),
         tabulate(sieve_1m, "phi", 5000).values,
     ):
         assert phi.dtype == np.int32
@@ -408,8 +458,8 @@ def test_tables_agree_across_sieve_limits(sieve_small, sieve_1m):
 
 
 def test_sieve_tables_are_read_only(sieve_small):
-    for name in ("mobius", "phi"):
-        table = sieve_small.upto(name, sieve_small.limit)
+    for w in (MOBIUS, PHI):
+        table = sieve_small.upto(w, sieve_small.limit)
         assert len(table) == sieve_small.limit + 1
         with pytest.raises(ValueError):
             table[1] = 0
@@ -443,7 +493,7 @@ def test_sigma_table_peak_memory(sieve_10m):
 def test_tabulate_mobius_phi_are_sieve_views(sieve_small):
     # no copy: the table's values are the sieve's own read-only memory
     for kind in ("mobius", "phi"):
-        table = sieve_small.upto(kind, sieve_small.limit)
+        table = sieve_small.upto(walk(kind), sieve_small.limit)
         values = tabulate(sieve_small, kind, 5000).values
         assert not values.flags.writeable
         assert np.shares_memory(values, table)
@@ -453,23 +503,23 @@ def test_tabulate_mobius_phi_are_sieve_views(sieve_small):
 
 def test_upto_prefix_matches_full_tables():
     sv = build_sieve(10_000)
-    prefixes = {name: sv.upto(name, 777) for name in ("mobius", "phi")}
+    prefixes = {w: sv.upto(w, 777) for w in (MOBIUS, PHI)}
     # one cache entry per name, no longer than asked for
     assert _cached(sv) == {"mobius": 778, "phi": 778}
-    for name in ("mobius", "phi"):
-        full = sv.upto(name, sv.limit)
-        assert prefixes[name].dtype == full.dtype
-        assert not prefixes[name].flags.writeable
-        assert np.array_equal(prefixes[name], full[:778])
+    for w in (MOBIUS, PHI):
+        full = sv.upto(w, sv.limit)
+        assert prefixes[w].dtype == full.dtype
+        assert not prefixes[w].flags.writeable
+        assert np.array_equal(prefixes[w], full[:778])
         # once the full table is built it is sliced, not a second prefix
-        assert np.shares_memory(sv.upto(name, 500), full)
+        assert np.shares_memory(sv.upto(w, 500), full)
     assert _cached(sv) == {"mobius": 10_001, "phi": 10_001}
     # mu and phi sieve their own segments from the primes to isqrt(R)
     with pytest.raises(UsageError):
-        sv.upto("phi", 10_001**2)
+        sv.upto(PHI, 10_001**2)
     small = build_sieve(30)
-    for name, oracle in (("mobius", brute.mobius_table), ("phi", brute.phi_table)):
-        assert np.array_equal(small.upto(name, 31**2 - 1), oracle(31**2 - 1)), name
+    for w, oracle in ((MOBIUS, brute.mobius_table), (PHI, brute.phi_table)):
+        assert np.array_equal(small.upto(w, 31**2 - 1), oracle(31**2 - 1)), w.name
 
 
 # R on both sides of every edge of mu and phi's halving blocks to 3 * 2**18
@@ -485,21 +535,21 @@ def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(mon
         alone = build_sieve(math.isqrt(R) + 2)
         alone.primes(math.isqrt(R))
         del calls[:]  # finding the primes sieves segments too
-        own = {name: alone.upto(name, R) for name in ("mobius", "phi")}
+        own = {w: alone.upto(w, R) for w in (MOBIUS, PHI)}
         one_walk = len(calls) // 2
         assert calls[:one_walk] == calls[one_walk:]
-        for names in (("phi", "mobius"), ("mobius", "phi")):
+        for walks in ((PHI, MOBIUS), (MOBIUS, PHI)):
             sv = build_sieve(math.isqrt(R) + 2)
             sv.primes(math.isqrt(R))
             del calls[:]
-            sv.prepare(names, R)
-            assert len(calls) == one_walk, (R, names)
-            for name, table in own.items():
-                got = sv.upto(name, R)
-                assert not got.flags.writeable and np.shares_memory(got, sv.memo[name])
-                assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), (R, name)
-                assert np.shares_memory(sv.upto(name, R // 2), got)
-            sv.prepare(names, R)
+            sv.prepare(walks, R)
+            assert len(calls) == one_walk, (R, walks)
+            for w, table in own.items():
+                got = sv.upto(w, R)
+                assert not got.flags.writeable and np.shares_memory(got, sv.memo[w.name])
+                assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), (R, w)
+                assert np.shares_memory(sv.upto(w, R // 2), got)
+            sv.prepare(walks, R)
             assert len(calls) == one_walk  # nothing walked again
     assert one_walk > 1  # the last R walks several segments
 
@@ -510,11 +560,11 @@ def test_streamed_blocks_are_slices_of_the_whole_tables(N):
     # through one buffer per table, in ascending blocks of _SEGMENT but
     # the first and the last, with the bytes of the tables held whole,
     # whether the sieve reaches isqrt(N) or N
-    names = ["divisor", "sigma(1)", "sigma(-0.5)", "mobius", "phi"]
+    walks = [walk("divisor"), walk("sigma", 1), walk("sigma", -0.5), MOBIUS, PHI]
     for sieve in (build_sieve(max(math.isqrt(N), 2)), build_sieve(max(N, 2))):
-        whole, _ = sieve.stream(names, N, N)
+        whole, _ = sieve.stream(walks, N, N)
         for held in sorted({N // 2, N // 2 + 1, N - 1, N} & set(range(N // 2, N + 1))):
-            low, blocks = sieve.stream(names, N, held)
+            low, blocks = sieve.stream(walks, N, held)
             assert [t.tobytes() for t in low] == [t[: held + 1].tobytes() for t in whole]
             start, sizes = held + 1, []
             for lo, views in blocks:
@@ -525,23 +575,23 @@ def test_streamed_blocks_are_slices_of_the_whole_tables(N):
                 start += sizes[-1]
             assert start == N + 1 and all(size == _SEGMENT for size in sizes[1:-1])
     with pytest.raises(UsageError, match="held"):
-        sieve.stream(names, N, N // 2 - 1)
+        sieve.stream(walks, N, N // 2 - 1)
     with pytest.raises(UsageError, match="held"):
-        sieve.stream(names, N, N + 1)
+        sieve.stream(walks, N, N + 1)
 
 
 def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
     sv = build_sieve(100)
-    sv.upto("phi", 3000)
+    sv.upto(PHI, 3000)
     assert "mobius" not in sv.memo  # phi alone builds no mu
-    sv.upto("mobius", 5000)
+    sv.upto(MOBIUS, 5000)
     longer = sv.memo["mobius"]
     built = []
     stream = arith.FactorSieve.stream
     monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, names, n_max, held: built.append(list(names))
-                        or stream(self, names, n_max, held))
-    sv.prepare(("mobius", "phi"), 4000)
+                        lambda self, walks, n_max, held: built.append([w.name for w in walks])
+                        or stream(self, walks, n_max, held))
+    sv.prepare((MOBIUS, PHI), 4000)
     assert built == [["phi"]] and sv.memo["mobius"] is longer
     seen = []
     blocks = arith._spf_blocks
@@ -552,8 +602,8 @@ def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
             yield lo, p
 
     monkeypatch.setattr(arith, "_spf_blocks", watching)
-    phi = sv.upto("phi", 4000)
-    sv.prepare(("phi", "mobius", "phi"), 8000)
+    phi = sv.upto(PHI, 4000)
+    sv.prepare((PHI, MOBIUS, PHI), 8000)
     # one walk of both, resumed at phi's cached length: its blocks run on
     # from 4001, and mu joins where it stopped, at 5001
     assert built[1:] == [["phi", "mobius"]]
@@ -567,14 +617,14 @@ def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
     assert np.array_equal(sv.memo["mobius"], brute.mobius_table(8000))
     assert np.array_equal(sv.memo["phi"], brute.phi_table(8000))
     with pytest.raises(UsageError, match=r"R must lie in \[0, 10200\]"):
-        sv.prepare(("phi",), 101**2)
+        sv.prepare((PHI,), 101**2)
     # a table whose dtype grows is resumed in the wider dtype, which holds
     # the values copied exactly: sigma_2 is int32 to 13000, int64 to 20000
     sv = build_sieve(200)
-    sv.prepare(("sigma(2)",), 13_000)
+    sv.prepare((walk("sigma", 2),), 13_000)
     sv.primes(200)  # whose sieve walks segments too
     del seen[:]
-    sv.prepare(("sigma(2)",), 20_000)
+    sv.prepare((walk("sigma", 2),), 20_000)
     assert seen[0][0] == 13_001 and sv.memo["sigma(2)"].dtype == np.int64
     assert np.array_equal(sv.memo["sigma(2)"], brute.sigma_table(20_000, 2))
 
@@ -588,11 +638,11 @@ def test_stream_hands_back_the_tables_memo_holds():
     # returns memo's own read-only table, which the walk above only reads;
     # otherwise a copy, widened or resumed above memo's length
     sv = build_sieve(100)
-    sv.prepare(("phi", "mobius", "sigma(3)"), 500)
-    names = ["phi", "mobius"]
-    low, blocks = sv.stream(names, 999, 500)
-    for name, table in zip(names, low):
-        assert np.shares_memory(table, sv.memo[name]) and not table.flags.writeable
+    sv.prepare((PHI, MOBIUS, walk("sigma", 3)), 500)
+    walks = [PHI, MOBIUS]
+    low, blocks = sv.stream(walks, 999, 500)
+    for w, table in zip(walks, low):
+        assert np.shares_memory(table, sv.memo[w.name]) and not table.flags.writeable
         assert len(table) == 501
     ((lo, views),) = list(blocks)
     assert lo == 501
@@ -601,13 +651,13 @@ def test_stream_hands_back_the_tables_memo_holds():
     assert np.array_equal(sv.memo["phi"], brute.phi_table(500))  # untouched
     # sigma_3 to 500 is int32, a table to 999 int64: a widened copy
     assert sv.memo["sigma(3)"].dtype == np.int32
-    (table,), blocks = sv.stream(["sigma(3)"], 999, 499)
+    (table,), blocks = sv.stream([walk("sigma", 3)], 999, 499)
     assert table.dtype == np.int64 and not np.shares_memory(table, sv.memo["sigma(3)"])
     assert table.flags.writeable and np.array_equal(table, brute.sigma_table(499, 3))
     ((lo, (view,)),) = list(blocks)
     assert lo == 500 and np.array_equal(view, brute.sigma_table(999, 3)[500:])
     # memo shorter than held: a copy, resumed above memo's 0..500
-    (table, mu), _ = sv.stream(["phi", "mobius"], 1400, 700)
+    (table, mu), _ = sv.stream([PHI, MOBIUS], 1400, 700)
     for got, name in ((table, "phi"), (mu, "mobius")):
         assert len(got) == 701 and not np.shares_memory(got, sv.memo[name])
     assert np.array_equal(table, brute.phi_table(700))
@@ -618,20 +668,21 @@ def test_tables_grown_by_doubling_R_match_one_shot_walks():
     # every table prepare caches, grown by doubling R, mu and phi cached
     # at different lengths and then grown together, has the bytes of one
     # walk to the top; so do a divisor sum and a real sigma grown so
-    names = ("mobius", "phi", "mobius/phi", "phi^2/mobius^2", "divisor", "sigma(-0.5)")
+    walks = (MOBIUS, PHI, HARDY, SINGULAR, walk("divisor"), walk("sigma", -0.5))
+    names = [w.name for w in walks]
     top = _DOUBLED_RS[-1]
     oneshot = build_sieve(math.isqrt(top))
-    oneshot.prepare(names, top)
+    oneshot.prepare(walks, top)
     grown = build_sieve(math.isqrt(top))
     for R in _DOUBLED_RS:
-        grown.upto("mobius", R)
-        grown.prepare(("mobius/phi", "divisor"), R // 2)
-        grown.prepare(("phi", "phi^2/mobius^2", "sigma(-0.5)"), R // 3)
-        grown.prepare(names, R - 1)
+        grown.upto(MOBIUS, R)
+        grown.prepare((HARDY, walk("divisor")), R // 2)
+        grown.prepare((PHI, SINGULAR, walk("sigma", -0.5)), R // 3)
+        grown.prepare(walks, R - 1)
         for name in names:
             got = grown.memo[name]
             assert got.tobytes() == oneshot.memo[name][: len(got)].tobytes(), (R, name)
-    grown.prepare(names, top)
+    grown.prepare(walks, top)
     for name in names:
         assert grown.memo[name].tobytes() == oneshot.memo[name].tobytes(), name
 
@@ -659,15 +710,14 @@ def test_walked_divisor_sums_match_the_oracles_at_every_block_edge():
     oracles = {k: brute.sigma_table(top, k) for k in (0, 1, 2)}
     for k, table in oracles.items():
         assert np.array_equal(table, brute.hyperbola_sigma_table(top, k)), k
-    ramanujan = {"mobius/phi": brute.hardy_coefficients(top),
-                 "phi^2/mobius^2": brute.singular_weights(top)}
+    ramanujan = {HARDY: brute.hardy_coefficients(top), SINGULAR: brute.singular_weights(top)}
     exact = brute.mobius_table(top)[1:] / brute.phi_table(top)[1:]
-    err = np.abs(ramanujan["mobius/phi"][1:] - exact) / np.abs(np.spacing(exact))
+    err = np.abs(ramanujan[HARDY][1:] - exact) / np.abs(np.spacing(exact))
     assert err.max() <= _HARDY_ULPS, (np.argmax(err) + 1, err.max())
     names = {0: "divisor", 1: "sigma(1)", 2: "sigma(2)"}
     for R in _DIVISOR_SUM_RS:
         sv, together = (build_sieve(max(math.isqrt(R), 2)) for _ in range(2))
-        together.prepare(("mobius", "phi", *names.values(), *ramanujan), R)
+        together.prepare((MOBIUS, PHI, *(walk("sigma", k) for k in names), *ramanujan), R)
         assert np.array_equal(together.memo["mobius"], brute.mobius_table(R)), R
         assert np.array_equal(together.memo["phi"], brute.phi_table(R)), R
         for k, name in names.items():
@@ -676,10 +726,10 @@ def test_walked_divisor_sums_match_the_oracles_at_every_block_edge():
             assert alone.dtype == brute.exact_sigma_dtype(R, k), (R, k)
             assert np.array_equal(alone, oracles[k][: R + 1]), (R, k)
             assert together.memo[name].tobytes() == alone.tobytes(), (R, k)
-        for name, oracle in ramanujan.items():
-            alone = sv.walked(name, R)
-            assert alone.tobytes() == oracle[: R + 1].tobytes(), (R, name)
-            assert together.memo[name].tobytes() == alone.tobytes(), (R, name)
+        for w, oracle in ramanujan.items():
+            alone = sv.walked(w, R)
+            assert alone.tobytes() == oracle[: R + 1].tobytes(), (R, w)
+            assert together.memo[w.name].tobytes() == alone.tobytes(), (R, w)
         assert _cached(sv) == {}
 
 
@@ -690,7 +740,7 @@ def test_bare_tabulate_caches_no_divisor_sum_table():
     for kind, s in (("divisor", None), ("sigma", 0), ("sigma", 1), ("sigma", 2)):
         tabulate(sv, kind, 20_000, s=s)
     assert list(sv.memo) == ["primes"]
-    sv.prepare(("divisor", "sigma(2)"), 20_000)
+    sv.prepare((walk("divisor"), walk("sigma", 2)), 20_000)
     assert np.shares_memory(tabulate(sv, "divisor", 5000).values, sv.memo["divisor"])
     assert np.shares_memory(tabulate(sv, "sigma", 5000, s=0).values, sv.memo["divisor"])
     s2 = tabulate(sv, "sigma", 13_000, s=2).values  # int32 to 13000, int64 to 20000
@@ -699,16 +749,16 @@ def test_bare_tabulate_caches_no_divisor_sum_table():
     assert sorted(_cached(sv)) == ["divisor", "sigma(2)"]
     # walk names are canonical: sigma_norm(s) is sigma(-s), one float64
     # table, while sigma_norm(-2) stays float64 beside the exact sigma(2)
-    assert arith.walk_name("sigma_norm", 0.5) == arith.walk_name("sigma", -0.5) == "sigma(-0.5)"
-    sv.prepare(("sigma(-0.5)", arith.walk_name("sigma_norm", -2)), 20_000)
+    assert walk("sigma_norm", 0.5).name == walk("sigma", -0.5).name == "sigma(-0.5)"
+    sv.prepare((walk("sigma", -0.5), walk("sigma_norm", -2)), 20_000)
     for kind, s in (("sigma_norm", 0.5), ("sigma", -0.5)):
         assert np.shares_memory(tabulate(sv, kind, 5000, s=s).values, sv.memo["sigma(-0.5)"])
     assert tabulate(sv, "sigma_norm", 5000, s=-2).values.dtype == np.float64
     assert sorted(_cached(sv)) == ["divisor", "sigma(-0.5)", "sigma(2)", "sigma(2.0)"]
 
 
-_WALK_NAMES = ("mobius", "phi", "divisor", "sigma(1)", "sigma(2)", "sigma(0.5)",
-               "sigma(-0.5)", "mobius/phi", "phi^2/mobius^2")
+_WALKS = (MOBIUS, PHI, walk("divisor"), walk("sigma", 1), walk("sigma", 2), walk("sigma", 0.5),
+          walk("sigma", -0.5), HARDY, SINGULAR)
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
@@ -717,12 +767,50 @@ def test_every_walk_to_below_two_holds_f0_and_f1(n_max):
     # and prepare, for every walk name; the divisor sums to 0 raised
     # ValueError from log2(0) in their dtype check
     longer = build_sieve(10)
-    longer.prepare(_WALK_NAMES, 10)
-    for name in _WALK_NAMES:
+    longer.prepare(_WALKS, 10)
+    for w in _WALKS:
         sv = build_sieve(10)
-        for got in (sv.walked(name, n_max), sv.upto(name, n_max)):
-            assert got.tolist() == [0, 1][: n_max + 1], name
-            assert got.dtype == longer.memo[name].dtype, name
+        for got in (sv.walked(w, n_max), sv.upto(w, n_max)):
+            assert got.tolist() == [0, 1][: n_max + 1], w.name
+            assert got.dtype == longer.memo[w.name].dtype, w.name
+
+
+# (kind, s) of tabulate and the name its walk's table is kept under in memo
+_MEMO_KEYS = [
+    ("divisor", None, "divisor"), ("sigma", 0, "divisor"), ("sigma", -0.0, "divisor"),
+    ("sigma", 2, "sigma(2)"), ("sigma", 2.0, "sigma(2)"), ("sigma", 0.5, "sigma(0.5)"),
+    ("sigma_norm", 0.5, "sigma(-0.5)"), ("sigma", -0.5, "sigma(-0.5)"),
+    ("sigma_norm", -2, "sigma(2.0)"), ("sigma_norm", 0.0, "sigma(0.0)"),
+    ("sigma_norm", -0.0, "sigma(0.0)"), ("sigma", 1e-320, "sigma(1e-320)"),
+    ("mobius", None, "mobius"), ("phi", None, "phi"),
+]
+
+
+def test_walk_records_keep_their_memo_keys(monkeypatch):
+    # each kind's record is named as its table's memo key always was, and
+    # records of one name are equal, hash alike and are walked once
+    walks = [walk(kind, s) for kind, s, _ in _MEMO_KEYS]
+    for w, (kind, s, name) in zip(walks, _MEMO_KEYS):
+        assert w.name == name, (kind, s)
+        sv = build_sieve(10)
+        sv.prepare((w,), 50)
+        assert list(_cached(sv)) == [name], (kind, s)
+    assert walk("mobius") is MOBIUS and walk("phi") is PHI and walk("lambda") is None
+    sv = build_sieve(10)
+    tabulate(sv, "lambda", 50)
+    assert _cached(sv) == {}
+    names = list(dict.fromkeys(name for _, _, name in _MEMO_KEYS))
+    assert len(set(walks)) == len(names)
+    for w in walks:
+        for v in walks:
+            assert (w == v) == (w.name == v.name) and (w != v or hash(w) == hash(v))
+    built = []
+    stream = arith.FactorSieve.stream
+    monkeypatch.setattr(arith.FactorSieve, "stream",
+                        lambda self, walks, n_max, held: built.append([w.name for w in walks])
+                        or stream(self, walks, n_max, held))
+    sv.prepare(walks, 50)
+    assert built == [names] and sorted(_cached(sv)) == sorted(names)
 
 
 def test_sigma_minus_one_identity(sieve_small):
@@ -785,7 +873,7 @@ def test_sigma_multiplicative_on_coprime(a, b):
     fa, fb, fab = factorize(sv, a), factorize(sv, b), factorize(sv, a * b)
     assert sigma_rational(fa, 1) * sigma_rational(fb, 1) == sigma_rational(fab, 1)
     assert mobius(fa) * mobius(fb) == mobius(fab)
-    phi = sv.upto("phi", 999 * 999)
+    phi = sv.upto(PHI, 999 * 999)
     assert int(phi[a]) * int(phi[b]) == phi[a * b]
 
 

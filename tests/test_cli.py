@@ -304,8 +304,9 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
     built = []
     stream = arith.FactorSieve.stream
     monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, names, n_max, held: built.append((list(names), n_max, held))
-                        or stream(self, names, n_max, held))
+                        lambda self, walks, n_max, held:
+                        built.append(([w.name for w in walks], n_max, held))
+                        or stream(self, walks, n_max, held))
     code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5000", "--M", "2500",
                        "--boundary", "closed")
     # both tables walked together to N // 2, and that walk resumed above it
@@ -323,8 +324,9 @@ def test_convolve_holds_its_tables_to_half_N_whatever_M(capsys, monkeypatch, M, 
     built = []
     stream = arith.FactorSieve.stream
     monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, names, n_max, held: built.append((list(names), n_max, held))
-                        or stream(self, names, n_max, held))
+                        lambda self, walks, n_max, held:
+                        built.append(([w.name for w in walks], n_max, held))
+                        or stream(self, walks, n_max, held))
     for f, g, walks in (("sigma:1", "d", [(["sigma(1)", "divisor"], 2500, 2500),
                                           (["sigma(1)", "divisor"], 5000, 2500)]),
                         ("lambda", "d", [(["divisor"], 5001, 5001)])):
@@ -342,8 +344,9 @@ def test_verify_general_walks_both_exponents_at_once(capsys, monkeypatch):
     built = []
     stream = arith.FactorSieve.stream
     monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, names, n_max, held: built.append((list(names), n_max, held))
-                        or stream(self, names, n_max, held))
+                        lambda self, walks, n_max, held:
+                        built.append(([w.name for w in walks], n_max, held))
+                        or stream(self, walks, n_max, held))
     for beta, names in (("2", ["sigma(-0.5)", "sigma(-2.0)"]), ("0.5", ["sigma(-0.5)"])):
         built.clear()
         code, out, _ = run(capsys, "verify-general", "--alpha", "0.5", "--beta", beta,

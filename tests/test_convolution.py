@@ -21,7 +21,7 @@ from convlab import (
     tau_exact,
 )
 from convlab import convolution
-from convlab.arith import _SEGMENT, walk_name
+from convlab.arith import MOBIUS, PHI, _SEGMENT, walk
 from convlab.convolution import (
     _CHUNK, _MIN_RUN, _abs_max, _exact_int_sum, _run_length, real_dot,
 )
@@ -35,10 +35,10 @@ def _streamed(sieve, f, g, specs):
     # additive_convolutions of the walk's tables f and g, held to N // 2,
     # with the blocks above from one walk to N - 1 (FactorSieve.stream)
     N = specs[0].N
-    names = list(dict.fromkeys((f, g)))
-    low, blocks = sieve.stream(names, N - 1, N // 2)
-    i, j = names.index(f), names.index(g)
-    return additive_convolutions(ArithTable(f, low[i]), ArithTable(g, low[j]), specs,
+    walks = list(dict.fromkeys((f, g)))
+    low, blocks = sieve.stream(walks, N - 1, N // 2)
+    i, j = walks.index(f), walks.index(g)
+    return additive_convolutions(ArithTable(f.name, low[i]), ArithTable(g.name, low[j]), specs,
                                  above=((lo, v[i], v[j]) for lo, v in blocks))
 
 
@@ -376,7 +376,7 @@ def test_streamed_sums_bit_identical_to_real_dot_on_whole_tables(N):
         g = tabulate(sieve, "sigma_norm", N, s=b).values
         ref = [real_dot(f[1 : s.last_index + 1], g[N - 1 : N - s.last_index - 1 : -1])
                for s in specs]
-        got = _streamed(sieve, walk_name("sigma_norm", a), walk_name("sigma_norm", b), specs)
+        got = _streamed(sieve, walk("sigma_norm", a), walk("sigma_norm", b), specs)
         whole = additive_convolutions(ArithTable("f", f), ArithTable("g", g), specs)
         assert [x.hex() for x in got] == [x.hex() for x in ref], (a, b)
         assert [x.hex() for x in whole] == [x.hex() for x in ref], (a, b)
@@ -391,7 +391,7 @@ def test_streamed_sums_small_N_and_one_N_per_grid(sieve_small):
         g = tabulate(sieve_small, "divisor", N).values
         ref = [real_dot(f[1 : s.last_index + 1], g[N - 1 : N - s.last_index - 1 : -1])
                for s in specs]
-        got = _streamed(sieve_small, "sigma(-0.5)", "divisor", specs)
+        got = _streamed(sieve_small, walk("sigma", -0.5), walk("divisor"), specs)
         assert [x.hex() for x in got] == [x.hex() for x in ref], N
     half = tabulate(sieve_small, "divisor", 5)
     assert additive_convolutions(half, half, [], above=iter(())) == []
@@ -411,13 +411,13 @@ def test_overflowing_real_sums_raise(sieve_small):
     N = 100_000
     spec = ConvolutionSpec(N=N, M=500.0, boundary="closed")
     with pytest.raises(UsageError, match="the sum overflows float64"):
-        _streamed(sieve_small, "sigma(60.0)", "sigma(60.0)", [spec])
+        _streamed(sieve_small, walk("sigma_norm", -60.0), walk("sigma_norm", -60.0), [spec])
     f = tabulate(sieve_small, "sigma_norm", N, s=-60.0)
     with pytest.raises(UsageError, match="the sum overflows float64"):
         additive_convolutions(f, f, [ConvolutionSpec(N=N, M=3.0, boundary="closed"), spec])
 
 
-_INT_WALKS = ("mobius", "phi", "divisor", "sigma(1)", "sigma(2)", "sigma(3)")
+_INT_WALKS = (MOBIUS, PHI, walk("divisor"), walk("sigma", 1), walk("sigma", 2), walk("sigma", 3))
 
 
 def _specs(N, Ms):
@@ -437,7 +437,7 @@ def test_streamed_integer_sums_equal_the_whole_table_sums(monkeypatch):
     top, rng = 1000, random.Random(5)
     sieve = build_sieve(math.isqrt(top))
     sieve.prepare(_INT_WALKS, top)
-    whole = [ArithTable(name, sieve.walked(name, top)) for name in _INT_WALKS]
+    whole = [ArithTable(w.name, sieve.walked(w, top)) for w in _INT_WALKS]
     cases = []
     for N in range(2, top + 1):
         if N <= 24 or N == top:
@@ -461,8 +461,8 @@ def test_streamed_integer_sums_equal_the_whole_table_sums(monkeypatch):
         blocks = [(lo, [view.copy() for view in views]) for lo, views in blocks]
         for (i, j), ref in refs.items():
             above = [(lo, views[i], views[j]) for lo, views in blocks]
-            got = additive_convolutions(ArithTable(_INT_WALKS[i], low[i]),
-                                        ArithTable(_INT_WALKS[j], low[j]), specs, above=above)
+            got = additive_convolutions(ArithTable(_INT_WALKS[i].name, low[i]),
+                                        ArithTable(_INT_WALKS[j].name, low[j]), specs, above=above)
             assert all(type(x) is int for x in got) and got == ref, (N, i, j)
     assert tiers == {True, False}  # the int64 runs and the Python ints
 
@@ -488,15 +488,17 @@ def test_streamed_integer_sums_across_blocks(N):
     # runs and sigma_2 sigma_2 in Python ints, for M to N // 2 + 1
     sieve = build_sieve(math.isqrt(N))
     specs = _specs(N, [1, 2, _CHUNK, _CHUNK + 1, N / 2 - 1, N / 2, N / 2 + 1, N - 1])
-    for f, g in (("sigma(1)", "divisor"), ("divisor", "sigma(2)"), ("sigma(2)", "sigma(2)")):
-        if f == g == "sigma(2)":
+    d, s1, s2 = walk("divisor"), walk("sigma", 1), walk("sigma", 2)
+    for f, g in ((s1, d), (d, s2), (s2, s2)):
+        if f == g == s2:
             specs = [spec for spec in specs if spec.last_index <= N // 2 + 1]
-        ref = additive_convolutions(ArithTable(f, sieve.walked(f, N)),
-                                    ArithTable(g, sieve.walked(g, N)), specs)
+        ref = additive_convolutions(ArithTable(f.name, sieve.walked(f, N)),
+                                    ArithTable(g.name, sieve.walked(g, N)), specs)
         assert _streamed(sieve, f, g, specs) == ref, (f, g)
 
 
-@pytest.mark.parametrize("f, g", [("sigma(1)", "divisor"), ("sigma(2)", "divisor")])
+@pytest.mark.parametrize("f, g", [(walk("sigma", 1), walk("divisor")),
+                                  (walk("sigma", 2), walk("divisor"))], ids=lambda w: w.name)
 def test_streamed_integer_sums_scan_each_piece_once(f, g, monkeypatch):
     # float64 dots (sigma_1 d) and int64 runs (sigma_2 d): each held half
     # is scanned once, and each piece of the blocks above at most once,
@@ -507,7 +509,7 @@ def test_streamed_integer_sums_scan_each_piece_once(f, g, monkeypatch):
     scanned = []
     abs_max = convolution._abs_max
     monkeypatch.setattr(convolution, "_abs_max", lambda a: scanned.append(len(a)) or abs_max(a))
-    whole = [ArithTable(name, sieve.walked(name, N)) for name in (f, g)]
+    whole = [ArithTable(w.name, sieve.walked(w, N)) for w in (f, g)]
     grids = [[N], [N, *range(1, N, N // 39)]]
     for Ms in grids:
         specs = _specs(N, Ms)

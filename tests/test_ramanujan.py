@@ -32,6 +32,7 @@ from convlab import (
     zeta_real,
 )
 from convlab import ramanujan
+from convlab.arith import MOBIUS, PHI, SINGULAR
 from convlab.convolution import real_dot
 from convlab.ramanujan import _DENSE, _STRIDE, _mu_power_prefix
 
@@ -361,7 +362,7 @@ def test_singular_first_sums_are_kept_once_per_R(monkeypatch):
     assert [R for d, R in summed if d == 1] == [1000, 60, 5000]
     first = _kept(sv, "singular_first")
     assert sorted(first) == [60, 1000, 5000]
-    mu, w = sv.upto("mobius", 5000), sv.upto("phi^2/mobius^2", 5000)
+    mu, w = sv.upto(MOBIUS, 5000), sv.upto(SINGULAR, 5000)
     assert first[5000] == inner(mu, w, 1) == singular_series(sv, 7919, 5000)
 
 
@@ -465,8 +466,8 @@ def test_prefix_tables_bit_identical_to_full_tables():
     # the full ones
     prefix_sv = build_sieve(10**6)
     full_sv = build_sieve(10**6)
-    for name in ("mobius", "phi"):  # build the full tables first
-        full_sv.upto(name, full_sv.limit)
+    for w in (MOBIUS, PHI):  # build the full tables first
+        full_sv.upto(w, full_sv.limit)
     N = 2 * 3 * 5 * 7 * 11 * 13 * 17
     assert singular_series(prefix_sv, N, 10**3) == singular_series(full_sv, N, 10**3)
     assert _cached(prefix_sv) == {
@@ -509,18 +510,18 @@ def test_grown_prefixes_match_one_shot_builds():
     # straight to the sieve's limit
     limit = 2**17
     grown, oneshot = build_sieve(limit), build_sieve(limit)
-    for name in ("mobius", "phi"):
-        oneshot.upto(name, limit)
+    for w in (MOBIUS, PHI):
+        oneshot.upto(w, limit)
     for expo in (2.0, 3.0):
         _mu_power_prefix(oneshot, expo, limit)
     N = 2 * 3 * 5 * 7 * 11 * 13
     singular_series(oneshot, N, limit)
     hardy_provider(oneshot).coefficients(limit)
     full = _lengths(oneshot)
-    oracles = {"mobius": brute.mobius_table(limit), "phi": brute.phi_table(limit)}
+    oracles = {MOBIUS: brute.mobius_table(limit), PHI: brute.phi_table(limit)}
     for R in (300, 5000, 700, limit):
-        for name in ("mobius", "phi"):
-            assert np.array_equal(grown.upto(name, R), oracles[name][: R + 1]), (name, R)
+        for w in (MOBIUS, PHI):
+            assert np.array_equal(grown.upto(w, R), oracles[w][: R + 1]), (w.name, R)
         for expo in (2.0, 3.0):
             pref = _prefix_at(grown, expo, range(R + 1))
             assert pref.tobytes() == _prefix_at(oneshot, expo, range(R + 1)).tobytes(), (expo, R)
@@ -706,7 +707,7 @@ def _served_calls(sv):
     return {
         "factorize n": lambda x: factorize(sv, x),
         "tabulate N": lambda x: tabulate(sv, "divisor", x).values.tobytes(),
-        "upto R": lambda x: sv.upto("phi", x).tobytes(),
+        "upto R": lambda x: sv.upto(PHI, x).tobytes(),
         "hardy_provider R": lambda x: hardy_provider(sv).coefficients(x).tobytes(),
         "ramanujan_sum r": lambda x: ramanujan_sum(sv, x, 12),
         "ramanujan_sum n": lambda x: ramanujan_sum(sv, 12, x),
