@@ -16,8 +16,9 @@ walk(kind, s) is the record of a tabulate kind.  So the tables a caller
 reads together share one walk (FactorSieve.prepare), a walk
 resumes above a table memo caches shorter, and as it reads no entry
 above N / 2, a caller may hold only those and take the rest block by
-block (FactorSieve.stream).  Lambda reads the same segments, and
-prime_mask marks their primes, one byte per n.  Each segment is at most
+block (FactorSieve.stream).  Lambda has no table: prime_powers marks
+the prime powers from the same segments, one byte per n, for
+convolution.lambda_convolution.  Each segment is at most
 _SEGMENT long; the bits of no table depend on the block size.  An
 integer table comes in the narrowest dtype proven to hold it (int16 for
 d below 2**31, int32 for phi and for sigma_k while N**k (2 + ln N) <
@@ -324,8 +325,9 @@ class ArithTable:
 
     values is a 1-D numpy array of an integer or real floating dtype,
     else UsageError (bool included), and 1-indexed; values[0] is unused
-    and zero.  kind is a canonical tag such as "divisor", "sigma(2)",
-    "sigma_norm(0.5)", "mobius", "phi", "lambda" or "custom".  Every table tabulate returns
+    and zero.  kind is a tag: tabulate's "divisor", "sigma(2)",
+    "sigma_norm(0.5)", "mobius" or "phi", or a caller's own, such as
+    "custom" or "lambda" for a dense table.  Every table tabulate returns
     is read-only, and an integer one is in the narrowest dtype proven to
     hold it (int16 for d below 2**31), so widen before multiplying
     values; the mobius and phi values are views of the sieve's own
@@ -654,76 +656,65 @@ def _sigma_walk(k: int | float) -> Walk:
     return Walk(name, lambda n_max: _sigma_dtype(max(n_max, 1), k), base, prime, power)
 
 
-def walk(kind: str, s: float | None = None) -> Walk | None:
-    """The record of the spf walk that builds tabulate's kind, None for lambda.
+def walk(kind: str, s: float | None = None) -> Walk:
+    """The record of the spf walk that builds tabulate's kind: the one reader of a kind.
 
     MOBIUS and PHI; sigma_s is "divisor" for s = 0 and "sigma(k)" for an
     integer s = k >= 1, exact, and any other sigma_t is "sigma(t)", t
     written as a float, in float64: t = s for sigma and -s for
     sigma_norm(s) = sigma_{-s}, so sigma_norm(s) and sigma(-s) are one
     record and one table, unless -s is an integer >= 0 and sigma(-s) is
-    exact.
+    exact.  UsageError for any other kind, a sigma kind without s or with
+    an s that is no finite real (as_real), and an s given to another kind.
     """
-    if kind in ("mobius", "phi", "lambda"):
-        return {"mobius": MOBIUS, "phi": PHI}.get(kind)
-    t = 0.0 if kind == "divisor" else float(s) if kind == "sigma" else -float(s)
-    return _sigma_walk(int(t) if kind != "sigma_norm" and t >= 0 and t.is_integer() else t + 0.0)
+    if kind not in ("divisor", "sigma", "sigma_norm", "mobius", "phi"):
+        raise UsageError(f"unknown table kind {kind!r}")
+    if kind not in ("sigma", "sigma_norm"):
+        if s is not None:
+            raise UsageError(f"kind {kind!r} takes no exponent")
+        return _sigma_walk(0) if kind == "divisor" else {"mobius": MOBIUS, "phi": PHI}[kind]
+    if s is None:
+        raise UsageError(f"kind {kind!r} needs an exponent s")
+    t = float(as_real("s", s)) if kind == "sigma" else -float(as_real("s", s))
+    return _sigma_walk(int(t) if kind == "sigma" and t >= 0 and t.is_integer() else t + 0.0)
 
 
-def prime_mask(sieve: FactorSieve, n_max: int) -> np.ndarray:
-    """Whether n is prime, for n = 0..n_max: one byte per n.
+def prime_powers(sieve: FactorSieve, n_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(marked, q, p): the prime powers up to n_max.
 
-    The primes are the n >= 2 with spf(n) == n in spf segments sieved from
-    the sieve's primes up to isqrt(n_max), so n_max may reach
-    (limit + 1)**2 - 1, and no spf to n_max is held.
+    marked[n] is whether n is a prime power, for n = 0..n_max, one byte
+    per n; q holds the p**e <= n_max with e >= 2, ascending, and p their
+    primes.  The primes are the n >= 2 with spf(n) == n in spf segments
+    sieved from the sieve's primes up to isqrt(n_max), so n_max may reach
+    (limit + 1)**2 - 1, and no spf to n_max is held; the higher powers
+    are those of the primes up to isqrt(n_max).
     """
     n_max = as_index("n_max", n_max, 0, sieve)
-    out = np.zeros(n_max + 1, dtype=bool)
-    for lo, seg in _spf_blocks(sieve.primes(math.isqrt(n_max)), n_max):
+    marked = np.zeros(n_max + 1, dtype=bool)
+    root = sieve.primes(math.isqrt(n_max))
+    for lo, seg in _spf_blocks(root, n_max):
         n = np.arange(lo, lo + len(seg), dtype=seg.dtype)
-        np.equal(seg, n, out=out[lo : lo + len(seg)])
-    return out
-
-
-def higher_prime_powers(sieve: FactorSieve, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(q, p): the prime powers q = p**e <= n_max, e >= 2, ascending, and their p.
-
-    Read from the sieve's primes up to isqrt(n_max).
-    """
+        np.equal(seg, n, out=marked[lo : lo + len(seg)])
     powers, bases = [], []
-    for p in sieve.primes(math.isqrt(n_max)).tolist():
+    for p in root.tolist():
         q = p * p
         while q <= n_max:
             powers.append(q)
             bases.append(p)
             q *= p
     order = np.argsort(powers, kind="stable")
-    return np.array(powers, dtype=np.int64)[order], np.array(bases, dtype=np.int64)[order]
-
-
-def _lambda_table(sieve: FactorSieve, N: int) -> np.ndarray:
-    # Lambda(p**k) = log p.  The primes to N come out of _spf_blocks, so
-    # neither spf to N nor a list of all the primes is built.  math.log,
-    # not np.log: the two differ in the last bit for some p
-    out = np.zeros(N + 1, dtype=np.float64)
-    for lo, seg in _spf_blocks(sieve.primes(math.isqrt(N)), N):
-        primes = _primes_in(seg, lo)
-        out[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
-    powers, bases = higher_prime_powers(sieve, N)
-    out[powers] = out[bases]
-    return out
-
-
-_TABLE_KINDS = ("divisor", "sigma", "mobius", "phi", "lambda", "sigma_norm")
+    powers = np.array(powers, dtype=np.int64)[order]
+    marked[powers] = True
+    return marked, powers, np.array(bases, dtype=np.int64)[order]
 
 
 def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> ArithTable:
     """Tabulate one arithmetic function on 1..N.
 
-    kind is one of "divisor", "sigma", "mobius", "phi", "lambda",
-    "sigma_norm"; the sigma kinds take the exponent s.  sigma with a
-    non-negative integer s yields an exact integer table, any other s a
-    float64 one.  Each integer table comes in the narrowest dtype proven
+    kind is one of "divisor", "sigma", "mobius", "phi", "sigma_norm",
+    checked with s first by walk; the sigma kinds take the exponent s.
+    sigma with a non-negative integer s yields an exact integer table,
+    any other s a float64 one.  Each integer table comes in the narrowest dtype proven
     to hold it (_sigma_dtype; int8 mu, int32 phi below 2**31), so widen
     before multiplying values.  sigma_norm(s) tabulates
     sigma_s(n) / n**s, which is sigma_{-s}(n), in float64.  A table that
@@ -734,38 +725,23 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     N < (sieve.limit + 1)**2, as for factorize.  mu and phi are views of
     the sieve's cached tables (FactorSieve.upto); d and sigma are views
     of the tables FactorSieve.prepare cached, where it did, and otherwise
-    walked on their own and not cached.
+    walked on their own and not cached.  Lambda has no table: see
+    convolution.lambda_convolution.
     """
-    if kind not in _TABLE_KINDS:
-        raise UsageError(f"unknown table kind {kind!r}")
+    w = walk(kind, s)
     N = as_index(f"{kind} table: N", N, 1, sieve)
-    if kind in ("sigma", "sigma_norm"):
-        if s is None:
-            raise UsageError(f"kind {kind!r} needs an exponent s")
-        s = float(as_real("s", s))
-    elif s is not None:
-        raise UsageError(f"kind {kind!r} takes no exponent")
-
-    if kind == "lambda":
-        values = _lambda_table(sieve, N)
-    elif kind in ("mobius", "phi"):
-        values = sieve.upto(walk(kind), N)
-    else:
-        values = sieve.walked(walk(kind, s), N)
-    if kind in ("sigma", "sigma_norm"):
-        kind = f"{kind}({s:g})"
-    values.setflags(write=False)
-    return ArithTable(kind, values)
+    values = sieve.upto(w, N) if w in (MOBIUS, PHI) else sieve.walked(w, N)
+    return ArithTable(kind if s is None else f"{kind}({float(s):g})", values)
 
 
 def walked_halves(sieve: FactorSieve, f: Tuple[str, float | None], g: Tuple[str, float | None],
                   N: int) -> Tuple[ArithTable, ArithTable, Iterator]:
-    """f and g, two (kind, s) of tabulate but lambda, on 1..N // 2 from one walk.
+    """f and g, two (kind, s) of tabulate, on 1..N // 2 from one walk.
 
     Returns the two tables and the blocks of both above N // 2, (lo,
     f block, g block), from that walk resumed to N - 1 (FactorSieve.stream):
     the above of additive_convolution(s).  A table is refused where one
-    to N would be, before the walk.
+    to N would be, and a kind walk refuses, before the walk.
     """
     fw, gw = walk(*f), walk(*g)
     walks = list(dict.fromkeys((fw, gw)))

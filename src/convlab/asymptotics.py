@@ -109,6 +109,12 @@ def main_term_supersum(sieve: FactorSieve, N: int, M: float) -> float:
     return _SIX_OVER_PI2 * s * (N * math.log(N) ** 2 - boundary)
 
 
+def _check_M(M: float) -> None:
+    # a main term's M: a finite real >= 0
+    if as_real("M", M) < 0:
+        raise UsageError(f"M must be >= 0, got {M}")
+
+
 def main_term_general(
     sieve: FactorSieve,
     pf: CoefficientProvider,
@@ -130,8 +136,7 @@ def main_term_general(
     N = as_index("N", N, 1, sieve)
     if R is not None:
         R = as_index("R", R, 1, sieve)
-    if as_real("M", M) < 0:
-        raise UsageError(f"M must be >= 0, got {M}")
+    _check_M(M)
     if M == 0:
         return 0.0, 0.0
     product = product_provider(pf, pg)
@@ -154,7 +159,7 @@ def main_term_sigma_norm(
     if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
         raise UsageError("alpha and beta must be positive")
     N = as_index("N", N, 1, sieve)
-    as_real("M", M)
+    _check_M(M)
     w = alpha + beta + 1.0
     zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
     snorm = sigma_real(factorize(sieve, N), -w)
@@ -210,7 +215,14 @@ def envelope_fullsum(sieve: FactorSieve, N: int) -> float:
     return s1 * math.log(N) * math.log(math.log(N))
 
 
+def _check_delta(delta: float) -> None:
+    # a decay exponent: a finite real > 0
+    if as_real("delta", delta) <= 0:
+        raise UsageError(f"delta must be positive, got {delta}")
+
+
 def ramanujan_regime(delta: float) -> str:
+    _check_delta(delta)
     if delta < 1.0:
         return "delta_lt_1"
     if delta == 1.0:
@@ -224,8 +236,7 @@ def envelope_ramanujan(delta: float, M: float) -> float:
     delta < 1: M**(1-delta) (log M)**(4-2 delta); delta = 1: (log M)**3;
     delta > 1: 1.
     """
-    if as_real("delta", delta) <= 0:
-        raise UsageError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     if as_real("M", M) < 2:
         raise UsageError(f"envelope needs M >= 2, got {M}")
     if delta < 1.0:
@@ -236,9 +247,8 @@ def envelope_ramanujan(delta: float, M: float) -> float:
 
 
 def envelope_defect(r: int, s: int) -> float:
-    """r s (log(r s) + 1), the orthogonality defect envelope."""
-    if r < 1 or s < 1:
-        raise UsageError(f"need r, s >= 1, got r={r}, s={s}")
+    """r s (log(r s) + 1), the orthogonality defect envelope, for integers r, s >= 1."""
+    r, s = as_index("r", r, 1), as_index("s", s, 1)
     return r * s * (math.log(r * s) + 1.0)
 
 

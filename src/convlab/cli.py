@@ -39,10 +39,11 @@ that the command tabulates to or factors, N or the R, r and s of the
 Ramanujan sums, as a table to n sieves its own segments from the primes
 up to isqrt(n) and a factorization of n divides by them.
 Whether the largest table, to N, is addressable is checked before the
-sieve is built.  goldbach and convolve of lambda with lambda build no
-Lambda table: lambda_convolution sums over the pairs of prime powers
-below N, with the bits of the dense tables' sum.  A convolve of two
-tables other than Lambda, such as phi with mu or sigma:1 with d, in
+sieve is built.  No command builds a Lambda table: goldbach and convolve
+of lambda with any kind sum over the n where the Lambda side is a prime
+power, with lambda_convolution, against the other kind tabulated to N,
+with the bits of the sum over a dense Lambda table.  A convolve of two
+kinds other than Lambda, such as phi with mu or sigma:1 with d, in
 either order, and verify-general's grid of sums of its sigma_norm
 tables (one table when alpha = beta) walk both tables together to N/2
 (arith.walked_halves), hold them only that far whatever M is, and walk
@@ -50,8 +51,7 @@ on to N - 1, passing the entries above through one reused block buffer
 per table into the sums (additive_convolution's above), so their memory
 is about half a table per function and does not depend on M; the sums
 keep the values and bits of those over the whole tables, and a table
-that would overflow to N is refused as before.  convolve of Lambda with
-another kind builds both tables to N.
+that would overflow to N is refused as before.
 """
 
 from __future__ import annotations
@@ -209,12 +209,11 @@ def cmd_convolve(args: argparse.Namespace) -> Result:
     _check_N(args.N)
     spec = ConvolutionSpec(N=args.N, M=M, boundary=args.boundary)
     sieve = _sieve_for(math.isqrt(args.N), args.N)
-    if fkind == gkind == "lambda":
-        value = lambda_convolution(sieve, spec)
-    elif "lambda" in (fkind, gkind):
-        ftab = tabulate(sieve, fkind, args.N, s=fs)
-        gtab = ftab if (gkind, gs) == (fkind, fs) else tabulate(sieve, gkind, args.N, s=gs)
-        value = additive_convolution(ftab, gtab, spec)
+    if "lambda" in (fkind, gkind):
+        # Lambda is summed over its prime powers, against the other kind to N
+        f, g = (None if kind == "lambda" else tabulate(sieve, kind, args.N, s=s)
+                for kind, s in ((fkind, fs), (gkind, gs)))
+        value = lambda_convolution(sieve, spec, f, g)
     else:
         ftab, gtab, above = walked_halves(sieve, (fkind, fs), (gkind, gs), args.N)
         value = additive_convolution(ftab, gtab, spec, above=above)

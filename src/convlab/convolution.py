@@ -50,14 +50,16 @@ that holds each; a chunk is summed once all its products are in, so
 the blocks may have any lengths and no block is kept or copied.  Every
 sum shares the full chunks of its N and sums its own short last chunk,
 and has the bits of its own real_dot.
-lambda_convolution keeps the rule with no Lambda table: Lambda(n)
-Lambda(N - n) is nonzero only where n and N - n are both prime powers,
-so each chunk is a zeroed buffer with those products scattered into it,
-the very array the dense product holds, and its np.sum has the same
-bits; a chunk with no pair adds 0.0 and is skipped.  The prime powers
-below N are marked one byte each, from the spf segments' primes and the
-powers of the primes up to sqrt(N), and math.log is taken only of the
-primes of the pairs, with the bits the Lambda table holds.
+lambda_convolution keeps the rule with no Lambda table, for Lambda
+against itself or against any table: f(n) g(N - n) is nonzero only
+where the Lambda side is, at the live n where n (f = Lambda), N - n
+(g = Lambda) or both are prime powers, so each chunk is a zeroed buffer
+with the products at the live n scattered into it, the very array the
+dense product holds up to the sign of its zeros, and its np.sum has the
+same bits; a chunk with no live n adds 0.0 and is skipped.  The prime
+powers below N are marked one byte each (arith.prime_powers), a given
+table is read only at the live n, and math.log is taken only of the
+primes there, with the bits a dense Lambda table would hold.
 
 tau_exact evaluates the coprime-pair harmonic sum by Mobius inversion over
 the square of the gcd and the Dirichlet hyperbola method,
@@ -77,10 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    MOBIUS, ArithTable, FactorSieve, as_index, as_real, build_sieve, higher_prime_powers,
-    prime_mask,
-)
+from .arith import MOBIUS, ArithTable, FactorSieve, as_index, as_real, build_sieve, prime_powers
 from .errors import UsageError
 
 __all__ = [
@@ -266,11 +265,24 @@ def _block_sums(f_low, g_low, blocks, N: int, ks) -> list:
             put(N - hi + 1, f_low[N - hi + 1 : N - lo + 1], gb[::-1])
             put(lo, fb, g_low[N - hi + 1 : N - lo + 1][::-1])
     prefix = list(itertools.accumulate(sums, initial=0.0))
-    totals = [prefix[k // _CHUNK] + last[k] if k % _CHUNK else prefix[k // _CHUNK] for k in ks]
-    for total in totals:
-        if not math.isfinite(total):
-            raise UsageError(f"the sum overflows float64: {total}")
-    return totals
+    return [_finite(prefix[k // _CHUNK] + last[k] if k % _CHUNK else prefix[k // _CHUNK])
+            for k in ks]
+
+
+def _finite(total: float) -> float:
+    # a real sum, else UsageError where it overflowed
+    if not math.isfinite(total):
+        raise UsageError(f"the sum overflows float64: {total}")
+    return total
+
+
+def _check_covers(f, g, N: int, k: int) -> None:
+    # the whole tables f, g (None for Lambda, read from no table) reach
+    # what sum_{n <= k} f(n) g(N - n) reads of them: 1..k and 1..N - 1
+    if k >= 1 and f is not None and f.N < k:
+        raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
+    if k >= 1 and g is not None and g.N < N - 1:
+        raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
 
 
 def _tiled(blocks, N: int):
@@ -320,10 +332,7 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
         above = _tiled(above, N)
     else:
         for N, k in ranges:
-            if k >= 1 and f.N < k:
-                raise UsageError(f"f table covers 1..{f.N}, need 1..{k}")
-            if k >= 1 and g.N < N - 1:
-                raise UsageError(f"g table covers 1..{g.N}, need 1..{N - 1}")
+            _check_covers(f, g, N, k)
     if not (f.is_integer and g.is_integer):
         if above is not None:
             return _block_sums(fv, gv, above, N, [k for _, k in ranges])
@@ -364,37 +373,47 @@ def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec, ab
     return additive_convolutions(f, g, [spec], above)[0]
 
 
-def lambda_convolution(sieve: FactorSieve, spec: ConvolutionSpec) -> float:
-    """sum Lambda(n) Lambda(N - n) over the range selected by spec, with no Lambda table.
+def lambda_convolution(sieve: FactorSieve, spec: ConvolutionSpec, f: ArithTable | None = None,
+                       g: ArithTable | None = None) -> float:
+    """sum f(n) g(N - n) over the range selected by spec, Lambda for each of f, g that is None.
 
-    Only the n with both n and N - n prime powers add anything, and the
-    sum is equal bit for bit to additive_convolution of two Lambda tables
-    (see the module docstring).  Lambda is read on 1..N-1 (prime_mask), so
-    N <= (sieve.limit + 1)**2.
+    f and g are tables as for additive_convolution, and at least one is
+    None, which stands for Lambda and builds no Lambda table: only the n
+    where each Lambda side is nonzero add anything, and a given table is
+    read there alone.  For finite table values the sum is equal bit for
+    bit to additive_convolution with a dense Lambda table in place of
+    each None (see the module docstring), and UsageError where it
+    overflows float64 or a given table is too short for spec, as there.
+    Lambda is read on 1..N-1 (prime_powers), so N <= (sieve.limit + 1)**2.
     """
+    if f is not None and g is not None:
+        raise UsageError("lambda_convolution needs Lambda on one side: pass None for f or g")
     N, k = spec.N, spec.last_index
-    marked = prime_mask(sieve, N - 1)  # then the prime powers below N
-    powers, bases = higher_prime_powers(sieve, N - 1)
-    marked[powers] = True
-    # fwd[j] marks n = j + 1 and rev[j] marks N - n.  Each of real_dot's
-    # chunks holds Lambda(n) Lambda(N - n) at n - 1 - i where both are
-    # prime powers and zeros elsewhere, as the dense product does
-    fwd, rev = marked[1:], marked[::-1]
+    _check_covers(f, g, N, k)
+    marked, powers, bases = prime_powers(sieve, N - 1)
+    # marked[1:][j] marks n = j + 1 and marked[::-1][j] marks N - n: the
+    # live n are those marked on each Lambda side.  Each of real_dot's
+    # chunks holds f(n) g(N - n) at n - 1 - i where n is live and zeros
+    # elsewhere, as the dense product does
+    sides = [mask for mask, table in ((marked[1:], f), (marked[::-1], g)) if table is None]
     total = 0.0
     buf = np.zeros(min(_CHUNK, k))
-    for i in range(0, k, _CHUNK):
-        size = min(_CHUNK, k - i)
-        at = np.flatnonzero(fwd[i : i + size] & rev[i : i + size])
-        if len(at):
-            n = at + (1 + i)
-            buf[at] = _prime_logs(n, powers, bases) * _prime_logs(N - n, powers, bases)
-            total += float(np.sum(buf[:size]))
-            buf[at] = 0.0
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, k, _CHUNK):
+            size = min(_CHUNK, k - i)
+            at = np.flatnonzero(np.logical_and.reduce([mask[i : i + size] for mask in sides]))
+            if len(at):
+                n = at + (1 + i)
+                fn = _prime_logs(n, powers, bases) if f is None else f.values[n]
+                gn = _prime_logs(N - n, powers, bases) if g is None else g.values[N - n]
+                buf[at] = np.multiply(fn, gn, dtype=np.float64)
+                total += float(np.sum(buf[:size]))
+                buf[at] = 0.0
+    return _finite(total)
 
 
 def _prime_logs(q: np.ndarray, powers: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    # Lambda(q) = math.log(p), whose bits the Lambda table holds, for
+    # Lambda(q) = math.log(p), whose bits a dense Lambda table holds, for
     # prime powers q = p**e; powers: the q with e >= 2, ascending, bases
     # their p, each read past its end as 0, which no q is
     pos = np.searchsorted(powers, q)

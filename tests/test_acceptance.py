@@ -14,6 +14,7 @@ import pytest
 
 import brute
 from convlab import (
+    ArithTable,
     ConvolutionSpec,
     additive_convolution,
     additive_convolutions,
@@ -313,7 +314,7 @@ def test_criterion_11_special_functions():
 
 def test_criterion_12_goldbach_heuristic(sieve_1m):
     N = 10**6
-    ltab = tabulate(sieve_1m, "lambda", N)
+    ltab = ArithTable("lambda", brute.lambda_table(N))
     spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     exact = additive_convolution(ltab, ltab, spec)
     ss = singular_series(sieve_1m, N, 10**4)

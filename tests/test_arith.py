@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 
 import brute
 from convlab import (
+    ArithTable,
+    ConvolutionSpec,
     UsageError,
+    additive_convolution,
     build_sieve,
     divisors,
     factorize,
+    lambda_convolution,
     mobius,
     sigma_rational,
     sigma_real,
@@ -23,6 +28,7 @@ from convlab import arith
 from convlab.arith import (
     HARDY, MOBIUS, PHI, SINGULAR, _SEGMENT, _halving_blocks, _sigma_dtype, walk,
 )
+from convlab.convolution import _prime_logs
 
 
 def _spf(sieve, n_max):
@@ -36,6 +42,16 @@ def _spf(sieve, n_max):
 def _cached(sieve):
     # the lengths of the tables in memo, beside the primes the walks read
     return {k: len(v) for k, v in sieve.memo.items() if k != "primes"}
+
+
+def _lambda(sieve, N):
+    # Lambda on 0..N as lambda_convolution reads it: _prime_logs at every
+    # prime power that prime_powers marks, and 0 elsewhere
+    marked, powers, bases = arith.prime_powers(sieve, N)
+    q = np.flatnonzero(marked)
+    out = np.zeros(N + 1)
+    out[q] = _prime_logs(q, powers, bases)
+    return out
 
 
 def test_build_sieve_small_values():
@@ -238,9 +254,9 @@ def test_mobius_phi_lambda_examples(sieve_small):
     assert mobius(factorize(sieve_small, 1)) == 1
     assert mobius(factorize(sieve_small, 30)) == -1
     assert mobius(factorize(sieve_small, 12)) == 0
-    # phi and Lambda of one n come from their tables
+    # phi of one n comes from its table, Lambda from the prime-power logs
     phi = tabulate(sieve_small, "phi", 12).values
-    lam = tabulate(sieve_small, "lambda", 7919).values
+    lam = _lambda(sieve_small, 7919)
     assert phi[1] == brute.phi(1) == 1
     assert phi[12] == brute.phi(12) == 4
     assert lam[8] == brute.von_mangoldt(8) == pytest.approx(math.log(2))
@@ -286,7 +302,7 @@ def test_tabulate_matches_pointwise(sieve_small):
     dt = tabulate(sieve_small, "divisor", N)
     mt = tabulate(sieve_small, "mobius", N)
     pt = tabulate(sieve_small, "phi", N)
-    lt = tabulate(sieve_small, "lambda", N)
+    lt = _lambda(sieve_small, N)
     s2 = tabulate(sieve_small, "sigma", N, s=2)
     sr = tabulate(sieve_small, "sigma", N, s=0.5)
     sn = tabulate(sieve_small, "sigma_norm", N, s=1.0)
@@ -297,7 +313,7 @@ def test_tabulate_matches_pointwise(sieve_small):
         assert dt.values[n] == sigma_rational(f, 0)
         assert mt.values[n] == mobius(f)
         assert pt.values[n] == phi[n]
-        assert lt.values[n] == pytest.approx(brute.von_mangoldt(n), abs=1e-12)
+        assert lt[n] == pytest.approx(brute.von_mangoldt(n), abs=1e-12)
         assert s2.values[n] == sigma_rational(f, 2)
         assert sr.values[n] == pytest.approx(sigma_real(f, 0.5), rel=1e-12)
         assert sn.values[n] == pytest.approx(
@@ -332,7 +348,6 @@ def test_tabulate_bit_identical_to_bulk_oracles(limit):
         ("divisor", None, brute.divisor_table(limit)),
         ("mobius", None, brute.mobius_table(limit)),
         ("phi", None, brute.phi_table(limit).astype(expected_spf.dtype)),
-        ("lambda", None, brute.lambda_table(limit)),
         ("sigma", 1, brute.sigma_table(limit, 1)),
         ("sigma", 2, brute.sigma_table(limit, 2)),
         ("sigma", 0, brute.sigma_table(limit, 0)),
@@ -427,13 +442,27 @@ def test_sigma_2_dtype_crosses_to_int64_where_bound_reaches_2_31():
 
 @pytest.mark.parametrize("r", [2, 3, 10, 31])
 def test_lambda_reaches_the_square_of_the_sieve(r):
-    # Lambda reads the sieve's primes to isqrt(N), as factorize does
+    # Lambda reads the sieve's primes to isqrt(N - 1), as factorize does,
+    # so a Lambda sum over 1..N - 1 reaches N = (r + 1)**2
     sieve = build_sieve(r)
-    top = (r + 1) ** 2 - 1
-    values = tabulate(sieve, "lambda", top).values
-    assert values.tobytes() == brute.lambda_table(top).tobytes()
-    with pytest.raises(UsageError, match=rf"lambda table: N must lie in \[1, {top}\]"):
-        tabulate(sieve, "lambda", top + 1)
+    N = (r + 1) ** 2
+    lam = ArithTable("lambda", brute.lambda_table(N))
+    spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
+    got = lambda_convolution(sieve, spec)
+    assert np.float64(got).tobytes() == np.float64(additive_convolution(lam, lam, spec)).tobytes()
+    with pytest.raises(UsageError, match=rf"n_max must lie in \[0, {N - 1}\], got {N}"):
+        lambda_convolution(sieve, ConvolutionSpec(N=N + 1, M=float(N + 1), boundary="half_open"))
+
+
+@pytest.mark.parametrize("limit", _ORACLE_LIMITS)
+def test_prime_logs_bit_identical_to_the_lambda_oracle(limit):
+    # Lambda at every prime power to limit, across the block edges of the
+    # oracle limits, byte for byte, and the same from a sieve to
+    # isqrt(limit), all the CLI builds
+    expected = brute.lambda_table(limit)
+    values = _lambda(build_sieve(limit), limit)
+    assert values.tobytes() == expected.tobytes()
+    assert _lambda(build_sieve(max(math.isqrt(limit), 2)), limit).tobytes() == values.tobytes()
 
 
 def test_phi_is_spf_dtype_and_exact(sieve_1m):
@@ -451,10 +480,11 @@ def test_phi_is_spf_dtype_and_exact(sieve_1m):
 def test_tables_agree_across_sieve_limits(sieve_small, sieve_1m):
     # mu, phi and Lambda depend on nothing but n, whatever the sieve's limit
     N = sieve_small.limit
-    for kind in ("mobius", "phi", "lambda"):
+    for kind in ("mobius", "phi"):
         small = tabulate(sieve_small, kind, N).values
         large = tabulate(sieve_1m, kind, sieve_1m.limit).values
         assert np.array_equal(small, large[: N + 1]), kind
+    assert np.array_equal(_lambda(sieve_small, N), _lambda(sieve_1m, sieve_1m.limit)[: N + 1])
 
 
 def test_sieve_tables_are_read_only(sieve_small):
@@ -467,7 +497,7 @@ def test_sieve_tables_are_read_only(sieve_small):
 
 def test_tabulate_tables_reject_writes(sieve_small):
     for kind, s in (("divisor", None), ("sigma", 1), ("sigma", 0.5), ("sigma_norm", 0.5),
-                    ("mobius", None), ("phi", None), ("lambda", None)):
+                    ("mobius", None), ("phi", None)):
         table = tabulate(sieve_small, kind, 5000, s=s)
         assert not table.values.flags.writeable, kind
         with pytest.raises(ValueError):
@@ -795,9 +825,11 @@ def test_walk_records_keep_their_memo_keys(monkeypatch):
         sv = build_sieve(10)
         sv.prepare((w,), 50)
         assert list(_cached(sv)) == [name], (kind, s)
-    assert walk("mobius") is MOBIUS and walk("phi") is PHI and walk("lambda") is None
+    assert walk("mobius") is MOBIUS and walk("phi") is PHI
     sv = build_sieve(10)
-    tabulate(sv, "lambda", 50)
+    for read in (lambda: walk("lambda"), lambda: tabulate(sv, "lambda", 50)):
+        with pytest.raises(UsageError, match="unknown table kind 'lambda'"):
+            read()
     assert _cached(sv) == {}
     names = list(dict.fromkeys(name for _, _, name in _MEMO_KEYS))
     assert len(set(walks)) == len(names)
@@ -811,6 +843,36 @@ def test_walk_records_keep_their_memo_keys(monkeypatch):
                         or stream(self, walks, n_max, held))
     sv.prepare(walks, 50)
     assert built == [names] and sorted(_cached(sv)) == sorted(names)
+
+
+_BAD_KINDS = [
+    (("lambda", None), "unknown table kind 'lambda'"),
+    (("foo", None), "unknown table kind 'foo'"),
+    (("sigma", None), "kind 'sigma' needs an exponent s"),
+    (("sigma_norm", None), "kind 'sigma_norm' needs an exponent s"),
+    (("sigma", math.nan), "s must be finite, got nan"),
+    (("sigma_norm", "2"), "s must be a real number, got '2'"),
+    (("divisor", 1), "kind 'divisor' takes no exponent"),
+    (("mobius", 0.5), "kind 'mobius' takes no exponent"),
+]
+
+
+@pytest.mark.parametrize("kind, match", _BAD_KINDS, ids=[repr(k) for k, _ in _BAD_KINDS])
+def test_walk_checks_every_kind_before_any_walk(monkeypatch, kind, match):
+    # walk is the one reader of a kind, for tabulate and walked_halves
+    # alike, on either side: a Lambda kind raised AttributeError, a sigma
+    # with no s or an unknown kind TypeError, and a NaN s walked a NaN
+    # table to N/2 before tabulate refused it
+    streamed = []
+    monkeypatch.setattr(arith.FactorSieve, "stream", lambda *args: streamed.append(args))
+    sv = build_sieve(10)
+    calls = [lambda: walk(*kind), lambda: tabulate(sv, kind[0], 100, s=kind[1]),
+             lambda: arith.walked_halves(sv, kind, ("divisor", None), 100),
+             lambda: arith.walked_halves(sv, ("sigma", 1), kind, 100)]
+    for call in calls:
+        with pytest.raises(UsageError, match=re.escape(match)):
+            call()
+    assert streamed == [] and _cached(sv) == {}
 
 
 def test_sigma_minus_one_identity(sieve_small):

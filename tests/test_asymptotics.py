@@ -336,6 +336,40 @@ def test_envelope_ramanujan_regimes():
 def test_envelope_defect():
     assert envelope_defect(1, 1) == 1.0
     assert envelope_defect(2, 3) == pytest.approx(6.0 * (math.log(6.0) + 1.0))
+    assert envelope_defect(np.int64(2), 3) == envelope_defect(2, 3)
+
+
+@pytest.mark.parametrize("r, s, match", [
+    (math.nan, 2, "r must be an integer, got nan"), (1.5, 2, "r must be an integer, got 1.5"),
+    ("a", 2, "r must be an integer, got 'a'"), (2, 2.0, "s must be an integer, got 2.0"),
+    (0, 2, "r must be >= 1, got 0"), (2, -3, "s must be >= 1, got -3"),
+])
+def test_envelope_defect_takes_integers_r_s_at_least_1(r, s, match):
+    # a NaN gave nan, a fraction a value and a string a raw TypeError
+    with pytest.raises(UsageError, match=match):
+        envelope_defect(r, s)
+
+
+@pytest.mark.parametrize("delta, match", [
+    (math.nan, "delta must be finite"), (math.inf, "delta must be finite"),
+    ("1", "delta must be a real number"), (-1.0, "delta must be positive, got -1.0"),
+    (0.0, "delta must be positive, got 0.0"),
+])
+def test_ramanujan_regime_checks_delta_as_envelope_ramanujan_does(delta, match):
+    # NaN read as "delta_gt_1" and -1.0 as "delta_lt_1"
+    for call in (ramanujan_regime, lambda d: envelope_ramanujan(d, 5.0)):
+        with pytest.raises(UsageError, match=match):
+            call(delta)
+
+
+def test_main_terms_refuse_a_negative_M_alike(sieve_small):
+    # main_term_sigma_norm gave a negative main term for M < 0
+    p = sigma_provider(1.0)
+    for call in (lambda M: main_term_general(sieve_small, p, p, 12, M),
+                 lambda M: main_term_sigma_norm(sieve_small, 1.0, 1.0, 12, M)):
+        with pytest.raises(UsageError, match=r"M must be >= 0, got -5\.0"):
+            call(-5.0)
+        assert call(0.0)[0] == 0.0
 
 
 def test_verify_report_fields():

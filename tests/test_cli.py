@@ -25,7 +25,9 @@ from convlab.cli import (
     cmd_verify_ingham,
     main,
 )
-from convlab import ArithTable, ConvolutionSpec, additive_convolution, build_sieve, divisor_report
+from convlab import (
+    ArithTable, ConvolutionSpec, additive_convolution, build_sieve, divisor_report, tabulate,
+)
 
 
 def run(capsys, *argv):
@@ -318,7 +320,7 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
                                          ("2500", "closed"), ("5000", "half_open")])
 def test_convolve_holds_its_tables_to_half_N_whatever_M(capsys, monkeypatch, M, boundary):
     # two walked kinds are held to N // 2 and streamed to N - 1 above it;
-    # lambda against any kind keeps its whole table
+    # lambda against any kind builds no Lambda table and the other kind whole
     from convlab import arith
 
     built = []
@@ -367,7 +369,8 @@ _CLI_TABLES_AT_2_22 = [
     # (1.11 and 2.11 with the whole tables), goldbach 0.257 and
     # lambda.lambda 0.252, nearly all the one-byte prime-power mask to N
     # (1.11 with the float64 Lambda table, 1.68 with a sieve to N for
-    # Lambda's primes as well)
+    # Lambda's primes as well), and lambda.d 0.507, the whole int16 d
+    # table beside the mask (1.35 with the float64 Lambda table)
     (("convolve", "--f", "phi", "--g", "mu", "--N", str(2**22), "--M", str(2**20),
       "--boundary", "closed"), 0.52),
     (("convolve", "--f", "sigma:1", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
@@ -379,6 +382,8 @@ _CLI_TABLES_AT_2_22 = [
       "--boundary", "closed"), 0.29),
     (("verify-general", "--alpha", "0.5", "--beta", "1.5", "--N", str(2**22),
       "--M-grid", "1000,2000000,4000000"), 1.31),
+    (("convolve", "--f", "lambda", "--g", "d", "--N", str(2**22), "--M", str(3 * 2**20),
+      "--boundary", "half_open"), 0.53),
 ]
 
 
@@ -692,15 +697,33 @@ def test_goldbach_small_even(capsys):
     assert "# in_band=True" in lines
 
 
+def _convolve(f, g, M, boundary):
+    return ("convolve", "--f", f, "--g", g, "--N", "100002", "--M", M, "--boundary", boundary)
+
+
+# the CLI's kinds, as tabulate reads them
+_KINDS = {"mu": ("mobius", None), "d": ("divisor", None), "sigma_norm:0.5": ("sigma_norm", 0.5),
+          "sigma:-1.5": ("sigma", -1.5)}
+
+
 @pytest.mark.parametrize("argv, spec", [
     (("goldbach", "--N", "100000", "--R", "100"), (100_000, 100_000.0, "half_open")),
-    (("convolve", "--f", "lambda", "--g", "lambda", "--N", "100002", "--M", "65537",
-      "--boundary", "closed"), (100_002, 65_537.0, "closed")),
+    (_convolve("lambda", "lambda", "65537", "closed"), (100_002, 65_537.0, "closed")),
+    (_convolve("mu", "lambda", "65537.5", "half_open"), (100_002, 65_537.5, "half_open")),
+    (_convolve("lambda", "d", "65537.5", "half_open"), (100_002, 65_537.5, "half_open")),
+    (_convolve("lambda", "sigma_norm:0.5", "100001", "closed"), (100_002, 100_001.0, "closed")),
+    (_convolve("sigma:-1.5", "lambda", "50001", "closed"), (100_002, 50_001.0, "closed")),
 ])
 def test_lambda_pair_commands_print_the_dense_sum(capsys, argv, spec):
-    # the prime-power pair sum prints the bits of the dense Lambda table's sum
+    # the prime-power sum prints the bits of the sum over a dense Lambda
+    # table, against itself or, on either side, another kind's table
     lam = ArithTable("lambda", brute.lambda_table(spec[0]))
-    dense = additive_convolution(lam, lam, ConvolutionSpec(*spec))
+    sieve = build_sieve(math.isqrt(spec[0]))
+    kinds = dict(zip(argv[1::2], argv[2::2]))
+    tables = [lam if kinds.get(side, "lambda") == "lambda"
+              else tabulate(sieve, _KINDS[kinds[side]][0], spec[0], s=_KINDS[kinds[side]][1])
+              for side in ("--f", "--g")]
+    dense = additive_convolution(*tables, ConvolutionSpec(*spec))
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[1].split(",")[2 if argv[0] == "goldbach" else 3] == "%.15g" % dense

@@ -140,7 +140,7 @@ def test_result_type_follows_table_dtypes(sieve_small):
     # int x int sums exactly to a Python int; a float table anywhere gives a float
     d = tabulate(sieve_small, "divisor", 10)
     mu = tabulate(sieve_small, "mobius", 10)
-    lam = tabulate(sieve_small, "lambda", 10)
+    lam = ArithTable("lambda", brute.lambda_table(10))
     sn = tabulate(sieve_small, "sigma_norm", 10, s=1.0)
     spec = ConvolutionSpec(N=6, M=3.0, boundary="closed")
     got = additive_convolution(d, d, spec)
@@ -348,7 +348,7 @@ def test_real_mode_bit_identical_to_whole_product(sieve_1m):
     # chunk-wise products reduce to the bits of the whole product summed in the same chunks
     N = 300_000
     f = tabulate(sieve_1m, "sigma_norm", N, s=0.5)
-    g = tabulate(sieve_1m, "lambda", N)
+    g = ArithTable("lambda", brute.lambda_table(N))
     spec = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
     prod = f.values[1:N].astype(np.float64) * g.values[N - 1 : 0 : -1]
     ref = 0.0
@@ -999,3 +999,53 @@ def test_lambda_pair_sum_range_and_sieve():
     with pytest.raises(UsageError, match=r"n_max must lie in \[0, 120\], got 121"):
         lambda_convolution(sieve, ConvolutionSpec(N=122, M=10.0, boundary="half_open"))
 
+
+
+# --- Lambda against every kind ------------------------------------------
+
+_LAMBDA_PARTNERS = [("divisor", None), ("mobius", None), ("phi", None), ("sigma", 1),
+                    ("sigma_norm", 0.5), ("sigma", -1.5)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 10, 100, 65537, 65538, 131075, 300001, 999999, 10**6])
+def test_lambda_against_every_kind_matches_the_dense_sum(N):
+    # Lambda on the left, on the right and on both sides, against the
+    # tables of tabulate, byte for byte with additive_convolution over a
+    # dense Lambda table; mu's negative summands give signed zeros there
+    sieve = build_sieve(max(math.isqrt(N), 2))
+    lam = ArithTable("lambda", brute.lambda_table(N))
+    tables = [tabulate(sieve, kind, N, s=s) for kind, s in _LAMBDA_PARTNERS]
+    pairs = [((None, None), (lam, lam))]
+    for t in tables:
+        pairs += [((None, t), (lam, t)), ((t, None), (t, lam))]
+    Ms = {min(max(M, 1.0), N) for M in (1.0, 2.5, N / 3, N // 2 + 0.5, N - 1.0, float(N))}
+    specs = [ConvolutionSpec(N=N, M=M, boundary=b) for M in sorted(Ms)
+             for b in ("half_open", "closed") if b == "half_open" or M <= N - 1]
+    for spec in specs:
+        for (f, g), (dense_f, dense_g) in pairs:
+            got = lambda_convolution(sieve, spec, f, g)
+            want = additive_convolution(dense_f, dense_g, spec)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                spec, f and f.kind, g and g.kind)
+
+
+def test_lambda_convolution_refuses_as_the_dense_sum_does():
+    sieve = build_sieve(10)
+    lam = ArithTable("lambda", brute.lambda_table(10))
+    d = tabulate(sieve, "divisor", 10)
+    spec = ConvolutionSpec(N=10, M=10.0, boundary="half_open")
+    with pytest.raises(UsageError, match="needs Lambda on one side"):
+        lambda_convolution(sieve, spec, d, d)
+    short = tabulate(sieve, "divisor", 5)
+    huge = ArithTable("custom", np.full(11, 1e308))
+    for f, g, dense_f, dense_g in ((short, None, short, lam), (None, short, lam, short),
+                                   (huge, None, huge, lam), (None, huge, lam, huge)):
+        with pytest.raises(UsageError) as dense:
+            additive_convolution(dense_f, dense_g, spec)
+        with pytest.raises(UsageError) as got:
+            lambda_convolution(sieve, spec, f, g)
+        assert str(got.value) == str(dense.value)
+    # an empty range reads no table, as for the dense sum
+    empty = ConvolutionSpec(N=10, M=1.0, boundary="half_open")
+    assert lambda_convolution(sieve, empty, short) == additive_convolution(short, lam, empty) == 0.0
