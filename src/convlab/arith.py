@@ -23,10 +23,11 @@ _SEGMENT long; the bits of no table depend on the block size.  An
 integer table comes in the narrowest dtype proven to hold it (int16 for
 d below 2**31, int32 for phi and for sigma_k while N**k (2 + ln N) <
 2**31), so a caller widens before it multiplies values; sigma_t for any
-other t, sigma_norm and the Ramanujan tables are float64.  mu, phi and
-the Ramanujan tables are cached per sieve up to the largest N or R asked
-for (FactorSieve.upto), the divisor sums only where a caller prepares
-them.  Every table tabulate returns is read-only.
+other t, sigma_norm and the Ramanujan tables are float64.  A table is
+cached per sieve only where a caller prepares it (FactorSieve.prepare, or
+upto through it), up to the largest R asked for; tabulate reads that
+cache and otherwise walks its table alone, uncached.  Every table
+tabulate returns is read-only.
 """
 
 from __future__ import annotations
@@ -70,22 +71,22 @@ class FactorSieve:
 
     memo is filled lazily and has no lock, so a sieve is not safe to
     share between threads.  It holds every table derived from the sieve:
-    its primes (primes), and the tables of the spf walk, one per rule
-    (Walk) under its name, at the largest R asked for so far.  The walk
-    sieves its own spf segments from the primes up to isqrt(R), so R may
-    reach (limit + 1)**2 - 1 (as_index): prepare(walks, R) caches any of
-    them built in one walk, upto(w, R) reads that cache, and walked(w, R)
-    reads a divisor sum from it or walks the table alone, uncached.  Each
-    of these walks holds its tables whole; stream(walks, n_max, held) is
-    the same walk holding them only on 0..held, at least n_max // 2,
-    which is all the walk reads, and passing the blocks above through one
-    reused buffer per table, so a sum that reads each table once holds
-    about half of it: the half that prepare(walks, held) cached, which
-    stream hands back uncopied.  Every walk resumes each table above the
-    prefix memo caches.  Beside them ramanujan keeps in memo what depends
-    only on the sieve: its compact mu-power prefixes, which it grows
-    itself, the singular series' d = 1 sums and the periods of c_r for
-    small r.
+    its primes (primes), and the tables of the spf walk that callers
+    prepared, one per rule (Walk) under its name, at the largest R asked
+    for so far.  The walk sieves its own spf segments from the primes up
+    to isqrt(R), so R may reach (limit + 1)**2 - 1 (as_index):
+    prepare(walks, R) caches any of them built in one walk, and upto(w, R)
+    reads that cache.  Nothing else fills it: tabulate reads a table from
+    it, or walks the table alone and does not keep it.  Those walks hold
+    their tables whole; stream(walks, n_max, held) is the same walk
+    holding them only on 0..held, at least n_max // 2, which is all the
+    walk reads, and passing the blocks above through one reused buffer
+    per table, so a sum that reads each table once holds about half of
+    it: the half that prepare(walks, held) cached, which stream hands
+    back uncopied.  Every walk resumes each table above the prefix memo
+    caches.  Beside them ramanujan keeps in memo what depends only on the
+    sieve: its compact mu-power prefixes, which it grows itself, the
+    singular series' d = 1 sums and the periods of c_r for small r.
     """
 
     limit: int
@@ -134,21 +135,6 @@ class FactorSieve:
             table.setflags(write=False)
             self.memo[w.name] = table
 
-    def walked(self, w: Walk, R: int) -> np.ndarray:
-        """The walk's table w on 0..R, read-only, for d and sigma.
-
-        A view of the table prepare cached, where it holds 0..R in the
-        dtype of a table to R; otherwise a walk of its own, which memo
-        does not keep: a d table to 10**7 is 20 MB, a float64 one 80 MB.
-        """
-        R = as_index("R", R, 0, self)
-        cached = self.memo.get(w.name)
-        if cached is not None and len(cached) > R and cached.dtype == w.dtype(R):
-            return cached[: R + 1]
-        (table,), _ = self.stream([w], R, R)
-        table.setflags(write=False)
-        return table
-
     def stream(
         self, walks: Sequence[Walk], n_max: int, held: int
     ) -> Tuple[List[np.ndarray], Iterator[Tuple[int, List[np.ndarray]]]]:
@@ -166,7 +152,7 @@ class FactorSieve:
         values on [lo, lo + len), in one buffer per walk that the next
         block overwrites.  Every block is at most _SEGMENT long, and all
         but the first and the last are _SEGMENT long.  Held whole
-        (held = n_max), the walk yields no block, as for prepare and walked.
+        (held = n_max), the walk yields no block, as for prepare and tabulate.
         """
         n_max = as_index("n_max", n_max, 0, self)
         held = as_index("held", held, n_max // 2)
@@ -325,13 +311,15 @@ class ArithTable:
 
     values is a 1-D numpy array of an integer or real floating dtype,
     else UsageError (bool included), and 1-indexed; values[0] is unused
-    and zero.  kind is a tag: tabulate's "divisor", "sigma(2)",
-    "sigma_norm(0.5)", "mobius" or "phi", or a caller's own, such as
-    "custom" or "lambda" for a dense table.  Every table tabulate returns
-    is read-only, and an integer one is in the narrowest dtype proven to
+    and zero.  kind names the function: for a table tabulate returns, the
+    name of its walk record (walk(kind, s).name), such as "divisor" (for
+    sigma with s = 0 too), "sigma(2)", "sigma(-0.5)" (for sigma_norm(0.5)
+    too), "mobius" or "phi"; or a caller's own, such as "custom" or
+    "lambda" for a dense table.  Every table tabulate returns is
+    read-only, and an integer one is in the narrowest dtype proven to
     hold it (int16 for d below 2**31), so widen before multiplying
-    values; the mobius and phi values are views of the sieve's own
-    tables, not copies.
+    values; a table a caller prepared comes back as a view of the
+    sieve's own, not a copy.
     """
 
     kind: str
@@ -664,8 +652,11 @@ def walk(kind: str, s: float | None = None) -> Walk:
     written as a float, in float64: t = s for sigma and -s for
     sigma_norm(s) = sigma_{-s}, so sigma_norm(s) and sigma(-s) are one
     record and one table, unless -s is an integer >= 0 and sigma(-s) is
-    exact.  UsageError for any other kind, a sigma kind without s or with
-    an s that is no finite real (as_real), and an s given to another kind.
+    exact.  The record's name is the key of its table in FactorSieve.memo
+    and the kind of the ArithTable tabulate returns, so each table has
+    one name.  UsageError for any other kind, a sigma kind without s or
+    with an s that is no finite real (as_real), and an s given to another
+    kind.
     """
     if kind not in ("divisor", "sigma", "sigma_norm", "mobius", "phi"):
         raise UsageError(f"unknown table kind {kind!r}")
@@ -722,16 +713,21 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     one with t log2 N > 1000 for its powers d**t (t = s, or -s for
     sigma_norm), checked first, and an integer one past int64.
     Every kind reads the sieve's primes up to isqrt(N), so
-    N < (sieve.limit + 1)**2, as for factorize.  mu and phi are views of
-    the sieve's cached tables (FactorSieve.upto); d and sigma are views
-    of the tables FactorSieve.prepare cached, where it did, and otherwise
-    walked on their own and not cached.  Lambda has no table: see
-    convolution.lambda_convolution.
+    N < (sieve.limit + 1)**2, as for factorize.  Every kind is read
+    alike: a view of the table FactorSieve.prepare cached, where it holds
+    0..N in the dtype of a table to N, and otherwise a walk of the table
+    alone (FactorSieve.stream), which memo does not keep: a d table to
+    10**7 is 20 MB, a float64 one 80 MB.  The table's kind is its walk
+    record's name.  Lambda has no table: see convolution.lambda_convolution.
     """
     w = walk(kind, s)
     N = as_index(f"{kind} table: N", N, 1, sieve)
-    values = sieve.upto(w, N) if w in (MOBIUS, PHI) else sieve.walked(w, N)
-    return ArithTable(kind if s is None else f"{kind}({float(s):g})", values)
+    cached = sieve.memo.get(w.name)
+    if cached is not None and len(cached) > N and cached.dtype == w.dtype(N):
+        return ArithTable(w.name, cached[: N + 1])
+    (values,), _ = sieve.stream([w], N, N)
+    values.setflags(write=False)
+    return ArithTable(w.name, values)
 
 
 def walked_halves(sieve: FactorSieve, f: Tuple[str, float | None], g: Tuple[str, float | None],
@@ -749,7 +745,7 @@ def walked_halves(sieve: FactorSieve, f: Tuple[str, float | None], g: Tuple[str,
         w.dtype(N)
     sieve.prepare(walks, N // 2)
     ftab = tabulate(sieve, f[0], N // 2, s=f[1])
-    gtab = ftab if g == f else tabulate(sieve, g[0], N // 2, s=g[1])
+    gtab = ftab if gw == fw else tabulate(sieve, g[0], N // 2, s=g[1])
     # stream hands back the halves prepare cached, and walks on above them
     _, blocks = sieve.stream(walks, N - 1, N // 2)
     i, j = walks.index(fw), walks.index(gw)

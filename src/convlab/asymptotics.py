@@ -29,6 +29,7 @@ Main terms implemented here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -80,15 +81,16 @@ def main_term_full(sieve: FactorSieve, N: int) -> float:
 def main_term_subsum(sieve: FactorSieve, N: int, M: float) -> float:
     """(6/pi^2) M sigma_{-1}(N) log^2 sqrt(M(N-M)) for M <= N/2."""
     N = as_index("N", N, 1, sieve)
-    if not 1 <= as_real("M", M) <= N / 2:
-        raise UsageError(f"main_term_subsum needs 1 <= M <= N/2, got M={M}, N={N}")
-    _check_subsum_x(N, M)
+    _check_subsum("main_term_subsum", N, M)
     X = math.sqrt(M * (N - M))
     return _SIX_OVER_PI2 * M * _sigma_minus_one(sieve, N) * math.log(X) ** 2
 
 
-def _check_subsum_x(N: int, M: float) -> None:
-    # log^2 X with X = sqrt(M(N - M)) must not vanish
+def _check_subsum(what: str, N: int, M: float) -> None:
+    # the M of a closed subsum term: a finite real in [1, N/2], and log^2 X
+    # with X = sqrt(M(N - M)) must not vanish
+    if not 1 <= as_real("M", M) <= N / 2:
+        raise UsageError(f"{what} needs 1 <= M <= N/2, got M={M}, N={N}")
     if M * (N - M) < 2:
         raise UsageError("need M(N - M) >= 2")
 
@@ -128,8 +130,10 @@ def main_term_general(
     M times expansion_partial_sum of product_provider(pf, pg) at N.
     Returns (value, tail_bound) where tail_bound covers the discarded
     r > R terms: M K_f K_g sigma_1(N) R**-(1+df+dg) / (1+df+dg).  When R
-    is not given it is chosen so the bound is at most 1e-9 * M.  Both
-    providers must carry decay metadata.
+    is not given it is chosen so the bound is at most 1e-9 * M, capped at
+    sieve.limit as expansion_adaptive caps its doubling: UsageError names
+    an R past the cap, which the caller may pass.  Both providers must
+    carry decay metadata.
     """
     if pf.conditional or pg.conditional:
         raise UsageError("main_term_general needs providers with decay metadata")
@@ -144,6 +148,8 @@ def main_term_general(
     if R is None:
         scale = product.bound * sigma_rational(f, 1)
         R = max(16, math.ceil((scale / (product.delta * 1e-9)) ** (1.0 / product.delta)))
+        if R > sieve.limit:
+            raise UsageError(f"tail bound needs R = {R} > sieve limit {sieve.limit}; pass R")
     res = expansion_partial_sum(sieve, product, f, R)
     return M * res.value, M * res.tail_bound
 
@@ -201,10 +207,11 @@ def _check_envelope_n(N: int) -> None:
 
 
 def envelope_subsum(sieve: FactorSieve, N: int, M: float) -> float:
-    """M sigma_{-1}(N) log N loglog N."""
+    """M sigma_{-1}(N) log N loglog N, for 1 <= M <= N/2 as main_term_subsum."""
     N = as_index("N", N, 1, sieve)
+    _check_subsum("envelope_subsum", N, M)
     _check_envelope_n(N)
-    return as_real("M", M) * _sigma_minus_one(sieve, N) * math.log(N) * math.log(math.log(N))
+    return M * _sigma_minus_one(sieve, N) * math.log(N) * math.log(math.log(N))
 
 
 def envelope_fullsum(sieve: FactorSieve, N: int) -> float:
@@ -284,12 +291,13 @@ def verify(
 ) -> ConvolutionReport:
     """Assemble a ConvolutionReport.
 
-    The envelope must be positive, or NaN where no envelope applies; the
-    normalized residual is then NaN too.
+    exact and main must be finite real numbers (as_real), and the
+    envelope a real number that is positive, or NaN where no envelope
+    applies; the normalized residual is then NaN too.
     """
-    if not (envelope > 0 or math.isnan(envelope)):
-        raise UsageError(f"envelope must be positive, got {envelope}")
-    exact = float(exact)
+    exact, main = float(as_real("exact", exact)), as_real("main", main)
+    if not (isinstance(envelope, numbers.Real) and (envelope > 0 or math.isnan(envelope))):
+        raise UsageError(f"envelope must be a real number > 0 or NaN, got {envelope!r}")
     residual = exact - main
     relative = residual / main if main != 0 else math.nan
     return ConvolutionReport(
@@ -382,7 +390,7 @@ def check_divisor_report(N: int, M: float) -> None:
     every point before it builds the divisor table.
     """
     if M <= N / 2:
-        _check_subsum_x(N, M)
+        _check_subsum("divisor_report", N, M)
     _check_envelope_n(N)
 
 

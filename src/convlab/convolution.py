@@ -334,14 +334,13 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
         for N, k in ranges:
             _check_covers(f, g, N, k)
     if not (f.is_integer and g.is_integer):
-        if above is not None:
-            return _block_sums(fv, gv, above, N, [k for _, k in ranges])
-        # one _block_sums grid per N, over the whole tables as one block
+        # one _block_sums grid per N, over the blocks of above, where the
+        # tables end at N // 2, or over the whole tables' upper part as one
         sums = {}
         for N in dict.fromkeys(N for N, _ in ranges):
             ks = [k for n, k in ranges if n == N]
             h = N // 2
-            blocks = [(h + 1, fv[h + 1 : N], gv[h + 1 : N])]
+            blocks = [(h + 1, fv[h + 1 : N], gv[h + 1 : N])] if above is None else above
             sums[N] = dict(zip(ks, _block_sums(fv[: h + 1], gv[: h + 1], blocks, N, ks)))
         return [sums[N][k] for N, k in ranges]
     top = max((k for _, k in ranges), default=0)

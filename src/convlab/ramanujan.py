@@ -220,8 +220,8 @@ def custom_provider(
     """Coefficients a(r) = rule(r), optionally with decay metadata."""
     if (delta is None) != (bound is None):
         raise UsageError("decay metadata needs both delta and bound")
-    if delta is not None and not (0 < delta < math.inf and 0 < bound < math.inf):
-        raise UsageError("decay metadata must be positive and finite")
+    if delta is not None and not (as_real("delta", delta) > 0 and as_real("bound", bound) > 0):
+        raise UsageError("decay metadata must be positive")
 
     def coefficients(R: int) -> np.ndarray:
         out = np.zeros(R + 1, dtype=np.float64)

@@ -757,17 +757,19 @@ def test_walked_divisor_sums_match_the_oracles_at_every_block_edge():
             assert np.array_equal(alone, oracles[k][: R + 1]), (R, k)
             assert together.memo[name].tobytes() == alone.tobytes(), (R, k)
         for w, oracle in ramanujan.items():
-            alone = sv.walked(w, R)
+            alone = sv.stream([w], R, R)[0][0]
             assert alone.tobytes() == oracle[: R + 1].tobytes(), (R, w)
             assert together.memo[w.name].tobytes() == alone.tobytes(), (R, w)
         assert _cached(sv) == {}
 
 
 def test_bare_tabulate_caches_no_divisor_sum_table():
-    # a d table to 10**7 is 20 MB, so only prepare keeps one in memo; a
-    # prepared table is read back as a view in the dtype of the N asked for
+    # a d table to 10**7 is 20 MB, so only prepare keeps one in memo, for
+    # every kind alike (tabulate cached mu and phi); a prepared table is
+    # read back as a view in the dtype of the N asked for
     sv = build_sieve(200)
-    for kind, s in (("divisor", None), ("sigma", 0), ("sigma", 1), ("sigma", 2)):
+    for kind, s in (("divisor", None), ("sigma", 0), ("sigma", 1), ("sigma", 2),
+                    ("mobius", None), ("phi", None)):
         tabulate(sv, kind, 20_000, s=s)
     assert list(sv.memo) == ["primes"]
     sv.prepare((walk("divisor"), walk("sigma", 2)), 20_000)
@@ -793,14 +795,14 @@ _WALKS = (MOBIUS, PHI, walk("divisor"), walk("sigma", 1), walk("sigma", 2), walk
 
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_every_walk_to_below_two_holds_f0_and_f1(n_max):
-    # f(0) = 0 and f(1) = 1 in the dtype of a longer table, through walked
+    # f(0) = 0 and f(1) = 1 in the dtype of a longer table, through stream
     # and prepare, for every walk name; the divisor sums to 0 raised
     # ValueError from log2(0) in their dtype check
     longer = build_sieve(10)
     longer.prepare(_WALKS, 10)
     for w in _WALKS:
         sv = build_sieve(10)
-        for got in (sv.walked(w, n_max), sv.upto(w, n_max)):
+        for got in (sv.stream([w], n_max, n_max)[0][0], sv.upto(w, n_max)):
             assert got.tolist() == [0, 1][: n_max + 1], w.name
             assert got.dtype == longer.memo[w.name].dtype, w.name
 
@@ -823,6 +825,9 @@ def test_walk_records_keep_their_memo_keys(monkeypatch):
     for w, (kind, s, name) in zip(walks, _MEMO_KEYS):
         assert w.name == name, (kind, s)
         sv = build_sieve(10)
+        # a tabulated table is named as its record: sigma_norm(0.5) was
+        # tagged "sigma_norm(0.5)" and sigma with s = 0 "sigma(0)"
+        assert tabulate(sv, kind, 50, s=s).kind == name, (kind, s)
         sv.prepare((w,), 50)
         assert list(_cached(sv)) == [name], (kind, s)
     assert walk("mobius") is MOBIUS and walk("phi") is PHI

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from fractions import Fraction
 
@@ -55,12 +56,15 @@ def test_subsum_half_identity(sieve_small):
 
 
 def test_subsum_domain(sieve_small):
-    with pytest.raises(UsageError):
-        main_term_subsum(sieve_small, 100, 51.0)
-    with pytest.raises(UsageError):
-        main_term_subsum(sieve_small, 100, 0.5)
-    with pytest.raises(UsageError):
-        main_term_subsum(sieve_small, 2, 1.0)  # M(N-M) = 1, log X = 0
+    # envelope_subsum has main_term_subsum's rule, where it returned
+    # -45.78 at M = -3 and 1510.9 at M = 99
+    for call in (main_term_subsum, envelope_subsum):
+        for M in (-3.0, 0.5, 51.0, 99.0):
+            match = f"{call.__name__} needs 1 <= M <= N/2, got M={M}"
+            with pytest.raises(UsageError, match=re.escape(match)):
+                call(sieve_small, 100, M)
+        with pytest.raises(UsageError):
+            call(sieve_small, 2, 1.0)  # M(N-M) = 1, log X = 0
 
 
 def test_supersum_boundary(sieve_small):
@@ -166,14 +170,23 @@ def test_M_is_checked_real_first(sieve_small, call):
     ("tol", lambda sieve, x: expansion_adaptive(sieve, sigma_provider(2.0), 12, tol=x)),
     ("y", lambda sieve, x: tau_exact(x)),
     ("y", lambda sieve, x: tau_main(x)),
+    ("delta", lambda sieve, x: custom_provider(lambda r: r**-3.0, x, 1.0).delta),
+    ("bound", lambda sieve, x: custom_provider(lambda r: r**-3.0, 2.0, x).bound),
+    ("exact", lambda sieve, x: verify(x, 1.0, 1.0, N=3, M=1.0)),
+    ("main", lambda sieve, x: verify(1.0, x, 1.0, N=3, M=1.0)),
+    ("envelope", lambda sieve, x: verify(1.0, 1.0, x, N=3, M=1.0)),
+    ("exact", lambda sieve, x: sigma_norm_report(sieve, x, 0.5, 0.5, 100, 10.0)),
 ], ids=["tabulate sigma", "tabulate sigma_norm", "sigma_provider", "main_term_sigma_norm alpha",
         "main_term_sigma_norm beta", "main_term_sigma_full alpha", "main_term_sigma_full beta",
-        "envelope_ramanujan", "expansion_adaptive", "tau_exact", "tau_main"])
+        "envelope_ramanujan", "expansion_adaptive", "tau_exact", "tau_main",
+        "custom_provider delta", "custom_provider bound", "verify exact", "verify main",
+        "verify envelope", "sigma_norm_report exact"])
 def test_real_parameters_are_checked_real_first(request, sieve_small, name, call):
     # each real parameter is checked once before it is compared or
-    # converted, so no TypeError and no string read as its number; a
-    # table's exponent must be finite too, where NaN gave a NaN table and
-    # an infinity a table of ones
+    # converted, so no TypeError (custom_provider's and verify's), no
+    # ValueError (sigma_norm_report's float of exact) and no string read
+    # as its number; a table's exponent must be finite too, where NaN gave
+    # a NaN table and an infinity a table of ones
     for bad in ("2", 2j):
         with pytest.raises(UsageError, match=f"{name} must be a real number"):
             call(sieve_small, bad)
@@ -197,13 +210,18 @@ def test_real_parameters_are_checked_real_first(request, sieve_small, name, call
     ("alpha", lambda sieve, x: main_term_sigma_norm(sieve, x, 1.0, 12, 5.0)),
     ("beta", lambda sieve, x: main_term_sigma_full(sieve, 1.0, x, 12)),
     ("tol", lambda sieve, x: expansion_adaptive(sieve, sigma_provider(2.0), 12, tol=x)),
+    ("exact", lambda sieve, x: verify(x, 1.0, 1.0, N=3, M=1.0)),
+    ("main", lambda sieve, x: verify(1.0, x, 1.0, N=3, M=1.0)),
+    ("exact", lambda sieve, x: sigma_norm_report(sieve, x, 0.5, 0.5, 100, 10.0)),
 ], ids=["envelope_ramanujan delta", "envelope_ramanujan M", "tau_main", "envelope_subsum",
         "main_term_subsum", "main_term_supersum", "ConvolutionSpec", "sigma_provider",
-        "main_term_sigma_norm", "main_term_sigma_full", "expansion_adaptive"])
+        "main_term_sigma_norm", "main_term_sigma_full", "expansion_adaptive", "verify exact",
+        "verify main", "sigma_norm_report exact"])
 def test_non_finite_real_parameters_raise(sieve_small, name, call, bad):
     # as_real rejects NaN and the infinities before any comparison, where
-    # a NaN passed every one: envelope_ramanujan returned 1.0 and tau_main
-    # nan, and the others raised with a message about another bound
+    # a NaN passed every one: envelope_ramanujan returned 1.0, tau_main
+    # nan and verify a report of NaNs, and the others raised with a
+    # message about another bound
     with pytest.raises(UsageError, match=f"{name} must be finite"):
         call(sieve_small, bad)
 
@@ -221,10 +239,18 @@ def test_general_rejects_conditional(sieve_small):
 
 
 def test_general_R_exceeding_sieve(sieve_small):
-    # slow decay forces a default R far past the sieve limit
+    # slow decay forces a default R far past the sieve limit, capped there:
+    # the sigma(0.3) pair at N = 720720 needs R = 20445353010, within the
+    # reach of a sieve to 10**7, which walked mu to it (about 20 GB), and
+    # was refused here as an R the caller never passed
     p = sigma_provider(0.1)
     with pytest.raises(UsageError):
         main_term_general(sieve_small, p, p, 6, 10.0)
+    p = sigma_provider(0.3)
+    with pytest.raises(UsageError, match=re.escape(
+            "tail bound needs R = 20445353010 > sieve limit 10000; pass R")):
+        main_term_general(sieve_small, p, p, 720720, 10.0)
+    assert math.isfinite(main_term_general(sieve_small, p, p, 720720, 10.0, R=10_000)[0])
 
 
 def test_sigma_norm_examples(sieve_small):

@@ -124,6 +124,14 @@ def test_shifted_examples(dtable_small):
     assert shifted_divisor_convolution(dtable_small, 3, 2) == 12
 
 
+def test_shifted_sum_takes_sigma_zero_as_the_divisor_table(sieve_small):
+    # sigma with s = 0 is the divisor table, by name too: it was tagged
+    # "sigma(0)" and refused as no divisor table
+    sigma0 = tabulate(sieve_small, "sigma", 200, s=0)
+    assert shifted_divisor_convolution(sigma0, 100, 3) == \
+        shifted_divisor_convolution(tabulate(sieve_small, "divisor", 200), 100, 3)
+
+
 def test_shifted_table_too_short(sieve_small):
     short = tabulate(sieve_small, "divisor", 10)
     with pytest.raises(UsageError):
@@ -437,7 +445,7 @@ def test_streamed_integer_sums_equal_the_whole_table_sums(monkeypatch):
     top, rng = 1000, random.Random(5)
     sieve = build_sieve(math.isqrt(top))
     sieve.prepare(_INT_WALKS, top)
-    whole = [ArithTable(w.name, sieve.walked(w, top)) for w in _INT_WALKS]
+    whole = [ArithTable(w.name, sieve.stream([w], top, top)[0][0]) for w in _INT_WALKS]
     cases = []
     for N in range(2, top + 1):
         if N <= 24 or N == top:
@@ -492,8 +500,8 @@ def test_streamed_integer_sums_across_blocks(N):
     for f, g in ((s1, d), (d, s2), (s2, s2)):
         if f == g == s2:
             specs = [spec for spec in specs if spec.last_index <= N // 2 + 1]
-        ref = additive_convolutions(ArithTable(f.name, sieve.walked(f, N)),
-                                    ArithTable(g.name, sieve.walked(g, N)), specs)
+        ref = additive_convolutions(ArithTable(f.name, sieve.stream([f], N, N)[0][0]),
+                                    ArithTable(g.name, sieve.stream([g], N, N)[0][0]), specs)
         assert _streamed(sieve, f, g, specs) == ref, (f, g)
 
 
@@ -509,7 +517,7 @@ def test_streamed_integer_sums_scan_each_piece_once(f, g, monkeypatch):
     scanned = []
     abs_max = convolution._abs_max
     monkeypatch.setattr(convolution, "_abs_max", lambda a: scanned.append(len(a)) or abs_max(a))
-    whole = [ArithTable(w.name, sieve.walked(w, N)) for w in (f, g)]
+    whole = [ArithTable(w.name, sieve.stream([w], N, N)[0][0]) for w in (f, g)]
     grids = [[N], [N, *range(1, N, N // 39)]]
     for Ms in grids:
         specs = _specs(N, Ms)
