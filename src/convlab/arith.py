@@ -506,8 +506,10 @@ def sigma_real(f: Factorization, s: float) -> float:
 
     The d(n) powers float(d)**s are added by math.fsum, so the sum is
     correctly rounded from them.  The main terms of the sigma sums read
-    sigma of their N from here.
+    sigma of their N from here.  s must be finite, with s log2 n <= 1000
+    as for a float sigma table to n, so that no power overflows float64.
     """
+    _check_powers(f.n, as_real("s", s))
     return math.fsum(float(d) ** s for d in divisors(f))
 
 

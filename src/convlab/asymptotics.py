@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arith import (
     ArithTable, FactorSieve, as_index, as_real, factorize, sigma_rational, sigma_real,
@@ -266,50 +266,50 @@ def envelope_defect(r: int, s: int) -> float:
 class ConvolutionReport:
     """One exact sum measured against its main term and error envelope.
 
+    N, M and boundary are those of the ConvolutionSpec the sum ran over.
     relative is residual / main, or NaN when main is zero.
     """
 
     N: int
     M: float
+    boundary: str
     exact: float
     main: float
     residual: float
     envelope: float
     normalized: float
     relative: float
-    envelope_kind: str
 
 
 def verify(
+    spec: ConvolutionSpec,
     exact: float,
     main: float,
     envelope: float,
-    *,
-    N: int,
-    M: float,
-    envelope_kind: str = "custom",
 ) -> ConvolutionReport:
-    """Assemble a ConvolutionReport.
+    """The report of the sum over spec: exact against main and envelope.
 
-    exact and main must be finite real numbers (as_real), and the
-    envelope a real number that is positive, or NaN where no envelope
-    applies; the normalized residual is then NaN too.
+    The spec has checked N and M by its rules.  exact and main must be
+    finite real numbers (as_real), and the envelope a finite real number
+    > 0, or NaN where no envelope applies; the normalized residual is
+    then NaN too.
     """
     exact, main = float(as_real("exact", exact)), as_real("main", main)
-    if not (isinstance(envelope, numbers.Real) and (envelope > 0 or math.isnan(envelope))):
-        raise UsageError(f"envelope must be a real number > 0 or NaN, got {envelope!r}")
+    if not (isinstance(envelope, numbers.Real)
+            and (0 < envelope < math.inf or math.isnan(envelope))):
+        raise UsageError(f"envelope must be a real number > 0 and finite, or NaN, got {envelope!r}")
     residual = exact - main
     relative = residual / main if main != 0 else math.nan
     return ConvolutionReport(
-        N=N,
-        M=M,
+        N=spec.N,
+        M=spec.M,
+        boundary=spec.boundary,
         exact=exact,
         main=main,
         residual=residual,
         envelope=envelope,
         normalized=residual / envelope,
         relative=relative,
-        envelope_kind=envelope_kind,
     )
 
 
@@ -322,14 +322,14 @@ class SweepResult:
     endpoint_relative: Tuple[float, float]
 
 
-def sweep(make_report: Callable[[Any], ConvolutionReport], grid: Sequence[Any]) -> SweepResult:
-    """Evaluate make_report over grid, in grid order, in the calling thread.
+def sweep(reports: Sequence[ConvolutionReport]) -> SweepResult:
+    """The reports of a grid, in grid order, with their summaries.
 
     max_normalized skips NaN values, and is NaN when every value is.
     """
-    if len(grid) == 0:
-        raise UsageError("sweep needs a non-empty grid")
-    reports = tuple(make_report(point) for point in grid)
+    if len(reports) == 0:
+        raise UsageError("sweep needs at least one report")
+    reports = tuple(reports)
     norms = [abs(r.normalized) for r in reports if not math.isnan(r.normalized)]
     return SweepResult(
         reports=reports,
@@ -343,9 +343,10 @@ def divisor_report(
 ) -> ConvolutionReport:
     """Report for the divisor convolution at (N, M).
 
-    The exact sum is additive_convolution of dtable with itself.  M <= N/2
-    uses the closed-boundary sum with its refined main term; M > N/2 uses
-    the half-open sum with the complement main term.
+    The exact sum is additive_convolution of dtable with itself over the
+    spec of check_divisor_report: the closed sum with its refined main
+    term for M <= N/2, the half-open sum with the complement main term
+    above.
     """
     return divisor_reports(sieve, dtable, [(N, M)])[0]
 
@@ -355,15 +356,11 @@ def divisor_reports(
 ) -> List[ConvolutionReport]:
     """divisor_report at every (N, M) of points, in order.
 
-    Every point is checked before any sum, and the exact sums come from
-    one additive_convolutions call, which reads each block of dtable once
-    for the whole grid.
+    Every point's spec comes from check_divisor_report before any sum,
+    and the exact sums come from one additive_convolutions call, which
+    reads each block of dtable once for the whole grid.
     """
-    specs = []
-    for N, M in points:
-        closed = M <= N / 2
-        specs.append(ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open"))
-        check_divisor_report(N, M)
+    specs = [check_divisor_report(N, M) for N, M in points]
     exacts = additive_convolutions(dtable, dtable, specs)
     reports = []
     for spec, exact in zip(specs, exacts):
@@ -371,27 +368,29 @@ def divisor_reports(
         if spec.boundary == "closed":
             main = main_term_subsum(sieve, N, M)
             env = envelope_subsum(sieve, N, M)
-            kind = "divisor_subsum"
         else:
             main = main_term_supersum(sieve, N, M)
             env = envelope_fullsum(sieve, N)
-            kind = "divisor_supersum"
-        reports.append(verify(exact, main, env, N=N, M=M, envelope_kind=kind))
+        reports.append(verify(spec, exact, main, env))
     return reports
 
 
-def check_divisor_report(N: int, M: float) -> None:
-    """Raise UsageError where divisor_report has no main term or envelope.
+def check_divisor_report(N: int, M: float) -> ConvolutionSpec:
+    """The spec of divisor_report's sum at (N, M), or UsageError where it has none.
 
-    The rules, in the order divisor_report meets them, for an M in
-    [1, N]: M(N - M) >= 2 for the closed sum (M <= N/2), whose main term
-    takes log sqrt(M(N - M)), then N >= 16 for the envelopes' loglog N.
-    divisor_report checks them before its exact sum; a caller can check
-    every point before it builds the divisor table.
+    The one rule for its boundary: closed for M <= N/2, half-open above.
+    The checks, in the order divisor_report meets them: the spec's own
+    (an integer N >= 2 and a real M in [1, N]), then M(N - M) >= 2 for
+    the closed sum, whose main term takes log sqrt(M(N - M)), then N >= 16
+    for the envelopes' loglog N.  A caller can check every point before
+    it builds the divisor table.
     """
-    if M <= N / 2:
-        _check_subsum("divisor_report", N, M)
-    _check_envelope_n(N)
+    spec = ConvolutionSpec(N=N, M=M, boundary="half_open")
+    if spec.M <= spec.N / 2:
+        spec = ConvolutionSpec(N=N, M=M, boundary="closed")
+        _check_subsum("divisor_report", spec.N, spec.M)
+    _check_envelope_n(spec.N)
+    return spec
 
 
 def sigma_norm_report(
@@ -410,7 +409,7 @@ def sigma_norm_report(
     it hold neither table whole.  The regime envelope needs log M > 0, so for 1 <= M < 2
     envelope and normalized are NaN.
     """
-    ConvolutionSpec(N=N, M=M, boundary="half_open")  # checks N and M
+    spec = ConvolutionSpec(N=N, M=M, boundary="half_open")
     main, delta = main_term_sigma_norm(sieve, alpha, beta, N, M)
     env = envelope_ramanujan(delta, M) if M >= 2 else math.nan
-    return verify(exact, main, env, N=N, M=M, envelope_kind=ramanujan_regime(delta))
+    return verify(spec, exact, main, env)

@@ -232,27 +232,22 @@ def cmd_verify_ingham(args: argparse.Namespace) -> Result:
         raise UsageError(f"N grid entries must be integers >= 2, got {args.N_grid!r}")
     grid = [int(v) for v in grid]
     rule, m_of = _parse_m_rule(args.M_rule)
-    # divisor_report's closed sum is used only for M <= N/2 <= N - 1
-    for N in grid:
-        ConvolutionSpec(N=N, M=m_of(N), boundary="half_open")
     for N in grid:
         check_divisor_report(N, m_of(N))
     sieve = _sieve_for(math.isqrt(max(grid)), max(grid))
     dtable = tabulate(sieve, "divisor", max(grid))
     # every exact sum of the grid, and frac's full sums, in one pass each
     reports = divisor_reports(sieve, dtable, [(N, m_of(N)) for N in grid])
-    result = sweep(lambda rep: rep, reports)
+    result = sweep(reports)
     if rule == "frac":
+        # the full sum at N is divisor_report's sum at M = N
         fulls = additive_convolutions(
-            dtable, dtable, [ConvolutionSpec(N=N, M=float(N), boundary="half_open") for N in grid]
+            dtable, dtable, [check_divisor_report(N, float(N)) for N in grid]
         )
         ratios = [rep.exact / full for rep, full in zip(reports, fulls)]
     else:
         ratios = [math.nan] * len(grid)
-    rows: List[Row] = []
-    for rep, ratio in zip(reports, ratios):
-        boundary = "closed" if rep.envelope_kind == "divisor_subsum" else "half_open"
-        rows.append({**vars(rep), "boundary": boundary, "sub_full_ratio": ratio})
+    rows = [{**vars(rep), "sub_full_ratio": ratio} for rep, ratio in zip(reports, ratios)]
     first, last = result.endpoint_relative
     trend_ok = len(grid) < 2 or (abs(last) < abs(first) and _within_twice_first(result.reports))
     summary = {
@@ -284,9 +279,10 @@ def cmd_verify_general(args: argparse.Namespace) -> Result:
     # every exact sum of the grid in one walk of both tables, each held
     # only up to N/2
     f, g, above = walked_halves(sieve, ("sigma_norm", alpha), ("sigma_norm", beta), args.N)
-    exacts = dict(zip(grid, additive_convolutions(f, g, specs, above=above)))
+    exacts = additive_convolutions(f, g, specs, above=above)
     regime = ramanujan_regime(delta)
-    result = sweep(lambda M: sigma_norm_report(sieve, exacts[M], alpha, beta, args.N, M), grid)
+    result = sweep([sigma_norm_report(sieve, exact, alpha, beta, args.N, M)
+                    for exact, M in zip(exacts, grid)])
     rows: List[Row] = [
         {**vars(rep), "alpha": alpha, "beta": beta, "delta": delta, "regime": regime}
         for rep in result.reports

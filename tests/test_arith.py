@@ -228,7 +228,8 @@ def test_integers_past_float64_are_usage_errors(sieve_small):
         "s": [lambda: tabulate(sieve_small, "sigma", 10, s=huge),
               lambda: tabulate(sieve_small, "sigma_norm", 10, s=huge),
               lambda: tabulate(sieve_small, "sigma_norm", 10, s=-huge),
-              lambda: sigma_provider(huge)],
+              lambda: sigma_provider(huge),
+              lambda: sigma_real(factorize(sieve_small, 12), huge)],
         "alpha": [lambda: main_term_sigma_norm(sieve_small, huge, 1.0, 12, 3.0),
                   lambda: main_term_sigma_full(sieve_small, huge, 1.0, 12)],
         "M": [lambda: envelope_ramanujan(0.5, huge)],
@@ -293,6 +294,21 @@ def test_float_sigma_past_float64_is_rejected(sieve_small):
         tabulate(sieve_small, "sigma", 2**10, s=100.5)
     with pytest.raises(UsageError, match="overflow float64"):
         tabulate(sieve_small, "sigma_norm", 2**10, s=-100.5)
+
+
+def test_sigma_real_past_float64_is_rejected(sieve_small):
+    # sigma_real takes tabulate's rule for the powers of one n, where
+    # float(d)**s raised a raw OverflowError, and so does the full-sum
+    # main term that reads sigma_{a+b+1}(N) from it; s log2 N = 953 at
+    # a = b = 20 and N = 10**7 still passes
+    from convlab import main_term_sigma_full
+
+    with pytest.raises(UsageError, match="overflow float64"):
+        sigma_real(factorize(sieve_small, 10**6), 200.0)
+    sv = build_sieve(4000)
+    with pytest.raises(UsageError, match="overflow float64"):
+        main_term_sigma_full(sv, 24.0, 24.0, 10**7)
+    assert main_term_sigma_full(sv, 20.0, 20.0, 10**7)[0] == 1.769378407730722e+274
 
 
 def test_tabulate_matches_pointwise(sieve_small):

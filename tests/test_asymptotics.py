@@ -1,6 +1,5 @@
 import math
 import re
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +13,13 @@ from convlab import (
     custom_provider,
     divisor_provider,
     divisor_report,
+    divisor_reports,
     envelope_defect,
     envelope_fullsum,
     envelope_ramanujan,
     envelope_subsum,
     expansion_adaptive,
+    factorize,
     main_term_full,
     main_term_general,
     main_term_sigma_full,
@@ -28,14 +29,23 @@ from convlab import (
     ramanujan_regime,
     sigma_norm_report,
     sigma_provider,
+    sigma_real,
     sweep,
     tabulate,
     tau_exact,
     tau_main,
     verify,
 )
+from convlab.asymptotics import check_divisor_report
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
+
+
+def _spec(N, M, boundary="half_open"):
+    return ConvolutionSpec(N=N, M=M, boundary=boundary)
+
+
+_SPEC3 = _spec(3, 1.0)
 
 
 def test_subsum_example(sieve_small):
@@ -130,7 +140,9 @@ def test_general_checks_R_before_a_zero_M(sieve_small):
     lambda sieve, N: main_term_supersum(sieve, N, 60.0),
     lambda sieve, N: envelope_subsum(sieve, N, 10.0),
     lambda sieve, N: envelope_fullsum(sieve, N),
-], ids=["main_term_subsum", "main_term_supersum", "envelope_subsum", "envelope_fullsum"])
+    lambda sieve, N: check_divisor_report(N, 10.0),
+], ids=["main_term_subsum", "main_term_supersum", "envelope_subsum", "envelope_fullsum",
+        "check_divisor_report"])
 def test_divisor_terms_check_N_is_an_integer_first(sieve_small, call):
     # N is checked before it is compared with M or 16, so no TypeError
     for bad in ("100", 100.0, None):
@@ -148,8 +160,10 @@ def test_divisor_terms_check_N_is_an_integer_first(sieve_small, call):
     lambda sieve, M: envelope_subsum(sieve, 100, M),
     lambda sieve, M: envelope_ramanujan(0.5, M),
     lambda sieve, M: sigma_norm_report(sieve, 1.0, 0.5, 0.5, 100, M),
+    lambda sieve, M: check_divisor_report(100, M),
 ], ids=["ConvolutionSpec", "main_term_general", "main_term_sigma_norm", "main_term_subsum",
-        "main_term_supersum", "envelope_subsum", "envelope_ramanujan", "sigma_norm_report"])
+        "main_term_supersum", "envelope_subsum", "envelope_ramanujan", "sigma_norm_report",
+        "check_divisor_report"])
 def test_M_is_checked_real_first(sieve_small, call):
     # M is checked once before it is compared or converted, so no TypeError
     for bad in ("5", None, 5j):
@@ -172,15 +186,16 @@ def test_M_is_checked_real_first(sieve_small, call):
     ("y", lambda sieve, x: tau_main(x)),
     ("delta", lambda sieve, x: custom_provider(lambda r: r**-3.0, x, 1.0).delta),
     ("bound", lambda sieve, x: custom_provider(lambda r: r**-3.0, 2.0, x).bound),
-    ("exact", lambda sieve, x: verify(x, 1.0, 1.0, N=3, M=1.0)),
-    ("main", lambda sieve, x: verify(1.0, x, 1.0, N=3, M=1.0)),
-    ("envelope", lambda sieve, x: verify(1.0, 1.0, x, N=3, M=1.0)),
+    ("exact", lambda sieve, x: verify(_SPEC3, x, 1.0, 1.0)),
+    ("main", lambda sieve, x: verify(_SPEC3, 1.0, x, 1.0)),
+    ("envelope", lambda sieve, x: verify(_SPEC3, 1.0, 1.0, x)),
     ("exact", lambda sieve, x: sigma_norm_report(sieve, x, 0.5, 0.5, 100, 10.0)),
+    ("s", lambda sieve, x: sigma_real(factorize(sieve, 12), x)),
 ], ids=["tabulate sigma", "tabulate sigma_norm", "sigma_provider", "main_term_sigma_norm alpha",
         "main_term_sigma_norm beta", "main_term_sigma_full alpha", "main_term_sigma_full beta",
         "envelope_ramanujan", "expansion_adaptive", "tau_exact", "tau_main",
         "custom_provider delta", "custom_provider bound", "verify exact", "verify main",
-        "verify envelope", "sigma_norm_report exact"])
+        "verify envelope", "sigma_norm_report exact", "sigma_real"])
 def test_real_parameters_are_checked_real_first(request, sieve_small, name, call):
     # each real parameter is checked once before it is compared or
     # converted, so no TypeError (custom_provider's and verify's), no
@@ -210,13 +225,14 @@ def test_real_parameters_are_checked_real_first(request, sieve_small, name, call
     ("alpha", lambda sieve, x: main_term_sigma_norm(sieve, x, 1.0, 12, 5.0)),
     ("beta", lambda sieve, x: main_term_sigma_full(sieve, 1.0, x, 12)),
     ("tol", lambda sieve, x: expansion_adaptive(sieve, sigma_provider(2.0), 12, tol=x)),
-    ("exact", lambda sieve, x: verify(x, 1.0, 1.0, N=3, M=1.0)),
-    ("main", lambda sieve, x: verify(1.0, x, 1.0, N=3, M=1.0)),
+    ("exact", lambda sieve, x: verify(_SPEC3, x, 1.0, 1.0)),
+    ("main", lambda sieve, x: verify(_SPEC3, 1.0, x, 1.0)),
     ("exact", lambda sieve, x: sigma_norm_report(sieve, x, 0.5, 0.5, 100, 10.0)),
+    ("s", lambda sieve, x: sigma_real(factorize(sieve, 12), x)),
 ], ids=["envelope_ramanujan delta", "envelope_ramanujan M", "tau_main", "envelope_subsum",
         "main_term_subsum", "main_term_supersum", "ConvolutionSpec", "sigma_provider",
         "main_term_sigma_norm", "main_term_sigma_full", "expansion_adaptive", "verify exact",
-        "verify main", "sigma_norm_report exact"])
+        "verify main", "sigma_norm_report exact", "sigma_real"])
 def test_non_finite_real_parameters_raise(sieve_small, name, call, bad):
     # as_real rejects NaN and the infinities before any comparison, where
     # a NaN passed every one: envelope_ramanujan returned 1.0, tau_main
@@ -399,17 +415,20 @@ def test_main_terms_refuse_a_negative_M_alike(sieve_small):
 
 
 def test_verify_report_fields():
-    rep = verify(12.0, 4.4024, math.e, N=6, M=3.0, envelope_kind="divisor_subsum")
+    rep = verify(_spec(6, 3.0, "closed"), 12.0, 4.4024, math.e)
     assert rep.residual == pytest.approx(7.5976)
     assert rep.normalized == pytest.approx(7.5976 / math.e)
     assert rep.relative == pytest.approx(7.5976 / 4.4024)
-    assert rep.N == 6 and rep.M == 3.0
-    same = verify(5.0, 5.0, 1.0, N=4, M=2.0)
+    assert rep.N == 6 and rep.M == 3.0 and rep.boundary == "closed"
+    same = verify(_spec(4, 2.0), 5.0, 5.0, 1.0)
     assert same.normalized == 0.0
-    undef = verify(1.0, 0.0, 1.0, N=4, M=2.0)
+    undef = verify(_spec(4, 2.0), 1.0, 0.0, 1.0)
     assert math.isnan(undef.relative)
-    with pytest.raises(UsageError):
-        verify(1.0, 1.0, 0.0, N=4, M=2.0)
+    # an infinite envelope gave normalized 0.0, a bound that holds for
+    # any residual
+    for bad in (0.0, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="envelope must be a real number > 0 and finite"):
+            verify(_SPEC3, 3.0, 1.0, bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -426,44 +445,35 @@ def test_library_rejects_non_finite_values(sieve_small, call, bad):
 
 
 def test_sweep_single_and_empty(sieve_small, dtable_small):
-    result = sweep(lambda N: divisor_report(sieve_small, dtable_small, N, float(N // 2)), [100])
+    result = sweep([divisor_report(sieve_small, dtable_small, 100, 50.0)])
     assert len(result.reports) == 1
     rep = result.reports[0]
     assert result.max_normalized == abs(rep.normalized)
     assert result.endpoint_relative == (rep.relative, rep.relative)
     with pytest.raises(UsageError):
-        sweep(lambda N: rep, [])
+        sweep([])
 
 
 @pytest.mark.parametrize("nan_first", [True, False])
 def test_sweep_max_normalized_skips_nan(nan_first):
     # a report without an envelope has a NaN normalized; wherever it sits,
     # the worst case is taken over the others, and is NaN only when all are
-    no_envelope = verify(2.0, 1.0, math.nan, N=4, M=1.0)
-    finite = [verify(3.0, 1.0, 1.0, N=4, M=2.0), verify(2.0, 1.0, 1.0, N=4, M=3.0)]
+    no_envelope = verify(_spec(4, 1.0), 2.0, 1.0, math.nan)
+    finite = [verify(_spec(4, 2.0), 3.0, 1.0, 1.0), verify(_spec(4, 3.0), 2.0, 1.0, 1.0)]
     grid = [no_envelope] + finite if nan_first else finite + [no_envelope]
-    assert sweep(lambda rep: rep, grid).max_normalized == 2.0
-    assert math.isnan(sweep(lambda rep: rep, [no_envelope]).max_normalized)
+    assert sweep(grid).max_normalized == 2.0
+    assert math.isnan(sweep([no_envelope]).max_normalized)
 
 
-def test_sweep_runs_in_calling_thread_in_grid_order(sieve_small, dtable_small, monkeypatch):
-    # a worker count set in the environment is ignored
-    monkeypatch.setenv("CONVLAB_THREADS", "4")
-    calls = []
-
-    def make(N):
-        calls.append((threading.get_ident(), N))
-        return divisor_report(sieve_small, dtable_small, N, float(N // 2))
-
+def test_sweep_keeps_grid_order(sieve_small, dtable_small):
     grid = [50, 100, 400, 1000, 2000, 5000]
-    result = sweep(make, grid)
-    assert calls == [(threading.get_ident(), N) for N in grid]
+    result = sweep([divisor_report(sieve_small, dtable_small, N, float(N // 2)) for N in grid])
     assert [rep.N for rep in result.reports] == grid
 
 
 def test_divisor_report_boundaries(sieve_small, dtable_small):
     sub = divisor_report(sieve_small, dtable_small, 1000, 300.0)
-    assert sub.envelope_kind == "divisor_subsum"
+    assert sub.boundary == "closed"
     assert sub.exact == float(
         sum(
             int(dtable_small.values[n]) * int(dtable_small.values[1000 - n])
@@ -471,7 +481,23 @@ def test_divisor_report_boundaries(sieve_small, dtable_small):
         )
     )
     sup = divisor_report(sieve_small, dtable_small, 1000, 800.0)
-    assert sup.envelope_kind == "divisor_supersum"
+    assert sup.boundary == "half_open"
+
+
+@pytest.mark.parametrize("N, M, boundary", [
+    (1000, 300.0, "closed"), (1000, 500.0, "closed"), (1001, 500.5, "closed"),
+    (1001, 501.0, "half_open"), (1000, 999.5, "half_open"), (1000, 1000.0, "half_open"),
+])
+def test_check_divisor_report_returns_the_spec_divisor_report_sums(
+    sieve_small, dtable_small, N, M, boundary
+):
+    # closed for M <= N/2 and half-open above: the one place that picks
+    spec = check_divisor_report(N, M)
+    assert spec == ConvolutionSpec(N=N, M=M, boundary=boundary)
+    rep = divisor_report(sieve_small, dtable_small, N, M)
+    assert (rep.N, rep.M, rep.boundary) == (spec.N, spec.M, spec.boundary)
+    assert rep.exact == additive_convolution(dtable_small, dtable_small, spec)
+    assert divisor_reports(sieve_small, dtable_small, [(N, M)]) == [rep]
 
 
 def _sigma_norm_exact(sieve, f, g, N, M):
@@ -482,12 +508,14 @@ def test_sigma_norm_report_regimes(sieve_small):
     f = tabulate(sieve_small, "sigma_norm", 1000, s=0.5)
     exact = _sigma_norm_exact(sieve_small, f, f, 1000, 100.0)
     rep = sigma_norm_report(sieve_small, exact, 0.5, 0.5, 1000, 100.0)
-    assert rep.envelope_kind == "delta_lt_1" and rep.exact == exact
+    assert rep.boundary == "half_open" and rep.exact == exact
+    assert ramanujan_regime(0.5) == "delta_lt_1"
     assert rep.envelope == pytest.approx(100.0**0.5 * math.log(100.0) ** 3)
     g = tabulate(sieve_small, "sigma_norm", 1000, s=1.0)
     rep = sigma_norm_report(sieve_small, _sigma_norm_exact(sieve_small, g, g, 1000, 100.0),
                             1.0, 1.0, 1000, 100.0)
-    assert rep.envelope_kind == "delta_eq_1"
+    assert rep.boundary == "half_open" and ramanujan_regime(1.0) == "delta_eq_1"
+    assert rep.envelope == pytest.approx(math.log(100.0) ** 3)
     with pytest.raises(UsageError):
         sigma_norm_report(sieve_small, exact, 0.5, 0.5, 1000, 1001.0)
 
@@ -502,4 +530,4 @@ def test_sigma_norm_report_below_M_2_has_nan_envelope(sieve_small):
         assert (rep.exact, rep.main, rep.residual) == (exact, main, exact - main)
         assert math.isnan(rep.envelope) and math.isnan(rep.normalized)
     with pytest.raises(UsageError):
-        verify(1.0, 1.0, -1.0, N=4, M=2.0)
+        verify(_spec(4, 2.0), 1.0, 1.0, -1.0)

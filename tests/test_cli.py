@@ -173,18 +173,19 @@ _INGHAM_GRID = "1000,5000,9999,7560,16,17"
     (_INGHAM_GRID, "fixed:7.5"),
 ])
 def test_verify_ingham_rows_equal_per_point_reports(grid, rule, sieve_small, dtable_small):
-    # the grid's exact sums, taken in one pass, give divisor_report's rows
+    # the grid's exact sums, taken in one pass, give divisor_report's rows,
+    # each row's boundary its report's
     rows, _, _ = cmd_verify_ingham(argparse.Namespace(N_grid=grid, M_rule=rule))
     m_of = _parse_m_rule(rule)[1]
     expected = []
     for N in (int(v) for v in grid.split(",")):
         rep = divisor_report(sieve_small, dtable_small, N, m_of(N))
+        assert rep.boundary == ("closed" if m_of(N) <= N / 2 else "half_open")
         ratio = math.nan
         if rule.startswith("frac"):
             full = ConvolutionSpec(N=N, M=float(N), boundary="half_open")
             ratio = rep.exact / additive_convolution(dtable_small, dtable_small, full)
-        boundary = "closed" if rep.envelope_kind == "divisor_subsum" else "half_open"
-        expected.append({**vars(rep), "boundary": boundary, "sub_full_ratio": ratio})
+        expected.append({**vars(rep), "sub_full_ratio": ratio})
     # repr keeps every bit and reads NaN equal to NaN
     assert [{k: repr(v) for k, v in row.items()} for row in rows] == \
         [{k: repr(v) for k, v in row.items()} for row in expected]
@@ -516,6 +517,16 @@ def test_verify_ingham_domain_exits_2_before_tables(capsys, monkeypatch, grid, n
     assert code == 2
     assert out == ""
     assert err == f"error: {needle}\n"
+
+
+@pytest.mark.parametrize("grid, needle", [
+    ("12,4", "envelopes with loglog N need N >= 16, got 12"),
+    ("4,12", "M must lie in [1, N], got M=6.0, N=4"),
+])
+def test_verify_ingham_names_the_first_bad_point(capsys, grid, needle):
+    # each point is checked whole, its range and then its domain, in grid order
+    code, out, err = run(capsys, "verify-ingham", "--N-grid", grid, "--M-rule", "fixed:6")
+    assert (code, out, err) == (2, "", f"error: {needle}\n")
 
 
 @pytest.mark.parametrize("alpha, needle", [

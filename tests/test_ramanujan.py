@@ -604,6 +604,21 @@ def test_orthogonality_examples(sieve_small):
     assert rec.main == 10
 
 
+def test_orthogonality_past_int64():
+    # N past 2**63 is reduced mod s as a Python int before any int64
+    # array meets it, where (N - j) % s raised a raw OverflowError; the
+    # exact sum is the Python-int fold of one period of each c_r
+    sv = build_sieve(100)
+    r, s, N, M = 4, 6, 10**20 + 7, 10**5
+    cr = [brute.ramanujan_sum(r, j) for j in range(r)]
+    cs = [brute.ramanujan_sum(s, j) for j in range(s)]
+    exact = sum(cr[n % r] * cs[(N - n) % s] for n in range(1, M))
+    assert exact == 4
+    rec = orthogonality_defect(sv, r, s, N, M)
+    assert (rec.exact, rec.main, rec.defect) == (4, 0, 4)
+    assert orthogonality_defect(sv, 3, 3, 10**20, 10**20).defect == 1
+
+
 def test_orthogonality_against_brute(sieve_small):
     for r in range(1, 7):
         for s in range(1, 7):
