@@ -57,6 +57,7 @@ that would overflow to N is refused as before.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -482,8 +483,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    # the import-time heap lives until exit: frozen, the collections at
+    # exit skip it.  Only the process entry point freezes; a library
+    # import must leave its importer's objects collectable
+    gc.freeze()
     sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -19,10 +19,11 @@ their own two slices:
 
   * float64, while 2**16 * B <= 2**53: the piece is reversed and cast to
     float64 once, and each sum reduces its part by one np.dot (BLAS
-    ddot).  Every product and every partial sum is then an integer of
-    magnitude at most 2**53, so float64 holds each exactly in any
-    summation order, whatever BLAS does with threads or fused
-    multiply-adds, and the dots add up in a Python int;
+    ddot) against its integer slice of the other table, which np.dot
+    casts to float64 exactly.  Every product and every partial sum is
+    then an integer of magnitude at most 2**53, so float64 holds each
+    exactly in any summation order, whatever BLAS does with threads or
+    fused multiply-adds, and the dots add up in a Python int;
   * int64 runs of at most 2**16 summands, each short enough that
     run * B <= 2**62, multiplied and reduced in int64 and added up in a
     Python int;
@@ -67,8 +68,10 @@ the square of the gcd and the Dirichlet hyperbola method,
     tau(y) = sum_{d <= sqrt(Y), mu(d) != 0} mu(d)/d**2 * T(Y // d**2),
     T(x)   = sum_{ab <= x} 1/(ab) = 2 sum_{a <= sqrt(x)} H(x // a)/a - H(isqrt(x))**2,
 
-with Y = floor(y) and harmonic numbers H: O(sqrt(y) log y) work, summed
-in ascending d, so every call gives the same bits.
+with Y = floor(y) and harmonic numbers H: O(sqrt(y) log y) work.  The
+terms H(x // a)/a of every d are evaluated in one array pass, and each
+T is reduced by its own np.sum and added in ascending d, so every call
+gives the bits of T summed d by d.
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ def _int_sums(blocks, readers) -> list:
     # forward slice of Q, or the int64 runs or Python ints of
     # _exact_int_sum.  A block is done with when the next one arrives
     totals = [0] * len(readers)
-    rbuf, qbuf = np.empty(_CHUNK), np.empty(_CHUNK)
+    rbuf = np.empty(_CHUNK)
     which, first, last = (np.array([r[j] for r in readers], dtype=np.int64) for j in (0, 2, 3))
     for lo, *parts in blocks:
         for p, part in enumerate(parts):
@@ -210,9 +213,7 @@ def _int_sums(blocks, readers) -> list:
                     if rev is None:
                         rev = rbuf[: len(piece)]
                         np.copyto(rev, piece[::-1])
-                    fw = qbuf[: y - x + 1]
-                    np.copyto(fw, Q[N - y : N - x + 1])
-                    totals[i] += int(np.dot(rev[top - y : top - x + 1], fw))
+                    totals[i] += int(np.dot(rev[top - y : top - x + 1], Q[N - y : N - x + 1]))
     return totals
 
 
@@ -440,13 +441,6 @@ def _harmonic(k: np.ndarray) -> np.ndarray:
     return np.where(k < _H_EXACT, _H_PREFIX[np.minimum(k, _H_EXACT - 1)], series)
 
 
-def _pair_harmonic(x: int) -> float:
-    # T(x) = sum_{ab <= x} 1/(ab) by the hyperbola method
-    r = math.isqrt(x)
-    a = np.arange(1, r + 1, dtype=np.int64)
-    return 2.0 * float(np.sum(_harmonic(x // a) / a)) - float(_harmonic(r)) ** 2
-
-
 def tau_exact(y: float) -> float:
     """sum over coprime pairs (lam, mu) with lam * mu <= y of 1/(lam * mu).
 
@@ -463,8 +457,17 @@ def tau_exact(y: float) -> float:
     Y = math.floor(y)
     dmax = math.isqrt(Y)
     mu = build_sieve(max(dmax, 2)).upto(MOBIUS, dmax)
+    d = np.flatnonzero(mu)
+    x = Y // (d * d)
+    r = np.array([math.isqrt(v) for v in x.tolist()], dtype=np.int64)
+    # the terms H(x // a)/a, a = 1..r, of every d in one array, d after d
+    ends = np.cumsum(r)
+    starts = ends - r
+    a = np.arange(1, ends[-1] + 1) - np.repeat(starts, r)
+    terms = _harmonic(np.repeat(x, r) // a) / a
     total = 0.0
-    for d in range(1, dmax + 1):
-        if mu[d]:
-            total += int(mu[d]) / (d * d) * _pair_harmonic(Y // (d * d))
+    for k, m, s, e, h in zip(d.tolist(), mu[d].tolist(), starts.tolist(), ends.tolist(),
+                             _harmonic(r).tolist()):
+        # one np.sum per d keeps the bits of T(x) summed on its own
+        total += m / (k * k) * (2.0 * float(np.sum(terms[s:e])) - h**2)
     return total

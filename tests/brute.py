@@ -417,6 +417,36 @@ def tau_fsum(y: float) -> float:
     return math.fsum(terms())
 
 
+def _harmonic(k):
+    # H(k) for k >= 1: the exact prefix below 64 and the Euler-Maclaurin
+    # series above, term for term as tau_exact evaluates it
+    prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, 64))))
+    kf = np.maximum(k, 64).astype(np.float64)
+    inv2 = 1.0 / (kf * kf)
+    series = np.log(kf) + 0.5772156649015329 + 0.5 / kf - inv2 * (
+        1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252)
+    )
+    return np.where(k < 64, prefix[np.minimum(k, 63)], series)
+
+
+def tau_per_d(y: float) -> float:
+    """The replaced per-d loop of tau_exact: one hyperbola sum T(Y // d**2)
+    of its own arrays for each square-free d <= sqrt(Y), ascending, with
+    the bits tau_exact must keep."""
+    Y = math.floor(y)
+    dmax = math.isqrt(Y)
+    mu = mobius_table(dmax)
+    total = 0.0
+    for d in range(1, dmax + 1):
+        if mu[d]:
+            x = Y // (d * d)
+            r = math.isqrt(x)
+            a = np.arange(1, r + 1, dtype=np.int64)
+            T = 2.0 * float(np.sum(_harmonic(x // a) / a)) - float(_harmonic(r)) ** 2
+            total += int(mu[d]) / (d * d) * T
+    return total
+
+
 # --- per-call forms of the Ramanujan queries --------------------------------
 #
 # The queries as they were before their invariants were computed once per

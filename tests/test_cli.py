@@ -809,6 +809,39 @@ def test_package_main_subprocess():
     assert proc.stdout.splitlines()[0] == ",".join(_TAU_HEADERS)
 
 
+def test_library_import_leaves_the_gc_unfrozen():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, convlab, convlab.cli; print(gc.get_freeze_count())"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_entry_freezes_the_import_heap_before_main():
+    code = (
+        "import gc, convlab.cli as cli\n"
+        "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("expected, argv", [
+    # trend_ok=False: the forward grid's relative residual grows (exit 1)
+    (1, ("verify-ingham", "--N-grid", "1081080,1999999,9982039", "--M-rule", "half")),
+    (2, ("tau", "--y", "0.5")),
+])
+def test_module_entrypoint_prints_and_exits_as_main(capsys, expected, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "convlab.cli", *argv], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
 # Malformed numbers: NaN, one that overflows to inf, a negative zero, a hex
 # literal, Arabic-Indic digits (which int() and float() read as 10) and an
 # empty value.  "1_000" (read as 1000) is drawn only where 1000 stays cheap

@@ -341,6 +341,14 @@ def test_tau_against_fsum_oracle():
     assert abs(tau_exact(y) - ref) <= 1e-14 * ref
 
 
+def test_tau_bit_identical_to_the_per_d_loop():
+    # one array pass over every square-free d, one np.sum per d, added in ascending d
+    ys = [*range(1, 301), 63.5, 64, 64.75, 4095, 4096, 10**4, 99_991, 10**5,
+          1_999_865, 1_999_440, 9_999_991, 10**7]
+    for y in ys:
+        assert tau_exact(float(y)) == brute.tau_per_d(float(y)), y
+
+
 def test_tau_repeated_calls_bit_identical():
     for y in (1.0, 4.0, 299.9, 1e5, 1999865.0):
         assert tau_exact(y).hex() == tau_exact(y).hex(), y
