@@ -38,7 +38,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -530,6 +529,8 @@ def sigma_rational(f: Factorization, k: int) -> int | Fraction:
     if k < -1:
         raise UsageError(f"sigma_rational supports k >= -1, got {k}")
     if k == -1:
+        from fractions import Fraction  # imports decimal: only this case pays for it
+
         return Fraction(sigma_rational(f, 1), f.n)
     out = 1
     for p, e in f.factors:

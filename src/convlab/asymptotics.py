@@ -69,7 +69,8 @@ _MIN_ENVELOPE_N = 16  # loglog N must be safely positive
 
 
 def _sigma_minus_one(sieve: FactorSieve, N: int) -> float:
-    return float(sigma_rational(factorize(sieve, N), -1))
+    # sigma_1(N) / N rounded once, as float(sigma_rational(f, -1)) would be
+    return sigma_rational(factorize(sieve, N), 1) / N
 
 
 def main_term_full(sieve: FactorSieve, N: int) -> float:

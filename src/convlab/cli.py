@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -167,6 +166,8 @@ def _emit(
             "rows": [{h: _json_value(row[h]) for h in headers} for row in rows],
             "summary": {k: _json_value(v) for k, v in summary.items()},
         }
+        import json  # only a JSON emit pays for the module
+
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [",".join(headers)]

@@ -20,10 +20,18 @@ their own two slices:
   * float64, while 2**16 * B <= 2**53: the piece is reversed and cast to
     float64 once, and each sum reduces its part by one np.dot (BLAS
     ddot) against its integer slice of the other table, which np.dot
-    casts to float64 exactly.  Every product and every partial sum is
-    then an integer of magnitude at most 2**53, so float64 holds each
-    exactly in any summation order, whatever BLAS does with threads or
-    fused multiply-adds, and the dots add up in a Python int;
+    casts to float64 exactly.  A grid of two or more sums over whole
+    tables first casts f on 1..K to one read-only float64 image, K =
+    min(max(k), bytes of g // 8), so the image is never larger than g
+    (20 MB, n <= 2.5 * 10**6, for d to 10**7); a dot reads f from the
+    image up to K and from f's own table above it, split in two dots
+    where its slice straddles K, so the cast of f's slice is done once
+    per grid rather than once per sum.  The image holds the same
+    integers, and one sum, or a grid whose f allows no float64 dot,
+    builds none.  Every product and every partial sum is then an
+    integer of magnitude at most 2**53, so float64 holds each exactly in
+    any summation order, whatever BLAS does with threads or fused
+    multiply-adds, and the dots add up in a Python int;
   * int64 runs of at most 2**16 summands, each short enough that
     run * B <= 2**62, multiplied and reduced in int64 and added up in a
     Python int;
@@ -179,7 +187,7 @@ def _run_length(fmax: int, gmax: int) -> int:
     return min(_CHUNK, 2**62 // max(fmax * gmax, 1))
 
 
-def _int_sums(blocks, readers) -> list:
+def _int_sums(blocks, readers, image=None) -> list:
     # exact sum_{a <= m <= b} P(m) Q(N - m) for each reader (p, N, a, b,
     # Q, qmax): P is part p of blocks, (lo, values of each part on [lo,
     # lo + len)), and Q a table with |Q| <= qmax at N - b..N - a.  Each
@@ -187,7 +195,11 @@ def _int_sums(blocks, readers) -> list:
     # scanned once and, for the float64 dots, reversed and cast once
     # (rev[j] = P(top - j)), and each reader takes from it one dot with a
     # forward slice of Q, or the int64 runs or Python ints of
-    # _exact_int_sum.  A block is done with when the next one arrives
+    # _exact_int_sum.  image, where given, is every reader's Q on 1..K
+    # in float64 (image[j] = Q(j + 1)): a dot reads Q there from the
+    # image and above K from Q, so it casts no slice of Q that the image
+    # holds.  A block is done with when the next one arrives
+    K = 0 if image is None else len(image)
     totals = [0] * len(readers)
     rbuf = np.empty(_CHUNK)
     which, first, last = (np.array([r[j] for r in readers], dtype=np.int64) for j in (0, 2, 3))
@@ -213,7 +225,14 @@ def _int_sums(blocks, readers) -> list:
                     if rev is None:
                         rev = rbuf[: len(piece)]
                         np.copyto(rev, piece[::-1])
-                    totals[i] += int(np.dot(rev[top - y : top - x + 1], Q[N - y : N - x + 1]))
+                    # rev[r + j] meets Q(q + j), read from the image up to
+                    # K and from Q above it
+                    r, q, end = top - y, N - y, N - x + 1
+                    cut = min(max(K + 1, q), end)
+                    if cut > q:
+                        totals[i] += int(np.dot(rev[r : r + cut - q], image[q - 1 : cut - 1]))
+                    if cut < end:
+                        totals[i] += int(np.dot(rev[r + cut - q : r + end - q], Q[cut:end]))
     return totals
 
 
@@ -305,8 +324,10 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
     """[additive_convolution(f, g, spec) for spec in specs], in one pass.
 
     Every range is checked before any sum.  Integer sums share each
-    piece of the table they walk between the specs that read it, and
-    real sums the full chunks of their N (see the module docstring);
+    piece of the table they walk between the specs that read it, and a
+    grid of them over whole tables one float64 image of f, no larger
+    than g; real sums share the full chunks of their N (see the module
+    docstring);
     each keeps the bits of its own call.  Given above, the blocks of f
     and g above N // 2 for the one N of every spec, the tables hold
     1..N // 2 only: above yields (lo, f block, g block), as from
@@ -358,7 +379,13 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
     # g on the union of what the grid reads of it, min(N - k)..max(N) - 1
     lo = min((N - k for N, k in ranges if k), default=0)
     hi = max((N for N, k in ranges if k), default=0)
-    return _int_sums([(lo, gv[lo:hi])], [(0, N, N - k, N - 1, fv, fmax) for N, k in ranges])
+    image = None
+    if len(ranges) > 1 and _CHUNK * fmax <= _FLOAT_EXACT:
+        # f on 1..K in float64 for the grid's float64 dots, no larger than g
+        image = fv[1 : min(top, gv.nbytes // 8) + 1].astype(np.float64)
+        image.setflags(write=False)
+    return _int_sums([(lo, gv[lo:hi])], [(0, N, N - k, N - 1, fv, fmax) for N, k in ranges],
+                     image)
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec, above=None):

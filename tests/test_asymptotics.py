@@ -29,6 +29,7 @@ from convlab import (
     ramanujan_regime,
     sigma_norm_report,
     sigma_provider,
+    sigma_rational,
     sigma_real,
     sweep,
     tabulate,
@@ -36,7 +37,7 @@ from convlab import (
     tau_main,
     verify,
 )
-from convlab.asymptotics import check_divisor_report
+from convlab.asymptotics import _sigma_minus_one, check_divisor_report
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
@@ -46,6 +47,15 @@ def _spec(N, M, boundary="half_open"):
 
 
 _SPEC3 = _spec(3, 1.0)
+
+
+def test_sigma_minus_one_keeps_the_bits_of_the_fraction(sieve_small):
+    # sigma_1(N) / N as an int division, correctly rounded as float() of
+    # the Fraction sigma_rational(f, -1) is, at every N to 10**4 and at
+    # highly composite N to 10**8
+    for N in [*range(2, 10_001), 720720, 1081080, 73513440, 99999989]:
+        want = float(sigma_rational(factorize(sieve_small, N), -1))
+        assert _sigma_minus_one(sieve_small, N) == want, N
 
 
 def test_subsum_example(sieve_small):

@@ -818,6 +818,26 @@ def test_library_import_leaves_the_gc_unfrozen():
     assert proc.stdout == "0\n"
 
 
+@pytest.mark.parametrize("on", [True, False])
+def test_library_import_keeps_the_importers_gc_state(on):
+    # import convlab pauses the GC while its modules load, and leaves it
+    # as the importer had it
+    code = f"import gc\n{'' if on else 'gc.disable()'}\nimport convlab\nprint(gc.isenabled())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{on}\n"
+
+
+def test_cli_import_leaves_json_and_fractions_unloaded():
+    # the CLI imports json only to emit JSON, and fractions (with decimal)
+    # only where a Fraction is returned
+    code = ("import sys, convlab.cli\n"
+            "print(sorted(m for m in ('json', 'fractions', 'decimal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_entry_freezes_the_import_heap_before_main():
     code = (
         "import gc, convlab.cli as cli\n"

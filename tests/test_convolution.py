@@ -15,6 +15,7 @@ from convlab import (
     additive_convolution,
     additive_convolutions,
     build_sieve,
+    divisor_report,
     lambda_convolution,
     shifted_divisor_convolution,
     tabulate,
@@ -859,6 +860,96 @@ def test_exact_sums_at_the_float64_boundary(fmax, gmax, dtype, monkeypatch):
                 assert sum(runs) == 2 * sum(ks), streamed
 
 
+def _image_spy(monkeypatch, poison=False):
+    # the image each _int_sums call receives; with poison, the call gets
+    # an image of NaN instead, which any dot reading it turns into an error
+    images = []
+    int_sums = convolution._int_sums
+
+    def spying(blocks, readers, image=None):
+        images.append(image)
+        if poison and image is not None:
+            image = np.full_like(image, np.nan)
+        return int_sums(blocks, readers, image)
+
+    monkeypatch.setattr(convolution, "_int_sums", spying)
+    return images
+
+
+def _d_sized(T, dtype, seed):
+    # a frozen table on 0..T of values up to 181 in magnitude, d-sized, so
+    # every piece takes the float64 dots
+    vals = np.random.default_rng(seed).integers(-181, 182, size=T + 1).astype(dtype)
+    vals[0] = 0
+    return _frozen_table(vals, dtype)
+
+
+@pytest.mark.parametrize("T", [4 * _CHUNK - 1, 4 * _CHUNK - 5, 4 * _CHUNK + 3])
+def test_grid_image_straddles_a_piece_edge(T, monkeypatch):
+    # an int16 g on 0..T caps the image at K = (T + 1) // 4: _CHUNK, one
+    # below it or one above it.  The sums' f windows end at K, one either
+    # side of it, a piece past it and at N - 1, from three N, so the dots
+    # read f from the image alone, from the table alone, or split at K
+    images = _image_spy(monkeypatch)
+    f, g = _d_sized(T, np.int16, T), _d_sized(T, np.int16, T + 1)
+    K = (T + 1) // 4
+    assert abs(K - _CHUNK) <= 1
+    ks = (1, K - 1, K, K + 1, K + _CHUNK - 1, K + _CHUNK, K + _CHUNK + 1)
+    specs = [ConvolutionSpec(N=N, M=float(k), boundary="closed")
+             for N in (T + 1, T, T - 1) for k in ks]
+    specs.append(ConvolutionSpec(N=T + 1, M=float(T + 1), boundary="half_open"))
+    fl, gl = f.values.tolist(), g.values.tolist()
+    assert additive_convolutions(f, g, specs) == [
+        brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
+    (image,) = images
+    assert len(image) == K and image.dtype == np.float64 and not image.flags.writeable
+    assert image.tolist() == fl[1 : K + 1]
+
+
+@pytest.mark.parametrize("gtype", [np.int8, np.int16, np.int32])
+def test_grid_image_is_capped_by_the_g_table(gtype, monkeypatch):
+    # at N near 3 * _CHUNK the bytes of g cut K below max k: the image
+    # never holds more bytes than g, and the sums above K read f's table
+    images = _image_spy(monkeypatch)
+    T = 3 * _CHUNK + 4
+    f, g = _d_sized(T, np.int16, 7), _d_sized(T, gtype, 8)
+    specs = [ConvolutionSpec(N=T + 1, M=T + 0.5, boundary="half_open"),
+             ConvolutionSpec(N=T - 2, M=_CHUNK + 0.5, boundary="closed"),
+             ConvolutionSpec(N=2 * _CHUNK + 3, M=float(_CHUNK), boundary="half_open")]
+    fl, gl = f.values.tolist(), g.values.tolist()
+    assert additive_convolutions(f, g, specs) == [
+        brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
+    (image,) = images
+    assert len(image) == g.values.nbytes // 8 < T
+    assert image.nbytes <= g.values.nbytes
+
+
+def test_grid_image_only_for_grids_and_read_only_by_float64_dots(monkeypatch, dtable_small):
+    # one sum builds no image; a grid's holds f on 1..K, K * 8 <= the bytes
+    # of g; and where no piece takes the float64 dots (the int64 runs of
+    # test_exact_sums_at_the_float64_boundary) no sum reads it
+    images = _image_spy(monkeypatch, poison=True)
+    d = dtable_small
+    spec = ConvolutionSpec(N=5000, M=2000.0, boundary="closed")
+    additive_convolution(d, d, spec)
+    divisor_report(build_sieve(100), d, 5000, 2000.0)
+    assert images == [None, None]
+    T = 3 * _CHUNK + 2
+    f = _frozen_table(np.r_[0, np.full(T, 2**20 + 1)], np.int32)
+    g = _frozen_table(np.r_[0, np.full(T, 2**17)], np.int32)
+    ks = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1)
+    specs = [ConvolutionSpec(N=T + 1, M=float(k), boundary="closed") for k in ks]
+    del images[:]
+    assert additive_convolutions(f, g, specs) == [k * (2**20 + 1) * 2**17 for k in ks]
+    (image,) = images
+    assert 0 < len(image) * 8 <= g.values.nbytes
+    # a table too large for any float64 dot builds none
+    huge = _frozen_table(np.r_[0, np.full(T, 2**37 + 1)], np.int64)
+    del images[:]
+    assert additive_convolutions(huge, huge, specs) == [k * (2**37 + 1) ** 2 for k in ks]
+    assert images == [None]
+
+
 _GRID_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
@@ -869,7 +960,7 @@ def _magnitude(dtype) -> int:
 
 @st.composite
 def _grid_cases(draw):
-    """(f, g, specs): integer tables and a grid of 1 to 20 specs over them.
+    """(f, g, specs): integer tables and a grid of 2 to 20 specs over them.
 
     The tables' bound B = max|f| * max|g| is drawn for one tier: float64
     blocks (_CHUNK * B <= 2**53), int64 runs of at least _MIN_RUN summands,
@@ -910,7 +1001,7 @@ def _grid_cases(draw):
     f, g = table(ftype, F), table(gtype, G)
     edges = [n for e in range(_CHUNK, T + 1, _CHUNK) for n in (e, e + 1, e + 2) if n <= T + 1]
     specs = []
-    for _ in range(draw(st.integers(1, 20))):
+    for _ in range(draw(st.integers(2, 20))):
         choices = [st.integers(2, T + 1), st.just(T + 1)]
         choices += [st.sampled_from(edges)] if edges else []
         choices += [st.sampled_from([s.N for s in specs])] if specs else []
