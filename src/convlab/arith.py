@@ -8,18 +8,19 @@ isqrt(n), and sigma_s(n) (d(n) as sigma_0) and mu(n) are evaluated from
 the factorization.  Bulk tables over [1, N] are vectorised rather than
 built per n.  mu, phi, d, sigma_t for any real t, and the Ramanujan
 expansions' mu/phi and phi**2 (+inf where mu = 0) are walked up from spf
-(smallest prime factor) segments sieved on the fly by the primes up to
-isqrt(N): f(n) for n = p m, p = spf(n), comes from f(m) and, where p
-divides m, from f(m / p), entries below n's block.  Each table's rule
-is one record (Walk): its name, its dtype and its local factors at p;
-walk(kind, s) is the record of a tabulate kind.  So the tables a caller
-reads together share one walk (FactorSieve.prepare), a walk
-resumes above a table memo caches shorter, and as it reads no entry
-above N / 2, a caller may hold only those and take the rest block by
-block (FactorSieve.stream).  Lambda has no table: prime_powers marks
-the prime powers from the same segments, one byte per n, for
-convolution.lambda_convolution.  Each segment is at most
-_SEGMENT long; the bits of no table depend on the block size.  An
+(smallest prime factor), sieved on the fly by the primes up to isqrt(N)
+for the n = 1 and the n = 5 mod 6 only, one run each: f(n) for n = p m,
+p = spf(n), comes from f(m) and, where p divides m, from f(m / p),
+entries below n's block, which the n with spf 2 or 3 read from slices.
+Each table's rule is one record (Walk): its name, its dtype and its
+local factors at p; walk(kind, s) is the record of a tabulate kind.  So
+the tables a caller reads together share one walk (FactorSieve.prepare),
+a walk resumes above a table memo caches shorter, and as it reads no
+entry above N / 2, a caller may hold only those and take the rest block
+by block (FactorSieve.stream).  Lambda has no table: prime_powers marks
+the prime powers from the same runs, one byte per n, for
+convolution.lambda_convolution.  Each walk block is at most _SEGMENT
+long; the bits of no table depend on the block size.  An
 integer table comes in the narrowest dtype proven to hold it (int16 for
 d below 2**31, int32 for phi and for sigma_k while N**k (2 + ln N) <
 2**31), so a caller widens before it multiplies values; sigma_t for any
@@ -57,11 +58,14 @@ __all__ = [
     "tabulate",
 ]
 
-# At 2**18 int32 entries an spf segment stays in L2 while the primes
-# stride over it: spf to 10**7 took about 0.05 s against 0.08 s at 2**20
-# (2-vCPU Xeon)
+# The walk runs up in blocks of at most _SEGMENT n.  Their spf comes from
+# two int32 runs of about _RUN entries (_spf_blocks), the n = 1 and the
+# n = 5 mod 6 among 6 * _RUN consecutive n, 1 MB for both, which stay in
+# L2 while the primes stride over them: spf to 10**7 took about 0.01 s,
+# against 0.021 s for every n in segments of 2**18 with a period-210
+# wheel (2-vCPU Xeon)
 _SEGMENT = 1 << 18
-_WHEEL = 210  # 2 * 3 * 5 * 7, the period of the primes the sieve does not stride with
+_RUN = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class FactorSieve:
     share between threads.  It holds every table derived from the sieve:
     its primes (primes), and the tables of the spf walk that callers
     prepared, one per rule (Walk) under its name, at the largest R asked
-    for so far.  The walk sieves its own spf segments from the primes up
+    for so far.  The walk sieves its own spf runs from the primes up
     to isqrt(R), so R may reach (limit + 1)**2 - 1 (as_index):
     prepare(walks, R) caches any of them built in one walk, and upto(w, R)
     reads that cache.  Nothing else fills it: tabulate reads a table from
@@ -119,7 +123,7 @@ class FactorSieve:
         walks are records of the walk's tables (Walk): MOBIUS, PHI, HARDY,
         SINGULAR and the divisor sums of walk(kind, s), each cached in
         memo under its name.  Those cached shorter are walked together,
-        sharing each block's spf segment, so a caller that reads two of
+        sharing each block's spf, so a caller that reads two of
         them, such as mu and phi, sigma_1 and d or mu and the
         singular-series weights, asks for them here and walks spf once,
         in either order.  Each is resumed above its cached length
@@ -171,19 +175,19 @@ class FactorSieve:
             out[:start] = cached[:start]
             tables.append(out)
             starts.append(start)
-        blocks = _spf_blocks(self.primes(math.isqrt(n_max)), n_max, min(starts, default=2))
-        for lo, p in blocks:
-            # a block that crosses held is split there; below it the walk
-            # passes over the tables that hold the block already
-            cut = min(held + 1 - lo, len(p))
-            live = [i for i, start in enumerate(starts) if start < lo + cut]
-            if cut and live:
-                got = [tables[i] for i in live]
-                _walk_block(got, got, [walks[i] for i in live], lo, p[:cut], 0)
-            if cut < len(p):
+        # the block that crosses held is split at held + 1; below it the
+        # walk passes over the tables that hold the block already
+        root = self.primes(math.isqrt(n_max))
+        blocks = _spf_blocks(root, n_max, min(starts, default=2), held + 1)
+        for lo, hi, spf in blocks:
+            if lo > held:
                 size = min(_SEGMENT, n_max - held)
-                above = itertools.chain([(lo + cut, p[cut:])], blocks)
+                above = itertools.chain([(lo, hi, spf)], blocks)
                 return tables, _walk_above(tables, walks, size, above)
+            live = [i for i, start in enumerate(starts) if start < hi]
+            if live:
+                got = [tables[i] for i in live]
+                _walk_block(got, got, [walks[i] for i in live], lo, hi, spf, 0)
         return tables, iter(())
 
 
@@ -201,28 +205,27 @@ def _primes_upto(sieve: FactorSieve, top: int) -> np.ndarray:
 
 
 def _walk_above(tables, walks, size, blocks):
-    # the (lo, spf) blocks of the walk above its held tables, each written
-    # into one buffer per table of size entries, the longest block
+    # the (lo, hi, spf) blocks of the walk above its held tables, each
+    # written into one buffer per table of size entries, the longest block
     bufs = [np.empty(size, out.dtype) for out in tables]
-    for lo, p in blocks:
-        views = [buf[: len(p)] for buf in bufs]
-        _walk_block(tables, views, walks, lo, p, lo)
+    for lo, hi, spf in blocks:
+        views = [buf[: hi - lo] for buf in bufs]
+        _walk_block(tables, views, walks, lo, hi, spf, lo)
         yield lo, views
 
 
-def _walk_block(tables, dests, walks, lo, p, shift) -> None:
-    # f(n) for n = p m, p = spf(n), over the block [lo, lo + len(p)), of
-    # each f of walks (Walk), into dests[n - shift]: m <= n / 2 lies below
-    # the block, in tables, filled as the blocks run up, and the tables
-    # share the block's spf, m, the positions where p divides m and m / p
-    # there.  The n with p = 2 or 3 read m = n / p and m / p from slices:
-    # p divides m where n = 0 mod 4 or n = 9 mod 18.  So only the n prime
-    # to 6 divide: phi and mu to 10**7 took about a fifth less time with
-    # the even n so (2-vCPU host)
-    hi = lo + len(p)
+def _walk_block(tables, dests, walks, lo, hi, spf, shift) -> None:
+    # f(n) for n = p m, p = spf(n), over the block [lo, hi), of each f of
+    # walks (Walk), into dests[n - shift]: m <= n / 2 lies below the
+    # block, in tables, filled as the blocks run up, and the tables share
+    # the block's spf (of its n prime to 6, _spf_blocks), m, the positions
+    # where p divides m and m / p there.  The n with p = 2 or 3 read
+    # m = n / p and m / p from slices: p divides m where n = 0 mod 4 or
+    # n = 9 mod 18.  So only the n prime to 6 divide: phi and mu to 10**7
+    # took about a fifth less time with the even n so (2-vCPU host)
     for out, dest, w in zip(tables, dests, walks):
         for q, r, step in _SMALL_PRIMES:
-            b = w.base(p.dtype.type(q), out.dtype)
+            b = w.base(spf[0].dtype.type(q), out.dtype)
             n = slice(lo + (r - lo) % step, hi, step)
             at = _shifted(n, shift)
             fm = out[_divided(n, q)]
@@ -230,7 +233,7 @@ def _walk_block(tables, dests, walks, lo, p, shift) -> None:
                 np.multiply(fm, w.prime(b), out=dest[at])
             else:
                 w.power(fm, out[_divided(n, q * q)], b, dest[at])
-    for n, m, p_n, div, m_div, q in _coprime_parts(lo, p):
+    for n, m, p_n, div, m_div, q in _coprime_parts(lo, hi, spf):
         at = _shifted(n, shift)
         for out, dest, w in zip(tables, dests, walks):
             # np.take: out[m] took twice as long with int32 m.  Where p
@@ -259,27 +262,27 @@ def _divided(n: slice, d: int) -> slice:
     return slice(n.start // d, (n.stop - 1) // d + 1, n.step // d)
 
 
-# The n of an spf block prime to 6 are walked at most _STEP at a time, so
+# The n of a walk block prime to 6 are walked at most _STEP at a time, so
 # each part's temporaries stay about half a megabyte
 _STEP = 1 << 15
 
 
-def _coprime_parts(lo: int, p: np.ndarray):
+def _coprime_parts(lo: int, hi: int, spf):
     # (n, m, p, div, m[div], q) over the n prime to 6 of the block [lo,
-    # lo + len(p)), p their spf, one residue mod 6 at a time: n = p m,
-    # div the positions where p divides m and q = m / p there.  The parts
-    # of a residue are of about equal length: parts of _STEP and a short
-    # rest raised the session bench's peak RSS by 3 MB (glibc's mmap
-    # threshold follows the sizes freed)
-    hi = lo + len(p)
-    for r in (1, 5):
+    # hi), one residue mod 6 at a time, p their spf read contiguously from
+    # spf, the views of the block's runs: n = p m, div the positions where
+    # p divides m and q = m / p there.  The parts of a residue are of about
+    # equal length: parts of _STEP and a short rest raised the session
+    # bench's peak RSS by 3 MB (glibc's mmap threshold follows the sizes
+    # freed)
+    for r, run in zip((1, 5), spf):
         ns = range(lo + (r - lo) % 6, hi, 6)
         parts = -(-len(ns) // _STEP)
         for i in range(parts):
-            part = ns[len(ns) * i // parts : len(ns) * (i + 1) // parts]
-            a, b = part.start, part.stop
-            p_n = p[a - lo : b - lo : 6]
-            m = np.arange(a, b, 6, dtype=p.dtype)
+            j, k = len(ns) * i // parts, len(ns) * (i + 1) // parts
+            a, b = ns[j:k].start, ns[j:k].stop
+            p_n = run[j:k]
+            m = np.arange(a, b, 6, dtype=p_n.dtype)
             m //= p_n
             div = np.flatnonzero(m % p_n == 0)
             m_div = m[div]
@@ -402,64 +405,70 @@ def as_real(name: str, value):
 
 
 def _sieved_primes(top: int) -> np.ndarray:
-    # the primes up to top, int64, from spf segments sieved by the primes
-    # up to isqrt(top)
+    # the primes up to top, int64, from spf runs sieved by the primes up
+    # to isqrt(top)
     root = _sieved_primes(math.isqrt(top)) if top >= 4 else np.zeros(0, np.int64)
-    found = [_primes_in(seg, lo) for lo, seg in _spf_blocks(root, top)]
-    return np.concatenate([np.zeros(0, np.int64), *found])
+    return np.flatnonzero(_primality(root, top)).astype(np.int64, copy=False)
 
 
 def _spf_dtype(limit: int):
     return np.int32 if limit < 2**31 else np.int64
 
 
-def _wheel(length: int, dtype) -> np.ndarray:
-    # the smallest of 2, 3, 5 and 7 dividing n for n = 0..length-1, and
-    # dtype's max where none does
-    n = np.arange(_WHEEL)
-    period = np.full(_WHEEL, np.iinfo(dtype).max, dtype=dtype)
-    for p in (7, 5, 3, 2):
-        period[n % p == 0] = p
-    return np.resize(period, length)
-
-
-def _spf_segment(seg: np.ndarray, lo: int, primes: np.ndarray, wheel: np.ndarray) -> None:
-    # spf of lo..lo+len(seg)-1 into seg, from the primes (ascending) up to
-    # at least the root of its last entry and a _wheel at least
-    # len(seg) + _WHEEL long.  seg starts as n itself.  Each prime
-    # 7 < p <= sqrt(hi - 1) writes p over its odd multiples from p*p on,
-    # the largest p first, so a composite's smallest prime factor writes
-    # last; then the minimum with the wheel writes 2, 3, 5 or 7 where one
-    # divides n, and leaves what is below it: 0, 1 and every other entry
-    hi = lo + len(seg)
-    seg[:] = np.arange(lo, hi, dtype=seg.dtype)
-    first, last = np.searchsorted(primes, [7, math.isqrt(hi - 1)], side="right")
+def _sieve_runs(runs: np.ndarray, base: int, primes: np.ndarray) -> None:
+    # spf of n = base + 6 i + r into runs[k, i], r = 1 for k = 0 and 5 for
+    # k = 1, base a multiple of 6, from the primes (ascending) up to at
+    # least the root of the last n.  Each entry starts as n itself, and
+    # each prime 5 <= p <= that root, the largest first, writes p over its
+    # multiples from p * p on, at every p-th entry from the first i with
+    # 6 i = -r - base mod p, so a composite's smallest prime factor writes
+    # last
+    g, top = base // 6, base + 6 * runs.shape[1] - 1
+    first, last = np.searchsorted(primes, [4, math.isqrt(top)], side="right")
     p = primes[first:last][::-1].astype(np.int64)
-    start = np.maximum(p * p, -(-lo // p) * p)
-    start += p * (start // p % 2 == 0)
-    for q, i in zip(p.tolist(), (start - lo).tolist()):
-        seg[i :: 2 * q] = q
-    offset = lo % _WHEEL
-    np.minimum(seg, wheel[offset : offset + len(seg)], out=seg)
+    inverse = np.where(p % 6 == 1, 5 * p + 1, p + 1) // 6  # of 6, mod p
+    for r, run in zip((1, 5), runs):
+        run[:] = np.arange(base + r, top + 1, 6, dtype=run.dtype)
+        i = np.maximum((p * p - r + 5) // 6, g)
+        i += (-r * inverse - i) % p - g
+        for q, at in zip(p.tolist(), i.tolist()):
+            run[at::q] = q
 
 
-def _spf_blocks(primes: np.ndarray, n_max: int, start: int = 2):
-    # (lo, spf of lo..hi-1) over the _halving_blocks of start..n_max at
-    # most _SEGMENT long, each sieved from primes (ascending, up to at
-    # least isqrt(n_max)) into one buffer, which the next block overwrites
-    buf = np.empty(min(_SEGMENT, n_max + 1), dtype=_spf_dtype(n_max))
-    wheel = _wheel(len(buf) + _WHEEL, buf.dtype)
+def _spf_blocks(primes: np.ndarray, n_max: int, start: int = 2, cut: int = 0):
+    # (lo, hi, spf) over the _halving_blocks of start..n_max at most
+    # _SEGMENT long, the block across cut split there: spf holds the spf
+    # of the block's n = 1 mod 6 and of its n = 5 mod 6, ascending, as
+    # views of two runs (_sieve_runs), which the first block past them
+    # sieves anew from its own lo.  A run has _RUN + 1 entries, so that
+    # it holds three whole blocks (3 * _SEGMENT = 6 * _RUN n) from any lo,
+    # not only from a lo divisible by 6.  primes ascend up to at least
+    # isqrt(n_max).  The last n of a run may pass n_max by up to 5, in the
+    # runs' dtype too
+    buf = np.empty((2, min(_RUN + 1, n_max // 6 + 1)), dtype=_spf_dtype(n_max + 5))
+    end = 0
     for lo, hi in _halving_blocks(n_max, _SEGMENT, start):
-        _spf_segment(buf[: hi - lo], lo, primes, wheel)
-        yield lo, buf[: hi - lo]
+        if hi > end:
+            base = lo - lo % 6
+            runs = buf[:, : min(buf.shape[1], (n_max - base) // 6 + 1)]
+            end = base + 6 * runs.shape[1]
+            _sieve_runs(runs, base, primes)
+        edges = [lo, cut, hi] if lo < cut < hi else [lo, hi]
+        for a, b in zip(edges, edges[1:]):
+            yield a, b, [run[(a - base - r + 5) // 6 : (b - base - r + 5) // 6]
+                         for r, run in zip((1, 5), runs)]
 
 
-def _primes_in(seg: np.ndarray, lo: int) -> np.ndarray:
-    # the primes n in [lo, lo + len(seg)), seg the spf of those n: the
-    # n >= 2 with spf(n) == n
-    skip = max(2 - lo, 0)
-    n = np.arange(lo + skip, lo + len(seg), dtype=seg.dtype)
-    return np.flatnonzero(seg[skip:] == n) + (lo + skip)
+def _primality(primes: np.ndarray, n_max: int) -> np.ndarray:
+    # whether n is prime, for n = 0..n_max, one byte per n: 2, 3 and the
+    # n prime to 6 that are their own spf in the runs (_spf_blocks)
+    marked = np.zeros(n_max + 1, dtype=bool)
+    marked[2:4] = True
+    for lo, hi, spf in _spf_blocks(primes, n_max):
+        for r, run in zip((1, 5), spf):
+            n = lo + (r - lo) % 6
+            np.equal(run, np.arange(n, hi, 6, dtype=run.dtype), out=marked[n:hi:6])
+    return marked
 
 
 def factorize(sieve: FactorSieve, n: int) -> Factorization:
@@ -678,17 +687,14 @@ def prime_powers(sieve: FactorSieve, n_max: int) -> Tuple[np.ndarray, np.ndarray
 
     marked[n] is whether n is a prime power, for n = 0..n_max, one byte
     per n; q holds the p**e <= n_max with e >= 2, ascending, and p their
-    primes.  The primes are the n >= 2 with spf(n) == n in spf segments
-    sieved from the sieve's primes up to isqrt(n_max), so n_max may reach
-    (limit + 1)**2 - 1, and no spf to n_max is held; the higher powers
-    are those of the primes up to isqrt(n_max).
+    primes.  The primes are 2, 3 and the n prime to 6 with spf(n) == n in
+    spf runs sieved from the sieve's primes up to isqrt(n_max), so n_max
+    may reach (limit + 1)**2 - 1, and no spf to n_max is held; the higher
+    powers are those of the primes up to isqrt(n_max).
     """
     n_max = as_index("n_max", n_max, 0, sieve)
-    marked = np.zeros(n_max + 1, dtype=bool)
     root = sieve.primes(math.isqrt(n_max))
-    for lo, seg in _spf_blocks(root, n_max):
-        n = np.arange(lo, lo + len(seg), dtype=seg.dtype)
-        np.equal(seg, n, out=marked[lo : lo + len(seg)])
+    marked = _primality(root, n_max)
     powers, bases = [], []
     for p in root.tolist():
         q = p * p

@@ -39,7 +39,7 @@ from .arith import (
 from .convolution import ConvolutionSpec, additive_convolutions
 from .errors import UsageError
 from .ramanujan import CoefficientProvider, expansion_partial_sum, product_provider
-from .special import gamma_real, zeta_real
+from .special import gamma_real, one_plus, zeta_real
 
 __all__ = [
     "ConvolutionReport",
@@ -168,7 +168,8 @@ def main_term_sigma_norm(
     N = as_index("N", N, 1, sieve)
     _check_M(M)
     w = alpha + beta + 1.0
-    zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
+    zfac = (zeta_real(one_plus("alpha", alpha)) * zeta_real(one_plus("beta", beta))
+            / zeta_real(w + 1.0))
     snorm = sigma_real(factorize(sieve, N), -w)
     return M * zfac * snorm, min(alpha, beta)
 
@@ -186,7 +187,8 @@ def main_term_sigma_full(
     N = as_index("N", N, 2, sieve)
     w = alpha + beta + 1.0
     gfac = gamma_real(alpha + 1.0) * gamma_real(beta + 1.0) / gamma_real(w + 1.0)
-    zfac = zeta_real(alpha + 1.0) * zeta_real(beta + 1.0) / zeta_real(w + 1.0)
+    zfac = (zeta_real(one_plus("alpha", alpha)) * zeta_real(one_plus("beta", beta))
+            / zeta_real(w + 1.0))
     sig = sigma_real(factorize(sieve, N), w)
     omega = w - min(alpha, beta, 1.0)
     return gfac * zfac * sig, omega

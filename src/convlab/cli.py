@@ -36,7 +36,7 @@ Floats are printed with 15 significant digits; reruns are byte-identical.
 The sieve is built once per process at the smallest limit the command
 needs, so no output depends on its size: isqrt(n) for the largest n
 that the command tabulates to or factors, N or the R, r and s of the
-Ramanujan sums, as a table to n sieves its own segments from the primes
+Ramanujan sums, as a table to n sieves its own spf runs from the primes
 up to isqrt(n) and a factorization of n divides by them.
 Whether the largest table, to N, is addressable is checked before the
 sieve is built.  No command builds a Lambda table: goldbach and convolve

@@ -47,7 +47,7 @@ from .arith import (
 )
 from .convolution import real_dot
 from .errors import ConsistencyError, UsageError
-from .special import zeta_real
+from .special import one_plus, zeta_real
 
 __all__ = [
     "CoefficientProvider",
@@ -191,7 +191,7 @@ def sigma_provider(s: float) -> CoefficientProvider:
     if as_real("s", s) <= 0:
         raise UsageError(f"sigma provider needs s > 0, got {s}")
     s = float(s)
-    return _sigma_type(f"sigma({s:g})", s, zeta_real(s + 1.0))
+    return _sigma_type(f"sigma({s:g})", s, zeta_real(one_plus("s", s)))
 
 
 def divisor_provider() -> CoefficientProvider:

@@ -16,6 +16,17 @@ __all__ = ["gamma_real", "zeta_real"]
 _ZETA_CUTOFF = 64
 
 
+def one_plus(name: str, s: float) -> float:
+    """1 + s for an exponent s > 0 of zeta(1 + s), in float64.
+
+    UsageError naming s where 1 + s rounds to 1 (s <= 2**-53), so that
+    zeta_real does not refuse an s = 1.0 the caller never passed.
+    """
+    if 1.0 + s == 1.0:
+        raise UsageError(f"{name} must exceed 2**-53, where 1 + {name} rounds to 1, got {s}")
+    return 1.0 + s
+
+
 def zeta_real(s: float) -> float:
     """zeta(s) for real 1 < s <= 50."""
     if not s > 1.0:

@@ -32,11 +32,16 @@ from convlab.convolution import _prime_logs
 
 
 def _spf(sieve, n_max):
-    # spf on 0..n_max from the segments the walks sieve (spf(0) = 0 and
-    # spf(1) = 1), each block copied out of the reused buffer
-    head = np.arange(min(n_max + 1, 2), dtype=arith._spf_dtype(n_max))
-    blocks = arith._spf_blocks(sieve.primes(math.isqrt(n_max)), n_max)
-    return np.concatenate([head] + [seg.copy() for _, seg in blocks])
+    # spf on 0..n_max as the walks read it (spf(0) = 0 and spf(1) = 1):
+    # 2 and 3 from slices, and the n = 1 and 5 mod 6 of each block from
+    # its views of the runs, copied out before the runs are sieved anew
+    spf = np.arange(n_max + 1, dtype=arith._spf_dtype(n_max))
+    spf[3::3] = 3
+    spf[2::2] = 2
+    for lo, hi, runs in arith._spf_blocks(sieve.primes(math.isqrt(n_max)), n_max):
+        for r, run in zip((1, 5), runs):
+            spf[lo + (r - lo) % 6 : hi : 6] = run
+    return spf
 
 
 def _cached(sieve):
@@ -82,6 +87,48 @@ def test_sieve_invariants_sampled(sieve_small):
         assert brute.is_prime(p)
     for p in (2, 3, 5, 97, 7919):
         assert spf[p] == p
+
+
+# every n_max to 64, where the runs are shorter than a period of the
+# small primes, both sides of the first two run edges, where a walk from 2
+# sieves its second and third run (the first block past 6 * 2**17 + 6 and
+# past 12 * 2**17 + 6), and a limit past 2**21 that ends inside a run
+_RUN_NS = list(range(65)) + sorted({k * 6 * arith._RUN + d for k in (1, 2) for d in range(-7, 8)}
+                                   | {2**21 + 5})
+
+
+@pytest.mark.parametrize("n_max", _RUN_NS)
+def test_spf_runs_hold_a_plain_sieve_at_the_n_prime_to_6(n_max):
+    # each block's two views hold the spf of exactly its n = 1 and its
+    # n = 5 mod 6, the blocks tile start..n_max, from 2 and from above
+    # n_max / 2, whose runs start at a lo not divisible by 6, and the
+    # primes and prime powers marked from the runs are those of a plain
+    # sieve
+    sv = build_sieve(max(math.isqrt(n_max), 2))
+    expected = brute.spf_table(max(n_max, 2))
+    for start in sorted({2, max(n_max // 2 + 1, 2)}):
+        at = start
+        for lo, hi, (one, five) in arith._spf_blocks(sv.primes(math.isqrt(n_max)), n_max, start):
+            assert lo == at and hi > lo
+            assert np.array_equal(one, expected[lo + (1 - lo) % 6 : hi : 6]), (lo, hi)
+            assert np.array_equal(five, expected[lo + (5 - lo) % 6 : hi : 6]), (lo, hi)
+            at = hi
+        assert at == max(n_max + 1, start)
+    primes = brute.primes_upto(n_max)
+    assert np.array_equal(arith._sieved_primes(n_max), primes)
+    marked, powers, bases = arith.prime_powers(sv, n_max)
+    assert np.array_equal(marked, brute.lambda_table(n_max) > 0)
+    root = primes[primes <= math.isqrt(n_max)].tolist()
+    higher = sorted((p**e, p) for p in root for e in range(2, 64) if p**e <= n_max)
+    assert powers.tolist() == [q for q, _ in higher]
+    assert bases.tolist() == [p for _, p in higher]
+
+
+def test_prime_counts_to_ten_million():
+    # pi(10**6) = 78498 and pi(10**7) = 664579, the last prime 9999991
+    primes = build_sieve(10**7).primes(10**7)
+    assert len(primes) == 664_579 and primes[-1] == 9_999_991
+    assert np.searchsorted(primes, 10**6, side="right") == 78_498
 
 
 def test_factorize_examples(sieve_10m):
@@ -337,11 +384,11 @@ def test_tabulate_matches_pointwise(sieve_small):
         )
 
 
-# cross the 2**20 block cap of the spf-derived tables and the 2**18 sieve
-# segments at a limit that is no power of two, end on, before and after
-# one period 210 of the sieve's wheel and on, before and after the first
-# segment edge, and cover the smallest sieves; at 1451**2 the last entry
-# of the last segment is a prime square.  At 2**21 - 1, 2**21 and
+# cross the 2**20 block cap of the spf-derived tables and the 2**18 walk
+# blocks at a limit that is no power of two, end on, before and after
+# 210 = 2 * 3 * 5 * 7 and on, before and after the first block edge, and
+# cover the smallest sieves; at 1451**2 the last entry of the last run
+# is a prime square.  At 2**21 - 1, 2**21 and
 # 2**21 + 1 the cofactors N//2 and N//2 + 1 of the top block sit on or
 # next to the block edge 2**20
 _ORACLE_LIMITS = [2, 3, 4, 209, 210, 211, 2**18 - 1, 2**18, 2**18 + 1,
@@ -560,7 +607,7 @@ def test_upto_prefix_matches_full_tables():
         # once the full table is built it is sliced, not a second prefix
         assert np.shares_memory(sv.upto(w, 500), full)
     assert _cached(sv) == {"mobius": 10_001, "phi": 10_001}
-    # mu and phi sieve their own segments from the primes to isqrt(R)
+    # mu and phi sieve their own spf runs from the primes to isqrt(R)
     with pytest.raises(UsageError):
         sv.upto(PHI, 10_001**2)
     small = build_sieve(30)
@@ -568,19 +615,22 @@ def test_upto_prefix_matches_full_tables():
         assert np.array_equal(small.upto(w, 31**2 - 1), oracle(31**2 - 1)), w.name
 
 
-# R on both sides of every edge of mu and phi's halving blocks to 3 * 2**18
+# R on both sides of every edge of mu and phi's halving blocks to 3 * 2**18,
+# and around the first edge of the spf runs: a walk to R sieves a second
+# run from R = 6 * 2**17 + 6 = 3 * 2**18 + 6 on
 _WALK_RS = sorted({R for lo, _ in _halving_blocks(3 * _SEGMENT, _SEGMENT)
-                   for R in (lo - 1, lo) if R >= 1} | {3 * _SEGMENT})
+                   for R in (lo - 1, lo) if R >= 1}
+                  | {6 * arith._RUN + d for d in range(-7, 8)})
 
 
 def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(monkeypatch):
     calls = []
-    segment = arith._spf_segment
-    monkeypatch.setattr(arith, "_spf_segment", lambda *a: calls.append(a[1]) or segment(*a))
+    sieve_runs = arith._sieve_runs
+    monkeypatch.setattr(arith, "_sieve_runs", lambda *a: calls.append(a[1]) or sieve_runs(*a))
     for R in _WALK_RS:
         alone = build_sieve(math.isqrt(R) + 2)
         alone.primes(math.isqrt(R))
-        del calls[:]  # finding the primes sieves segments too
+        del calls[:]  # finding the primes sieves runs too
         own = {w: alone.upto(w, R) for w in (MOBIUS, PHI)}
         one_walk = len(calls) // 2
         assert calls[:one_walk] == calls[one_walk:]
@@ -597,7 +647,7 @@ def test_prepare_walks_once_for_mu_and_phi_byte_identical_to_their_own_walks(mon
                 assert np.shares_memory(sv.upto(w, R // 2), got)
             sv.prepare(walks, R)
             assert len(calls) == one_walk  # nothing walked again
-    assert one_walk > 1  # the last R walks several segments
+    assert one_walk > 1  # the last R sieves more than one run
 
 
 @pytest.mark.parametrize("N", [2, 3, 1000, 262_147, 1_000_003])
@@ -642,10 +692,10 @@ def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
     seen = []
     blocks = arith._spf_blocks
 
-    def watching(primes, n_max, start=2):
-        for lo, p in blocks(primes, n_max, start):
-            seen.append((lo, lo + len(p)))
-            yield lo, p
+    def watching(primes, n_max, start=2, cut=0):
+        for lo, hi, spf in blocks(primes, n_max, start, cut):
+            seen.append((lo, hi))
+            yield lo, hi, spf
 
     monkeypatch.setattr(arith, "_spf_blocks", watching)
     phi = sv.upto(PHI, 4000)
@@ -668,7 +718,7 @@ def test_prepare_resumes_only_the_shorter_tables(monkeypatch):
     # the values copied exactly: sigma_2 is int32 to 13000, int64 to 20000
     sv = build_sieve(200)
     sv.prepare((walk("sigma", 2),), 13_000)
-    sv.primes(200)  # whose sieve walks segments too
+    sv.primes(200)  # whose sieve walks blocks too
     del seen[:]
     sv.prepare((walk("sigma", 2),), 20_000)
     assert seen[0][0] == 13_001 and sv.memo["sigma(2)"].dtype == np.int64

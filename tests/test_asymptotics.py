@@ -541,3 +541,21 @@ def test_sigma_norm_report_below_M_2_has_nan_envelope(sieve_small):
         assert math.isnan(rep.envelope) and math.isnan(rep.normalized)
     with pytest.raises(UsageError):
         verify(_spec(4, 2.0), 1.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda sv: sigma_provider(1e-17), "s must exceed 2**-53, where 1 + s rounds to 1, got 1e-17"),
+    (lambda sv: main_term_sigma_norm(sv, 2**-53, 1.0, 100, 3.0),
+     f"alpha must exceed 2**-53, where 1 + alpha rounds to 1, got {2**-53}"),
+    (lambda sv: main_term_sigma_norm(sv, 1.0, 1e-300, 100, 3.0),
+     "beta must exceed 2**-53, where 1 + beta rounds to 1, got 1e-300"),
+    (lambda sv: main_term_sigma_full(sv, 1e-300, 1.0, 100),
+     "alpha must exceed 2**-53, where 1 + alpha rounds to 1, got 1e-300"),
+])
+def test_exponent_below_float64_epsilon_is_named(sieve_small, call, needle):
+    # 1 + s rounds to 1.0 for 0 < s <= 2**-53: the error names the
+    # argument as passed, not the 1.0 that zeta_real would refuse
+    with pytest.raises(UsageError) as err:
+        call(sieve_small)
+    assert str(err.value) == needle
+    assert sigma_provider(2**-52).delta == 2**-52  # the smallest s above

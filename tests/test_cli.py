@@ -531,7 +531,7 @@ def test_verify_ingham_names_the_first_bad_point(capsys, grid, needle):
 
 @pytest.mark.parametrize("alpha, needle", [
     ("60", "zeta_real supports s <= 50, got 61.0"),
-    ("1e-300", "zeta_real requires s > 1, got 1.0"),
+    ("1e-300", "alpha must exceed 2**-53, where 1 + alpha rounds to 1, got 1e-300"),
 ])
 def test_verify_general_exponent_exits_2_before_tables(capsys, monkeypatch, alpha, needle):
     import convlab.cli as cli
