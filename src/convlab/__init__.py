@@ -8,25 +8,13 @@ values against asymptotic main terms with explicit error envelopes.
 The package exports each module's __all__, in the order below.
 """
 
-import gc
-
-# the imports, numpy's included, allocate tens of thousands of objects
-# that no collection could free; the GC is paused while they run, and on
-# again after only if the importer had it on
-_gc_was_on = gc.isenabled()
-gc.disable()
-try:
-    from . import arith, asymptotics, convolution, errors, ramanujan, special
-    from .arith import *
-    from .asymptotics import *
-    from .convolution import *
-    from .errors import *
-    from .ramanujan import *
-    from .special import *
-finally:
-    if _gc_was_on:
-        gc.enable()
-del gc, _gc_was_on
+from . import arith, asymptotics, convolution, errors, ramanujan, special
+from .arith import *
+from .asymptotics import *
+from .convolution import *
+from .errors import *
+from .ramanujan import *
+from .special import *
 
 __version__ = "0.1.0"
 

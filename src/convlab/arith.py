@@ -33,7 +33,6 @@ tabulate returns is read-only.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -192,16 +191,14 @@ class FactorSieve:
 
 
 def _primes_upto(sieve: FactorSieve, top: int) -> np.ndarray:
-    # FactorSieve.primes for a top already checked, as factorize reads
-    # them, cut by bisect in a list, faster than np.searchsorted
-    found, primes, listed = sieve.memo.get("primes", (-1, None, None))
+    # FactorSieve.primes for a top already checked, as factorize reads them
+    found, primes = sieve.memo.get("primes", (-1, None))
     if found < top:
         found = min(max(top, 2 * found), sieve.limit)
         primes = _sieved_primes(found)
         primes.setflags(write=False)
-        listed = primes.tolist()
-        sieve.memo["primes"] = found, primes, listed
-    return primes[: bisect.bisect_right(listed, top)]
+        sieve.memo["primes"] = found, primes
+    return primes[: np.searchsorted(primes, top, side="right")]
 
 
 def _walk_above(tables, walks, size, blocks):
@@ -723,17 +720,15 @@ def tabulate(sieve: FactorSieve, kind: str, N: int, s: float | None = None) -> A
     sigma_norm), checked first, and an integer one past int64.
     Every kind reads the sieve's primes up to isqrt(N), so
     N < (sieve.limit + 1)**2, as for factorize.  Every kind is read
-    alike: a view of the table FactorSieve.prepare cached, where it holds
-    0..N in the dtype of a table to N, and otherwise a walk of the table
-    alone (FactorSieve.stream), which memo does not keep: a d table to
-    10**7 is 20 MB, a float64 one 80 MB.  The table's kind is its walk
-    record's name.  Lambda has no table: see convolution.lambda_convolution.
+    alike, through FactorSieve.stream held whole, whose rule it is: a
+    view of the table FactorSieve.prepare cached, where that holds 0..N
+    in the dtype of a table to N, and otherwise a walk of the table
+    alone, which memo does not keep: a d table to 10**7 is 20 MB, a
+    float64 one 80 MB.  The table's kind is its walk record's name.
+    Lambda has no table: see convolution.lambda_convolution.
     """
     w = walk(kind, s)
     N = as_index(f"{kind} table: N", N, 1, sieve)
-    cached = sieve.memo.get(w.name)
-    if cached is not None and len(cached) > N and cached.dtype == w.dtype(N):
-        return ArithTable(w.name, cached[: N + 1])
     (values,), _ = sieve.stream([w], N, N)
     values.setflags(write=False)
     return ArithTable(w.name, values)

@@ -194,6 +194,37 @@ def test_primes_are_sieved_on_demand_to_twice_the_last_top():
             sv.primes(bad)
 
 
+def test_primes_are_cut_from_one_array_at_every_top():
+    # memo holds the primes found once, one array, and primes(top) is a
+    # view of its prefix cut right at top, at the edges of it as well
+    sv = build_sieve(1000)
+    for top in range(301):
+        assert sv.primes(top).tolist() == brute.primes_upto(top).tolist(), top
+    sv = build_sieve(1000)
+    sv.primes(100)
+    sv.primes(101)
+    found = sv.memo["primes"][0]
+    assert found == 200
+    for top in (found - 1, found, found + 1):
+        cut = sv.primes(top)
+        assert cut.tolist() == brute.primes_upto(top).tolist(), top
+        assert np.shares_memory(cut, sv.memo["primes"][1]), top
+
+
+def test_primes_to_ten_million_hold_one_array():
+    # the 664 579 primes are 5.3 MB as int64; a Python list of them
+    # beside the array held about 30 MB in all
+    tracemalloc.start()
+    try:
+        sv = build_sieve(10**7)
+        primes = sv.primes(10**7)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 664_579
+    assert held < 8 * 2**20, held
+
+
 def test_divisor_count_examples(sieve_small):
     # d(n) of one n is sigma_0(n), prod (e + 1)
     for n, d in ((1, 1), (6, 4), (360, 24)):

@@ -288,6 +288,30 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
     assert calls == [limit]
 
 
+def _walked(monkeypatch):
+    # the spf walk's blocks as they run, merged into one (walk names,
+    # first n, last n, streamed) per run of adjacent blocks that fill the
+    # same tables alike: into the tables held, or streamed above them
+    # through buffers.  So one walk of two tables to N // 2, resumed to
+    # N - 1 above it, reads [(names, 2, N // 2, False), (names, N // 2 + 1,
+    # N - 1, True)], and each walk apart, or again, adds a run
+    from convlab import arith
+
+    runs = []
+    walk_block = arith._walk_block
+
+    def recording(tables, dests, walks, lo, hi, spf, shift):
+        names, streamed = [w.name for w in walks], dests is not tables
+        if runs and (runs[-1][0], runs[-1][2] + 1, runs[-1][3]) == (names, lo, streamed):
+            runs[-1] = (names, runs[-1][1], hi - 1, streamed)
+        else:
+            runs.append((names, lo, hi - 1, streamed))
+        walk_block(tables, dests, walks, lo, hi, spf, shift)
+
+    monkeypatch.setattr(arith, "_walk_block", recording)
+    return runs
+
+
 @pytest.mark.parametrize("f, g, walks", [
     ("phi", "mu", [["phi", "mobius"]]),
     ("mu", "phi", [["mobius", "phi"]]),
@@ -302,19 +326,12 @@ def test_each_command_builds_one_sieve_of_its_own_size(capsys, monkeypatch, argv
     ("sigma:2", "sigma:0.5", [["sigma(2)", "sigma(0.5)"]]),
 ])
 def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypatch, f, g, walks):
-    from convlab import arith
-
-    built = []
-    stream = arith.FactorSieve.stream
-    monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, walks, n_max, held:
-                        built.append(([w.name for w in walks], n_max, held))
-                        or stream(self, walks, n_max, held))
+    built = _walked(monkeypatch)
     code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5000", "--M", "2500",
                        "--boundary", "closed")
     # both tables walked together to N // 2, and that walk resumed above it
     (names,) = walks
-    assert code == 0 and built == [(names, 2500, 2500), (names, 4999, 2500)]
+    assert code == 0 and built == [(names, 2, 2500, False), (names, 2501, 4999, True)]
 
 
 @pytest.mark.parametrize("M, boundary", [("1", "half_open"), ("10", "closed"),
@@ -322,17 +339,10 @@ def test_convolve_builds_mu_and_phi_in_one_walk_in_either_order(capsys, monkeypa
 def test_convolve_holds_its_tables_to_half_N_whatever_M(capsys, monkeypatch, M, boundary):
     # two walked kinds are held to N // 2 and streamed to N - 1 above it;
     # lambda against any kind builds no Lambda table and the other kind whole
-    from convlab import arith
-
-    built = []
-    stream = arith.FactorSieve.stream
-    monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, walks, n_max, held:
-                        built.append(([w.name for w in walks], n_max, held))
-                        or stream(self, walks, n_max, held))
-    for f, g, walks in (("sigma:1", "d", [(["sigma(1)", "divisor"], 2500, 2500),
-                                          (["sigma(1)", "divisor"], 5000, 2500)]),
-                        ("lambda", "d", [(["divisor"], 5001, 5001)])):
+    built = _walked(monkeypatch)
+    for f, g, walks in (("sigma:1", "d", [(["sigma(1)", "divisor"], 2, 2500, False),
+                                          (["sigma(1)", "divisor"], 2501, 5000, True)]),
+                        ("lambda", "d", [(["divisor"], 2, 5001, False)])):
         built.clear()
         code, out, _ = run(capsys, "convolve", "--f", f, "--g", g, "--N", "5001", "--M", M,
                            "--boundary", boundary)
@@ -342,19 +352,13 @@ def test_convolve_holds_its_tables_to_half_N_whatever_M(capsys, monkeypatch, M, 
 def test_verify_general_walks_both_exponents_at_once(capsys, monkeypatch):
     # one walk for the whole grid, to N/2 and on above it to N - 1,
     # holding each table to N/2 only
-    from convlab import arith
-
-    built = []
-    stream = arith.FactorSieve.stream
-    monkeypatch.setattr(arith.FactorSieve, "stream",
-                        lambda self, walks, n_max, held:
-                        built.append(([w.name for w in walks], n_max, held))
-                        or stream(self, walks, n_max, held))
+    built = _walked(monkeypatch)
     for beta, names in (("2", ["sigma(-0.5)", "sigma(-2.0)"]), ("0.5", ["sigma(-0.5)"])):
         built.clear()
         code, out, _ = run(capsys, "verify-general", "--alpha", "0.5", "--beta", beta,
                            "--N", "5000", "--M-grid", "100,2500,4999")
-        assert code in (0, 1) and built == [(names, 2500, 2500), (names, 4999, 2500)]
+        assert code in (0, 1) and built == [(names, 2, 2500, False),
+                                             (names, 2501, 4999, True)]
 
 
 _CLI_TABLES_AT_2_22 = [
@@ -530,7 +534,6 @@ def test_verify_ingham_names_the_first_bad_point(capsys, grid, needle):
 
 
 @pytest.mark.parametrize("alpha, needle", [
-    ("60", "zeta_real supports s <= 50, got 61.0"),
     ("1e-300", "alpha must exceed 2**-53, where 1 + alpha rounds to 1, got 1e-300"),
 ])
 def test_verify_general_exponent_exits_2_before_tables(capsys, monkeypatch, alpha, needle):
@@ -547,6 +550,20 @@ def test_verify_general_exponent_exits_2_before_tables(capsys, monkeypatch, alph
     assert code == 2
     assert out == ""
     assert err == f"error: {needle}\n"
+
+
+def test_verify_general_takes_exponents_past_fifty(capsys):
+    # zeta_real takes every finite s > 1: the main terms divide by zeta(63)
+    # and zeta(52), 1.0 and 1 + 2**-52 in float64
+    code, out, err = run(capsys, "verify-general", "--alpha", "60", "--beta", "1", "--N", "1000",
+                         "--M-grid", "10,20")
+    assert code in (0, 1) and err == ""
+    assert [row.split(",")[:4] for row in out.splitlines()[1:3]] == [
+        ["60", "1", "1000", "10"], ["60", "1", "1000", "20"]]
+    code, out, err = run(capsys, "verify-general", "--alpha", "30", "--beta", "20",
+                         "--N", "100000", "--M-grid", "1000,50000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split(",")[6] == "999.000476443948"
 
 
 @pytest.mark.parametrize("argv", [
@@ -820,8 +837,7 @@ def test_library_import_leaves_the_gc_unfrozen():
 
 @pytest.mark.parametrize("on", [True, False])
 def test_library_import_keeps_the_importers_gc_state(on):
-    # import convlab pauses the GC while its modules load, and leaves it
-    # as the importer had it
+    # import convlab leaves the GC as the importer had it
     code = f"import gc\n{'' if on else 'gc.disable()'}\nimport convlab\nprint(gc.isenabled())"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
