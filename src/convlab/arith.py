@@ -523,10 +523,12 @@ def sigma_rational(f: Factorization, k: int) -> int | Fraction:
 
     An int for k >= 0, from the Euler product in integers (prod (e + 1)
     for k = 0, where each factor's geometric sum is e + 1); for k = -1 the
-    Fraction sigma_1(n) / n, the case the main terms consume.  Conversion
-    to float is left to the caller so it happens exactly once.  k is an
-    integer (operator.index, as for as_index): a float, even an integral
-    one, raises UsageError (sigma_real takes a real s).
+    Fraction sigma_1(n) / n (the main terms divide the int sigma_1(n) by
+    n instead, a true division of ints, rounded once as float() of the
+    Fraction is).  Conversion to float is left to the caller so it happens
+    exactly once.  k is an integer (operator.index, as for as_index): a
+    float, even an integral one, raises UsageError (sigma_real takes a
+    real s).
     """
     try:
         k = operator.index(k)

@@ -155,6 +155,23 @@ def main_term_general(
     return M * res.value, M * res.tail_bound
 
 
+def check_sigma_pair(alpha: float, beta: float) -> Tuple[float, float]:
+    """(w, zeta(1 + alpha) zeta(1 + beta) / zeta(w + 1)), w = alpha + beta + 1.
+
+    The one rule for the exponents of a sigma pair's main terms, or
+    UsageError naming the exponents: alpha and beta finite and > 0,
+    1 + alpha and 1 + beta above 1 in float64 (one_plus), and w finite.
+    A caller can check the exponents before it builds the sieve.
+    """
+    if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
+        raise UsageError("alpha and beta must be positive")
+    za, zb = zeta_real(one_plus("alpha", alpha)), zeta_real(one_plus("beta", beta))
+    w = alpha + beta + 1.0
+    if not math.isfinite(w):
+        raise UsageError(f"alpha + beta + 1 overflows float64, got alpha={alpha}, beta={beta}")
+    return w, za * zb / zeta_real(w + 1.0)
+
+
 def main_term_sigma_norm(
     sieve: FactorSieve, alpha: float, beta: float, N: int, M: float
 ) -> Tuple[float, float]:
@@ -163,13 +180,9 @@ def main_term_sigma_norm(
     Returns (value, delta) with delta = min(alpha, beta) selecting the
     error regime.
     """
-    if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
-        raise UsageError("alpha and beta must be positive")
+    w, zfac = check_sigma_pair(alpha, beta)
     N = as_index("N", N, 1, sieve)
     _check_M(M)
-    w = alpha + beta + 1.0
-    zfac = (zeta_real(one_plus("alpha", alpha)) * zeta_real(one_plus("beta", beta))
-            / zeta_real(w + 1.0))
     snorm = sigma_real(factorize(sieve, N), -w)
     return M * zfac * snorm, min(alpha, beta)
 
@@ -182,13 +195,9 @@ def main_term_sigma_full(
     Returns (value, omega) where residuals are expected to grow no faster
     than N**omega, omega = alpha + beta + 1 - min(alpha, beta, 1).
     """
-    if as_real("alpha", alpha) <= 0 or as_real("beta", beta) <= 0:
-        raise UsageError("alpha and beta must be positive")
+    w, zfac = check_sigma_pair(alpha, beta)
     N = as_index("N", N, 2, sieve)
-    w = alpha + beta + 1.0
     gfac = gamma_real(alpha + 1.0) * gamma_real(beta + 1.0) / gamma_real(w + 1.0)
-    zfac = (zeta_real(one_plus("alpha", alpha)) * zeta_real(one_plus("beta", beta))
-            / zeta_real(w + 1.0))
     sig = sigma_real(factorize(sieve, N), w)
     omega = w - min(alpha, beta, 1.0)
     return gfac * zfac * sig, omega

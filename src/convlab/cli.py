@@ -66,9 +66,9 @@ from .arith import build_sieve, check_addressable, tabulate, walked_halves
 from .asymptotics import (
     ConvolutionReport,
     check_divisor_report,
+    check_sigma_pair,
     divisor_reports,
     envelope_defect,
-    main_term_sigma_norm,
     ramanujan_regime,
     sigma_norm_report,
     sweep,
@@ -270,14 +270,12 @@ _GENERAL_HEADERS = (
 def cmd_verify_general(args: argparse.Namespace) -> Result:
     alpha = _parse_float(args.alpha, "--alpha")
     beta = _parse_float(args.beta, "--beta")
-    if alpha <= 0 or beta <= 0:
-        raise UsageError("alpha and beta must be positive")
+    check_sigma_pair(alpha, beta)
     grid = _parse_grid(args.M_grid, "M")
     _check_N(args.N)
     specs = [ConvolutionSpec(N=args.N, M=M, boundary="half_open") for M in grid]
     sieve = _sieve_for(math.isqrt(args.N), args.N)
-    # the main term's zeta factor rejects an exponent before any table
-    _, delta = main_term_sigma_norm(sieve, alpha, beta, args.N, 1.0)
+    delta = min(alpha, beta)
     # every exact sum of the grid in one walk of both tables, each held
     # only up to N/2
     f, g, above = walked_halves(sieve, ("sigma_norm", alpha), ("sigma_norm", beta), args.N)

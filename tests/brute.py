@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from convlab.arith import Factorization, sigma_rational
 from convlab.errors import ConsistencyError, UsageError
 
 
@@ -106,6 +107,24 @@ def additive_sum(f, g, N: int, k: int) -> int:
     f and g are 1-indexed sequences of integers (lists are fastest).
     """
     return sum(int(f[n]) * int(g[N - n]) for n in range(1, k + 1))
+
+
+def eisenstein_sum(f: Factorization, a: int, b: int) -> int:
+    """sum_{0 < n < N} sigma_a(n) sigma_b(N - n), from the factorization f of N alone.
+
+    The quasi-modular identities among the Eisenstein series E_2, E_4,
+    E_6 and E_8 (Ramanujan 1916; Lahiri 1946), for (a, b) = (1, 1),
+    (1, 3) and (3, 3), with sigma_k(N) from sigma_rational.
+    """
+    N, s = f.n, {k: sigma_rational(f, k) for k in (1, 3, 5, 7)}
+    num, den = {
+        (1, 1): (5 * s[3] + (1 - 6 * N) * s[1], 12),
+        (1, 3): (21 * s[5] - 30 * N * s[3] + 10 * s[3] - s[1], 240),
+        (3, 3): (s[7] - s[3], 120),
+    }[a, b]
+    q, r = divmod(num, den)
+    assert r == 0, (N, a, b)
+    return q
 
 
 def lattice_count(N: int, M: int) -> int:

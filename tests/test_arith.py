@@ -534,6 +534,15 @@ def test_sigma_2_dtype_crosses_to_int64_where_bound_reaches_2_31():
         assert np.array_equal(values, expected)
 
 
+def test_sigma_3_table_is_refused_where_N_cubed_reaches_2_61():
+    # 1321122**3 < 2**61 <= 1321123**3: the last int64 table is built,
+    # and the next is refused before any walk
+    sv = build_sieve(1150)
+    assert tabulate(sv, "sigma", 1_321_122, s=3).values.dtype == np.int64
+    with pytest.raises(UsageError, match="would overflow 64-bit accumulation"):
+        tabulate(sv, "sigma", 1_321_123, s=3)
+
+
 @pytest.mark.parametrize("r", [2, 3, 10, 31])
 def test_lambda_reaches_the_square_of_the_sieve(r):
     # Lambda reads the sieve's primes to isqrt(N - 1), as factorize does,

@@ -20,6 +20,7 @@ from convlab import (
     envelope_subsum,
     expansion_adaptive,
     factorize,
+    gamma_real,
     main_term_full,
     main_term_general,
     main_term_sigma_full,
@@ -36,8 +37,9 @@ from convlab import (
     tau_exact,
     tau_main,
     verify,
+    zeta_real,
 )
-from convlab.asymptotics import _sigma_minus_one, check_divisor_report
+from convlab.asymptotics import _sigma_minus_one, check_divisor_report, check_sigma_pair
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
@@ -296,6 +298,8 @@ def test_sigma_norm_domain(sieve_small):
         main_term_sigma_norm(sieve_small, 0.0, 1.0, 6, 10.0)
     with pytest.raises(UsageError):
         main_term_sigma_norm(sieve_small, 1.0, -2.0, 6, 10.0)
+    with pytest.raises(UsageError, match="^alpha and beta must be positive$"):
+        main_term_sigma_full(sieve_small, 0.0, 1.0, 100)
 
 
 def test_sigma_full_constants(sieve_small):
@@ -307,6 +311,30 @@ def test_sigma_full_constants(sieve_small):
         assert abs(value - ref) / ref < 1e-10, N
         assert omega == 2.0
     assert main_term_sigma_full(sieve_small, 1.0, 1.0, 6)[0] == pytest.approx(105.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sv: check_sigma_pair(1e308, 1e308),
+    lambda sv: main_term_sigma_norm(sv, 1e308, 1e308, 100, 3.0),
+    lambda sv: main_term_sigma_full(sv, 1e308, 1e308, 100),
+])
+def test_sigma_pair_whose_w_overflows_names_alpha_and_beta(sieve_small, call):
+    # each exponent is finite, but w = alpha + beta + 1 is not
+    with pytest.raises(UsageError) as err:
+        call(sieve_small)
+    assert str(err.value) == "alpha + beta + 1 overflows float64, got alpha=1e+308, beta=1e+308"
+
+
+def test_sigma_pair_zeta_factor_is_the_main_terms(sieve_small):
+    # the one w and zeta factor both main terms multiply by, bit for bit
+    w, zfac = check_sigma_pair(0.5, 1.5)
+    assert (w, zfac) == (3.0, zeta_real(1.5) * zeta_real(2.5) / zeta_real(4.0))
+    f = factorize(sieve_small, 720)
+    assert main_term_sigma_norm(sieve_small, 0.5, 1.5, 720, 7.0) == (
+        7.0 * zfac * sigma_real(f, -3.0), 0.5)
+    gfac = gamma_real(1.5) * gamma_real(2.5) / gamma_real(4.0)
+    assert main_term_sigma_full(sieve_small, 0.5, 1.5, 720) == (
+        gfac * zfac * sigma_real(f, 3.0), 2.5)
 
 
 def test_sigma_full_omega(sieve_small):

@@ -491,6 +491,15 @@ def run_to_exit(capsys, *argv):
      ("verify-ingham", "--N-grid", "100,1000", "--M-rule", "fixed:0")),
     ("M must lie in [1, N], got M=0.1, N=100",
      ("verify-ingham", "--N-grid", "100,1000", "--M-rule", "frac:0.001")),
+    ("frac rule needs 0 < c <= 1, got 0.0",
+     ("verify-ingham", "--N-grid", "100,1000", "--M-rule", "frac:0")),
+    ("frac rule needs 0 < c <= 1, got 1.5",
+     ("verify-ingham", "--N-grid", "100,1000", "--M-rule", "frac:1.5")),
+    ("R must be >= 1, got 0", ("goldbach", "--N", "100", "--R", "0")),
+    # alpha + beta overflows, though each is finite: named as passed, not
+    # as the inf that zeta_real would refuse
+    ("alpha + beta + 1 overflows float64, got alpha=1e+308, beta=1e+308",
+     ("verify-general", "--alpha", "1e308", "--beta", "1e308", "--N", "1000", "--M-grid", "10")),
 ])
 def test_malformed_arguments_print_one_error_line(capsys, monkeypatch, needle, argv):
     import convlab.cli as cli

@@ -16,13 +16,14 @@ from convlab import (
     additive_convolutions,
     build_sieve,
     divisor_report,
+    factorize,
     lambda_convolution,
     shifted_divisor_convolution,
     tabulate,
     tau_exact,
 )
 from convlab import convolution
-from convlab.arith import MOBIUS, PHI, _SEGMENT, walk
+from convlab.arith import MOBIUS, PHI, _SEGMENT, walk, walked_halves
 from convlab.convolution import (
     _CHUNK, _MIN_RUN, _abs_max, _exact_int_sum, _run_length, real_dot,
 )
@@ -117,6 +118,57 @@ def test_half_integer_M(dtable_small):
     lit = sum(int(d[n]) * int(d[10 - n]) for n in range(1, 5))
     assert _dd(dtable_small, 10, 4.5, "closed") == lit
     assert _dd(dtable_small, 10, 4.5, "half_open") == lit
+
+
+_EISENSTEIN_PAIRS = [(1, 1), (1, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("a, b", _EISENSTEIN_PAIRS)
+def test_eisenstein_identities_at_every_N_to_2000(sieve_small, a, b):
+    # sigma_1 and sigma_3 to 2000: float64 dots, and int64 runs and Python
+    # ints as sigma_3 grows; the grid of every N reads f's float64 image
+    tables = {k: tabulate(sieve_small, "sigma", 2000, s=k) for k in (1, 3)}
+    Ns = range(2, 2001)
+    specs = [ConvolutionSpec(N=N, M=N, boundary="half_open") for N in Ns]
+    expected = [brute.eisenstein_sum(factorize(sieve_small, N), a, b) for N in Ns]
+    assert [additive_convolution(tables[a], tables[b], spec) for spec in specs] == expected
+    assert additive_convolutions(tables[a], tables[b], specs) == expected
+
+
+@pytest.fixture(scope="module")
+def sigma_tables_past_2_20():
+    sv = build_sieve(math.isqrt(1_081_080))
+    return sv, {k: tabulate(sv, "sigma", 1_081_080, s=k) for k in (1, 3)}
+
+
+# a prime and 2**20 just below 2**20 and a highly composite N (256
+# divisors) above it; an odd prime and a highly composite N (240 divisors)
+# below 10**6.  sigma_1 * sigma_1 takes int64 runs there, and the pairs with
+# sigma_3 Python ints
+@pytest.mark.parametrize("N", [1_048_573, 1_048_576, 1_081_080, 999_983, 997_920])
+@pytest.mark.parametrize("a, b", _EISENSTEIN_PAIRS)
+def test_eisenstein_identities_whole_and_streamed(sigma_tables_past_2_20, a, b, N):
+    sv, tables = sigma_tables_past_2_20
+    spec = ConvolutionSpec(N=N, M=N, boundary="half_open")
+    expected = brute.eisenstein_sum(factorize(sv, N), a, b)
+    assert additive_convolution(tables[a], tables[b], spec) == expected
+    f, g, above = walked_halves(sv, ("sigma", a), ("sigma", b), N)
+    assert additive_convolution(f, g, spec, above=above) == expected
+
+
+def test_eisenstein_sigma_1_pair_at_ten_million():
+    # the identity's value is computed here, not stored, so it holds
+    # across a declared change elsewhere
+    N = 10**7
+    sv = build_sieve(math.isqrt(N))
+    f, g, above = walked_halves(sv, ("sigma", 1), ("sigma", 1), N)
+    exact = additive_convolution(f, g, ConvolutionSpec(N=N, M=N, boundary="half_open"), above=above)
+    assert exact == brute.eisenstein_sum(factorize(sv, N), 1, 1)
+
+
+def test_shifted_sum_refuses_a_table_other_than_d(sieve_small):
+    with pytest.raises(UsageError, match=r"^need a divisor table, got kind 'sigma\(1\)'$"):
+        shifted_divisor_convolution(tabulate(sieve_small, "sigma", 100, s=1), 10, 1)
 
 
 def test_shifted_examples(dtable_small):

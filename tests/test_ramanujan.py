@@ -193,6 +193,8 @@ def test_product_provider_coefficients_and_metadata(sieve_small):
 def test_custom_provider_metadata_check():
     with pytest.raises(UsageError):
         custom_provider(lambda r: 1.0 / r**3, delta=2.0, bound=None)
+    with pytest.raises(UsageError, match="^decay metadata must be positive$"):
+        custom_provider(lambda r: 1.0 / r**3, delta=-1.0, bound=1.0)
     p = custom_provider(lambda r: 1.0 / r**3, delta=2.0, bound=1.0)
     assert not p.conditional
     q = custom_provider(lambda r: (-1.0) ** r / r)
@@ -235,6 +237,17 @@ def test_expansion_partial_sum_argument_errors(sieve_small):
 def test_expansion_adaptive_rejects_conditional(sieve_small):
     with pytest.raises(UsageError):
         expansion_adaptive(sieve_small, divisor_provider(), 4)
+
+
+def test_expansion_adaptive_rejects_a_tolerance_of_zero(sieve_small):
+    with pytest.raises(UsageError, match="^tol must be positive, got 0$"):
+        expansion_adaptive(sieve_small, sigma_provider(1.0), 6, tol=0)
+
+
+@pytest.mark.parametrize("s", [0, -1.0])
+def test_sigma_provider_refuses_a_nonpositive_exponent(s):
+    with pytest.raises(UsageError, match=f"^sigma provider needs s > 0, got {s}$"):
+        sigma_provider(s)
 
 
 def test_expansion_adaptive_cap_failure():
