@@ -5,25 +5,28 @@ evaluates additive and shifted convolution sums exactly, computes
 Ramanujan sums and truncated Ramanujan expansions, and checks the exact
 values against asymptotic main terms with explicit error envelopes.
 
-The package exports each module's __all__, in the order below.
+The package exports each module's __all__, in the order of _MODULES.
+The exports are lazy (PEP 562): `import convlab` loads no module and no
+numpy, and the first name asked of the package loads every module, so
+a command-line entry can set BLAS's thread count before numpy loads.
 """
-
-from . import arith, asymptotics, convolution, errors, ramanujan, special
-from .arith import *
-from .asymptotics import *
-from .convolution import *
-from .errors import *
-from .ramanujan import *
-from .special import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *arith.__all__,
-    *asymptotics.__all__,
-    *convolution.__all__,
-    *errors.__all__,
-    *ramanujan.__all__,
-    *special.__all__,
-]
+_MODULES = ("arith", "asymptotics", "convolution", "errors", "ramanujan", "special")
+
+
+def __getattr__(name: str):
+    # binds every module and its __all__ here, so each is asked for once
+    from importlib import import_module
+
+    modules = [import_module(f"{__name__}.{m}") for m in _MODULES]
+    exports = {n: getattr(module, n) for module in modules for n in module.__all__}
+    globals().update(exports, __all__=["__version__", *exports])
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -1,4 +1,18 @@
-from convlab.cli import entry
+"""`python -m convlab` and the `convlab` script: the CLI on one BLAS thread.
+
+OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads, so main sets
+it before it imports the CLI; a value the user set wins.
+"""
+
+import os
+
+
+def main() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from convlab.cli import entry
+
+    entry()
+
 
 if __name__ == "__main__":
-    entry()
+    main()

@@ -194,10 +194,18 @@ def main_term_sigma_full(
 
     Returns (value, omega) where residuals are expected to grow no faster
     than N**omega, omega = alpha + beta + 1 - min(alpha, beta, 1).
+    UsageError naming alpha and beta where Gamma(alpha + beta + 2)
+    overflows float64.
     """
     w, zfac = check_sigma_pair(alpha, beta)
     N = as_index("N", N, 2, sieve)
-    gfac = gamma_real(alpha + 1.0) * gamma_real(beta + 1.0) / gamma_real(w + 1.0)
+    try:
+        gw = gamma_real(w + 1.0)
+    except UsageError:
+        # w + 1 > 2 is finite, so gamma_real refuses it only for overflow
+        raise UsageError(f"Gamma(alpha + beta + 2) overflows float64, got alpha={alpha}, "
+                         f"beta={beta}") from None
+    gfac = gamma_real(alpha + 1.0) * gamma_real(beta + 1.0) / gw
     sig = sigma_real(factorize(sieve, N), w)
     omega = w - min(alpha, beta, 1.0)
     return gfac * zfac * sig, omega

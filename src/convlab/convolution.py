@@ -42,6 +42,15 @@ Where a piece's products could pass 2**53 the int64 runs are at least
 as long and cheaper than shorter float64 dots, so the float64 tier
 takes whole pieces only.
 
+Over whole tables, where OPENBLAS_NUM_THREADS is "1" (the CLI sets it
+unless the user set a count), g's pieces are summed in lanes: one per
+CPU the process may run on, at most one per piece.  Each lane is one
+_int_sums call on its own thread, with the same readers and image, over
+the pieces it takes, one at a time, until none is left, and each sum
+adds its lanes' parts as Python ints, so it is the same for any number
+of lanes and any order.  Without that setting the grid runs in one
+lane, since lanes over BLAS's own threads measured slower.
+
 Real sums follow one chunk rule, with no BLAS call, so their bits do
 not depend on the thread count: the summands are cut into chunks of
 2**16 from the first index, each chunk's float64 products are reduced
@@ -86,6 +95,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,8 +395,55 @@ def additive_convolutions(f: ArithTable, g: ArithTable, specs, above=None) -> li
         # f on 1..K in float64 for the grid's float64 dots, no larger than g
         image = fv[1 : min(top, gv.nbytes // 8) + 1].astype(np.float64)
         image.setflags(write=False)
-    return _int_sums([(lo, gv[lo:hi])], [(0, N, N - k, N - 1, fv, fmax) for N, k in ranges],
-                     image)
+    readers = [(0, N, N - k, N - 1, fv, fmax) for N, k in ranges]
+    return _in_lanes(gv, lo, hi, readers, image)
+
+
+def _in_lanes(gv, lo: int, hi: int, readers, image) -> list:
+    # _int_sums of the readers over g on [lo, hi), in one lane per CPU
+    # this process may run on, at most one per piece, where BLAS runs one
+    # thread (lanes over BLAS's own threads are slower), else in one.
+    # Each lane takes the next whole piece no lane has taken until none
+    # is left, so a lane slowed by the host takes fewer; the sums are
+    # exact integers, the same for any lane and any order
+    pieces = -(-(hi - lo) // _CHUNK)
+    lanes = 1
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        lanes = max(1, min(cpus or 1, pieces))
+    if lanes == 1:
+        return _int_sums([(lo, gv[lo:hi])], readers, image)
+    starts, taking = iter(range(lo, hi, _CHUNK)), threading.Lock()
+
+    def untaken():
+        while True:
+            with taking:
+                a = next(starts, None)
+            if a is None:
+                return
+            yield a, gv[a : min(a + _CHUNK, hi)]
+
+    parts = [None] * lanes
+
+    def lane(i):
+        # its sums, or the exception that ends it, which reaches the caller
+        try:
+            parts[i] = _int_sums(untaken(), readers, image)
+        except BaseException as exc:
+            parts[i] = exc
+
+    # plain threads: numpy loads threading, where concurrent.futures
+    # would add its own imports (logging, queue) to the process
+    threads = [threading.Thread(target=lane, args=(i,)) for i in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    lane(0)
+    for thread in threads:
+        thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    return [sum(column) for column in zip(*parts)]
 
 
 def additive_convolution(f: ArithTable, g: ArithTable, spec: ConvolutionSpec, above=None):

@@ -3,7 +3,8 @@
 zeta_real uses Euler-Maclaurin with cutoff K = 64 and Bernoulli
 corrections through the B_6 term for every finite real s > 1; absolute
 error is below 1e-12 (from s = 50.5 to 1e6, zeta(s) correctly rounded
-at every s checked against mpmath).  gamma_real is math.gamma on the domain 0 < x <= 50.
+at every s checked against mpmath).  gamma_real is math.gamma for
+every x > 0 where Gamma(x) is finite in float64.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ def zeta_real(s: float) -> float:
 
 
 def gamma_real(x: float) -> float:
-    """Gamma(x) for real 0 < x <= 50."""
+    """Gamma(x) for real x > 0 where it is finite in float64 (x below about 171.62)."""
     if not x > 0.0:
         raise UsageError(f"gamma_real requires x > 0, got {x}")
-    if x > 50.0:
-        raise UsageError(f"gamma_real supports x <= 50, got {x}")
-    return math.gamma(x)
+    try:
+        value = math.gamma(x)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise UsageError(f"gamma_real overflows float64 at x = {x}")
+    return value

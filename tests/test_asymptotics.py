@@ -325,6 +325,22 @@ def test_sigma_pair_whose_w_overflows_names_alpha_and_beta(sieve_small, call):
     assert str(err.value) == "alpha + beta + 1 overflows float64, got alpha=1e+308, beta=1e+308"
 
 
+def test_sigma_full_takes_every_pair_whose_gamma_is_finite(sieve_small):
+    # Gamma(alpha + beta + 2) = Gamma(52) and Gamma(63) are finite, and
+    # Gamma(172) overflows: refused with alpha and beta named
+    for alpha, beta in ((30.0, 20.0), (60.0, 1.0)):
+        w = alpha + beta + 1.0
+        value, omega = main_term_sigma_full(sieve_small, alpha, beta, 1000)
+        gfac = math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(w + 1.0)
+        zfac = zeta_real(1.0 + alpha) * zeta_real(1.0 + beta) / zeta_real(w + 1.0)
+        sigma = float(sum(d ** int(w) for d in brute.divisors(1000)))
+        assert value == pytest.approx(gfac * zfac * sigma, rel=1e-12)
+        assert omega == w - 1.0
+    with pytest.raises(UsageError) as err:
+        main_term_sigma_full(sieve_small, 100.0, 70.0, 12)
+    assert str(err.value) == "Gamma(alpha + beta + 2) overflows float64, got alpha=100.0, beta=70.0"
+
+
 def test_sigma_pair_zeta_factor_is_the_main_terms(sieve_small):
     # the one w and zeta factor both main terms multiply by, bit for bit
     w, zfac = check_sigma_pair(0.5, 1.5)

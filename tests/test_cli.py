@@ -874,6 +874,70 @@ def test_entry_freezes_the_import_heap_before_main():
     assert int(proc.stdout) > 0
 
 
+def test_package_import_loads_no_numpy():
+    # the package's exports are lazy: numpy loads with the first one
+    code = "import sys, convlab; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_star_import_binds_the_modules_all():
+    from convlab import arith, asymptotics, convolution, errors, ramanujan, special
+
+    names = ["__version__"] + [n for m in (arith, asymptotics, convolution, errors, ramanujan,
+                                           special) for n in m.__all__]
+    namespace = {}
+    exec("from convlab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names) and len(names) == 54
+    assert set(names) <= set(dir(__import__("convlab")))
+
+
+# the OPENBLAS_NUM_THREADS a process holds when numpy is first asked for,
+# printed after what the entry run prints
+_BLAS_AT_NUMPY = """
+import os, runpy, sys
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Watch())
+sys.argv = ["convlab", "tau", "--y", "100"]
+try:
+    {entry}
+except SystemExit:
+    pass
+print(seen[0], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+_ENTRIES = {
+    "python -m convlab.cli": "runpy.run_module('convlab.cli', run_name='__main__')",
+    "python -m convlab": "runpy.run_module('convlab', run_name='__main__')",
+    "convlab script": "from convlab.__main__ import main; main()",
+    "import convlab.cli": "import convlab.cli, convlab; convlab.tau_exact",
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("blas", [None, "3"])
+def test_cli_pins_one_blas_thread_before_numpy_loads(entry, blas):
+    # each CLI entry sets OPENBLAS_NUM_THREADS=1 before numpy loads unless
+    # the user set a count; a library import leaves the variable alone
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    code = _BLAS_AT_NUMPY.format(entry=_ENTRIES[entry])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    pinned = blas or ("None" if entry == "import convlab.cli" else "1")
+    assert proc.stdout.splitlines()[-1] == f"{pinned} {pinned}"
+
+
 @pytest.mark.parametrize("expected, argv", [
     # trend_ok=False: the forward grid's relative residual grows (exit 1)
     (1, ("verify-ingham", "--N-grid", "1081080,1999999,9982039", "--M-rule", "half")),

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -913,13 +916,16 @@ def test_exact_sums_at_the_float64_boundary(fmax, gmax, dtype, monkeypatch):
 
 
 def _image_spy(monkeypatch, poison=False):
-    # the image each _int_sums call receives; with poison, the call gets
-    # an image of NaN instead, which any dot reading it turns into an error
+    # each distinct image the _int_sums calls receive, which the lanes of
+    # one grid share, and a None for each call without one; with poison,
+    # the call gets an image of NaN instead, which any dot reading it
+    # turns into an error
     images = []
     int_sums = convolution._int_sums
 
     def spying(blocks, readers, image=None):
-        images.append(image)
+        if image is None or all(image is not seen for seen in images):
+            images.append(image)
         if poison and image is not None:
             image = np.full_like(image, np.nan)
         return int_sums(blocks, readers, image)
@@ -1080,6 +1086,133 @@ def test_additive_convolutions_match_the_literal_sums(case):
     assert all(type(v) is int for v in got)
     assert got == [brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
     assert got[0] == additive_convolution(f, g, specs[0])
+
+
+# --- lanes: the whole-table integer grid on every CPU -----------------
+
+# three or four pieces of g, so that up to three lanes take one each
+_LANE_T = 3 * _CHUNK + 500
+
+
+@pytest.fixture(scope="module")
+def lane_tables():
+    # d, sigma_1 and sigma_3 to _LANE_T, each against itself in the float64
+    # dots, the int64 runs and (on most slices) the Python ints, with
+    # their values as lists for the oracle
+    sieve = build_sieve(math.isqrt(_LANE_T) + 1)
+    tables = [tabulate(sieve, "divisor", _LANE_T), tabulate(sieve, "sigma", _LANE_T, s=1),
+              tabulate(sieve, "sigma", _LANE_T, s=3)]
+    return [(t, t.values.tolist()) for t in tables]
+
+
+def _in_lanes(f, g, specs, cpus, blas="1"):
+    # additive_convolutions on cpus CPUs with OPENBLAS_NUM_THREADS = blas
+    # (None: unset), the number of _int_sums calls (lanes) and the g runs
+    # of the blocks they took, in order of lo
+    lanes, runs = [], []
+    int_sums = convolution._int_sums
+
+    def recording(blocks, readers, image=None):
+        lanes.append(threading.current_thread())
+
+        def watched():
+            for lo, *parts in blocks:
+                runs.append((lo, lo + len(parts[0])))
+                yield (lo, *parts)
+
+        return int_sums(watched(), readers, image)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if blas is None:
+            mp.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            mp.setenv("OPENBLAS_NUM_THREADS", blas)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        mp.setattr(convolution, "_int_sums", recording)
+        got = additive_convolutions(f, g, specs)
+    assert len(set(lanes)) == len(lanes)  # one thread per lane
+    return got, len(lanes), sorted(runs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.lists(st.tuples(st.integers(2, _LANE_T + 1), st.floats(0, 1),
+                                             st.booleans()), min_size=1, max_size=5))
+def test_lanes_change_no_sum(lane_tables, which, points):
+    # one lane, two and three give the literal sums over d, sigma_1 and
+    # sigma_3 against themselves; lanes take whole pieces, each once, that
+    # tile g's range
+    (f, fl), (g, gl) = lane_tables[which], lane_tables[which]
+    specs = []
+    for N, share, closed in points:
+        M = max(1.0, share * (N - 1))
+        specs.append(ConvolutionSpec(N=N, M=M, boundary="closed" if closed else "half_open"))
+    expected = [brute.additive_sum(fl, gl, s.N, s.last_index) for s in specs]
+    for cpus in (1, 2, 3):
+        got, lanes, runs = _in_lanes(f, g, specs, cpus)
+        assert got == expected, cpus
+        lo, hi = runs[0][0], runs[-1][1]
+        assert lanes == min(cpus, max(1, -(-(hi - lo) // _CHUNK)))
+        assert all(a == b for (_, a), (b, _) in zip(runs, runs[1:]))
+        if lanes > 1:
+            assert all(b - a == min(_CHUNK, hi - a) for a, b in runs)
+
+
+@pytest.mark.parametrize("blas", [None, "2", "1"])
+def test_lanes_only_where_blas_runs_one_thread(lane_tables, blas):
+    # four pieces and four CPUs: lanes only under OPENBLAS_NUM_THREADS=1
+    (d, dl), _, _ = lane_tables
+    specs = [ConvolutionSpec(N=N, M=N - 1.0, boundary="closed") for N in (_LANE_T, _LANE_T - 7)]
+    got, lanes, _ = _in_lanes(d, d, specs, 4, blas)
+    assert got == [brute.additive_sum(dl, dl, s.N, s.last_index) for s in specs]
+    assert lanes == (4 if blas == "1" else 1)
+
+
+def test_more_lanes_than_pieces(lane_tables):
+    # a grid over two pieces of g runs in two lanes on eight CPUs
+    (d, dl), _, _ = lane_tables
+    specs = [ConvolutionSpec(N=2 * _CHUNK, M=float(2 * _CHUNK - 1), boundary="closed"),
+             ConvolutionSpec(N=_CHUNK + 5, M=_CHUNK / 2, boundary="half_open")]
+    got, lanes, runs = _in_lanes(d, d, specs, 8)
+    assert got == [brute.additive_sum(dl, dl, s.N, s.last_index) for s in specs]
+    assert lanes == 2 and runs == [(1, _CHUNK + 1), (_CHUNK + 1, 2 * _CHUNK)]
+
+
+def test_lanes_under_fast_thread_switches(lane_tables):
+    # four lanes, more than this host's cores may be, switching threads
+    # every microsecond: a piece lost or taken twice moves a sum
+    (d, dl), _, _ = lane_tables
+    specs = [ConvolutionSpec(N=N, M=N - 1.0, boundary="closed") for N in range(_LANE_T - 40,
+                                                                               _LANE_T + 1, 8)]
+    result, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(_in_lanes(d, d, specs, 4)))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    got, lanes, runs = result[0]
+    assert lanes == 4 and len(runs) == 4
+    assert got == [brute.additive_sum(dl, dl, s.N, s.last_index) for s in specs]
+
+
+def test_a_lane_that_raises_reaches_the_caller(lane_tables, monkeypatch):
+    (d, _), _, _ = lane_tables
+    int_sums = convolution._int_sums
+
+    def failing(blocks, readers, image=None):
+        # the lanes on threads of their own fail
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("lane")
+        return int_sums(blocks, readers, image)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(convolution, "_int_sums", failing)
+    spec = ConvolutionSpec(N=_LANE_T, M=float(_LANE_T - 1), boundary="closed")
+    with pytest.raises(MemoryError, match="lane"):
+        additive_convolution(d, d, spec)
 
 
 def test_shifted_convolution_reads_its_two_slices(monkeypatch, dtable_small):

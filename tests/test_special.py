@@ -49,6 +49,13 @@ def test_gamma_functional_equation():
 
 
 def test_gamma_domain():
-    for x in (0.0, -1.0, 50.5):
-        with pytest.raises(UsageError):
+    # every x > 0 where Gamma(x) is finite in float64, with math.gamma's
+    # bits; UsageError at x <= 0, NaN and where Gamma(x) overflows
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(UsageError, match="x > 0"):
             gamma_real(x)
+    for x in (171.7, 1e6, math.inf, 5e-324):
+        with pytest.raises(UsageError, match="overflows float64"):
+            gamma_real(x)
+    for x in (50.0, 50.5, 52.0, 61.0, 171.6):
+        assert gamma_real(x) == math.gamma(x), x
