@@ -53,9 +53,10 @@ is about half a table per function and does not depend on M; the sums
 keep the values and bits of those over the whole tables, and a table
 that would overflow to N is refused as before.
 A CLI process (python -m convlab.cli, python -m convlab or the convlab
-script) runs one BLAS thread unless OPENBLAS_NUM_THREADS is set, and
-then sums verify-ingham's grid in lanes on every CPU (see convolution);
-no output depends on either.
+script) runs one BLAS thread unless the user gave OpenBLAS a count
+(OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS), and then
+sums verify-ingham's grid in lanes on every CPU (see convolution); no
+output depends on either.
 """
 
 from __future__ import annotations
@@ -63,14 +64,15 @@ from __future__ import annotations
 import argparse
 import gc
 import math
-import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 if __name__ == "__main__":
-    # `python -m convlab.cli`: one BLAS thread unless the user set a
+    # `python -m convlab.cli`: one BLAS thread unless the user gave a
     # count, set before numpy loads (see __main__.py)
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import _pin_one_blas_thread
+
+    _pin_one_blas_thread()
 
 from .arith import build_sieve, check_addressable, tabulate, walked_halves
 from .asymptotics import (

@@ -42,14 +42,17 @@ Where a piece's products could pass 2**53 the int64 runs are at least
 as long and cheaper than shorter float64 dots, so the float64 tier
 takes whole pieces only.
 
-Over whole tables, where OPENBLAS_NUM_THREADS is "1" (the CLI sets it
-unless the user set a count), g's pieces are summed in lanes: one per
-CPU the process may run on, at most one per piece.  Each lane is one
-_int_sums call on its own thread, with the same readers and image, over
-the pieces it takes, one at a time, until none is left, and each sum
-adds its lanes' parts as Python ints, so it is the same for any number
-of lanes and any order.  Without that setting the grid runs in one
-lane, since lanes over BLAS's own threads measured slower.
+Over whole tables, where the environment gave OpenBLAS one thread as
+this module loaded (the CLI does unless the user gave a count), g's
+pieces are summed in lanes: one per CPU the process may run on, at most
+one per piece.  Each lane is one _int_sums call, the first on the
+calling thread and each other on its own, with the same readers and
+image, over the pieces it takes, one at a time, until none is left, and
+each sum adds its lanes' parts as Python ints, so it is the same for
+any number of lanes and any order.  Otherwise the grid runs in one
+lane, since lanes over BLAS's own threads measured slower.  A lane that
+fails leaves no piece to the others, and its exception reaches the
+caller once they have joined.
 
 Real sums follow one chunk rule, with no BLAS call, so their bits do
 not depend on the thread count: the summands are cut into chunks of
@@ -101,6 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas_threads
 from .arith import MOBIUS, ArithTable, FactorSieve, as_index, as_real, build_sieve, prime_powers
 from .errors import UsageError
 
@@ -123,6 +127,8 @@ _TAU_CAP = 10_000_000.0
 _H_EXACT = 64
 _H_PREFIX = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, _H_EXACT))))
 _EULER_GAMMA = 0.5772156649015329
+# BLAS's thread count as numpy loaded, which is when OpenBLAS reads it
+_BLAS_THREADS = _blas_threads()
 
 
 @dataclass(frozen=True)
@@ -406,13 +412,10 @@ def _in_lanes(gv, lo: int, hi: int, readers, image) -> list:
     # Each lane takes the next whole piece no lane has taken until none
     # is left, so a lane slowed by the host takes fewer; the sums are
     # exact integers, the same for any lane and any order
-    pieces = -(-(hi - lo) // _CHUNK)
     lanes = 1
-    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+    if _BLAS_THREADS == 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        lanes = max(1, min(cpus or 1, pieces))
-    if lanes == 1:
-        return _int_sums([(lo, gv[lo:hi])], readers, image)
+        lanes = max(1, min(cpus or 1, -(-(hi - lo) // _CHUNK)))
     starts, taking = iter(range(lo, hi, _CHUNK)), threading.Lock()
 
     def untaken():
@@ -423,23 +426,34 @@ def _in_lanes(gv, lo: int, hi: int, readers, image) -> list:
                 return
             yield a, gv[a : min(a + _CHUNK, hi)]
 
+    def stop():
+        # no lane takes another piece
+        nonlocal starts
+        with taking:
+            starts = iter(())
+
     parts = [None] * lanes
 
     def lane(i):
         # its sums, or the exception that ends it, which reaches the caller
+        # and stops the other lanes (Ctrl-C lands in lane 0)
         try:
             parts[i] = _int_sums(untaken(), readers, image)
         except BaseException as exc:
             parts[i] = exc
+            stop()
 
     # plain threads: numpy loads threading, where concurrent.futures
     # would add its own imports (logging, queue) to the process
     threads = [threading.Thread(target=lane, args=(i,)) for i in range(1, lanes)]
     for thread in threads:
         thread.start()
-    lane(0)
-    for thread in threads:
-        thread.join()
+    try:
+        lane(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        stop()  # Ctrl-C while joining stops the lanes too
     for part in parts:
         if isinstance(part, BaseException):
             raise part

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+import convlab
 from convlab.cli import (
     _CONVOLVE_HEADERS,
     _GENERAL_HEADERS,
@@ -894,6 +895,16 @@ def test_star_import_binds_the_modules_all():
     assert set(names) <= set(dir(__import__("convlab")))
 
 
+def test_a_name_rebound_on_the_package_stays_bound(monkeypatch):
+    # the modules' exports are bound once: asking for a missing name or
+    # for dir() does not undo a patch
+    sentinel = object()
+    monkeypatch.setattr(convlab, "tabulate", sentinel)
+    assert not hasattr(convlab, "no_such_name")
+    assert "tabulate" in dir(convlab)
+    assert convlab.tabulate is sentinel
+
+
 # the OPENBLAS_NUM_THREADS a process holds when numpy is first asked for,
 # printed after what the entry run prints
 _BLAS_AT_NUMPY = """
@@ -923,18 +934,22 @@ _ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", _ENTRIES)
-@pytest.mark.parametrize("blas", [None, "3"])
-def test_cli_pins_one_blas_thread_before_numpy_loads(entry, blas):
+@pytest.mark.parametrize("given, pinned", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "3"}, "None"),
+    ({"GOTO_NUM_THREADS": "0"}, "1"),
+])
+def test_cli_pins_one_blas_thread_before_numpy_loads(entry, given, pinned):
     # each CLI entry sets OPENBLAS_NUM_THREADS=1 before numpy loads unless
-    # the user set a count; a library import leaves the variable alone
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if blas is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas
+    # the user gave OpenBLAS a count (a count of 0 it passes over); a
+    # library import leaves the variable alone
+    env = {k: v for k, v in os.environ.items() if k not in convlab._BLAS_THREAD_VARS}
+    env.update(given)
     code = _BLAS_AT_NUMPY.format(entry=_ENTRIES[entry])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    pinned = blas or ("None" if entry == "import convlab.cli" else "1")
+    if entry == "import convlab.cli":
+        pinned = given.get("OPENBLAS_NUM_THREADS", "None")
     assert proc.stdout.splitlines()[-1] == f"{pinned} {pinned}"
 
 

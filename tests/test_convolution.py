@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
+import convlab
 from convlab import (
     ArithTable,
     ConvolutionSpec,
@@ -1105,10 +1107,10 @@ def lane_tables():
     return [(t, t.values.tolist()) for t in tables]
 
 
-def _in_lanes(f, g, specs, cpus, blas="1"):
-    # additive_convolutions on cpus CPUs with OPENBLAS_NUM_THREADS = blas
-    # (None: unset), the number of _int_sums calls (lanes) and the g runs
-    # of the blocks they took, in order of lo
+def _in_lanes(f, g, specs, cpus, blas=1):
+    # additive_convolutions on cpus CPUs where the environment gave BLAS
+    # blas threads (None: no count), the number of _int_sums calls (lanes)
+    # and the g runs of the blocks they took, in order of lo
     lanes, runs = [], []
     int_sums = convolution._int_sums
 
@@ -1123,10 +1125,7 @@ def _in_lanes(f, g, specs, cpus, blas="1"):
         return int_sums(watched(), readers, image)
 
     with pytest.MonkeyPatch.context() as mp:
-        if blas is None:
-            mp.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            mp.setenv("OPENBLAS_NUM_THREADS", blas)
+        mp.setattr(convolution, "_BLAS_THREADS", blas)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         mp.setattr(convolution, "_int_sums", recording)
         got = additive_convolutions(f, g, specs)
@@ -1150,21 +1149,21 @@ def test_lanes_change_no_sum(lane_tables, which, points):
     for cpus in (1, 2, 3):
         got, lanes, runs = _in_lanes(f, g, specs, cpus)
         assert got == expected, cpus
-        lo, hi = runs[0][0], runs[-1][1]
+        lo, hi = (runs[0][0], runs[-1][1]) if runs else (0, 0)
         assert lanes == min(cpus, max(1, -(-(hi - lo) // _CHUNK)))
         assert all(a == b for (_, a), (b, _) in zip(runs, runs[1:]))
         if lanes > 1:
             assert all(b - a == min(_CHUNK, hi - a) for a, b in runs)
 
 
-@pytest.mark.parametrize("blas", [None, "2", "1"])
+@pytest.mark.parametrize("blas", [None, 2, 1])
 def test_lanes_only_where_blas_runs_one_thread(lane_tables, blas):
-    # four pieces and four CPUs: lanes only under OPENBLAS_NUM_THREADS=1
+    # four pieces and four CPUs: lanes only over one BLAS thread
     (d, dl), _, _ = lane_tables
     specs = [ConvolutionSpec(N=N, M=N - 1.0, boundary="closed") for N in (_LANE_T, _LANE_T - 7)]
     got, lanes, _ = _in_lanes(d, d, specs, 4, blas)
     assert got == [brute.additive_sum(dl, dl, s.N, s.last_index) for s in specs]
-    assert lanes == (4 if blas == "1" else 1)
+    assert lanes == (4 if blas == 1 else 1)
 
 
 def test_more_lanes_than_pieces(lane_tables):
@@ -1207,12 +1206,75 @@ def test_a_lane_that_raises_reaches_the_caller(lane_tables, monkeypatch):
             raise MemoryError("lane")
         return int_sums(blocks, readers, image)
 
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(convolution, "_BLAS_THREADS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(convolution, "_int_sums", failing)
     spec = ConvolutionSpec(N=_LANE_T, M=float(_LANE_T - 1), boundary="closed")
     with pytest.raises(MemoryError, match="lane"):
         additive_convolution(d, d, spec)
+
+
+def test_a_failing_lane_stops_the_others(monkeypatch):
+    # eight pieces, three lanes: each takes one piece, then lane 0 (the
+    # calling thread, where Ctrl-C lands) raises, and the other two, let
+    # go only once the caller joins them, find no piece left
+    lanes, taken = 3, []
+    holding = threading.Barrier(lanes, timeout=60)
+    joining = threading.Event()
+
+    def interrupted(blocks, readers, image=None):
+        blocks = iter(blocks)
+        taken.append(next(blocks)[0])
+        holding.wait()
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        assert joining.wait(timeout=60)
+        taken.extend(lo for lo, _ in blocks)
+        return [0] * len(readers)
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(convolution, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(lanes)), raising=False)
+    monkeypatch.setattr(convolution, "_int_sums", interrupted)
+    monkeypatch.setattr(convolution.threading, "Thread", Thread)
+    gv = np.ones(8 * _CHUNK + 1, dtype=np.int64)
+    with pytest.raises(KeyboardInterrupt):
+        convolution._in_lanes(gv, 1, len(gv), [(0, len(gv), 1, 1, gv, 1)], None)
+    assert sorted(taken) == [1 + i * _CHUNK for i in range(lanes)]
+
+
+@pytest.mark.parametrize("env, count", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    # OpenBLAS passes over a count that is not positive
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "-3"}, None),
+])
+def test_blas_threads_follows_openblas(monkeypatch, env, count):
+    for var in convlab._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert convlab._blas_threads() == count
+
+
+def test_lanes_read_blas_threads_once_as_numpy_loads():
+    # a count set after the module loaded, when OpenBLAS no longer reads
+    # it, starts no lane
+    code = ("import os; os.environ['OMP_NUM_THREADS'] = '1'; from convlab import convolution; "
+            "os.environ['OMP_NUM_THREADS'] = '2'; print(convolution._BLAS_THREADS)")
+    env = {k: v for k, v in os.environ.items() if k not in convlab._BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_shifted_convolution_reads_its_two_slices(monkeypatch, dtable_small):
